@@ -3,6 +3,11 @@
 //!
 //! A [`GeometryAccel`] owns both the primitive buffer (the paper's "vertex
 //! buffer", whose position encodes the rowID) and the BVH built over it.
+//! The host keeps that buffer permuted into **leaf-slot order** — entry
+//! `slot` is the primitive of rowID `bvh.prim_indices[slot]` — so the
+//! candidates of one leaf share a cache line or two; the rowID handed to
+//! any-hit and every modelled byte count are those of the rowID-ordered
+//! buffer.
 //! Device-memory usage of both parts is accounted against the owning
 //! [`Device`]'s tracker, including the temporary scratch memory the build
 //! consumes, so that Table 6 (footprint during vs. after build) can be
@@ -10,7 +15,7 @@
 
 use gpu_device::build::{staged_build_cost, BuildWork, BUILD_STAGE_COUNT};
 use gpu_device::{worker_count, Device, KernelStats, SimulatedTime};
-use rtx_bvh::{refit, BuildConfig, BuildPipeline, BuilderKind, Bvh, PrimitiveSet};
+use rtx_bvh::{refit, BuildConfig, BuildPipeline, BuilderKind, Bvh};
 
 use crate::build_input::{BuildInput, PrimitiveKind};
 
@@ -156,6 +161,10 @@ impl GeometryAccel {
             compacted_bytes = bvh.compact();
         }
 
+        // Leaf-slot order for the traversal (a gather, after which the
+        // rowID-ordered buffer is dropped — not a second copy).
+        let input = input.gather(&bvh.prim_indices);
+
         let host_build_time = start.elapsed();
         drop(scratch);
 
@@ -225,14 +234,10 @@ impl GeometryAccel {
         self.input.kind()
     }
 
-    /// The build input (primitive buffer).
+    /// The primitive buffer, in leaf-slot order: entry `slot` is the
+    /// primitive of rowID `self.bvh().prim_indices[slot]`.
     pub fn input(&self) -> &BuildInput {
         &self.input
-    }
-
-    /// The primitives as an abstract set (used by traversal).
-    pub fn primitives(&self) -> &dyn PrimitiveSet {
-        self.input.as_primitive_set()
     }
 
     /// The underlying BVH.
@@ -268,6 +273,7 @@ impl GeometryAccel {
                 new_input.kind()
             ));
         }
+        refit::check_refit(&self.bvh, new_input.len()).map_err(|e| e.to_string())?;
         let start = std::time::Instant::now();
 
         // Updates also require temporary memory (the OptiX documentation's
@@ -275,7 +281,9 @@ impl GeometryAccel {
         let scratch_bytes = new_input.primitive_buffer_bytes();
         let scratch = device.alloc::<u8>(scratch_bytes as usize);
 
-        self.input = new_input;
+        // The topology is fixed, so the new buffer goes into the same
+        // leaf-slot order the build chose.
+        self.input = new_input.gather(&self.bvh.prim_indices);
         refit::refit(&mut self.bvh, self.input.as_primitive_set()).map_err(|e| e.to_string())?;
         drop(scratch);
 

@@ -99,6 +99,18 @@ impl BuildInput {
         }
     }
 
+    /// The input permuted so that entry `slot` is primitive `order[slot]`
+    /// (see [`PrimitiveSet::gather`]): with a BVH's `prim_indices` as the
+    /// order, the layout the acceleration structure keeps its primitive
+    /// buffer in.
+    pub fn gather(&self, order: &[u32]) -> BuildInput {
+        match self {
+            BuildInput::Triangles(t) => BuildInput::Triangles(t.gather(order)),
+            BuildInput::Spheres(s) => BuildInput::Spheres(s.gather(order)),
+            BuildInput::Aabbs(a) => BuildInput::Aabbs(a.gather(order)),
+        }
+    }
+
     /// Builds a triangle input with one key triangle per centre, stored in
     /// the given order (the buffer position is the rowID).
     pub fn triangles_from_centers(centers: &[Vec3f], half: f32) -> BuildInput {

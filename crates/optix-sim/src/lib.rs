@@ -10,10 +10,11 @@
 //! * [`BuildInput`] — triangle / sphere / AABB build inputs,
 //! * [`AccelBuildOptions`] / [`GeometryAccel`] — `optixAccelBuild`,
 //!   `optixAccelCompact` and refitting updates,
-//! * pipeline-style launches via [`launch`]: a ray-generation program is
-//!   invoked per launch index, calls [`Tracer::trace`] (our `optixTrace`), and
-//!   an any-hit program receives every intersection along with the primitive
-//!   index (= rowID),
+//! * pipeline-style launches via [`launch`]: a ray-generation program emits
+//!   the rays of its launch index into a [`RayQueue`] (our `optixTrace`), an
+//!   any-hit program receives every intersection along with the primitive
+//!   index (= rowID), and a finish program turns the per-ray payloads into
+//!   the index's output,
 //! * [`AccessClassifier`] — a measured memory-locality model that attributes
 //!   traversal traffic to L1/L2/DRAM, feeding the cost model the same way
 //!   Nsight counters inform the paper's analysis.
@@ -31,7 +32,9 @@ pub use accel::{AccelBuildOptions, BuildMetrics, GeometryAccel, PendingAccelBuil
 pub use build_input::{BuildInput, PrimitiveKind};
 pub use context::DeviceContext;
 pub use gpu_device::AccessClassifier;
-pub use pipeline::{launch, LaunchMetrics, ProgramSet, Tracer};
+pub use pipeline::{
+    launch, FinishCtx, LaunchMetrics, ProgramSet, RayQueue, StageTimes, TILE_RAYS, TINY_LAUNCH_RAYS,
+};
 
 // Re-export the pieces callers constantly need alongside this API.
 pub use gpu_device::{Device, DeviceSpec, KernelStats, SimulatedTime};

@@ -1,24 +1,48 @@
-//! The raytracing pipeline: ray-generation + any-hit programs and
+//! The raytracing pipeline: ray-generation, any-hit and finish programs and
 //! `optixLaunch`.
 //!
 //! A pipeline launch spawns one logical thread per launch index (one per
-//! lookup for RTIndeX). Each logical thread runs the user's ray-generation
-//! program, which converts its lookup into one or more rays and passes them
-//! to [`Tracer::trace`] — our `optixTrace()`. The traversal runs on the BVH of
-//! the [`GeometryAccel`] and invokes the user's any-hit program for every
-//! intersection, handing it the primitive index (the rowID).
+//! lookup for RTIndeX). Each logical thread's ray-generation program turns
+//! its lookup into zero or more rays, every ray is cast against the BVH of
+//! the [`GeometryAccel`] — our `optixTrace()` — with the any-hit program
+//! called for every intersection and handed the primitive index (the
+//! rowID), and the finish program turns what the rays collected into the
+//! thread's output value.
 //!
-//! While executing, the launch accumulates the hardware counters the cost
-//! model needs: instructions for the programmable parts (ray generation,
-//! software intersection, any-hit), RT-core work (box and triangle tests),
-//! and memory traffic classified by the [`AccessClassifier`].
+//! # Host execution order vs. charged order
+//!
+//! The launch runs as a **wavefront** per worker chunk, tile by tile:
+//!
+//! 1. *ray generation* — [`ProgramSet::ray_gen`] only emits the rays of the
+//!    tile's launch indices into a queue;
+//! 2. *traversal* — the tile's rays are traversed in the Morton order of
+//!    where they enter the scene, the order the LBVH builder laid the nodes
+//!    out in, so consecutive rays walk neighbouring subtrees while those are
+//!    still in the host's caches and take the same turns at the top of the
+//!    tree. Every ray writes its own [`TraversalStats`] and its own
+//!    payload;
+//! 3. *finish* — strictly in launch-index order, ray order, hit order, the
+//!    device is charged for every ray (instructions, RT-core work, memory
+//!    traffic through the [`AccessClassifier`]) and
+//!    [`ProgramSet::finish`] produces the output.
+//!
+//! The classifier's LRU and every counter see exactly the sequence a
+//! one-index-at-a-time launch would produce, so no model or count number
+//! depends on the host's traversal order: reordering changes host time
+//! only. Two rays never share a payload, so the rays of a multi-ray launch
+//! index keep their hits apart and in order, and
+//! [`AnyHitControl::Terminate`] ends the traversal it was returned in and
+//! no other. DESIGN.md §2 has the measurements behind the constants below.
 
-use gpu_device::{Device, KernelStats, SimulatedTime, ThreadCtx};
-use rtx_bvh::{traverse, AnyHitControl, TraversalStats};
-use rtx_math::Ray;
+use std::time::{Duration, Instant};
+
+use gpu_device::{AccessClassifier, Device, KernelStats, SimulatedTime, ThreadCtx};
+use rtx_bvh::{traverse, AnyHitControl, Bvh, PrimitiveSet, TraversalStats};
+use rtx_math::morton::morton_in_bounds;
+use rtx_math::{Aabb, Ray};
 
 use crate::accel::GeometryAccel;
-use gpu_device::AccessClassifier;
+use crate::build_input::BuildInput;
 
 /// Instruction-cost constants for the programmable pipeline stages. These are
 /// the calibration knobs of the reproduction; their ratios (not absolute
@@ -41,83 +65,76 @@ pub mod cost_constants {
     pub const NODE_BYTES: u64 = 32;
 }
 
+/// Rays (and, for ray-less indices, launch indices) after which a worker
+/// closes its current tile; it bounds the worker's buffers at about 160
+/// bytes per ray, 2.5 MiB. Measured on 65,536-point batches against 2^20
+/// keys, two workers, alternating runs: 35–38 ms per batch at 2,048 and
+/// 4,096, 30–33 ms at 16,384, no further gain at 32,768 or 65,536 (the
+/// one-index-at-a-time launch: 46–53 ms).
+pub const TILE_RAYS: usize = 16_384;
+
+/// A tile with at most this many rays is traversed in submission order: no
+/// order keys, no sort, no order buffers, no stage times — the route of
+/// single-op and fused-service launches (a single-op launch: 850 ns, of
+/// which the stage clock would be another 200; the one-index-at-a-time
+/// launch: 700). Rays this sparse share only the top of the tree,
+/// which stays cached anyway, so ordering them costs more than it saves.
+/// Measured, one worker, ordered against unordered: a tie at 16 rays,
+/// 28 against 23 µs at 64, 158 against 142 µs at 256, a tie at 512 and
+/// 1,024, and 10 % in favour of ordering from 2,048 rays on (2^17 and 2^20
+/// keys alike).
+pub const TINY_LAUNCH_RAYS: usize = 1024;
+
 /// The user-programmable parts of a pipeline, i.e. the OptiX "program groups"
 /// RTIndeX provides.
 pub trait ProgramSet: Sync {
-    /// Per-ray payload handed to the any-hit program.
+    /// Per-ray payload handed to the any-hit program. Every emitted ray
+    /// gets a fresh one.
     type Payload: Default;
     /// Per-launch-index result written to the output buffer.
     type Output: Send + Default + Clone;
 
-    /// Ray-generation program: convert launch index `idx` into rays, trace
-    /// them, and produce the thread's output value.
-    fn ray_gen(&self, idx: usize, tracer: &mut Tracer<'_, Self>) -> Self::Output;
+    /// Ray-generation program: emits the rays of launch index `idx`, in the
+    /// order their payloads are handed to [`finish`](ProgramSet::finish).
+    fn ray_gen(&self, idx: usize, rays: &mut RayQueue);
 
-    /// Any-hit program: called for every reported intersection with the
-    /// primitive index (= rowID) and the hit parameter.
+    /// Any-hit program: called for every reported intersection of one ray
+    /// with the primitive index (= rowID) and the hit parameter.
     fn any_hit(&self, payload: &mut Self::Payload, prim_index: u32, t: f32) -> AnyHitControl;
+
+    /// Produces the output of launch index `idx` from the payloads of the
+    /// rays it emitted (in emission order; empty when it emitted none),
+    /// charging the device for whatever it reads on the way.
+    fn finish(
+        &self,
+        idx: usize,
+        payloads: &[Self::Payload],
+        device: &mut FinishCtx<'_>,
+    ) -> Self::Output;
 }
 
-/// Handle passed to the ray-generation program; wraps `optixTrace` and
-/// data-buffer reads so that all device work is accounted.
-pub struct Tracer<'a, PS: ProgramSet + ?Sized> {
-    gas: &'a GeometryAccel,
-    programs: &'a PS,
+/// The append-only queue a ray-generation program emits its rays into.
+#[derive(Debug, Default)]
+pub struct RayQueue {
+    rays: Vec<Ray>,
+}
+
+impl RayQueue {
+    /// Queues `ray` for traversal (our `optixTrace()` call site).
+    #[inline]
+    pub fn emit(&mut self, ray: Ray) {
+        self.rays.push(ray);
+    }
+}
+
+/// Handle passed to the finish program so that all device work it does is
+/// accounted.
+pub struct FinishCtx<'a> {
     ctx: &'a mut ThreadCtx,
     classifier: &'a mut AccessClassifier,
-    traversal: TraversalStats,
-    traces: u64,
 }
 
-impl<'a, PS: ProgramSet + ?Sized> Tracer<'a, PS> {
-    /// Casts `ray` against the acceleration structure, invoking the program
-    /// set's any-hit for every intersection. Returns the per-ray traversal
-    /// statistics.
-    pub fn trace(&mut self, ray: &Ray, payload: &mut PS::Payload) -> TraversalStats {
-        self.traces += 1;
-        self.ctx.add_instructions(cost_constants::TRACE_SETUP);
-
-        let prims = self.gas.primitives();
-        let programs = self.programs;
-        let stats = traverse(self.gas.bvh(), prims, ray, |prim, t| {
-            programs.any_hit(payload, prim, t)
-        });
-
-        // Memory traffic: nodes + primitive data, attributed by locality.
-        // The region token groups rays that enter the tree near each other
-        // (quantised origin), which is what produces cache reuse for sorted
-        // or skewed lookup batches.
-        let token = quantize_origin(ray);
-        self.classifier.access(
-            self.ctx,
-            token,
-            stats.nodes_visited * cost_constants::NODE_BYTES,
-        );
-        let prim_bytes = stats.prim_tests() * prims.bytes_per_primitive();
-        if prim_bytes > 0 {
-            self.classifier
-                .access(self.ctx, token.wrapping_add(1), prim_bytes);
-        }
-
-        // Programmable-core work.
-        self.ctx.add_instructions(
-            stats.sw_prim_tests * cost_constants::SW_INTERSECTION
-                + stats.any_hit_invocations * cost_constants::ANY_HIT,
-        );
-        // Fixed-function work. RT cores fetch a node and test all of its
-        // children in one step, so the charged unit is the visited node, not
-        // the individual child-box test.
-        self.ctx.stats.rt_box_tests += stats.nodes_visited;
-        self.ctx.stats.rt_triangle_tests += stats.hw_prim_tests;
-        self.ctx.stats.sw_intersection_tests += stats.sw_prim_tests;
-        self.ctx.stats.bvh_nodes_visited += stats.nodes_visited;
-        self.ctx.stats.any_hit_invocations += stats.any_hit_invocations;
-        self.ctx.stats.early_aborts += stats.aborted_at_root;
-
-        self.traversal.merge(&stats);
-        stats
-    }
-
+impl FinishCtx<'_> {
     /// Records a data-dependent read of `bytes` from a device buffer (e.g.
     /// fetching the projected value for a rowID). `token` identifies the
     /// touched region (such as `rowID / 8`) so that neighbouring fetches can
@@ -136,22 +153,76 @@ impl<'a, PS: ProgramSet + ?Sized> Tracer<'a, PS> {
     pub fn add_instructions(&mut self, n: u64) {
         self.ctx.add_instructions(n);
     }
+}
 
-    /// Number of `trace` calls made through this tracer so far.
-    pub fn trace_count(&self) -> u64 {
-        self.traces
+/// Charges the device for one traced ray: trace setup, the node and
+/// primitive traffic attributed by locality, the programmable and the
+/// fixed-function work.
+fn charge_ray(
+    ctx: &mut ThreadCtx,
+    classifier: &mut AccessClassifier,
+    bytes_per_primitive: u64,
+    ray: &Ray,
+    stats: &TraversalStats,
+) {
+    ctx.add_instructions(cost_constants::TRACE_SETUP);
+
+    // Memory traffic: nodes + primitive data, attributed by locality.
+    // The region token groups rays that enter the tree near each other
+    // (quantised origin), which is what produces cache reuse for sorted
+    // or skewed lookup batches.
+    let token = quantize_origin(ray);
+    classifier.access(ctx, token, stats.nodes_visited * cost_constants::NODE_BYTES);
+    let prim_bytes = stats.prim_tests() * bytes_per_primitive;
+    if prim_bytes > 0 {
+        classifier.access(ctx, token.wrapping_add(1), prim_bytes);
     }
 
-    /// Aggregated traversal statistics of the rays traced so far.
-    pub fn traversal_stats(&self) -> TraversalStats {
-        self.traversal
-    }
+    // Programmable-core work.
+    ctx.add_instructions(
+        stats.sw_prim_tests * cost_constants::SW_INTERSECTION
+            + stats.any_hit_invocations * cost_constants::ANY_HIT,
+    );
+    // Fixed-function work. RT cores fetch a node and test all of its
+    // children in one step, so the charged unit is the visited node, not
+    // the individual child-box test.
+    ctx.stats.rt_box_tests += stats.nodes_visited;
+    ctx.stats.rt_triangle_tests += stats.hw_prim_tests;
+    ctx.stats.sw_intersection_tests += stats.sw_prim_tests;
+    ctx.stats.bvh_nodes_visited += stats.nodes_visited;
+    ctx.stats.any_hit_invocations += stats.any_hit_invocations;
+    ctx.stats.early_aborts += stats.aborted_at_root;
 }
 
 /// Groups rays whose origins are close together; used as the locality token.
 fn quantize_origin(ray: &Ray) -> u64 {
     let q = |v: f32| ((v / 64.0).floor() as i64) as u64;
     q(ray.origin.x) ^ q(ray.origin.y).rotate_left(21) ^ q(ray.origin.z).rotate_left(42)
+}
+
+/// Host wall-clock time of the launch stages, summed over the workers of a
+/// launch (so on a parallel launch the four can add up to more than
+/// [`LaunchMetrics::host_time`]). Tiles of at most [`TINY_LAUNCH_RAYS`] rays
+/// are not timed and count as zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Emitting the rays (stage 1).
+    pub ray_gen: Duration,
+    /// Computing and sorting the traversal order.
+    pub order: Duration,
+    /// Traversing the rays, any-hit programs included (stage 2).
+    pub traverse: Duration,
+    /// Charging the device and running the finish programs (stage 3).
+    pub finish: Duration,
+}
+
+impl StageTimes {
+    fn merge(&mut self, other: &StageTimes) {
+        self.ray_gen += other.ray_gen;
+        self.order += other.order;
+        self.traverse += other.traverse;
+        self.finish += other.finish;
+    }
 }
 
 /// Result of a pipeline launch.
@@ -164,7 +235,9 @@ pub struct LaunchMetrics {
     /// Simulated device time of the launch.
     pub simulated_time_s: f64,
     /// Host wall-clock time of the (software) launch.
-    pub host_time: std::time::Duration,
+    pub host_time: Duration,
+    /// Where the workers spent that host time, stage by stage.
+    pub host_stages: StageTimes,
 }
 
 impl LaunchMetrics {
@@ -180,11 +253,12 @@ impl LaunchMetrics {
         self.traversal.merge(&other.traversal);
         self.simulated_time_s += other.simulated_time_s;
         self.host_time += other.host_time;
+        self.host_stages.merge(&other.host_stages);
     }
 }
 
-/// Launches the pipeline: runs `programs.ray_gen` for every launch index in
-/// `0..width`, writing each result into `out[idx]`.
+/// Launches the pipeline over the launch indices `0..width`, writing each
+/// index's result into `out[idx]`.
 ///
 /// `extra_working_set_bytes` describes device data outside the acceleration
 /// structure that lookups touch (the projected value column), so the memory
@@ -202,7 +276,7 @@ pub fn launch<PS: ProgramSet>(
         "output buffer too small: {} < {width}",
         out.len()
     );
-    let start = std::time::Instant::now();
+    let start = Instant::now();
 
     let mut merged = KernelStats {
         threads_launched: width as u64,
@@ -210,38 +284,37 @@ pub fn launch<PS: ProgramSet>(
         ..KernelStats::new()
     };
     let mut traversal = TraversalStats::default();
+    let mut host_stages = StageTimes::default();
 
     if width > 0 {
         let workers = gpu_device::executor::worker_count().min(width);
         let chunk = width.div_ceil(workers);
-        let working_set = gas.memory_bytes() + extra_working_set_bytes;
-        let l2 = device.spec().l2_bytes;
+        let classifier = AccessClassifier::new(
+            device.spec().l2_bytes,
+            gas.memory_bytes() + extra_working_set_bytes,
+        );
 
         let out_chunks: Vec<&mut [PS::Output]> = out[..width].chunks_mut(chunk).collect();
         let partials = gpu_device::executor::parallel_map(out_chunks, |w, out_chunk| {
-            let start_idx = w * chunk;
-            let mut ctx = ThreadCtx::new();
-            let mut classifier = AccessClassifier::new(l2, working_set);
-            let mut local_traversal = TraversalStats::default();
-            for (j, slot) in out_chunk.iter_mut().enumerate() {
-                ctx.add_instructions(cost_constants::RAYGEN_BASE);
-                let mut tracer = Tracer {
-                    gas,
-                    programs,
-                    ctx: &mut ctx,
-                    classifier: &mut classifier,
-                    traversal: TraversalStats::default(),
-                    traces: 0,
-                };
-                *slot = programs.ray_gen(start_idx + j, &mut tracer);
-                local_traversal.merge(&tracer.traversal);
+            let wavefront = Wavefront {
+                bvh: gas.bvh(),
+                programs,
+                first_idx: w * chunk,
+                classifier: classifier.clone(),
+            };
+            // The paper's configuration gets a statically dispatched
+            // intersection test; the software primitives go through the
+            // trait object.
+            match gas.input() {
+                BuildInput::Triangles(triangles) => wavefront.run(triangles, out_chunk),
+                other => wavefront.run(other.as_primitive_set(), out_chunk),
             }
-            (ctx.stats, local_traversal)
         });
 
-        for (stats, trav) in partials {
+        for (stats, trav, stages) in partials {
             merged.merge(&stats);
             traversal.merge(&trav);
+            host_stages.merge(&stages);
         }
         merged.threads_launched = width as u64;
         merged.kernel_launches = 1;
@@ -255,6 +328,167 @@ pub fn launch<PS: ProgramSet>(
         traversal,
         simulated_time_s: simulated.as_seconds(),
         host_time: start.elapsed(),
+        host_stages,
+    }
+}
+
+/// Sort key of ray `slot` of a tile: the high half of the 63-bit Morton
+/// code of the point where the ray's interval starts (for most strategies
+/// the origin; a from-zero ray enters at `tmin`), relative to the scene
+/// bounds, above the slot. 32 code bits keep ~10 per axis — cells far
+/// smaller than what one tile's rays can tell apart — and make the key a
+/// plain `u64` for the sort.
+fn order_key(ray: &Ray, scene: &Aabb, slot: usize) -> u64 {
+    (morton_in_bounds(ray.at(ray.tmin), scene) >> 31) << 32 | slot as u64
+}
+
+/// Time since `mark`, which is moved to now; zero on a tile that is not
+/// timed.
+fn lap(mark: &mut Option<Instant>) -> Duration {
+    let Some(mark) = mark else {
+        return Duration::ZERO;
+    };
+    let now = Instant::now();
+    let elapsed = now - *mark;
+    *mark = now;
+    elapsed
+}
+
+/// What traversing one ray produced.
+struct Traced<P> {
+    stats: TraversalStats,
+    payload: P,
+}
+
+/// One worker's share of a launch: the launch indices
+/// `first_idx..first_idx + out.len()`, run tile by tile.
+struct Wavefront<'a, PS: ProgramSet> {
+    bvh: &'a Bvh,
+    programs: &'a PS,
+    first_idx: usize,
+    classifier: AccessClassifier,
+}
+
+impl<PS: ProgramSet> Wavefront<'_, PS> {
+    fn run<P: PrimitiveSet + ?Sized>(
+        mut self,
+        prims: &P,
+        out: &mut [PS::Output],
+    ) -> (KernelStats, TraversalStats, StageTimes) {
+        let programs = self.programs;
+        let scene = self.bvh.root_bounds();
+        let bytes_per_primitive = prims.bytes_per_primitive();
+        let mut ctx = ThreadCtx::new();
+        let mut traversal = TraversalStats::default();
+        let mut stages = StageTimes::default();
+
+        // The worker's buffers, sized once for a tile of one-ray indices
+        // and reused across the tiles: a launch allocates per worker, not
+        // per ray.
+        let tile = out.len().min(TILE_RAYS);
+        let mut queue = RayQueue {
+            rays: Vec::with_capacity(tile),
+        };
+        // Launch index `k` of the tile owns the rays `first_ray[k]..first_ray[k + 1]`.
+        let mut first_ray: Vec<u32> = Vec::with_capacity(tile + 1);
+        // Sort keys, and for every ray the position it was traversed at
+        // (untouched while tiles stay tiny).
+        let mut order: Vec<u64> = Vec::new();
+        let mut traced_at: Vec<u32> = Vec::new();
+        // Results in traversal order; one index's payloads in ray order.
+        let mut traced: Vec<Traced<PS::Payload>> = Vec::with_capacity(tile);
+        let mut payloads: Vec<PS::Payload> = Vec::new();
+
+        let mut done = 0;
+        while done < out.len() {
+            // Stage 1: emit the tile's rays.
+            let mut mark = Some(Instant::now());
+            queue.rays.clear();
+            first_ray.clear();
+            let tile_start = done;
+            while done < out.len() && queue.rays.len() < TILE_RAYS && done - tile_start < TILE_RAYS
+            {
+                first_ray.push(queue.rays.len() as u32);
+                programs.ray_gen(self.first_idx + done, &mut queue);
+                done += 1;
+            }
+            let rays = &queue.rays[..];
+            let tile_rays = u32::try_from(rays.len()).expect("a tile holds fewer than 2^32 rays");
+            first_ray.push(tile_rays);
+            let ordered = rays.len() > TINY_LAUNCH_RAYS;
+            if !ordered {
+                // Four clock reads are 150–200 ns, a quarter of a single-op
+                // launch: tiny tiles go untimed.
+                mark = None;
+            }
+            stages.ray_gen += lap(&mut mark);
+
+            // Stage 2: traverse, in scene order unless the tile is tiny. The
+            // results are written in traversal order, so this stage reads
+            // and writes its buffers front to back; stage 3 finds a ray's
+            // result through `traced_at`.
+            if ordered {
+                order.clear();
+                order.extend(
+                    rays.iter()
+                        .enumerate()
+                        .map(|(slot, ray)| order_key(ray, &scene, slot)),
+                );
+                order.sort_unstable();
+                traced_at.clear();
+                traced_at.resize(rays.len(), 0);
+                for (at, &key) in order.iter().enumerate() {
+                    traced_at[key as u32 as usize] = at as u32;
+                }
+            }
+            stages.order += lap(&mut mark);
+
+            traced.clear();
+            let mut trace = |ray: &Ray| {
+                let mut payload = PS::Payload::default();
+                let stats = traverse(self.bvh, prims, ray, |prim, t| {
+                    programs.any_hit(&mut payload, prim, t)
+                });
+                traced.push(Traced { stats, payload });
+            };
+            if ordered {
+                order
+                    .iter()
+                    .for_each(|&key| trace(&rays[key as u32 as usize]));
+            } else {
+                rays.iter().for_each(&mut trace);
+            }
+            stages.traverse += lap(&mut mark);
+
+            // Stage 3: charge and finish in launch order.
+            for (k, slot) in out[tile_start..done].iter_mut().enumerate() {
+                ctx.add_instructions(cost_constants::RAYGEN_BASE);
+                payloads.clear();
+                for r in first_ray[k] as usize..first_ray[k + 1] as usize {
+                    let at = if ordered { traced_at[r] as usize } else { r };
+                    let Traced { stats, payload } = &mut traced[at];
+                    charge_ray(
+                        &mut ctx,
+                        &mut self.classifier,
+                        bytes_per_primitive,
+                        &rays[r],
+                        stats,
+                    );
+                    traversal.merge(stats);
+                    payloads.push(std::mem::take(payload));
+                }
+                *slot = programs.finish(
+                    self.first_idx + tile_start + k,
+                    &payloads,
+                    &mut FinishCtx {
+                        ctx: &mut ctx,
+                        classifier: &mut self.classifier,
+                    },
+                );
+            }
+            stages.finish += lap(&mut mark);
+        }
+        (ctx.stats, traversal, stages)
     }
 }
 
@@ -278,22 +512,131 @@ mod tests {
         type Payload = HitPayload;
         type Output = u32;
 
-        fn ray_gen(&self, idx: usize, tracer: &mut Tracer<'_, Self>) -> u32 {
-            let ray = Ray::new(
-                Vec3f::new(idx as f32, 0.0, -0.5),
-                Vec3f::new(0.0, 0.0, 1.0),
-                0.0,
-                1.0,
-            );
-            let mut payload = HitPayload::default();
-            tracer.trace(&ray, &mut payload);
-            payload.row.unwrap_or(u32::MAX)
+        fn ray_gen(&self, idx: usize, rays: &mut RayQueue) {
+            rays.emit(point_ray(idx as f32));
         }
 
         fn any_hit(&self, payload: &mut HitPayload, prim: u32, _t: f32) -> AnyHitControl {
             payload.row = Some(prim);
             AnyHitControl::Continue
         }
+
+        fn finish(&self, _idx: usize, payloads: &[HitPayload], _: &mut FinishCtx<'_>) -> u32 {
+            payloads[0].row.unwrap_or(u32::MAX)
+        }
+    }
+
+    /// Perpendicular ray through key position `x`.
+    fn point_ray(x: f32) -> Ray {
+        Ray::new(
+            Vec3f::new(x, 0.0, -0.5),
+            Vec3f::new(0.0, 0.0, 1.0),
+            0.0,
+            1.0,
+        )
+    }
+
+    /// Ray along the key line covering the keys `lower..=upper`.
+    fn range_ray(lower: f32, upper: f32) -> Ray {
+        Ray::new(
+            Vec3f::new(lower - 0.5, 0.0, 0.0),
+            Vec3f::new(1.0, 0.0, 0.0),
+            0.0,
+            upper - lower + 1.0,
+        )
+    }
+
+    /// Existence probes: every launch index asks whether the lower and
+    /// whether the upper half of 512 keys holds anything, one ray each, and
+    /// any-hit terminates on the first intersection it sees.
+    struct ExistsInHalves;
+
+    impl ProgramSet for ExistsInHalves {
+        type Payload = Vec<u32>;
+        type Output = [Vec<u32>; 2];
+
+        fn ray_gen(&self, _idx: usize, rays: &mut RayQueue) {
+            rays.emit(range_ray(0.0, 255.0));
+            rays.emit(range_ray(256.0, 511.0));
+        }
+
+        fn any_hit(&self, payload: &mut Vec<u32>, prim: u32, _t: f32) -> AnyHitControl {
+            payload.push(prim);
+            AnyHitControl::Terminate
+        }
+
+        fn finish(&self, _: usize, payloads: &[Vec<u32>], _: &mut FinishCtx<'_>) -> [Vec<u32>; 2] {
+            [payloads[0].clone(), payloads[1].clone()]
+        }
+    }
+
+    #[test]
+    fn terminate_ends_the_ray_it_was_returned_for_and_no_other() {
+        let device = Device::default_eval();
+        let gas = build_gas(&device, 512);
+        // Below and above the tiny-launch threshold: both traversal orders.
+        for width in [3, 4 * TINY_LAUNCH_RAYS] {
+            let mut out = vec![<[Vec<u32>; 2]>::default(); width];
+            let metrics = launch(&device, &gas, &ExistsInHalves, width, 0, &mut out);
+            for [lower, upper] in &out {
+                assert_eq!(lower.len(), 1, "one hit, then the ray stops");
+                assert_eq!(upper.len(), 1, "the sibling ray still runs");
+                assert!(lower[0] < 256 && upper[0] >= 256);
+            }
+            assert_eq!(metrics.traversal.any_hit_invocations, 2 * width as u64);
+            assert_eq!(metrics.kernel.any_hit_invocations, 2 * width as u64);
+        }
+    }
+
+    /// Launch index `idx` looks up key `(7 * idx) % 1000` — except every
+    /// third index, which emits no ray at all.
+    struct Sparse;
+
+    impl ProgramSet for Sparse {
+        type Payload = HitPayload;
+        type Output = u32;
+
+        fn ray_gen(&self, idx: usize, rays: &mut RayQueue) {
+            if !idx.is_multiple_of(3) {
+                rays.emit(point_ray(((7 * idx) % 1000) as f32));
+            }
+        }
+
+        fn any_hit(&self, payload: &mut HitPayload, prim: u32, _t: f32) -> AnyHitControl {
+            payload.row = Some(prim);
+            AnyHitControl::Continue
+        }
+
+        fn finish(&self, _idx: usize, payloads: &[HitPayload], _: &mut FinishCtx<'_>) -> u32 {
+            match payloads {
+                [] => u32::MAX - 1,
+                [payload] => payload.row.unwrap_or(u32::MAX),
+                _ => panic!("one ray at most"),
+            }
+        }
+    }
+
+    #[test]
+    fn tiles_keep_launch_order_and_ray_less_indices() {
+        let device = Device::default_eval();
+        let gas = build_gas(&device, 1000);
+        // Several tiles per worker, the last one partial.
+        let width = gpu_device::worker_count() * (2 * TILE_RAYS + TILE_RAYS / 3);
+        let mut out = vec![0u32; width];
+        let metrics = launch(&device, &gas, &Sparse, width, 0, &mut out);
+        for (idx, &row) in out.iter().enumerate() {
+            let expected = if idx % 3 == 0 {
+                u32::MAX - 1
+            } else {
+                ((7 * idx) % 1000) as u32
+            };
+            assert_eq!(row, expected, "launch index {idx}");
+        }
+        let rays = (width - width.div_ceil(3)) as u64;
+        assert_eq!(metrics.traversal.any_hit_invocations, rays);
+        assert_eq!(metrics.kernel.threads_launched, width as u64);
+        assert!(metrics.host_stages.traverse > Duration::ZERO);
+        assert!(metrics.host_stages.order > Duration::ZERO);
     }
 
     fn build_gas(device: &Device, n: usize) -> GeometryAccel {
@@ -320,6 +663,11 @@ mod tests {
         assert!(metrics.kernel.rt_triangle_tests > 0);
         assert!(metrics.traversal.any_hit_invocations == 512);
         assert!(metrics.simulated_time_s > 0.0);
+        assert_eq!(
+            metrics.host_stages,
+            StageTimes::default(),
+            "tiny tiles are not timed"
+        );
     }
 
     #[test]
@@ -339,6 +687,40 @@ mod tests {
             metrics.kernel.early_aborts > 0,
             "far misses abort at the root"
         );
+    }
+
+    #[test]
+    fn update_regathers_the_new_buffer_into_slot_order() {
+        let device = Device::default_eval();
+        let n = 300usize;
+        // rowID `row` holds key `(37 * row + shift) % n`: the buffer order is
+        // far from the scene order, before and after the update.
+        let key_of = |row: usize, shift: usize| (37 * row + shift) % n;
+        let input = |kind, shift| {
+            let centers: Vec<Vec3f> = (0..n)
+                .map(|row| Vec3f::new(key_of(row, shift) as f32, 0.0, 0.0))
+                .collect();
+            BuildInput::from_centers(kind, &centers)
+        };
+        for kind in PrimitiveKind::all() {
+            let mut gas =
+                GeometryAccel::build(&device, input(kind, 0), &AccelBuildOptions::updatable());
+            for shift in [0, 101] {
+                if shift != 0 {
+                    gas.update(&device, input(kind, shift)).expect("update");
+                }
+                let mut out = vec![0u32; n];
+                launch(&device, &gas, &PointLookup, n, 0, &mut out);
+                for row in 0..n {
+                    assert_eq!(
+                        out[key_of(row, shift)],
+                        row as u32,
+                        "{kind:?}, shift {shift}: key {} lives in row {row}",
+                        key_of(row, shift)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -364,15 +746,18 @@ mod tests {
     fn metrics_merge_accumulates() {
         let device = Device::default_eval();
         let gas = build_gas(&device, 64);
-        let mut out = vec![0u32; 64];
+        // Wide enough that every worker times its tile.
+        let width = gpu_device::worker_count() * 2 * TINY_LAUNCH_RAYS;
+        let mut out = vec![0u32; width];
         let mut total = LaunchMetrics::default();
         for _ in 0..4 {
-            let m = launch(&device, &gas, &PointLookup, 64, 0, &mut out);
+            let m = launch(&device, &gas, &PointLookup, width, 0, &mut out);
             total.merge(&m);
         }
         assert_eq!(total.kernel.kernel_launches, 4);
-        assert_eq!(total.kernel.threads_launched, 256);
+        assert_eq!(total.kernel.threads_launched, 4 * width as u64);
         assert!(total.simulated_time().as_seconds() > 0.0);
+        assert!(total.host_stages.finish > Duration::ZERO);
     }
 
     #[test]

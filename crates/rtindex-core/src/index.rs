@@ -14,8 +14,8 @@
 
 use gpu_device::{Device, DeviceBuffer};
 use optix_sim::{
-    launch, AccelBuildOptions, AnyHitControl, BuildInput, GeometryAccel, LaunchMetrics,
-    PrimitiveKind, ProgramSet, Tracer,
+    launch, AccelBuildOptions, AnyHitControl, BuildInput, FinishCtx, GeometryAccel, LaunchMetrics,
+    PrimitiveKind, ProgramSet, RayQueue,
 };
 use rtx_bvh::AabbSet;
 use rtx_math::Aabb;
@@ -290,7 +290,7 @@ impl RtIndex {
         // Validate ranges up front so errors surface deterministically
         // instead of inside worker threads.
         for &(l, u) in ranges {
-            range_lookup_rays(&self.config.key_mode, self.config.range_ray, l, u)?;
+            range_lookup_rays(&self.config.key_mode, self.config.range_ray, l, u, |_| {})?;
         }
         let program = RangeLookupProgram {
             index: self,
@@ -414,10 +414,52 @@ impl PendingIndexBuild {
     }
 }
 
-/// Payload of the lookup programs: collects qualifying rowIDs.
-#[derive(Default)]
-struct HitCollector {
-    rows: Vec<u32>,
+/// RowIDs a payload holds without touching the heap. A point lookup hits one
+/// row per matching key, so only heavy duplicates and ranges spill; with
+/// seven the payload is 32 bytes.
+const INLINE_HITS: usize = 7;
+
+/// Payload of the lookup programs: the rowIDs one ray hit, in hit order.
+enum HitCollector {
+    Inline { len: u8, rows: [u32; INLINE_HITS] },
+    Spilled(Vec<u32>),
+}
+
+impl Default for HitCollector {
+    fn default() -> Self {
+        HitCollector::Inline {
+            len: 0,
+            rows: [0; INLINE_HITS],
+        }
+    }
+}
+
+impl HitCollector {
+    /// The any-hit program of all three lookup programs: every hit is a
+    /// result row.
+    fn push(&mut self, row: u32) -> AnyHitControl {
+        match self {
+            HitCollector::Inline { len, rows } if (*len as usize) < INLINE_HITS => {
+                rows[*len as usize] = row;
+                *len += 1;
+            }
+            HitCollector::Inline { rows, .. } => {
+                let mut spilled = Vec::with_capacity(4 * INLINE_HITS);
+                spilled.extend_from_slice(rows);
+                spilled.push(row);
+                *self = HitCollector::Spilled(spilled);
+            }
+            HitCollector::Spilled(rows) => rows.push(row),
+        }
+        AnyHitControl::Continue
+    }
+
+    fn rows(&self) -> &[u32] {
+        match self {
+            HitCollector::Inline { len, rows } => &rows[..*len as usize],
+            HitCollector::Spilled(rows) => rows,
+        }
+    }
 }
 
 /// Bytes of the validity bitmap a masked lookup touches (one bit per row,
@@ -426,7 +468,7 @@ fn mask_bytes(live: Option<&[bool]>) -> u64 {
     live.map(|m| m.len().div_ceil(8) as u64).unwrap_or(0)
 }
 
-/// Ray-generation + any-hit programs for point lookups.
+/// Ray-generation + any-hit + finish programs for point lookups.
 struct PointLookupProgram<'a> {
     index: &'a RtIndex,
     queries: &'a [u64],
@@ -434,37 +476,46 @@ struct PointLookupProgram<'a> {
     live: Option<&'a [bool]>,
 }
 
+/// The ray of a point lookup for `key`, emitted unless the key lies outside
+/// the representable range and so can never have been inserted (mirrors a
+/// bounds check in the real ray-generation program).
+fn emit_point_ray(index: &RtIndex, key: u64, rays: &mut RayQueue) {
+    let mode = &index.config.key_mode;
+    if mode.supports_key(key) {
+        rays.emit(point_lookup_ray(mode, index.config.point_ray, key));
+    }
+}
+
+/// Instructions of the bounds check that turned a point lookup away without
+/// a ray.
+const OUT_OF_RANGE_CHECK: u64 = 2;
+
 impl ProgramSet for PointLookupProgram<'_> {
     type Payload = HitCollector;
     type Output = LookupResult;
 
-    fn ray_gen(&self, idx: usize, tracer: &mut Tracer<'_, Self>) -> LookupResult {
-        let key = self.queries[idx];
-        let mode = &self.index.config.key_mode;
-        // Keys outside the representable range can never have been inserted:
-        // report a miss without tracing (mirrors a bounds check in the real
-        // ray-generation program).
-        if !mode.supports_key(key) {
-            tracer.add_instructions(2);
-            return LookupResult {
-                first_row: MISS,
-                hit_count: 0,
-                value_sum: 0,
-            };
-        }
-        let ray = point_lookup_ray(mode, self.index.config.point_ray, key);
-        let mut payload = HitCollector::default();
-        tracer.trace(&ray, &mut payload);
-        finalize_result(payload.rows, self.values, self.live, tracer)
+    fn ray_gen(&self, idx: usize, rays: &mut RayQueue) {
+        emit_point_ray(self.index, self.queries[idx], rays);
     }
 
     fn any_hit(&self, payload: &mut HitCollector, prim: u32, _t: f32) -> AnyHitControl {
-        payload.rows.push(prim);
-        AnyHitControl::Continue
+        payload.push(prim)
+    }
+
+    fn finish(
+        &self,
+        _idx: usize,
+        payloads: &[HitCollector],
+        device: &mut FinishCtx<'_>,
+    ) -> LookupResult {
+        if payloads.is_empty() {
+            device.add_instructions(OUT_OF_RANGE_CHECK);
+        }
+        finalize_result(payloads, self.values, self.live, device)
     }
 }
 
-/// Ray-generation + any-hit programs for range lookups.
+/// Ray-generation + any-hit + finish programs for range lookups.
 struct RangeLookupProgram<'a> {
     index: &'a RtIndex,
     ranges: &'a [(u64, u64)],
@@ -476,35 +527,33 @@ impl ProgramSet for RangeLookupProgram<'_> {
     type Payload = HitCollector;
     type Output = LookupResult;
 
-    fn ray_gen(&self, idx: usize, tracer: &mut Tracer<'_, Self>) -> LookupResult {
+    fn ray_gen(&self, idx: usize, rays: &mut RayQueue) {
         let (lower, upper) = self.ranges[idx];
         let config = &self.index.config;
-        let rays = match range_lookup_rays(&config.key_mode, config.range_ray, lower, upper) {
-            Ok(rays) => rays,
-            // Ranges were validated before the launch; a failure here would
-            // be a logic error, but misses are the safe degradation.
-            Err(_) => {
-                return LookupResult {
-                    first_row: MISS,
-                    hit_count: 0,
-                    value_sum: 0,
-                }
-            }
-        };
-        let mut payload = HitCollector::default();
-        for ray in &rays {
-            tracer.trace(ray, &mut payload);
-        }
-        finalize_result(payload.rows, self.values, self.live, tracer)
+        // Ranges were validated before the launch; a failure here would be
+        // a logic error, and since it emits no ray the lookup degrades to a
+        // miss.
+        let _ = range_lookup_rays(&config.key_mode, config.range_ray, lower, upper, |ray| {
+            rays.emit(ray)
+        });
     }
 
     fn any_hit(&self, payload: &mut HitCollector, prim: u32, _t: f32) -> AnyHitControl {
-        payload.rows.push(prim);
-        AnyHitControl::Continue
+        payload.push(prim)
+    }
+
+    fn finish(
+        &self,
+        _idx: usize,
+        payloads: &[HitCollector],
+        device: &mut FinishCtx<'_>,
+    ) -> LookupResult {
+        finalize_result(payloads, self.values, self.live, device)
     }
 }
 
-/// Ray-generation + any-hit programs collecting raw rowIDs per query.
+/// Ray-generation + any-hit + finish programs collecting raw rowIDs per
+/// query.
 struct RowCollectProgram<'a> {
     index: &'a RtIndex,
     queries: &'a [u64],
@@ -515,87 +564,84 @@ impl ProgramSet for RowCollectProgram<'_> {
     type Payload = HitCollector;
     type Output = Vec<u32>;
 
-    fn ray_gen(&self, idx: usize, tracer: &mut Tracer<'_, Self>) -> Vec<u32> {
-        let key = self.queries[idx];
-        let mode = &self.index.config.key_mode;
-        if !mode.supports_key(key) {
-            tracer.add_instructions(2);
-            return Vec::new();
-        }
-        let ray = point_lookup_ray(mode, self.index.config.point_ray, key);
-        let mut payload = HitCollector::default();
-        tracer.trace(&ray, &mut payload);
-        let mut rows = filter_live(payload.rows, self.live, tracer);
-        rows.sort_unstable();
-        rows
+    fn ray_gen(&self, idx: usize, rays: &mut RayQueue) {
+        emit_point_ray(self.index, self.queries[idx], rays);
     }
 
     fn any_hit(&self, payload: &mut HitCollector, prim: u32, _t: f32) -> AnyHitControl {
-        payload.rows.push(prim);
-        AnyHitControl::Continue
+        payload.push(prim)
+    }
+
+    fn finish(
+        &self,
+        _idx: usize,
+        payloads: &[HitCollector],
+        device: &mut FinishCtx<'_>,
+    ) -> Vec<u32> {
+        if payloads.is_empty() {
+            device.add_instructions(OUT_OF_RANGE_CHECK);
+        }
+        let mut rows: Vec<u32> = live_rows(payloads, self.live, device).collect();
+        rows.sort_unstable();
+        rows
     }
 }
 
-/// Drops rowIDs whose validity bit is cleared, charging one bitmap byte per
-/// inspected row (512 rows share a 64-byte cache line, so neighbouring hits
-/// become cache hits).
-fn filter_live<PS: ProgramSet + ?Sized>(
-    rows: Vec<u32>,
-    live: Option<&[bool]>,
-    tracer: &mut Tracer<'_, PS>,
-) -> Vec<u32> {
-    match live {
-        None => rows,
-        Some(mask) => {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                tracer.read_buffer((1 << 62) | (row as u64 / 512), 1);
-                if mask[row as usize] {
-                    kept.push(row);
-                }
-            }
-            kept
+/// The rowIDs the rays of one lookup hit — ray order, hit order — without
+/// those whose validity bit is cleared. Inspecting the bitmap is charged up
+/// front, one byte per row (512 rows share a 64-byte cache line, so
+/// neighbouring hits become cache hits).
+fn live_rows<'a>(
+    payloads: &'a [HitCollector],
+    live: Option<&'a [bool]>,
+    device: &mut FinishCtx<'_>,
+) -> impl Iterator<Item = u32> + 'a {
+    let rows = payloads.iter().flat_map(|p| p.rows().iter().copied());
+    if live.is_some() {
+        for row in rows.clone() {
+            device.read_buffer((1 << 62) | (row as u64 / 512), 1);
         }
     }
+    rows.filter(move |&row| live.is_none_or(|mask| mask[row as usize]))
 }
 
-/// Turns collected rowIDs into a [`LookupResult`], masking tombstoned rows
-/// and fetching and summing the projected values when a value column is
-/// present.
-fn finalize_result<PS: ProgramSet + ?Sized>(
-    rows: Vec<u32>,
+/// Turns the rowIDs a lookup's rays collected into a [`LookupResult`],
+/// masking tombstoned rows and fetching and summing the projected values
+/// when a value column is present.
+fn finalize_result(
+    payloads: &[HitCollector],
     values: Option<&[u64]>,
     live: Option<&[bool]>,
-    tracer: &mut Tracer<'_, PS>,
+    device: &mut FinishCtx<'_>,
 ) -> LookupResult {
-    let rows = filter_live(rows, live, tracer);
-    if rows.is_empty() {
-        return LookupResult {
-            first_row: MISS,
-            hit_count: 0,
-            value_sum: 0,
-        };
-    }
-    let mut sum = 0u64;
-    if let Some(values) = values {
-        for &row in &rows {
+    let mut result = LookupResult {
+        first_row: MISS,
+        hit_count: 0,
+        value_sum: 0,
+    };
+    for row in live_rows(payloads, live, device) {
+        if let Some(values) = values {
             // One cache line holds eight u64 values; neighbouring rowIDs
             // share it, which the access classifier turns into cache hits.
-            tracer.read_buffer(row as u64 / 8, 8);
-            sum = sum.wrapping_add(values[row as usize]);
+            device.read_buffer(row as u64 / 8, 8);
+            result.value_sum = result.value_sum.wrapping_add(values[row as usize]);
         }
+        result.first_row = result.first_row.min(row);
+        result.hit_count += 1;
     }
-    LookupResult {
-        first_row: *rows.iter().min().expect("non-empty"),
-        hit_count: rows.len() as u32,
-        value_sum: sum,
-    }
+    result
 }
+
+#[cfg(test)]
+mod reference_launch;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomposition::Decomposition;
     use crate::ray_strategy::{PointRayStrategy, RangeRayStrategy};
+    use optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
+    use proptest::prelude::*;
 
     fn device() -> Device {
         Device::default_eval()
@@ -1006,5 +1052,151 @@ mod tests {
         assert_eq!(outcome.hit_count(), 0);
         let ranges = index.range_lookup_batch(&[(0, 100)], None).expect("lookup");
         assert_eq!(ranges.results[0].hit_count, 0);
+    }
+
+    #[test]
+    fn hit_collector_spills_past_its_inline_rows_and_keeps_hit_order() {
+        assert_eq!(std::mem::size_of::<HitCollector>(), 32);
+        let mut hits = HitCollector::default();
+        assert!(hits.rows().is_empty());
+        for row in 0..3 * INLINE_HITS as u32 {
+            hits.push(row * 7);
+            let expected: Vec<u32> = (0..=row).map(|r| r * 7).collect();
+            assert_eq!(hits.rows(), expected);
+        }
+        assert!(matches!(hits, HitCollector::Spilled(_)));
+    }
+
+    /// SplitMix64, so one generated seed spans a whole case.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn assert_charged_alike<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        got: &[T],
+        metrics: &LaunchMetrics,
+        want: &reference_launch::Reference<T>,
+    ) {
+        assert_eq!(got, want.out, "{what}: results");
+        assert_eq!(metrics.kernel, want.kernel, "{what}: kernel counters");
+        assert_eq!(metrics.traversal, want.traversal, "{what}: traversal");
+        assert_eq!(
+            metrics.simulated_time_s.to_bits(),
+            want.simulated_time_s.to_bits(),
+            "{what}: simulated time"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The wavefront launch reorders the host's work only: against the
+        /// one-index-at-a-time reference, point lookups, range lookups
+        /// (multi-ray ones included) and row collection return the same
+        /// results and charge the device identically, bit for bit, on one
+        /// and on two workers, below and above the tiny-launch threshold
+        /// and across tile boundaries.
+        #[test]
+        fn prop_wavefront_launch_charges_like_the_one_index_at_a_time_launch(
+            mode in 0usize..4,
+            primitive in 0usize..3,
+            point_ray in 0usize..3,
+            range_ray in 0usize..2,
+            with_values in any::<bool>(),
+            with_mask in any::<bool>(),
+            fits_in_l2 in any::<bool>(),
+            size in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            // Rows of 16 keys in the last mode: almost every range needs
+            // several rays there.
+            let mode = [
+                KeyMode::Naive,
+                KeyMode::Extended,
+                KeyMode::three_d_default(),
+                KeyMode::ThreeD(Decomposition::new(4, 6, 6)),
+            ][mode];
+            let primitive = Some(PrimitiveKind::all()[primitive])
+                .filter(|&p| mode.supports_primitive(p))
+                .unwrap_or_default();
+            let config = RtIndexConfig::default()
+                .with_key_mode(mode)
+                .with_primitive(primitive)
+                .with_point_ray([
+                    PointRayStrategy::Perpendicular,
+                    PointRayStrategy::ParallelFromOffset,
+                    PointRayStrategy::ParallelFromZero,
+                ][point_ray])
+                .with_range_ray([
+                    RangeRayStrategy::ParallelFromOffset,
+                    RangeRayStrategy::ParallelFromZero,
+                ][range_ray]);
+
+            // Keys from a domain half (duplicates) or four times (gaps) the
+            // key count; in the default 3D mode it straddles a row boundary.
+            let n = 1 + (next(&mut rng) % 400) as usize;
+            let domain = if next(&mut rng).is_multiple_of(2) { n as u64 / 2 + 1 } else { 4 * n as u64 };
+            let base = match mode {
+                KeyMode::ThreeD(d) if d == Decomposition::DEFAULT => (1 << 23) - domain / 2,
+                _ => 0,
+            };
+            let keys: Vec<u64> = (0..n).map(|_| base + next(&mut rng) % domain).collect();
+            let values: Vec<u64> = (0..n).map(|_| next(&mut rng) % 1000).collect();
+            let mask: Vec<bool> = (0..n).map(|_| next(&mut rng) % 10 < 7).collect();
+            let values = with_values.then_some(&values[..]);
+            let live = with_mask.then_some(&mask[..]);
+
+            let lookups = [7, 300, 2 * TINY_LAUNCH_RAYS + 13, 2 * TILE_RAYS + 77][size];
+            let max_key = mode.max_key();
+            let queries: Vec<u64> = (0..lookups)
+                .map(|_| match next(&mut rng) % 16 {
+                    // Beyond what the mode represents: no ray at all.
+                    0 if max_key < u64::MAX => max_key + 1 + next(&mut rng) % 100,
+                    _ => base + next(&mut rng) % (domain + domain / 4 + 2),
+                })
+                .collect();
+            let ranges: Vec<(u64, u64)> = (0..lookups / 4 + 1)
+                .map(|_| {
+                    let lower = base + next(&mut rng) % domain;
+                    let upper = (lower + next(&mut rng) % 48).min(max_key);
+                    // Now and then inverted: no ray, a miss.
+                    if next(&mut rng).is_multiple_of(16) { (upper + 1, lower) } else { (lower, upper) }
+                })
+                .collect();
+            let collect = &queries[..lookups.min(500)];
+
+            // With an L2 smaller than any index the classifier's LRU decides
+            // between L1, L2 and DRAM, so the order of the charges shows in
+            // the counters; with the real L2 everything is an L2 hit.
+            let mut spec = gpu_device::DeviceSpec::rtx_4090();
+            if !fits_in_l2 {
+                spec.l2_bytes = 1024;
+            }
+            let device = Device::new(spec);
+            let index = RtIndex::build(&device, &keys, config).expect("build");
+            for workers in ["1", "2"] {
+                std::env::set_var("RTX_WORKERS", workers);
+                let what = |kind: &str| format!("{kind}, {workers} worker(s), {config:?}");
+
+                let got = index.point_lookup_batch_masked(&queries, values, live).expect("points");
+                let want = reference_launch::point_lookup_batch(&index, &queries, values, live);
+                assert_charged_alike(&what("points"), &got.results, &got.metrics, &want);
+
+                let got = index.range_lookup_batch_masked(&ranges, values, live).expect("ranges");
+                let want = reference_launch::range_lookup_batch(&index, &ranges, values, live);
+                assert_charged_alike(&what("ranges"), &got.results, &got.metrics, &want);
+
+                let (rows, metrics) = index.collect_point_rows(collect, live).expect("rows");
+                let want = reference_launch::collect_point_rows(&index, collect, live);
+                assert_charged_alike(&what("rows"), &rows, &metrics, &want);
+            }
+            std::env::remove_var("RTX_WORKERS");
+        }
     }
 }

@@ -102,17 +102,19 @@ pub fn point_lookup_ray(mode: &KeyMode, strategy: PointRayStrategy, key: u64) ->
 }
 
 /// Builds the rays implementing the range lookup `[lower, upper]` (bounds
-/// inclusive).
+/// inclusive) and hands them to `emit`, first row first. A range that is too
+/// wide is rejected before any ray is emitted.
 pub fn range_lookup_rays(
     mode: &KeyMode,
     strategy: RangeRayStrategy,
     lower: u64,
     upper: u64,
-) -> Result<Vec<Ray>, RtIndexError> {
+    mut emit: impl FnMut(Ray),
+) -> Result<(), RtIndexError> {
     // An inverted range is empty by definition (the uniform semantics of
     // every backend): no rays, so the lookup misses.
     if lower > upper {
-        return Ok(Vec::new());
+        return Ok(());
     }
 
     let first_row = mode.row(lower);
@@ -128,7 +130,6 @@ pub fn range_lookup_rays(
     }
 
     let max_x = mode.max_x_component();
-    let mut rays = Vec::with_capacity(rays_required as usize);
     for row in first_row..=last_row {
         let (y, z) = mode.row_coords(row);
         // x span of this row: clip to the lookup bounds on the first and
@@ -153,15 +154,27 @@ pub fn range_lookup_rays(
                 x_end,
             ),
         };
-        rays.push(ray);
+        emit(ray);
     }
-    Ok(rays)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
+
+    /// The rays of a range lookup, collected.
+    fn range_rays(
+        mode: &KeyMode,
+        strategy: RangeRayStrategy,
+        lower: u64,
+        upper: u64,
+    ) -> Result<Vec<Ray>, RtIndexError> {
+        let mut rays = Vec::new();
+        range_lookup_rays(mode, strategy, lower, upper, |ray| rays.push(ray))?;
+        Ok(rays)
+    }
 
     #[test]
     fn strategy_names() {
@@ -206,14 +219,14 @@ mod tests {
 
     #[test]
     fn single_row_range_matches_table2() {
-        let rays = range_lookup_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromOffset, 2, 3)
-            .expect("rays");
+        let rays =
+            range_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromOffset, 2, 3).expect("rays");
         assert_eq!(rays.len(), 1);
         assert_eq!(rays[0].origin, Vec3f::new(1.5, 0.0, 0.0));
         assert_eq!(rays[0].tmax, 2.0, "u - l + 1 = 2");
 
-        let rays = range_lookup_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromZero, 2, 3)
-            .expect("rays");
+        let rays =
+            range_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromZero, 2, 3).expect("rays");
         assert_eq!(rays[0].origin.x, 0.0);
         assert_eq!(rays[0].tmin, 1.5);
         assert_eq!(rays[0].tmax, 3.5);
@@ -221,7 +234,7 @@ mod tests {
 
     #[test]
     fn inverted_range_builds_no_rays() {
-        let rays = range_lookup_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromOffset, 5, 3)
+        let rays = range_rays(&KeyMode::Naive, RangeRayStrategy::ParallelFromOffset, 5, 3)
             .expect("inverted ranges are empty, not an error");
         assert!(rays.is_empty());
     }
@@ -231,8 +244,7 @@ mod tests {
         // Figure 4's example: 2 bits of x, range [15, 21] spans rows 3..=5.
         let d = Decomposition::new(2, 21, 0);
         let mode = KeyMode::ThreeD(d);
-        let rays =
-            range_lookup_rays(&mode, RangeRayStrategy::ParallelFromOffset, 15, 21).expect("rays");
+        let rays = range_rays(&mode, RangeRayStrategy::ParallelFromOffset, 15, 21).expect("rays");
         assert_eq!(rays.len(), 3);
         // First ray starts at x_l - 0.5 = 2.5 in row y = 3.
         assert_eq!(rays[0].origin, Vec3f::new(2.5, 3.0, 0.0));
@@ -251,22 +263,20 @@ mod tests {
         let mode = KeyMode::three_d_default();
         let l = 12_345_678_901_234u64;
         let u = l + (1 << 23) - 1;
-        let rays =
-            range_lookup_rays(&mode, RangeRayStrategy::ParallelFromOffset, l, u).expect("rays");
+        let rays = range_rays(&mode, RangeRayStrategy::ParallelFromOffset, l, u).expect("rays");
         assert!(rays.len() <= 2, "got {} rays", rays.len());
     }
 
     #[test]
     fn too_wide_range_is_rejected() {
         let mode = KeyMode::three_d_default();
-        let err = range_lookup_rays(&mode, RangeRayStrategy::ParallelFromOffset, 0, u64::MAX)
-            .unwrap_err();
+        let err = range_rays(&mode, RangeRayStrategy::ParallelFromOffset, 0, u64::MAX).unwrap_err();
         assert!(matches!(err, RtIndexError::RangeTooWide { .. }));
     }
 
     #[test]
     fn extended_mode_range_uses_gap_values() {
-        let rays = range_lookup_rays(
+        let rays = range_rays(
             &KeyMode::Extended,
             RangeRayStrategy::ParallelFromOffset,
             10,

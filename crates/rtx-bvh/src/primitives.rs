@@ -63,6 +63,37 @@ pub trait PrimitiveSet: Sync {
     /// Whether intersection runs on the fixed-function triangle unit
     /// (`true`) or in a software intersection program (`false`).
     fn hardware_intersection(&self) -> bool;
+
+    /// The set permuted so that entry `slot` is primitive `order[slot]` of
+    /// `self`. With `order = bvh.prim_indices` this is the **leaf-slot
+    /// order** [`traverse`](crate::traverse::traverse) and
+    /// [`refit`](crate::refit::refit) index primitives in: the candidates
+    /// of one leaf become adjacent in memory.
+    fn gather(&self, order: &[u32]) -> Self
+    where
+        Self: Sized;
+}
+
+/// `out[slot] = src[order[slot]]`, split over the worker pool (the reads are
+/// random, so on a large buffer the gather is latency-bound per worker).
+fn gather_slice<T: Copy + Send + Sync>(src: &[T], order: &[u32]) -> Vec<T> {
+    /// Entries per task below which fanning out costs more than it saves.
+    const MIN_CHUNK: usize = 1 << 14;
+    let Some(&first) = order.first() else {
+        return Vec::new();
+    };
+    let mut out = vec![src[first as usize]; order.len()];
+    let chunk = order
+        .len()
+        .div_ceil(gpu_device::worker_count())
+        .max(MIN_CHUNK);
+    let jobs: Vec<(&mut [T], &[u32])> = out.chunks_mut(chunk).zip(order.chunks(chunk)).collect();
+    gpu_device::parallel_map(jobs, |_, (dst, picks)| {
+        for (d, &p) in dst.iter_mut().zip(picks) {
+            *d = src[p as usize];
+        }
+    });
+    out
 }
 
 /// A triangle array build input (nine float32 per primitive).
@@ -114,6 +145,10 @@ impl PrimitiveSet for TriangleSet {
 
     fn hardware_intersection(&self) -> bool {
         true
+    }
+
+    fn gather(&self, order: &[u32]) -> Self {
+        TriangleSet::new(gather_slice(&self.triangles, order))
     }
 }
 
@@ -179,6 +214,10 @@ impl PrimitiveSet for SphereSet {
     fn hardware_intersection(&self) -> bool {
         false
     }
+
+    fn gather(&self, order: &[u32]) -> Self {
+        SphereSet::new(gather_slice(&self.centers, order), self.radius)
+    }
 }
 
 /// A user-AABB build input: six float32 per primitive, intersected by a
@@ -230,6 +269,10 @@ impl PrimitiveSet for AabbSet {
 
     fn hardware_intersection(&self) -> bool {
         false
+    }
+
+    fn gather(&self, order: &[u32]) -> Self {
+        AabbSet::new(gather_slice(&self.boxes, order))
     }
 }
 

@@ -44,7 +44,27 @@ impl std::fmt::Display for RefitError {
 
 impl std::error::Error for RefitError {}
 
-/// Refits `bvh` to the current state of `prims`.
+/// Whether `bvh` can be refitted to a buffer of `prim_count` primitives: it
+/// must have been built with the allow-update flag, and updates can neither
+/// add nor remove primitives. [`refit`] checks this itself; a caller that
+/// has to prepare the buffer first (the slot-order gather) asks beforehand.
+pub fn check_refit(bvh: &Bvh, prim_count: usize) -> Result<(), RefitError> {
+    if !bvh.allows_update() {
+        return Err(RefitError::UpdatesNotAllowed);
+    }
+    if prim_count != bvh.primitive_count() {
+        return Err(RefitError::PrimitiveCountChanged {
+            expected: bvh.primitive_count(),
+            actual: prim_count,
+        });
+    }
+    Ok(())
+}
+
+/// Refits `bvh` to the current state of `prims`, which are in leaf-slot
+/// order like the primitives [`traverse`](crate::traverse::traverse) reads
+/// (see [`PrimitiveSet::gather`]): a leaf's bounds are the union of the
+/// primitives at its slots.
 ///
 /// The node array is processed in reverse order; because nodes are stored in
 /// depth-first pre-order, every child has a larger index than its parent, so
@@ -54,16 +74,8 @@ impl std::error::Error for RefitError {}
 /// number of applied updates.
 ///
 /// Returns the number of nodes whose bounds changed.
-pub fn refit(bvh: &mut Bvh, prims: &dyn PrimitiveSet) -> Result<u64, RefitError> {
-    if !bvh.allows_update() {
-        return Err(RefitError::UpdatesNotAllowed);
-    }
-    if prims.len() != bvh.primitive_count() {
-        return Err(RefitError::PrimitiveCountChanged {
-            expected: bvh.primitive_count(),
-            actual: prims.len(),
-        });
-    }
+pub fn refit<P: PrimitiveSet + ?Sized>(bvh: &mut Bvh, prims: &P) -> Result<u64, RefitError> {
+    check_refit(bvh, prims.len())?;
 
     let mut changed = 0u64;
     for idx in (0..bvh.nodes.len()).rev() {
@@ -71,9 +83,7 @@ pub fn refit(bvh: &mut Bvh, prims: &dyn PrimitiveSet) -> Result<u64, RefitError>
             let node = &bvh.nodes[idx];
             let start = node.first_prim as usize;
             let end = start + node.prim_count as usize;
-            bvh.prim_indices[start..end]
-                .iter()
-                .fold(Aabb::EMPTY, |acc, &p| acc.union(&prims.bounds(p as usize)))
+            (start..end).fold(Aabb::EMPTY, |acc, slot| acc.union(&prims.bounds(slot)))
         } else {
             let left = bvh.nodes[idx + 1].bounds;
             let right = bvh.nodes[bvh.nodes[idx].right_child as usize].bounds;
@@ -104,6 +114,11 @@ mod tests {
         )
     }
 
+    /// `prims` (rowID order) in the leaf-slot order `bvh` reads them in.
+    fn slots(bvh: &Bvh, prims: &TriangleSet) -> TriangleSet {
+        prims.gather(&bvh.prim_indices)
+    }
+
     fn point_ray(key: f32) -> Ray {
         Ray::new(
             Vec3f::new(key, 0.0, -0.5),
@@ -117,7 +132,11 @@ mod tests {
     fn refit_requires_update_flag() {
         let prims = line_of_triangles(32);
         let mut bvh = build(&prims, &BuildConfig::default());
-        assert_eq!(refit(&mut bvh, &prims), Err(RefitError::UpdatesNotAllowed));
+        let slot_prims = slots(&bvh, &prims);
+        assert_eq!(
+            refit(&mut bvh, &slot_prims),
+            Err(RefitError::UpdatesNotAllowed)
+        );
     }
 
     #[test]
@@ -138,7 +157,8 @@ mod tests {
     fn refit_with_unchanged_prims_changes_nothing() {
         let prims = line_of_triangles(64);
         let mut bvh = build(&prims, &BuildConfig::default().updatable());
-        let changed = refit(&mut bvh, &prims).expect("refit");
+        let slot_prims = slots(&bvh, &prims);
+        let changed = refit(&mut bvh, &slot_prims).expect("refit");
         assert_eq!(changed, 0);
         bvh.validate().expect("still valid");
     }
@@ -160,10 +180,11 @@ mod tests {
         // Rank-adjacent swaps barely move the primitives, so few (often zero)
         // node bounds change — exactly why the paper finds this update
         // pattern harmless.
-        let _changed = refit(&mut bvh, &prims).expect("refit");
+        let slot_prims = slots(&bvh, &prims);
+        let _changed = refit(&mut bvh, &slot_prims).expect("refit");
         bvh.validate().expect("valid after refit");
         // Looking up key 10 must now return rowID 11 (the swap partner).
-        let (hits, _) = collect_hits(&bvh, &prims, &point_ray(10.0));
+        let (hits, _) = collect_hits(&bvh, &slots(&bvh, &prims), &point_ray(10.0));
         assert_eq!(hits, vec![11]);
     }
 
@@ -182,16 +203,17 @@ mod tests {
         );
         let mut bvh = build(&prims, &BuildConfig::default().updatable());
         let before = BvhQuality::measure(&bvh);
-        let (_, stats_before) = collect_hits(&bvh, &prims, &point_ray(100.0));
+        let (_, stats_before) = collect_hits(&bvh, &slots(&bvh, &prims), &point_ray(100.0));
 
         // Swap every pair of adjacent buffer positions.
         for pair in 0..(n / 2) {
             prims.triangles_mut().swap(2 * pair, 2 * pair + 1);
         }
-        refit(&mut bvh, &prims).expect("refit");
+        let slot_prims = slots(&bvh, &prims);
+        refit(&mut bvh, &slot_prims).expect("refit");
         bvh.validate().expect("valid after refit");
         let after = BvhQuality::measure(&bvh);
-        let (hits, stats_after) = collect_hits(&bvh, &prims, &point_ray(100.0));
+        let (hits, stats_after) = collect_hits(&bvh, &slots(&bvh, &prims), &point_ray(100.0));
 
         // Correctness is preserved…
         assert_eq!(hits.len(), 1);
@@ -222,7 +244,8 @@ mod tests {
         for pair in 0..(n / 2) {
             prims.triangles_mut().swap(2 * pair, 2 * pair + 1);
         }
-        refit(&mut bvh, &prims).expect("refit");
+        let slot_prims = slots(&bvh, &prims);
+        refit(&mut bvh, &slot_prims).expect("refit");
         let refitted = BvhQuality::measure(&bvh);
 
         let rebuilt = build(&prims, &BuildConfig::default().updatable());

@@ -595,6 +595,32 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
             true,
         ));
     }
+    // The probe-stage rows of the latency budget: where the RX launch
+    // spends its host time, per lookup and summed over the workers, on a
+    // batch large enough that every worker orders its rays. Host
+    // wall-clock, so recorded for the trajectory only.
+    {
+        let index = registry.build("RX", &spec).expect("RX");
+        let lookups = gpu_device::worker_count() * 4 * optix_sim::TINY_LAUNCH_RAYS;
+        let batch = QueryBatch::of_points(&wl::point_lookups(&keys, lookups, scale.seed + 2))
+            .fetch_values(true);
+        let stages = index.execute(&batch).expect("points").metrics.host_stages;
+        for (stage, time) in [
+            ("ray generation", stages.ray_gen),
+            ("ordering", stages.order),
+            ("traversal", stages.traverse),
+            ("finish", stages.finish),
+        ] {
+            metrics.push(metric(
+                "point_lookup",
+                format!("RX host {stage} time"),
+                "ns/op",
+                time.as_secs_f64() * 1e9 / lookups as f64,
+                false,
+                false,
+            ));
+        }
+    }
     let ranges = wl::range_lookups(n as u64, (n / 32).max(1), 32, scale.seed + 3);
     for backend in ["RX", "SA"] {
         let index = registry.build(backend, &spec).expect("backend");

@@ -8,9 +8,10 @@
 //! allocation per chunk (the result vector), so every remaining
 //! allocation the counter sees belongs to the layer this claim is about —
 //! grouping, chunk dispatch, result scatter, service coalescing and reply
-//! channels. The simulated device backends (RX, SA, …) intentionally sit
-//! outside the measurement: `optix_sim` allocates per-ray host structures
-//! standing in for device buffers, which is per-op by design.
+//! channels. A third phase runs a real `RX` index: the raytracing launch
+//! keeps its ray queue, order and result buffers per worker and reuses them
+//! from tile to tile, so its allocations per launch do not grow with the
+//! number of rays either.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -20,9 +21,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rtindex::optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
 use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
 use rtindex::{
-    Capabilities, ExecArena, IndexError, QueryBatch, QueryService, SecondaryIndex, ServiceConfig,
+    Capabilities, Device, ExecArena, IndexError, QueryBatch, QueryService, RtIndex, RtIndexConfig,
+    SecondaryIndex, ServiceConfig,
 };
 use rtx_workloads as wl;
 
@@ -130,7 +133,7 @@ impl SecondaryIndex for MirrorIndex {
     }
 }
 
-/// One test so the two phases cannot interleave with each other's counts
+/// One test so the phases cannot interleave with each other's counts
 /// (test binaries run `#[test]`s on parallel threads by default).
 #[test]
 fn steady_state_host_path_allocations_are_bounded() {
@@ -203,4 +206,39 @@ fn steady_state_host_path_allocations_are_bounded() {
          ({per_op:.3}/op); want well under one allocation per operation"
     );
     service.shutdown();
+
+    // -- The raytracing launch behind RX ---------------------------------
+    //
+    // Unique keys, so no payload spills past its inline rows. What a launch
+    // allocates is then the result vector, the fan-out over the worker
+    // pool, and each worker's buffers — sized once, reused across the tiles
+    // of its chunk. The same budget therefore holds for a tiny launch (no
+    // order buffers), a one-tile launch and a launch of three tiles per
+    // worker: bounded by the workers, not by the rays or the tiles.
+    let workers = rtindex::gpu_device::worker_count();
+    let index = RtIndex::build(&Device::default_eval(), &keys, RtIndexConfig::default()).unwrap();
+    for lookups in [
+        TINY_LAUNCH_RAYS / 2,
+        workers * TILE_RAYS / 2,
+        workers * (2 * TILE_RAYS + TILE_RAYS / 2),
+    ] {
+        let queries = wl::point_lookups_with_hit_rate(&keys, lookups, 0.8, 15);
+        for _ in 0..2 {
+            index.point_lookup_batch(&queries, Some(&values)).unwrap(); // warm-up
+        }
+        let rounds = 8u64;
+        let before = allocs();
+        for _ in 0..rounds {
+            let outcome = index.point_lookup_batch(&queries, Some(&values)).unwrap();
+            assert_eq!(outcome.results.len(), lookups);
+        }
+        let per_launch = (allocs() - before) as f64 / rounds as f64;
+        // Measured: 12–14 on one worker, 23–27 on two, 25–33 on four.
+        let budget = (16 + 8 * workers) as f64;
+        assert!(
+            per_launch <= budget,
+            "RX launch: {per_launch:.1} allocations per {lookups}-lookup launch on {workers} \
+             worker(s); want at most {budget} whatever the ray count"
+        );
+    }
 }
