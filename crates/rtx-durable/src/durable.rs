@@ -28,8 +28,7 @@ use std::path::{Path, PathBuf};
 
 use rtx_query::{
     BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOps, QueryOutcome, Registry, SecondaryIndex, UpdatableIndex,
-    UpdateReport,
+    MemoryUsage, QueryBatch, QueryOutcome, Registry, SecondaryIndex, UpdatableIndex, UpdateReport,
 };
 
 use crate::config::DurableConfig;
@@ -450,26 +449,14 @@ impl SecondaryIndex for DurableIndex {
     }
 
     /// Delegates whole-batch execution to the wrapped backend so its own
-    /// `execute` strategy (e.g. sharded scatter/gather parallelism) is
-    /// preserved rather than flattened through the chunk hooks.
-    fn execute(&self, batch: &QueryBatch) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute(batch)
-    }
-
+    /// strategy (e.g. sharded scatter/gather parallelism) is preserved
+    /// rather than flattened through the chunk hooks.
     fn execute_in(
         &self,
         batch: &QueryBatch,
         arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
         self.inner.execute_in(batch, arena)
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_ops_in(ops, arena)
     }
 }
 

@@ -38,8 +38,8 @@ use std::sync::Arc;
 use gpu_device::executor::parallel_map;
 use rtx_query::{
     BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOps, QueryOutcome, Registry, SecondaryIndex, ShardSpec,
-    UpdatableIndex, UpdateReport, MISS,
+    MemoryUsage, QueryBatch, QueryOutcome, Registry, SecondaryIndex, ShardSpec, UpdatableIndex,
+    UpdateReport, MISS,
 };
 use rtx_shard::{RouterConfig, ShardedIndex};
 
@@ -617,24 +617,12 @@ impl SecondaryIndex for ShardedDurableIndex {
 
     /// Delegates to the sharded scatter/gather path (concurrent per-shard
     /// execution, global rowID translation).
-    fn execute(&self, batch: &QueryBatch) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute(batch)
-    }
-
     fn execute_in(
         &self,
         batch: &QueryBatch,
         arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
         self.inner.execute_in(batch, arena)
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_ops_in(ops, arena)
     }
 }
 

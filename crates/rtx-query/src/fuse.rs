@@ -4,20 +4,16 @@
 //! The paper's index wins by amortising fixed per-launch costs over large
 //! batches, but service traffic arrives as many *small* per-client
 //! submissions. [`FusedBatch`] is the pure bookkeeping for coalescing them:
-//! it concatenates client batches — directly into the SoA [`QueryOps`]
-//! layout the executor consumes, so the enum stream is regrouped exactly
-//! once, at fuse time — while remembering each client's slice (offset,
+//! it concatenates client batches ([`QueryBatch::append`]: dense runs
+//! extend, order tags merge) while remembering each client's slice (offset,
 //! length, whether that client asked for a value fetch), and scatters the
 //! fused [`QueryOutcome`] back per client.
 //!
-//! Two scatter flavours exist:
-//!
-//! * [`split`](FusedBatch::split) — one owned [`BatchOutcome`] per client
-//!   (copies every client's result slice; the original coalescer path);
-//! * [`split_shared`](FusedBatch::split_shared) — one [`SharedOutcome`] per
-//!   client: an `Arc` of the *whole* fused outcome plus that client's
-//!   [`FusedSlice`] view. Nothing is copied on the coalescer thread; each
-//!   client materializes (or just reads) its own slice on its own thread.
+//! The scatter ([`split_shared`](FusedBatch::split_shared)) hands every
+//! client a [`SharedOutcome`]: an `Arc` of the *whole* fused outcome plus
+//! that client's [`FusedSlice`] view. Nothing is copied on the coalescer
+//! thread; each client reads its slice in place or copies it out
+//! ([`SharedOutcome::materialize`]) on its own thread.
 //!
 //! A service holds one `FusedBatch` for its whole lifetime and
 //! [`clear`](FusedBatch::clear)s it between cycles — steady-state fusion
@@ -25,8 +21,9 @@
 //!
 //! Fusion and splitting are deliberately free of threads and channels — the
 //! concurrent service in `rtx-serve` layers those on top — so the
-//! round-trip invariant (`split(execute(fused)) == each client executed
-//! alone`) is testable in isolation and holds on every backend.
+//! round-trip invariant (`split_shared(execute(fused))`, materialized,
+//! `== each client executed alone`) is testable in isolation and holds on
+//! every backend.
 //!
 //! Value-fetch semantics: the fused batch requests a value fetch when *any*
 //! fused client did, and the scatter zeroes `value_sum` for the slices that
@@ -36,7 +33,7 @@
 
 use std::sync::Arc;
 
-use crate::batch::{QueryBatch, QueryOps};
+use crate::batch::QueryBatch;
 use crate::types::{BatchOutcome, LookupResult, QueryOutcome};
 
 /// One client's slice of a [`FusedBatch`]: where its operations landed in
@@ -51,8 +48,8 @@ pub struct FusedSlice {
     pub fetch_values: bool,
 }
 
-/// Accumulates client [`QueryBatch`]es into one fused SoA submission and
-/// splits the fused outcome back per client.
+/// Accumulates client [`QueryBatch`]es into one fused submission and splits
+/// the fused outcome back per client.
 ///
 /// ```
 /// use rtx_query::{FusedBatch, QueryBatch};
@@ -66,7 +63,7 @@ pub struct FusedSlice {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FusedBatch {
-    ops: QueryOps,
+    ops: QueryBatch,
     slices: Vec<FusedSlice>,
 }
 
@@ -77,11 +74,11 @@ impl FusedBatch {
     }
 
     /// Appends one client batch and returns its slice index (the position
-    /// its outcome will occupy in [`split`](FusedBatch::split) /
-    /// [`split_shared`](FusedBatch::split_shared) results).
+    /// its outcome will occupy in [`split_shared`](FusedBatch::split_shared)
+    /// results).
     pub fn push(&mut self, client: &QueryBatch) -> usize {
         let offset = self.ops.len();
-        self.ops.append_batch(client);
+        self.ops.append(client);
         if client.fetches_values() {
             self.ops.set_fetch_values(true);
         }
@@ -122,11 +119,10 @@ impl FusedBatch {
         &self.slices
     }
 
-    /// The fused submission in executor-ready SoA form: every client's
-    /// operations concatenated in push order, fetching values when any
-    /// client asked. Execute it via
-    /// [`SecondaryIndex::execute_ops_in`](crate::SecondaryIndex::execute_ops_in).
-    pub fn ops(&self) -> &QueryOps {
+    /// The fused submission: every client's operations concatenated in
+    /// push order, fetching values when any client asked. Execute it via
+    /// [`SecondaryIndex::execute_in`](crate::SecondaryIndex::execute_in).
+    pub fn ops(&self) -> &QueryBatch {
         &self.ops
     }
 
@@ -136,37 +132,27 @@ impl FusedBatch {
         self.ops.set_chunk_size(chunk_size);
     }
 
-    /// Splits the outcome of executing the fused batch back into one owned
-    /// [`BatchOutcome`] per client, in push order. Slices that did not
-    /// request a value fetch get their `value_sum`s zeroed (what they would
-    /// have seen submitting alone). Every per-client outcome carries the
-    /// launch metrics of the *whole* fused execution — the work was shared,
-    /// so clients observe the launches that answered them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outcome` does not hold one result per fused operation
-    /// (an executor bug, not a caller mistake).
-    pub fn split(&self, outcome: &QueryOutcome) -> Vec<BatchOutcome> {
-        self.check_len(outcome);
-        self.slices
-            .iter()
-            .map(|slice| materialize_slice(outcome, *slice))
-            .collect()
-    }
-
     /// Splits the fused outcome into zero-copy [`SharedOutcome`] views, one
     /// per client in push order. The outcome is moved behind a single `Arc`;
     /// each view pairs it with that client's [`FusedSlice`]. Nothing is
     /// cloned here — result copies (if a client wants an owned
     /// [`BatchOutcome`]) happen in [`SharedOutcome::materialize`], on the
-    /// client's own thread.
+    /// client's own thread. Every view carries the launch metrics of the
+    /// *whole* fused execution — the work was shared, so clients observe
+    /// the launches that answered them.
     ///
     /// # Panics
     ///
-    /// Panics when `outcome` does not hold one result per fused operation.
+    /// Panics when `outcome` does not hold one result per fused operation
+    /// (an executor bug, not a caller mistake).
     pub fn split_shared(&self, outcome: QueryOutcome) -> Vec<SharedOutcome> {
-        self.check_len(&outcome);
+        assert_eq!(
+            outcome.results.len(),
+            self.ops.len(),
+            "fused outcome holds {} results for {} fused operations",
+            outcome.results.len(),
+            self.ops.len()
+        );
         let outcome = Arc::new(outcome);
         self.slices
             .iter()
@@ -175,16 +161,6 @@ impl FusedBatch {
                 slice: *slice,
             })
             .collect()
-    }
-
-    fn check_len(&self, outcome: &QueryOutcome) {
-        assert_eq!(
-            outcome.results.len(),
-            self.ops.len(),
-            "fused outcome holds {} results for {} fused operations",
-            outcome.results.len(),
-            self.ops.len()
-        );
     }
 }
 
@@ -239,23 +215,19 @@ impl SharedOutcome {
     }
 
     /// Copies this client's slice into an owned [`BatchOutcome`], zeroing
-    /// `value_sum` when the client did not request a value fetch — identical
-    /// to what [`FusedBatch::split`] would have produced for this slice.
+    /// `value_sum` when the client did not request a value fetch — what the
+    /// client would have received submitting alone.
     pub fn materialize(&self) -> BatchOutcome {
-        materialize_slice(&self.outcome, self.slice)
-    }
-}
-
-fn materialize_slice(outcome: &QueryOutcome, slice: FusedSlice) -> BatchOutcome {
-    let mut results = outcome.results[slice.offset..slice.offset + slice.len].to_vec();
-    if !slice.fetch_values {
-        for r in &mut results {
-            r.value_sum = 0;
+        let mut results = self.results().to_vec();
+        if !self.slice.fetch_values {
+            for r in &mut results {
+                r.value_sum = 0;
+            }
         }
-    }
-    BatchOutcome {
-        results,
-        metrics: outcome.metrics.clone(),
+        BatchOutcome {
+            results,
+            metrics: self.outcome.metrics.clone(),
+        }
     }
 }
 
@@ -324,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn split_scatters_results_and_strips_unrequested_value_sums() {
+    fn split_shared_scatters_results_and_strips_unrequested_value_sums() {
         let mut fusion = FusedBatch::new();
         fusion.push(&QueryBatch::new().point(1).point(2)); // no fetch
         fusion.push(&QueryBatch::new()); // empty client
@@ -336,8 +308,9 @@ mod tests {
                 ..Default::default()
             },
         };
-        let per_client = fusion.split(&outcome);
-        assert_eq!(per_client.len(), 3);
+        let shared = fusion.split_shared(outcome);
+        assert_eq!(shared.len(), 3);
+        let per_client: Vec<BatchOutcome> = shared.iter().map(|v| v.materialize()).collect();
         // Client 0 did not fetch: sums stripped, rows/counts intact.
         assert_eq!(per_client[0].results[0], result(0, 1, 0));
         assert_eq!(per_client[0].results[1], result(MISS, 0, 0));
@@ -346,37 +319,14 @@ mod tests {
         // Client 2 fetched: its sum survives.
         assert_eq!(per_client[2].results[0], result(2, 4, 99));
         // Every client sees the shared fused launch metrics.
-        for out in &per_client {
+        for (view, out) in shared.iter().zip(&per_client) {
             assert_eq!(out.metrics.simulated_time_s, 2.0);
-        }
-    }
-
-    #[test]
-    fn split_shared_views_agree_with_owned_split() {
-        let mut fusion = FusedBatch::new();
-        fusion.push(&QueryBatch::new().point(1).point(2)); // no fetch
-        fusion.push(&QueryBatch::new()); // empty client
-        fusion.push(&QueryBatch::new().range(0, 9).fetch_values(true));
-        let outcome = QueryOutcome {
-            results: vec![result(0, 1, 10), result(MISS, 0, 0), result(2, 4, 99)],
-            metrics: optix_sim::LaunchMetrics {
-                simulated_time_s: 2.0,
-                ..Default::default()
-            },
-        };
-        let owned = fusion.split(&outcome);
-        let shared = fusion.split_shared(outcome);
-        assert_eq!(shared.len(), 3);
-        for (view, want) in shared.iter().zip(&owned) {
-            let got = view.materialize();
-            assert_eq!(got.results, want.results);
-            assert_eq!(view.results().len(), want.results.len());
             assert_eq!(view.metrics().simulated_time_s, 2.0);
+            assert_eq!(view.results().len(), out.results.len());
         }
         // The zero-copy view of the non-fetching client still exposes the
         // raw fused sum; only materialize strips it.
         assert_eq!(shared[0].results()[0].value_sum, 10);
-        assert_eq!(shared[0].materialize().results[0].value_sum, 0);
         // One Arc shared across all three views.
         assert_eq!(Arc::strong_count(&shared[0].outcome), 3);
     }
@@ -415,6 +365,6 @@ mod tests {
     fn split_rejects_miscounted_outcomes() {
         let mut fusion = FusedBatch::new();
         fusion.push(&QueryBatch::new().point(1));
-        let _ = fusion.split(&QueryOutcome::default());
+        let _ = fusion.split_shared(QueryOutcome::default());
     }
 }

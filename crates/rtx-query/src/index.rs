@@ -9,7 +9,7 @@
 use optix_sim::LaunchMetrics;
 
 use crate::arena::ExecArena;
-use crate::batch::{QueryBatch, QueryOp, QueryOps};
+use crate::batch::QueryBatch;
 use crate::error::IndexError;
 use crate::keys::{KeySchema, KeyTuple, TypedBatch};
 use crate::shard::{RebalanceReport, ShardLoad};
@@ -22,10 +22,12 @@ use crate::types::{
 ///
 /// Implementors provide the two homogeneous execution hooks
 /// ([`point_chunk`](SecondaryIndex::point_chunk) /
-/// [`range_chunk`](SecondaryIndex::range_chunk)); the mixed-batch entry
-/// point [`execute`](SecondaryIndex::execute) is provided on top of them,
-/// so splitting, chunking and result scattering behave identically across
-/// backends.
+/// [`range_chunk`](SecondaryIndex::range_chunk)); mixed-batch execution
+/// ([`execute_in`](SecondaryIndex::execute_in), and
+/// [`execute`](SecondaryIndex::execute) /
+/// [`execute_typed`](SecondaryIndex::execute_typed) on top of it) is
+/// provided, so splitting, chunking and result scattering behave
+/// identically across backends.
 pub trait SecondaryIndex: Send + Sync {
     /// Short display name ("RX", "HT", "B+", "SA", "RXD", or a sharded
     /// spec such as "RX@8") used in report tables and error messages.
@@ -117,82 +119,55 @@ pub trait SecondaryIndex: Send + Sync {
     /// Executes a mixed batch: point and range lookups in one submission,
     /// with an optional value fetch.
     ///
-    /// Equivalent to [`execute_in`](SecondaryIndex::execute_in) with a
-    /// fresh throwaway [`ExecArena`]; callers on a hot path should hold an
-    /// arena and call `execute_in` directly to skip the per-submission
-    /// scratch allocations.
+    /// A provided convenience, never overridden:
+    /// [`execute_in`](SecondaryIndex::execute_in) with a fresh throwaway
+    /// [`ExecArena`]. Callers on a hot path hold an arena and call
+    /// `execute_in` directly to skip the per-submission scratch allocations.
     fn execute(&self, batch: &QueryBatch) -> Result<QueryOutcome, IndexError> {
         self.execute_in(batch, &mut ExecArena::new())
     }
 
-    /// Executes a mixed batch using caller-provided scratch.
+    /// Executes a mixed batch using caller-provided scratch — the one
+    /// execution method a wrapper forwards (or, for a sharded backend,
+    /// replaces with its scatter/gather).
     ///
-    /// The default implementation regroups the operations into homogeneous
-    /// runs inside `arena` (cleared and refilled — reuse is always safe),
-    /// splits each run into chunks of at most [`QueryBatch::chunk_size`]
-    /// operations, executes the chunks through the backend hooks —
-    /// **concurrently** over the [`gpu_device`] worker pool when a run
-    /// splits into ≥ 2 chunks — then merges their metrics and scatters the
-    /// per-chunk results back into submission order. Scatter is by
-    /// submission slot, so concurrent chunk execution cannot reorder
-    /// results; chunk metrics are merged in chunk order so the outcome is
-    /// bit-identical to sequential execution.
+    /// The default borrows the batch's dense point run as it is, derives
+    /// the submission slots of both runs (and the range run without its
+    /// inverted ranges) inside `arena` (cleared and refilled — reuse is
+    /// always safe), splits each run into chunks of at most
+    /// [`QueryBatch::chunk_size`] operations, executes the chunks through
+    /// the backend hooks — **concurrently** over the [`gpu_device`] worker
+    /// pool when a run splits into ≥ 2 chunks — then merges their metrics
+    /// and scatters the per-chunk results back into submission order.
+    /// Scatter is by submission slot, so concurrent chunk execution cannot
+    /// reorder results; chunk metrics are merged in chunk order so the
+    /// outcome is bit-identical to sequential execution.
     fn execute_in(
         &self,
         batch: &QueryBatch,
         arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
-        arena.clear();
-        let mut has_range_op = false;
-        for (slot, op) in batch.ops().iter().enumerate() {
-            match *op {
-                QueryOp::Point(key) => {
-                    arena.point_slots.push(slot);
-                    arena.point_keys.push(key);
-                }
-                QueryOp::Range(lower, upper) => {
-                    has_range_op = true;
-                    // An inverted range (`lower > upper`) is empty by
-                    // definition; its slot stays the pre-filled miss on
-                    // every backend instead of reaching backend-dependent
-                    // handling.
-                    if lower <= upper {
-                        arena.range_slots.push(slot);
-                        arena.range_bounds.push((lower, upper));
-                    }
-                }
-            }
+        let fetch = batch.fetches_values();
+        if fetch && !self.has_value_column() {
+            return Err(IndexError::NoValueColumn {
+                backend: self.name().into(),
+            });
         }
-        execute_grouped(
-            self,
-            arena,
-            batch.len(),
-            has_range_op,
-            batch.fetches_values(),
-            batch.chunk_size(),
-        )
-    }
+        if batch.range_count() > 0 && !self.capabilities().range_lookups {
+            return Err(IndexError::UnsupportedOperation {
+                backend: self.name().into(),
+                operation: "range lookups",
+            });
+        }
 
-    /// Executes a pre-grouped SoA op stream ([`QueryOps`]) using
-    /// caller-provided scratch. Same semantics as
-    /// [`execute_in`](SecondaryIndex::execute_in); the dense point-key run
-    /// is copied into the arena wholesale and only the order-tag bitmap is
-    /// walked to derive the slot maps, so no per-op enum dispatch happens
-    /// on the execution path.
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
         arena.clear();
-        arena.point_keys.extend_from_slice(ops.points());
-        let bounds = ops.ranges();
-        let mut next_range = 0usize;
-        for slot in 0..ops.len() {
-            if ops.is_range(slot) {
-                let (lower, upper) = bounds[next_range];
-                next_range += 1;
-                // Inverted ranges stay pre-filled misses (see `execute_in`).
+        let mut bounds = batch.range_bounds().iter();
+        for slot in 0..batch.len() {
+            if batch.is_range(slot) {
+                let &(lower, upper) = bounds.next().expect("order tags out of sync");
+                // An inverted range (`lower > upper`) is empty by
+                // definition; its slot stays the pre-filled miss on every
+                // backend instead of reaching backend-dependent handling.
                 if lower <= upper {
                     arena.range_slots.push(slot);
                     arena.range_bounds.push((lower, upper));
@@ -201,63 +176,32 @@ pub trait SecondaryIndex: Send + Sync {
                 arena.point_slots.push(slot);
             }
         }
-        execute_grouped(
-            self,
-            arena,
-            ops.len(),
-            ops.range_count() > 0,
-            ops.fetches_values(),
-            ops.chunk_size(),
-        )
-    }
-}
 
-/// The shared mixed-batch execution core: validates the request against the
-/// backend's capabilities, then runs the point and range runs grouped in
-/// `arena` and scatters their results into one submission-order outcome.
-fn execute_grouped<I: SecondaryIndex + ?Sized>(
-    index: &I,
-    arena: &ExecArena,
-    total_ops: usize,
-    has_range_op: bool,
-    fetch: bool,
-    chunk_size: Option<usize>,
-) -> Result<QueryOutcome, IndexError> {
-    if fetch && !index.has_value_column() {
-        return Err(IndexError::NoValueColumn {
-            backend: index.name().into(),
-        });
+        let chunk = batch.chunk_size().unwrap_or(usize::MAX);
+        let mut outcome = QueryOutcome {
+            // Pre-fill with misses so a (buggy) backend that under-reports
+            // can never leave a slot looking like a hit of rowID 0 — and
+            // under-reporting is caught below regardless.
+            results: vec![crate::types::LookupResult::miss(); batch.len()],
+            metrics: LaunchMetrics::default(),
+        };
+        let points = batch.point_keys();
+        scatter_chunks(
+            self.name(),
+            &arena.point_slots,
+            &mut outcome,
+            chunk,
+            |lo, hi| self.point_chunk(&points[lo..hi], fetch),
+        )?;
+        scatter_chunks(
+            self.name(),
+            &arena.range_slots,
+            &mut outcome,
+            chunk,
+            |lo, hi| self.range_chunk(&arena.range_bounds[lo..hi], fetch),
+        )?;
+        Ok(outcome)
     }
-    if has_range_op && !index.capabilities().range_lookups {
-        return Err(IndexError::UnsupportedOperation {
-            backend: index.name().into(),
-            operation: "range lookups",
-        });
-    }
-
-    let chunk = chunk_size.unwrap_or(usize::MAX);
-    let mut outcome = QueryOutcome {
-        // Pre-fill with misses so a (buggy) backend that under-reports
-        // can never leave a slot looking like a hit of rowID 0 — and
-        // under-reporting is caught below regardless.
-        results: vec![crate::types::LookupResult::miss(); total_ops],
-        metrics: LaunchMetrics::default(),
-    };
-    scatter_chunks(
-        index.name(),
-        &arena.point_slots,
-        &mut outcome,
-        chunk,
-        |lo, hi| index.point_chunk(&arena.point_keys[lo..hi], fetch),
-    )?;
-    scatter_chunks(
-        index.name(),
-        &arena.range_slots,
-        &mut outcome,
-        chunk,
-        |lo, hi| index.range_chunk(&arena.range_bounds[lo..hi], fetch),
-    )?;
-    Ok(outcome)
 }
 
 /// Runs one homogeneous operation run in chunks of at most `chunk`
@@ -434,6 +378,38 @@ pub trait UpdatableIndex: SecondaryIndex {
     /// observe a half-migrated layout.
     fn rebalance_shards(&mut self) -> Result<RebalanceReport, IndexError> {
         Ok(RebalanceReport::default())
+    }
+}
+
+/// An owned backend of either kind: what a layer holds when the same code
+/// serves indexes built read-only and indexes built updatable (the service
+/// coalescer, a shard, a table index). Reads go through
+/// [`read`](IndexBackend::read) whatever the variant; writes go through
+/// [`write`](IndexBackend::write), which a read-only backend answers with
+/// `None`.
+pub enum IndexBackend {
+    /// Built through [`Registry::build`](crate::Registry::build).
+    Read(Box<dyn SecondaryIndex>),
+    /// Built through
+    /// [`Registry::build_updatable`](crate::Registry::build_updatable).
+    Write(Box<dyn UpdatableIndex>),
+}
+
+impl IndexBackend {
+    /// The backend behind the read trait.
+    pub fn read(&self) -> &dyn SecondaryIndex {
+        match self {
+            IndexBackend::Read(ix) => ix.as_ref(),
+            IndexBackend::Write(ix) => ix.as_ref(),
+        }
+    }
+
+    /// The backend behind the write trait, or `None` when it is read-only.
+    pub fn write(&mut self) -> Option<&mut dyn UpdatableIndex> {
+        match self {
+            IndexBackend::Read(_) => None,
+            IndexBackend::Write(ix) => Some(ix.as_mut()),
+        }
     }
 }
 

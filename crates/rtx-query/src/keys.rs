@@ -52,7 +52,7 @@
 
 use std::fmt;
 
-use crate::batch::{QueryBatch, QueryOps};
+use crate::batch::QueryBatch;
 use crate::error::IndexError;
 
 /// Maximum raw width (bytes) of a schema: four `u64` limbs.
@@ -805,26 +805,9 @@ impl From<(KeyBound, KeyBound)> for PrefixBounds {
     }
 }
 
-impl QueryOps {
-    /// Compiles a typed batch against a single-limb schema straight into
-    /// the pre-fused SoA form (see [`KeySchema::compile`]).
-    pub fn from_typed(schema: &KeySchema, batch: &TypedBatch) -> Result<QueryOps, IndexError> {
-        Ok(QueryOps::from_batch(&schema.compile(batch)?))
-    }
-}
-
-impl QueryBatch {
-    /// Compiles a typed batch against a single-limb schema (the builder
-    /// counterpart of [`KeySchema::compile`]).
-    pub fn from_typed(schema: &KeySchema, batch: &TypedBatch) -> Result<QueryBatch, IndexError> {
-        schema.compile(batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::QueryOp;
 
     fn schema(text: &str) -> KeySchema {
         KeySchema::parse(text).unwrap()
@@ -920,14 +903,15 @@ mod tests {
             .range([5u64.into(), 10u64.into()], [5u64.into(), 20u64.into()])
             .fetch_values(true);
         let compiled = s.compile(&batch).unwrap();
-        assert_eq!(compiled.ops()[0], QueryOp::Point(enc(5, 10)));
-        assert_eq!(compiled.ops()[1], QueryOp::Range(enc(5, 10), enc(5, 20)));
+        assert_eq!(compiled.point_keys(), &[enc(5, 10)]);
+        assert_eq!(compiled.range_bounds(), &[(enc(5, 10), enc(5, 20))]);
+        assert!(!compiled.is_range(0) && compiled.is_range(1));
         assert!(compiled.fetches_values());
 
         // Inverted typed range compiles to the canonical empty range.
         let inverted =
             TypedBatch::new().range([6u64.into(), 0u64.into()], [5u64.into(), 0u64.into()]);
-        assert_eq!(s.compile(&inverted).unwrap().ops()[0], QueryOp::Range(1, 0));
+        assert_eq!(s.compile(&inverted).unwrap().range_bounds(), &[(1, 0)]);
     }
 
     #[test]

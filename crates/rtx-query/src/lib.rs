@@ -7,17 +7,18 @@
 //! workloads; this crate is the single interface all of them (and the
 //! dynamic delta index) are driven through:
 //!
-//! * [`SecondaryIndex`] — the read-only backend trait: mixed-batch
-//!   [`execute`](SecondaryIndex::execute) plus the allocation-free hot-path
-//!   variants [`execute_in`](SecondaryIndex::execute_in) /
-//!   [`execute_ops_in`](SecondaryIndex::execute_ops_in) over a reusable
-//!   [`ExecArena`], memory/build metadata and [`Capabilities`] flags
-//!   (range lookups, duplicate keys, 64-bit keys, updates);
+//! * [`SecondaryIndex`] — the read-only backend trait: one mixed-batch
+//!   execution method, [`execute_in`](SecondaryIndex::execute_in) over a
+//!   reusable [`ExecArena`] (with [`execute`](SecondaryIndex::execute) and
+//!   [`execute_typed`](SecondaryIndex::execute_typed) provided on top of
+//!   it), memory/build metadata and [`Capabilities`] flags (range lookups,
+//!   duplicate keys, 64-bit keys, updates);
 //! * [`UpdatableIndex`] — the write extension (batched insert / delete /
-//!   upsert);
+//!   upsert); [`IndexBackend`] holds a boxed backend of either kind;
 //! * [`QueryBatch`] — one submission mixing point lookups, range lookups
-//!   and an optional value-column fetch, with configurable chunked
-//!   execution for large batches;
+//!   and an optional value-column fetch, stored as the dense point and
+//!   range runs a launch consumes, with configurable chunked execution for
+//!   large batches;
 //! * [`FusedBatch`] — cross-client coalescing: fuse many small client
 //!   batches into one large submission and split the fused outcome back
 //!   per client (the pure half of the `rtx-serve` service);
@@ -74,7 +75,7 @@ pub use batch::{QueryBatch, QueryOp, QueryOps};
 pub use composite::{parse_schema_name, CompositeIndex};
 pub use error::IndexError;
 pub use fuse::{FusedBatch, FusedSlice, SharedOutcome};
-pub use index::{SecondaryIndex, UpdatableIndex};
+pub use index::{IndexBackend, SecondaryIndex, UpdatableIndex};
 pub use keys::{
     ColumnType, EncodedKey, EncodedRange, KeyBound, KeySchema, KeyTuple, KeyValue, TypedBatch,
     TypedOp,

@@ -19,7 +19,7 @@
 //! * **inverted ranges** (`lower > upper`) are routed nowhere and gather as
 //!   the uniform empty result.
 
-use crate::batch::{QueryBatch, QueryOp, QueryOps};
+use crate::batch::QueryBatch;
 use crate::types::{BatchOutcome, LookupResult, QueryOutcome};
 
 /// How a sharded backend distributes the key space over its shards.
@@ -207,115 +207,72 @@ pub trait KeyRouter: Send + Sync {
     fn shards_of_range(&self, lower: u64, upper: u64) -> Vec<(usize, (u64, u64))>;
 }
 
-/// The scatter side of a sharded execution: one SoA sub-batch
-/// ([`QueryOps`]) per shard plus the submission-order slot each
-/// sub-operation answers, so the gather can merge per-shard outcomes back
-/// into one [`QueryOutcome`].
+/// The scatter side of a sharded execution: one sub-batch per shard plus
+/// the submission-order slot each sub-operation answers, so the gather can
+/// merge per-shard outcomes back into one [`QueryOutcome`].
 ///
-/// Plans are reusable: [`replan`](ScatterPlan::replan) /
-/// [`replan_ops`](ScatterPlan::replan_ops) clear and refill an existing
-/// plan in place, keeping every per-shard buffer's capacity — a sharded
-/// executor pools its plans and replans submissions allocation-free at
-/// steady state.
+/// Plans are reusable: [`replan_ops`](ScatterPlan::replan_ops) clears and
+/// refills an existing plan in place, keeping every per-shard buffer's
+/// capacity — a sharded executor pools its plans and replans submissions
+/// allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct ScatterPlan {
     /// Number of operations in the planned batch.
     submitted_ops: usize,
     /// One sub-batch per shard (possibly empty). Value-fetch and chunk-size
     /// settings are inherited from the planned batch.
-    sub_ops: Vec<QueryOps>,
+    sub_ops: Vec<QueryBatch>,
     /// For each shard, the originating slot of each of its sub-operations.
     slots: Vec<Vec<usize>>,
 }
 
 impl ScatterPlan {
-    /// Plans `batch` over the shards of `router`. Points go to their owning
-    /// shard, ranges go wherever the router sends them, inverted ranges go
-    /// nowhere (their slots gather as the empty result).
-    pub fn plan(batch: &QueryBatch, router: &dyn KeyRouter) -> ScatterPlan {
-        let mut plan = ScatterPlan::default();
-        plan.replan(batch, router);
-        plan
-    }
-
-    /// Re-plans `batch` into this plan in place (see [`plan`](ScatterPlan::plan)
-    /// for the routing rules), reusing every buffer.
-    pub fn replan(&mut self, batch: &QueryBatch, router: &dyn KeyRouter) {
-        self.replan_iter(
-            batch.ops().iter().copied(),
-            batch.len(),
-            batch.fetches_values(),
-            batch.chunk_size(),
-            router,
-        );
-    }
-
-    /// Re-plans an SoA op stream into this plan in place.
-    pub fn replan_ops(&mut self, ops: &QueryOps, router: &dyn KeyRouter) {
-        self.replan_iter(
-            ops.iter(),
-            ops.len(),
-            ops.fetches_values(),
-            ops.chunk_size(),
-            router,
-        );
-    }
-
-    fn replan_iter<I: Iterator<Item = QueryOp>>(
-        &mut self,
-        ops: I,
-        len: usize,
-        fetch_values: bool,
-        chunk_size: Option<usize>,
-        router: &dyn KeyRouter,
-    ) {
+    /// Plans `ops` over the shards of `router` into this plan in place,
+    /// reusing every buffer. Points go to their owning shard, ranges go
+    /// wherever the router sends them, inverted ranges go nowhere (their
+    /// slots gather as the empty result).
+    pub fn replan_ops(&mut self, ops: &QueryBatch, router: &dyn KeyRouter) {
         let shards = router.shard_count();
-        self.sub_ops.resize_with(shards, QueryOps::new);
-        self.sub_ops.truncate(shards);
+        self.sub_ops.resize_with(shards, QueryBatch::new);
         self.slots.resize_with(shards, Vec::new);
-        self.slots.truncate(shards);
         for sub in &mut self.sub_ops {
             sub.clear();
-            sub.set_fetch_values(fetch_values);
-            sub.set_chunk_size(chunk_size.unwrap_or(0));
+            sub.set_fetch_values(ops.fetches_values());
+            sub.set_chunk_size(ops.chunk_size().unwrap_or(0));
         }
         for shard_slots in &mut self.slots {
             shard_slots.clear();
         }
-        self.submitted_ops = len;
-        for (slot, op) in ops.enumerate() {
-            match op {
-                QueryOp::Point(key) => {
-                    let s = router.shard_of_point(key);
-                    self.sub_ops[s].push_point(key);
+        self.submitted_ops = ops.len();
+        let mut points = ops.point_keys().iter();
+        let mut ranges = ops.range_bounds().iter();
+        for slot in 0..ops.len() {
+            if ops.is_range(slot) {
+                let &(lower, upper) = ranges.next().expect("order tags out of sync");
+                if lower > upper {
+                    continue;
+                }
+                for (s, (sub_lower, sub_upper)) in router.shards_of_range(lower, upper) {
+                    self.sub_ops[s].push_range(sub_lower, sub_upper);
                     self.slots[s].push(slot);
                 }
-                QueryOp::Range(lower, upper) => {
-                    if lower > upper {
-                        continue;
-                    }
-                    for (s, (sub_lower, sub_upper)) in router.shards_of_range(lower, upper) {
-                        self.sub_ops[s].push_range(sub_lower, sub_upper);
-                        self.slots[s].push(slot);
-                    }
-                }
+            } else {
+                let &key = points.next().expect("order tags out of sync");
+                let s = router.shard_of_point(key);
+                self.sub_ops[s].push_point(key);
+                self.slots[s].push(slot);
             }
         }
     }
 
-    /// The per-shard SoA sub-batches, indexed by shard.
-    pub fn sub_ops(&self) -> &[QueryOps] {
+    /// The per-shard sub-batches, indexed by shard.
+    pub fn sub_ops(&self) -> &[QueryBatch] {
         &self.sub_ops
     }
 
     /// The originating submission-order slots of shard `s`'s sub-operations.
     pub fn slots(&self, s: usize) -> &[usize] {
         &self.slots[s]
-    }
-
-    /// Number of shards with a non-empty sub-batch.
-    pub fn active_shards(&self) -> usize {
-        self.sub_ops.iter().filter(|b| !b.is_empty()).count()
     }
 
     /// Gathers per-shard outcomes (one per shard, in shard order, already
@@ -358,7 +315,14 @@ impl ScatterPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryOp;
     use crate::types::MISS;
+
+    fn planned(batch: &QueryBatch, router: &dyn KeyRouter) -> ScatterPlan {
+        let mut plan = ScatterPlan::default();
+        plan.replan_ops(batch, router);
+        plan
+    }
 
     /// A router over `shards` equal contiguous spans of `0..domain`, with
     /// everything at/above `domain` owned by the last shard.
@@ -452,9 +416,8 @@ mod tests {
             .range(50, 10) // inverted: routed nowhere
             .fetch_values(true)
             .with_chunk_size(7);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = planned(&batch, &router);
         assert_eq!(plan.sub_ops().len(), 4);
-        assert_eq!(plan.active_shards(), 4);
         let sub = |s: usize| plan.sub_ops()[s].iter().collect::<Vec<_>>();
         assert_eq!(sub(0), &[QueryOp::Point(5), QueryOp::Range(90, 99)]);
         assert_eq!(sub(1), &[QueryOp::Range(100, 199)]);
@@ -481,35 +444,30 @@ mod tests {
             .range(90, 210)
             .fetch_values(true);
         let small = QueryBatch::new().point(5).range(50, 10).with_chunk_size(3);
-        let mut plan = ScatterPlan::plan(&big, &router);
-        plan.replan(&small, &router);
-        let fresh = ScatterPlan::plan(&small, &router);
-        assert_eq!(plan.submitted_ops, fresh.submitted_ops);
+        let mut reused = planned(&big, &router);
+        reused.replan_ops(&small, &router);
+        let fresh = planned(&small, &router);
+        assert_eq!(reused.submitted_ops, fresh.submitted_ops);
         for s in 0..4 {
-            assert_eq!(
-                plan.sub_ops()[s].iter().collect::<Vec<_>>(),
-                fresh.sub_ops()[s].iter().collect::<Vec<_>>()
-            );
-            assert_eq!(plan.slots(s), fresh.slots(s));
-            assert!(!plan.sub_ops()[s].fetches_values(), "flags re-derived");
-            assert_eq!(plan.sub_ops()[s].chunk_size(), Some(3));
+            assert_eq!(reused.sub_ops()[s], fresh.sub_ops()[s]);
+            assert_eq!(reused.slots(s), fresh.slots(s));
+            assert!(!reused.sub_ops()[s].fetches_values(), "flags re-derived");
+            assert_eq!(reused.sub_ops()[s].chunk_size(), Some(3));
         }
-        // Replanning from the SoA form agrees with the enum form.
-        let mut from_ops = ScatterPlan::default();
-        from_ops.replan_ops(&QueryOps::from_batch(&small), &router);
-        for s in 0..4 {
-            assert_eq!(
-                from_ops.sub_ops()[s].iter().collect::<Vec<_>>(),
-                fresh.sub_ops()[s].iter().collect::<Vec<_>>()
-            );
-        }
+        // A narrower router shrinks the plan with it.
+        let narrow = SpanRouter {
+            shards: 2,
+            domain: 400,
+        };
+        reused.replan_ops(&small, &narrow);
+        assert_eq!(reused.sub_ops().len(), 2);
     }
 
     #[test]
     fn plan_broadcasts_ranges_under_hash_routing() {
         let router = ModRouter { shards: 3 };
         let batch = QueryBatch::new().range(10, 20).point(4);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = planned(&batch, &router);
         for s in 0..3 {
             assert!(plan.sub_ops()[s]
                 .iter()
@@ -527,7 +485,7 @@ mod tests {
         };
         // Slot 0: range split over both shards; slot 1: inverted range.
         let batch = QueryBatch::new().range(50, 150).range(9, 1);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = planned(&batch, &router);
         let shard0 = BatchOutcome {
             results: vec![LookupResult {
                 first_row: 7,
@@ -556,7 +514,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "answered")]
     fn gather_rejects_miscounted_shard_outcomes() {
-        let plan = ScatterPlan::plan(&QueryBatch::new().point(1), &ModRouter { shards: 1 });
+        let plan = planned(&QueryBatch::new().point(1), &ModRouter { shards: 1 });
         let _ = plan.gather(vec![BatchOutcome::default()]);
     }
 }

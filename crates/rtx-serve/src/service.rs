@@ -31,9 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rtx_query::{
-    BatchOutcome, Capabilities, DurableStats, ExecArena, FusedBatch, IndexError, MemoryUsage,
-    QueryBatch, QueryOps, QueryOutcome, RebalanceReport, SecondaryIndex, ShardLoad, SharedOutcome,
-    UpdatableIndex, UpdateReport,
+    BatchOutcome, Capabilities, ExecArena, FusedBatch, IndexBackend, IndexError, MemoryUsage,
+    QueryBatch, SecondaryIndex, SharedOutcome, UpdatableIndex, UpdateReport,
 };
 
 /// The reply side of one admitted read: a zero-copy view of the fused
@@ -104,91 +103,21 @@ impl Request {
     }
 }
 
-/// The backend as owned by the coalescer thread.
-enum ServiceBackend {
-    ReadOnly(Box<dyn SecondaryIndex>),
-    Updatable(Box<dyn UpdatableIndex>),
-}
-
-impl ServiceBackend {
-    fn name(&self) -> &str {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.name(),
-            ServiceBackend::Updatable(ix) => ix.name(),
-        }
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.capabilities(),
-            ServiceBackend::Updatable(ix) => ix.capabilities(),
-        }
-    }
-
-    fn has_value_column(&self) -> bool {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.has_value_column(),
-            ServiceBackend::Updatable(ix) => ix.has_value_column(),
-        }
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.execute_ops_in(ops, arena),
-            ServiceBackend::Updatable(ix) => ix.execute_ops_in(ops, arena),
-        }
-    }
-
-    fn apply(&mut self, op: WriteOp) -> Result<WriteOutcome, IndexError> {
-        match self {
-            // Admission rejects writes on read-only services; this is the
-            // defensive backstop, not a reachable path.
-            ServiceBackend::ReadOnly(ix) => Err(IndexError::UnsupportedOperation {
-                backend: ix.name().into(),
-                operation: "updates",
-            }),
-            ServiceBackend::Updatable(ix) => match op {
-                WriteOp::Insert { keys, values } => {
-                    ix.insert(&keys, &values).map(WriteOutcome::Report)
-                }
-                WriteOp::Delete { keys } => ix.delete(&keys).map(WriteOutcome::Report),
-                WriteOp::Upsert { keys, values } => {
-                    ix.upsert(&keys, &values).map(WriteOutcome::Report)
-                }
-                WriteOp::Checkpoint => ix.checkpoint().map(WriteOutcome::Checkpoint),
-            },
-        }
-    }
-
-    /// The backend-side gauges mirrored into the service counters after
-    /// every fence operation: component-wise memory usage and (for durable
-    /// backends) the persistence stats.
-    fn gauges(&self) -> (MemoryUsage, Option<DurableStats>) {
-        match self {
-            ServiceBackend::ReadOnly(ix) => (ix.memory_usage(), ix.durability_stats()),
-            ServiceBackend::Updatable(ix) => (ix.memory_usage(), ix.durability_stats()),
-        }
-    }
-
-    /// Per-shard load counters of a sharded backend (`None` otherwise).
-    fn shard_load(&self) -> Option<ShardLoad> {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.shard_load(),
-            ServiceBackend::Updatable(ix) => ix.shard_load(),
-        }
-    }
-
-    /// Hot-shard rebalance on an updatable sharded backend; `None` on
-    /// read-only services or backends without shards to move.
-    fn rebalance_shards(&mut self) -> Option<RebalanceReport> {
-        match self {
-            ServiceBackend::ReadOnly(_) => None,
-            ServiceBackend::Updatable(ix) => ix.rebalance_shards().ok(),
-        }
+/// Applies one write-fence operation to the backend the coalescer owns.
+fn apply_write(backend: &mut IndexBackend, op: WriteOp) -> Result<WriteOutcome, IndexError> {
+    // Admission rejects writes on read-only services; this is the
+    // defensive backstop, not a reachable path.
+    let Some(ix) = backend.write() else {
+        return Err(IndexError::UnsupportedOperation {
+            backend: backend.read().name().into(),
+            operation: "updates",
+        });
+    };
+    match op {
+        WriteOp::Insert { keys, values } => ix.insert(&keys, &values).map(WriteOutcome::Report),
+        WriteOp::Delete { keys } => ix.delete(&keys).map(WriteOutcome::Report),
+        WriteOp::Upsert { keys, values } => ix.upsert(&keys, &values).map(WriteOutcome::Report),
+        WriteOp::Checkpoint => ix.checkpoint().map(WriteOutcome::Checkpoint),
     }
 }
 
@@ -428,9 +357,12 @@ impl Shared {
         self.counters.snapshot()
     }
 
-    /// Copies the backend gauges into the shared counters.
-    fn refresh_gauges(&self, backend: &ServiceBackend) {
-        let (memory, durable) = backend.gauges();
+    /// Mirrors the backend-side gauges into the shared counters (after
+    /// every fence operation): component-wise memory usage and, for durable
+    /// backends, the persistence stats.
+    fn refresh_gauges(&self, backend: &dyn SecondaryIndex) {
+        let memory = backend.memory_usage();
+        let durable = backend.durability_stats();
         let c = &self.counters;
         c.mem_base_bytes.store(memory.base_bytes, Ordering::Relaxed);
         c.mem_delta_bytes
@@ -799,16 +731,17 @@ pub struct QueryService {
 impl QueryService {
     /// Starts a service over a read-only backend.
     pub fn start(backend: Box<dyn SecondaryIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(ServiceBackend::ReadOnly(backend), config, false)
+        QueryService::spawn(IndexBackend::Read(backend), config)
     }
 
     /// Starts a service over an updatable backend: client writes are
     /// serialized and fenced against reads in queue order.
     pub fn start_updatable(backend: Box<dyn UpdatableIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(ServiceBackend::Updatable(backend), config, true)
+        QueryService::spawn(IndexBackend::Write(backend), config)
     }
 
-    fn spawn(backend: ServiceBackend, config: ServiceConfig, updatable: bool) -> Self {
+    fn spawn(backend: IndexBackend, config: ServiceConfig) -> Self {
+        let index = backend.read();
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 requests: VecDeque::new(),
@@ -817,14 +750,14 @@ impl QueryService {
             }),
             work: Condvar::new(),
             config,
-            backend_name: backend.name().into(),
-            capabilities: backend.capabilities(),
-            has_value_column: backend.has_value_column(),
-            updatable,
+            backend_name: index.name().into(),
+            capabilities: index.capabilities(),
+            has_value_column: index.has_value_column(),
+            updatable: matches!(backend, IndexBackend::Write(_)),
             counters: Counters::default(),
         });
         // Seed the gauges so read-only services report their footprint too.
-        shared.refresh_gauges(&backend);
+        shared.refresh_gauges(index);
         let worker = std::thread::Builder::new()
             .name("rtx-serve-coalescer".to_string())
             .spawn({
@@ -911,7 +844,7 @@ struct AdaptiveState {
 
 /// The coalescer loop: drain → fuse → execute → scatter, strictly in queue
 /// order, until shutdown *and* an empty queue.
-fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
+fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
     // The coalescer's working set lives for the whole service: the fusion,
     // the reply buffer and the execution arena are cleared between cycles
     // but never reallocated — steady-state coalescing is allocation-free
@@ -933,7 +866,7 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
                 // behind this write waits exactly this long. Surface it.
                 let is_checkpoint = matches!(op, WriteOp::Checkpoint);
                 let start = Instant::now();
-                let result = backend.apply(op);
+                let result = apply_write(&mut backend, op);
                 let stall_ns = start.elapsed().as_nanos() as u64;
                 let c = &shared.counters;
                 if is_checkpoint {
@@ -948,17 +881,16 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
                     c.write_reorganisations
                         .fetch_add(report.reorganisations, Ordering::Relaxed);
                 }
-                shared.refresh_gauges(&backend);
+                shared.refresh_gauges(backend.read());
                 // A client that dropped its ticket abandoned the result.
                 let _ = reply.send(result);
                 maybe_rebalance(shared, &mut backend);
             }
             Drained::Reads => {
-                // The fused operations are already in executor-ready SoA
-                // form; execution reuses the coalescer's arena and the
-                // scatter hands each client an Arc'd view of the one fused
-                // outcome — no per-client result copy on this thread.
-                let outcome = backend.execute_ops_in(fusion.ops(), &mut arena);
+                // Execution reuses the coalescer's arena and the scatter
+                // hands each client an Arc'd view of the one fused outcome —
+                // no per-client result copy on this thread.
+                let outcome = backend.read().execute_in(fusion.ops(), &mut arena);
                 let c = &shared.counters;
                 c.fused_submissions.fetch_add(1, Ordering::Relaxed);
                 c.coalesced_batches
@@ -991,11 +923,11 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
 /// gauge refreshes on every check; the migration itself only fires once
 /// enough traffic accumulated *and* the imbalance crossed the trigger
 /// (the pass resets the shard counters, which spaces the passes out).
-fn maybe_rebalance(shared: &Shared, backend: &mut ServiceBackend) {
+fn maybe_rebalance(shared: &Shared, backend: &mut IndexBackend) {
     let Some(config) = shared.config.rebalance else {
         return;
     };
-    let Some(load) = backend.shard_load() else {
+    let Some(load) = backend.read().shard_load() else {
         return;
     };
     let permille = (load.imbalance_ratio() * 1000.0) as u64;
@@ -1005,11 +937,13 @@ fn maybe_rebalance(shared: &Shared, backend: &mut ServiceBackend) {
     if load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
         return;
     }
-    if let Some(report) = backend.rebalance_shards() {
+    // Nothing to move on a read-only service or a backend without shards.
+    let report = backend.write().and_then(|ix| ix.rebalance_shards().ok());
+    if let Some(report) = report {
         c.rebalances.fetch_add(1, Ordering::Relaxed);
         c.rebalanced_rows
             .fetch_add(report.moved_rows, Ordering::Relaxed);
-        shared.refresh_gauges(backend);
+        shared.refresh_gauges(backend.read());
     }
 }
 

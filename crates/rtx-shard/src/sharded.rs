@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use gpu_device::executor::{parallel_map, parallel_tasks};
 use rtx_query::{
-    ArenaPool, BatchOutcome, Capabilities, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    KeyRouter, MemoryUsage, Partitioning, QueryBatch, QueryOps, QueryOutcome, RebalanceReport,
+    ArenaPool, BatchOutcome, Capabilities, ExecArena, IndexBackend, IndexBuildMetrics, IndexError,
+    IndexSpec, KeyRouter, MemoryUsage, Partitioning, QueryBatch, QueryOutcome, RebalanceReport,
     Registry, ScatterPlan, SecondaryIndex, ShardLoad, ShardSpec, UpdatableIndex, UpdateReport,
     MISS,
 };
@@ -88,29 +88,6 @@ impl RouterConfig {
     }
 }
 
-/// One shard's inner backend: read-only or updatable, depending on which
-/// registry path built it.
-enum ShardBackend {
-    Read(Box<dyn SecondaryIndex>),
-    Write(Box<dyn UpdatableIndex>),
-}
-
-impl ShardBackend {
-    fn read(&self) -> &dyn SecondaryIndex {
-        match self {
-            ShardBackend::Read(ix) => ix.as_ref(),
-            ShardBackend::Write(ix) => ix.as_ref() as &dyn UpdatableIndex as &dyn SecondaryIndex,
-        }
-    }
-
-    fn write(&mut self) -> Option<&mut dyn UpdatableIndex> {
-        match self {
-            ShardBackend::Read(_) => None,
-            ShardBackend::Write(ix) => Some(ix.as_mut()),
-        }
-    }
-}
-
 /// One shard's local→global row mirror in recovered form: entry `local`
 /// holds `Some((key, global))` for a live row, `None` for a deleted one.
 pub type RecoveredRows = Vec<Option<(u64, u32)>>;
@@ -163,7 +140,8 @@ impl ShardRows {
 }
 
 struct Shard {
-    backend: ShardBackend,
+    /// Read-only or updatable, depending on which registry path built it.
+    backend: IndexBackend,
     rows: ShardRows,
     /// Primitive operations routed to this shard (lookups plus update rows)
     /// since build or the last rebalance — the hot-shard detection signal.
@@ -377,7 +355,7 @@ impl ShardedIndex {
 
         // Build every inner backend in parallel on the worker pool; each
         // build allocates against (and is profiled by) the shared device.
-        let built: Vec<Result<ShardBackend, IndexError>> =
+        let built: Vec<Result<IndexBackend, IndexError>> =
             parallel_map(shard_inputs, |s, (keys, values)| {
                 let spec = IndexSpec {
                     device: index.device,
@@ -397,9 +375,9 @@ impl ShardedIndex {
                 if updatable {
                     registry
                         .build_updatable(backends[s], &spec)
-                        .map(ShardBackend::Write)
+                        .map(IndexBackend::Write)
                 } else {
-                    registry.build(backends[s], &spec).map(ShardBackend::Read)
+                    registry.build(backends[s], &spec).map(IndexBackend::Read)
                 }
             });
 
@@ -475,7 +453,7 @@ impl ShardedIndex {
         let shards: Vec<Shard> = parts
             .into_iter()
             .map(|(backend, entries)| Shard {
-                backend: ShardBackend::Write(backend),
+                backend: IndexBackend::Write(backend),
                 rows: ShardRows { entries },
                 ops: AtomicU64::new(0),
             })
@@ -591,8 +569,8 @@ impl ShardedIndex {
             .iter()
             .map(|shard| {
                 let rows = match &shard.backend {
-                    ShardBackend::Write(ix) => ix.checkpoint_rows()?,
-                    ShardBackend::Read(_) => return None,
+                    IndexBackend::Write(ix) => ix.checkpoint_rows()?,
+                    IndexBackend::Read(_) => return None,
                 };
                 let live: Vec<(u64, u32)> = shard.rows.entries.iter().copied().flatten().collect();
                 if live.len() != rows.len() {
@@ -897,7 +875,7 @@ impl ShardedIndex {
         if self
             .shards
             .iter()
-            .any(|s| matches!(s.backend, ShardBackend::Read(_)))
+            .any(|s| matches!(s.backend, IndexBackend::Read(_)))
         {
             return Err(IndexError::UnsupportedOperation {
                 backend: Arc::clone(&self.label),
@@ -983,38 +961,6 @@ impl ShardedIndex {
         Ok(merged)
     }
 
-    /// The uniform sharded-execution prechecks (same errors the provided
-    /// trait executor raises, with the sharded label).
-    fn validate(&self, fetches_values: bool, has_range_op: bool) -> Result<(), IndexError> {
-        if fetches_values && !self.has_values {
-            return Err(IndexError::NoValueColumn {
-                backend: Arc::clone(&self.label),
-            });
-        }
-        if has_range_op && !self.capabilities.range_lookups {
-            return Err(IndexError::UnsupportedOperation {
-                backend: Arc::clone(&self.label),
-                operation: "range lookups",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_out_plan(&self) -> ScatterPlan {
-        self.plan_pool
-            .lock()
-            .expect("plan pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn check_in_plan(&self, plan: ScatterPlan) {
-        self.plan_pool
-            .lock()
-            .expect("plan pool poisoned")
-            .push(plan);
-    }
-
     /// Executes a ready scatter plan: every non-empty shard sub-batch runs
     /// concurrently on the worker pool through a pooled arena, outcomes are
     /// translated to global rowIDs and gathered into submission order.
@@ -1030,19 +976,14 @@ impl ShardedIndex {
             // to exactly one shard, so these adds never contend across the
             // parallel shard tasks). Ranges broadcast and carry no slot.
             if let Some(slot_ops) = &self.slot_ops {
-                for &key in sub.points() {
+                for &key in sub.point_keys() {
                     slot_ops[WeightedHashPartitioner::slot_of_key(key)]
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
-            let mut arena = self.arena_pool.check_out();
-            let result = shard
-                .backend
-                .read()
-                .execute_ops_in(sub, &mut arena)
-                .map(|out| shard.translate(out));
-            self.arena_pool.check_in(arena);
-            result
+            self.arena_pool
+                .with(|arena| shard.backend.read().execute_in(sub, arena))
+                .map(|out| shard.translate(out))
         });
         let mut gathered = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
@@ -1229,7 +1170,7 @@ impl SecondaryIndex for ShardedIndex {
         self.execute(&QueryBatch::of_ranges(ranges).fetch_values(fetch_values))
     }
 
-    /// Scatter/gather execution: the batch is planned into per-shard SoA
+    /// Scatter/gather execution: the batch is planned into per-shard
     /// sub-batches which run concurrently on the worker pool; outcomes are
     /// translated to global rowIDs and gathered back into submission order
     /// with merged metrics. Results are identical to executing the batch on
@@ -1245,27 +1186,26 @@ impl SecondaryIndex for ShardedIndex {
         batch: &QueryBatch,
         _arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
-        self.validate(batch.fetches_values(), batch.range_count() > 0)?;
-        let mut plan = self.check_out_plan();
-        plan.replan(batch, self.router.as_ref());
+        // The prechecks of the provided executor, under the sharded label.
+        if batch.fetches_values() && !self.has_values {
+            return Err(IndexError::NoValueColumn {
+                backend: Arc::clone(&self.label),
+            });
+        }
+        if batch.range_count() > 0 && !self.capabilities.range_lookups {
+            return Err(IndexError::UnsupportedOperation {
+                backend: Arc::clone(&self.label),
+                operation: "range lookups",
+            });
+        }
+        let pooled = self.plan_pool.lock().expect("plan pool poisoned").pop();
+        let mut plan = pooled.unwrap_or_default();
+        plan.replan_ops(batch, self.router.as_ref());
         let result = self.execute_planned(&plan);
-        self.check_in_plan(plan);
-        result
-    }
-
-    /// SoA entry point — identical to
-    /// [`execute_in`](SecondaryIndex::execute_in) but replans straight from
-    /// the [`QueryOps`] stream.
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        _arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.validate(ops.fetches_values(), ops.range_count() > 0)?;
-        let mut plan = self.check_out_plan();
-        plan.replan_ops(ops, self.router.as_ref());
-        let result = self.execute_planned(&plan);
-        self.check_in_plan(plan);
+        self.plan_pool
+            .lock()
+            .expect("plan pool poisoned")
+            .push(plan);
         result
     }
 }
@@ -1339,8 +1279,8 @@ impl UpdatableIndex for ShardedIndex {
 
     fn reorganisation_in_flight(&self) -> bool {
         self.shards.iter().any(|s| match &s.backend {
-            ShardBackend::Write(ix) => ix.reorganisation_in_flight(),
-            ShardBackend::Read(_) => false,
+            IndexBackend::Write(ix) => ix.reorganisation_in_flight(),
+            IndexBackend::Read(_) => false,
         })
     }
 

@@ -50,30 +50,14 @@ use std::sync::Arc;
 use gpu_device::Device;
 use optix_sim::LaunchMetrics;
 use rtx_query::{
-    parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexDef, IndexError,
-    IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult, Predicate,
-    QueryBatch, QueryOp, Record, Registry, Route, SecondaryIndex, ShardSpec, TableQuery,
-    TableSchema, TypedBatch, TypedOp, UpdatableIndex, MISS,
+    parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexBackend, IndexDef,
+    IndexError, IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult,
+    Predicate, QueryBatch, QueryOp, Record, Registry, Route, SecondaryIndex, ShardSpec, TableQuery,
+    TableSchema, TypedBatch, TypedOp, MISS,
 };
 
 use crate::planner::{CandidateView, Planner, ProbeCost};
 use crate::store::RowStore;
-
-/// A built table index: read-only backends rebuild per ingest batch,
-/// updatable ones absorb deltas where exact (see the [module docs](self)).
-enum Backend {
-    ReadOnly(Box<dyn SecondaryIndex>),
-    Updatable(Box<dyn UpdatableIndex>),
-}
-
-impl Backend {
-    fn as_index(&self) -> &dyn SecondaryIndex {
-        match self {
-            Backend::ReadOnly(ix) => ix.as_ref(),
-            Backend::Updatable(ix) => ix.as_ref(),
-        }
-    }
-}
 
 /// Local-rowID → `(key, table rowID)` mirror, one per index (the
 /// `rtx-shard` row-mirror protocol).
@@ -127,7 +111,9 @@ struct IndexState {
     /// The typed key schema for composite indexes; `None` keeps the
     /// zero-overhead raw-`u64` path for classic single-column indexes.
     schema: Option<KeySchema>,
-    backend: Backend,
+    /// Read-only backends rebuild per ingest batch, updatable ones absorb
+    /// deltas where exact (see the [module docs](self)).
+    backend: IndexBackend,
     mirror: Mirror,
     /// False for sharded specs, whose outer rowIDs survive inner
     /// reorganisations (see the [module docs](self)).
@@ -291,7 +277,7 @@ impl Table {
         self.indexes
             .iter()
             .find(|s| s.def.name == name)
-            .map(|s| s.backend.as_index())
+            .map(|s| s.backend.read())
     }
 
     /// Total resident bytes: row store plus every index's
@@ -301,7 +287,7 @@ impl Table {
             + self
                 .indexes
                 .iter()
-                .map(|s| s.backend.as_index().memory_usage().total())
+                .map(|s| s.backend.read().memory_usage().total())
                 .sum::<u64>()
     }
 
@@ -368,7 +354,7 @@ impl Table {
         }
         for i in 0..self.indexes.len() {
             let rebuild =
-                needs_rebuild[i] || matches!(self.indexes[i].backend, Backend::ReadOnly(_));
+                needs_rebuild[i] || matches!(self.indexes[i].backend, IndexBackend::Read(_));
             if !rebuild {
                 // Delta'd indexes keep their structure; refresh the probe
                 // costs so the planner sees the post-batch state.
@@ -376,7 +362,7 @@ impl Table {
                     let sample = self.indexes[i].mirror.sample_keys(16);
                     self.indexes[i].probe = self
                         .planner
-                        .calibrate(self.indexes[i].backend.as_index(), &sample)?;
+                        .calibrate(self.indexes[i].backend.read(), &sample)?;
                 }
                 continue;
             }
@@ -391,7 +377,7 @@ impl Table {
                 &def,
                 &columns,
             )?;
-            report.simulated_time_s += state.backend.as_index().build_metrics().simulated_time_s;
+            report.simulated_time_s += state.backend.read().build_metrics().simulated_time_s;
             self.indexes[i] = state;
             touched[i] = true;
             report.rebuilt_indexes += 1;
@@ -413,7 +399,7 @@ impl Table {
             if needs_rebuild[i] {
                 continue;
             }
-            if let Backend::Updatable(ix) = &mut state.backend {
+            if let Some(ix) = state.backend.write() {
                 // Composite indexes are always read-only at the table layer
                 // (they rebuild per batch), so updatable states key on
                 // exactly one column.
@@ -444,7 +430,7 @@ impl Table {
             if needs_rebuild[i] {
                 continue;
             }
-            if let Backend::Updatable(ix) = &mut state.backend {
+            if let Some(ix) = state.backend.write() {
                 if state.columns == [0] {
                     // Delta-exact: the index keys on the primary column,
                     // so deleting `key` there removes exactly the doomed
@@ -534,7 +520,7 @@ impl Table {
         self.indexes
             .iter()
             .map(|s| {
-                let ix = s.backend.as_index();
+                let ix = s.backend.read();
                 CandidateView {
                     name: &s.def.name,
                     spec: &s.def.spec,
@@ -562,7 +548,7 @@ impl Table {
         // indexes collect typed prefix operations, everything else the raw
         // single-u64 operations of the zero-overhead path.
         enum GroupOps {
-            Raw(Vec<QueryOp>),
+            Raw(QueryBatch),
             Typed(Vec<TypedOp>),
         }
         let mut groups: Vec<(&str, Vec<usize>, GroupOps)> = Vec::new();
@@ -588,18 +574,20 @@ impl Table {
                         None => {
                             let ops = match state.schema {
                                 Some(_) => GroupOps::Typed(Vec::new()),
-                                None => GroupOps::Raw(Vec::new()),
+                                None => GroupOps::Raw(QueryBatch::new().fetch_values(fetch)),
                             };
                             groups.push((index, vec![slot], ops));
                             groups.len() - 1
                         }
                     };
                     match &mut groups[at].2 {
-                        GroupOps::Raw(ops) => ops.push(
-                            predicate
-                                .as_op()
-                                .expect("the planner only routes compilable predicates"),
-                        ),
+                        GroupOps::Raw(batch) => match predicate
+                            .as_op()
+                            .expect("the planner only routes compilable predicates")
+                        {
+                            QueryOp::Point(key) => batch.push_point(key),
+                            QueryOp::Range(lower, upper) => batch.push_range(lower, upper),
+                        },
                         GroupOps::Typed(ops) => ops.push(
                             predicate
                                 .as_typed_op(&state.def.columns)
@@ -616,25 +604,13 @@ impl Table {
                 .find(|s| s.def.name == name)
                 .expect("plans route to existing indexes");
             let outcome = match ops {
-                GroupOps::Raw(ops) => {
-                    let mut batch = QueryBatch::new();
-                    for op in ops {
-                        batch = match op {
-                            QueryOp::Point(key) => batch.point(key),
-                            QueryOp::Range(lower, upper) => batch.range(lower, upper),
-                        };
-                    }
-                    state
-                        .backend
-                        .as_index()
-                        .execute(&batch.fetch_values(fetch))?
-                }
+                GroupOps::Raw(batch) => state.backend.read().execute(&batch)?,
                 GroupOps::Typed(ops) => {
                     let mut batch = TypedBatch::new().fetch_values(fetch);
                     for op in ops {
                         batch = batch.op(op);
                     }
-                    state.backend.as_index().execute_typed(&batch)?
+                    state.backend.read().execute_typed(&batch)?
                 }
             };
             metrics.merge(&outcome.metrics);
@@ -724,12 +700,12 @@ fn build_index_state(
         None => IndexSpec::keys_only(device, &keys),
     };
     let backend = match registry.build_updatable(&def.spec, &spec) {
-        Ok(ix) => Backend::Updatable(ix),
+        Ok(ix) => IndexBackend::Write(ix),
         // Not updatable under this registry (or not updatable at all):
         // build read-only. Genuine build failures resurface here.
-        Err(_) => Backend::ReadOnly(registry.build(&def.spec, &spec)?),
+        Err(_) => IndexBackend::Read(registry.build(&def.spec, &spec)?),
     };
-    let probe = planner.calibrate(backend.as_index(), &keys)?;
+    let probe = planner.calibrate(backend.read(), &keys)?;
     Ok(IndexState {
         def: def.clone(),
         columns: columns.to_vec(),
@@ -782,7 +758,7 @@ fn build_composite_state(
         Some(v) => IndexSpec::typed_with_values(device, schema.clone(), &tuples, v),
         None => IndexSpec::typed(device, schema.clone(), &tuples),
     };
-    let backend = Backend::ReadOnly(registry.build(&def.spec, &spec)?);
+    let backend = IndexBackend::Read(registry.build(&def.spec, &spec)?);
     // Calibration probes run in the backend's raw key domain: the encoded
     // keys themselves for direct (single-limb) schemas; for dictionary-
     // mapped schemas the probes miss, which still measures launch cost.
@@ -791,7 +767,7 @@ fn build_composite_state(
     } else {
         Vec::new()
     };
-    let probe = planner.calibrate(backend.as_index(), &probe_keys)?;
+    let probe = planner.calibrate(backend.read(), &probe_keys)?;
     // The mirror's key slot holds the leading column value; composite
     // indexes never take the delta path, so it only translates rowIDs.
     let leading: Vec<u64> = raw_tuples.iter().map(|t| t[0]).collect();

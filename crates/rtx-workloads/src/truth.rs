@@ -166,9 +166,8 @@ impl GroundTruth {
     pub fn expected_batch(&self, batch: &QueryBatch) -> Vec<LookupResult> {
         let fetch = batch.fetches_values();
         batch
-            .ops()
             .iter()
-            .map(|op| match *op {
+            .map(|op| match op {
                 QueryOp::Point(key) => self.expected_point(key, fetch),
                 QueryOp::Range(lower, upper) => self.expected_range(lower, upper, fetch),
             })
@@ -371,9 +370,8 @@ impl DynamicOracle {
             r
         };
         batch
-            .ops()
             .iter()
-            .map(|op| match *op {
+            .map(|op| match op {
                 QueryOp::Point(key) => strip(self.point(key)),
                 QueryOp::Range(lower, upper) => strip(self.range(lower, upper)),
             })

@@ -50,7 +50,7 @@ fn main() {
             index.memory_bytes(),
             out.sim_ms()
         );
-        for (op, result) in batch.ops().iter().zip(&out.results) {
+        for (op, result) in batch.iter().zip(&out.results) {
             if result.first_row == MISS {
                 println!("  {op:?}: miss");
             } else {

@@ -18,7 +18,9 @@
 //!
 //! Every backend — RX, the three GPU baselines and the dynamic delta index —
 //! is built by name from the [`Registry`] and queried through the
-//! [`SecondaryIndex`] trait with mixed [`QueryBatch`]es:
+//! [`SecondaryIndex`] trait with mixed [`QueryBatch`]es (one batch layout,
+//! one execution method — [`SecondaryIndex::execute_in`], with
+//! [`execute`](SecondaryIndex::execute) as its throwaway-arena convenience):
 //!
 //! ```
 //! use rtindex::{registry, Device, IndexSpec, QueryBatch};
@@ -192,10 +194,11 @@ pub use rtx_durable::{DurableConfig, DurableIndex, FsyncPolicy};
 pub use rtx_harness::registry;
 pub use rtx_query::{
     BatchOutcome, Capabilities, ColumnType, CompositeIndex, DurableStats, ExecArena, ExplainPlan,
-    FusedBatch, IndexDef, IndexError, IndexSpec, IngestBatch, IngestOp, KeyBound, KeySchema,
-    KeyTuple, KeyValue, LookupResult, MemoryUsage, Partitioning, Predicate, QueryBatch, QueryOps,
-    QueryOutcome, RebalanceReport, Record, Registry, Route, SecondaryIndex, ShardLoad, ShardSpec,
-    SharedOutcome, SpecName, TableQuery, TableSchema, TypedBatch, TypedOp, UpdatableIndex, MISS,
+    FusedBatch, IndexBackend, IndexDef, IndexError, IndexSpec, IngestBatch, IngestOp, KeyBound,
+    KeySchema, KeyTuple, KeyValue, LookupResult, MemoryUsage, Partitioning, Predicate, QueryBatch,
+    QueryOps, QueryOutcome, RebalanceReport, Record, Registry, Route, SecondaryIndex, ShardLoad,
+    ShardSpec, SharedOutcome, SpecName, TableQuery, TableSchema, TypedBatch, TypedOp,
+    UpdatableIndex, MISS,
 };
 pub use rtx_serve::{
     AdaptiveLingerConfig, ClientHandle, PendingQuery, PendingTableQuery, QueryService,

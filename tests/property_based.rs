@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use rtindex::gpu_baselines::register_baselines;
 use rtindex::rtindex_core::register_rx;
 use rtindex::rtx_delta::{register_dynamic, CompactionPolicy};
+use rtindex::rtx_query::QueryOp;
 use rtindex::{
     install_sharding, Device, DynamicRtConfig, DynamicRtIndex, IndexSpec, KeyMode, QueryBatch,
     Registry, RtIndex, RtIndexConfig, MISS,
@@ -316,5 +317,96 @@ proptest! {
             let out = sharded.execute(&batch).unwrap();
             prop_assert_eq!(&out.results, &expected.results, "{}", &name);
         }
+    }
+}
+
+/// The operations of a batch shaped as runs of one kind each, so that
+/// homogeneous batches (which carry no order tags), the homogeneous → mixed
+/// transition and tag words past the 64-op boundaries all occur.
+fn ops_of_runs(runs: &[(bool, usize)], salt: u64) -> Vec<QueryOp> {
+    let mut ops = Vec::new();
+    for &(is_range, len) in runs {
+        for _ in 0..len {
+            let key = ops.len() as u64 * 7 + salt;
+            ops.push(if is_range {
+                QueryOp::Range(key, key + salt % 5)
+            } else {
+                QueryOp::Point(key)
+            });
+        }
+    }
+    ops
+}
+
+fn is_range(op: &QueryOp) -> bool {
+    matches!(op, QueryOp::Range(..))
+}
+
+/// Builds with the in-place mutators, one operation at a time.
+fn pushed(ops: &[QueryOp]) -> QueryBatch {
+    let mut batch = QueryBatch::new();
+    for op in ops {
+        match *op {
+            QueryOp::Point(key) => batch.push_point(key),
+            QueryOp::Range(lower, upper) => batch.push_range(lower, upper),
+        }
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One layout, however it was built: `a.append(&b)` iterates as `a`
+    /// followed by `b`, a cleared batch is reusable, and the by-value
+    /// builder (single and bulk) builds the batch the in-place mutators do.
+    #[test]
+    fn prop_batch_layout_is_independent_of_how_it_was_built(
+        a_runs in prop::collection::vec((any::<bool>(), 0usize..90), 0..4),
+        b_runs in prop::collection::vec((any::<bool>(), 0usize..90), 0..4),
+    ) {
+        let a_ops = ops_of_runs(&a_runs, 3);
+        let b_ops = ops_of_runs(&b_runs, 1_000_004);
+        let both: Vec<QueryOp> = a_ops.iter().chain(&b_ops).copied().collect();
+        let b = pushed(&b_ops);
+
+        let mut a = pushed(&a_ops);
+        a.append(&b);
+        prop_assert_eq!(a.iter().collect::<Vec<_>>(), both.clone());
+        prop_assert_eq!(a.len(), both.len());
+        prop_assert_eq!(a.point_count() + a.range_count(), both.len());
+        for (slot, op) in both.iter().enumerate() {
+            prop_assert_eq!(a.is_range(slot), is_range(op), "slot {}", slot);
+        }
+        prop_assert_eq!(&a, &pushed(&both), "appended == pushed one by one");
+
+        // By value, one operation at a time and one run at a time.
+        let single = both.iter().fold(QueryBatch::new(), |batch, op| match *op {
+            QueryOp::Point(key) => batch.point(key),
+            QueryOp::Range(lower, upper) => batch.range(lower, upper),
+        });
+        prop_assert_eq!(&single, &a);
+        let mut bulk = QueryBatch::new();
+        for run in both.chunk_by(|x, y| is_range(x) == is_range(y)) {
+            bulk = if is_range(&run[0]) {
+                bulk.ranges(run.iter().map(|op| match *op {
+                    QueryOp::Range(lower, upper) => (lower, upper),
+                    QueryOp::Point(_) => unreachable!("a run holds one kind"),
+                }))
+            } else {
+                bulk.points(run.iter().map(|op| match *op {
+                    QueryOp::Point(key) => key,
+                    QueryOp::Range(..) => unreachable!("a run holds one kind"),
+                }))
+            };
+        }
+        prop_assert_eq!(&bulk, &a);
+
+        // clear() forgets the operations (and the order tags with them).
+        a.clear();
+        prop_assert!(a.is_empty());
+        a.append(&b);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a.iter().collect::<Vec<_>>(), b_ops);
     }
 }
