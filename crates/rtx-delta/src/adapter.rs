@@ -139,6 +139,7 @@ fn report(outcome: UpdateOutcome) -> UpdateReport {
         deleted_rows: outcome.deleted_rows,
         simulated_time_s: outcome.simulated_time_s,
         reorganisations: outcome.compaction.is_some() as u64,
+        renumbered: outcome.renumbered,
     }
 }
 
@@ -158,12 +159,16 @@ impl UpdatableIndex for DynamicAdapter {
         Ok(report(self.index.upsert_batch(keys, values)?))
     }
 
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(self.index.poll_compaction().is_some() as u64)
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        Ok(self.index.poll_compaction().map(report).unwrap_or_default())
     }
 
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(self.index.wait_for_compaction().is_some() as u64)
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        Ok(self
+            .index
+            .wait_for_compaction()
+            .map(report)
+            .unwrap_or_default())
     }
 
     fn reorganisation_in_flight(&self) -> bool {
@@ -171,13 +176,7 @@ impl UpdatableIndex for DynamicAdapter {
     }
 
     fn compact(&mut self) -> Result<UpdateReport, IndexError> {
-        let event = self.index.compact_now();
-        Ok(UpdateReport {
-            inserted_rows: 0,
-            deleted_rows: 0,
-            simulated_time_s: event.simulated_build_s,
-            reorganisations: 1,
-        })
+        Ok(report(self.index.compact_now()))
     }
 
     fn checkpoint_rows(&self) -> Option<Vec<(u64, u64)>> {

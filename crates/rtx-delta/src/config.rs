@@ -106,10 +106,8 @@ pub struct DynamicRtConfig {
     /// fresh delta), and the generations swap atomically once the rebuild
     /// lands — writes stall only for the swap, never for the rebuild.
     ///
-    /// Off by default: synchronous compaction keeps rowIDs densely
-    /// renumbered after every merge, which the sharded row mirror
-    /// (`rtx-shard`) relies on. Enable it for unsharded serving paths where
-    /// write-stall latency matters (see `rtx-serve`).
+    /// Off by default. Enable it for serving paths where write-stall
+    /// latency matters (see `rtx-serve`).
     pub background: bool,
     /// Land a completed background compaction automatically at the start of
     /// the next update batch (the default). Durability wrappers turn this

@@ -47,7 +47,7 @@ use gpu_device::{Device, DeviceBuffer};
 use optix_sim::LaunchMetrics;
 use rtindex_core::{PendingIndexBuild, RtIndex, RtIndexError};
 use rtx_bvh::BvhQuality;
-use rtx_query::{BatchOutcome, LookupResult, MISS};
+use rtx_query::{compose_renumbering, BatchOutcome, LookupResult, MISS};
 
 use crate::config::{CompactionTrigger, DynamicRtConfig};
 use crate::delta_buffer::{DeltaBuffer, DELTA_SLOT_BYTES};
@@ -75,8 +75,9 @@ pub struct CompactionEvent {
     pub quality: BvhQuality,
 }
 
-/// Result of one update batch (insert, delete or upsert).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Result of one update batch (insert, delete or upsert) or of one
+/// explicit compaction call.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateOutcome {
     /// Rows inserted by the batch.
     pub inserted_rows: usize,
@@ -94,6 +95,21 @@ pub struct UpdateOutcome {
     /// delta and kicked off the rebuild). The matching completion surfaces
     /// in a later outcome's [`compaction`](UpdateOutcome::compaction).
     pub compaction_began: bool,
+    /// How the call renumbered the rowIDs, when a compaction completed in
+    /// it — the rule of [`rtx_query::UpdateReport::renumbered`].
+    pub renumbered: Option<Vec<u32>>,
+}
+
+impl UpdateOutcome {
+    /// The outcome of a call that did nothing but complete `event`.
+    fn landed((event, renumbered): (CompactionEvent, Vec<u32>)) -> Self {
+        UpdateOutcome {
+            simulated_time_s: event.simulated_build_s,
+            compaction: Some(event),
+            renumbered: Some(renumbered),
+            ..Default::default()
+        }
+    }
 }
 
 /// Lifetime counters of a [`DynamicRtIndex`].
@@ -122,8 +138,12 @@ struct InflightCompaction {
     merged_delta_entries: usize,
     /// Base tombstones dropped by the merge (at freeze time).
     dropped_base_tombstones: usize,
-    /// Rows in the snapshot handed to the builder.
-    snapshot_rows: usize,
+    /// The rowIDs the snapshot's rows held at freeze time, in snapshot
+    /// order: snapshot position `i` is what `rows[i]` renumbers to at the
+    /// swap.
+    rows: Vec<u32>,
+    /// The row allocator at freeze time; fresh-delta rows start here.
+    frozen_next_row: u32,
     /// Value column of the snapshot, uploaded at the swap.
     values: Vec<u64>,
     /// Keys deleted while the rebuild was in flight; replayed onto the new
@@ -164,7 +184,7 @@ impl std::fmt::Debug for InflightCompaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InflightCompaction")
             .field("trigger", &self.trigger)
-            .field("snapshot_rows", &self.snapshot_rows)
+            .field("snapshot_rows", &self.rows.len())
             .field("frozen_entries", &self.frozen.len())
             .field("pending_deletes", &self.pending_deletes.len())
             .field("finished", &self.build.is_finished())
@@ -437,22 +457,23 @@ impl DynamicRtIndex {
     /// pre-batch swap into the outcome.
     fn finish_batch(
         &mut self,
-        swapped: Option<CompactionEvent>,
+        swapped: Option<(CompactionEvent, Vec<u32>)>,
         inserted_rows: usize,
         deleted_rows: usize,
         mut simulated: f64,
     ) -> UpdateOutcome {
         self.stats.update_batches += 1;
-        if let Some(event) = swapped {
+        let (mut compaction, mut renumbered) = swapped.unzip();
+        if let Some(event) = compaction {
             simulated += event.simulated_build_s;
         }
-        let mut compaction = swapped;
         let mut compaction_began = false;
         match self.maybe_compact() {
-            Some(TriggeredCompaction::Synchronous(event)) => {
+            Some(TriggeredCompaction::Synchronous(event, map)) => {
                 simulated += event.simulated_build_s;
                 debug_assert!(compaction.is_none(), "a swap implies background mode");
                 compaction = Some(event);
+                renumbered = compose_renumbering(renumbered, Some(map));
             }
             Some(TriggeredCompaction::Began) => compaction_began = true,
             None => {}
@@ -464,6 +485,7 @@ impl DynamicRtIndex {
             simulated_time_s: simulated,
             compaction,
             compaction_began,
+            renumbered,
         }
     }
 
@@ -488,7 +510,7 @@ impl DynamicRtIndex {
         }
         self.validate_keys(keys)?;
         self.validate_row_space(keys.len())?;
-        let swapped = self.auto_poll_swap();
+        let swapped = self.auto_poll_swap(keys.len());
         let simulated = self.apply_insert(keys, values);
         Ok(self.finish_batch(swapped, keys.len(), 0, simulated))
     }
@@ -498,7 +520,7 @@ impl DynamicRtIndex {
     /// lookup — and tombstoned via the validity mask; delta hits are
     /// tombstoned in the hash table. Unknown keys are ignored.
     pub fn delete_batch(&mut self, keys: &[u64]) -> Result<UpdateOutcome, RtIndexError> {
-        let swapped = self.auto_poll_swap();
+        let swapped = self.auto_poll_swap(0);
         let (deleted, simulated) = self.apply_delete(keys)?;
         Ok(self.finish_batch(swapped, 0, deleted, simulated))
     }
@@ -519,7 +541,7 @@ impl DynamicRtIndex {
         }
         self.validate_keys(keys)?;
         self.validate_row_space(keys.len())?;
-        let swapped = self.auto_poll_swap();
+        let swapped = self.auto_poll_swap(keys.len());
         let (deleted, delete_sim) = self.apply_delete(keys)?;
         let insert_sim = self.apply_insert(keys, values);
         Ok(self.finish_batch(swapped, keys.len(), deleted, delete_sim + insert_sim))
@@ -662,29 +684,35 @@ impl DynamicRtIndex {
             self.begin_background_compaction(trigger);
             Some(TriggeredCompaction::Began)
         } else {
-            Some(TriggeredCompaction::Synchronous(self.compact(trigger)))
+            let (event, renumbered) = self.compact(trigger);
+            Some(TriggeredCompaction::Synchronous(event, renumbered))
         }
     }
 
     /// Unconditionally merges every generation into a rebuilt base,
     /// synchronously. If a background rebuild is in flight, its swap is
-    /// awaited first, then the remaining delta merges; the returned event
-    /// describes the final (synchronous) merge.
-    pub fn compact_now(&mut self) -> CompactionEvent {
-        let _ = self.wait_for_compaction();
-        self.compact(CompactionTrigger::Manual)
+    /// awaited first, then the remaining delta merges; the returned
+    /// outcome describes the final (synchronous) merge and renumbers across
+    /// both.
+    pub fn compact_now(&mut self) -> UpdateOutcome {
+        let swapped = self.wait_for_compaction();
+        let mut outcome = UpdateOutcome::landed(self.compact(CompactionTrigger::Manual));
+        outcome.renumbered =
+            compose_renumbering(swapped.and_then(|s| s.renumbered), outcome.renumbered);
+        outcome
     }
 
     /// Freezes the current delta and starts the background rebuild.
     fn begin_background_compaction(&mut self, trigger: CompactionTrigger) {
         debug_assert!(self.inflight.is_none());
+        let mut rows = Vec::with_capacity(self.len());
         let mut keys = Vec::with_capacity(self.len());
         let mut values = Vec::with_capacity(self.len());
-        for (_, key, value) in self.live_entries() {
+        for (row, key, value) in self.live_entries() {
+            rows.push(row);
             keys.push(key);
             values.push(value);
         }
-        let snapshot_rows = keys.len();
         let frozen = std::mem::replace(&mut self.delta, DeltaBuffer::new(&self.device));
         // Every key was validated at insert/build time, so the rebuild
         // cannot fail on key range; any failure here is a logic error.
@@ -695,7 +723,8 @@ impl DynamicRtIndex {
             merged_delta_entries: frozen.len(),
             dropped_base_tombstones: self.dead_rows,
             frozen,
-            snapshot_rows,
+            rows,
+            frozen_next_row: self.next_row,
             values,
             pending_deletes: Vec::new(),
             build,
@@ -704,38 +733,44 @@ impl DynamicRtIndex {
 
     /// Swaps in a *finished* background rebuild, if any. Non-blocking: an
     /// unfinished rebuild keeps serving from the frozen generation.
-    pub fn poll_compaction(&mut self) -> Option<CompactionEvent> {
-        let event = self.poll_swap()?;
-        self.stats.simulated_update_s += event.simulated_build_s;
-        Some(event)
+    pub fn poll_compaction(&mut self) -> Option<UpdateOutcome> {
+        let swapped = self.poll_swap()?;
+        self.stats.simulated_update_s += swapped.0.simulated_build_s;
+        Some(UpdateOutcome::landed(swapped))
     }
 
     /// Blocks until an in-flight background rebuild lands and swaps it in
     /// (a real join on the builder thread, not a spin). Returns `None`
     /// when no compaction is in flight.
-    pub fn wait_for_compaction(&mut self) -> Option<CompactionEvent> {
+    pub fn wait_for_compaction(&mut self) -> Option<UpdateOutcome> {
         let inflight = self.inflight.take()?;
-        let event = self.swap_in(inflight);
-        self.stats.simulated_update_s += event.simulated_build_s;
-        Some(event)
+        let swapped = self.swap_in(inflight);
+        self.stats.simulated_update_s += swapped.0.simulated_build_s;
+        Some(UpdateOutcome::landed(swapped))
     }
 
     /// The automatic swap landing at the start of every update batch —
     /// disabled under [`DynamicRtConfig::auto_swap`]` = false`, where a
     /// durability wrapper controls (and logs) the swap points explicitly
     /// through [`DynamicRtIndex::poll_compaction`].
-    fn auto_poll_swap(&mut self) -> Option<CompactionEvent> {
-        if self.config.auto_swap {
-            self.poll_swap()
-        } else {
-            None
+    ///
+    /// The batch's `inserting` rows land *after* the swap, but a report
+    /// renumbers after appending: they count as having taken the next
+    /// pre-swap rowIDs.
+    fn auto_poll_swap(&mut self, inserting: usize) -> Option<(CompactionEvent, Vec<u32>)> {
+        if !self.config.auto_swap {
+            return None;
         }
+        let old_next_row = self.next_row;
+        let (event, mut renumbered) = self.poll_swap()?;
+        renumbered.extend(old_next_row..old_next_row + inserting as u32);
+        Some((event, renumbered))
     }
 
     /// Swaps in a finished rebuild without blocking. Returns `None` while
     /// none is available. The caller accounts the simulated build time
     /// (batch outcomes and stats differ).
-    fn poll_swap(&mut self) -> Option<CompactionEvent> {
+    fn poll_swap(&mut self) -> Option<(CompactionEvent, Vec<u32>)> {
         if !self.inflight.as_ref()?.build.is_finished() {
             return None;
         }
@@ -747,12 +782,15 @@ impl DynamicRtIndex {
     /// replaying deletes recorded during the rebuild onto the new validity
     /// mask. The fresh delta and its rowIDs carry over unchanged. Blocks
     /// until the rebuild completes (instant when the caller checked
-    /// `is_finished`).
-    fn swap_in(&mut self, inflight: InflightCompaction) -> CompactionEvent {
+    /// `is_finished`). Returns the event and the renumbering: snapshot rows
+    /// move to their snapshot position, a kept fresh-delta tail stays where
+    /// it is, and the slots between the two hold nothing.
+    fn swap_in(&mut self, inflight: InflightCompaction) -> (CompactionEvent, Vec<u32>) {
         let new_base = inflight.build.wait();
-        debug_assert_eq!(new_base.key_count(), inflight.snapshot_rows);
+        let snapshot_rows = inflight.rows.len();
+        debug_assert_eq!(new_base.key_count(), snapshot_rows);
 
-        let mut live = vec![true; inflight.snapshot_rows];
+        let mut live = vec![true; snapshot_rows];
         let mut dead_rows = 0usize;
         if !inflight.pending_deletes.is_empty() {
             let doomed: std::collections::HashSet<u64> =
@@ -769,7 +807,7 @@ impl DynamicRtIndex {
         let quality = BvhQuality::measure(new_base.accel().bvh());
         self.base = new_base;
         self.base_values = self.device.upload(&inflight.values);
-        self.live_bitmap = self.device.alloc::<u8>(inflight.snapshot_rows.div_ceil(8));
+        self.live_bitmap = self.device.alloc::<u8>(snapshot_rows.div_ceil(8));
         self.live = live;
         self.dead_rows = dead_rows;
         // The fresh delta stays. When it still holds rows, their IDs above
@@ -778,12 +816,20 @@ impl DynamicRtIndex {
         // resets like a synchronous merge — without this, sustained churn
         // under background compaction would leak the u32 rowID space.
         if self.delta.is_empty() {
-            self.next_row = inflight.snapshot_rows as u32;
+            self.next_row = snapshot_rows as u32;
         }
+        let mut renumbered = inflight.rows;
+        renumbered.extend((snapshot_rows as u32..self.next_row).map(|row| {
+            if row >= inflight.frozen_next_row {
+                row
+            } else {
+                MISS
+            }
+        }));
 
         let event = CompactionEvent {
             trigger: inflight.trigger,
-            live_rows: inflight.snapshot_rows - dead_rows,
+            live_rows: snapshot_rows - dead_rows,
             merged_delta_entries: inflight.merged_delta_entries,
             dropped_base_tombstones: inflight.dropped_base_tombstones,
             simulated_build_s,
@@ -792,10 +838,10 @@ impl DynamicRtIndex {
         };
         self.stats.compactions += 1;
         self.last_compaction = Some(event);
-        event
+        (event, renumbered)
     }
 
-    fn compact(&mut self, trigger: CompactionTrigger) -> CompactionEvent {
+    fn compact(&mut self, trigger: CompactionTrigger) -> (CompactionEvent, Vec<u32>) {
         debug_assert!(self.inflight.is_none(), "synchronous compaction only");
         let merged_delta_entries = self.delta.len();
         let dropped_base_tombstones = self.dead_rows;
@@ -803,9 +849,11 @@ impl DynamicRtIndex {
         // The merged column is exactly the live entry sequence in ascending
         // row order — [`live_entries`](Self::live_entries) is the single
         // definition of that order, shared with the verification oracle.
+        let mut rows = Vec::with_capacity(self.len());
         let mut keys = Vec::with_capacity(self.len());
         let mut values = Vec::with_capacity(self.len());
-        for (_, key, value) in self.live_entries() {
+        for (row, key, value) in self.live_entries() {
+            rows.push(row);
             keys.push(key);
             values.push(value);
         }
@@ -836,14 +884,15 @@ impl DynamicRtIndex {
         };
         self.stats.compactions += 1;
         self.last_compaction = Some(event);
-        event
+        (event, rows)
     }
 }
 
 /// What the end-of-batch policy check did.
 enum TriggeredCompaction {
-    /// A stop-the-world merge completed (background mode off).
-    Synchronous(CompactionEvent),
+    /// A stop-the-world merge completed (background mode off), renumbering
+    /// the rows as given.
+    Synchronous(CompactionEvent, Vec<u32>),
     /// A background rebuild was started (two-generation mode).
     Began,
 }
@@ -958,9 +1007,9 @@ mod tests {
         // Claim the swap (if a write above did not already land it): rows
         // renumber exactly like the oracle's two-phase mirror.
         let event = swap_event.unwrap_or_else(|| {
-            let event = index.wait_for_compaction().expect("rebuild in flight");
+            let landed = index.wait_for_compaction().expect("rebuild in flight");
             oracle.finish_compaction();
-            event
+            landed.compaction.expect("a landed swap reports its event")
         });
         assert!(event.background);
         assert_eq!(event.merged_delta_entries, 16);
@@ -1000,7 +1049,7 @@ mod tests {
         assert!(began.compaction_began);
         index.insert_batch(&[200], &[2]).unwrap();
 
-        let event = index.compact_now();
+        let event = index.compact_now().compaction.expect("merge event");
         assert!(!event.background, "the final merge is synchronous");
         assert_eq!(index.compaction_count(), 2, "swap + manual merge");
         assert_eq!(index.delta_len(), 0);
@@ -1081,7 +1130,7 @@ mod tests {
         )
         .unwrap();
         index.insert_batch(&[500, 501], &[5, 5]).unwrap();
-        let event = index.compact_now();
+        let event = index.compact_now().compaction.expect("merge event");
         assert!(!event.background);
         assert!(event.quality.sah_cost > 0.0);
         assert!(event.quality.leaf_count > 0);

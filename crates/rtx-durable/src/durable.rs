@@ -27,8 +27,9 @@
 use std::path::{Path, PathBuf};
 
 use rtx_query::{
-    BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOutcome, Registry, SecondaryIndex, UpdatableIndex, UpdateReport,
+    compose_renumbering, BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics,
+    IndexError, IndexSpec, MemoryUsage, QueryBatch, QueryOutcome, Registry, SecondaryIndex,
+    UpdatableIndex, UpdateReport,
 };
 
 use crate::config::DurableConfig;
@@ -184,11 +185,10 @@ impl DurableIndex {
         self.wal.commit().map_err(|e| io_err(&self.label, e))
     }
 
-    /// Lands a completed background swap, logging it so replay reproduces
-    /// the renumbering point.
-    fn land_swaps(&mut self) -> Result<u64, IndexError> {
-        let landed = self.inner.poll_reorganisation()?;
-        if landed > 0 {
+    /// Logs the swap a poll or await landed, so replay reproduces the
+    /// renumbering point.
+    fn log_swap(&mut self, landed: UpdateReport) -> Result<UpdateReport, IndexError> {
+        if landed.reorganisations > 0 {
             self.log(WalPayload::Swap)?;
             self.commit_log()?;
         }
@@ -204,13 +204,10 @@ impl DurableIndex {
     where
         F: FnOnce(&mut dyn UpdatableIndex) -> Result<UpdateReport, IndexError>,
     {
-        // Land any completed background rebuild first so its swap point is
-        // an explicit record *before* this batch.
-        self.land_swaps()?;
         let was_in_flight = self.inner.reorganisation_in_flight();
         self.log(payload)?;
         self.commit_log()?;
-        let report = apply(&mut *self.inner)?;
+        let mut report = apply(&mut *self.inner)?;
         // Annotations: no-ops for index replay (the policy re-derives them)
         // but they make the log self-describing for rowID-exact oracle
         // replay. A crash can tear them off the tail; recovery re-derives
@@ -222,7 +219,13 @@ impl DurableIndex {
             self.log(WalPayload::Freeze)?;
         }
         self.commit_log()?;
-        self.maybe_checkpoint()?;
+        // Land a completed background rebuild so its swap point is an
+        // explicit record right *after* this batch, and hand the caller one
+        // renumbering for everything that moved rows under this call: the
+        // batch's own compaction, then the swap, then a checkpoint's.
+        let swapped = self.poll_reorganisation()?;
+        report.renumbered = compose_renumbering(report.renumbered, swapped.renumbered);
+        report.renumbered = compose_renumbering(report.renumbered, self.maybe_checkpoint()?);
         Ok(report)
     }
 
@@ -239,13 +242,14 @@ impl DurableIndex {
     /// Runs an automatic checkpoint when the WAL has outgrown the
     /// configured threshold. A backend without explicit compaction cannot
     /// checkpoint; its WAL simply keeps growing (documented trade-off).
-    fn maybe_checkpoint(&mut self) -> Result<(), IndexError> {
+    /// Returns how the checkpoint's compaction renumbered the rows.
+    fn maybe_checkpoint(&mut self) -> Result<Option<Vec<u32>>, IndexError> {
         if self.wal.bytes() < self.config.snapshot_wal_bytes {
-            return Ok(());
+            return Ok(None);
         }
         match self.checkpoint_now() {
-            Ok(_) => Ok(()),
-            Err(IndexError::UnsupportedOperation { .. }) => Ok(()),
+            Ok(compacted) => Ok(compacted.renumbered),
+            Err(IndexError::UnsupportedOperation { .. }) => Ok(None),
             Err(e) => Err(e),
         }
     }
@@ -255,14 +259,14 @@ impl DurableIndex {
     /// at `b` and truncate the WAL through `b`. A crash at any point
     /// replays to the same state: before the snapshot lands, recovery
     /// re-runs the compaction from the logged record; after it, the record
-    /// is gone but the snapshot covers it.
-    fn checkpoint_now(&mut self) -> Result<u64, IndexError> {
+    /// is gone but the snapshot covers it. Returns the compaction's report.
+    fn checkpoint_now(&mut self) -> Result<UpdateReport, IndexError> {
         let bsn = self.next_bsn();
         self.wal
             .append(&WalRecord::new(bsn, WalPayload::Compact))
             .map_err(|e| io_err(&self.label, e))?;
         self.wal.sync().map_err(|e| io_err(&self.label, e))?;
-        self.inner.compact()?;
+        let compacted = self.inner.compact()?;
         let rows = self
             .inner
             .checkpoint_rows()
@@ -285,7 +289,7 @@ impl DurableIndex {
         self.snapshots += 1;
         self.last_snapshot_bsn = bsn;
         self.last_snapshot_bytes = bytes;
-        Ok(1)
+        Ok(compacted)
     }
 }
 
@@ -496,17 +500,14 @@ impl UpdatableIndex for DurableIndex {
         )
     }
 
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        self.land_swaps()
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        let landed = self.inner.poll_reorganisation()?;
+        self.log_swap(landed)
     }
 
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
         let landed = self.inner.await_reorganisation()?;
-        if landed > 0 {
-            self.log(WalPayload::Swap)?;
-            self.commit_log()?;
-        }
-        Ok(landed)
+        self.log_swap(landed)
     }
 
     fn reorganisation_in_flight(&self) -> bool {
@@ -527,7 +528,7 @@ impl UpdatableIndex for DurableIndex {
     }
 
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
-        self.checkpoint_now()
+        self.checkpoint_now().map(|_| 1)
     }
 }
 

@@ -52,7 +52,7 @@ use rtx_shard::RouterConfig;
 
 pub use config::{DurableConfig, FsyncPolicy};
 pub use durable::DurableIndex;
-pub use record::{crc32, decode_stream, LogicalReplay, WalPayload, WalRecord};
+pub use record::{crc32, decode_stream, WalPayload, WalRecord};
 pub use sharded::ShardedDurableIndex;
 pub use snapshot::{read_latest_snapshot, write_snapshot, Snapshot};
 pub use wal::{log_bytes, read_log, write_log_bytes, WriteAheadLog};

@@ -16,8 +16,6 @@
 //! The encoding is hand-rolled (the workspace is offline — no serde) and
 //! little-endian throughout.
 
-use std::collections::HashMap;
-
 /// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -282,122 +280,6 @@ pub fn decode_stream(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     (records, offset)
 }
 
-/// Replays a decoded record stream into a rowID-exact logical table —
-/// `(global rowID, key, value)` live entries, exactly what
-/// [`DynamicOracle`](../index.html) tracks. This is the *oracle-side*
-/// replay the annotations exist for: `Freeze`/`Swap` bracket a background
-/// renumbering, `Compact`/`SyncCompact` renumber densely in place. Used by
-/// the crash-replay tests; exposed because it doubles as a WAL inspector.
-#[derive(Debug, Clone, Default)]
-pub struct LogicalReplay {
-    /// Live `(row, key, value)` entries in ascending row order.
-    pub entries: Vec<(u32, u64, u64)>,
-    next_row: u32,
-    pending_renumber: Option<HashMap<u32, u32>>,
-}
-
-impl LogicalReplay {
-    /// Starts from a snapshot's rows (dense rowIDs `0..n`, or the
-    /// snapshot's explicit globals).
-    pub fn from_rows(rows: &[(u64, u64)], globals: Option<&[u32]>, next_row: u64) -> Self {
-        let entries: Vec<(u32, u64, u64)> = match globals {
-            Some(globals) => rows
-                .iter()
-                .zip(globals)
-                .map(|(&(k, v), &g)| (g, k, v))
-                .collect(),
-            None => rows
-                .iter()
-                .enumerate()
-                .map(|(row, &(k, v))| (row as u32, k, v))
-                .collect(),
-        };
-        LogicalReplay {
-            entries,
-            next_row: next_row as u32,
-            pending_renumber: None,
-        }
-    }
-
-    /// Applies one record.
-    pub fn apply(&mut self, record: &WalRecord) {
-        match &record.payload {
-            WalPayload::Insert {
-                keys,
-                values,
-                globals,
-            } => self.insert(keys, values, globals.as_deref()),
-            WalPayload::Delete { keys } => self.delete(keys),
-            WalPayload::Upsert {
-                keys,
-                values,
-                globals,
-            } => {
-                self.delete(keys);
-                self.insert(keys, values, globals.as_deref());
-            }
-            WalPayload::Swap => self.finish_renumber(),
-            WalPayload::Compact | WalPayload::SyncCompact => self.renumber_dense(),
-            WalPayload::Freeze => self.begin_renumber(),
-            WalPayload::Commit { .. } => {}
-        }
-    }
-
-    fn insert(&mut self, keys: &[u64], values: &[u64], globals: Option<&[u32]>) {
-        for (i, (&k, &v)) in keys.iter().zip(values).enumerate() {
-            let row = match globals {
-                Some(globals) => globals[i],
-                None => {
-                    let row = self.next_row;
-                    self.next_row += 1;
-                    row
-                }
-            };
-            self.entries.push((row, k, v));
-        }
-    }
-
-    fn delete(&mut self, keys: &[u64]) {
-        let doomed: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        self.entries.retain(|&(_, k, _)| !doomed.contains(&k));
-    }
-
-    fn renumber_dense(&mut self) {
-        self.pending_renumber = None;
-        for (row, entry) in self.entries.iter_mut().enumerate() {
-            entry.0 = row as u32;
-        }
-        self.next_row = self.entries.len() as u32;
-    }
-
-    fn begin_renumber(&mut self) {
-        self.pending_renumber = Some(
-            self.entries
-                .iter()
-                .enumerate()
-                .map(|(position, &(row, _, _))| (row, position as u32))
-                .collect(),
-        );
-    }
-
-    fn finish_renumber(&mut self) {
-        let Some(renumber) = self.pending_renumber.take() else {
-            return;
-        };
-        let mut all_snapshot = true;
-        for entry in &mut self.entries {
-            if let Some(&new_row) = renumber.get(&entry.0) {
-                entry.0 = new_row;
-            } else {
-                all_snapshot = false;
-            }
-        }
-        if all_snapshot {
-            self.next_row = renumber.len() as u32;
-        }
-    }
-}
-
 // --- little-endian primitives -------------------------------------------
 
 pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -512,36 +394,5 @@ mod tests {
         corrupt[last] ^= 0x01;
         let (records, _) = decode_stream(&corrupt);
         assert_eq!(records.len(), 1);
-    }
-
-    #[test]
-    fn logical_replay_tracks_rows_like_the_oracle() {
-        let mut replay = LogicalReplay::from_rows(&[(10, 1), (20, 2)], None, 2);
-        replay.apply(&WalRecord::new(
-            1,
-            WalPayload::Insert {
-                keys: vec![30],
-                values: vec![3],
-                globals: None,
-            },
-        ));
-        replay.apply(&WalRecord::new(2, WalPayload::Delete { keys: vec![10] }));
-        assert_eq!(replay.entries, vec![(1, 20, 2), (2, 30, 3)]);
-        // Dense renumbering on compaction.
-        replay.apply(&WalRecord::new(3, WalPayload::Compact));
-        assert_eq!(replay.entries, vec![(0, 20, 2), (1, 30, 3)]);
-        // A freeze/swap pair renumbers only the frozen snapshot.
-        replay.apply(&WalRecord::new(4, WalPayload::Freeze));
-        replay.apply(&WalRecord::new(
-            5,
-            WalPayload::Insert {
-                keys: vec![40],
-                values: vec![4],
-                globals: None,
-            },
-        ));
-        replay.apply(&WalRecord::new(6, WalPayload::Delete { keys: vec![20] }));
-        replay.apply(&WalRecord::new(7, WalPayload::Swap));
-        assert_eq!(replay.entries, vec![(1, 30, 3), (2, 40, 4)]);
     }
 }

@@ -14,9 +14,16 @@
 //! a crash between the shard appends and the journal append rolls the
 //! whole batch back.
 //!
+//! A batch is routed once, by [`ShardedIndex::route`]: the slices it
+//! returns are what the shard WALs log *and* what
+//! [`ShardedIndex::apply_routed`] then applies, so the log and the index
+//! cannot disagree about ownership or rowIDs, and a batch the router
+//! rejects (value column length, rowID-space overflow) never reaches a log.
+//!
 //! Per-shard insert records carry the *global* rowIDs assigned in batch
-//! order — globals never renumber (the shard row mirrors preserve them
-//! across compactions), which is also why an uncommitted, truncated `Swap`
+//! order — globals never renumber (the shard row mirrors follow every
+//! renumbering the inner backends report, live and during replay alike),
+//! which is also why an uncommitted, truncated `Swap`
 //! record is harmless: the in-flight rebuild simply restarts during replay
 //! and lands at the next live poll.
 //!
@@ -31,17 +38,16 @@
 //! of its own stream, mirroring the documented non-atomicity of sharded
 //! updates themselves.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gpu_device::executor::parallel_map;
 use rtx_query::{
     BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOutcome, Registry, SecondaryIndex, ShardSpec, UpdatableIndex,
-    UpdateReport, MISS,
+    MemoryUsage, QueryBatch, QueryOutcome, Registry, RowMirror, SecondaryIndex, ShardSpec,
+    UpdatableIndex, UpdateReport,
 };
-use rtx_shard::{RouterConfig, ShardedIndex};
+use rtx_shard::{RouterConfig, ShardedIndex, UpdateKind};
 
 use crate::config::DurableConfig;
 use crate::durable::{durable_label, WAL_SUBDIR};
@@ -57,14 +63,6 @@ const ROOT_SUBDIR: &str = "root";
 
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}"))
-}
-
-/// One shard's slice of an update batch, in batch order.
-#[derive(Default)]
-struct Route {
-    keys: Vec<u64>,
-    values: Vec<u64>,
-    globals: Vec<u32>,
 }
 
 /// A WAL-backed persistent wrapper around a [`ShardedIndex`]: one WAL and
@@ -228,71 +226,47 @@ impl ShardedDurableIndex {
         bsn
     }
 
-    fn check_value_batch(&self, keys: &[u64], values: &[u64]) -> Result<(), IndexError> {
-        if keys.len() != values.len() {
-            return Err(IndexError::ValueColumnLengthMismatch {
-                expected: keys.len(),
-                actual: values.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The global-capacity precheck the inner router would fail *after* the
-    /// batch was logged; failing it here keeps doomed batches out of the
-    /// WAL entirely.
-    fn check_capacity(&self, incoming: usize) -> Result<(), IndexError> {
-        if self.inner.next_row() + incoming as u64 >= MISS as u64 {
-            return Err(IndexError::CapacityOverflow {
-                backend: self.label.clone().into(),
-                keys: incoming,
-                limit: (MISS as u64 - 1).saturating_sub(self.inner.next_row()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Splits a batch by the inner router, assigning global rowIDs in batch
-    /// order exactly as [`ShardedIndex`] will when the batch applies.
-    fn route(&self, keys: &[u64], values: Option<&[u64]>, assign_rows: bool) -> Vec<Route> {
-        let mut routes: Vec<Route> = (0..self.inner.shard_count())
-            .map(|_| Route::default())
-            .collect();
-        let mut next_row = self.inner.next_row();
-        for (i, &key) in keys.iter().enumerate() {
-            let route = &mut routes[self.inner.router().shard_of_point(key)];
-            route.keys.push(key);
-            if let Some(values) = values {
-                route.values.push(values[i]);
-            }
-            if assign_rows {
-                route.globals.push(next_row as u32);
-                next_row += 1;
-            }
-        }
-        routes
-    }
-
-    /// Appends one record per non-empty route to the owning shard WALs
-    /// (shared bsn), flushes them, then commits the batch in the root
-    /// journal with the post-batch allocator position.
-    fn log_routed(
+    /// The shared route-log-apply path of insert / delete / upsert: the
+    /// batch is routed (and thereby validated) once, one record per
+    /// non-empty slice goes to the owning shard WAL (shared bsn) and is
+    /// flushed, the root journal commits the batch with the post-batch
+    /// allocator position, and only then does the same routing apply.
+    fn logged_update(
         &mut self,
-        bsn: u64,
-        routes: Vec<Route>,
-        make: impl Fn(Route) -> WalPayload,
-        next_row_after: u64,
-    ) -> Result<(), IndexError> {
-        for (s, route) in routes.into_iter().enumerate() {
-            if route.keys.is_empty() {
+        kind: UpdateKind,
+        keys: &[u64],
+        values: &[u64],
+    ) -> Result<UpdateReport, IndexError> {
+        let routed = self.inner.route(kind, keys, values)?;
+        self.land_swaps(false)?;
+        let bsn = self.next_bsn();
+        for (s, (keys, values, globals)) in routed.shards().enumerate() {
+            if keys.is_empty() {
                 continue;
             }
+            let (keys, values, globals) = (keys.to_vec(), values.to_vec(), Some(globals.to_vec()));
+            let payload = match kind {
+                UpdateKind::Insert => WalPayload::Insert {
+                    keys,
+                    values,
+                    globals,
+                },
+                UpdateKind::Delete => WalPayload::Delete { keys },
+                UpdateKind::Upsert => WalPayload::Upsert {
+                    keys,
+                    values,
+                    globals,
+                },
+            };
             self.shard_wals[s]
-                .append(&WalRecord::new(bsn, make(route)))
+                .append(&WalRecord::new(bsn, payload))
                 .and_then(|_| self.shard_wals[s].commit())
                 .map_err(|e| io_err(&self.label, e))?;
         }
-        self.commit_point(bsn, next_row_after)
+        self.commit_point(bsn, routed.next_row())?;
+        let report = self.inner.apply_routed(routed)?;
+        self.maybe_checkpoint()?;
+        Ok(report)
     }
 
     /// The cross-shard commit: one `Commit` record in the root journal.
@@ -303,10 +277,11 @@ impl ShardedDurableIndex {
             .map_err(|e| io_err(&self.label, e))
     }
 
-    /// Lands completed background swaps shard by shard, logging a `Swap`
-    /// record into each affected shard's WAL (one shared bsn).
-    fn land_swaps(&mut self) -> Result<u64, IndexError> {
-        let landed = self.inner.poll_shard_reorganisations()?;
+    /// Lands background swaps shard by shard — the completed ones, or with
+    /// `wait` every in-flight one — logging a `Swap` record into each
+    /// affected shard's WAL (one shared bsn).
+    fn land_swaps(&mut self, wait: bool) -> Result<UpdateReport, IndexError> {
+        let landed = self.inner.land_shard_reorganisations(wait)?;
         let total: u64 = landed.iter().sum();
         if total > 0 {
             let bsn = self.next_bsn();
@@ -321,7 +296,10 @@ impl ShardedDurableIndex {
             let next_row = self.inner.next_row();
             self.commit_point(bsn, next_row)?;
         }
-        Ok(total)
+        Ok(UpdateReport {
+            reorganisations: total,
+            ..Default::default()
+        })
     }
 
     fn total_wal_bytes(&self) -> u64 {
@@ -421,8 +399,8 @@ fn write_all_snapshots(
 
 /// Recovers one shard: rebuild from its snapshot, replay its WAL (cut at
 /// the commit frontier), and reconstruct the local→global row mirror by
-/// replicating the live mirror transitions record for record.
-#[allow(clippy::type_complexity)]
+/// feeding it what the live index fed its own: each replayed record's
+/// global rowIDs and the report of replaying it.
 fn recover_shard(
     registry: &Registry,
     backend: &str,
@@ -430,15 +408,7 @@ fn recover_shard(
     dir: &Path,
     config: &DurableConfig,
     frontier: u64,
-) -> Result<
-    (
-        Box<dyn UpdatableIndex>,
-        Vec<Option<(u64, u32)>>,
-        WriteAheadLog,
-        u64,
-    ),
-    IndexError,
-> {
+) -> Result<(Box<dyn UpdatableIndex>, RowMirror, WriteAheadLog, u64), IndexError> {
     let label = durable_label(backend);
     let (snapshot, _) = read_latest_snapshot(dir)
         .map_err(|e| io_err(&label, e))?
@@ -466,12 +436,7 @@ fn recover_shard(
         rows: None,
     };
     let mut ix = registry.build_updatable(backend, &inner_spec)?;
-    let mut mirror: Vec<Option<(u64, u32)>> = snapshot
-        .rows
-        .iter()
-        .zip(&snapshot_globals)
-        .map(|(&(key, _), &global)| Some((key, global)))
-        .collect();
+    let mut mirror = RowMirror::dense(snapshot_globals);
 
     let (wal, records) = WriteAheadLog::open(&dir.join(WAL_SUBDIR), config, Some(frontier))
         .map_err(|e| io_err(&label, e))?;
@@ -480,29 +445,20 @@ fn recover_shard(
         if record.bsn <= snapshot.bsn {
             continue;
         }
-        match &record.payload {
+        // A record whose replay fails changed nothing, exactly as it
+        // failed live.
+        let (appended, report): (&[u32], _) = match &record.payload {
             WalPayload::Insert {
                 keys,
                 values,
                 globals,
             } => {
                 replayed += 1;
-                let globals = require_globals(globals, &label)?;
-                if let Ok(report) = ix.insert(keys, values) {
-                    mirror.extend(keys.iter().zip(globals).map(|(&k, &g)| Some((k, g))));
-                    if report.reorganisations > 0 {
-                        mirror.retain(Option::is_some);
-                    }
-                }
+                (require_globals(globals, &label)?, ix.insert(keys, values))
             }
             WalPayload::Delete { keys } => {
                 replayed += 1;
-                if let Ok(report) = ix.delete(keys) {
-                    mirror_delete(&mut mirror, keys);
-                    if report.reorganisations > 0 {
-                        mirror.retain(Option::is_some);
-                    }
-                }
+                (&[], ix.delete(keys))
             }
             WalPayload::Upsert {
                 keys,
@@ -510,26 +466,14 @@ fn recover_shard(
                 globals,
             } => {
                 replayed += 1;
-                let globals = require_globals(globals, &label)?;
-                if let Ok(report) = ix.upsert(keys, values) {
-                    mirror_delete(&mut mirror, keys);
-                    mirror.extend(keys.iter().zip(globals).map(|(&k, &g)| Some((k, g))));
-                    if report.reorganisations > 0 {
-                        mirror.retain(Option::is_some);
-                    }
-                }
+                (require_globals(globals, &label)?, ix.upsert(keys, values))
             }
-            WalPayload::Swap => {
-                if ix.await_reorganisation().unwrap_or(0) > 0 {
-                    mirror.retain(Option::is_some);
-                }
-            }
-            WalPayload::Compact => {
-                if ix.compact().is_ok() {
-                    mirror.retain(Option::is_some);
-                }
-            }
-            WalPayload::Freeze | WalPayload::SyncCompact | WalPayload::Commit { .. } => {}
+            WalPayload::Swap => (&[], ix.await_reorganisation()),
+            WalPayload::Compact => (&[], ix.compact()),
+            WalPayload::Freeze | WalPayload::SyncCompact | WalPayload::Commit { .. } => continue,
+        };
+        if let Ok(report) = report {
+            mirror.apply(appended, &report);
         }
     }
     Ok((ix, mirror, wal, replayed))
@@ -543,17 +487,6 @@ fn require_globals<'a>(
         backend: label.to_string().into(),
         message: "per-shard insert record carries no global rowIDs".to_string(),
     })
-}
-
-/// Mirrors [`ShardRows::delete`]: every live mirror row holding a doomed
-/// key dies in place (slots stay until the next compaction).
-fn mirror_delete(mirror: &mut [Option<(u64, u32)>], keys: &[u64]) {
-    let doomed: HashSet<u64> = keys.iter().copied().collect();
-    for entry in mirror.iter_mut() {
-        if matches!(entry, Some((k, _)) if doomed.contains(k)) {
-            *entry = None;
-        }
-    }
 }
 
 impl SecondaryIndex for ShardedDurableIndex {
@@ -628,86 +561,23 @@ impl SecondaryIndex for ShardedDurableIndex {
 
 impl UpdatableIndex for ShardedDurableIndex {
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.check_value_batch(keys, values)?;
-        self.check_capacity(keys.len())?;
-        self.land_swaps()?;
-        let bsn = self.next_bsn();
-        let routes = self.route(keys, Some(values), true);
-        let next_row_after = self.inner.next_row() + keys.len() as u64;
-        self.log_routed(
-            bsn,
-            routes,
-            |r| WalPayload::Insert {
-                keys: r.keys,
-                values: r.values,
-                globals: Some(r.globals),
-            },
-            next_row_after,
-        )?;
-        let report = self.inner.insert(keys, values)?;
-        self.maybe_checkpoint()?;
-        Ok(report)
+        self.logged_update(UpdateKind::Insert, keys, values)
     }
 
     fn delete(&mut self, keys: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.land_swaps()?;
-        let bsn = self.next_bsn();
-        let routes = self.route(keys, None, false);
-        let next_row_after = self.inner.next_row();
-        self.log_routed(
-            bsn,
-            routes,
-            |r| WalPayload::Delete { keys: r.keys },
-            next_row_after,
-        )?;
-        let report = self.inner.delete(keys)?;
-        self.maybe_checkpoint()?;
-        Ok(report)
+        self.logged_update(UpdateKind::Delete, keys, &[])
     }
 
     fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.check_value_batch(keys, values)?;
-        self.check_capacity(keys.len())?;
-        self.land_swaps()?;
-        let bsn = self.next_bsn();
-        let routes = self.route(keys, Some(values), true);
-        let next_row_after = self.inner.next_row() + keys.len() as u64;
-        self.log_routed(
-            bsn,
-            routes,
-            |r| WalPayload::Upsert {
-                keys: r.keys,
-                values: r.values,
-                globals: Some(r.globals),
-            },
-            next_row_after,
-        )?;
-        let report = self.inner.upsert(keys, values)?;
-        self.maybe_checkpoint()?;
-        Ok(report)
+        self.logged_update(UpdateKind::Upsert, keys, values)
     }
 
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        self.land_swaps()
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        self.land_swaps(false)
     }
 
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        let landed = self.inner.await_shard_reorganisations()?;
-        let total: u64 = landed.iter().sum();
-        if total > 0 {
-            let bsn = self.next_bsn();
-            for (s, &count) in landed.iter().enumerate() {
-                if count > 0 {
-                    self.shard_wals[s]
-                        .append(&WalRecord::new(bsn, WalPayload::Swap))
-                        .and_then(|_| self.shard_wals[s].commit())
-                        .map_err(|e| io_err(&self.label, e))?;
-                }
-            }
-            let next_row = self.inner.next_row();
-            self.commit_point(bsn, next_row)?;
-        }
-        Ok(total)
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        self.land_swaps(true)
     }
 
     fn reorganisation_in_flight(&self) -> bool {

@@ -36,6 +36,7 @@ use crate::error::IndexError;
 use crate::index::{SecondaryIndex, UpdatableIndex};
 use crate::keys::{EncodedKey, EncodedRange, KeySchema, KeyTuple, TypedBatch};
 use crate::registry::{parse_durable_name, IndexSpec, Registry};
+use crate::shard::{RebalanceReport, ShardLoad};
 use crate::types::{
     Capabilities, DurableStats, IndexBuildMetrics, MemoryUsage, QueryOutcome, UpdateReport,
 };
@@ -306,6 +307,9 @@ impl<I: ?Sized + SecondaryIndex> SecondaryIndex for CompositeIndex<I> {
     fn durability_stats(&self) -> Option<DurableStats> {
         self.inner.durability_stats()
     }
+    fn shard_load(&self) -> Option<ShardLoad> {
+        self.inner.shard_load()
+    }
     fn key_schema(&self) -> Option<&KeySchema> {
         Some(&self.schema)
     }
@@ -375,11 +379,11 @@ impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
         self.inner.upsert(&keys, values)
     }
 
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
         self.inner.poll_reorganisation()
     }
 
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
         self.inner.await_reorganisation()
     }
 
@@ -397,6 +401,10 @@ impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
 
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
         self.inner.checkpoint()
+    }
+
+    fn rebalance_shards(&mut self) -> Result<RebalanceReport, IndexError> {
+        self.inner.rebalance_shards()
     }
 }
 
@@ -773,6 +781,79 @@ mod tests {
         let other = KeySchema::parse("{u64,u64}").unwrap();
         assert!(load_sidecar(&path, &other).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sharded backend as the composite wrapper sees it: it only knows
+    /// its load and how to rebalance.
+    struct ShardedStub;
+
+    impl SecondaryIndex for ShardedStub {
+        fn name(&self) -> &str {
+            "STUB@2"
+        }
+        fn key_count(&self) -> usize {
+            0
+        }
+        fn memory_bytes(&self) -> u64 {
+            0
+        }
+        fn build_metrics(&self) -> IndexBuildMetrics {
+            IndexBuildMetrics::default()
+        }
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::read_only()
+        }
+        fn has_value_column(&self) -> bool {
+            false
+        }
+        fn shard_load(&self) -> Option<ShardLoad> {
+            Some(ShardLoad {
+                ops: vec![9, 1],
+                rows: vec![5, 5],
+            })
+        }
+        fn point_chunk(&self, _: &[u64], _: bool) -> Result<crate::BatchOutcome, IndexError> {
+            unreachable!("the stub serves no lookups")
+        }
+        fn range_chunk(
+            &self,
+            _: &[(u64, u64)],
+            _: bool,
+        ) -> Result<crate::BatchOutcome, IndexError> {
+            unreachable!("the stub serves no lookups")
+        }
+    }
+
+    impl UpdatableIndex for ShardedStub {
+        fn insert(&mut self, _: &[u64], _: &[u64]) -> Result<UpdateReport, IndexError> {
+            unreachable!("the stub takes no writes")
+        }
+        fn delete(&mut self, _: &[u64]) -> Result<UpdateReport, IndexError> {
+            unreachable!("the stub takes no writes")
+        }
+        fn upsert(&mut self, _: &[u64], _: &[u64]) -> Result<UpdateReport, IndexError> {
+            unreachable!("the stub takes no writes")
+        }
+        fn rebalance_shards(&mut self) -> Result<RebalanceReport, IndexError> {
+            Ok(RebalanceReport {
+                moved_rows: 7,
+                reorganisations: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn shard_load_and_rebalance_reach_the_inner_index() {
+        let mut composite: CompositeIndex<dyn UpdatableIndex> = CompositeIndex {
+            name: "STUB@2{u32,u32}".to_string(),
+            schema: KeySchema::parse("{u32,u32}").unwrap(),
+            codec: Codec::Direct,
+            sidecar: None,
+            inner: Box::new(ShardedStub),
+        };
+        let load = composite.shard_load().expect("the inner index is sharded");
+        assert_eq!(load.hottest_shard(), Some(0));
+        assert_eq!(composite.rebalance_shards().unwrap().moved_rows, 7);
     }
 
     #[test]

@@ -316,21 +316,24 @@ pub trait UpdatableIndex: SecondaryIndex {
     }
 
     /// Lands any *completed* deferred reorganisation (e.g. a background
-    /// compaction whose swap is ready) without blocking, returning how many
-    /// landed. The default — for backends without deferred reorganisation —
-    /// lands nothing.
+    /// compaction whose swap is ready) without blocking. The report counts
+    /// what landed in `reorganisations` and carries the renumbering like
+    /// any batch report. The default — for backends without deferred
+    /// reorganisation — lands nothing.
     ///
-    /// Durable wrappers call this *before* logging each update batch so the
-    /// swap point becomes an explicit WAL record and replay can reproduce
-    /// the exact structural state.
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(0)
+    /// Durable wrappers call this around each update batch so the swap
+    /// point becomes an explicit WAL record and replay can reproduce the
+    /// exact structural state.
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        Ok(UpdateReport::default())
     }
 
     /// Waits for any in-flight deferred reorganisation to complete and
-    /// lands it, returning how many landed. Default: nothing to wait for.
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(0)
+    /// lands it, reporting like
+    /// [`poll_reorganisation`](UpdatableIndex::poll_reorganisation).
+    /// Default: nothing to wait for.
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        Ok(UpdateReport::default())
     }
 
     /// True while a deferred reorganisation (background compaction rebuild)
@@ -365,6 +368,12 @@ pub trait UpdatableIndex: SecondaryIndex {
     /// needed) and truncate its WAL, returning the number of snapshots
     /// written. A memory-only index has nothing to do. `rtx-serve` routes
     /// `ClientHandle::checkpoint` here through the write fence.
+    ///
+    /// The compaction renumbers rows exactly like
+    /// [`compact`](UpdatableIndex::compact) but this call has no report to
+    /// say how: a caller holding a [`RowMirror`](crate::RowMirror) over
+    /// the index calls `compact()` first and applies that report, after
+    /// which the checkpoint's own compaction moves nothing.
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
         Ok(0)
     }

@@ -65,6 +65,7 @@ pub mod error;
 pub mod fuse;
 pub mod index;
 pub mod keys;
+pub mod mirror;
 pub mod registry;
 pub mod shard;
 pub mod table;
@@ -80,6 +81,7 @@ pub use keys::{
     ColumnType, EncodedKey, EncodedRange, KeyBound, KeySchema, KeyTuple, KeyValue, TypedBatch,
     TypedOp,
 };
+pub use mirror::RowMirror;
 pub use registry::{
     parse_builder_name, parse_durable_name, DurabilitySpec, DurableBuilder, IndexBuilder,
     IndexSpec, Registry, ShardedBuilder, SpecName, UpdatableBuilder, UpdatableShardedBuilder,
@@ -94,6 +96,6 @@ pub use table::{
     TableQuery, TableSchema,
 };
 pub use types::{
-    BatchOutcome, Capabilities, DurableStats, IndexBuildMetrics, LookupResult, MemoryUsage,
-    QueryOutcome, UpdateReport, MISS,
+    compose_renumbering, BatchOutcome, Capabilities, DurableStats, IndexBuildMetrics, LookupResult,
+    MemoryUsage, QueryOutcome, UpdateReport, MISS,
 };

@@ -232,9 +232,9 @@ impl DurableStats {
     }
 }
 
-/// Result of one batched update through
+/// Result of one batched update or lifecycle call through
 /// [`UpdatableIndex`](crate::index::UpdatableIndex).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateReport {
     /// Rows inserted by the batch.
     pub inserted_rows: usize,
@@ -245,6 +245,38 @@ pub struct UpdateReport {
     pub simulated_time_s: f64,
     /// Structural reorganisations (e.g. compactions) the batch triggered.
     pub reorganisations: u64,
+    /// How the call renumbered the backend's rowIDs, when it did:
+    /// `renumbered[new] = old` ([`MISS`] for a slot no row occupies),
+    /// order-preserving, its length the backend's new allocator position.
+    /// Rows the batch itself inserted count as having taken the next old
+    /// rowIDs in batch order, so a consumer always appends the batch's
+    /// rows first and remaps second ([`RowMirror::apply`]). `None` means
+    /// every surviving row kept its rowID. Backends whose outer rowIDs are
+    /// stable (the sharded one) never set it.
+    ///
+    /// [`RowMirror::apply`]: crate::mirror::RowMirror::apply
+    pub renumbered: Option<Vec<u32>>,
+}
+
+/// Composes two renumberings under the [`UpdateReport::renumbered`] rule:
+/// `first` ran, then `later` (which inserted no rows of its own) renumbered
+/// what `first` left behind.
+pub fn compose_renumbering(first: Option<Vec<u32>>, later: Option<Vec<u32>>) -> Option<Vec<u32>> {
+    match (first, later) {
+        (Some(first), Some(later)) => Some(
+            later
+                .into_iter()
+                .map(|mid| {
+                    if mid == MISS {
+                        MISS
+                    } else {
+                        first[mid as usize]
+                    }
+                })
+                .collect(),
+        ),
+        (first, later) => later.or(first),
+    }
 }
 
 #[cfg(test)]

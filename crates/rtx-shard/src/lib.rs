@@ -59,7 +59,7 @@ pub mod sharded;
 pub use partition::{
     HashPartitioner, RangePartitioner, WeightedHashPartitioner, WEIGHTED_HASH_SLOTS,
 };
-pub use sharded::{RouterConfig, ShardedIndex};
+pub use sharded::{RoutedUpdate, RouterConfig, ShardedIndex, UpdateKind};
 
 use rtx_query::{Registry, SecondaryIndex, UpdatableIndex};
 
@@ -218,8 +218,9 @@ mod tests {
     #[test]
     fn sharded_row_mirror_survives_inner_compactions() {
         // Aggressive compaction policy: every shard reorganises during the
-        // churn. Counts and sums must still match the oracle exactly;
-        // global first rows keep the wrapper's stable numbering.
+        // churn. Global rowIDs never renumber, so the oracle — which is
+        // never told to compact — is the stable-rowID model: results match
+        // it exactly, first rows included.
         let device = Device::default_eval();
         let mut registry = Registry::new();
         rtx_delta::register_dynamic(
@@ -256,14 +257,75 @@ mod tests {
             .ranges((0..20).map(|i| (i * 70, i * 70 + 50)))
             .fetch_values(true);
         let out = ix.execute(&batch).unwrap();
-        for (slot, (got, want)) in out
-            .results
-            .iter()
-            .zip(oracle.expected_batch(&batch))
-            .enumerate()
-        {
-            assert_eq!(got.hit_count, want.hit_count, "slot {slot}");
-            assert_eq!(got.value_sum, want.value_sum, "slot {slot}");
+        assert_eq!(out.results, oracle.expected_batch(&batch));
+    }
+
+    #[test]
+    fn background_swaps_keep_global_rowids_exact() {
+        // A background swap renumbers only the snapshot and keeps the rows
+        // written during the rebuild where they are — not the dense
+        // renumbering a synchronous compaction does. `auto_swap(false)`
+        // makes the swap land exactly at `await_reorganisation`, whatever
+        // the rebuild thread's timing.
+        let device = Device::default_eval();
+        let mut registry = Registry::new();
+        rtx_delta::register_dynamic(
+            &mut registry,
+            rtx_delta::DynamicRtConfig::default()
+                .with_policy(rtx_delta::CompactionPolicy {
+                    max_delta_entries: 8,
+                    max_delta_fraction: f64::INFINITY,
+                    max_delete_ratio: f64::INFINITY,
+                })
+                .with_background_compaction(true)
+                .with_auto_swap(false),
+        );
+        install_sharding(&mut registry);
+
+        let keys: Vec<u64> = (0..200).collect();
+        let values: Vec<u64> = (0..200).map(|v| v * 2 + 1).collect();
+        let batch = QueryBatch::new()
+            .points(0..1300)
+            .ranges((0..26).map(|i| (i * 50, i * 50 + 40)))
+            .fetch_values(true);
+        for name in ["RXD@2", "RXD@3:range"] {
+            let mut ix = registry
+                .build_updatable(name, &IndexSpec::with_values(&device, &keys, &values))
+                .expect(name);
+            // Never compacted: the stable global-rowID model.
+            let mut model = DynamicOracle::new(&keys, &values);
+
+            let doomed: Vec<u64> = (0..200).step_by(3).collect();
+            ix.delete(&doomed).unwrap();
+            model.delete_batch(&doomed);
+            // Past every shard's threshold: each freezes and rebuilds.
+            let fresh: Vec<u64> = (1000..1060).collect();
+            ix.insert(&fresh, &fresh).unwrap();
+            model.insert_batch(&fresh, &fresh);
+            assert!(ix.reorganisation_in_flight(), "{name}: no freeze");
+            // In flight: rows that must keep their slots across the swap,
+            // and deletes of snapshot rows and of those rows.
+            let tail: Vec<u64> = (1100..1110).collect();
+            ix.insert(&tail, &tail).unwrap();
+            model.insert_batch(&tail, &tail);
+            let doomed = [1, 1001, 1101, 1102];
+            ix.delete(&doomed).unwrap();
+            model.delete_batch(&doomed);
+
+            let landed = ix.await_reorganisation().unwrap();
+            assert!(landed.reorganisations > 0, "{name}: nothing landed");
+            assert!(landed.renumbered.is_none(), "{name}: outer rowIDs move");
+            let out = ix.execute(&batch).expect(name);
+            assert_eq!(out.results, model.expected_batch(&batch), "{name}");
+
+            let more: Vec<u64> = (1200..1230).collect();
+            ix.upsert(&more, &more).unwrap();
+            model.upsert_batch(&more, &more);
+            ix.delete(&[1105, 2]).unwrap();
+            model.delete_batch(&[1105, 2]);
+            ix.await_reorganisation().unwrap();
+            let out = ix.execute(&batch).expect(name);
+            assert_eq!(out.results, model.expected_batch(&batch), "{name} later");
         }
     }
 

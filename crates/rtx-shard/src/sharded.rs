@@ -14,13 +14,13 @@
 //! column, but callers must see the *global* rowIDs of the original column
 //! (a sharded backend answers exactly like its unsharded counterpart, which
 //! the property suite asserts). Each shard therefore keeps a local→global
-//! row mirror: built from the scatter of the build column, extended by
-//! routed inserts in submission order, thinned by deletes and collapsed
-//! when the inner backend reports a reorganisation — the same
-//! row-assignment rules the dynamic backend documents. Because a shard's
-//! local order is a subsequence of global order, translating the inner
-//! `first_row` through the mirror and taking the minimum across shards
-//! yields the global first row.
+//! [`RowMirror`]: built from the scatter of the build column and fed, write
+//! by write, the global rowIDs the batch appended plus whatever renumbering
+//! the inner backend *reports* ([`UpdateReport::renumbered`]) — the shard
+//! never re-derives which rows a delete or a compaction removed. Because a
+//! shard's local order is a subsequence of global order, translating the
+//! inner `first_row` through the mirror and taking the minimum across
+//! shards yields the global first row.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,8 +31,8 @@ use gpu_device::executor::{parallel_map, parallel_tasks};
 use rtx_query::{
     ArenaPool, BatchOutcome, Capabilities, ExecArena, IndexBackend, IndexBuildMetrics, IndexError,
     IndexSpec, KeyRouter, MemoryUsage, Partitioning, QueryBatch, QueryOutcome, RebalanceReport,
-    Registry, ScatterPlan, SecondaryIndex, ShardLoad, ShardSpec, UpdatableIndex, UpdateReport,
-    MISS,
+    Registry, RowMirror, ScatterPlan, SecondaryIndex, ShardLoad, ShardSpec, UpdatableIndex,
+    UpdateReport, MISS,
 };
 
 use crate::partition::{
@@ -88,61 +88,11 @@ impl RouterConfig {
     }
 }
 
-/// One shard's local→global row mirror in recovered form: entry `local`
-/// holds `Some((key, global))` for a live row, `None` for a deleted one.
-pub type RecoveredRows = Vec<Option<(u64, u32)>>;
-
-/// The local→global row mirror of one shard (see the module docs): entry
-/// `local` holds the key and global rowID of the shard's local row, `None`
-/// once the row is deleted.
-struct ShardRows {
-    entries: RecoveredRows,
-}
-
-impl ShardRows {
-    fn new(assigned: Vec<(u64, u32)>) -> Self {
-        ShardRows {
-            entries: assigned.into_iter().map(Some).collect(),
-        }
-    }
-
-    /// Global rowID of a live local row.
-    fn global(&self, local: u32) -> u32 {
-        self.entries
-            .get(local as usize)
-            .copied()
-            .flatten()
-            .expect("shard row mirror out of sync with the inner backend")
-            .1
-    }
-
-    /// Mirrors an insert: fresh local rows take the next local slots, in
-    /// batch order.
-    fn append(&mut self, keys: &[u64], globals: &[u32]) {
-        self.entries
-            .extend(keys.iter().zip(globals).map(|(&k, &g)| Some((k, g))));
-    }
-
-    /// Mirrors a delete: every live row holding a doomed key dies.
-    fn delete(&mut self, doomed: &HashSet<u64>) {
-        for entry in &mut self.entries {
-            if matches!(entry, Some((k, _)) if doomed.contains(k)) {
-                *entry = None;
-            }
-        }
-    }
-
-    /// Mirrors a reorganisation (compaction): survivors renumber densely in
-    /// preserved order.
-    fn compact(&mut self) {
-        self.entries.retain(Option::is_some);
-    }
-}
-
 struct Shard {
     /// Read-only or updatable, depending on which registry path built it.
     backend: IndexBackend,
-    rows: ShardRows,
+    /// Local→global rowIDs (see the module docs).
+    rows: RowMirror,
     /// Primitive operations routed to this shard (lookups plus update rows)
     /// since build or the last rebalance — the hot-shard detection signal.
     ops: AtomicU64,
@@ -223,7 +173,7 @@ fn slot_counters(config: &RouterConfig) -> Option<Vec<AtomicU64>> {
 struct BuildScatter {
     keys: Vec<Vec<u64>>,
     values: Option<Vec<Vec<u64>>>,
-    assigned: Vec<Vec<(u64, u32)>>,
+    assigned: Vec<Vec<u32>>,
 }
 
 fn scatter_build_columns(router: &dyn KeyRouter, spec: &IndexSpec<'_>) -> BuildScatter {
@@ -239,7 +189,7 @@ fn scatter_build_columns(router: &dyn KeyRouter, spec: &IndexSpec<'_>) -> BuildS
         if let (Some(per_shard), Some(values)) = (&mut scatter.values, spec.values()) {
             per_shard[s].push(values[row]);
         }
-        scatter.assigned[s].push((key, row as u32));
+        scatter.assigned[s].push(row as u32);
     }
     scatter
 }
@@ -385,7 +335,7 @@ impl ShardedIndex {
         for (backend, assigned) in built.into_iter().zip(scatter.assigned) {
             shards.push(Shard {
                 backend: backend?,
-                rows: ShardRows::new(assigned),
+                rows: RowMirror::dense(assigned),
                 ops: AtomicU64::new(0),
             });
         }
@@ -427,16 +377,14 @@ impl ShardedIndex {
     }
 
     /// Reassembles a sharded index from recovered parts: one updatable
-    /// inner backend plus its local→global row mirror per shard (mirror
-    /// entry `local` holds `Some((key, global))` for a live row, `None` for
-    /// a deleted one), the router the manifest captured, and the global row
-    /// counter at crash time. This is the recovery entry point of the
+    /// inner backend plus its local→global row mirror per shard, the router
+    /// the manifest captured, and the global row counter at crash time. This is the recovery entry point of the
     /// durability layer — each shard replays its own WAL in parallel, then
     /// the parts snap together here.
     pub fn from_parts(
         label: String,
         router_config: RouterConfig,
-        parts: Vec<(Box<dyn UpdatableIndex>, RecoveredRows)>,
+        parts: Vec<(Box<dyn UpdatableIndex>, RowMirror)>,
         has_values: bool,
         next_row: u64,
     ) -> Result<Self, IndexError> {
@@ -452,9 +400,9 @@ impl ShardedIndex {
         }
         let shards: Vec<Shard> = parts
             .into_iter()
-            .map(|(backend, entries)| Shard {
+            .map(|(backend, rows)| Shard {
                 backend: IndexBackend::Write(backend),
-                rows: ShardRows { entries },
+                rows,
                 ops: AtomicU64::new(0),
             })
             .collect();
@@ -498,11 +446,6 @@ impl ShardedIndex {
             .collect()
     }
 
-    /// The key router distributing lookups and updates over the shards.
-    pub fn router(&self) -> &dyn KeyRouter {
-        self.router.as_ref()
-    }
-
     /// The serializable router description (persisted by durability
     /// manifests, fed back to [`ShardedIndex::from_parts`] on recovery).
     pub fn router_config(&self) -> &RouterConfig {
@@ -515,45 +458,24 @@ impl ShardedIndex {
         self.next_row
     }
 
-    /// Lands every shard's completed deferred reorganisation without
-    /// blocking, returning the per-shard landed counts (and collapsing the
-    /// affected row mirrors). The durability layer calls this before
-    /// logging each update batch so per-shard swap points become explicit
-    /// WAL records.
-    pub fn poll_shard_reorganisations(&mut self) -> Result<Vec<u64>, IndexError> {
+    /// Lands every shard's deferred reorganisation — the completed ones
+    /// without blocking, or with `wait` every in-flight one — following
+    /// each reported renumbering in the shard's row mirror, and returns the
+    /// per-shard landed counts. The durability layer calls this around its
+    /// update batches so per-shard swap points become explicit WAL records.
+    pub fn land_shard_reorganisations(&mut self, wait: bool) -> Result<Vec<u64>, IndexError> {
         self.writable()?;
         self.shards
             .iter_mut()
             .map(|shard| {
-                let landed = shard
-                    .backend
-                    .write()
-                    .expect("writability checked")
-                    .poll_reorganisation()?;
-                if landed > 0 {
-                    shard.rows.compact();
-                }
-                Ok(landed)
-            })
-            .collect()
-    }
-
-    /// Waits for every shard's in-flight reorganisation and lands it,
-    /// returning the per-shard landed counts.
-    pub fn await_shard_reorganisations(&mut self) -> Result<Vec<u64>, IndexError> {
-        self.writable()?;
-        self.shards
-            .iter_mut()
-            .map(|shard| {
-                let landed = shard
-                    .backend
-                    .write()
-                    .expect("writability checked")
-                    .await_reorganisation()?;
-                if landed > 0 {
-                    shard.rows.compact();
-                }
-                Ok(landed)
+                let writer = shard.backend.write().expect("writability checked");
+                let report = if wait {
+                    writer.await_reorganisation()?
+                } else {
+                    writer.poll_reorganisation()?
+                };
+                shard.rows.apply(&[], &report);
+                Ok(report.reorganisations)
             })
             .collect()
     }
@@ -572,14 +494,13 @@ impl ShardedIndex {
                     IndexBackend::Write(ix) => ix.checkpoint_rows()?,
                     IndexBackend::Read(_) => return None,
                 };
-                let live: Vec<(u64, u32)> = shard.rows.entries.iter().copied().flatten().collect();
-                if live.len() != rows.len() {
+                if shard.rows.len() != rows.len() {
                     return None;
                 }
                 Some(
                     rows.iter()
-                        .zip(live)
-                        .map(|(&(key, value), (_, global))| (key, value, global))
+                        .zip(0..)
+                        .map(|(&(key, value), local)| (key, value, shard.rows.global(local)))
                         .collect(),
                 )
             })
@@ -636,10 +557,10 @@ impl ShardedIndex {
         if self.shards.len() < 2 {
             return Ok(RebalanceReport::default());
         }
-        // Land anything in flight so every row mirror is dense, then
-        // snapshot the live triples — compacting first when a shard is
-        // dirty (delta entries or tombstones outstanding).
-        self.await_shard_reorganisations()?;
+        // Land anything in flight, then snapshot the live triples —
+        // compacting first when a shard is dirty (delta entries or
+        // tombstones outstanding).
+        self.land_shard_reorganisations(true)?;
         let mut reorganisations = 0u64;
         let triples = match self.shard_checkpoint_rows() {
             Some(t) => t,
@@ -692,10 +613,10 @@ impl ShardedIndex {
         enum Plan {
             Keep,
             Shrink {
-                doomed: HashSet<u64>,
+                doomed: Vec<u64>,
             },
             Rebuild {
-                doomed: HashSet<u64>,
+                doomed: Vec<u64>,
                 rows: Vec<(u64, u64, u32)>,
             },
         }
@@ -705,7 +626,7 @@ impl ShardedIndex {
                     Plan::Keep
                 } else if incoming[s].is_empty() {
                     Plan::Shrink {
-                        doomed: outgoing[s].iter().copied().collect(),
+                        doomed: distinct(outgoing[s].clone()),
                     }
                 } else {
                     let leaving: HashSet<u64> = outgoing[s].iter().copied().collect();
@@ -717,7 +638,7 @@ impl ShardedIndex {
                         .collect();
                     rows.sort_unstable_by_key(|&(_, _, global)| global);
                     Plan::Rebuild {
-                        doomed: triples[s].iter().map(|&(key, _, _)| key).collect(),
+                        doomed: distinct(triples[s].iter().map(|&(key, _, _)| key).collect()),
                         rows,
                     }
                 }
@@ -731,36 +652,22 @@ impl ShardedIndex {
             match plan {
                 Plan::Keep => Ok(0),
                 Plan::Shrink { doomed } => {
-                    let batch: Vec<u64> = doomed.iter().copied().collect();
-                    let report = writer.delete(&batch)?;
-                    rows.delete(&doomed);
-                    if report.reorganisations > 0 {
-                        rows.compact();
-                    }
+                    let report = writer.delete(&doomed)?;
+                    rows.apply(&[], &report);
                     Ok(report.reorganisations)
                 }
                 Plan::Rebuild {
                     doomed,
                     rows: new_rows,
                 } => {
-                    let mut reorganisations = 0;
-                    let batch: Vec<u64> = doomed.iter().copied().collect();
-                    let report = writer.delete(&batch)?;
-                    rows.delete(&doomed);
-                    reorganisations += report.reorganisations;
-                    if report.reorganisations > 0 {
-                        rows.compact();
-                    }
+                    let deleted = writer.delete(&doomed)?;
+                    rows.apply(&[], &deleted);
                     let keys: Vec<u64> = new_rows.iter().map(|&(key, _, _)| key).collect();
                     let values: Vec<u64> = new_rows.iter().map(|&(_, value, _)| value).collect();
                     let globals: Vec<u32> = new_rows.iter().map(|&(_, _, global)| global).collect();
-                    let report = writer.insert(&keys, &values)?;
-                    rows.append(&keys, &globals);
-                    reorganisations += report.reorganisations;
-                    if report.reorganisations > 0 {
-                        rows.compact();
-                    }
-                    Ok(reorganisations)
+                    let inserted = writer.insert(&keys, &values)?;
+                    rows.apply(&globals, &inserted);
+                    Ok(deleted.reorganisations + inserted.reorganisations)
                 }
             }
         });
@@ -885,80 +792,95 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Routes an update batch's keys (and optional values/global rows) to
-    /// their owning shards, preserving batch order within each shard.
-    fn route_update(
-        &mut self,
+    /// Splits an update batch by the router, assigning global rowIDs in
+    /// batch order, without touching the index: the value column must match
+    /// the keys and the assigned rows must fit the rowID space, or nothing
+    /// is routed. The row allocator advances only when the routing is
+    /// [applied](Self::apply_routed), so a caller may persist the routed
+    /// slices first and lose nothing if that fails. `values` is ignored for
+    /// a delete.
+    pub fn route(
+        &self,
+        kind: UpdateKind,
         keys: &[u64],
-        values: Option<&[u64]>,
-        assign_rows: bool,
-    ) -> Result<Vec<UpdateRoute>, IndexError> {
-        if assign_rows && self.next_row + keys.len() as u64 >= MISS as u64 {
-            return Err(IndexError::CapacityOverflow {
+        values: &[u64],
+    ) -> Result<RoutedUpdate, IndexError> {
+        self.writable()?;
+        let assigns_rows = kind != UpdateKind::Delete;
+        if assigns_rows {
+            if keys.len() != values.len() {
+                return Err(IndexError::ValueColumnLengthMismatch {
+                    expected: keys.len(),
+                    actual: values.len(),
+                });
+            }
+            if self.next_row + keys.len() as u64 >= MISS as u64 {
+                return Err(IndexError::CapacityOverflow {
+                    backend: Arc::clone(&self.label),
+                    keys: keys.len(),
+                    limit: (MISS as u64 - 1).saturating_sub(self.next_row),
+                });
+            }
+        }
+        let mut routed = RoutedUpdate {
+            kind,
+            slices: (0..self.shards.len())
+                .map(|_| ShardSlice::default())
+                .collect(),
+            first_row: self.next_row,
+            next_row: self.next_row,
+        };
+        for (i, &key) in keys.iter().enumerate() {
+            let slice = &mut routed.slices[self.router.shard_of_point(key)];
+            slice.keys.push(key);
+            if assigns_rows {
+                slice.values.push(values[i]);
+                slice.globals.push(routed.next_row as u32);
+                routed.next_row += 1;
+            }
+        }
+        Ok(routed)
+    }
+
+    /// Applies a routing made by [`route`](Self::route) on this index (and
+    /// not invalidated by a write since) to every owning shard in parallel,
+    /// feeds each shard's report to its row mirror and merges the reports.
+    pub fn apply_routed(&mut self, routed: RoutedUpdate) -> Result<UpdateReport, IndexError> {
+        self.writable()?;
+        if routed.first_row != self.next_row || routed.slices.len() != self.shards.len() {
+            return Err(IndexError::Backend {
                 backend: Arc::clone(&self.label),
-                keys: keys.len(),
-                limit: (MISS as u64 - 1).saturating_sub(self.next_row),
+                message: "stale update routing: the index was written since it was routed"
+                    .to_string(),
             });
         }
-        let mut routes: Vec<UpdateRoute> = (0..self.shards.len())
-            .map(|_| UpdateRoute::default())
-            .collect();
+        self.next_row = routed.next_row;
         // Update rows count toward slot heat exactly like lookups do —
         // mirroring the per-shard op counters, which track both.
         if let Some(slot_ops) = &self.slot_ops {
-            for &key in keys {
+            for &key in routed.slices.iter().flat_map(|slice| &slice.keys) {
                 slot_ops[WeightedHashPartitioner::slot_of_key(key)].fetch_add(1, Ordering::Relaxed);
             }
         }
-        for (i, &key) in keys.iter().enumerate() {
-            let route = &mut routes[self.router.shard_of_point(key)];
-            route.keys.push(key);
-            if let Some(values) = values {
-                route.values.push(values[i]);
-            }
-            if assign_rows {
-                route.globals.push(self.next_row as u32);
-                self.next_row += 1;
-            }
-        }
-        Ok(routes)
-    }
-
-    /// Applies one routed update operation to every shard in parallel and
-    /// merges the per-shard reports.
-    fn apply_update<F>(
-        &mut self,
-        routes: Vec<UpdateRoute>,
-        apply: F,
-    ) -> Result<UpdateReport, IndexError>
-    where
-        F: Fn(
-                &mut dyn UpdatableIndex,
-                &mut ShardRows,
-                UpdateRoute,
-            ) -> Result<UpdateReport, IndexError>
-            + Sync,
-    {
-        let work: Vec<(&mut Shard, UpdateRoute)> = self.shards.iter_mut().zip(routes).collect();
-        let reports = parallel_map(work, |_, (shard, route)| {
-            if route.keys.is_empty() {
+        let kind = routed.kind;
+        let work: Vec<(&mut Shard, ShardSlice)> =
+            self.shards.iter_mut().zip(routed.slices).collect();
+        merge_reports(parallel_map(work, |_, (shard, slice)| {
+            if slice.keys.is_empty() {
                 return Ok(UpdateReport::default());
             }
             shard
                 .ops
-                .fetch_add(route.keys.len() as u64, Ordering::Relaxed);
+                .fetch_add(slice.keys.len() as u64, Ordering::Relaxed);
             let writer = shard.backend.write().expect("writability checked");
-            apply(writer, &mut shard.rows, route)
-        });
-        let mut merged = UpdateReport::default();
-        for report in reports {
-            let report = report?;
-            merged.inserted_rows += report.inserted_rows;
-            merged.deleted_rows += report.deleted_rows;
-            merged.simulated_time_s += report.simulated_time_s;
-            merged.reorganisations += report.reorganisations;
-        }
-        Ok(merged)
+            let report = match kind {
+                UpdateKind::Insert => writer.insert(&slice.keys, &slice.values),
+                UpdateKind::Delete => writer.delete(&slice.keys),
+                UpdateKind::Upsert => writer.upsert(&slice.keys, &slice.values),
+            }?;
+            shard.rows.apply(&slice.globals, &report);
+            Ok(report)
+        }))
     }
 
     /// Executes a ready scatter plan: every non-empty shard sub-batch runs
@@ -991,24 +913,90 @@ impl ShardedIndex {
         }
         Ok(plan.gather(gathered))
     }
-
-    fn check_value_batch(&self, keys: &[u64], values: &[u64]) -> Result<(), IndexError> {
-        if keys.len() != values.len() {
-            return Err(IndexError::ValueColumnLengthMismatch {
-                expected: keys.len(),
-                actual: values.len(),
-            });
-        }
-        Ok(())
-    }
 }
 
-/// One shard's slice of an update batch, in batch order.
-#[derive(Default)]
-struct UpdateRoute {
+/// The write a [`RoutedUpdate`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateKind {
+    /// Fresh rows append.
+    Insert,
+    /// Every live row holding one of the keys dies.
+    Delete,
+    /// Delete, then insert one row per pair.
+    Upsert,
+}
+
+/// One shard's slice of an update batch, in batch order (`values` and
+/// `globals` stay empty for a delete).
+#[derive(Debug, Clone, Default)]
+struct ShardSlice {
     keys: Vec<u64>,
     values: Vec<u64>,
     globals: Vec<u32>,
+}
+
+/// An update batch as [`ShardedIndex::route`] split it: what each shard
+/// will be handed, the global rowIDs the batch's rows were assigned, and
+/// where the row allocator stands once it is applied.
+#[derive(Debug, Clone)]
+pub struct RoutedUpdate {
+    kind: UpdateKind,
+    slices: Vec<ShardSlice>,
+    /// The row allocator the routing started from.
+    first_row: u64,
+    next_row: u64,
+}
+
+impl RoutedUpdate {
+    /// The write being routed.
+    pub fn kind(&self) -> UpdateKind {
+        self.kind
+    }
+
+    /// The global row allocator after the batch.
+    pub fn next_row(&self) -> u64 {
+        self.next_row
+    }
+
+    /// Per shard, in batch order: the keys, their values and the global
+    /// rowIDs assigned to them (both empty for a delete).
+    pub fn shards(&self) -> impl Iterator<Item = (&[u64], &[u64], &[u32])> {
+        self.slices
+            .iter()
+            .map(|s| (&s.keys[..], &s.values[..], &s.globals[..]))
+    }
+}
+
+/// Sums per-shard reports into the sharded one. Outer rowIDs are stable,
+/// so the merged report never carries a renumbering.
+fn merge_reports(
+    reports: Vec<Result<UpdateReport, IndexError>>,
+) -> Result<UpdateReport, IndexError> {
+    let mut merged = UpdateReport::default();
+    for report in reports {
+        let report = report?;
+        merged.inserted_rows += report.inserted_rows;
+        merged.deleted_rows += report.deleted_rows;
+        merged.simulated_time_s += report.simulated_time_s;
+        merged.reorganisations += report.reorganisations;
+    }
+    Ok(merged)
+}
+
+/// The sharded report of landing per-shard reorganisations: how many
+/// landed, and — outer rowIDs being stable — no renumbering.
+fn landed(per_shard: Vec<u64>) -> UpdateReport {
+    UpdateReport {
+        reorganisations: per_shard.iter().sum(),
+        ..Default::default()
+    }
+}
+
+/// The distinct keys of a migration delete batch.
+fn distinct(mut keys: Vec<u64>) -> Vec<u64> {
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
 /// Reassigns hash slots from the hottest shard to the coldest until their
@@ -1138,10 +1126,9 @@ impl SecondaryIndex for ShardedIndex {
         let mut usage = MemoryUsage::default();
         for shard in &self.shards {
             usage.add(&shard.backend.read().memory_usage());
-            // The local→global row mirror is sharding bookkeeping that
-            // exists to track liveness — account it with the tombstones.
-            usage.tombstone_bytes +=
-                (shard.rows.entries.len() * std::mem::size_of::<Option<(u64, u32)>>()) as u64;
+            // The local→global row mirror is sharding bookkeeping kept per
+            // allocated row, live or not — account it with the tombstones.
+            usage.tombstone_bytes += (shard.rows.len() * std::mem::size_of::<u32>()) as u64;
         }
         usage
     }
@@ -1225,56 +1212,23 @@ impl SecondaryIndex for ShardedIndex {
 /// store would.
 impl UpdatableIndex for ShardedIndex {
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.writable()?;
-        self.check_value_batch(keys, values)?;
-        let routes = self.route_update(keys, Some(values), true)?;
-        self.apply_update(routes, |writer, rows, route| {
-            let report = writer.insert(&route.keys, &route.values)?;
-            rows.append(&route.keys, &route.globals);
-            if report.reorganisations > 0 {
-                rows.compact();
-            }
-            Ok(report)
-        })
+        self.apply_routed(self.route(UpdateKind::Insert, keys, values)?)
     }
 
     fn delete(&mut self, keys: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.writable()?;
-        let routes = self.route_update(keys, None, false)?;
-        self.apply_update(routes, |writer, rows, route| {
-            let report = writer.delete(&route.keys)?;
-            rows.delete(&route.keys.iter().copied().collect());
-            if report.reorganisations > 0 {
-                rows.compact();
-            }
-            Ok(report)
-        })
+        self.apply_routed(self.route(UpdateKind::Delete, keys, &[])?)
     }
 
     fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.writable()?;
-        self.check_value_batch(keys, values)?;
-        let routes = self.route_update(keys, Some(values), true)?;
-        self.apply_update(routes, |writer, rows, route| {
-            let report = writer.upsert(&route.keys, &route.values)?;
-            // Mirror the documented upsert semantics: every existing row of
-            // the keys dies, then one fresh row per pair appends in batch
-            // order.
-            rows.delete(&route.keys.iter().copied().collect());
-            rows.append(&route.keys, &route.globals);
-            if report.reorganisations > 0 {
-                rows.compact();
-            }
-            Ok(report)
-        })
+        self.apply_routed(self.route(UpdateKind::Upsert, keys, values)?)
     }
 
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(self.poll_shard_reorganisations()?.iter().sum())
+    fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        self.land_shard_reorganisations(false).map(landed)
     }
 
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(self.await_shard_reorganisations()?.iter().sum())
+    fn await_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
+        self.land_shard_reorganisations(true).map(landed)
     }
 
     fn reorganisation_in_flight(&self) -> bool {
@@ -1288,29 +1242,20 @@ impl UpdatableIndex for ShardedIndex {
         self.rebalance()
     }
 
-    /// Forces a synchronous compaction of every shard (collapsing the row
-    /// mirrors with them) and merges the per-shard reports. Fails if any
-    /// shard's backend has no explicit compaction.
+    /// Forces a synchronous compaction of every shard (each row mirror
+    /// following its shard's renumbering) and merges the per-shard reports.
+    /// Fails if any shard's backend has no explicit compaction.
     fn compact(&mut self) -> Result<UpdateReport, IndexError> {
         self.writable()?;
         let work: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        let reports = parallel_map(work, |_, shard| -> Result<UpdateReport, IndexError> {
+        merge_reports(parallel_map(work, |_, shard| {
             let report = shard
                 .backend
                 .write()
                 .expect("writability checked")
                 .compact()?;
-            shard.rows.compact();
+            shard.rows.apply(&[], &report);
             Ok(report)
-        });
-        let mut merged = UpdateReport::default();
-        for report in reports {
-            let report: UpdateReport = report?;
-            merged.inserted_rows += report.inserted_rows;
-            merged.deleted_rows += report.deleted_rows;
-            merged.simulated_time_s += report.simulated_time_s;
-            merged.reorganisations += report.reorganisations;
-        }
-        Ok(merged)
+        }))
     }
 }

@@ -27,14 +27,14 @@
 //! # Row mirrors
 //!
 //! Each index answers `first_row` in its own local rowID space; the table
-//! keeps a per-index mirror (`local → (key, table rowID)`, the same
-//! protocol `rtx-shard` uses per shard) and translates every result into
-//! table rowIDs. Monolithic dynamic backends renumber their local space
-//! densely when a reorganisation lands, so the mirror compacts whenever an
-//! update report carries `reorganisations > 0`; *sharded* backends keep
-//! their outer rowID space stable across inner reorganisations (their own
-//! per-shard mirrors absorb the renumbering), so mirrors over sharded
-//! specs never compact.
+//! keeps a per-index [`RowMirror`] (local → table rowID, the same type
+//! `rtx-shard` keeps per shard) and translates every result into table
+//! rowIDs. The mirror is fed by the backend's own update reports: the
+//! table rowID each delta insert appended, and whatever renumbering the
+//! report carries — a monolithic dynamic backend reports one whenever a
+//! compaction (its own, or a durable wrapper's checkpoint) moved rows, a
+//! sharded backend never does, and the table does not need to know which
+//! kind it holds.
 //!
 //! # Durable index specs
 //!
@@ -52,57 +52,12 @@ use optix_sim::LaunchMetrics;
 use rtx_query::{
     parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexBackend, IndexDef,
     IndexError, IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult,
-    Predicate, QueryBatch, QueryOp, Record, Registry, Route, SecondaryIndex, ShardSpec, TableQuery,
+    Predicate, QueryBatch, QueryOp, Record, Registry, Route, RowMirror, SecondaryIndex, TableQuery,
     TableSchema, TypedBatch, TypedOp, MISS,
 };
 
 use crate::planner::{CandidateView, Planner, ProbeCost};
 use crate::store::RowStore;
-
-/// Local-rowID → `(key, table rowID)` mirror, one per index (the
-/// `rtx-shard` row-mirror protocol).
-#[derive(Debug, Clone, Default)]
-struct Mirror {
-    entries: Vec<Option<(u64, u32)>>,
-}
-
-impl Mirror {
-    fn dense(keys: &[u64], rows: &[u32]) -> Self {
-        Mirror {
-            entries: keys.iter().zip(rows).map(|(&k, &r)| Some((k, r))).collect(),
-        }
-    }
-
-    fn append(&mut self, key: u64, row: u32) {
-        self.entries.push(Some((key, row)));
-    }
-
-    fn delete_key(&mut self, key: u64) {
-        for entry in &mut self.entries {
-            if matches!(entry, Some((k, _)) if *k == key) {
-                *entry = None;
-            }
-        }
-    }
-
-    fn compact(&mut self) {
-        self.entries.retain(Option::is_some);
-    }
-
-    fn global(&self, local: u32) -> u32 {
-        self.entries[local as usize]
-            .expect("index answered a rowID its mirror holds as deleted")
-            .1
-    }
-
-    fn sample_keys(&self, count: usize) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter_map(|e| e.map(|(k, _)| k))
-            .take(count)
-            .collect()
-    }
-}
 
 struct IndexState {
     def: IndexDef,
@@ -114,11 +69,22 @@ struct IndexState {
     /// Read-only backends rebuild per ingest batch, updatable ones absorb
     /// deltas where exact (see the [module docs](self)).
     backend: IndexBackend,
-    mirror: Mirror,
-    /// False for sharded specs, whose outer rowIDs survive inner
-    /// reorganisations (see the [module docs](self)).
-    compact_mirror_on_reorg: bool,
+    /// Local rowID → table rowID (see the [module docs](self)).
+    mirror: RowMirror,
     probe: ProbeCost,
+}
+
+impl IndexState {
+    /// The keys of the first `count` live rows the index holds, read from
+    /// the row store through the mirror: the planner's calibration sample.
+    fn sample_keys(&self, store: &RowStore, count: usize) -> Vec<u64> {
+        (0..self.mirror.len() as u32)
+            .map(|local| self.mirror.global(local))
+            .filter(|&row| row != MISS && store.is_live(row))
+            .take(count)
+            .map(|row| store.value_at(self.columns[0], row))
+            .collect()
+    }
 }
 
 /// What one successful [`Table::ingest`] did.
@@ -359,7 +325,7 @@ impl Table {
                 // Delta'd indexes keep their structure; refresh the probe
                 // costs so the planner sees the post-batch state.
                 if touched[i] {
-                    let sample = self.indexes[i].mirror.sample_keys(16);
+                    let sample = self.indexes[i].sample_keys(&self.store, 16);
                     self.indexes[i].probe = self
                         .planner
                         .calibrate(self.indexes[i].backend.read(), &sample)?;
@@ -405,13 +371,10 @@ impl Table {
                 // exactly one column.
                 let key = record[state.columns[0]];
                 let update = ix.insert(&[key], &[value])?;
-                state.mirror.append(key, row);
+                state.mirror.apply(&[row], &update);
                 touched[i] = true;
                 report.delta_ops += 1;
                 report.simulated_time_s += update.simulated_time_s;
-                if update.reorganisations > 0 && state.compact_mirror_on_reorg {
-                    state.mirror.compact();
-                }
             }
         }
         Ok(())
@@ -436,13 +399,10 @@ impl Table {
                     // so deleting `key` there removes exactly the doomed
                     // rows.
                     let update = ix.delete(&[key])?;
-                    state.mirror.delete_key(key);
+                    state.mirror.apply(&[], &update);
                     touched[i] = true;
                     report.delta_ops += 1;
                     report.simulated_time_s += update.simulated_time_s;
-                    if update.reorganisations > 0 && state.compact_mirror_on_reorg {
-                        state.mirror.compact();
-                    }
                 } else if !doomed.is_empty() {
                     // An index-level delete on this column would also kill
                     // surviving rows sharing the doomed rows' keys —
@@ -711,8 +671,7 @@ fn build_index_state(
         columns: columns.to_vec(),
         schema: None,
         backend,
-        mirror: Mirror::dense(&keys, &rows),
-        compact_mirror_on_reorg: rowids_renumber_on_reorg(&def.spec),
+        mirror: RowMirror::dense(rows),
         probe,
     })
 }
@@ -768,31 +727,14 @@ fn build_composite_state(
         Vec::new()
     };
     let probe = planner.calibrate(backend.read(), &probe_keys)?;
-    // The mirror's key slot holds the leading column value; composite
-    // indexes never take the delta path, so it only translates rowIDs.
-    let leading: Vec<u64> = raw_tuples.iter().map(|t| t[0]).collect();
     Ok(IndexState {
         def: def.clone(),
         columns: columns.to_vec(),
         schema: Some(schema),
         backend,
-        mirror: Mirror::dense(&leading, &rows),
-        compact_mirror_on_reorg: rowids_renumber_on_reorg(&def.spec),
+        mirror: RowMirror::dense(rows),
         probe,
     })
-}
-
-/// Whether the backend's rowID space renumbers when an update report
-/// carries `reorganisations > 0`. Monolithic dynamic backends renumber
-/// densely; sharded specs keep stable outer rowIDs (their per-shard
-/// mirrors absorb the renumbering).
-fn rowids_renumber_on_reorg(spec: &str) -> bool {
-    // Brace schemas sit anywhere in the name; strip them before looking
-    // for the shard production.
-    let stripped = parse_schema_name(spec).ok().flatten().map(|(rest, _)| rest);
-    let spec = stripped.as_deref().unwrap_or(spec);
-    let base = parse_durable_name(spec).map(|(b, _)| b).unwrap_or(spec);
-    ShardSpec::parse(base).is_none()
 }
 
 /// Resets the WAL directory of a `"+wal:<path>"` spec before a build, so
@@ -812,33 +754,4 @@ fn wipe_durable_dir(spec: &str) -> Result<(), IndexError> {
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mirrors_translate_append_delete_and_compact() {
-        let mut m = Mirror::dense(&[10, 20, 10], &[0, 1, 2]);
-        assert_eq!(m.global(1), 1);
-        m.append(30, 7);
-        assert_eq!(m.global(3), 7);
-        m.delete_key(10);
-        assert_eq!(m.global(1), 1);
-        m.compact();
-        // Survivors renumber densely: locals 0,1 now map to rows 1,7.
-        assert_eq!((m.global(0), m.global(1)), (1, 7));
-        assert_eq!(m.sample_keys(8), vec![20, 30]);
-    }
-
-    #[test]
-    fn sharded_specs_keep_stable_outer_rowids() {
-        assert!(rowids_renumber_on_reorg("RXD"));
-        assert!(rowids_renumber_on_reorg("RXD+wal:/tmp/x"));
-        assert!(rowids_renumber_on_reorg("RXD:sah"));
-        assert!(!rowids_renumber_on_reorg("RXD@4"));
-        assert!(!rowids_renumber_on_reorg("RXD:sah@4:hash"));
-        assert!(!rowids_renumber_on_reorg("RXD@2+wal:/tmp/x"));
-    }
 }

@@ -250,6 +250,108 @@ fn durable_and_sharded_specs_serve_the_table() {
 }
 
 #[test]
+fn durable_checkpoints_renumber_the_index_and_the_mirror_follows() {
+    // A tiny checkpoint threshold: the durable wrapper compacts — and so
+    // renumbers — its inner RXD every few batches, on its own schedule,
+    // next to the RXD's own policy compactions (stop-the-world, then in the
+    // background with the wrapper landing the swaps). The static HT on the
+    // same column is rebuilt per batch and is the reference route.
+    let device = Device::default_eval();
+    for background in [false, true] {
+        let dir = temp_dir("checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut registry = Registry::new();
+        gpu_baselines::register_baselines(&mut registry);
+        rtx_delta::register_dynamic(
+            &mut registry,
+            DynamicRtConfig::default()
+                .with_policy(rtx_delta::CompactionPolicy {
+                    max_delta_entries: 24,
+                    max_delta_fraction: f64::INFINITY,
+                    max_delete_ratio: f64::INFINITY,
+                })
+                .with_background_compaction(background),
+        );
+        rtx_durable::install_durability_with(
+            &mut registry,
+            rtx_durable::DurableConfig::default().with_snapshot_wal_bytes(2 << 10),
+        );
+        let schema = TableSchema::new(["id", "amount"])
+            .with_value_column("amount")
+            .with_index("id_ht", "id", "HT")
+            .with_index("id_wal", "id", format!("RXD+wal:{}", dir.display()));
+        let records: Vec<Vec<u64>> = (0..200).map(|id| vec![id, id * 3 + 1]).collect();
+        let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("builds");
+
+        for round in 0..40u64 {
+            let mut batch = IngestBatch::new();
+            for i in 0..4 {
+                batch = batch.delete(round * 4 + i);
+                batch = batch.insert(vec![1000 + round * 4 + i, round + i]);
+            }
+            table.ingest(&batch).expect("batch applies");
+            let mut query = TableQuery::new().fetch_values(true);
+            for id in (0..200).step_by(7).chain(1000..1000 + (round + 1) * 4) {
+                query = query.point("id", id);
+            }
+            let reference = table.query_forced(&query, "id_ht").unwrap();
+            let durable = table.query_forced(&query, "id_wal").unwrap();
+            assert_eq!(
+                durable.results, reference.results,
+                "round {round}, background {background}"
+            );
+        }
+        let snapshots = table
+            .index_backend("id_wal")
+            .and_then(|ix| ix.durability_stats())
+            .map_or(0, |stats| stats.snapshots);
+        assert!(snapshots > 1, "the automatic checkpoint must have fired");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn sharded_primary_index_stays_first_row_exact_through_compaction() {
+    // Every shard of the RXD@2 index compacts again and again during the
+    // ingest; its outer rowIDs must keep translating to table rowIDs.
+    let device = Device::default_eval();
+    let mut registry = Registry::new();
+    gpu_baselines::register_baselines(&mut registry);
+    rtx_delta::register_dynamic(
+        &mut registry,
+        DynamicRtConfig::default().with_policy(rtx_delta::CompactionPolicy {
+            max_delta_entries: 8,
+            max_delta_fraction: 0.01,
+            max_delete_ratio: 0.01,
+        }),
+    );
+    rtx_shard::install_sharding(&mut registry);
+    let schema = TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_sharded", "id", "RXD@2");
+    let records = table_records(3, 200, 256, 11);
+    let mut oracle = TableOracle::load(3, &records);
+    let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("builds");
+
+    let batches = ingest_batches(&TableWorkloadConfig {
+        key_domain: 256,
+        ..TableWorkloadConfig::uniform(3, 12, 24, 12)
+    });
+    for (bi, batch) in batches.iter().enumerate() {
+        table.ingest(batch).expect("batch applies");
+        oracle.apply_batch(batch);
+        let mut query = TableQuery::new().fetch_values(true);
+        for id in 0..256 {
+            query = query.point("id", id);
+        }
+        let got = table.query_forced(&query, "id_sharded").unwrap();
+        let want = oracle.expected_query(table.schema(), &query);
+        assert_eq!(got.results, want, "batch {bi}");
+    }
+    assert_eq!(table.stats().index_rebuilds, 0, "deltas only");
+}
+
+#[test]
 fn forced_execution_matches_the_planner_and_validates_targets() {
     let device = Device::default_eval();
     let records = table_records(3, 300, 512, 9);

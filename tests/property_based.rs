@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rtindex::gpu_baselines::register_baselines;
 use rtindex::rtindex_core::register_rx;
 use rtindex::rtx_delta::{register_dynamic, CompactionPolicy};
-use rtindex::rtx_query::QueryOp;
+use rtindex::rtx_query::{QueryOp, RowMirror, UpdateReport};
 use rtindex::{
     install_sharding, Device, DynamicRtConfig, DynamicRtIndex, IndexSpec, KeyMode, QueryBatch,
     Registry, RtIndex, RtIndexConfig, MISS,
@@ -223,9 +223,9 @@ proptest! {
 /// Every backend plus the sharding layer, with the dynamic backend's
 /// auto-compaction off: a compaction renumbers the monolithic backend's
 /// rowIDs globally while sharded wrappers keep their stable numbering, so
-/// exact result identity is defined on the compaction-free schedule (counts
-/// and sums stay identical regardless — `rtx-shard`'s own tests cover the
-/// compacting case against the oracle).
+/// exact identity *between the two* is defined on the compaction-free
+/// schedule; [`compacting_registry`] holds the sharded side alone to its
+/// stable rowIDs.
 fn sharding_registry() -> Registry {
     let mut registry = Registry::new();
     register_baselines(&mut registry);
@@ -233,6 +233,25 @@ fn sharding_registry() -> Registry {
     register_dynamic(
         &mut registry,
         DynamicRtConfig::default().with_policy(CompactionPolicy::never()),
+    );
+    install_sharding(&mut registry);
+    registry
+}
+
+/// The sharding layer over a dynamic backend that compacts on nearly every
+/// batch — stop-the-world, or in the background with swaps landing whenever
+/// the rebuild thread happens to finish.
+fn compacting_registry(background: bool) -> Registry {
+    let mut registry = Registry::new();
+    register_dynamic(
+        &mut registry,
+        DynamicRtConfig::default()
+            .with_policy(CompactionPolicy {
+                max_delta_entries: 4,
+                max_delta_fraction: 0.01,
+                max_delete_ratio: 0.01,
+            })
+            .with_background_compaction(background),
     );
     install_sharding(&mut registry);
     registry
@@ -283,6 +302,9 @@ proptest! {
     /// The same equivalence holds for the updatable backend *after* routed
     /// insert/delete/upsert batches: the sharded RXD and the monolithic RXD
     /// stay result-identical (compaction disabled; see `sharding_registry`).
+    /// With the shards compacting instead, the sharded RXD still answers its
+    /// stable global rowIDs: exactly what an oracle that is never told to
+    /// compact tracks.
     #[test]
     fn prop_sharded_rxd_updates_match_unsharded(
         keys in prop::collection::vec(0u64..400, 1..100),
@@ -316,6 +338,79 @@ proptest! {
             sharded.upsert(&upserts, &upsert_values).unwrap();
             let out = sharded.execute(&batch).unwrap();
             prop_assert_eq!(&out.results, &expected.results, "{}", &name);
+        }
+
+        let mut stable = DynamicOracle::new(&keys, &values);
+        stable.insert_batch(&inserts, &insert_values);
+        stable.delete_batch(&deletes);
+        stable.upsert_batch(&upserts, &upsert_values);
+        let stable = stable.expected_batch(&batch);
+        for background in [false, true] {
+            let registry = compacting_registry(background);
+            for grid in SHARD_GRID {
+                let name = format!("RXD@{grid}");
+                let mut sharded = registry.build_updatable(&name, &spec).unwrap();
+                sharded.insert(&inserts, &insert_values).unwrap();
+                sharded.delete(&deletes).unwrap();
+                sharded.upsert(&upserts, &upsert_values).unwrap();
+                // Possibly mid-rebuild, then with every swap landed.
+                let out = sharded.execute(&batch).unwrap();
+                prop_assert_eq!(&out.results, &stable, "{} in flight", &name);
+                sharded.await_reorganisation().unwrap();
+                let out = sharded.execute(&batch).unwrap();
+                prop_assert_eq!(&out.results, &stable, "{} background={}", &name, background);
+            }
+        }
+    }
+
+    /// `RowMirror::apply` against a naive `Vec<Option<u32>>` model over
+    /// random append / after-batch renumbering / swap-with-kept-tail
+    /// sequences: `len` tracks the allocator, and occupied entries stay
+    /// strictly increasing — the monotonicity that min-merging `first_row`
+    /// across shards relies on.
+    #[test]
+    fn prop_row_mirror_matches_a_naive_model(
+        steps in prop::collection::vec((0u8..3, 0usize..5, any::<u64>()), 1..40),
+    ) {
+        let mut model: Vec<Option<u32>> = (0..4).map(Some).collect();
+        let mut mirror = RowMirror::dense((0..4).collect());
+        let mut next_outer = 4u32;
+        for (kind, appended, seed) in steps {
+            let fresh: Vec<u32> = (next_outer..next_outer + appended as u32).collect();
+            next_outer += appended as u32;
+            model.extend(fresh.iter().copied().map(Some));
+            // Which old locals survive: a seeded subset, order kept.
+            let keep = |old: usize| (seed >> (old % 64)) & 1 == 1;
+            let renumbered: Option<Vec<u32>> = match kind {
+                0 => None,
+                // A compaction after the batch: survivors renumber densely.
+                1 => Some((0..model.len()).filter(|&o| keep(o)).map(|o| o as u32).collect()),
+                // A swap: survivors of the first half renumber densely, the
+                // second half (the kept tail) stays where it is.
+                _ => {
+                    let half = model.len() / 2;
+                    let mut map: Vec<u32> =
+                        (0..half).filter(|&o| keep(o)).map(|o| o as u32).collect();
+                    map.resize(half, MISS);
+                    map.extend(half as u32..model.len() as u32);
+                    Some(map)
+                }
+            };
+            if let Some(map) = &renumbered {
+                model = map
+                    .iter()
+                    .map(|&old| if old == MISS { None } else { model[old as usize] })
+                    .collect();
+            }
+            mirror.apply(&fresh, &UpdateReport { renumbered, ..Default::default() });
+
+            prop_assert_eq!(mirror.len(), model.len());
+            let got: Vec<Option<u32>> = (0..mirror.len() as u32)
+                .map(|local| Some(mirror.global(local)).filter(|&g| g != MISS))
+                .collect();
+            prop_assert_eq!(&got, &model);
+            let occupied: Vec<u32> = got.iter().flatten().copied().collect();
+            prop_assert!(occupied.windows(2).all(|w| w[0] < w[1]));
         }
     }
 }
