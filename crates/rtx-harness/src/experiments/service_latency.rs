@@ -12,35 +12,33 @@
 //!
 //! Two arms run the identical workload on identical sharded backends:
 //!
-//! * **fixed** — the static [`ServiceConfig`] defaults: arrivals are
-//!   sparser than the fixed linger window ([`MEAN_GAP`]), so nearly every
-//!   drain holds its batch for the full window for company that never
-//!   comes, and the hot shard stays hot;
-//! * **adaptive** — the heavy-traffic hardening stack:
-//!   [`AdaptiveLingerConfig`] scales the linger with the observed arrival
-//!   rate (sparse open-loop traffic collapses to the floor instead of
-//!   holding every batch for the full window), and [`RebalanceConfig`]
-//!   lets the coalescer migrate rows off the Zipf-hot shard behind the
-//!   write fence.
+//! * **linger200** — a service that holds every non-full fusion for
+//!   [`BASELINE_LINGER`]: arrivals are sparser than that window
+//!   ([`MEAN_GAP`]), so nearly every drain holds its batch for the full
+//!   window for company that never comes, and the hot shard stays hot;
+//! * **self-clocked** — the [`ServiceConfig`] defaults (no linger: a drain
+//!   executes what it finds, arrivals during an execution fuse into the
+//!   next) plus [`RebalanceConfig`], which lets the coalescer migrate rows
+//!   off the Zipf-hot shard behind the write fence.
 //!
 //! The first [`WARMUP_FRACTION`] of events is excluded from the
-//! percentiles: it covers the rate estimator's spin-up and the one-off
-//! rebalance migration, leaving the steady state the gate cares about.
+//! percentiles: it covers the one-off rebalance migration, leaving the
+//! steady state the gate cares about.
 //!
 //! Host latency tails are noisy — a single scheduler hiccup or a slow
 //! background compaction can blow one run's p99 by an order of magnitude
 //! — so each arm runs [`TRIALS`] interleaved trials over distinct Poisson
 //! schedules and reports the per-arm *median* p50/p99 across trials. The
 //! CI perf gate records both arms' medians and gates on the
-//! adaptive-over-fixed p50 ratio (lower is better, structurally < 1); the
-//! p99 ratio is recorded ungated — as the 4th-worst of 384 events it
-//! flapped on a 2-core host with no code cause.
+//! self-clocked-over-linger200 p50 ratio (lower is better, structurally
+//! < 1); the p99 ratio is recorded ungated — as the 4th-worst of 384
+//! events it flapped on a 2-core host with no code cause.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rtx_query::{IndexSpec, QueryBatch, Registry};
-use rtx_serve::{AdaptiveLingerConfig, QueryService, RebalanceConfig, ServiceConfig};
+use rtx_serve::{QueryService, RebalanceConfig, ServiceConfig};
 use rtx_workloads as wl;
 use wl::{ArrivalSchedule, OpenLoopDriver, SkewProfile};
 
@@ -50,25 +48,28 @@ use crate::scale::ExperimentScale;
 
 /// The backend both arms run against: the updatable delta index sharded
 /// over 4 shards, so skewed traffic produces a genuinely hot shard and the
-/// adaptive arm has something to migrate.
+/// self-clocked arm has something to migrate.
 pub const LATENCY_BACKEND: &str = "RXD@4";
+
+/// The linger the baseline arm holds every non-full fusion for.
+pub const BASELINE_LINGER: Duration = Duration::from_micros(200);
 
 /// Point lookups per arrival event (one client submission).
 pub const OPS_PER_EVENT: usize = 16;
 
 /// Mean inter-arrival gap of the Poisson schedule. Deliberately *longer*
-/// than the fixed arm's linger window: most events ride alone, so the
-/// static configuration pays its full window on nearly every drain while
-/// the adaptive policy recognises the sparse regime and collapses to its
-/// floor. (The opposite, saturating regime — where batching itself is the
-/// win — is what the closed-loop `service_throughput` gate covers.)
+/// than [`BASELINE_LINGER`]: most events ride alone, so the lingering arm
+/// pays its full window on nearly every drain while the self-clocked arm
+/// executes each at once. (The opposite, saturating regime — where
+/// batching itself is the win — is what the closed-loop
+/// `service_throughput` gate covers.)
 pub const MEAN_GAP: Duration = Duration::from_micros(300);
 
 /// Zipf skew of the queried keys (rank 0 is the hottest).
 pub const ZIPF_THETA: f64 = 1.2;
 
-/// Fraction of events excluded from the percentiles as warm-up (rate
-/// estimator spin-up plus the one-off rebalance migration).
+/// Fraction of events excluded from the percentiles as warm-up (the
+/// one-off rebalance migration).
 pub const WARMUP_FRACTION: f64 = 0.25;
 
 /// Interleaved trials per arm; the reported percentiles are the medians
@@ -81,7 +82,7 @@ pub const TRIALS: usize = 3;
 /// sum over them.
 #[derive(Debug, Clone)]
 pub struct LatencyRun {
-    /// Arm name (`"fixed"` / `"adaptive"`).
+    /// Arm name (`"linger200"` / `"self-clocked"`).
     pub label: &'static str,
     /// Arrival events submitted per trial.
     pub events: usize,
@@ -95,8 +96,7 @@ pub struct LatencyRun {
     pub p99_ms: f64,
     /// Worst latency of any trial, host milliseconds.
     pub max_ms: f64,
-    /// Mean linger the coalescer actually chose, microseconds (mean across
-    /// trials).
+    /// Mean linger budget per drain, microseconds (mean across trials).
     pub mean_linger_us: f64,
     /// Hot-shard rebalance passes the coalescer ran, summed over trials.
     pub rebalances: u64,
@@ -112,23 +112,23 @@ pub struct LatencyRun {
 /// The two arms of one run, measured over the identical workload.
 #[derive(Debug, Clone)]
 pub struct LatencyPair {
-    /// Static linger, no rebalancing.
-    pub fixed: LatencyRun,
-    /// Adaptive linger plus hot-shard rebalancing.
-    pub adaptive: LatencyRun,
+    /// [`BASELINE_LINGER`] on every drain, no rebalancing.
+    pub linger200: LatencyRun,
+    /// The default self-clocked service plus hot-shard rebalancing.
+    pub self_clocked: LatencyRun,
 }
 
 impl LatencyPair {
-    /// Adaptive over fixed median-p50 — gated; < 1 means the adaptive
-    /// stack answers the typical event faster.
+    /// Self-clocked over linger200 median-p50 — gated; < 1 means the
+    /// default service answers the typical event faster.
     pub fn p50_ratio(&self) -> f64 {
-        self.adaptive.p50_ms / self.fixed.p50_ms.max(1e-12)
+        self.self_clocked.p50_ms / self.linger200.p50_ms.max(1e-12)
     }
 
-    /// Adaptive over fixed median-p99 — recorded, not gated; < 1 means the
-    /// adaptive stack beats the static configuration at the tail.
+    /// Self-clocked over linger200 median-p99 — recorded, not gated; < 1
+    /// means the default service also wins at the tail.
     pub fn p99_ratio(&self) -> f64 {
-        self.adaptive.p99_ms / self.fixed.p99_ms.max(1e-12)
+        self.self_clocked.p99_ms / self.linger200.p99_ms.max(1e-12)
     }
 }
 
@@ -238,23 +238,15 @@ fn aggregate_arm(trials: Vec<LatencyRun>) -> LatencyRun {
     }
 }
 
-/// The adaptive arm's configuration: linger scaled between a near-zero
-/// floor and the fixed arm's window, plus hot-shard rebalancing triggered
-/// early enough that the migration (and the backlog it stalls up) drains
-/// well inside the warm-up window.
-fn adaptive_config(total_ops: usize) -> ServiceConfig {
-    ServiceConfig::new()
-        .with_adaptive_linger(
-            AdaptiveLingerConfig::new()
-                .with_floor(Duration::from_micros(2))
-                .with_ceiling(ServiceConfig::default().linger)
-                .with_target_ops(512),
-        )
-        .with_rebalance(
-            RebalanceConfig::new()
-                .with_min_ops((total_ops as u64 / 32).max(256))
-                .with_max_imbalance_permille(1200),
-        )
+/// The self-clocked arm's configuration: the defaults plus hot-shard
+/// rebalancing triggered early enough that the migration (and the backlog
+/// it stalls up) drains well inside the warm-up window.
+fn self_clocked_config(total_ops: usize) -> ServiceConfig {
+    ServiceConfig::default().with_rebalance(
+        RebalanceConfig::new()
+            .with_min_ops((total_ops as u64 / 32).max(256))
+            .with_max_imbalance_permille(1200),
+    )
 }
 
 /// Runs both arms: [`TRIALS`] interleaved trials each, every trial pair
@@ -276,43 +268,45 @@ pub fn run_pair(scale: &ExperimentScale) -> LatencyPair {
         .map(|chunk| QueryBatch::of_points(chunk).fetch_values(true))
         .collect();
 
-    // Interleaving the arms (fixed, adaptive, fixed, ...) spreads slow
-    // host phases across both instead of loading them onto one.
-    let mut fixed_trials = Vec::with_capacity(TRIALS);
-    let mut adaptive_trials = Vec::with_capacity(TRIALS);
+    // Interleaving the arms (linger200, self-clocked, linger200, ...)
+    // spreads slow host phases across both instead of loading them onto
+    // one.
+    let mut linger_trials = Vec::with_capacity(TRIALS);
+    let mut self_clocked_trials = Vec::with_capacity(TRIALS);
     for trial in 0..TRIALS {
         let schedule = ArrivalSchedule::poisson(events, MEAN_GAP, scale.seed + 13 + trial as u64);
-        fixed_trials.push(run_trial(
-            "fixed",
+        linger_trials.push(run_trial(
+            "linger200",
             &registry,
             &spec,
             &batches,
             &schedule,
-            ServiceConfig::new(),
+            ServiceConfig::default().with_linger(BASELINE_LINGER),
         ));
-        adaptive_trials.push(run_trial(
-            "adaptive",
+        self_clocked_trials.push(run_trial(
+            "self-clocked",
             &registry,
             &spec,
             &batches,
             &schedule,
-            adaptive_config(total_ops),
+            self_clocked_config(total_ops),
         ));
     }
-    for (f, a) in fixed_trials.iter().zip(&adaptive_trials) {
+    for (l, s) in linger_trials.iter().zip(&self_clocked_trials) {
         assert_eq!(
-            f.hits, a.hits,
+            l.hits, s.hits,
             "both arms must answer the identical workload identically"
         );
     }
     LatencyPair {
-        fixed: aggregate_arm(fixed_trials),
-        adaptive: aggregate_arm(adaptive_trials),
+        linger200: aggregate_arm(linger_trials),
+        self_clocked: aggregate_arm(self_clocked_trials),
     }
 }
 
-/// The `service_latency` experiment: open-loop tail latency of the static
-/// configuration against the adaptive linger + rebalancing stack.
+/// The `service_latency` experiment: open-loop tail latency of a service
+/// lingering [`BASELINE_LINGER`] against the default self-clocked service
+/// with rebalancing.
 pub fn run(scale: &ExperimentScale) -> Vec<Table> {
     let pair = run_pair(scale);
     let mut table = Table::new(
@@ -320,7 +314,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
             "Open-loop service latency, backend {LATENCY_BACKEND}, zipf theta {ZIPF_THETA}, \
              {TRIALS} trials x {} events x {OPS_PER_EVENT} ops, mean gap {}us \
              (percentiles: median across trials)",
-            pair.fixed.events,
+            pair.linger200.events,
             MEAN_GAP.as_micros()
         ),
         &[
@@ -337,7 +331,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
             "hits",
         ],
     );
-    for run in [&pair.fixed, &pair.adaptive] {
+    for run in [&pair.linger200, &pair.self_clocked] {
         table.push_row(vec![
             run.label.to_string(),
             run.events.to_string(),
@@ -360,11 +354,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_arms_answer_identically_and_the_adaptive_arm_rebalances() {
+    fn both_arms_answer_identically_and_the_self_clocked_arm_rebalances() {
         let scale = ExperimentScale::tiny();
         let pair = run_pair(&scale);
 
-        for run in [&pair.fixed, &pair.adaptive] {
+        for run in [&pair.linger200, &pair.self_clocked] {
             assert!(run.hits > 0, "zipf lookups over the key set must hit");
             assert_eq!(
                 run.events,
@@ -375,16 +369,15 @@ mod tests {
             assert!(run.p50_ms <= run.p99_ms && run.p99_ms <= run.max_ms);
         }
 
-        // The fixed arm never rebalances; the adaptive arm must have both
-        // migrated the hot shard (in every trial) and averaged a shorter
-        // linger than the static window it was given as a ceiling.
-        assert_eq!(pair.fixed.rebalances, 0);
-        assert!(pair.adaptive.rebalances >= TRIALS as u64, "{pair:?}");
-        assert!(pair.adaptive.rebalanced_rows > 0);
-        assert!(
-            pair.adaptive.mean_linger_us < pair.fixed.mean_linger_us,
-            "adaptive linger must undercut the fixed window: {pair:?}"
-        );
+        // The lingering arm never rebalances and lingers its full window
+        // on every drain; the self-clocked arm migrated the hot shard (in
+        // every trial) and never lingers at all.
+        assert_eq!(pair.linger200.rebalances, 0);
+        let window_us = BASELINE_LINGER.as_micros() as f64;
+        assert!((pair.linger200.mean_linger_us - window_us).abs() < 1e-6);
+        assert!(pair.self_clocked.rebalances >= TRIALS as u64, "{pair:?}");
+        assert!(pair.self_clocked.rebalanced_rows > 0);
+        assert_eq!(pair.self_clocked.mean_linger_us, 0.0, "{pair:?}");
         assert!(pair.p50_ratio() > 0.0 && pair.p99_ratio() > 0.0);
 
         // The report renders one row per arm.

@@ -18,7 +18,7 @@
 //! submissions, so it grows with the client count (more concurrent
 //! arrivals to fuse) and shrinks with the per-client batch size (large
 //! client batches already amortise well on their own). Under load the
-//! fusion is adaptive: while one fused batch executes, every newly
+//! fusion is self-clocked: while one fused batch executes, every newly
 //! arriving client batch queues up and fuses into the next submission.
 //!
 //! The backend is sharded ([`SERVICE_BACKEND`]) so coalescing and sharded
@@ -154,14 +154,11 @@ fn run_cell(
     let serial_ms = started.elapsed().as_secs_f64() * 1e3;
     drop(backend);
 
-    // Coalesced path: concurrent clients against one service. Zero linger:
-    // under sustained load the queue itself provides the batching (arrivals
-    // during one fused execution fuse into the next).
+    // Coalesced path: concurrent clients against one default (self-clocked)
+    // service — the queue itself provides the batching: arrivals during
+    // one fused execution fuse into the next.
     let backend = registry.build(SERVICE_BACKEND, spec).expect("backend");
-    let service = QueryService::start(
-        backend,
-        ServiceConfig::new().with_linger(std::time::Duration::ZERO),
-    );
+    let service = QueryService::start(backend, ServiceConfig::default());
     let started = Instant::now();
     let service_hits: usize = std::thread::scope(|scope| {
         let workers: Vec<_> = schedule

@@ -706,18 +706,19 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
         false,
     ));
 
-    // Open-loop tail latency: the adaptive linger + hot-shard rebalancing
-    // stack against the static service defaults on identical Zipf
-    // schedules, median percentiles across interleaved trials. The ratios
-    // are host-relative (both arms run on this machine back to back); the
-    // p50 ratio gates, the p99 ratio (the 4th-worst of 384 events, which
-    // flapped on a 2-core host with no code cause) and the absolute
-    // wall-clock percentiles record ungated for the trajectory.
+    // Open-loop tail latency: the default self-clocked service with
+    // hot-shard rebalancing against one that lingers 200 us on every
+    // drain, on identical Zipf schedules, median percentiles across
+    // interleaved trials. The ratios are host-relative (both arms run on
+    // this machine back to back); the p50 ratio gates, the p99 ratio (the
+    // 4th-worst of 384 events, which flapped on a 2-core host with no code
+    // cause) and the absolute wall-clock percentiles record ungated for the
+    // trajectory.
     {
         let pair = crate::experiments::service_latency::run_pair(scale);
         metrics.push(metric(
             "service_latency",
-            "p50 latency ratio, adaptive vs fixed linger",
+            "p50 latency ratio, self-clocked vs 200 us linger",
             "x",
             pair.p50_ratio(),
             false,
@@ -725,7 +726,7 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
         ));
         metrics.push(metric(
             "service_latency",
-            "p99 latency ratio, adaptive vs fixed linger",
+            "p99 latency ratio, self-clocked vs 200 us linger",
             "x",
             pair.p99_ratio(),
             false,
@@ -733,25 +734,25 @@ pub fn quick_suite(scale: &ExperimentScale) -> BenchReport {
         ));
         metrics.push(metric(
             "service_latency",
-            "adaptive p50 latency",
+            "self-clocked p50 latency",
             "ms",
-            pair.adaptive.p50_ms,
+            pair.self_clocked.p50_ms,
             false,
             false,
         ));
         metrics.push(metric(
             "service_latency",
-            "adaptive p99 latency",
+            "self-clocked p99 latency",
             "ms",
-            pair.adaptive.p99_ms,
+            pair.self_clocked.p99_ms,
             false,
             false,
         ));
         metrics.push(metric(
             "service_latency",
-            "fixed p99 latency",
+            "200 us linger p99 latency",
             "ms",
-            pair.fixed.p99_ms,
+            pair.linger200.p99_ms,
             false,
             false,
         ));

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use crate::adaptive::AdaptiveLingerConfig;
-
 /// When the coalescer rebalances a sharded backend's hot shards (see
 /// [`ServiceConfig::with_rebalance`]). Both thresholds must hold — enough
 /// observed traffic for the per-shard counters to mean something, *and* a
@@ -63,10 +61,13 @@ impl RebalanceConfig {
 ///   caps how many queued operations fuse into one backend submission, so
 ///   one giant fused batch cannot monopolise the executor or its result
 ///   buffers;
-/// * **linger** ([`linger`](ServiceConfig::linger)) trades latency for
-///   batch size: a non-full fusion waits up to this long for more client
-///   batches to arrive before executing, which is what lets concurrent
-///   small submitters fuse at all.
+/// * **linger** ([`linger`](ServiceConfig::linger)) is zero by default:
+///   the coalescer is self-clocked. A drain executes whatever it finds at
+///   once, and every batch that arrives while that execution runs fuses
+///   into the next drain, so fusion grows with load without a timer and a
+///   lone request never waits for company. A non-zero linger holds every
+///   non-full fusion up to that long for more arrivals; set it only to
+///   trade latency for larger fusions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Admission limit: maximum operations (reads) / rows (writes) queued
@@ -76,17 +77,13 @@ pub struct ServiceConfig {
     /// Maximum operations fused into one backend submission.
     pub max_coalesce_ops: usize,
     /// How long a non-full fusion waits for more client batches before
-    /// executing. Zero executes whatever one queue drain finds.
+    /// executing. Zero (the default) executes whatever one queue drain
+    /// finds; arrivals during the execution fuse into the next drain.
     pub linger: Duration,
     /// Chunk size applied to the *fused* batch (per-client chunk settings
     /// are not meaningful once batches fuse). Zero means unbounded
     /// launches.
     pub chunk_size: usize,
-    /// When set, the fixed [`linger`](ServiceConfig::linger) is replaced by
-    /// the adaptive policy: the per-drain linger scales with the observed
-    /// arrival rate and queue depth between the policy's floor and ceiling
-    /// (see [`AdaptiveLingerConfig`]).
-    pub adaptive_linger: Option<AdaptiveLingerConfig>,
     /// When set (and the backend is an updatable sharded index), the
     /// coalescer watches the per-shard load counters between fused
     /// submissions and migrates rows off sustained hot shards through the
@@ -99,9 +96,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_queue_depth: 1 << 20,
             max_coalesce_ops: 1 << 16,
-            linger: Duration::from_micros(200),
+            linger: Duration::ZERO,
             chunk_size: 0,
-            adaptive_linger: None,
             rebalance: None,
         }
     }
@@ -125,7 +121,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the linger time.
+    /// Sets the linger time: a non-full fusion waits up to this long for
+    /// more arrivals, trading latency for fusion size.
     pub fn with_linger(mut self, linger: Duration) -> Self {
         self.linger = linger;
         self
@@ -134,12 +131,6 @@ impl ServiceConfig {
     /// Sets the fused-batch chunk size (0 = unbounded).
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Replaces the fixed linger with the adaptive policy.
-    pub fn with_adaptive_linger(mut self, policy: AdaptiveLingerConfig) -> Self {
-        self.adaptive_linger = Some(policy);
         self
     }
 
@@ -159,12 +150,17 @@ mod tests {
         let c = ServiceConfig::new()
             .with_max_queue_depth(0)
             .with_max_coalesce_ops(0)
-            .with_linger(Duration::ZERO)
+            .with_linger(Duration::from_micros(200))
             .with_chunk_size(128);
         assert_eq!(c.max_queue_depth, 1);
         assert_eq!(c.max_coalesce_ops, 1);
-        assert_eq!(c.linger, Duration::ZERO);
+        assert_eq!(c.linger, Duration::from_micros(200));
         assert_eq!(c.chunk_size, 128);
         assert!(ServiceConfig::default().max_queue_depth > 0);
+        assert_eq!(
+            ServiceConfig::default().linger,
+            Duration::ZERO,
+            "self-clocked"
+        );
     }
 }

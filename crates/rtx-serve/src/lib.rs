@@ -16,7 +16,11 @@
 //!   into one large backend submission
 //!   ([`FusedBatch`](rtx_query::FusedBatch)), executes it once — on a plain
 //!   backend, or a sharded one so fusion and sharding compose — and
-//!   scatters the per-client slices back through response channels;
+//!   scatters the per-client slices back through response channels. The
+//!   coalescer is **self-clocked**: it executes what a drain finds at
+//!   once, and whatever arrives during that execution fuses into the
+//!   next, so fusion grows with load and a lone request never waits on a
+//!   timer;
 //! * **admission control** bounds the queue
 //!   ([`ServiceConfig::max_queue_depth`]): overload surfaces as
 //!   [`ServeError::Overloaded`] backpressure instead of unbounded memory;
@@ -65,13 +69,11 @@
 //! }
 //! ```
 
-pub mod adaptive;
 pub mod config;
 pub mod error;
 pub mod service;
 pub mod table_service;
 
-pub use adaptive::{AdaptiveLingerConfig, LingerPolicy};
 pub use config::{RebalanceConfig, ServiceConfig};
 pub use error::ServeError;
 pub use service::{ClientHandle, PendingQuery, QueryService, RetryPolicy, ServiceStats};

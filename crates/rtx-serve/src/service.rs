@@ -8,8 +8,12 @@
 //! thread** owns the backend and processes the queue in submission order:
 //!
 //! * consecutive read batches are fused into one large submission
-//!   ([`FusedBatch`]) up to the configured coalesce cap, lingering briefly
-//!   for more arrivals, then executed once and split back per client;
+//!   ([`FusedBatch`]) up to the configured coalesce cap, executed once and
+//!   split back per client. The loop is self-clocked: a drain takes what
+//!   is queued and executes it at once, and whatever arrives during that
+//!   execution fuses into the next drain (a configured
+//!   [`linger`](ServiceConfig::linger) additionally holds a non-full
+//!   fusion for late arrivals);
 //! * write batches are **serialized and fenced**: a write never overtakes
 //!   reads queued before it and is never overtaken by reads queued after
 //!   it, because the queue is drained strictly in order and the coalescer
@@ -22,11 +26,17 @@
 //! lookups on a range-less backend, writes to a read-only service) is
 //! rejected at submission, so a fused execution can only fail if the
 //! backend itself does — and such a failure is broadcast to every fused
-//! client.
+//! client. A backend that *panics* is answered the same way, with an
+//! [`IndexError::Backend`] naming the panic: a panicking read leaves the
+//! backend untouched and the service keeps serving, while a panicking
+//! write, checkpoint or rebalance may have half-applied, so the service
+//! then shuts down and every queued or later request gets
+//! [`ServeError::ShuttingDown`] instead of waiting forever.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,7 +49,6 @@ use rtx_query::{
 /// outcome (or the fused failure).
 type ReadReply = mpsc::Sender<Result<SharedOutcome, IndexError>>;
 
-use crate::adaptive::LingerPolicy;
 use crate::config::ServiceConfig;
 use crate::error::ServeError;
 
@@ -121,12 +130,63 @@ fn apply_write(backend: &mut IndexBackend, op: WriteOp) -> Result<WriteOutcome, 
     }
 }
 
-/// The submission queue, protected by [`Shared::queue`].
-struct Queue {
-    requests: VecDeque<Request>,
+/// Runs one backend call on a service worker thread, turning a panic into
+/// the error that answers the request (and counting it) instead of
+/// unwinding through the worker. `Err` means the call panicked.
+pub(crate) fn guard_backend<T>(
+    counters: &Counters,
+    backend: &Arc<str>,
+    call: impl FnOnce() -> T,
+) -> Result<T, IndexError> {
+    catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
+        counters.backend_panics.fetch_add(1, Ordering::Relaxed);
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        IndexError::Backend {
+            backend: Arc::clone(backend),
+            message: format!("backend panicked: {detail}"),
+        }
+    })
+}
+
+/// Shuts a queue down when its worker leaves, however it leaves: admission
+/// refuses new requests and the queued ones are dropped, so their clients
+/// see a closed reply channel ([`ServeError::ShuttingDown`]) instead of
+/// waiting on a worker that is gone. A no-op after a regular shutdown,
+/// which exits only once the queue is empty.
+pub(crate) struct CloseOnExit<'a, R>(pub(crate) &'a Mutex<Queue<R>>);
+
+impl<R> Drop for CloseOnExit<'_, R> {
+    fn drop(&mut self) {
+        // The queue's invariants hold between any two statements that
+        // touch it, so a poisoned lock still guards a valid queue.
+        let mut q = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        q.shutdown = true;
+        q.requests.clear();
+        q.queued_cost = 0;
+    }
+}
+
+/// A service's submission queue (behind its mutex), shared by the query
+/// and the table service.
+pub(crate) struct Queue<R> {
+    pub(crate) requests: VecDeque<R>,
     /// Total admission cost of the queued requests.
-    queued_cost: usize,
-    shutdown: bool,
+    pub(crate) queued_cost: usize,
+    pub(crate) shutdown: bool,
+}
+
+impl<R> Queue<R> {
+    pub(crate) fn new() -> Self {
+        Queue {
+            requests: VecDeque::new(),
+            queued_cost: 0,
+            shutdown: false,
+        }
+    }
 }
 
 /// Monotonic service counters (updated with relaxed atomics; consistency
@@ -152,6 +212,7 @@ pub(crate) struct Counters {
     linger_decisions: AtomicU64,
     rebalances: AtomicU64,
     rebalanced_rows: AtomicU64,
+    backend_panics: AtomicU64,
     /// Gauge: the sharded backend's load-imbalance ratio in permille, as
     /// of the last load check (0 for unsharded backends).
     shard_imbalance_permille: AtomicU64,
@@ -175,7 +236,7 @@ pub(crate) struct Counters {
 
 /// State shared between the client handles and the coalescer thread.
 struct Shared {
-    queue: Mutex<Queue>,
+    queue: Mutex<Queue<Request>>,
     /// Wakes the coalescer when requests arrive or shutdown is signalled.
     work: Condvar,
     config: ServiceConfig,
@@ -220,17 +281,21 @@ pub struct ServiceStats {
     /// Checkpoints applied through the write fence
     /// ([`ClientHandle::checkpoint`]).
     pub checkpoints: u64,
-    /// Total nanoseconds of linger *budget* the coalescer chose across its
-    /// drains (fixed config: the configured linger each time; adaptive:
-    /// whatever the policy picked). Actual waits are at most this — a
-    /// filled fusion stops early.
+    /// Total nanoseconds of linger *budget* the coalescer granted across
+    /// its drains: the configured [`linger`](crate::ServiceConfig::linger)
+    /// each time, so 0 for the default self-clocked service. Actual waits
+    /// are at most this — a filled fusion stops early.
     pub linger_ns_total: u64,
-    /// Drains a linger budget was chosen for.
+    /// Drains a linger budget was granted for (one per drained unit).
     pub linger_decisions: u64,
     /// Hot-shard rebalance passes triggered through the write fence.
     pub rebalances: u64,
     /// Rows migrated between shards across those passes.
     pub rebalanced_rows: u64,
+    /// Backend calls that panicked. Each answered its request with an
+    /// [`IndexError::Backend`]; a panicking read left the service serving,
+    /// a panicking write, checkpoint, ingest or rebalance shut it down.
+    pub backend_panics: u64,
     /// Load-imbalance ratio of the sharded backend in permille (hottest
     /// shard over mean; 1000 = perfectly balanced) as of the last check —
     /// 0 for unsharded backends or before any traffic.
@@ -332,6 +397,7 @@ impl Counters {
             linger_decisions: c.linger_decisions.load(Ordering::Relaxed),
             rebalances: c.rebalances.load(Ordering::Relaxed),
             rebalanced_rows: c.rebalanced_rows.load(Ordering::Relaxed),
+            backend_panics: c.backend_panics.load(Ordering::Relaxed),
             shard_imbalance_permille: c.shard_imbalance_permille.load(Ordering::Relaxed),
             planned_predicates: c.planned_predicates.load(Ordering::Relaxed),
             routed_predicates: c.routed_predicates.load(Ordering::Relaxed),
@@ -743,11 +809,7 @@ impl QueryService {
     fn spawn(backend: IndexBackend, config: ServiceConfig) -> Self {
         let index = backend.read();
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                requests: VecDeque::new(),
-                queued_cost: 0,
-                shutdown: false,
-            }),
+            queue: Mutex::new(Queue::new()),
             work: Condvar::new(),
             config,
             backend_name: index.name().into(),
@@ -834,17 +896,11 @@ enum Drained {
     Shutdown,
 }
 
-/// The adaptive-linger state owned by the coalescer thread: the pure
-/// policy plus the real clock and op-counter cursor that feed it.
-struct AdaptiveState {
-    policy: LingerPolicy,
-    started: Instant,
-    seen_ops: u64,
-}
-
 /// The coalescer loop: drain → fuse → execute → scatter, strictly in queue
-/// order, until shutdown *and* an empty queue.
+/// order, until shutdown *and* an empty queue — or until a write-side
+/// backend call panics, which may have left the backend half-updated.
 fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
+    let close = CloseOnExit(&shared.queue);
     // The coalescer's working set lives for the whole service: the fusion,
     // the reply buffer and the execution arena are cleared between cycles
     // but never reallocated — steady-state coalescing is allocation-free
@@ -853,22 +909,18 @@ fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
     fusion.set_chunk_size(shared.config.chunk_size);
     let mut replies: Vec<ReadReply> = Vec::new();
     let mut arena = ExecArena::new();
-    let mut adaptive = shared.config.adaptive_linger.map(|config| AdaptiveState {
-        policy: LingerPolicy::new(config),
-        started: Instant::now(),
-        seen_ops: 0,
-    });
+    let c = &shared.counters;
     loop {
-        match drain(shared, &mut fusion, &mut replies, &mut adaptive) {
+        match drain(shared, &mut fusion, &mut replies) {
             Drained::Shutdown => return,
             Drained::Write { op, reply } => {
                 // The apply is the queue-order fence: everything queued
                 // behind this write waits exactly this long. Surface it.
                 let is_checkpoint = matches!(op, WriteOp::Checkpoint);
                 let start = Instant::now();
-                let result = apply_write(&mut backend, op);
+                let applied =
+                    guard_backend(c, &shared.backend_name, || apply_write(&mut backend, op));
                 let stall_ns = start.elapsed().as_nanos() as u64;
-                let c = &shared.counters;
                 if is_checkpoint {
                     c.checkpoints.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -877,6 +929,15 @@ fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
                 c.write_stall_ns_total
                     .fetch_add(stall_ns, Ordering::Relaxed);
                 c.write_stall_ns_max.fetch_max(stall_ns, Ordering::Relaxed);
+                let result = match applied {
+                    Ok(result) => result,
+                    Err(panicked) => {
+                        // Refuse everything else first, then answer.
+                        drop(close);
+                        let _ = reply.send(Err(panicked));
+                        return;
+                    }
+                };
                 if let Ok(WriteOutcome::Report(report)) = &result {
                     c.write_reorganisations
                         .fetch_add(report.reorganisations, Ordering::Relaxed);
@@ -884,14 +945,20 @@ fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
                 shared.refresh_gauges(backend.read());
                 // A client that dropped its ticket abandoned the result.
                 let _ = reply.send(result);
-                maybe_rebalance(shared, &mut backend);
+                if maybe_rebalance(shared, &mut backend).is_err() {
+                    return;
+                }
             }
             Drained::Reads => {
                 // Execution reuses the coalescer's arena and the scatter
                 // hands each client an Arc'd view of the one fused outcome —
-                // no per-client result copy on this thread.
-                let outcome = backend.read().execute_in(fusion.ops(), &mut arena);
-                let c = &shared.counters;
+                // no per-client result copy on this thread. A panicking
+                // read took `&self`, so the backend is intact: its clients
+                // get the panic as an error and the loop keeps serving.
+                let outcome = guard_backend(c, &shared.backend_name, || {
+                    backend.read().execute_in(fusion.ops(), &mut arena)
+                })
+                .and_then(|outcome| outcome);
                 c.fused_submissions.fetch_add(1, Ordering::Relaxed);
                 c.coalesced_batches
                     .fetch_add(replies.len() as u64, Ordering::Relaxed);
@@ -911,7 +978,9 @@ fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
                         }
                     }
                 }
-                maybe_rebalance(shared, &mut backend);
+                if maybe_rebalance(shared, &mut backend).is_err() {
+                    return;
+                }
             }
         }
     }
@@ -923,42 +992,41 @@ fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
 /// gauge refreshes on every check; the migration itself only fires once
 /// enough traffic accumulated *and* the imbalance crossed the trigger
 /// (the pass resets the shard counters, which spaces the passes out).
-fn maybe_rebalance(shared: &Shared, backend: &mut IndexBackend) {
+/// `Err` means the migration panicked and the backend may be half-moved.
+fn maybe_rebalance(shared: &Shared, backend: &mut IndexBackend) -> Result<(), IndexError> {
     let Some(config) = shared.config.rebalance else {
-        return;
+        return Ok(());
     };
     let Some(load) = backend.read().shard_load() else {
-        return;
+        return Ok(());
     };
     let permille = (load.imbalance_ratio() * 1000.0) as u64;
     let c = &shared.counters;
     c.shard_imbalance_permille
         .store(permille, Ordering::Relaxed);
     if load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
-        return;
+        return Ok(());
     }
     // Nothing to move on a read-only service or a backend without shards.
-    let report = backend.write().and_then(|ix| ix.rebalance_shards().ok());
-    if let Some(report) = report {
+    let Some(ix) = backend.write() else {
+        return Ok(());
+    };
+    if let Ok(report) = guard_backend(c, &shared.backend_name, || ix.rebalance_shards())? {
         c.rebalances.fetch_add(1, Ordering::Relaxed);
         c.rebalanced_rows
             .fetch_add(report.moved_rows, Ordering::Relaxed);
         shared.refresh_gauges(backend.read());
     }
+    Ok(())
 }
 
 /// Blocks until work is available, then drains the next unit: reads fuse up
-/// to the coalesce cap (lingering for late arrivals), the first write cuts
-/// the fusion short (the fence), a leading write is taken alone. Fused
-/// reads accumulate into the caller's persistent `fusion` / `replies`
-/// buffers (cleared here first), so steady-state draining allocates
-/// nothing.
-fn drain(
-    shared: &Shared,
-    fusion: &mut FusedBatch,
-    replies: &mut Vec<ReadReply>,
-    adaptive: &mut Option<AdaptiveState>,
-) -> Drained {
+/// to the coalesce cap (lingering for late arrivals only when a linger is
+/// configured), the first write cuts the fusion short (the fence), a
+/// leading write is taken alone. Fused reads accumulate into the caller's
+/// persistent `fusion` / `replies` buffers (cleared here first), so
+/// steady-state draining allocates nothing.
+fn drain(shared: &Shared, fusion: &mut FusedBatch, replies: &mut Vec<ReadReply>) -> Drained {
     fusion.clear();
     replies.clear();
     let mut q = shared.queue.lock().expect("service queue poisoned");
@@ -972,28 +1040,11 @@ fn drain(
         q = shared.work.wait(q).expect("service queue poisoned");
     }
 
-    // The linger budget for this drain: the fixed configured window, or —
-    // adaptively — what the policy derives from the arrivals observed
-    // since the last drain and the current queue depth.
-    let linger = match adaptive {
-        None => shared.config.linger,
-        Some(state) => {
-            let now_ns = state.started.elapsed().as_nanos() as u64;
-            let total = shared.counters.submitted_ops.load(Ordering::Relaxed);
-            let arrived = total.saturating_sub(state.seen_ops);
-            state.seen_ops = total;
-            state.policy.observe(now_ns, arrived);
-            state.policy.linger(q.queued_cost)
-        }
-    };
-    shared
-        .counters
-        .linger_ns_total
+    let linger = shared.config.linger;
+    let c = &shared.counters;
+    c.linger_ns_total
         .fetch_add(linger.as_nanos() as u64, Ordering::Relaxed);
-    shared
-        .counters
-        .linger_decisions
-        .fetch_add(1, Ordering::Relaxed);
+    c.linger_decisions.fetch_add(1, Ordering::Relaxed);
     let deadline = Instant::now() + linger;
     loop {
         // Pop as many consecutive reads as fit under the coalesce cap.
@@ -1044,7 +1095,9 @@ fn drain(
             break;
         }
         // The queue is empty and the fusion has room: linger for more
-        // arrivals so concurrent small submitters actually fuse.
+        // arrivals if a linger is configured. With the default zero the
+        // deadline has passed already — the fusion executes now, and the
+        // arrivals it would have waited for fuse into the next drain.
         let now = Instant::now();
         if now >= deadline {
             break;
@@ -1062,7 +1115,7 @@ fn drain(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rtx_query::{IndexBuildMetrics, LookupResult};
     use std::time::Duration;
@@ -1115,6 +1168,8 @@ mod tests {
         rows: Mutex<Vec<(u64, u64)>>,
         has_values: bool,
         ranges: bool,
+        /// A key whose point lookup or insert panics.
+        poison: Option<u64>,
         gate: Arc<Gate>,
         log: Arc<Mutex<Vec<String>>>,
     }
@@ -1125,8 +1180,16 @@ mod tests {
                 rows: Mutex::new(keys.iter().map(|&k| (k, k * 10)).collect()),
                 has_values: true,
                 ranges: true,
+                poison: None,
                 gate: Arc::new(Gate::default()),
                 log: Arc::new(Mutex::new(Vec::new())),
+            }
+        }
+
+        /// Panics (before taking any lock) when `keys` hold the poison.
+        fn check_poison(&self, keys: &[u64]) {
+            if let Some(key) = self.poison.filter(|key| keys.contains(key)) {
+                panic!("poisoned key {key}");
             }
         }
 
@@ -1180,6 +1243,7 @@ mod tests {
             self.has_values
         }
         fn point_chunk(&self, queries: &[u64], fetch: bool) -> Result<BatchOutcome, IndexError> {
+            self.check_poison(queries);
             self.gate.enter();
             self.log
                 .lock()
@@ -1209,6 +1273,7 @@ mod tests {
 
     impl UpdatableIndex for StubIndex {
         fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
+            self.check_poison(keys);
             self.log
                 .lock()
                 .unwrap()
@@ -1259,8 +1324,7 @@ mod tests {
 
     #[test]
     fn queued_batches_coalesce_into_one_submission() {
-        let config = ServiceConfig::new().with_linger(Duration::ZERO);
-        let (service, gate, log) = stub_service(&[1, 2, 3, 4], config);
+        let (service, gate, log) = stub_service(&[1, 2, 3, 4], ServiceConfig::default());
         let h = service.handle();
 
         // First submission occupies the coalescer inside the backend...
@@ -1299,9 +1363,7 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_submissions_beyond_queue_depth() {
-        let config = ServiceConfig::new()
-            .with_linger(Duration::ZERO)
-            .with_max_queue_depth(4);
+        let config = ServiceConfig::default().with_max_queue_depth(4);
         let (service, gate, _log) = stub_service(&[1, 2, 3], config);
         let h = service.handle();
 
@@ -1435,8 +1497,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests_then_rejects_new_ones() {
-        let config = ServiceConfig::new().with_linger(Duration::ZERO);
-        let (service, gate, _log) = stub_service(&[1, 2], config);
+        let (service, gate, _log) = stub_service(&[1, 2], ServiceConfig::default());
         let h = service.handle();
 
         gate.hold();
@@ -1463,9 +1524,7 @@ mod tests {
 
     #[test]
     fn retry_with_backoff_rides_out_overload_but_not_other_errors() {
-        let config = ServiceConfig::new()
-            .with_linger(Duration::ZERO)
-            .with_max_queue_depth(2);
+        let config = ServiceConfig::default().with_max_queue_depth(2);
         let (service, gate, _log) = stub_service(&[1], config);
         let h = service.handle();
 
@@ -1537,8 +1596,7 @@ mod tests {
 
     #[test]
     fn checkpoints_ride_the_fence_and_gauges_mirror_the_backend() {
-        let config = ServiceConfig::new().with_linger(Duration::ZERO);
-        let (service, _gate, log) = stub_service(&[1, 2], config);
+        let (service, _gate, log) = stub_service(&[1, 2], ServiceConfig::default());
         let h = service.handle();
 
         // The stub is memory-only: checkpoint is a fenced no-op (Ok(0)),
@@ -1563,9 +1621,7 @@ mod tests {
 
     #[test]
     fn coalesce_cap_bounds_fused_submissions() {
-        let config = ServiceConfig::new()
-            .with_linger(Duration::ZERO)
-            .with_max_coalesce_ops(4);
+        let config = ServiceConfig::default().with_max_coalesce_ops(4);
         let (service, gate, log) = stub_service(&[1], config);
         let h = service.handle();
 
@@ -1602,8 +1658,7 @@ mod tests {
         assert_eq!(stats.mean_linger_s(), 0.0);
         assert_eq!(stats.shard_imbalance_ratio(), 0.0);
 
-        let (service, _gate, _log) =
-            stub_service(&[1], ServiceConfig::new().with_linger(Duration::ZERO));
+        let (service, _gate, _log) = stub_service(&[1], ServiceConfig::default());
         let live = service.stats();
         assert!(!live.mean_write_stall_s().is_nan());
         assert_eq!(live.mean_write_stall_s(), 0.0);
@@ -1611,36 +1666,110 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_linger_service_answers_exactly_and_tracks_decisions() {
-        let config = ServiceConfig::new().with_adaptive_linger(
-            crate::AdaptiveLingerConfig::new()
-                .with_floor(Duration::ZERO)
-                .with_ceiling(Duration::from_micros(100))
-                .with_target_ops(64),
-        );
-        let (service, gate, _log) = stub_service(&[1, 2, 3, 4], config);
+    fn default_service_never_holds_a_lone_request() {
+        let (service, _gate, _log) = stub_service(&[1, 2, 3], ServiceConfig::default());
         let h = service.handle();
-
-        gate.hold();
-        let t1 = h.submit(QueryBatch::of_points(&[1])).unwrap();
-        gate.await_entered(1);
-        let t2 = h.submit(QueryBatch::of_points(&[2, 9])).unwrap();
-        let t3 = h.submit(QueryBatch::new().range(1, 3)).unwrap();
-        gate.release();
-
-        assert_eq!(t1.wait().unwrap().hit_count(), 1);
-        let o2 = t2.wait().unwrap();
-        assert!(o2.results[0].is_hit() && !o2.results[1].is_hit());
-        assert_eq!(t3.wait().unwrap().results[0].hit_count, 3);
-
+        for key in [1, 2, 3, 9] {
+            h.query(QueryBatch::of_points(&[key])).unwrap();
+        }
         let stats = service.shutdown();
-        assert!(stats.linger_decisions >= 2, "one budget per drain");
-        // The policy's ceiling bounds every chosen budget.
-        assert!(
-            stats.linger_ns_total <= stats.linger_decisions * 100_000,
-            "budgets stay under the ceiling: {stats:?}"
-        );
-        assert!(!stats.mean_linger_s().is_nan());
+        assert_eq!(stats.fused_submissions, 4, "one drain per lone request");
+        assert_eq!(stats.linger_decisions, stats.fused_submissions);
+        assert_eq!(stats.linger_ns_total, 0, "self-clocked: no timer");
+    }
+
+    /// Runs `body` on its own thread and fails unless it finishes within
+    /// `limit`: a client that never gets an answer is the failure here.
+    pub(crate) fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Ok(()) => worker.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("a client hung for {limit:?}"),
+        }
+    }
+
+    fn assert_backend_panic(err: &ServeError) {
+        match err {
+            ServeError::Index(IndexError::Backend { backend, message }) => {
+                assert_eq!(&**backend, "STUB");
+                assert_eq!(message, "backend panicked: poisoned key 13");
+            }
+            other => panic!("expected the backend panic as an error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_read_is_answered_and_the_service_keeps_serving() {
+        within(Duration::from_secs(10), || {
+            let stub = StubIndex {
+                poison: Some(13),
+                ..StubIndex::new(&[1, 2, 13])
+            };
+            let service = QueryService::start_updatable(Box::new(stub), ServiceConfig::default());
+            let h = service.handle();
+            assert_backend_panic(&h.query(QueryBatch::of_points(&[2, 13])).unwrap_err());
+            // A read took `&self`: the backend is intact, reads and writes
+            // keep flowing.
+            assert_eq!(
+                h.query(QueryBatch::of_points(&[1, 2])).unwrap().hit_count(),
+                2
+            );
+            h.insert(&[5], &[50]).unwrap();
+            assert!(h.query(QueryBatch::of_points(&[5])).unwrap().results[0].is_hit());
+            let stats = service.shutdown();
+            assert_eq!(stats.backend_panics, 1);
+            assert_eq!(stats.fused_submissions, 3);
+        });
+    }
+
+    #[test]
+    fn a_panicking_write_is_answered_then_every_other_request_is_refused() {
+        within(Duration::from_secs(10), || {
+            let stub = StubIndex {
+                poison: Some(13),
+                ..StubIndex::new(&[1])
+            };
+            let gate = Arc::clone(&stub.gate);
+            let service = QueryService::start_updatable(Box::new(stub), ServiceConfig::default());
+            let h = service.handle();
+
+            // Hold the coalescer in a read so the poisoned write and a read
+            // behind it are queued when the write panics.
+            gate.hold();
+            let t1 = h.submit(QueryBatch::of_points(&[1])).unwrap();
+            gate.await_entered(1);
+            let writer = {
+                let h = h.clone();
+                std::thread::spawn(move || h.insert(&[13], &[130]))
+            };
+            while h.queued_ops() < 1 {
+                std::thread::yield_now();
+            }
+            let queued = h.submit(QueryBatch::of_points(&[1])).unwrap();
+            gate.release();
+
+            assert_eq!(t1.wait().unwrap().hit_count(), 1);
+            assert_backend_panic(&writer.join().unwrap().unwrap_err());
+            // The write may have half-applied: the service stops instead of
+            // serving from it, and nobody waits on it forever.
+            assert_eq!(queued.wait().unwrap_err(), ServeError::ShuttingDown);
+            assert_eq!(
+                h.submit(QueryBatch::of_points(&[1])).unwrap_err(),
+                ServeError::ShuttingDown
+            );
+            assert_eq!(h.insert(&[2], &[20]).unwrap_err(), ServeError::ShuttingDown);
+            assert_eq!(h.queued_ops(), 0);
+            let stats = service.shutdown();
+            assert_eq!(stats.backend_panics, 1);
+            assert_eq!(stats.write_batches, 1);
+        });
     }
 
     #[test]
@@ -1658,13 +1787,11 @@ mod tests {
             .build_updatable("RXD@4", &IndexSpec::with_values(&device, &keys, &values))
             .unwrap();
 
-        let config = ServiceConfig::new()
-            .with_linger(Duration::ZERO)
-            .with_rebalance(
-                crate::RebalanceConfig::new()
-                    .with_min_ops(256)
-                    .with_max_imbalance_permille(1200),
-            );
+        let config = ServiceConfig::default().with_rebalance(
+            crate::RebalanceConfig::new()
+                .with_min_ops(256)
+                .with_max_imbalance_permille(1200),
+        );
         let service = QueryService::start_updatable(backend, config);
         let h = service.handle();
 

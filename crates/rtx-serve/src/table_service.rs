@@ -14,8 +14,13 @@
 //! predicate count, an ingest batch its operation count (each at least 1),
 //! and submissions beyond [`ServiceConfig::max_queue_depth`] fail with
 //! [`ServeError::Overloaded`] backpressure.
+//!
+//! A panic inside the table is handled like a panicking backend of the
+//! query service: a panicking query is answered with an
+//! [`IndexError::Backend`] and the service keeps serving; a panicking
+//! ingest is answered the same way and then shuts the service down, since
+//! the table may be half-updated.
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -26,7 +31,7 @@ use rtx_table::{IngestReport, Table, TableOutcome};
 
 use crate::config::ServiceConfig;
 use crate::error::ServeError;
-use crate::service::{Counters, ServiceStats};
+use crate::service::{guard_backend, CloseOnExit, Counters, Queue, ServiceStats};
 
 /// One queued table request.
 enum TableRequest {
@@ -53,14 +58,8 @@ impl TableRequest {
     }
 }
 
-struct TableQueue {
-    requests: VecDeque<TableRequest>,
-    queued_cost: usize,
-    shutdown: bool,
-}
-
 struct TableShared {
-    queue: Mutex<TableQueue>,
+    queue: Mutex<Queue<TableRequest>>,
     work: Condvar,
     config: ServiceConfig,
     counters: Counters,
@@ -211,11 +210,7 @@ impl TableService {
     /// Starts a service owning `table`.
     pub fn start(table: Table, config: ServiceConfig) -> Self {
         let shared = Arc::new(TableShared {
-            queue: Mutex::new(TableQueue {
-                requests: VecDeque::new(),
-                queued_cost: 0,
-                shutdown: false,
-            }),
+            queue: Mutex::new(Queue::new()),
             work: Condvar::new(),
             config,
             counters: Counters::default(),
@@ -287,8 +282,12 @@ impl std::fmt::Debug for TableService {
 }
 
 /// The worker loop: drain one request at a time, strictly in queue order
-/// (the order itself is the fence), until shutdown *and* an empty queue.
+/// (the order itself is the fence), until shutdown *and* an empty queue —
+/// or until an ingest panics, which may have left the table half-updated.
 fn run_worker(shared: &TableShared, mut table: Table) {
+    let close = CloseOnExit(&shared.queue);
+    // The failed backend a panicking table reports.
+    let name: Arc<str> = "table".into();
     loop {
         let request = {
             let mut q = shared.queue.lock().expect("table service queue poisoned");
@@ -310,10 +309,12 @@ fn run_worker(shared: &TableShared, mut table: Table) {
                 forced,
                 reply,
             } => {
-                let result = match forced {
+                // A query takes `&self`: after a panic the table is intact.
+                let result = guard_backend(c, &name, || match forced {
                     Some(index) => table.query_forced(&query, &index),
                     None => table.query(&query),
-                };
+                })
+                .and_then(|result| result);
                 if let Ok(outcome) = &result {
                     let planned = outcome.plan.choices.len() as u64;
                     let scans = outcome.plan.scan_fallbacks() as u64;
@@ -329,13 +330,22 @@ fn run_worker(shared: &TableShared, mut table: Table) {
                 // The apply is the fence: everything queued behind this
                 // batch waits exactly this long. Surface it like a write.
                 let start = Instant::now();
-                let result = table.ingest(&batch);
+                let applied = guard_backend(c, &name, || table.ingest(&batch));
                 let stall_ns = start.elapsed().as_nanos() as u64;
                 c.ingest_batches.fetch_add(1, Ordering::Relaxed);
                 c.write_batches.fetch_add(1, Ordering::Relaxed);
                 c.write_stall_ns_total
                     .fetch_add(stall_ns, Ordering::Relaxed);
                 c.write_stall_ns_max.fetch_max(stall_ns, Ordering::Relaxed);
+                let result = match applied {
+                    Ok(result) => result,
+                    Err(panicked) => {
+                        // Refuse everything else first, then answer.
+                        drop(close);
+                        let _ = reply.send(Err(panicked));
+                        return;
+                    }
+                };
                 if result.is_err() {
                     c.ingest_rollbacks.fetch_add(1, Ordering::Relaxed);
                 }
@@ -350,10 +360,15 @@ fn run_worker(shared: &TableShared, mut table: Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::tests::within;
     use gpu_device::Device;
     use rtindex_core::RtIndexConfig;
     use rtx_delta::DynamicRtConfig;
-    use rtx_query::{Record, Registry, TableSchema};
+    use rtx_query::{
+        BatchOutcome, Capabilities, IndexBuildMetrics, Record, Registry, SecondaryIndex,
+        TableSchema,
+    };
+    use std::time::Duration;
 
     fn registry() -> Arc<Registry> {
         let mut registry = Registry::new();
@@ -541,5 +556,94 @@ mod tests {
             .unwrap();
         assert_eq!(out.results[0].hit_count, 1);
         service.shutdown();
+    }
+
+    /// A hash-table index that panics on key 13: probed for it, or
+    /// (re)built over it.
+    struct Boom(Box<dyn SecondaryIndex>);
+
+    impl SecondaryIndex for Boom {
+        fn name(&self) -> &str {
+            "BOOM"
+        }
+        fn key_count(&self) -> usize {
+            self.0.key_count()
+        }
+        fn memory_bytes(&self) -> u64 {
+            self.0.memory_bytes()
+        }
+        fn build_metrics(&self) -> IndexBuildMetrics {
+            self.0.build_metrics()
+        }
+        fn capabilities(&self) -> Capabilities {
+            self.0.capabilities()
+        }
+        fn has_value_column(&self) -> bool {
+            self.0.has_value_column()
+        }
+        fn point_chunk(&self, queries: &[u64], fetch: bool) -> Result<BatchOutcome, IndexError> {
+            assert!(!queries.contains(&13), "probed key 13");
+            self.0.point_chunk(queries, fetch)
+        }
+        fn range_chunk(
+            &self,
+            ranges: &[(u64, u64)],
+            fetch: bool,
+        ) -> Result<BatchOutcome, IndexError> {
+            self.0.range_chunk(ranges, fetch)
+        }
+    }
+
+    #[test]
+    fn a_panicking_table_answers_queries_then_stops_at_a_panicking_ingest() {
+        let mut registry = Registry::new();
+        registry.register("BOOM", |spec| {
+            assert!(!spec.keys.contains(&13), "built over key 13");
+            let inner = gpu_baselines::WarpHashTable::build(spec.device, spec.keys)?;
+            let inner = gpu_baselines::GpuIndexAdapter::new(inner, spec);
+            Ok(Box::new(Boom(Box::new(inner))) as Box<dyn SecondaryIndex>)
+        });
+        let schema = TableSchema::new(["id", "ts"]).with_index("id_boom", "id", "BOOM");
+        let records: Vec<Record> = (0..32u64)
+            .filter(|&k| k != 13)
+            .map(|k| vec![k, k])
+            .collect();
+        let table = Table::load(
+            schema,
+            &Device::default_eval(),
+            Arc::new(registry),
+            &records,
+        )
+        .unwrap();
+        let service = TableService::start(table, ServiceConfig::default());
+        let h = service.handle();
+        within(Duration::from_secs(10), move || {
+            let backend_panic = |err: ServeError, detail: &str| match err {
+                ServeError::Index(IndexError::Backend { backend, message }) => {
+                    assert_eq!(&*backend, "table");
+                    assert_eq!(message, format!("backend panicked: {detail}"));
+                }
+                other => panic!("expected the panic as an error, got {other:?}"),
+            };
+            let probe = |key| TableQuery::new().point("id", key);
+            backend_panic(
+                h.query_forced(probe(13), "id_boom").unwrap_err(),
+                "probed key 13",
+            );
+            // The table is intact after a panicking query.
+            let out = h.query_forced(probe(7), "id_boom").unwrap();
+            assert_eq!(out.results[0].first_row, 7);
+            // An ingest that panics may have half-applied: answered, then
+            // every later request is refused.
+            backend_panic(
+                h.ingest(IngestBatch::new().insert(vec![13, 0]))
+                    .unwrap_err(),
+                "built over key 13",
+            );
+            assert_eq!(h.query(probe(7)).unwrap_err(), ServeError::ShuttingDown);
+        });
+        let stats = service.shutdown();
+        assert_eq!(stats.backend_panics, 2);
+        assert_eq!(stats.ingest_batches, 1);
     }
 }

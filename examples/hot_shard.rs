@@ -5,23 +5,17 @@
 //! A hash partitioner balances *rows*, not *traffic*: under a skewed key
 //! distribution one shard ends up serving most of the lookups while the
 //! others idle. This example drives exactly that traffic at an updatable
-//! sharded backend ("RXD@4") through a [`QueryService`] configured with
-//!
-//! * the **adaptive linger** policy (the coalescer lingers only as long as
-//!   filling its fusion budget should take at the observed arrival rate),
-//! * **hot-shard rebalancing** (when the per-shard op counters show one
-//!   shard sustaining more than 1.2x its fair share, rows migrate to
-//!   load-weighted shard assignments — global row ids preserved, so
-//!   answers never change).
+//! sharded backend ("RXD@4") through a default (self-clocked) [`QueryService`]
+//! with **hot-shard rebalancing** turned on: when the per-shard op counters
+//! show one shard sustaining more than 1.2x its fair share, rows migrate to
+//! load-weighted shard assignments — global row ids preserved, so answers
+//! never change.
 //!
 //! Run with: `cargo run --release --example hot_shard`
 //! Pin the worker pool with e.g. `RTX_WORKERS=8` for reproducible timings.
 
-use std::time::Duration;
-
 use rtindex::{
-    registry, AdaptiveLingerConfig, Device, IndexSpec, QueryBatch, QueryService, RebalanceConfig,
-    ServiceConfig,
+    registry, Device, IndexSpec, QueryBatch, QueryService, RebalanceConfig, ServiceConfig,
 };
 use rtx_workloads::{skewed_point_lookups, GroundTruth, SkewProfile};
 
@@ -38,22 +32,14 @@ fn main() {
         .build_updatable("RXD@4", &IndexSpec::with_values(&device, &keys, &values))
         .expect("sharded build");
 
-    // The heavy-traffic hardening stack: adaptive linger between 2us and
-    // 200us, rebalancing once 8k observed ops show a 1.2x-or-worse skew.
+    // Rebalance once 8k observed ops show a 1.2x-or-worse skew.
     let service = QueryService::start_updatable(
         backend,
-        ServiceConfig::new()
-            .with_adaptive_linger(
-                AdaptiveLingerConfig::new()
-                    .with_floor(Duration::from_micros(2))
-                    .with_ceiling(Duration::from_micros(200))
-                    .with_target_ops(512),
-            )
-            .with_rebalance(
-                RebalanceConfig::new()
-                    .with_min_ops(8_192)
-                    .with_max_imbalance_permille(1200),
-            ),
+        ServiceConfig::default().with_rebalance(
+            RebalanceConfig::new()
+                .with_min_ops(8_192)
+                .with_max_imbalance_permille(1200),
+        ),
     );
     let handle = service.handle();
 
@@ -99,11 +85,11 @@ fn main() {
     assert!(stats.rebalances >= 1, "skewed traffic must trigger a pass");
     println!(
         "done: {hits} hits (oracle-exact), {} rebalance pass(es), {} rows moved,\n      \
-         mean linger {:.1} us across {} drains, final imbalance {:.2}x",
+         {} fused submissions ({:.1} ops per submission), final imbalance {:.2}x",
         stats.rebalances,
         stats.rebalanced_rows,
-        stats.mean_linger_s() * 1e6,
-        stats.linger_decisions,
+        stats.fused_submissions,
+        stats.mean_fused_ops(),
         stats.shard_imbalance_ratio(),
     );
 }

@@ -201,9 +201,8 @@ pub use rtx_query::{
     UpdatableIndex, MISS,
 };
 pub use rtx_serve::{
-    AdaptiveLingerConfig, ClientHandle, PendingQuery, PendingTableQuery, QueryService,
-    RebalanceConfig, RetryPolicy, ServeError, ServiceConfig, ServiceStats, TableClient,
-    TableService,
+    ClientHandle, PendingQuery, PendingTableQuery, QueryService, RebalanceConfig, RetryPolicy,
+    ServeError, ServiceConfig, ServiceStats, TableClient, TableService,
 };
 pub use rtx_shard::{
     install_sharding, HashPartitioner, RangePartitioner, ShardedIndex, WeightedHashPartitioner,
