@@ -126,12 +126,6 @@ impl FusedBatch {
         &self.ops
     }
 
-    /// Sets the per-launch chunk bound on the fused submission — chunking
-    /// is the executor's policy, not the clients' (0 = unbounded).
-    pub fn set_chunk_size(&mut self, chunk_size: usize) {
-        self.ops.set_chunk_size(chunk_size);
-    }
-
     /// Splits the fused outcome into zero-copy [`SharedOutcome`] views, one
     /// per client in push order. The outcome is moved behind a single `Arc`;
     /// each view pairs it with that client's [`FusedSlice`]. Nothing is
@@ -347,13 +341,12 @@ mod tests {
     fn clear_resets_for_the_next_cycle_keeping_capacity() {
         let mut fusion = FusedBatch::new();
         fusion.push(&QueryBatch::of_points(&[1, 2, 3]).fetch_values(true));
-        fusion.set_chunk_size(2);
         assert!(fusion.ops().fetches_values());
         fusion.clear();
         assert!(fusion.is_empty());
         assert_eq!(fusion.op_count(), 0);
         assert!(!fusion.ops().fetches_values(), "fetch flag resets");
-        assert_eq!(fusion.ops().chunk_size(), Some(2), "chunk policy persists");
+        assert_eq!(fusion.ops().chunk_size(), None);
         // Refuse works after clear.
         fusion.push(&QueryBatch::new().range(4, 5));
         assert_eq!(fusion.op_count(), 1);

@@ -48,7 +48,11 @@ impl RebalanceConfig {
     }
 }
 
-/// Configuration of a [`QueryService`](crate::QueryService).
+/// Configuration of a [`QueryService`](crate::QueryService) or a
+/// [`TableService`](crate::TableService) — both run the same worker loop,
+/// so every field means the same thing on both, counted in their own
+/// units: a query service counts read operations and write rows, a table
+/// service query predicates and ingest operations.
 ///
 /// The three policies interact the way they do in any batching front-end:
 ///
@@ -58,9 +62,10 @@ impl RebalanceConfig {
 ///   [`ServeError::Overloaded`](crate::ServeError::Overloaded) instead of
 ///   growing the queue without bound (backpressure);
 /// * **coalescing** ([`max_coalesce_ops`](ServiceConfig::max_coalesce_ops))
-///   caps how many queued operations fuse into one backend submission, so
-///   one giant fused batch cannot monopolise the executor or its result
-///   buffers;
+///   caps how many queued operations one drain takes as a run of reads:
+///   the query service fuses the run into one backend submission, so one
+///   giant fused batch cannot monopolise the executor or its result
+///   buffers; the table service runs the queries of a run one by one;
 /// * **linger** ([`linger`](ServiceConfig::linger)) is zero by default:
 ///   the coalescer is self-clocked. A drain executes whatever it finds at
 ///   once, and every batch that arrives while that execution runs fuses
@@ -74,20 +79,18 @@ pub struct ServiceConfig {
     /// at once. A submission that would exceed it is rejected. Every
     /// request costs at least 1, so empty batches cannot flood the queue.
     pub max_queue_depth: usize,
-    /// Maximum operations fused into one backend submission.
+    /// Maximum operations one drain takes as a run of reads: fused into
+    /// one backend submission by a query service; for a table service, the
+    /// predicates of the queries it runs before looking at the queue again.
     pub max_coalesce_ops: usize,
-    /// How long a non-full fusion waits for more client batches before
+    /// How long a non-full run waits for more client requests before
     /// executing. Zero (the default) executes whatever one queue drain
-    /// finds; arrivals during the execution fuse into the next drain.
+    /// finds; arrivals during the execution join the next drain.
     pub linger: Duration,
-    /// Chunk size applied to the *fused* batch (per-client chunk settings
-    /// are not meaningful once batches fuse). Zero means unbounded
-    /// launches.
-    pub chunk_size: usize,
     /// When set (and the backend is an updatable sharded index), the
-    /// coalescer watches the per-shard load counters between fused
-    /// submissions and migrates rows off sustained hot shards through the
-    /// write fence (see [`RebalanceConfig`]).
+    /// coalescer watches the per-shard load counters between drained units
+    /// and migrates rows off sustained hot shards through the write fence
+    /// (see [`RebalanceConfig`]). A no-op for a table service.
     pub rebalance: Option<RebalanceConfig>,
 }
 
@@ -97,7 +100,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 1 << 20,
             max_coalesce_ops: 1 << 16,
             linger: Duration::ZERO,
-            chunk_size: 0,
             rebalance: None,
         }
     }
@@ -128,12 +130,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the fused-batch chunk size (0 = unbounded).
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
     /// Enables hot-shard rebalancing with the given thresholds.
     pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
         self.rebalance = Some(rebalance);
@@ -150,12 +146,10 @@ mod tests {
         let c = ServiceConfig::new()
             .with_max_queue_depth(0)
             .with_max_coalesce_ops(0)
-            .with_linger(Duration::from_micros(200))
-            .with_chunk_size(128);
+            .with_linger(Duration::from_micros(200));
         assert_eq!(c.max_queue_depth, 1);
         assert_eq!(c.max_coalesce_ops, 1);
         assert_eq!(c.linger, Duration::from_micros(200));
-        assert_eq!(c.chunk_size, 128);
         assert!(ServiceConfig::default().max_queue_depth > 0);
         assert_eq!(
             ServiceConfig::default().linger,

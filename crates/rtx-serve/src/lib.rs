@@ -28,11 +28,17 @@
 //!   [`UpdatableIndex`](rtx_query::UpdatableIndex) backend, a write batch
 //!   never overtakes reads queued before it and is fully visible to reads
 //!   queued after it;
-//! * a [`TableService`] applies the same queue discipline to a whole
-//!   multi-index [`Table`](rtx_table::Table): transactional CDC ingest
-//!   batches ride the write fence, queries run the table's cost-based
-//!   planner, and the planner's routing decisions surface in the service
-//!   counters ([`ServiceStats`]).
+//! * a [`TableService`] runs the same worker loop over a whole multi-index
+//!   [`Table`](rtx_table::Table) instead of one backend: transactional CDC
+//!   ingest batches ride the write fence, the queries of a run go one by
+//!   one through the table's cost-based planner, and the planner's routing
+//!   decisions surface in the service counters ([`ServiceStats`]).
+//!
+//! Both services are one loop generic over its unit of work — a backend or
+//! a table. Admission, draining (a run of reads or one write), the panic
+//! guard, write-stall accounting, shutdown and the reply wait exist once;
+//! each unit only says how a run of reads executes, how a write applies
+//! and what runs between units.
 //!
 //! ```
 //! use rtx_query::{IndexSpec, QueryBatch, Registry};
@@ -73,6 +79,7 @@ pub mod config;
 pub mod error;
 pub mod service;
 pub mod table_service;
+mod worker;
 
 pub use config::{RebalanceConfig, ServiceConfig};
 pub use error::ServeError;

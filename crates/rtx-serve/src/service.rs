@@ -1,23 +1,25 @@
-//! The concurrent query service: submission queue, coalescer thread,
-//! client handles.
+//! The concurrent query service: client handles over the shared worker
+//! loop, and the counters both services report.
 //!
 //! One [`QueryService`] wraps one backend (any [`SecondaryIndex`] trait
 //! object — plain, sharded, or an updatable RXD) and serves any number of
 //! concurrent clients. Clients never touch the backend: they enqueue
-//! requests through clonable [`ClientHandle`]s, and a single **coalescer
-//! thread** owns the backend and processes the queue in submission order:
+//! requests through clonable [`ClientHandle`]s, and the service's single
+//! worker thread — the **coalescer** — owns the backend and processes the
+//! queue in submission order, the same fenced loop a
+//! [`TableService`](crate::TableService) runs over a table:
 //!
-//! * consecutive read batches are fused into one large submission
-//!   ([`FusedBatch`]) up to the configured coalesce cap, executed once and
-//!   split back per client. The loop is self-clocked: a drain takes what
-//!   is queued and executes it at once, and whatever arrives during that
-//!   execution fuses into the next drain (a configured
-//!   [`linger`](ServiceConfig::linger) additionally holds a non-full
-//!   fusion for late arrivals);
+//! * a run of consecutive read batches is fused into one large submission
+//!   ([`FusedBatch`]) up to the configured coalesce
+//!   cap, executed once and split back per client. The loop is
+//!   self-clocked: a drain takes what is queued and executes it at once,
+//!   and whatever arrives during that execution fuses into the next drain
+//!   (a configured [`linger`](ServiceConfig::linger) additionally holds a
+//!   non-full run for late arrivals);
 //! * write batches are **serialized and fenced**: a write never overtakes
 //!   reads queued before it and is never overtaken by reads queued after
-//!   it, because the queue is drained strictly in order and the coalescer
-//!   stops fusing at the first write;
+//!   it, because the queue is drained strictly in order and a run stops at
+//!   the first write;
 //! * admission control bounds the queue: submissions beyond the configured
 //!   depth fail with [`ServeError::Overloaded`] instead of queuing without
 //!   bound.
@@ -33,161 +35,18 @@
 //! then shuts down and every queued or later request gets
 //! [`ServeError::ShuttingDown`] instead of waiting forever.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use rtx_query::{
     BatchOutcome, Capabilities, ExecArena, FusedBatch, IndexBackend, IndexError, MemoryUsage,
     QueryBatch, SecondaryIndex, SharedOutcome, UpdatableIndex, UpdateReport,
 };
 
-/// The reply side of one admitted read: a zero-copy view of the fused
-/// outcome (or the fused failure).
-type ReadReply = mpsc::Sender<Result<SharedOutcome, IndexError>>;
-
 use crate::config::ServiceConfig;
 use crate::error::ServeError;
-
-/// A batched write, applied atomically by the coalescer between fused read
-/// submissions.
-#[derive(Debug, Clone)]
-enum WriteOp {
-    /// Insert `(key, value)` rows.
-    Insert { keys: Vec<u64>, values: Vec<u64> },
-    /// Delete every live row holding one of the keys.
-    Delete { keys: Vec<u64> },
-    /// Delete every key's rows, then insert one fresh row per pair.
-    Upsert { keys: Vec<u64>, values: Vec<u64> },
-    /// Ask a durable backend to snapshot and truncate its WAL. Travels
-    /// through the write fence so the snapshot captures exactly the
-    /// acknowledged prefix of the stream.
-    Checkpoint,
-}
-
-impl WriteOp {
-    /// Queue-admission cost of the write (rows touched, at least 1).
-    fn cost(&self) -> usize {
-        match self {
-            WriteOp::Insert { keys, .. }
-            | WriteOp::Delete { keys }
-            | WriteOp::Upsert { keys, .. } => keys.len().max(1),
-            WriteOp::Checkpoint => 1,
-        }
-    }
-}
-
-/// What one applied write-fence operation produced.
-#[derive(Debug, Clone)]
-enum WriteOutcome {
-    /// The report of a data write.
-    Report(UpdateReport),
-    /// Snapshots written by a checkpoint.
-    Checkpoint(u64),
-}
-
-/// One queued client request.
-enum Request {
-    Read {
-        /// Shared with the submitting client so retries re-enqueue a
-        /// pointer instead of re-cloning the operations.
-        batch: Arc<QueryBatch>,
-        reply: ReadReply,
-    },
-    Write {
-        op: WriteOp,
-        reply: mpsc::Sender<Result<WriteOutcome, IndexError>>,
-    },
-}
-
-impl Request {
-    fn cost(&self) -> usize {
-        match self {
-            Request::Read { batch, .. } => batch.len().max(1),
-            Request::Write { op, .. } => op.cost(),
-        }
-    }
-}
-
-/// Applies one write-fence operation to the backend the coalescer owns.
-fn apply_write(backend: &mut IndexBackend, op: WriteOp) -> Result<WriteOutcome, IndexError> {
-    // Admission rejects writes on read-only services; this is the
-    // defensive backstop, not a reachable path.
-    let Some(ix) = backend.write() else {
-        return Err(IndexError::UnsupportedOperation {
-            backend: backend.read().name().into(),
-            operation: "updates",
-        });
-    };
-    match op {
-        WriteOp::Insert { keys, values } => ix.insert(&keys, &values).map(WriteOutcome::Report),
-        WriteOp::Delete { keys } => ix.delete(&keys).map(WriteOutcome::Report),
-        WriteOp::Upsert { keys, values } => ix.upsert(&keys, &values).map(WriteOutcome::Report),
-        WriteOp::Checkpoint => ix.checkpoint().map(WriteOutcome::Checkpoint),
-    }
-}
-
-/// Runs one backend call on a service worker thread, turning a panic into
-/// the error that answers the request (and counting it) instead of
-/// unwinding through the worker. `Err` means the call panicked.
-pub(crate) fn guard_backend<T>(
-    counters: &Counters,
-    backend: &Arc<str>,
-    call: impl FnOnce() -> T,
-) -> Result<T, IndexError> {
-    catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
-        counters.backend_panics.fetch_add(1, Ordering::Relaxed);
-        let detail = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        IndexError::Backend {
-            backend: Arc::clone(backend),
-            message: format!("backend panicked: {detail}"),
-        }
-    })
-}
-
-/// Shuts a queue down when its worker leaves, however it leaves: admission
-/// refuses new requests and the queued ones are dropped, so their clients
-/// see a closed reply channel ([`ServeError::ShuttingDown`]) instead of
-/// waiting on a worker that is gone. A no-op after a regular shutdown,
-/// which exits only once the queue is empty.
-pub(crate) struct CloseOnExit<'a, R>(pub(crate) &'a Mutex<Queue<R>>);
-
-impl<R> Drop for CloseOnExit<'_, R> {
-    fn drop(&mut self) {
-        // The queue's invariants hold between any two statements that
-        // touch it, so a poisoned lock still guards a valid queue.
-        let mut q = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        q.shutdown = true;
-        q.requests.clear();
-        q.queued_cost = 0;
-    }
-}
-
-/// A service's submission queue (behind its mutex), shared by the query
-/// and the table service.
-pub(crate) struct Queue<R> {
-    pub(crate) requests: VecDeque<R>,
-    /// Total admission cost of the queued requests.
-    pub(crate) queued_cost: usize,
-    pub(crate) shutdown: bool,
-}
-
-impl<R> Queue<R> {
-    pub(crate) fn new() -> Self {
-        Queue {
-            requests: VecDeque::new(),
-            queued_cost: 0,
-            shutdown: false,
-        }
-    }
-}
+use crate::worker::{wait, Halt, Reply, Shared, Ticket, Unit, Worker};
 
 /// Monotonic service counters (updated with relaxed atomics; consistency
 /// across counters is best-effort, each counter alone is exact). Shared
@@ -199,52 +58,39 @@ pub(crate) struct Counters {
     pub(crate) submitted_batches: AtomicU64,
     pub(crate) submitted_ops: AtomicU64,
     pub(crate) rejected_batches: AtomicU64,
-    fused_submissions: AtomicU64,
-    coalesced_batches: AtomicU64,
+    pub(crate) fused_submissions: AtomicU64,
+    pub(crate) coalesced_batches: AtomicU64,
     pub(crate) executed_ops: AtomicU64,
     pub(crate) write_batches: AtomicU64,
     pub(crate) peak_queued_ops: AtomicU64,
     pub(crate) write_stall_ns_total: AtomicU64,
     pub(crate) write_stall_ns_max: AtomicU64,
-    write_reorganisations: AtomicU64,
-    checkpoints: AtomicU64,
-    linger_ns_total: AtomicU64,
-    linger_decisions: AtomicU64,
-    rebalances: AtomicU64,
-    rebalanced_rows: AtomicU64,
-    backend_panics: AtomicU64,
+    pub(crate) write_reorganisations: AtomicU64,
+    pub(crate) checkpoints: AtomicU64,
+    pub(crate) linger_ns_total: AtomicU64,
+    pub(crate) linger_decisions: AtomicU64,
+    pub(crate) rebalances: AtomicU64,
+    pub(crate) rebalanced_rows: AtomicU64,
+    pub(crate) backend_panics: AtomicU64,
     /// Gauge: the sharded backend's load-imbalance ratio in permille, as
     /// of the last load check (0 for unsharded backends).
-    shard_imbalance_permille: AtomicU64,
+    pub(crate) shard_imbalance_permille: AtomicU64,
     // Table-service counters (a plain QueryService leaves these 0).
     pub(crate) planned_predicates: AtomicU64,
     pub(crate) routed_predicates: AtomicU64,
     pub(crate) scan_fallbacks: AtomicU64,
     pub(crate) ingest_batches: AtomicU64,
     pub(crate) ingest_rollbacks: AtomicU64,
-    // Gauges mirrored from the backend after every fence operation (the
-    // coalescer owns the backend; clients read these copies).
-    wal_bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    snapshots: AtomicU64,
-    last_snapshot_bsn: AtomicU64,
+    // Gauges mirrored from the unit after every fence operation (the
+    // worker owns the unit; clients read these copies).
+    pub(crate) wal_bytes: AtomicU64,
+    pub(crate) fsyncs: AtomicU64,
+    pub(crate) snapshots: AtomicU64,
+    pub(crate) last_snapshot_bsn: AtomicU64,
     pub(crate) mem_base_bytes: AtomicU64,
-    mem_delta_bytes: AtomicU64,
-    mem_tombstone_bytes: AtomicU64,
-    mem_wal_buffer_bytes: AtomicU64,
-}
-
-/// State shared between the client handles and the coalescer thread.
-struct Shared {
-    queue: Mutex<Queue<Request>>,
-    /// Wakes the coalescer when requests arrive or shutdown is signalled.
-    work: Condvar,
-    config: ServiceConfig,
-    backend_name: Arc<str>,
-    capabilities: Capabilities,
-    has_value_column: bool,
-    updatable: bool,
-    counters: Counters,
+    pub(crate) mem_delta_bytes: AtomicU64,
+    pub(crate) mem_tombstone_bytes: AtomicU64,
+    pub(crate) mem_wal_buffer_bytes: AtomicU64,
 }
 
 /// A point-in-time snapshot of the service counters.
@@ -267,7 +113,7 @@ pub struct ServiceStats {
     /// Highest queue occupancy observed at any admission, in cost units
     /// (read ops / write rows, at least 1 per request).
     pub peak_queued_ops: u64,
-    /// Total nanoseconds the coalescer spent inside write applications —
+    /// Total nanoseconds the worker spent inside write applications —
     /// the time the queue-order fence stalls every request queued behind a
     /// write. A synchronous compaction shows up here as one huge stall; a
     /// background compaction leaves only the swap.
@@ -281,10 +127,10 @@ pub struct ServiceStats {
     /// Checkpoints applied through the write fence
     /// ([`ClientHandle::checkpoint`]).
     pub checkpoints: u64,
-    /// Total nanoseconds of linger *budget* the coalescer granted across
-    /// its drains: the configured [`linger`](crate::ServiceConfig::linger)
-    /// each time, so 0 for the default self-clocked service. Actual waits
-    /// are at most this — a filled fusion stops early.
+    /// Total nanoseconds of linger *budget* the worker granted across its
+    /// drains: the configured [`linger`](crate::ServiceConfig::linger) each
+    /// time, so 0 for the default self-clocked service. Actual waits are at
+    /// most this — a filled run stops early.
     pub linger_ns_total: u64,
     /// Drains a linger budget was granted for (one per drained unit).
     pub linger_decisions: u64,
@@ -418,71 +264,6 @@ impl Counters {
     }
 }
 
-impl Shared {
-    fn stats(&self) -> ServiceStats {
-        self.counters.snapshot()
-    }
-
-    /// Mirrors the backend-side gauges into the shared counters (after
-    /// every fence operation): component-wise memory usage and, for durable
-    /// backends, the persistence stats.
-    fn refresh_gauges(&self, backend: &dyn SecondaryIndex) {
-        let memory = backend.memory_usage();
-        let durable = backend.durability_stats();
-        let c = &self.counters;
-        c.mem_base_bytes.store(memory.base_bytes, Ordering::Relaxed);
-        c.mem_delta_bytes
-            .store(memory.delta_bytes, Ordering::Relaxed);
-        c.mem_tombstone_bytes
-            .store(memory.tombstone_bytes, Ordering::Relaxed);
-        c.mem_wal_buffer_bytes
-            .store(memory.wal_buffer_bytes, Ordering::Relaxed);
-        let durable = durable.unwrap_or_default();
-        c.wal_bytes.store(durable.wal_bytes, Ordering::Relaxed);
-        c.fsyncs.store(durable.fsyncs, Ordering::Relaxed);
-        c.snapshots.store(durable.snapshots, Ordering::Relaxed);
-        c.last_snapshot_bsn
-            .store(durable.last_snapshot_bsn, Ordering::Relaxed);
-    }
-
-    /// Admits one request into the queue (or rejects it), waking the
-    /// coalescer on success.
-    fn enqueue(&self, request: Request) -> Result<(), ServeError> {
-        let cost = request.cost();
-        // A submission larger than the whole admission limit could never
-        // be admitted — reject it as non-retryable instead of reporting
-        // the Overloaded (retry-later) livelock.
-        if cost > self.config.max_queue_depth {
-            return Err(ServeError::TooLarge {
-                ops: cost,
-                max_queue_depth: self.config.max_queue_depth,
-            });
-        }
-        {
-            let mut q = self.queue.lock().expect("service queue poisoned");
-            if q.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            if q.queued_cost + cost > self.config.max_queue_depth {
-                self.counters
-                    .rejected_batches
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded {
-                    queued_ops: q.queued_cost,
-                    max_queue_depth: self.config.max_queue_depth,
-                });
-            }
-            q.queued_cost += cost;
-            self.counters
-                .peak_queued_ops
-                .fetch_max(q.queued_cost as u64, Ordering::Relaxed);
-            q.requests.push_back(request);
-        }
-        self.work.notify_one();
-        Ok(())
-    }
-}
-
 /// Retry behaviour against [`ServeError::Overloaded`] backpressure:
 /// exponential backoff with a hard delay ceiling and optional
 /// deterministic jitter.
@@ -566,7 +347,7 @@ impl RetryPolicy {
 /// discards it).
 #[derive(Debug)]
 pub struct PendingQuery {
-    reply: mpsc::Receiver<Result<SharedOutcome, IndexError>>,
+    ticket: Ticket<SharedOutcome>,
 }
 
 impl PendingQuery {
@@ -582,12 +363,7 @@ impl PendingQuery {
     /// [`SharedOutcome`] view of the fused execution — no result copy at
     /// all, for clients that only read their slice.
     pub fn wait_shared(self) -> Result<SharedOutcome, ServeError> {
-        match self.reply.recv() {
-            Ok(result) => result.map_err(ServeError::Index),
-            // The coalescer drains the queue before exiting, so a closed
-            // channel means the service stopped abnormally.
-            Err(mpsc::RecvError) => Err(ServeError::ShuttingDown),
-        }
+        wait(self.ticket)
     }
 }
 
@@ -595,7 +371,7 @@ impl PendingQuery {
 /// or ticketed) and batched writes.
 #[derive(Clone)]
 pub struct ClientHandle {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<Coalescer>>,
 }
 
 impl ClientHandle {
@@ -603,14 +379,14 @@ impl ClientHandle {
     /// fused execution stays infallible and one client's mistake cannot
     /// fail its co-fused neighbours.
     fn precheck(&self, batch: &QueryBatch) -> Result<(), ServeError> {
-        if batch.fetches_values() && !self.shared.has_value_column {
+        if batch.fetches_values() && !self.shared.profile.has_value_column {
             return Err(ServeError::Index(IndexError::NoValueColumn {
-                backend: Arc::clone(&self.shared.backend_name),
+                backend: Arc::clone(&self.shared.name),
             }));
         }
-        if batch.range_count() > 0 && !self.shared.capabilities.range_lookups {
+        if batch.range_count() > 0 && !self.shared.profile.capabilities.range_lookups {
             return Err(ServeError::Index(IndexError::UnsupportedOperation {
-                backend: Arc::clone(&self.shared.backend_name),
+                backend: Arc::clone(&self.shared.name),
                 operation: "range lookups",
             }));
         }
@@ -627,18 +403,8 @@ impl ClientHandle {
     /// (retry loops) never copies its operations.
     pub fn submit_shared(&self, batch: Arc<QueryBatch>) -> Result<PendingQuery, ServeError> {
         self.precheck(&batch)?;
-        let ops = batch.len() as u64;
-        let (tx, rx) = mpsc::channel();
-        self.shared.enqueue(Request::Read { batch, reply: tx })?;
-        self.shared
-            .counters
-            .submitted_batches
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .counters
-            .submitted_ops
-            .fetch_add(ops, Ordering::Relaxed);
-        Ok(PendingQuery { reply: rx })
+        let ticket = self.shared.submit_read(|reply| (batch, reply))?;
+        Ok(PendingQuery { ticket })
     }
 
     /// Submits a read batch and blocks until its result arrives.
@@ -690,32 +456,25 @@ impl ClientHandle {
         }
     }
 
-    fn write(&self, op: WriteOp) -> Result<WriteOutcome, ServeError> {
-        if !self.shared.updatable {
+    /// Enqueues a write-fence operation and blocks until it is applied.
+    fn write<T>(&self, write: impl FnOnce(Reply<T>) -> FencedWrite) -> Result<T, ServeError> {
+        if !self.shared.profile.updatable {
             return Err(ServeError::ReadOnlyBackend {
-                backend: Arc::clone(&self.shared.backend_name),
+                backend: Arc::clone(&self.shared.name),
             });
         }
-        let (tx, rx) = mpsc::channel();
-        self.shared.enqueue(Request::Write { op, reply: tx })?;
-        match rx.recv() {
-            Ok(result) => result.map_err(ServeError::Index),
-            Err(mpsc::RecvError) => Err(ServeError::ShuttingDown),
-        }
+        self.shared.submit_write(write)
     }
 
-    fn data_write(&self, op: WriteOp) -> Result<UpdateReport, ServeError> {
-        match self.write(op)? {
-            WriteOutcome::Report(report) => Ok(report),
-            WriteOutcome::Checkpoint(_) => unreachable!("data writes reply with a report"),
-        }
+    fn data_write(&self, op: DataOp) -> Result<UpdateReport, ServeError> {
+        self.write(|reply| FencedWrite::Data { op, reply })
     }
 
     /// Inserts a batch of `(key, value)` rows. Blocks until the write is
     /// applied; it is fenced against every read queued before it and
     /// visible to every read queued after it.
     pub fn insert(&self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, ServeError> {
-        self.data_write(WriteOp::Insert {
+        self.data_write(DataOp::Insert {
             keys: keys.to_vec(),
             values: values.to_vec(),
         })
@@ -724,7 +483,7 @@ impl ClientHandle {
     /// Deletes every live row holding one of `keys` (fenced like
     /// [`insert`](ClientHandle::insert)).
     pub fn delete(&self, keys: &[u64]) -> Result<UpdateReport, ServeError> {
-        self.data_write(WriteOp::Delete {
+        self.data_write(DataOp::Delete {
             keys: keys.to_vec(),
         })
     }
@@ -732,7 +491,7 @@ impl ClientHandle {
     /// Upserts a batch of `(key, value)` pairs (fenced like
     /// [`insert`](ClientHandle::insert)).
     pub fn upsert(&self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, ServeError> {
-        self.data_write(WriteOp::Upsert {
+        self.data_write(DataOp::Upsert {
             keys: keys.to_vec(),
             values: values.to_vec(),
         })
@@ -744,30 +503,27 @@ impl ClientHandle {
     /// captures exactly the acknowledged prefix of this service's stream.
     /// A memory-only backend returns `Ok(0)`.
     pub fn checkpoint(&self) -> Result<u64, ServeError> {
-        match self.write(WriteOp::Checkpoint)? {
-            WriteOutcome::Checkpoint(snapshots) => Ok(snapshots),
-            WriteOutcome::Report(_) => unreachable!("checkpoints reply with a snapshot count"),
-        }
+        self.write(|reply| FencedWrite::Checkpoint { reply })
     }
 
     /// Name of the backend the service wraps.
     pub fn backend_name(&self) -> &str {
-        &self.shared.backend_name
+        &self.shared.name
     }
 
     /// Capabilities of the wrapped backend.
     pub fn capabilities(&self) -> Capabilities {
-        self.shared.capabilities
+        self.shared.profile.capabilities
     }
 
     /// Whether the service accepts writes.
     pub fn is_updatable(&self) -> bool {
-        self.shared.updatable
+        self.shared.profile.updatable
     }
 
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
+        self.shared.counters.snapshot()
     }
 
     /// Current queue occupancy in admission-cost units (read ops / write
@@ -775,11 +531,7 @@ impl ClientHandle {
     /// [`ServiceConfig::max_queue_depth`] to shed load before submissions
     /// start failing.
     pub fn queued_ops(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("service queue poisoned")
-            .queued_cost
+        self.shared.queued_ops()
     }
 }
 
@@ -789,335 +541,284 @@ impl ClientHandle {
 /// Dropping the service signals shutdown, drains every queued request and
 /// joins the coalescer thread — already-admitted submissions are still
 /// answered, new ones are rejected with [`ServeError::ShuttingDown`].
-pub struct QueryService {
-    shared: Arc<Shared>,
-    worker: Option<JoinHandle<()>>,
-}
+#[derive(Debug)]
+pub struct QueryService(Worker<Coalescer>);
 
 impl QueryService {
     /// Starts a service over a read-only backend.
     pub fn start(backend: Box<dyn SecondaryIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(IndexBackend::Read(backend), config)
+        serve(IndexBackend::Read(backend), config)
     }
 
     /// Starts a service over an updatable backend: client writes are
     /// serialized and fenced against reads in queue order.
     pub fn start_updatable(backend: Box<dyn UpdatableIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(IndexBackend::Write(backend), config)
-    }
-
-    fn spawn(backend: IndexBackend, config: ServiceConfig) -> Self {
-        let index = backend.read();
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::new()),
-            work: Condvar::new(),
-            config,
-            backend_name: index.name().into(),
-            capabilities: index.capabilities(),
-            has_value_column: index.has_value_column(),
-            updatable: matches!(backend, IndexBackend::Write(_)),
-            counters: Counters::default(),
-        });
-        // Seed the gauges so read-only services report their footprint too.
-        shared.refresh_gauges(index);
-        let worker = std::thread::Builder::new()
-            .name("rtx-serve-coalescer".to_string())
-            .spawn({
-                let shared = Arc::clone(&shared);
-                move || run_coalescer(&shared, backend)
-            })
-            .expect("spawn coalescer thread");
-        QueryService {
-            shared,
-            worker: Some(worker),
-        }
+        serve(IndexBackend::Write(backend), config)
     }
 
     /// A new client handle (clonable, sendable across threads).
     pub fn handle(&self) -> ClientHandle {
         ClientHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Arc::clone(&self.0.shared),
         }
     }
 
     /// Name of the backend the service wraps.
     pub fn backend_name(&self) -> &str {
-        &self.shared.backend_name
+        &self.0.shared.name
     }
 
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
+        self.0.shared.counters.snapshot()
     }
 
     /// Shuts the service down (draining the queue) and returns the final
     /// counters.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.stop();
-        self.shared.stats()
+    pub fn shutdown(self) -> ServiceStats {
+        self.0.shutdown()
     }
+}
 
-    fn stop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("service queue poisoned");
-            q.shutdown = true;
+fn serve(backend: IndexBackend, config: ServiceConfig) -> QueryService {
+    let index = backend.read();
+    let name = index.name().into();
+    let profile = Profile {
+        capabilities: index.capabilities(),
+        has_value_column: index.has_value_column(),
+        updatable: matches!(backend, IndexBackend::Write(_)),
+    };
+    let unit = Coalescer {
+        backend,
+        fusion: FusedBatch::new(),
+        arena: ExecArena::new(),
+    };
+    QueryService(Worker::spawn(unit, config, name, profile))
+}
+
+// The coalescer: the query service's side of the worker loop. A run of
+// reads fuses into one `FusedBatch`, executes once and splits back per
+// client; a write applies through the fence; between units a sharded
+// backend's hot shards may be rebalanced.
+
+/// What clients of a query service check at submission, so a fused
+/// execution can only fail if the backend itself does.
+struct Profile {
+    capabilities: Capabilities,
+    has_value_column: bool,
+    updatable: bool,
+}
+
+/// A batched data write.
+enum DataOp {
+    /// Insert `(key, value)` rows.
+    Insert { keys: Vec<u64>, values: Vec<u64> },
+    /// Delete every live row holding one of the keys.
+    Delete { keys: Vec<u64> },
+    /// Delete every key's rows, then insert one fresh row per pair.
+    Upsert { keys: Vec<u64>, values: Vec<u64> },
+}
+
+impl DataOp {
+    fn rows(&self) -> usize {
+        match self {
+            DataOp::Insert { keys, .. } | DataOp::Delete { keys } | DataOp::Upsert { keys, .. } => {
+                keys.len()
+            }
         }
-        self.shared.work.notify_all();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
+    }
+
+    fn apply(self, ix: &mut dyn UpdatableIndex) -> Result<UpdateReport, IndexError> {
+        match self {
+            DataOp::Insert { keys, values } => ix.insert(&keys, &values),
+            DataOp::Delete { keys } => ix.delete(&keys),
+            DataOp::Upsert { keys, values } => ix.upsert(&keys, &values),
         }
     }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl std::fmt::Debug for QueryService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryService")
-            .field("backend", &self.shared.backend_name)
-            .field("updatable", &self.shared.updatable)
-            .field("config", &self.shared.config)
-            .finish()
-    }
-}
-
-/// One drained unit of work: a fused run of reads (left in the caller's
-/// fusion/reply buffers), or one write.
-enum Drained {
-    Reads,
-    Write {
-        op: WriteOp,
-        reply: mpsc::Sender<Result<WriteOutcome, IndexError>>,
+/// One write-fence operation, with its typed reply.
+enum FencedWrite {
+    /// A data write, answered with the backend's report.
+    Data {
+        op: DataOp,
+        reply: Reply<UpdateReport>,
     },
-    Shutdown,
+    /// Ask a durable backend to snapshot and truncate its WAL, answered
+    /// with the snapshots written. Travels through the fence so the
+    /// snapshot captures exactly the acknowledged prefix of the stream.
+    Checkpoint { reply: Reply<u64> },
 }
 
-/// The coalescer loop: drain → fuse → execute → scatter, strictly in queue
-/// order, until shutdown *and* an empty queue — or until a write-side
-/// backend call panics, which may have left the backend half-updated.
-fn run_coalescer(shared: &Shared, mut backend: IndexBackend) {
-    let close = CloseOnExit(&shared.queue);
-    // The coalescer's working set lives for the whole service: the fusion,
-    // the reply buffer and the execution arena are cleared between cycles
-    // but never reallocated — steady-state coalescing is allocation-free
-    // apart from the result buffer handed to the clients.
-    let mut fusion = FusedBatch::new();
-    fusion.set_chunk_size(shared.config.chunk_size);
-    let mut replies: Vec<ReadReply> = Vec::new();
-    let mut arena = ExecArena::new();
-    let c = &shared.counters;
-    loop {
-        match drain(shared, &mut fusion, &mut replies) {
-            Drained::Shutdown => return,
-            Drained::Write { op, reply } => {
-                // The apply is the queue-order fence: everything queued
-                // behind this write waits exactly this long. Surface it.
-                let is_checkpoint = matches!(op, WriteOp::Checkpoint);
-                let start = Instant::now();
-                let applied =
-                    guard_backend(c, &shared.backend_name, || apply_write(&mut backend, op));
-                let stall_ns = start.elapsed().as_nanos() as u64;
-                if is_checkpoint {
-                    c.checkpoints.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    c.write_batches.fetch_add(1, Ordering::Relaxed);
+/// The query service's unit of work: the backend, plus the fusion and the
+/// execution arena every run reuses. Both are cleared between runs but
+/// never reallocated, so steady-state coalescing is allocation-free apart
+/// from the result buffer handed to the clients.
+struct Coalescer {
+    backend: IndexBackend,
+    fusion: FusedBatch,
+    arena: ExecArena,
+}
+
+impl Coalescer {
+    /// The write side of the backend. Admission rejects writes on
+    /// read-only services; this is the defensive backstop, not a reachable
+    /// path.
+    fn updatable(&mut self) -> Result<&mut dyn UpdatableIndex, IndexError> {
+        match &mut self.backend {
+            IndexBackend::Write(ix) => Ok(ix.as_mut()),
+            IndexBackend::Read(ix) => Err(IndexError::UnsupportedOperation {
+                backend: ix.name().into(),
+                operation: "updates",
+            }),
+        }
+    }
+}
+
+impl Unit for Coalescer {
+    type Profile = Profile;
+    /// Shared with the submitting client so retries re-enqueue a pointer
+    /// instead of re-cloning the operations.
+    type Read = (Arc<QueryBatch>, Reply<SharedOutcome>);
+    type Write = FencedWrite;
+
+    fn read_ops((batch, _): &Self::Read) -> usize {
+        batch.len()
+    }
+
+    fn write_ops(write: &FencedWrite) -> usize {
+        match write {
+            FencedWrite::Data { op, .. } => op.rows(),
+            FencedWrite::Checkpoint { .. } => 0,
+        }
+    }
+
+    /// Component-wise memory usage and, for durable backends, the
+    /// persistence stats.
+    fn refresh_gauges(&self, shared: &Shared<Self>) {
+        let index = self.backend.read();
+        let memory = index.memory_usage();
+        let durable = index.durability_stats().unwrap_or_default();
+        let c = &shared.counters;
+        c.mem_base_bytes.store(memory.base_bytes, Ordering::Relaxed);
+        c.mem_delta_bytes
+            .store(memory.delta_bytes, Ordering::Relaxed);
+        c.mem_tombstone_bytes
+            .store(memory.tombstone_bytes, Ordering::Relaxed);
+        c.mem_wal_buffer_bytes
+            .store(memory.wal_buffer_bytes, Ordering::Relaxed);
+        c.wal_bytes.store(durable.wal_bytes, Ordering::Relaxed);
+        c.fsyncs.store(durable.fsyncs, Ordering::Relaxed);
+        c.snapshots.store(durable.snapshots, Ordering::Relaxed);
+        c.last_snapshot_bsn
+            .store(durable.last_snapshot_bsn, Ordering::Relaxed);
+    }
+
+    /// Fuses the run into one submission, executes it once in the reused
+    /// arena and hands each client an `Arc`'d view of the one outcome — no
+    /// per-client result copy on the worker. A panicking read took `&self`,
+    /// so the backend is intact: its clients get the panic as an error and
+    /// the service keeps serving.
+    fn run_reads(&mut self, run: &mut Vec<Self::Read>, shared: &Shared<Self>) {
+        let Coalescer {
+            backend,
+            fusion,
+            arena,
+        } = self;
+        fusion.clear();
+        for (batch, _) in run.iter() {
+            fusion.push(batch);
+        }
+        let outcome = shared
+            .guard_backend(|| backend.read().execute_in(fusion.ops(), arena))
+            .and_then(|outcome| outcome);
+        let c = &shared.counters;
+        c.fused_submissions.fetch_add(1, Ordering::Relaxed);
+        c.coalesced_batches
+            .fetch_add(run.len() as u64, Ordering::Relaxed);
+        c.executed_ops
+            .fetch_add(fusion.op_count() as u64, Ordering::Relaxed);
+        match outcome {
+            Ok(out) => {
+                for (view, (_, reply)) in fusion.split_shared(out).into_iter().zip(run.drain(..)) {
+                    let _ = reply.send(Ok(view));
                 }
-                c.write_stall_ns_total
-                    .fetch_add(stall_ns, Ordering::Relaxed);
-                c.write_stall_ns_max.fetch_max(stall_ns, Ordering::Relaxed);
-                let result = match applied {
-                    Ok(result) => result,
-                    Err(panicked) => {
-                        // Refuse everything else first, then answer.
-                        drop(close);
-                        let _ = reply.send(Err(panicked));
-                        return;
-                    }
-                };
-                if let Ok(WriteOutcome::Report(report)) = &result {
+            }
+            // A backend failure on the fused batch is every fused client's
+            // failure.
+            Err(err) => {
+                for (_, reply) in run.drain(..) {
+                    let _ = reply.send(Err(err.clone()));
+                }
+            }
+        }
+    }
+
+    fn apply_write(&mut self, write: FencedWrite, shared: &Shared<Self>) -> Result<(), Halt> {
+        let c = &shared.counters;
+        // A client that dropped its ticket abandoned the result.
+        match write {
+            FencedWrite::Data { op, reply } => {
+                c.write_batches.fetch_add(1, Ordering::Relaxed);
+                let report = shared.fence(&reply, || op.apply(self.updatable()?))?;
+                if let Ok(report) = &report {
                     c.write_reorganisations
                         .fetch_add(report.reorganisations, Ordering::Relaxed);
                 }
-                shared.refresh_gauges(backend.read());
-                // A client that dropped its ticket abandoned the result.
-                let _ = reply.send(result);
-                if maybe_rebalance(shared, &mut backend).is_err() {
-                    return;
-                }
+                self.refresh_gauges(shared);
+                let _ = reply.send(report);
             }
-            Drained::Reads => {
-                // Execution reuses the coalescer's arena and the scatter
-                // hands each client an Arc'd view of the one fused outcome —
-                // no per-client result copy on this thread. A panicking
-                // read took `&self`, so the backend is intact: its clients
-                // get the panic as an error and the loop keeps serving.
-                let outcome = guard_backend(c, &shared.backend_name, || {
-                    backend.read().execute_in(fusion.ops(), &mut arena)
-                })
-                .and_then(|outcome| outcome);
-                c.fused_submissions.fetch_add(1, Ordering::Relaxed);
-                c.coalesced_batches
-                    .fetch_add(replies.len() as u64, Ordering::Relaxed);
-                c.executed_ops
-                    .fetch_add(fusion.op_count() as u64, Ordering::Relaxed);
-                match outcome {
-                    Ok(out) => {
-                        for (view, reply) in fusion.split_shared(out).into_iter().zip(&replies) {
-                            let _ = reply.send(Ok(view));
-                        }
-                    }
-                    // A backend failure on the fused batch is every fused
-                    // client's failure.
-                    Err(err) => {
-                        for reply in &replies {
-                            let _ = reply.send(Err(err.clone()));
-                        }
-                    }
-                }
-                if maybe_rebalance(shared, &mut backend).is_err() {
-                    return;
-                }
+            FencedWrite::Checkpoint { reply } => {
+                c.checkpoints.fetch_add(1, Ordering::Relaxed);
+                let snapshots = shared.fence(&reply, || self.updatable()?.checkpoint())?;
+                self.refresh_gauges(shared);
+                let _ = reply.send(snapshots);
             }
         }
-    }
-}
-
-/// Between drained units the coalescer owns the backend exclusively — the
-/// natural write fence — so this is where a sharded backend's hot shards
-/// are checked and, past the configured thresholds, rebalanced. The load
-/// gauge refreshes on every check; the migration itself only fires once
-/// enough traffic accumulated *and* the imbalance crossed the trigger
-/// (the pass resets the shard counters, which spaces the passes out).
-/// `Err` means the migration panicked and the backend may be half-moved.
-fn maybe_rebalance(shared: &Shared, backend: &mut IndexBackend) -> Result<(), IndexError> {
-    let Some(config) = shared.config.rebalance else {
-        return Ok(());
-    };
-    let Some(load) = backend.read().shard_load() else {
-        return Ok(());
-    };
-    let permille = (load.imbalance_ratio() * 1000.0) as u64;
-    let c = &shared.counters;
-    c.shard_imbalance_permille
-        .store(permille, Ordering::Relaxed);
-    if load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
-        return Ok(());
-    }
-    // Nothing to move on a read-only service or a backend without shards.
-    let Some(ix) = backend.write() else {
-        return Ok(());
-    };
-    if let Ok(report) = guard_backend(c, &shared.backend_name, || ix.rebalance_shards())? {
-        c.rebalances.fetch_add(1, Ordering::Relaxed);
-        c.rebalanced_rows
-            .fetch_add(report.moved_rows, Ordering::Relaxed);
-        shared.refresh_gauges(backend.read());
-    }
-    Ok(())
-}
-
-/// Blocks until work is available, then drains the next unit: reads fuse up
-/// to the coalesce cap (lingering for late arrivals only when a linger is
-/// configured), the first write cuts the fusion short (the fence), a
-/// leading write is taken alone. Fused reads accumulate into the caller's
-/// persistent `fusion` / `replies` buffers (cleared here first), so
-/// steady-state draining allocates nothing.
-fn drain(shared: &Shared, fusion: &mut FusedBatch, replies: &mut Vec<ReadReply>) -> Drained {
-    fusion.clear();
-    replies.clear();
-    let mut q = shared.queue.lock().expect("service queue poisoned");
-    loop {
-        if !q.requests.is_empty() {
-            break;
-        }
-        if q.shutdown {
-            return Drained::Shutdown;
-        }
-        q = shared.work.wait(q).expect("service queue poisoned");
+        Ok(())
     }
 
-    let linger = shared.config.linger;
-    let c = &shared.counters;
-    c.linger_ns_total
-        .fetch_add(linger.as_nanos() as u64, Ordering::Relaxed);
-    c.linger_decisions.fetch_add(1, Ordering::Relaxed);
-    let deadline = Instant::now() + linger;
-    loop {
-        // Pop as many consecutive reads as fit under the coalesce cap.
-        let mut full = false;
-        let mut fenced = false;
-        while let Some(front) = q.requests.front() {
-            match front {
-                Request::Read { batch, .. } => {
-                    if !fusion.is_empty()
-                        && fusion.op_count() + batch.len() > shared.config.max_coalesce_ops
-                    {
-                        full = true;
-                        break;
-                    }
-                }
-                Request::Write { .. } => {
-                    if fusion.is_empty() {
-                        match q.requests.pop_front() {
-                            Some(Request::Write { op, reply }) => {
-                                q.queued_cost -= op.cost();
-                                return Drained::Write { op, reply };
-                            }
-                            _ => unreachable!("front was a write"),
-                        }
-                    }
-                    // Reads are already fused: execute them first, take the
-                    // write on the next drain (the fence).
-                    fenced = true;
-                    break;
-                }
-            }
-            match q.requests.pop_front() {
-                Some(Request::Read { batch, reply }) => {
-                    q.queued_cost -= batch.len().max(1);
-                    fusion.push(&batch);
-                    replies.push(reply);
-                    if fusion.op_count() >= shared.config.max_coalesce_ops {
-                        full = true;
-                        break;
-                    }
-                }
-                _ => unreachable!("front was a read"),
-            }
+    /// Between units the worker owns the backend exclusively — the natural
+    /// write fence — so this is where a sharded backend's hot shards are
+    /// checked and, past the configured thresholds, rebalanced. The load
+    /// gauge refreshes on every check; the migration itself only fires once
+    /// enough traffic accumulated *and* the imbalance crossed the trigger
+    /// (the pass resets the shard counters, which spaces the passes out).
+    /// A panicking migration may have left the backend half-moved.
+    fn after_unit(&mut self, shared: &Shared<Self>) -> Result<(), Halt> {
+        let Some(config) = shared.config.rebalance else {
+            return Ok(());
+        };
+        let Some(load) = self.backend.read().shard_load() else {
+            return Ok(());
+        };
+        let permille = (load.imbalance_ratio() * 1000.0) as u64;
+        let c = &shared.counters;
+        c.shard_imbalance_permille
+            .store(permille, Ordering::Relaxed);
+        if load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
+            return Ok(());
         }
-
-        debug_assert!(!fusion.is_empty(), "drain found work but fused nothing");
-        if full || fenced || q.shutdown {
-            break;
+        // Nothing to move on a read-only service or a backend without shards.
+        let Some(ix) = self.backend.write() else {
+            return Ok(());
+        };
+        let migrated = shared.guard_backend(|| ix.rebalance_shards());
+        if let Ok(report) = migrated.map_err(|_| Halt)? {
+            c.rebalances.fetch_add(1, Ordering::Relaxed);
+            c.rebalanced_rows
+                .fetch_add(report.moved_rows, Ordering::Relaxed);
+            self.refresh_gauges(shared);
         }
-        // The queue is empty and the fusion has room: linger for more
-        // arrivals if a linger is configured. With the default zero the
-        // deadline has passed already — the fusion executes now, and the
-        // arrivals it would have waited for fuse into the next drain.
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, timeout) = shared
-            .work
-            .wait_timeout(q, deadline - now)
-            .expect("service queue poisoned");
-        q = guard;
-        if q.requests.is_empty() && (timeout.timed_out() || q.shutdown) {
-            break;
-        }
+        Ok(())
     }
-    Drained::Reads
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use rtx_query::{IndexBuildMetrics, LookupResult};
+    use std::sync::{mpsc, Condvar, Mutex};
     use std::time::Duration;
 
     /// Test gate: lets a test hold the backend inside an execution so the

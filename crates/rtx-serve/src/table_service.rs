@@ -1,18 +1,21 @@
-//! The table service: a [`Table`] behind the same queue discipline as
+//! The table service: a [`Table`] behind the same fenced worker loop as
 //! [`QueryService`](crate::QueryService).
 //!
 //! One worker thread owns the table and drains a bounded submission queue
 //! strictly in order, which is exactly the write fence the table's
 //! transactional ingest needs: an [`IngestBatch`] never overtakes queries
 //! queued before it and is fully visible (or fully rolled back) for every
-//! query queued after it. Queries run the table's cost-based planner, and
-//! the service mirrors the planner's routing decisions into its
-//! [`ServiceStats`] — planned predicates, index routes, scan fallbacks —
-//! next to the ingest counters.
+//! query queued after it. A drain takes a run of consecutive queries up to
+//! [`ServiceConfig::max_coalesce_ops`] predicates; the worker runs them one
+//! by one through the table's cost-based planner and answers each as soon
+//! as it returns, so a run never delays an earlier reply. The service
+//! mirrors the planner's routing decisions into its [`ServiceStats`] —
+//! planned predicates, index routes, scan fallbacks — next to the ingest
+//! counters.
 //!
-//! Admission control reuses the [`ServiceConfig`] knobs: a query costs its
-//! predicate count, an ingest batch its operation count (each at least 1),
-//! and submissions beyond [`ServiceConfig::max_queue_depth`] fail with
+//! Admission control is the query service's: a query costs its predicate
+//! count, an ingest batch its operation count (each at least 1), and
+//! submissions beyond [`ServiceConfig::max_queue_depth`] fail with
 //! [`ServeError::Overloaded`] backpressure.
 //!
 //! A panic inside the table is handled like a panicking backend of the
@@ -20,101 +23,64 @@
 //! [`IndexError::Backend`] and the service keeps serving; a panicking
 //! ingest is answered the same way and then shuts the service down, since
 //! the table may be half-updated.
+//!
+//! [`IndexError::Backend`]: rtx_query::IndexError::Backend
 
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::Arc;
 
-use rtx_query::{IndexError, IngestBatch, TableQuery};
+use rtx_query::{IngestBatch, TableQuery};
 use rtx_table::{IngestReport, Table, TableOutcome};
 
 use crate::config::ServiceConfig;
 use crate::error::ServeError;
-use crate::service::{guard_backend, CloseOnExit, Counters, Queue, ServiceStats};
+use crate::service::ServiceStats;
+use crate::worker::{wait, Halt, Reply, Shared, Ticket, Unit, Worker};
 
-/// One queued table request.
-enum TableRequest {
-    Query {
-        query: TableQuery,
-        /// `Some(index)` forces every predicate through that index (the
-        /// forced arm of planner experiments).
-        forced: Option<String>,
-        reply: mpsc::Sender<Result<TableOutcome, IndexError>>,
-    },
-    Ingest {
-        batch: IngestBatch,
-        reply: mpsc::Sender<Result<IngestReport, IndexError>>,
-    },
-}
+/// A [`Table`] served to any number of concurrent clients by one worker
+/// thread. See the [module docs](self) for the execution model.
+///
+/// Dropping the service signals shutdown, drains every queued request and
+/// joins the worker — already-admitted submissions are still answered,
+/// new ones are rejected with [`ServeError::ShuttingDown`].
+#[derive(Debug)]
+pub struct TableService(Worker<Table>);
 
-impl TableRequest {
-    /// Queue-admission cost (predicates / CDC operations, at least 1).
-    fn cost(&self) -> usize {
-        match self {
-            TableRequest::Query { query, .. } => query.len().max(1),
-            TableRequest::Ingest { batch, .. } => batch.len().max(1),
+impl TableService {
+    /// Starts a service owning `table`.
+    pub fn start(table: Table, config: ServiceConfig) -> Self {
+        TableService(Worker::spawn(table, config, "table".into(), ()))
+    }
+
+    /// A new client handle (clonable, sendable across threads).
+    pub fn handle(&self) -> TableClient {
+        TableClient {
+            shared: Arc::clone(&self.0.shared),
         }
     }
-}
 
-struct TableShared {
-    queue: Mutex<Queue<TableRequest>>,
-    work: Condvar,
-    config: ServiceConfig,
-    counters: Counters,
-}
+    /// A snapshot of the service counters.
+    pub fn stats(&self) -> ServiceStats {
+        self.0.shared.counters.snapshot()
+    }
 
-impl TableShared {
-    /// Admits one request into the queue (or rejects it), waking the
-    /// worker on success — the same admission policy as the query
-    /// service's.
-    fn enqueue(&self, request: TableRequest) -> Result<(), ServeError> {
-        let cost = request.cost();
-        if cost > self.config.max_queue_depth {
-            return Err(ServeError::TooLarge {
-                ops: cost,
-                max_queue_depth: self.config.max_queue_depth,
-            });
-        }
-        {
-            let mut q = self.queue.lock().expect("table service queue poisoned");
-            if q.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            if q.queued_cost + cost > self.config.max_queue_depth {
-                self.counters
-                    .rejected_batches
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded {
-                    queued_ops: q.queued_cost,
-                    max_queue_depth: self.config.max_queue_depth,
-                });
-            }
-            q.queued_cost += cost;
-            self.counters
-                .peak_queued_ops
-                .fetch_max(q.queued_cost as u64, Ordering::Relaxed);
-            q.requests.push_back(request);
-        }
-        self.work.notify_one();
-        Ok(())
+    /// Shuts the service down (draining the queue) and returns the final
+    /// counters.
+    pub fn shutdown(self) -> ServiceStats {
+        self.0.shutdown()
     }
 }
 
 /// An admitted table query whose result has not been claimed yet.
 #[derive(Debug)]
 pub struct PendingTableQuery {
-    reply: mpsc::Receiver<Result<TableOutcome, IndexError>>,
+    ticket: Ticket<TableOutcome>,
 }
 
 impl PendingTableQuery {
     /// Blocks until the worker has answered this submission.
     pub fn wait(self) -> Result<TableOutcome, ServeError> {
-        match self.reply.recv() {
-            Ok(result) => result.map_err(ServeError::Index),
-            Err(mpsc::RecvError) => Err(ServeError::ShuttingDown),
-        }
+        wait(self.ticket)
     }
 }
 
@@ -122,36 +88,14 @@ impl PendingTableQuery {
 /// queries and transactional CDC ingest batches.
 #[derive(Clone)]
 pub struct TableClient {
-    shared: Arc<TableShared>,
+    shared: Arc<Shared<Table>>,
 }
 
 impl TableClient {
     /// Submits a query and returns a ticket to claim the result with.
     pub fn submit(&self, query: TableQuery) -> Result<PendingTableQuery, ServeError> {
-        self.submit_inner(query, None)
-    }
-
-    fn submit_inner(
-        &self,
-        query: TableQuery,
-        forced: Option<String>,
-    ) -> Result<PendingTableQuery, ServeError> {
-        let ops = query.len() as u64;
-        let (tx, rx) = mpsc::channel();
-        self.shared.enqueue(TableRequest::Query {
-            query,
-            forced,
-            reply: tx,
-        })?;
-        self.shared
-            .counters
-            .submitted_batches
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .counters
-            .submitted_ops
-            .fetch_add(ops, Ordering::Relaxed);
-        Ok(PendingTableQuery { reply: rx })
+        let ticket = self.shared.submit_read(|reply| (query, None, reply))?;
+        Ok(PendingTableQuery { ticket })
     }
 
     /// Submits a query and blocks until its result arrives. Every
@@ -163,7 +107,8 @@ impl TableClient {
     /// [`query`](TableClient::query) with every predicate forced through
     /// the named index; errors when the index cannot serve a predicate.
     pub fn query_forced(&self, query: TableQuery, index: &str) -> Result<TableOutcome, ServeError> {
-        self.submit_inner(query, Some(index.to_string()))?.wait()
+        let forced = Some(index.to_string());
+        wait(self.shared.submit_read(|reply| (query, forced, reply))?)
     }
 
     /// Applies a CDC batch atomically through the write fence: the batch
@@ -171,13 +116,7 @@ impl TableClient {
     /// it see it fully applied or (on rejection) fully rolled back.
     /// Blocks until the batch is applied.
     pub fn ingest(&self, batch: IngestBatch) -> Result<IngestReport, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .enqueue(TableRequest::Ingest { batch, reply: tx })?;
-        match rx.recv() {
-            Ok(result) => result.map_err(ServeError::Index),
-            Err(mpsc::RecvError) => Err(ServeError::ShuttingDown),
-        }
+        self.shared.submit_write(|reply| (batch, reply))
     }
 
     /// A snapshot of the service counters.
@@ -187,173 +126,70 @@ impl TableClient {
 
     /// Current queue occupancy in admission-cost units.
     pub fn queued_ops(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("table service queue poisoned")
-            .queued_cost
+        self.shared.queued_ops()
     }
 }
 
-/// A [`Table`] served to any number of concurrent clients by one worker
-/// thread. See the [module docs](self) for the execution model.
-///
-/// Dropping the service signals shutdown, drains every queued request and
-/// joins the worker — already-admitted submissions are still answered,
-/// new ones are rejected with [`ServeError::ShuttingDown`].
-pub struct TableService {
-    shared: Arc<TableShared>,
-    worker: Option<JoinHandle<()>>,
-}
+impl Unit for Table {
+    type Profile = ();
+    /// A query and, for the forced arm of planner experiments, the index
+    /// every predicate must route through.
+    type Read = (TableQuery, Option<String>, Reply<TableOutcome>);
+    type Write = (IngestBatch, Reply<IngestReport>);
 
-impl TableService {
-    /// Starts a service owning `table`.
-    pub fn start(table: Table, config: ServiceConfig) -> Self {
-        let shared = Arc::new(TableShared {
-            queue: Mutex::new(Queue::new()),
-            work: Condvar::new(),
-            config,
-            counters: Counters::default(),
-        });
+    fn read_ops((query, ..): &Self::Read) -> usize {
+        query.len()
+    }
+
+    fn write_ops((batch, _): &Self::Write) -> usize {
+        batch.len()
+    }
+
+    fn refresh_gauges(&self, shared: &Shared<Self>) {
         shared
             .counters
             .mem_base_bytes
-            .store(table.memory_bytes(), Ordering::Relaxed);
-        let worker = std::thread::Builder::new()
-            .name("rtx-serve-table".to_string())
-            .spawn({
-                let shared = Arc::clone(&shared);
-                move || run_worker(&shared, table)
-            })
-            .expect("spawn table service worker");
-        TableService {
-            shared,
-            worker: Some(worker),
-        }
+            .store(self.memory_bytes(), Ordering::Relaxed);
     }
 
-    /// A new client handle (clonable, sendable across threads).
-    pub fn handle(&self) -> TableClient {
-        TableClient {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// A snapshot of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.counters.snapshot()
-    }
-
-    /// Shuts the service down (draining the queue) and returns the final
-    /// counters.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.stop();
-        self.shared.counters.snapshot()
-    }
-
-    fn stop(&mut self) {
-        {
-            let mut q = self
-                .shared
-                .queue
-                .lock()
-                .expect("table service queue poisoned");
-            q.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for TableService {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl std::fmt::Debug for TableService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TableService")
-            .field("config", &self.shared.config)
-            .finish()
-    }
-}
-
-/// The worker loop: drain one request at a time, strictly in queue order
-/// (the order itself is the fence), until shutdown *and* an empty queue —
-/// or until an ingest panics, which may have left the table half-updated.
-fn run_worker(shared: &TableShared, mut table: Table) {
-    let close = CloseOnExit(&shared.queue);
-    // The failed backend a panicking table reports.
-    let name: Arc<str> = "table".into();
-    loop {
-        let request = {
-            let mut q = shared.queue.lock().expect("table service queue poisoned");
-            loop {
-                if let Some(request) = q.requests.pop_front() {
-                    q.queued_cost -= request.cost();
-                    break request;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.work.wait(q).expect("table service queue poisoned");
-            }
-        };
+    /// A query takes `&self`: after a panic the table is intact.
+    fn run_reads(&mut self, run: &mut Vec<Self::Read>, shared: &Shared<Self>) {
         let c = &shared.counters;
-        match request {
-            TableRequest::Query {
-                query,
-                forced,
-                reply,
-            } => {
-                // A query takes `&self`: after a panic the table is intact.
-                let result = guard_backend(c, &name, || match forced {
-                    Some(index) => table.query_forced(&query, &index),
-                    None => table.query(&query),
+        for (query, forced, reply) in run.drain(..) {
+            let result = shared
+                .guard_backend(|| match &forced {
+                    Some(index) => self.query_forced(&query, index),
+                    None => self.query(&query),
                 })
                 .and_then(|result| result);
-                if let Ok(outcome) = &result {
-                    let planned = outcome.plan.choices.len() as u64;
-                    let scans = outcome.plan.scan_fallbacks() as u64;
-                    c.planned_predicates.fetch_add(planned, Ordering::Relaxed);
-                    c.routed_predicates
-                        .fetch_add(planned - scans, Ordering::Relaxed);
-                    c.scan_fallbacks.fetch_add(scans, Ordering::Relaxed);
-                    c.executed_ops.fetch_add(planned, Ordering::Relaxed);
-                }
-                let _ = reply.send(result);
+            if let Ok(outcome) = &result {
+                let planned = outcome.plan.choices.len() as u64;
+                let scans = outcome.plan.scan_fallbacks() as u64;
+                c.planned_predicates.fetch_add(planned, Ordering::Relaxed);
+                c.routed_predicates
+                    .fetch_add(planned - scans, Ordering::Relaxed);
+                c.scan_fallbacks.fetch_add(scans, Ordering::Relaxed);
+                c.executed_ops.fetch_add(planned, Ordering::Relaxed);
             }
-            TableRequest::Ingest { batch, reply } => {
-                // The apply is the fence: everything queued behind this
-                // batch waits exactly this long. Surface it like a write.
-                let start = Instant::now();
-                let applied = guard_backend(c, &name, || table.ingest(&batch));
-                let stall_ns = start.elapsed().as_nanos() as u64;
-                c.ingest_batches.fetch_add(1, Ordering::Relaxed);
-                c.write_batches.fetch_add(1, Ordering::Relaxed);
-                c.write_stall_ns_total
-                    .fetch_add(stall_ns, Ordering::Relaxed);
-                c.write_stall_ns_max.fetch_max(stall_ns, Ordering::Relaxed);
-                let result = match applied {
-                    Ok(result) => result,
-                    Err(panicked) => {
-                        // Refuse everything else first, then answer.
-                        drop(close);
-                        let _ = reply.send(Err(panicked));
-                        return;
-                    }
-                };
-                if result.is_err() {
-                    c.ingest_rollbacks.fetch_add(1, Ordering::Relaxed);
-                }
-                c.mem_base_bytes
-                    .store(table.memory_bytes(), Ordering::Relaxed);
-                let _ = reply.send(result);
-            }
+            let _ = reply.send(result);
         }
+    }
+
+    fn apply_write(
+        &mut self,
+        (batch, reply): Self::Write,
+        shared: &Shared<Self>,
+    ) -> Result<(), Halt> {
+        let c = &shared.counters;
+        c.ingest_batches.fetch_add(1, Ordering::Relaxed);
+        c.write_batches.fetch_add(1, Ordering::Relaxed);
+        let report = shared.fence(&reply, || self.ingest(&batch))?;
+        if report.is_err() {
+            c.ingest_rollbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        self.refresh_gauges(shared);
+        let _ = reply.send(report);
+        Ok(())
     }
 }
 
@@ -365,9 +201,10 @@ mod tests {
     use rtindex_core::RtIndexConfig;
     use rtx_delta::DynamicRtConfig;
     use rtx_query::{
-        BatchOutcome, Capabilities, IndexBuildMetrics, Record, Registry, SecondaryIndex,
-        TableSchema,
+        BatchOutcome, Capabilities, IndexBuildMetrics, IndexError, IndexSpec, Record, Registry,
+        SecondaryIndex, TableSchema,
     };
+    use std::sync::{mpsc, Mutex};
     use std::time::Duration;
 
     fn registry() -> Arc<Registry> {
@@ -558,13 +395,23 @@ mod tests {
         service.shutdown();
     }
 
-    /// A hash-table index that panics on key 13: probed for it, or
-    /// (re)built over it.
-    struct Boom(Box<dyn SecondaryIndex>);
+    type Probe = Arc<dyn Fn(&[u64]) + Send + Sync>;
 
-    impl SecondaryIndex for Boom {
+    /// A hash-table index that runs a hook before every point probe.
+    struct Hooked(Box<dyn SecondaryIndex>, Probe);
+
+    fn hooked_hash_table(
+        spec: &IndexSpec,
+        probe: Probe,
+    ) -> Result<Box<dyn SecondaryIndex>, IndexError> {
+        let inner = gpu_baselines::WarpHashTable::build(spec.device, spec.keys)?;
+        let inner = gpu_baselines::GpuIndexAdapter::new(inner, spec);
+        Ok(Box::new(Hooked(Box::new(inner), probe)))
+    }
+
+    impl SecondaryIndex for Hooked {
         fn name(&self) -> &str {
-            "BOOM"
+            self.0.name()
         }
         fn key_count(&self) -> usize {
             self.0.key_count()
@@ -582,7 +429,7 @@ mod tests {
             self.0.has_value_column()
         }
         fn point_chunk(&self, queries: &[u64], fetch: bool) -> Result<BatchOutcome, IndexError> {
-            assert!(!queries.contains(&13), "probed key 13");
+            (self.1)(queries);
             self.0.point_chunk(queries, fetch)
         }
         fn range_chunk(
@@ -597,11 +444,12 @@ mod tests {
     #[test]
     fn a_panicking_table_answers_queries_then_stops_at_a_panicking_ingest() {
         let mut registry = Registry::new();
+        // A hash-table index that panics on key 13: probed for it, or
+        // (re)built over it.
         registry.register("BOOM", |spec| {
             assert!(!spec.keys.contains(&13), "built over key 13");
-            let inner = gpu_baselines::WarpHashTable::build(spec.device, spec.keys)?;
-            let inner = gpu_baselines::GpuIndexAdapter::new(inner, spec);
-            Ok(Box::new(Boom(Box::new(inner))) as Box<dyn SecondaryIndex>)
+            let probe = |queries: &[u64]| assert!(!queries.contains(&13), "probed key 13");
+            hooked_hash_table(spec, Arc::new(probe))
         });
         let schema = TableSchema::new(["id", "ts"]).with_index("id_boom", "id", "BOOM");
         let records: Vec<Record> = (0..32u64)
@@ -645,5 +493,92 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.backend_panics, 2);
         assert_eq!(stats.ingest_batches, 1);
+    }
+
+    #[test]
+    fn a_run_answers_each_query_in_queue_order_behind_the_ingest_fence() {
+        // The test's single-key probes enter the table one at a time: each
+        // reports its key, then waits for a token. Dropping the token
+        // sender opens the gate for good; the planner's 64-key calibration
+        // probes never stop at it.
+        let (entered_tx, entered) = mpsc::channel();
+        let (tokens, tokens_rx) = mpsc::channel::<()>();
+        let tokens_rx = Mutex::new(tokens_rx);
+        let probe: Probe = Arc::new(move |queries: &[u64]| {
+            if let [key] = queries {
+                let _ = entered_tx.send(*key);
+                let _ = tokens_rx.lock().unwrap().recv();
+            }
+        });
+        let mut registry = Registry::new();
+        registry.register("GATE", move |spec| {
+            hooked_hash_table(spec, Arc::clone(&probe))
+        });
+        let schema = TableSchema::new(["id", "ts"]).with_index("id_gate", "id", "GATE");
+        let records: Vec<Record> = (0..32u64).map(|k| vec![k, k]).collect();
+        let table = Table::load(
+            schema,
+            &Device::default_eval(),
+            Arc::new(registry),
+            &records,
+        )
+        .unwrap();
+        let service = TableService::start(table, ServiceConfig::default());
+        let h = service.handle();
+        within(Duration::from_secs(10), move || {
+            let probe = |key| TableQuery::new().point("id", key);
+            // Hold the worker inside Q0 while Q1, Q2, an ingest of key 500
+            // and Q3 queue up behind it.
+            let t0 = h.submit(probe(1)).unwrap();
+            assert_eq!(entered.recv().unwrap(), 1);
+            let t1 = h.submit(probe(500)).unwrap();
+            let t2 = h.submit(probe(500)).unwrap();
+            let writer = {
+                let h = h.clone();
+                std::thread::spawn(move || h.ingest(IngestBatch::new().insert(vec![500, 0])))
+            };
+            while h.queued_ops() < 3 {
+                std::thread::yield_now();
+            }
+            let t3 = h.submit(probe(500)).unwrap();
+
+            // Q1 and Q2 drain as one run, and each query is answered as
+            // soon as it returns: Q0 while Q1 is inside the table, Q1
+            // while Q2 is. A reply held back to the end of its run would
+            // hang here.
+            tokens.send(()).unwrap();
+            assert_eq!(entered.recv().unwrap(), 500);
+            assert_eq!(t0.wait().unwrap().results[0].hit_count, 1);
+            tokens.send(()).unwrap();
+            assert_eq!(entered.recv().unwrap(), 500);
+            assert_eq!(
+                t1.wait().unwrap().results[0].hit_count,
+                0,
+                "Q1 precedes the ingest"
+            );
+
+            // Shut down as Q2 leaves the gate: every admitted request is
+            // answered, in queue order, and then the handle is refused.
+            drop(tokens);
+            let stats = service.shutdown();
+            assert_eq!(
+                t2.wait().unwrap().results[0].hit_count,
+                0,
+                "Q2 precedes the ingest"
+            );
+            assert_eq!(writer.join().unwrap().unwrap().inserted_rows, 1);
+            assert_eq!(
+                t3.wait().unwrap().results[0].hit_count,
+                1,
+                "Q3 sees the ingest"
+            );
+            assert_eq!(stats.planned_predicates, 4);
+            assert_eq!(stats.ingest_batches, 1);
+            assert_eq!(h.query(probe(1)).unwrap_err(), ServeError::ShuttingDown);
+            assert_eq!(
+                h.ingest(IngestBatch::new().delete(1)).unwrap_err(),
+                ServeError::ShuttingDown
+            );
+        });
     }
 }
