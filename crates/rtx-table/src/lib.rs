@@ -13,10 +13,11 @@
 //! * **Ingest** is CDC-style and transactional: an
 //!   [`IngestBatch`](rtx_query::IngestBatch) of insert / delete / upsert
 //!   records applies to the row store and fans out to every index with
-//!   all-or-nothing semantics — a rejected sub-batch rolls the
-//!   already-applied index deltas back before the error surfaces (see
-//!   [`table`] for the protocol). `rtx-serve`'s table service runs each
-//!   batch behind its write fence.
+//!   all-or-nothing semantics — native deltas where they are exact, a
+//!   row-store overlay everywhere else, and a rejected sub-batch undone
+//!   from a log before the error surfaces (see [`table`] for the
+//!   protocol). `rtx-serve`'s table service runs each batch behind its
+//!   write fence.
 //! * **Queries** are multi-predicate
 //!   [`TableQuery`](rtx_query::TableQuery)s; the [`Planner`] scores every
 //!   predicate against each index's capability flags, live memory usage

@@ -10,13 +10,21 @@
 //!
 //! The store keeps its own hash over the primary column (deletes and
 //! upserts key on it), so CDC deletes resolve without scanning.
+//!
+//! # Undo log
+//!
+//! A table batch is everything since the store's last commit: inserts
+//! append past the committed slot count and deletes only flip liveness, so
+//! the store undoes a batch without a snapshot — a rollback truncates the
+//! appended slots and re-posts the postings the batch's deletes removed
+//! (kept in a log until the batch ends).
 
 use std::collections::HashMap;
 
 use rtx_query::{IndexError, LookupResult, QueryOp};
 
 /// Slot-is-rowID SoA row storage (see the [module docs](self)).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RowStore {
     /// One slot-indexed array per schema column.
     columns: Vec<Vec<u64>>,
@@ -25,6 +33,10 @@ pub struct RowStore {
     live_count: usize,
     /// Primary-column key → live slots holding it, ascending.
     primary: HashMap<u64, Vec<u32>>,
+    /// Slot count at the last commit: the open batch appended the rest.
+    committed_slots: usize,
+    /// The postings the open batch's deletes removed, in delete order.
+    deleted: Vec<(u64, Vec<u32>)>,
 }
 
 impl RowStore {
@@ -35,6 +47,8 @@ impl RowStore {
             live: Vec::new(),
             live_count: 0,
             primary: HashMap::new(),
+            committed_slots: 0,
+            deleted: Vec::new(),
         }
     }
 
@@ -85,15 +99,68 @@ impl RowStore {
     }
 
     /// Deletes every live row whose primary column holds `key`, returning
-    /// their rowIDs (ascending). Absent keys delete nothing.
-    pub fn delete_primary(&mut self, key: u64) -> Vec<u32> {
-        let slots = self.primary.remove(&key).unwrap_or_default();
+    /// their rowIDs (ascending). Absent keys delete nothing. The rowIDs stay
+    /// in the undo log until the batch commits or rolls back.
+    pub fn delete_primary(&mut self, key: u64) -> &[u32] {
+        let Some(slots) = self.primary.remove(&key) else {
+            return &[];
+        };
         for &slot in &slots {
             debug_assert!(self.live[slot as usize]);
             self.live[slot as usize] = false;
         }
         self.live_count -= slots.len();
-        slots
+        self.deleted.push((key, slots));
+        &self.deleted.last().expect("just logged").1
+    }
+
+    /// Ends the open batch: its rows and deletes become the state a later
+    /// [`rollback`](RowStore::rollback) returns to.
+    pub(crate) fn commit(&mut self) {
+        self.committed_slots = self.live.len();
+        self.deleted.clear();
+    }
+
+    /// Undoes the open batch (see the [module docs](self)): the store is
+    /// exactly as it was at the last [`commit`](RowStore::commit).
+    pub(crate) fn rollback(&mut self) {
+        let start = self.committed_slots;
+        // Appended rows still live are the newest entries of their
+        // postings: take them out from the top slot down.
+        for slot in (start..self.live.len()).rev() {
+            if !self.live[slot] {
+                continue;
+            }
+            let key = self.columns[0][slot];
+            let postings = self
+                .primary
+                .get_mut(&key)
+                .expect("live rows are posted under their key");
+            debug_assert_eq!(postings.last(), Some(&(slot as u32)));
+            postings.pop();
+            if postings.is_empty() {
+                self.primary.remove(&key);
+            }
+            self.live_count -= 1;
+        }
+        for column in &mut self.columns {
+            column.truncate(start);
+        }
+        self.live.truncate(start);
+        // Only a key's first delete in the batch removed committed rows;
+        // any later one removed rows the batch itself appended.
+        for (key, mut slots) in self.deleted.drain(..) {
+            slots.retain(|&slot| (slot as usize) < start);
+            if slots.is_empty() {
+                continue;
+            }
+            for &slot in &slots {
+                self.live[slot as usize] = true;
+            }
+            self.live_count += slots.len();
+            let reposted = self.primary.insert(key, slots);
+            debug_assert!(reposted.is_none());
+        }
     }
 
     /// The value of `column` at a live or dead `slot`.
@@ -210,10 +277,21 @@ impl RowStore {
         result
     }
 
-    /// Approximate host bytes the store occupies.
+    /// Host bytes the store occupies, counted from capacities: the column
+    /// and liveness arrays, and the primary postings map — one 32-byte
+    /// `(key, Vec)` bucket plus one control byte per bucket (the map keeps
+    /// at most 7/8 of its buckets full), a 16-byte control tail, and each
+    /// key's own postings block of at least 16 bytes.
     pub fn memory_bytes(&self) -> u64 {
-        let slots = self.live.len() as u64;
-        slots * (self.columns.len() as u64 * 8 + 1) + self.primary.len() as u64 * 16
+        let columns: usize = self.columns.iter().map(|c| c.capacity() * 8).sum();
+        let capacity = self.primary.capacity();
+        let map = if capacity == 0 {
+            0
+        } else {
+            let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+            buckets * (std::mem::size_of::<(u64, Vec<u32>)>() + 1) + 16
+        };
+        (columns + self.live.capacity() + map + self.primary.len() * 16) as u64
     }
 }
 
@@ -315,5 +393,46 @@ mod tests {
         assert!(s.insert(&[1, 2, 3]).is_err());
         assert_eq!(s.insert(&[1, 2]).unwrap(), 0);
         assert!(s.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_postings_map() {
+        let mut s = RowStore::new(2);
+        for k in 0..1000u64 {
+            s.insert(&[k, k]).unwrap();
+        }
+        // Columns and liveness grew to 1,024 slots. 1,000 keys need more
+        // than the 896 a 1,024-bucket map holds at 7/8 load: 2,048 buckets
+        // of 33 bytes plus the 16-byte control tail, and 16 bytes of
+        // postings per key.
+        let arrays = 2 * 1024 * 8 + 1024;
+        let map = 2048 * 33 + 16 + 1000 * 16;
+        assert_eq!(s.memory_bytes(), (arrays + map) as u64);
+        // About 84 bytes per key, where the map's real floor is ~54.
+        assert!(map / 1000 >= 54);
+    }
+
+    #[test]
+    fn rollback_restores_the_last_commit() {
+        let mut s = store();
+        s.commit();
+        let before = (s.live_count(), s.slot_count(), s.primary.clone());
+        // Insert, delete a committed key, reinsert it, delete it again and
+        // insert a fresh one: every undo path at once.
+        s.insert(&[1, 50, 600]).unwrap();
+        assert_eq!(s.delete_primary(1), vec![0, 2, 4]);
+        s.insert(&[1, 60, 700]).unwrap();
+        assert_eq!(s.delete_primary(1), vec![5]);
+        s.insert(&[9, 70, 800]).unwrap();
+        assert_eq!(s.delete_primary(3), vec![3]);
+        s.rollback();
+        assert_eq!((s.live_count(), s.slot_count(), s.primary.clone()), before);
+        assert!((0..4).all(|slot| s.is_live(slot)));
+        assert_eq!(s.scan(0, QueryOp::Point(1), Some(2), true).value_sum, 400);
+        // The next batch appends at the committed slot count again.
+        assert_eq!(s.insert(&[7, 0, 0]).unwrap(), 4);
+        s.commit();
+        s.rollback();
+        assert_eq!(s.slot_count(), 5);
     }
 }

@@ -3,26 +3,45 @@
 //! # Ingest atomicity
 //!
 //! [`Table::ingest`] applies a CDC batch with all-or-nothing semantics.
-//! Operations stream into the row store and — where possible — as *deltas*
-//! into updatable indexes; everything else is rebuilt from the live row
-//! store at the end of the batch:
+//! Operations stream into the row store, and from there into every index in
+//! one of two ways:
 //!
-//! * **Inserts** are always delta-exact: every updatable index absorbs
-//!   `insert(key_on_its_column, value)` and appends to its row mirror.
-//! * **Deletes** key on the primary column. An updatable index *on the
-//!   primary column* absorbs them exactly (`delete(key)` removes exactly
-//!   the doomed rows). On any other column the index-level delete would
-//!   also kill surviving rows that share the doomed row's key, so the
-//!   index is marked for rebuild instead.
-//! * **Read-only indexes** (RX, HT, B+, SA, and their sharded variants)
-//!   cannot absorb deltas at all; they rebuild from the live row store
-//!   after every mutating batch.
+//! * **Native deltas, where they are exact.** An updatable index keyed on
+//!   the primary column absorbs `insert(key, value)` and `delete(key)`
+//!   itself: deleting the key there removes exactly the doomed rows. Its
+//!   row mirror follows the backend's update reports.
+//! * **A row-store overlay, everywhere else.** Read-only indexes (RX, HT,
+//!   B+, SA, their sharded variants), composite indexes and updatable
+//!   indexes on any other column keep their built *base* and an overlay of
+//!   two short lists of table rowIDs, sorted by the index's key columns:
+//!   the *fresh* rows inserted since the build and the *dead* base rows
+//!   deleted since. The row store keeps dead rows' values, so a query runs
+//!   the base, subtracts the dead rows matching the predicate and adds the
+//!   fresh ones; every predicate an index serves is one lexicographic
+//!   interval over its key columns, found with two binary searches per
+//!   list. When the base's `first_row` is itself dead while other base
+//!   matches remain, that one predicate is answered by a row-store scan
+//!   instead ([`TableStats::overlay_rescans`]).
 //!
-//! If any sub-operation fails — an index rejecting a batch (e.g. the
-//! B+-tree refusing a duplicate key on rebuild) — the table restores the
-//! pre-batch row store and rebuilds every index that absorbed deltas or
-//! was already rebuilt, reproducing the exact pre-batch logical state
-//! before the error surfaces. Callers never observe a half-applied batch.
+//! An index is rebuilt from the live rows only when its overlay holds more
+//! than `base_rows / 16` rows (an index built over fewer than 64 rows
+//! rebuilds on every batch that changes it). The rebuild runs inside the
+//! ingest that trips it, into a staged state installed only when the whole
+//! batch commits.
+//!
+//! Rejections surface at the batch that causes them wherever a build's
+//! check is cheap per key: every inserted row is checked against each
+//! overlaid index's composite key widths and 32-bit key limit, and indexes
+//! that refuse duplicate keys (B+) probe base plus overlay for every key
+//! the batch leaves live. Only a failure the backend alone can see (say, a
+//! capacity cap) surfaces later, at the batch whose rebuild trips over it.
+//!
+//! If any step fails, the table undoes the batch without a snapshot: the
+//! row store replays its undo log (inserts are appends, deletes liveness
+//! flips), overlays truncate back to their committed length, staged
+//! rebuilds are dropped, and every updatable index that absorbed deltas is
+//! rebuilt from the restored rows. Callers never observe a half-applied
+//! batch.
 //!
 //! # Row mirrors
 //!
@@ -45,6 +64,8 @@
 //! rebuilds the WAL logs delta updates as usual; whole-table recovery
 //! from WAL directories is out of scope here.
 
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use gpu_device::Device;
@@ -59,6 +80,14 @@ use rtx_query::{
 use crate::planner::{CandidateView, Planner, ProbeCost};
 use crate::store::RowStore;
 
+/// An overlay holding more than `base_rows / OVERLAY_FRACTION` rows
+/// triggers a rebuild (see the [module docs](self)).
+const OVERLAY_FRACTION: usize = 16;
+
+/// An index built over fewer rows rebuilds on every batch that changes it:
+/// its rebuild costs no more than keeping an overlay sorted.
+const SMALL_BASE_ROWS: usize = 64;
+
 struct IndexState {
     def: IndexDef,
     /// Positions of the key columns in the row store, leading first.
@@ -66,11 +95,13 @@ struct IndexState {
     /// The typed key schema for composite indexes; `None` keeps the
     /// zero-overhead raw-`u64` path for classic single-column indexes.
     schema: Option<KeySchema>,
-    /// Read-only backends rebuild per ingest batch, updatable ones absorb
-    /// deltas where exact (see the [module docs](self)).
+    /// The built base (see the [module docs](self)).
     backend: IndexBackend,
     /// Local rowID → table rowID (see the [module docs](self)).
     mirror: RowMirror,
+    /// What the base lags the table by; `None` for an index that absorbs
+    /// native deltas.
+    overlay: Option<Overlay>,
     probe: ProbeCost,
 }
 
@@ -84,6 +115,349 @@ impl IndexState {
             .take(count)
             .map(|row| store.value_at(self.columns[0], row))
             .collect()
+    }
+
+    /// Takes the freshly inserted table `row` (holding `record`) into the
+    /// overlay, after checking it fits the index the way a build would;
+    /// returns `false` for an index that absorbs native deltas instead.
+    fn admit(&mut self, record: &[u64], row: u32) -> Result<bool, IndexError> {
+        let Some(overlay) = &mut self.overlay else {
+            return Ok(false);
+        };
+        let ix = self.backend.read();
+        let narrow = !ix.capabilities().full_64bit_keys;
+        let key = match &self.schema {
+            Some(schema) => {
+                let tuple: KeyTuple = self
+                    .columns
+                    .iter()
+                    .map(|&c| KeyValue::U64(record[c]))
+                    .collect();
+                let encoded = schema.encode(&tuple)?;
+                // Dictionary-mapped schemas reach the backend as mapped
+                // keys, which only the build assigns.
+                (schema.limbs() == 1).then(|| encoded.limb(0))
+            }
+            None => Some(record[self.columns[0]]),
+        };
+        if let Some(key) = key.filter(|&key| narrow && key > u64::from(u32::MAX)) {
+            return Err(IndexError::UnsupportedKeySet {
+                backend: self.def.spec.clone().into(),
+                reason: format!(
+                    "index {:?} holds 32-bit keys only, got {key}",
+                    self.def.name
+                ),
+            });
+        }
+        overlay.fresh.rows.push(row);
+        Ok(true)
+    }
+
+    /// Refuses the open batch when it leaves two live rows with one key in
+    /// an index that does not take duplicate keys. The base holds every key
+    /// at most once, so one batched probe of it plus the overlay counts the
+    /// live rows holding each key the batch inserted.
+    fn check_unique(&self, store: &RowStore) -> Result<(), IndexError> {
+        let Some(overlay) = &self.overlay else {
+            return Ok(());
+        };
+        let ix = self.backend.read();
+        if ix.capabilities().duplicate_keys {
+            return Ok(());
+        }
+        let keys: Vec<Vec<u64>> = overlay.fresh.rows[overlay.fresh.sorted..]
+            .iter()
+            .filter(|&&row| store.is_live(row))
+            .map(|&row| {
+                self.columns
+                    .iter()
+                    .map(|&c| store.value_at(c, row))
+                    .collect()
+            })
+            .collect();
+        if keys.is_empty() {
+            return Ok(());
+        }
+        let base = match &self.schema {
+            Some(_) => ix.execute_typed(&keys.iter().fold(TypedBatch::new(), |batch, key| {
+                batch.op(TypedOp::Point(
+                    key.iter().map(|&v| KeyValue::U64(v)).collect(),
+                ))
+            }))?,
+            None => {
+                let points: Vec<u64> = keys.iter().map(|key| key[0]).collect();
+                ix.execute(&QueryBatch::of_points(&points))?
+            }
+        };
+        for (key, hit) in keys.iter().zip(&base.results) {
+            let in_base = hit.first_row != MISS && store.is_live(self.mirror.global(hit.first_row));
+            let interval = KeyInterval {
+                prefix: key,
+                range: None,
+            };
+            let fresh = overlay.live_fresh_matches(&interval, store, &self.columns);
+            if usize::from(in_base) + fresh > 1 {
+                return Err(IndexError::UnsupportedKeySet {
+                    backend: self.def.spec.clone().into(),
+                    reason: format!(
+                        "index {:?} does not take duplicate keys, and the batch leaves \
+                         two live rows with key {key:?}",
+                        self.def.name
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The rows an index's base lags the table by (see the [module
+/// docs](self)).
+#[derive(Debug)]
+struct Overlay {
+    /// Live rows inserted since the base was built.
+    fresh: SortedRows,
+    /// Base rows deleted since the base was built.
+    dead: SortedRows,
+    /// Fresh rows the open batch deleted again (dropped at commit).
+    stale: usize,
+    /// Rows at or past this rowID are not in the base.
+    base_slots: u32,
+    /// Live rows the base was built over.
+    base_rows: usize,
+}
+
+impl Overlay {
+    fn new(base_rows: usize, base_slots: usize) -> Self {
+        Overlay {
+            fresh: SortedRows::default(),
+            dead: SortedRows::default(),
+            stale: 0,
+            base_slots: base_slots as u32,
+            base_rows,
+        }
+    }
+
+    /// Live rows the overlay holds.
+    fn rows(&self) -> usize {
+        self.fresh.rows.len() - self.stale + self.dead.rows.len()
+    }
+
+    fn delete(&mut self, row: u32) {
+        if row < self.base_slots {
+            self.dead.rows.push(row);
+        } else {
+            self.stale += 1;
+        }
+    }
+
+    /// True when the index must be rebuilt (see the [module docs](self)).
+    fn is_full(&self) -> bool {
+        let rows = self.rows();
+        rows > 0 && (self.base_rows < SMALL_BASE_ROWS || rows > self.base_rows / OVERLAY_FRACTION)
+    }
+
+    /// Makes the open batch's appends part of the sorted lists.
+    fn commit(&mut self, store: &RowStore, columns: &[usize]) {
+        if self.stale > 0 {
+            self.fresh.rows.retain(|&row| store.is_live(row));
+            self.stale = 0;
+        }
+        self.fresh.commit(store, columns);
+        self.dead.commit(store, columns);
+    }
+
+    fn rollback(&mut self) {
+        self.fresh.rollback();
+        self.dead.rollback();
+        self.stale = 0;
+    }
+
+    /// Live fresh rows inside `interval`, committed or appended by the open
+    /// batch.
+    fn live_fresh_matches(
+        &self,
+        interval: &KeyInterval<'_>,
+        store: &RowStore,
+        columns: &[usize],
+    ) -> usize {
+        self.fresh
+            .matches(interval, store, columns)
+            .iter()
+            .chain(
+                self.fresh.rows[self.fresh.sorted..]
+                    .iter()
+                    .filter(|&&row| interval.locate(store, columns, row).is_eq()),
+            )
+            .filter(|&&row| store.is_live(row))
+            .count()
+    }
+
+    /// Corrects the base's answer to one predicate (with `first_row`
+    /// already in table rowIDs) by the overlay, summing `value_column` into
+    /// `value_sum` when set. Returns the overlay rows examined, or `None`
+    /// when the base's `first_row` died while other base matches remain —
+    /// then only a scan knows the smallest live match.
+    fn correct(
+        &self,
+        result: &mut LookupResult,
+        interval: &KeyInterval<'_>,
+        store: &RowStore,
+        columns: &[usize],
+        value_column: Option<usize>,
+    ) -> Option<usize> {
+        let dead = self.dead.matches(interval, store, columns);
+        let fresh = self.fresh.matches(interval, store, columns);
+        result.hit_count -= dead.len() as u32;
+        // A dead `first_row` matches the interval, so it is in `dead`.
+        if !dead.is_empty() && result.first_row != MISS && !store.is_live(result.first_row) {
+            if result.hit_count > 0 {
+                return None;
+            }
+            result.first_row = MISS;
+        }
+        result.hit_count += fresh.len() as u32;
+        for &row in fresh {
+            result.first_row = result.first_row.min(row);
+        }
+        if let Some(vc) = value_column {
+            for &row in dead {
+                result.value_sum = result.value_sum.wrapping_sub(store.value_at(vc, row));
+            }
+            for &row in fresh {
+                result.value_sum = result.value_sum.wrapping_add(store.value_at(vc, row));
+            }
+        }
+        Some(dead.len() + fresh.len())
+    }
+
+    fn memory_bytes(&self) -> u64 {
+        ((self.fresh.rows.capacity() + self.dead.rows.capacity()) * 4) as u64
+    }
+}
+
+/// Table rows sorted by an index's key columns up to `sorted`; the open
+/// batch appends past it, so undoing the batch is a truncate.
+#[derive(Debug, Default)]
+struct SortedRows {
+    rows: Vec<u32>,
+    sorted: usize,
+    /// The leading key column's `(min, max)` over the sorted rows: an
+    /// interval outside it — reads and writes touching different keys —
+    /// skips the list without reading the row store.
+    lead: (u64, u64),
+}
+
+impl SortedRows {
+    fn commit(&mut self, store: &RowStore, columns: &[usize]) {
+        if self.rows.len() > self.sorted {
+            // A stable sort finds the sorted prefix as one run and merges
+            // the batch's appends into it.
+            self.rows.sort_by(|&a, &b| key_order(store, columns, a, b));
+        }
+        self.sorted = self.rows.len();
+        if let (Some(&first), Some(&last)) = (self.rows.first(), self.rows.last()) {
+            self.lead = (
+                store.value_at(columns[0], first),
+                store.value_at(columns[0], last),
+            );
+        }
+    }
+
+    fn rollback(&mut self) {
+        self.rows.truncate(self.sorted);
+    }
+
+    /// The run of sorted rows inside `interval`.
+    fn matches(&self, interval: &KeyInterval<'_>, store: &RowStore, columns: &[usize]) -> &[u32] {
+        let rows = &self.rows[..self.sorted];
+        let (lower, upper) = interval.lead();
+        if rows.is_empty() || upper < self.lead.0 || lower > self.lead.1 {
+            return &[];
+        }
+        let start = rows.partition_point(|&row| interval.locate(store, columns, row).is_lt());
+        let len =
+            rows[start..].partition_point(|&row| !interval.locate(store, columns, row).is_gt());
+        &rows[start..start + len]
+    }
+}
+
+/// Orders two table rows by an index's key columns, then by rowID.
+fn key_order(store: &RowStore, columns: &[usize], a: u32, b: u32) -> Ordering {
+    columns
+        .iter()
+        .map(|&c| store.value_at(c, a).cmp(&store.value_at(c, b)))
+        .find(|order| order.is_ne())
+        .unwrap_or(Ordering::Equal)
+        .then(a.cmp(&b))
+}
+
+/// One predicate as a lexicographic interval over an index's key columns:
+/// the leading `prefix.len()` columns equal `prefix`, and the next one lies
+/// in `range` when it is set.
+struct KeyInterval<'p> {
+    prefix: &'p [u64],
+    range: Option<(u64, u64)>,
+}
+
+impl<'p> KeyInterval<'p> {
+    /// The interval of a predicate the planner routed to an index.
+    fn of(predicate: &'p Predicate) -> Self {
+        match predicate {
+            Predicate::Composite { prefix, range, .. } => KeyInterval {
+                prefix,
+                range: *range,
+            },
+            // A point, or a bit prefix without free bits, binds the key.
+            Predicate::Point { key, .. }
+            | Predicate::Prefix {
+                prefix: key,
+                low_bits: 0,
+                ..
+            } => KeyInterval {
+                prefix: std::slice::from_ref(key),
+                range: None,
+            },
+            _ => match predicate.as_op() {
+                Some(QueryOp::Range(lower, upper)) => KeyInterval {
+                    prefix: &[],
+                    range: Some((lower, upper)),
+                },
+                _ => unreachable!("ranges and bit prefixes with free bits compile to ranges"),
+            },
+        }
+    }
+
+    /// Where `row` lies: `Less` below the interval, `Greater` above it.
+    fn locate(&self, store: &RowStore, columns: &[usize], row: u32) -> Ordering {
+        for (&want, &c) in self.prefix.iter().zip(columns) {
+            let order = store.value_at(c, row).cmp(&want);
+            if order.is_ne() {
+                return order;
+            }
+        }
+        match self.range {
+            Some((lower, upper)) => {
+                let key = store.value_at(columns[self.prefix.len()], row);
+                if key < lower {
+                    Ordering::Less
+                } else if key > upper {
+                    Ordering::Greater
+                } else {
+                    Ordering::Equal
+                }
+            }
+            None => Ordering::Equal,
+        }
+    }
+
+    /// The interval's bounds on the leading key column.
+    fn lead(&self) -> (u64, u64) {
+        match (self.prefix.first(), self.range) {
+            (Some(&key), _) => (key, key),
+            (None, Some(range)) => range,
+            (None, None) => (0, u64::MAX),
+        }
     }
 }
 
@@ -117,6 +491,11 @@ pub struct TableStats {
     pub delta_ops: u64,
     /// Index rebuilds (initial builds excluded).
     pub index_rebuilds: u64,
+    /// Predicates answered by a row-store scan because the base's
+    /// `first_row` was deleted while other base matches remained.
+    pub overlay_rescans: u64,
+    /// Rows the indexes' overlays hold now (see the [module docs](self)).
+    pub overlay_rows: u64,
 }
 
 /// The answer to one [`TableQuery`]: a [`LookupResult`] per predicate
@@ -158,6 +537,8 @@ pub struct Table {
     indexes: Vec<IndexState>,
     value_pos: Option<usize>,
     stats: TableStats,
+    /// [`TableStats::overlay_rescans`], counted by `&self` queries.
+    overlay_rescans: AtomicU64,
 }
 
 impl Table {
@@ -188,6 +569,7 @@ impl Table {
         for record in records {
             store.insert(record)?;
         }
+        store.commit();
         let planner = Planner::default();
         let mut indexes = Vec::with_capacity(schema.indexes.len());
         for def in &schema.indexes {
@@ -209,6 +591,7 @@ impl Table {
             indexes,
             value_pos,
             stats: TableStats::default(),
+            overlay_rescans: AtomicU64::new(0),
         })
     }
 
@@ -224,7 +607,10 @@ impl Table {
 
     /// Lifetime counters.
     pub fn stats(&self) -> TableStats {
-        self.stats
+        TableStats {
+            overlay_rescans: self.overlay_rescans.load(AtomicOrdering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// The planner's configuration.
@@ -238,7 +624,10 @@ impl Table {
     }
 
     /// The built backend behind the named index (for metadata inspection:
-    /// capabilities, memory usage, build metrics).
+    /// capabilities, memory usage, build metrics). For an index kept by a
+    /// row-store overlay (see the [module docs](self)) this is the base as
+    /// of its last build: it lags the table by the rows the overlay holds,
+    /// and the table's own queries correct for them.
     pub fn index_backend(&self, name: &str) -> Option<&dyn SecondaryIndex> {
         self.indexes
             .iter()
@@ -246,14 +635,18 @@ impl Table {
             .map(|s| s.backend.read())
     }
 
-    /// Total resident bytes: row store plus every index's
-    /// [`MemoryUsage::total`](rtx_query::MemoryUsage::total).
+    /// Total resident bytes: row store, every index's
+    /// [`MemoryUsage::total`](rtx_query::MemoryUsage::total) and every
+    /// overlay.
     pub fn memory_bytes(&self) -> u64 {
         self.store.memory_bytes()
             + self
                 .indexes
                 .iter()
-                .map(|s| s.backend.read().memory_usage().total())
+                .map(|s| {
+                    s.backend.read().memory_usage().total()
+                        + s.overlay.as_ref().map_or(0, Overlay::memory_bytes)
+                })
                 .sum::<u64>()
     }
 
@@ -265,12 +658,19 @@ impl Table {
         if batch.is_empty() {
             return Ok(IngestReport::default());
         }
-        let saved = self.store.clone();
         let mut touched = vec![false; self.indexes.len()];
-        let mut needs_rebuild = vec![false; self.indexes.len()];
         let mut report = IngestReport::default();
-        match self.apply_batch(batch, &mut touched, &mut needs_rebuild, &mut report) {
-            Ok(()) => {
+        let outcome = match self.apply_batch(batch, &mut touched, &mut report) {
+            Ok(staged) => {
+                for (i, state) in staged {
+                    self.indexes[i] = state;
+                }
+                for state in &mut self.indexes {
+                    if let Some(overlay) = &mut state.overlay {
+                        overlay.commit(&self.store, &state.columns);
+                    }
+                }
+                self.store.commit();
                 self.stats.inserted_rows += report.inserted_rows;
                 self.stats.deleted_rows += report.deleted_rows;
                 self.stats.delta_ops += report.delta_ops;
@@ -279,103 +679,103 @@ impl Table {
             }
             Err(err) => {
                 self.stats.rolled_back_batches += 1;
-                if let Err(rollback_err) = self.rollback(saved, &touched) {
-                    return Err(IndexError::Backend {
+                match self.rollback(&touched) {
+                    Ok(()) => Err(err),
+                    Err(rollback_err) => Err(IndexError::Backend {
                         backend: "table".to_string().into(),
                         message: format!(
                             "ingest failed ({err}) and rollback failed too: {rollback_err}"
                         ),
-                    });
+                    }),
                 }
-                Err(err)
             }
-        }
+        };
+        self.stats.overlay_rows = self
+            .indexes
+            .iter()
+            .filter_map(|s| s.overlay.as_ref())
+            .map(|overlay| overlay.rows() as u64)
+            .sum();
+        outcome
     }
 
+    /// Applies every op, then checks and (past the threshold) rebuilds the
+    /// overlaid indexes; returns the rebuilt states, to be installed only
+    /// when the batch commits.
     fn apply_batch(
         &mut self,
         batch: &IngestBatch,
         touched: &mut [bool],
-        needs_rebuild: &mut [bool],
         report: &mut IngestReport,
-    ) -> Result<(), IndexError> {
+    ) -> Result<Vec<(usize, IndexState)>, IndexError> {
         for op in batch.ops() {
             match op {
-                IngestOp::Insert(record) => {
-                    self.apply_insert(record, touched, needs_rebuild, report)?;
-                }
-                IngestOp::Delete(key) => {
-                    self.apply_delete(*key, touched, needs_rebuild, report)?;
-                }
+                IngestOp::Insert(record) => self.apply_insert(record, touched, report)?,
+                IngestOp::Delete(key) => self.apply_delete(*key, touched, report)?,
                 IngestOp::Upsert(record) => {
-                    self.apply_delete(record[0], touched, needs_rebuild, report)?;
-                    self.apply_insert(record, touched, needs_rebuild, report)?;
+                    self.apply_delete(record[0], touched, report)?;
+                    self.apply_insert(record, touched, report)?;
                 }
             }
         }
+        let mut staged = Vec::new();
         if report.inserted_rows == 0 && report.deleted_rows == 0 {
-            // Nothing changed (e.g. only deletes of absent keys): the
-            // live rows are untouched, so rebuilds would be no-ops.
-            return Ok(());
+            // Nothing changed (e.g. only deletes of absent keys).
+            return Ok(staged);
         }
-        for i in 0..self.indexes.len() {
-            let rebuild =
-                needs_rebuild[i] || matches!(self.indexes[i].backend, IndexBackend::Read(_));
-            if !rebuild {
+        for (i, state) in self.indexes.iter_mut().enumerate() {
+            if touched[i] {
                 // Delta'd indexes keep their structure; refresh the probe
                 // costs so the planner sees the post-batch state.
-                if touched[i] {
-                    let sample = self.indexes[i].sample_keys(&self.store, 16);
-                    self.indexes[i].probe = self
-                        .planner
-                        .calibrate(self.indexes[i].backend.read(), &sample)?;
-                }
+                let sample = state.sample_keys(&self.store, 16);
+                state.probe = self.planner.calibrate(state.backend.read(), &sample)?;
+            }
+        }
+        for state in &self.indexes {
+            state.check_unique(&self.store)?;
+        }
+        for (i, state) in self.indexes.iter().enumerate() {
+            if !state.overlay.as_ref().is_some_and(Overlay::is_full) {
                 continue;
             }
-            let def = self.indexes[i].def.clone();
-            let columns = self.indexes[i].columns.clone();
-            let state = build_index_state(
+            let rebuilt = build_index_state(
                 &self.device,
                 &self.registry,
                 &self.store,
                 self.value_pos,
                 &self.planner,
-                &def,
-                &columns,
+                &state.def,
+                &state.columns,
             )?;
-            report.simulated_time_s += state.backend.read().build_metrics().simulated_time_s;
-            self.indexes[i] = state;
-            touched[i] = true;
+            report.simulated_time_s += rebuilt.backend.read().build_metrics().simulated_time_s;
             report.rebuilt_indexes += 1;
+            staged.push((i, rebuilt));
         }
-        Ok(())
+        Ok(staged)
     }
 
     fn apply_insert(
         &mut self,
         record: &Record,
         touched: &mut [bool],
-        needs_rebuild: &mut [bool],
         report: &mut IngestReport,
     ) -> Result<(), IndexError> {
         let row = self.store.insert(record)?;
         report.inserted_rows += 1;
         let value = self.value_pos.map(|p| record[p]).unwrap_or(0);
         for (i, state) in self.indexes.iter_mut().enumerate() {
-            if needs_rebuild[i] {
+            if state.admit(record, row)? {
                 continue;
             }
-            if let Some(ix) = state.backend.write() {
-                // Composite indexes are always read-only at the table layer
-                // (they rebuild per batch), so updatable states key on
-                // exactly one column.
-                let key = record[state.columns[0]];
-                let update = ix.insert(&[key], &[value])?;
-                state.mirror.apply(&[row], &update);
-                touched[i] = true;
-                report.delta_ops += 1;
-                report.simulated_time_s += update.simulated_time_s;
-            }
+            let ix = state
+                .backend
+                .write()
+                .expect("only updatable indexes on the primary column go without an overlay");
+            let update = ix.insert(&[record[0]], &[value])?;
+            state.mirror.apply(&[row], &update);
+            touched[i] = true;
+            report.delta_ops += 1;
+            report.simulated_time_s += update.simulated_time_s;
         }
         Ok(())
     }
@@ -384,40 +784,41 @@ impl Table {
         &mut self,
         key: u64,
         touched: &mut [bool],
-        needs_rebuild: &mut [bool],
         report: &mut IngestReport,
     ) -> Result<(), IndexError> {
         let doomed = self.store.delete_primary(key);
         report.deleted_rows += doomed.len() as u64;
         for (i, state) in self.indexes.iter_mut().enumerate() {
-            if needs_rebuild[i] {
+            if let Some(overlay) = &mut state.overlay {
+                for &row in doomed {
+                    overlay.delete(row);
+                }
                 continue;
             }
-            if let Some(ix) = state.backend.write() {
-                if state.columns == [0] {
-                    // Delta-exact: the index keys on the primary column,
-                    // so deleting `key` there removes exactly the doomed
-                    // rows.
-                    let update = ix.delete(&[key])?;
-                    state.mirror.apply(&[], &update);
-                    touched[i] = true;
-                    report.delta_ops += 1;
-                    report.simulated_time_s += update.simulated_time_s;
-                } else if !doomed.is_empty() {
-                    // An index-level delete on this column would also kill
-                    // surviving rows sharing the doomed rows' keys —
-                    // rebuild from the row store at batch end instead.
-                    needs_rebuild[i] = true;
-                }
-            }
+            let ix = state
+                .backend
+                .write()
+                .expect("only updatable indexes on the primary column go without an overlay");
+            // Delta-exact: the index keys on the primary column, so
+            // deleting `key` there removes exactly the doomed rows.
+            let update = ix.delete(&[key])?;
+            state.mirror.apply(&[], &update);
+            touched[i] = true;
+            report.delta_ops += 1;
+            report.simulated_time_s += update.simulated_time_s;
         }
         Ok(())
     }
 
-    /// Restores the pre-batch row store and rebuilds every index that
-    /// absorbed deltas or was rebuilt mid-batch.
-    fn rollback(&mut self, saved: RowStore, touched: &[bool]) -> Result<(), IndexError> {
-        self.store = saved;
+    /// Undoes the open batch (see the [module docs](self)) and rebuilds
+    /// every index that absorbed deltas.
+    fn rollback(&mut self, touched: &[bool]) -> Result<(), IndexError> {
+        self.store.rollback();
+        for state in &mut self.indexes {
+            if let Some(overlay) = &mut state.overlay {
+                overlay.rollback();
+            }
+        }
         for (i, &was_touched) in touched.iter().enumerate() {
             if !was_touched {
                 continue;
@@ -503,6 +904,7 @@ impl Table {
         let fetch = query.fetches_values();
         let mut results = vec![LookupResult::miss(); query.len()];
         let mut metrics = LaunchMetrics::default();
+        let scan_s = self.planner.scan_cost_per_row_s * self.store.live_count() as f64;
         // Predicates routed to the same index fuse into one batch (fewer
         // simulated launches); scans answer immediately. Composite (typed)
         // indexes collect typed prefix operations, everything else the raw
@@ -517,8 +919,7 @@ impl Table {
             match &choice.route {
                 Route::Scan => {
                     results[slot] = self.scan_predicate(predicate, fetch);
-                    metrics.simulated_time_s +=
-                        self.planner.scan_cost_per_row_s * self.store.live_count() as f64;
+                    metrics.simulated_time_s += scan_s;
                 }
                 Route::Index { index, .. } => {
                     let state = self
@@ -557,6 +958,7 @@ impl Table {
                 }
             }
         }
+        let value_column = self.value_pos.filter(|_| fetch);
         for (name, slots, ops) in groups {
             let state = self
                 .indexes
@@ -574,9 +976,31 @@ impl Table {
                 }
             };
             metrics.merge(&outcome.metrics);
+            let overlay = state.overlay.as_ref().filter(|o| o.rows() > 0);
             for (slot, mut result) in slots.into_iter().zip(outcome.results) {
                 if result.first_row != MISS {
                     result.first_row = state.mirror.global(result.first_row);
+                }
+                if let Some(overlay) = overlay {
+                    let predicate = &query.predicates()[slot];
+                    let interval = KeyInterval::of(predicate);
+                    match overlay.correct(
+                        &mut result,
+                        &interval,
+                        &self.store,
+                        &state.columns,
+                        value_column,
+                    ) {
+                        Some(examined) => {
+                            metrics.simulated_time_s +=
+                                self.planner.scan_cost_per_row_s * examined as f64;
+                        }
+                        None => {
+                            result = self.scan_predicate(predicate, fetch);
+                            metrics.simulated_time_s += scan_s;
+                            self.overlay_rescans.fetch_add(1, AtomicOrdering::Relaxed);
+                        }
+                    }
                 }
                 results[slot] = result;
             }
@@ -635,10 +1059,10 @@ impl std::fmt::Debug for Table {
 
 /// Builds (or rebuilds) one index from the live row store: fresh dense
 /// mirror, calibrated probe costs, durable directories wiped first (see
-/// the [module docs](self)). Composite definitions build through the
-/// registry's typed path and always come back read-only — table deltas
-/// speak raw single-`u64` keys, which a composite index rejects, so they
-/// rebuild per mutating batch instead.
+/// the [module docs](self)), and an empty overlay unless the index absorbs
+/// native deltas. Composite definitions build through the registry's typed
+/// path and always come back read-only — table deltas speak raw
+/// single-`u64` keys, which a composite index rejects.
 fn build_index_state(
     device: &Device,
     registry: &Registry,
@@ -649,29 +1073,34 @@ fn build_index_state(
     columns: &[usize],
 ) -> Result<IndexState, IndexError> {
     wipe_durable_dir(&def.spec)?;
-    if def.is_composite() {
-        return build_composite_state(device, registry, store, value_pos, planner, def, columns);
-    }
-    let (keys, rows) = store.column_live(columns[0]);
-    let values: Option<Vec<u64>> =
-        value_pos.map(|vp| rows.iter().map(|&r| store.value_at(vp, r)).collect());
-    let spec = match &values {
-        Some(v) => IndexSpec::with_values(device, &keys, v),
-        None => IndexSpec::keys_only(device, &keys),
+    let (schema, backend, rows, probe) = if def.is_composite() {
+        build_composite(device, registry, store, value_pos, planner, def, columns)?
+    } else {
+        let (keys, rows) = store.column_live(columns[0]);
+        let values: Option<Vec<u64>> =
+            value_pos.map(|vp| rows.iter().map(|&r| store.value_at(vp, r)).collect());
+        let spec = match &values {
+            Some(v) => IndexSpec::with_values(device, &keys, v),
+            None => IndexSpec::keys_only(device, &keys),
+        };
+        let backend = match registry.build_updatable(&def.spec, &spec) {
+            Ok(ix) => IndexBackend::Write(ix),
+            // Not updatable under this registry (or not updatable at all):
+            // build read-only. Genuine build failures resurface here.
+            Err(_) => IndexBackend::Read(registry.build(&def.spec, &spec)?),
+        };
+        let probe = planner.calibrate(backend.read(), &keys)?;
+        (None, backend, rows, probe)
     };
-    let backend = match registry.build_updatable(&def.spec, &spec) {
-        Ok(ix) => IndexBackend::Write(ix),
-        // Not updatable under this registry (or not updatable at all):
-        // build read-only. Genuine build failures resurface here.
-        Err(_) => IndexBackend::Read(registry.build(&def.spec, &spec)?),
-    };
-    let probe = planner.calibrate(backend.read(), &keys)?;
+    let native = matches!(backend, IndexBackend::Write(_)) && columns == [0];
+    let overlay = (!native).then(|| Overlay::new(rows.len(), store.slot_count()));
     Ok(IndexState {
         def: def.clone(),
         columns: columns.to_vec(),
-        schema: None,
+        schema,
         backend,
         mirror: RowMirror::dense(rows),
+        overlay,
         probe,
     })
 }
@@ -679,7 +1108,7 @@ fn build_index_state(
 /// The composite arm of [`build_index_state`]: projects the key columns
 /// into typed tuples, resolves the key schema (explicit `{...}` in the
 /// spec, else all-`u64`), and builds read-only through the registry.
-fn build_composite_state(
+fn build_composite(
     device: &Device,
     registry: &Registry,
     store: &RowStore,
@@ -687,7 +1116,7 @@ fn build_composite_state(
     planner: &Planner,
     def: &IndexDef,
     columns: &[usize],
-) -> Result<IndexState, IndexError> {
+) -> Result<(Option<KeySchema>, IndexBackend, Vec<u32>, ProbeCost), IndexError> {
     let schema = match parse_schema_name(&def.spec)? {
         Some((_, schema)) => schema,
         None => KeySchema::new(vec![ColumnType::U64; columns.len()])?,
@@ -727,14 +1156,7 @@ fn build_composite_state(
         Vec::new()
     };
     let probe = planner.calibrate(backend.read(), &probe_keys)?;
-    Ok(IndexState {
-        def: def.clone(),
-        columns: columns.to_vec(),
-        schema: Some(schema),
-        backend,
-        mirror: RowMirror::dense(rows),
-        probe,
-    })
+    Ok((Some(schema), backend, rows, probe))
 }
 
 /// Resets the WAL directory of a `"+wal:<path>"` spec before a build, so

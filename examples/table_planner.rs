@@ -5,7 +5,8 @@
 //! indexes in the full registry grammar — a hash table on `id`, a sharded
 //! raytracing index on `ts` and an updatable RXD on `id`. A stream of
 //! transactional insert/delete/upsert batches keeps every index in sync
-//! (all-or-nothing, with rollback on rejection), while mixed point + range
+//! (all-or-nothing, with rollback on rejection; per batch it prints what was
+//! rebuilt and how many rows the read-only indexes hold in overlays), while mixed point + range
 //! queries are routed predicate-by-predicate to the cheapest eligible index.
 //! The planner's choices are printed as an `ExplainPlan` and compared against
 //! forcing the whole query through a single index.
@@ -43,18 +44,37 @@ fn main() {
     );
 
     // CDC ingest: each batch applies transactionally across the row store
-    // and all three indexes.
+    // and all three indexes. RXD on the primary column absorbs it as
+    // deltas; HT and RX keep their base and take the batch into a
+    // row-store overlay, rebuilt only once it outgrows 1/16 of the base.
     let config = wl::TableWorkloadConfig::uniform(3, 16, 64, 11);
     let mut inserted = 0usize;
     let mut deleted = 0usize;
-    for batch in wl::ingest_batches(&config) {
-        let report = table.ingest(&batch).expect("ingest batch");
+    println!("\nCDC ingest, 16 batches of 64 ops:");
+    for (i, batch) in wl::ingest_batches(&config).iter().enumerate() {
+        let report = table.ingest(batch).expect("ingest batch");
         inserted += report.inserted_rows as usize;
         deleted += report.deleted_rows as usize;
+        println!(
+            "  batch {i:>2}: +{} -{} rows, {} deltas, rebuilt {} index(es), {} rows in overlays",
+            report.inserted_rows,
+            report.deleted_rows,
+            report.delta_ops,
+            report.rebuilt_indexes,
+            table.stats().overlay_rows
+        );
+        // 1/16 of 2^14 rows is 1,024 overlay rows: the first half of the
+        // stream stays far below it, so a steady-state batch rebuilds
+        // nothing.
+        if i < 8 {
+            assert_eq!(report.rebuilt_indexes, 0, "batch {i} rebuilt an index");
+        }
     }
     println!(
-        "ingested 16 CDC batches: +{inserted} rows, -{deleted} rows, {} rows live",
-        table.row_count()
+        "ingested 16 CDC batches: +{inserted} rows, -{deleted} rows, {} rows live, \
+         {} index rebuilds",
+        table.row_count(),
+        table.stats().index_rebuilds
     );
 
     // A poisoned batch: the mid-batch failure (a delete after an insert the

@@ -11,7 +11,9 @@
 //! channels. A third phase runs a real `RX` index: the raytracing launch
 //! keeps its ray queue, order and result buffers per worker and reuses them
 //! from tile to tile, so its allocations per launch do not grow with the
-//! number of rays either.
+//! number of rays either. A fourth phase ingests CDC batches into a table:
+//! a steady-state batch is O(batch) work, so its allocations do not grow
+//! with the number of rows.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -24,8 +26,8 @@ use std::sync::Arc;
 use rtindex::optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
 use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
 use rtindex::{
-    Capabilities, Device, ExecArena, IndexError, QueryBatch, QueryService, RtIndex, RtIndexConfig,
-    SecondaryIndex, ServiceConfig,
+    Capabilities, Device, ExecArena, IndexError, IngestBatch, QueryBatch, QueryService, RtIndex,
+    RtIndexConfig, SecondaryIndex, ServiceConfig, Table, TableSchema,
 };
 use rtx_workloads as wl;
 
@@ -131,6 +133,52 @@ impl SecondaryIndex for MirrorIndex {
     fn range_chunk(&self, ranges: &[(u64, u64)], fetch: bool) -> Result<BatchOutcome, IndexError> {
         Ok(self.chunk(ranges.iter().copied(), fetch))
     }
+}
+
+/// Allocations of one steady-state 64-op CDC batch into a table of `rows`
+/// rows indexed by `HT`, `RX`, `RXD` and a composite `SA{u32,u32}`. Every
+/// batch inserts 32 fresh rows, deletes 24 of the previous batch's and
+/// upserts 8 loaded rows, so the overlays stay far below a rebuild.
+fn table_ingest_allocations(rows: u64) -> u64 {
+    let schema = TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("ts_rx", "ts", "RX")
+        .with_index("id_rxd", "id", "RXD")
+        .with_composite_index("id_ts", ["id", "ts"], "SA{u32,u32}");
+    let records: Vec<Vec<u64>> = (0..rows).map(|id| vec![id, id * 7 % 1000, id]).collect();
+    let mut table = Table::load(
+        schema,
+        &Device::default_eval(),
+        Arc::new(rtindex::registry()),
+        &records,
+    )
+    .unwrap();
+    let batch = |j: u64| {
+        let fresh = |j: u64, k: u64| rows + 64 * j + k;
+        let mut batch = IngestBatch::new();
+        for k in 0..32 {
+            batch = batch.insert(vec![fresh(j, k), k, k]);
+        }
+        for k in 0..24 {
+            if j > 0 {
+                batch = batch.delete(fresh(j - 1, k));
+            }
+        }
+        for k in 0..8 {
+            batch = batch.upsert(vec![8 * j + k, k, k]);
+        }
+        batch
+    };
+    let batches: Vec<IngestBatch> = (0..6).map(batch).collect();
+    for warm in &batches[..5] {
+        table.ingest(warm).unwrap();
+    }
+    let before = allocs();
+    let report = table.ingest(&batches[5]).unwrap();
+    let count = allocs() - before;
+    assert_eq!(report.rebuilt_indexes, 0, "{report:?}");
+    count
 }
 
 /// One test so the phases cannot interleave with each other's counts
@@ -243,4 +291,18 @@ fn steady_state_host_path_allocations_are_bounded() {
              worker(s); want at most {budget} whatever the ray count"
         );
     }
+
+    // -- Table ingest ----------------------------------------------------
+    //
+    // The row store undoes a rejected batch from its log instead of a
+    // snapshot, and the read-only indexes take the batch through their
+    // overlays instead of a rebuild: nothing in a steady-state batch is
+    // sized by the table, so neither is its allocation count.
+    let small = table_ingest_allocations(1 << 12);
+    let large = table_ingest_allocations(1 << 15);
+    assert!(
+        large as f64 <= 1.1 * small as f64,
+        "table ingest: {large} allocations per 64-op batch at 2^15 rows against {small} \
+         at 2^12; want the same O(batch) count"
+    );
 }

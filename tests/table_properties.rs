@@ -284,3 +284,245 @@ proptest! {
         }
     }
 }
+
+/// The overlay schema: the five read-only index shapes, all kept by
+/// row-store overlays — `HT`, `RX`, a unique-key `B+`, a sharded `RX@2`
+/// and a composite `SA{u32,u32}`.
+fn overlay_schema() -> TableSchema {
+    TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("ts_rx", "ts", "RX")
+        .with_index("id_bt", "id", "B+")
+        .with_index("ts_rx2", "ts", "RX@2")
+        .with_composite_index("id_ts_sa", ["id", "ts"], "SA{u32,u32}")
+}
+
+/// Unique ids `0..rows`, `ts` from a small domain (many rows per `ts`, so
+/// a deleted `first_row` often leaves other matches behind).
+fn overlay_records(rows: u64) -> Vec<Vec<u64>> {
+    (0..rows)
+        .map(|id| vec![id, id * 7 % 40, id * 13 % 101])
+        .collect()
+}
+
+/// Every query of `keys`, forced through each index it can use, is
+/// answered exactly as the oracle scans it out.
+fn assert_forced_oracle_exact(table: &Table, oracle: &TableOracle, keys: &[(u64, u64, u64)]) {
+    for &(id, ts, width) in keys {
+        let by_index = [
+            ("id_ht", TableQuery::new().point("id", id)),
+            (
+                "id_bt",
+                TableQuery::new()
+                    .point("id", id)
+                    .range("id", id, id + width),
+            ),
+            (
+                "ts_rx",
+                TableQuery::new()
+                    .point("ts", ts)
+                    .range("ts", ts, ts + width),
+            ),
+            (
+                "ts_rx2",
+                TableQuery::new()
+                    .point("ts", ts)
+                    .range("ts", ts, ts + width),
+            ),
+            (
+                "id_ts_sa",
+                TableQuery::new()
+                    .prefix_tuple(["id", "ts"], vec![id, ts])
+                    .prefix_tuple(["id"], vec![id])
+                    .prefix_range(["id", "ts"], vec![id], ts, ts + width)
+                    .range("id", id, id + width),
+            ),
+        ];
+        for (index, query) in by_index {
+            let query = query.fetch_values(true);
+            let got = table.query_forced(&query, index).expect("forced query");
+            let want = oracle.expected_query(table.schema(), &query);
+            for (pi, (g, w)) in got.results.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (g.first_row, g.hit_count, g.value_sum),
+                    (w.first_row, w.hit_count, w.value_sum),
+                    "{index}: predicate {pi} ({})",
+                    query.predicates()[pi]
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A 256-row table under batches of at most 8 ops: overlays persist
+    /// across batches, and the stream deletes and upserts the rows the
+    /// queries target. After every batch each index, forced, stays
+    /// oracle-exact, and the indexes rebuild exactly on the batches whose
+    /// overlay crosses `base_rows / 16` rows.
+    #[test]
+    fn prop_overlays_stay_oracle_exact_and_rebuild_at_the_threshold(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u8..3, 0u64..300, 0u64..48, 0u64..100), 1..9),
+            4..16,
+        ),
+        keys in prop::collection::vec((0u64..300, 0u64..48, 0u64..24), 1..4),
+    ) {
+        let device = Device::default_eval();
+        let records = overlay_records(256);
+        let mut table = Table::load(
+            overlay_schema(),
+            &device,
+            Arc::new(rtindex::registry()),
+            &records,
+        )
+        .expect("load");
+        let mut oracle = TableOracle::load(3, &records);
+        // The model of every overlay: id -> table rowID of the live rows,
+        // and the base the indexes were last built over.
+        let mut live: std::collections::HashMap<u64, u32> =
+            (0..256u64).map(|id| (id, id as u32)).collect();
+        let mut next_row = 256u32;
+        let (mut base_slots, mut base_rows) = (256u32, 256usize);
+        let mut fresh_id = 1000u64;
+
+        for ops in &batches {
+            let mut batch = IngestBatch::new();
+            for &(kind, id, ts, amount) in ops {
+                let op = match kind {
+                    // Inserts take fresh ids: the B+ index takes no
+                    // duplicates, and this stream must be accepted.
+                    0 => {
+                        fresh_id += 1;
+                        IngestOp::Insert(vec![fresh_id, ts, amount])
+                    }
+                    1 => IngestOp::Delete(id),
+                    _ => IngestOp::Upsert(vec![id, ts, amount]),
+                };
+                let key = op.primary_key();
+                if !matches!(op, IngestOp::Insert(_)) {
+                    live.remove(&key);
+                }
+                if !matches!(op, IngestOp::Delete(_)) {
+                    live.insert(key, next_row);
+                    next_row += 1;
+                }
+                batch = batch.push(op);
+            }
+            let rebuilds_before = table.stats().index_rebuilds;
+            table.ingest(&batch).expect("cdc batch");
+            oracle.apply_batch(&batch);
+            prop_assert_eq!(table.row_count(), oracle.row_count());
+
+            let fresh = live.values().filter(|&&row| row >= base_slots).count();
+            let kept = live.len() - fresh;
+            let overlay = fresh + (base_rows - kept);
+            let stats = table.stats();
+            if overlay > base_rows / 16 {
+                prop_assert_eq!(stats.index_rebuilds, rebuilds_before + 5);
+                prop_assert_eq!(stats.overlay_rows, 0);
+                base_slots = next_row;
+                base_rows = live.len();
+            } else {
+                prop_assert_eq!(stats.index_rebuilds, rebuilds_before);
+                prop_assert_eq!(stats.overlay_rows, 5 * overlay as u64);
+            }
+            assert_forced_oracle_exact(&table, &oracle, &keys);
+        }
+    }
+}
+
+/// A batch the unique-key `B+` refuses for a duplicate — after it already
+/// appended rows to every overlay — leaves every index answering exactly
+/// as before it, as do batches refused for a key too wide for an index; a
+/// base `first_row` deleted while other matches remain is answered by a
+/// rescan.
+#[test]
+fn duplicate_refused_after_overlay_appends_rolls_every_index_back() {
+    let device = Device::default_eval();
+    let records = overlay_records(256);
+    let mut table = Table::load(
+        overlay_schema(),
+        &device,
+        Arc::new(rtindex::registry()),
+        &records,
+    )
+    .expect("load");
+    let mut oracle = TableOracle::load(3, &records);
+    // Committed overlays first: row 0 (ts 0, the smallest rowID of its ts)
+    // dies, an upsert and a fresh row arrive.
+    let warm = IngestBatch::new()
+        .delete(0)
+        .upsert(vec![5, 3, 55])
+        .insert(vec![900, 0, 9]);
+    table.ingest(&warm).expect("warm-up batch");
+    oracle.apply_batch(&warm);
+    let stats = table.stats();
+    assert_eq!((stats.index_rebuilds, stats.overlay_rows), (0, 5 * 4));
+
+    let keys = [(0, 0, 8), (5, 3, 4), (42, 14, 6), (900, 0, 2), (250, 10, 9)];
+    assert_forced_oracle_exact(&table, &oracle, &keys);
+    // ts 0 lost its first row 0, and rows 40, 80, ... still hold it: the
+    // point on `ts_rx` could only be answered by a rescan.
+    let rescans = table.stats().overlay_rescans;
+    assert!(rescans > 0, "{:?}", table.stats());
+
+    let snapshot = |table: &Table| -> Vec<Vec<(u32, u32, u64)>> {
+        table
+            .index_names()
+            .into_iter()
+            .map(|index| {
+                let query = match index {
+                    "id_ts_sa" => TableQuery::new()
+                        .prefix_tuple(["id"], vec![5])
+                        .range("id", 0, 299),
+                    "ts_rx" | "ts_rx2" => TableQuery::new().point("ts", 0).range("ts", 0, 47),
+                    _ => TableQuery::new().point("id", 5).point("id", 42),
+                };
+                let query = match index {
+                    "id_bt" => query.range("id", 0, 299),
+                    _ => query,
+                };
+                let out = table
+                    .query_forced(&query.fetch_values(true), index)
+                    .expect("forced query");
+                out.results
+                    .iter()
+                    .map(|r| (r.first_row, r.hit_count, r.value_sum))
+                    .collect()
+            })
+            .collect()
+    };
+    let before = snapshot(&table);
+
+    // Fresh rows, a delete and an upsert land in every overlay before the
+    // duplicate id 42 is found at the end of the batch.
+    let poisoned = IngestBatch::new()
+        .insert(vec![901, 1, 1])
+        .delete(7)
+        .upsert(vec![6, 2, 2])
+        .insert(vec![42, 3, 3]);
+    let err = table
+        .ingest(&poisoned)
+        .expect_err("B+ refuses a duplicate id");
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    // The build's other cheap checks refuse at ingest too: B+ holds 32-bit
+    // keys, and `ts` must fit the composite key's u32 column.
+    for (bad, why) in [
+        (vec![1 << 40, 1, 1], "32-bit"),
+        (vec![950, 1 << 33, 1], "does not fit"),
+    ] {
+        let batch = IngestBatch::new().insert(vec![902, 1, 1]).insert(bad);
+        let err = table.ingest(&batch).expect_err("refused at ingest");
+        assert!(err.to_string().contains(why), "{err}");
+    }
+    let stats = table.stats();
+    assert_eq!(stats.rolled_back_batches, 3);
+    assert_eq!((stats.index_rebuilds, stats.overlay_rows), (0, 5 * 4));
+    assert_eq!(table.row_count(), oracle.row_count());
+    assert_eq!(snapshot(&table), before);
+    assert_forced_oracle_exact(&table, &oracle, &keys);
+}
