@@ -23,9 +23,8 @@
 //!   matches remain, that one predicate is answered by a row-store scan
 //!   instead ([`TableStats::overlay_rescans`]).
 //!
-//! An index is rebuilt from the live rows only when its overlay holds more
-//! than `base_rows / 16` rows (an index built over fewer than 64 rows
-//! rebuilds on every batch that changes it). The rebuild runs inside the
+//! An index is rebuilt from the live rows only once its overlay holds
+//! `base_rows / 16` rows, and at least one. The rebuild runs inside the
 //! ingest that trips it, into a staged state installed only when the whole
 //! batch commits.
 //!
@@ -33,8 +32,13 @@
 //! check is cheap per key: every inserted row is checked against each
 //! overlaid index's composite key widths and 32-bit key limit, and indexes
 //! that refuse duplicate keys (B+) probe base plus overlay for every key
-//! the batch leaves live. Only a failure the backend alone can see (say, a
-//! capacity cap) surfaces later, at the batch whose rebuild trips over it.
+//! the batch leaves live. A failure only the backend's build can see (a
+//! capacity cap, a key beyond an RX key mode's range) surfaces at the batch
+//! whose threshold rebuild trips over it. That batch is refused when the
+//! rows as last committed still build. When they do not, an earlier batch
+//! admitted the cause: the batch is applied again, the index keeps its
+//! exact base and overlay, and every later batch past the threshold
+//! retries the rebuild.
 //!
 //! If any step fails, the table undoes the batch without a snapshot: the
 //! row store replays its undo log (inserts are appends, deletes liveness
@@ -80,13 +84,9 @@ use rtx_query::{
 use crate::planner::{CandidateView, Planner, ProbeCost};
 use crate::store::RowStore;
 
-/// An overlay holding more than `base_rows / OVERLAY_FRACTION` rows
-/// triggers a rebuild (see the [module docs](self)).
+/// An overlay holding `base_rows / OVERLAY_FRACTION` rows (and at least
+/// one) triggers a rebuild (see the [module docs](self)).
 const OVERLAY_FRACTION: usize = 16;
-
-/// An index built over fewer rows rebuilds on every batch that changes it:
-/// its rebuild costs no more than keeping an overlay sorted.
-const SMALL_BASE_ROWS: usize = 64;
 
 struct IndexState {
     def: IndexDef,
@@ -225,6 +225,9 @@ struct Overlay {
     base_slots: u32,
     /// Live rows the base was built over.
     base_rows: usize,
+    /// The rows as last committed failed to build: a failed threshold
+    /// rebuild keeps the base and overlay instead of refusing the batch.
+    build_fails: bool,
 }
 
 impl Overlay {
@@ -235,6 +238,7 @@ impl Overlay {
             stale: 0,
             base_slots: base_slots as u32,
             base_rows,
+            build_fails: false,
         }
     }
 
@@ -253,14 +257,13 @@ impl Overlay {
 
     /// True when the index must be rebuilt (see the [module docs](self)).
     fn is_full(&self) -> bool {
-        let rows = self.rows();
-        rows > 0 && (self.base_rows < SMALL_BASE_ROWS || rows > self.base_rows / OVERLAY_FRACTION)
+        self.rows() >= (self.base_rows / OVERLAY_FRACTION).max(1)
     }
 
     /// Makes the open batch's appends part of the sorted lists.
     fn commit(&mut self, store: &RowStore, columns: &[usize]) {
         if self.stale > 0 {
-            self.fresh.rows.retain(|&row| store.is_live(row));
+            self.fresh.retain_live(store);
             self.stale = 0;
         }
         self.fresh.commit(store, columns);
@@ -366,6 +369,15 @@ impl SortedRows {
 
     fn rollback(&mut self) {
         self.rows.truncate(self.sorted);
+    }
+
+    /// Drops the dead rows; what stays of the sorted prefix stays sorted.
+    fn retain_live(&mut self, store: &RowStore) {
+        self.sorted -= self.rows[..self.sorted]
+            .iter()
+            .filter(|&&row| !store.is_live(row))
+            .count();
+        self.rows.retain(|&row| store.is_live(row));
     }
 
     /// The run of sorted rows inside `interval`.
@@ -658,38 +670,39 @@ impl Table {
         if batch.is_empty() {
             return Ok(IngestReport::default());
         }
-        let mut touched = vec![false; self.indexes.len()];
-        let mut report = IngestReport::default();
-        let outcome = match self.apply_batch(batch, &mut touched, &mut report) {
-            Ok(staged) => {
-                for (i, state) in staged {
-                    self.indexes[i] = state;
+        let outcome = loop {
+            let mut touched = vec![false; self.indexes.len()];
+            let mut report = IngestReport::default();
+            let mut failed_rebuild = None;
+            let err = match self.apply_batch(batch, &mut touched, &mut report, &mut failed_rebuild)
+            {
+                Ok(staged) => {
+                    self.commit(staged, &report);
+                    break Ok(report);
                 }
-                for state in &mut self.indexes {
-                    if let Some(overlay) = &mut state.overlay {
-                        overlay.commit(&self.store, &state.columns);
-                    }
-                }
-                self.store.commit();
-                self.stats.inserted_rows += report.inserted_rows;
-                self.stats.deleted_rows += report.deleted_rows;
-                self.stats.delta_ops += report.delta_ops;
-                self.stats.index_rebuilds += report.rebuilt_indexes;
-                Ok(report)
+                Err(err) => err,
+            };
+            if let Err(rollback_err) = self.rollback(&touched) {
+                break Err(IndexError::Backend {
+                    backend: "table".to_string().into(),
+                    message: format!(
+                        "ingest failed ({err}) and rollback failed too: {rollback_err}"
+                    ),
+                });
             }
-            Err(err) => {
-                self.stats.rolled_back_batches += 1;
-                match self.rollback(&touched) {
-                    Ok(()) => Err(err),
-                    Err(rollback_err) => Err(IndexError::Backend {
-                        backend: "table".to_string().into(),
-                        message: format!(
-                            "ingest failed ({err}) and rollback failed too: {rollback_err}"
-                        ),
-                    }),
+            match failed_rebuild {
+                // The failure is older than the batch: apply it again,
+                // keeping that index's base and overlay.
+                Some(i) if self.committed_rows_fail_to_build(i) => {
+                    let overlay = self.indexes[i].overlay.as_mut();
+                    overlay.expect("only overlaid indexes rebuild").build_fails = true;
                 }
+                _ => break Err(err),
             }
         };
+        if outcome.is_err() {
+            self.stats.rolled_back_batches += 1;
+        }
         self.stats.overlay_rows = self
             .indexes
             .iter()
@@ -699,14 +712,54 @@ impl Table {
         outcome
     }
 
+    /// Installs the staged rebuilds and makes the open batch the state a
+    /// later rollback returns to.
+    fn commit(&mut self, staged: Vec<(usize, IndexState)>, report: &IngestReport) {
+        for (i, state) in staged {
+            self.indexes[i] = state;
+        }
+        for state in &mut self.indexes {
+            if let Some(overlay) = &mut state.overlay {
+                overlay.commit(&self.store, &state.columns);
+            }
+        }
+        self.store.commit();
+        self.stats.inserted_rows += report.inserted_rows;
+        self.stats.deleted_rows += report.deleted_rows;
+        self.stats.delta_ops += report.delta_ops;
+        self.stats.index_rebuilds += report.rebuilt_indexes;
+    }
+
+    /// True when index `i` cannot be rebuilt over the rows as last
+    /// committed either, so a rebuild failure is not the open batch's
+    /// doing. An empty overlay means the committed rows are the base,
+    /// which built.
+    fn committed_rows_fail_to_build(&self, i: usize) -> bool {
+        let state = &self.indexes[i];
+        state.overlay.as_ref().is_some_and(|o| o.rows() > 0)
+            && build_index_state(
+                &self.device,
+                &self.registry,
+                &self.store,
+                self.value_pos,
+                &self.planner,
+                &state.def,
+                &state.columns,
+            )
+            .is_err()
+    }
+
     /// Applies every op, then checks and (past the threshold) rebuilds the
     /// overlaid indexes; returns the rebuilt states, to be installed only
-    /// when the batch commits.
+    /// when the batch commits. A rebuild that fails names its index in
+    /// `failed_rebuild`; one whose committed rows already failed to build
+    /// keeps its base and overlay.
     fn apply_batch(
         &mut self,
         batch: &IngestBatch,
         touched: &mut [bool],
         report: &mut IngestReport,
+        failed_rebuild: &mut Option<usize>,
     ) -> Result<Vec<(usize, IndexState)>, IndexError> {
         for op in batch.ops() {
             match op {
@@ -735,10 +788,10 @@ impl Table {
             state.check_unique(&self.store)?;
         }
         for (i, state) in self.indexes.iter().enumerate() {
-            if !state.overlay.as_ref().is_some_and(Overlay::is_full) {
+            let Some(overlay) = state.overlay.as_ref().filter(|o| o.is_full()) else {
                 continue;
-            }
-            let rebuilt = build_index_state(
+            };
+            match build_index_state(
                 &self.device,
                 &self.registry,
                 &self.store,
@@ -746,10 +799,19 @@ impl Table {
                 &self.planner,
                 &state.def,
                 &state.columns,
-            )?;
-            report.simulated_time_s += rebuilt.backend.read().build_metrics().simulated_time_s;
-            report.rebuilt_indexes += 1;
-            staged.push((i, rebuilt));
+            ) {
+                Ok(rebuilt) => {
+                    report.simulated_time_s +=
+                        rebuilt.backend.read().build_metrics().simulated_time_s;
+                    report.rebuilt_indexes += 1;
+                    staged.push((i, rebuilt));
+                }
+                Err(_) if overlay.build_fails => {}
+                Err(err) => {
+                    *failed_rebuild = Some(i);
+                    return Err(err);
+                }
+            }
         }
         Ok(staged)
     }

@@ -6,8 +6,9 @@
 //! raytracing index on `ts` and an updatable RXD on `id`. A stream of
 //! transactional insert/delete/upsert batches keeps every index in sync
 //! (all-or-nothing, with rollback on rejection; per batch it prints what was
-//! rebuilt and how many rows the read-only indexes hold in overlays), while mixed point + range
-//! queries are routed predicate-by-predicate to the cheapest eligible index.
+//! rebuilt and how many rows the read-only indexes hold in overlays), while
+//! mixed point + range queries are routed predicate-by-predicate to the
+//! cheapest eligible index.
 //! The planner's choices are printed as an `ExplainPlan` and compared against
 //! forcing the whole query through a single index.
 //!
@@ -46,7 +47,7 @@ fn main() {
     // CDC ingest: each batch applies transactionally across the row store
     // and all three indexes. RXD on the primary column absorbs it as
     // deltas; HT and RX keep their base and take the batch into a
-    // row-store overlay, rebuilt only once it outgrows 1/16 of the base.
+    // row-store overlay, rebuilt only once it reaches 1/16 of the base.
     let config = wl::TableWorkloadConfig::uniform(3, 16, 64, 11);
     let mut inserted = 0usize;
     let mut deleted = 0usize;

@@ -10,7 +10,7 @@ use rtindex::gpu_baselines::{register_baselines, GpuIndexAdapter, WarpHashTable}
 use rtindex::rtindex_core::register_rx;
 use rtindex::rtx_delta::register_dynamic;
 use rtindex::{
-    Device, DynamicRtConfig, IndexError, IngestBatch, IngestOp, Registry, RtIndexConfig,
+    Device, DynamicRtConfig, IndexError, IngestBatch, IngestOp, KeyMode, Registry, RtIndexConfig,
     SecondaryIndex, Table, TableQuery, TableSchema,
 };
 use rtx_workloads::TableOracle;
@@ -362,7 +362,7 @@ proptest! {
     /// across batches, and the stream deletes and upserts the rows the
     /// queries target. After every batch each index, forced, stays
     /// oracle-exact, and the indexes rebuild exactly on the batches whose
-    /// overlay crosses `base_rows / 16` rows.
+    /// overlay reaches `base_rows / 16` rows.
     #[test]
     fn prop_overlays_stay_oracle_exact_and_rebuild_at_the_threshold(
         batches in prop::collection::vec(
@@ -421,7 +421,7 @@ proptest! {
             let kept = live.len() - fresh;
             let overlay = fresh + (base_rows - kept);
             let stats = table.stats();
-            if overlay > base_rows / 16 {
+            if overlay >= (base_rows / 16).max(1) {
                 prop_assert_eq!(stats.index_rebuilds, rebuilds_before + 5);
                 prop_assert_eq!(stats.overlay_rows, 0);
                 base_slots = next_row;
@@ -525,4 +525,113 @@ fn duplicate_refused_after_overlay_appends_rolls_every_index_back() {
     assert_eq!(table.row_count(), oracle.row_count());
     assert_eq!(snapshot(&table), before);
     assert_forced_oracle_exact(&table, &oracle, &keys);
+}
+
+/// Upserting a row an earlier batch inserted drops its old row from the
+/// fresh overlay and appends the new one: the overlay must sort it in, on
+/// the `id` indexes (same key, new rowID) and the `ts` ones (smaller key).
+#[test]
+fn upserting_a_fresh_row_keeps_every_overlay_sorted() {
+    let device = Device::default_eval();
+    let records = overlay_records(256);
+    let mut table = Table::load(
+        overlay_schema(),
+        &device,
+        Arc::new(rtindex::registry()),
+        &records,
+    )
+    .expect("load");
+    let mut oracle = TableOracle::load(3, &records);
+    let fresh = IngestBatch::new()
+        .insert(vec![300, 10, 1])
+        .insert(vec![301, 20, 2])
+        .insert(vec![302, 30, 3]);
+    let upsert = IngestBatch::new().upsert(vec![301, 5, 4]);
+    for batch in [fresh, upsert] {
+        table.ingest(&batch).expect("cdc batch");
+        oracle.apply_batch(&batch);
+    }
+    assert_eq!(table.stats().index_rebuilds, 0);
+    assert_eq!(table.stats().overlay_rows, 5 * 3);
+    let keys = [
+        (300, 10, 0),
+        (301, 5, 0),
+        (301, 20, 0),
+        (302, 30, 0),
+        (300, 0, 40),
+    ];
+    assert_forced_oracle_exact(&table, &oracle, &keys);
+}
+
+/// A row only the build refuses — a `ts` past the range of RX's naive key
+/// mode, which still claims full 64-bit keys — is admitted into the
+/// overlay. The batch whose rebuild then fails is accepted, because the
+/// rows as last committed fail to build too: RX keeps its exact base and
+/// overlay and retries at every later batch, and rebuilds once the row is
+/// gone. A batch that brings such a row when the committed rows still
+/// build is refused.
+#[test]
+fn a_row_only_the_build_refuses_defers_the_rebuild_instead_of_refusing_ingest() {
+    let device = Device::default_eval();
+    let mut registry = Registry::new();
+    register_baselines(&mut registry);
+    register_rx(
+        &mut registry,
+        RtIndexConfig::default().with_key_mode(KeyMode::Naive),
+    );
+    let schema = TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("ts_rx", "ts", "RX");
+    let records = overlay_records(256);
+    let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("load");
+    let mut oracle = TableOracle::load(3, &records);
+    let far = 1 << 24;
+    let inserts = |ids: std::ops::Range<u64>| {
+        ids.fold(IngestBatch::new(), |batch, id| {
+            batch.insert(vec![id, id % 40, id])
+        })
+    };
+    let check = |table: &Table, oracle: &TableOracle| {
+        for query in [
+            TableQuery::new().point("ts", far).range("ts", 0, 1 << 22),
+            TableQuery::new().point("ts", 3).range("ts", 3, 9),
+        ] {
+            let query = query.fetch_values(true);
+            let got = table.query_forced(&query, "ts_rx").expect("forced query");
+            let want = oracle.expected_query(table.schema(), &query);
+            for (g, w) in got.results.iter().zip(&want) {
+                assert_eq!(
+                    (g.first_row, g.hit_count, g.value_sum),
+                    (w.first_row, w.hit_count, w.value_sum)
+                );
+            }
+        }
+    };
+    // Both overlays reach 16 rows: HT rebuilds, RX cannot and keeps its
+    // overlay, and the batches stay accepted.
+    let far_row = IngestBatch::new().insert(vec![500, far, 7]);
+    for batch in [far_row, inserts(1000..1015), inserts(1015..1016)] {
+        table.ingest(&batch).expect("accepted");
+        oracle.apply_batch(&batch);
+        check(&table, &oracle);
+    }
+    let stats = table.stats();
+    assert_eq!((stats.index_rebuilds, stats.rolled_back_batches), (1, 0));
+    assert_eq!(stats.overlay_rows, 1 + 17);
+    // Deleting the far row lets RX rebuild.
+    let delete = IngestBatch::new().delete(500);
+    table.ingest(&delete).expect("accepted");
+    oracle.apply_batch(&delete);
+    check(&table, &oracle);
+    assert_eq!(table.stats().index_rebuilds, 2);
+    // With RX's committed rows building again, a batch bringing a far row
+    // and crossing the threshold is the one refused.
+    let before = table.row_count();
+    let err = table
+        .ingest(&inserts(2000..2040).insert(vec![501, far, 7]))
+        .expect_err("RX cannot build the batch");
+    assert!(err.to_string().contains("exceeds"), "{err}");
+    assert_eq!(table.row_count(), before);
+    check(&table, &oracle);
 }
