@@ -121,11 +121,9 @@ fn run_arm(table: &Table, queries: &[TableQuery], forced: Option<&str>) -> Plann
         sim_s += out.metrics.simulated_time_s;
         hits += out.hit_count();
         predicates += query.len();
-        for choice in &out.plan.choices {
-            if let Some(index) = choice.route.index_name() {
-                if let Some(entry) = routes.iter_mut().find(|(name, _)| name == index) {
-                    entry.1 += 1;
-                }
+        for index in (0..out.plan.len()).filter_map(|i| out.plan.routed_index(i)) {
+            if let Some(entry) = routes.iter_mut().find(|(name, _)| name == index) {
+                entry.1 += 1;
             }
         }
     }

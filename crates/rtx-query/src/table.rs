@@ -7,7 +7,7 @@
 //! [name grammar](crate::registry) — `"HT"`, `"RX:sah@4:hash"` and
 //! `"RXD+wal:<path>"` are all valid per-column specs. This module holds
 //! only the *vocabulary* shared by every layer (workloads generate
-//! [`IngestBatch`]es, the service surfaces [`ExplainPlan`]s); the table
+//! [`IngestBatch`]es, the table renders [`ExplainPlan`]s); the table
 //! mechanics — row store, index fan-out, rollback, the planner itself —
 //! live in the `rtx-table` crate, which cannot host the types because
 //! `rtx-workloads` must not depend on it.
@@ -358,21 +358,21 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// The predicated (leading) column's name.
+    /// The predicated (leading) column's name; empty for a composite
+    /// predicate that names no column (which [`validate`] rejects).
+    ///
+    /// [`validate`]: Predicate::validate
     pub fn column(&self) -> &str {
-        match self {
-            Predicate::Point { column, .. }
-            | Predicate::Range { column, .. }
-            | Predicate::Prefix { column, .. } => column,
-            Predicate::Composite { columns, .. } => &columns[0],
-        }
+        self.columns().first().map_or("", String::as_str)
     }
 
     /// Every predicated column, leading column first.
-    pub fn columns(&self) -> Vec<&str> {
+    pub fn columns(&self) -> &[String] {
         match self {
-            Predicate::Composite { columns, .. } => columns.iter().map(String::as_str).collect(),
-            other => vec![other.column()],
+            Predicate::Point { column, .. }
+            | Predicate::Range { column, .. }
+            | Predicate::Prefix { column, .. } => std::slice::from_ref(column),
+            Predicate::Composite { columns, .. } => columns,
         }
     }
 
@@ -569,11 +569,8 @@ impl std::fmt::Display for Predicate {
                     if !prefix.is_empty() {
                         write!(f, ", ")?;
                     }
-                    write!(
-                        f,
-                        "{} in [{lower}, {upper}]",
-                        columns.last().expect("validated composite")
-                    )?;
+                    let column = columns.last().map_or("", String::as_str);
+                    write!(f, "{column} in [{lower}, {upper}]")?;
                 }
                 Ok(())
             }
@@ -764,9 +761,10 @@ pub struct ExplainPlan {
 }
 
 impl ExplainPlan {
-    /// The index name predicate `i` was routed to, or `None` for a scan.
+    /// The index name predicate `i` was routed to, or `None` for a scan
+    /// and past the last predicate.
     pub fn routed_index(&self, i: usize) -> Option<&str> {
-        self.choices[i].route.index_name()
+        self.choices.get(i)?.route.index_name()
     }
 
     /// Number of predicates that fell back to a row-store scan.
@@ -1119,5 +1117,32 @@ mod tests {
         let rendered = plan.to_string();
         assert!(rendered.contains("id_ht"), "{rendered}");
         assert!(rendered.contains("row-store scan"), "{rendered}");
+    }
+
+    #[test]
+    fn routed_index_past_the_last_predicate_is_none() {
+        assert_eq!(ExplainPlan::default().routed_index(0), None);
+    }
+
+    /// What `TableQuery::prefix_range(Vec::<&str>::new(), vec![], 1, 2)`
+    /// builds: a composite predicate naming no column.
+    fn columnless() -> Predicate {
+        TableQuery::new()
+            .prefix_range(Vec::<&str>::new(), vec![], 1, 2)
+            .predicates()[0]
+            .clone()
+    }
+
+    #[test]
+    fn a_columnless_composite_predicate_has_an_empty_column() {
+        let predicate = columnless();
+        assert_eq!(predicate.column(), "");
+        assert!(predicate.columns().is_empty());
+        assert!(predicate.validate().is_err());
+    }
+
+    #[test]
+    fn a_columnless_composite_predicate_displays() {
+        assert_eq!(columnless().to_string(), " in [1, 2]");
     }
 }

@@ -163,7 +163,7 @@ impl Unit for Table {
                 })
                 .and_then(|result| result);
             if let Ok(outcome) = &result {
-                let planned = outcome.plan.choices.len() as u64;
+                let planned = outcome.plan.len() as u64;
                 let scans = outcome.plan.scan_fallbacks() as u64;
                 c.planned_predicates.fetch_add(planned, Ordering::Relaxed);
                 c.routed_predicates

@@ -22,9 +22,12 @@
 //!   [`TableQuery`](rtx_query::TableQuery)s; the [`Planner`] scores every
 //!   predicate against each index's capability flags, live memory usage
 //!   and calibrated probe costs, routes it to the cheapest eligible index
-//!   (points naturally land on hash backends, ranges on RX or SA), falls
-//!   back to a row-store scan when no index qualifies, and records every
-//!   decision in an [`ExplainPlan`](rtx_query::ExplainPlan).
+//!   (points naturally land on hash backends, ranges on RX or SA) and
+//!   falls back to a row-store scan when no index qualifies. A query
+//!   executes by index position and returns its routes as a [`RoutePlan`];
+//!   [`Table::explain`] renders every decision — each candidate's cost or
+//!   why it cannot serve — as an [`ExplainPlan`](rtx_query::ExplainPlan),
+//!   from the same scoring.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -39,16 +42,16 @@
 //!     .with_index("id_ht", "id", "HT")
 //!     .with_index("ts_rx", "ts", "RX");
 //! let table = Table::load(schema, &device, Arc::new(registry()), &[]).unwrap();
-//! let out = table
-//!     .query(&TableQuery::new().point("id", 42).range("ts", 100, 200))
-//!     .unwrap();
-//! println!("{}", out.plan);
+//! let query = TableQuery::new().point("id", 42).range("ts", 100, 200);
+//! let out = table.query(&query).unwrap();
+//! println!("{}", out.plan); // one route per predicate
+//! println!("{}", table.explain(&query).unwrap()); // every candidate, and why
 //! ```
 
 pub mod planner;
 pub mod store;
 pub mod table;
 
-pub use planner::{Planner, ProbeCost};
+pub use planner::{Planner, ProbeCost, RoutePlan};
 pub use store::RowStore;
 pub use table::{IngestReport, Table, TableOutcome, TableStats};

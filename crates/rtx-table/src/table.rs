@@ -77,11 +77,11 @@ use optix_sim::LaunchMetrics;
 use rtx_query::{
     parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexBackend, IndexDef,
     IndexError, IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult,
-    Predicate, QueryBatch, QueryOp, Record, Registry, Route, RowMirror, SecondaryIndex, TableQuery,
+    Predicate, QueryBatch, QueryOp, Record, Registry, RowMirror, SecondaryIndex, TableQuery,
     TableSchema, TypedBatch, TypedOp, MISS,
 };
 
-use crate::planner::{CandidateView, Planner, ProbeCost};
+use crate::planner::{CandidateView, IndexView, Planner, ProbeCost, RoutePlan};
 use crate::store::RowStore;
 
 /// An overlay holding `base_rows / OVERLAY_FRACTION` rows (and at least
@@ -89,7 +89,6 @@ use crate::store::RowStore;
 const OVERLAY_FRACTION: usize = 16;
 
 struct IndexState {
-    def: IndexDef,
     /// Positions of the key columns in the row store, leading first.
     columns: Vec<usize>,
     /// The typed key schema for composite indexes; `None` keeps the
@@ -102,7 +101,8 @@ struct IndexState {
     /// What the base lags the table by; `None` for an index that absorbs
     /// native deltas.
     overlay: Option<Overlay>,
-    probe: ProbeCost,
+    /// What the planner reads of the backend, refreshed whenever it changes.
+    view: IndexView,
 }
 
 impl IndexState {
@@ -118,9 +118,10 @@ impl IndexState {
     }
 
     /// Takes the freshly inserted table `row` (holding `record`) into the
-    /// overlay, after checking it fits the index the way a build would;
-    /// returns `false` for an index that absorbs native deltas instead.
-    fn admit(&mut self, record: &[u64], row: u32) -> Result<bool, IndexError> {
+    /// overlay, after checking it fits the index `def` the way a build
+    /// would; returns `false` for an index that absorbs native deltas
+    /// instead.
+    fn admit(&mut self, def: &IndexDef, record: &[u64], row: u32) -> Result<bool, IndexError> {
         let Some(overlay) = &mut self.overlay else {
             return Ok(false);
         };
@@ -142,11 +143,8 @@ impl IndexState {
         };
         if let Some(key) = key.filter(|&key| narrow && key > u64::from(u32::MAX)) {
             return Err(IndexError::UnsupportedKeySet {
-                backend: self.def.spec.clone().into(),
-                reason: format!(
-                    "index {:?} holds 32-bit keys only, got {key}",
-                    self.def.name
-                ),
+                backend: def.spec.clone().into(),
+                reason: format!("index {:?} holds 32-bit keys only, got {key}", def.name),
             });
         }
         overlay.fresh.rows.push(row);
@@ -154,10 +152,10 @@ impl IndexState {
     }
 
     /// Refuses the open batch when it leaves two live rows with one key in
-    /// an index that does not take duplicate keys. The base holds every key
-    /// at most once, so one batched probe of it plus the overlay counts the
-    /// live rows holding each key the batch inserted.
-    fn check_unique(&self, store: &RowStore) -> Result<(), IndexError> {
+    /// an index (`def`) that does not take duplicate keys. The base holds
+    /// every key at most once, so one batched probe of it plus the overlay
+    /// counts the live rows holding each key the batch inserted.
+    fn check_unique(&self, def: &IndexDef, store: &RowStore) -> Result<(), IndexError> {
         let Some(overlay) = &self.overlay else {
             return Ok(());
         };
@@ -198,11 +196,11 @@ impl IndexState {
             let fresh = overlay.live_fresh_matches(&interval, store, &self.columns);
             if usize::from(in_base) + fresh > 1 {
                 return Err(IndexError::UnsupportedKeySet {
-                    backend: self.def.spec.clone().into(),
+                    backend: def.spec.clone().into(),
                     reason: format!(
                         "index {:?} does not take duplicate keys, and the batch leaves \
                          two live rows with key {key:?}",
-                        self.def.name
+                        def.name
                     ),
                 });
             }
@@ -512,15 +510,17 @@ pub struct TableStats {
 
 /// The answer to one [`TableQuery`]: a [`LookupResult`] per predicate
 /// (with `first_row` in *table* rowID space), merged launch metrics, and
-/// the plan that produced it.
+/// the routes that produced it.
 #[derive(Debug, Clone)]
 pub struct TableOutcome {
     /// One result per predicate, in submission order.
     pub results: Vec<LookupResult>,
     /// Merged simulated/host launch metrics of every routed batch.
     pub metrics: LaunchMetrics,
-    /// The planner's routing decisions.
-    pub plan: ExplainPlan,
+    /// Where each predicate went: an index or a row-store scan. The
+    /// candidates and reasons behind a route are
+    /// [`Table::explain`]'s to render.
+    pub plan: RoutePlan,
 }
 
 impl TableOutcome {
@@ -546,6 +546,9 @@ pub struct Table {
     registry: Arc<Registry>,
     planner: Planner,
     store: RowStore,
+    /// The index definitions, in schema order; `indexes[i]` is built from
+    /// `defs[i]`, and every [`RoutePlan`] borrows the names from here.
+    defs: Arc<[IndexDef]>,
     indexes: Vec<IndexState>,
     value_pos: Option<usize>,
     stats: TableStats,
@@ -583,8 +586,9 @@ impl Table {
         }
         store.commit();
         let planner = Planner::default();
-        let mut indexes = Vec::with_capacity(schema.indexes.len());
-        for def in &schema.indexes {
+        let defs: Arc<[IndexDef]> = schema.indexes.clone().into();
+        let mut indexes = Vec::with_capacity(defs.len());
+        for def in defs.iter() {
             let columns: Vec<usize> = def
                 .columns
                 .iter()
@@ -600,6 +604,7 @@ impl Table {
             registry,
             planner,
             store,
+            defs,
             indexes,
             value_pos,
             stats: TableStats::default(),
@@ -632,7 +637,7 @@ impl Table {
 
     /// The index names, in schema order.
     pub fn index_names(&self) -> Vec<&str> {
-        self.indexes.iter().map(|s| s.def.name.as_str()).collect()
+        self.defs.iter().map(|def| def.name.as_str()).collect()
     }
 
     /// The built backend behind the named index (for metadata inspection:
@@ -641,10 +646,8 @@ impl Table {
     /// of its last build: it lags the table by the rows the overlay holds,
     /// and the table's own queries correct for them.
     pub fn index_backend(&self, name: &str) -> Option<&dyn SecondaryIndex> {
-        self.indexes
-            .iter()
-            .find(|s| s.def.name == name)
-            .map(|s| s.backend.read())
+        let position = self.defs.iter().position(|def| def.name == name)?;
+        Some(self.indexes[position].backend.read())
     }
 
     /// Total resident bytes: row store, every index's
@@ -743,7 +746,7 @@ impl Table {
                 &self.store,
                 self.value_pos,
                 &self.planner,
-                &state.def,
+                &self.defs[i],
                 &state.columns,
             )
             .is_err()
@@ -778,14 +781,15 @@ impl Table {
         }
         for (i, state) in self.indexes.iter_mut().enumerate() {
             if touched[i] {
-                // Delta'd indexes keep their structure; refresh the probe
-                // costs so the planner sees the post-batch state.
+                // Delta'd indexes keep their structure; refresh the planner's
+                // view so it sees the post-batch state.
                 let sample = state.sample_keys(&self.store, 16);
-                state.probe = self.planner.calibrate(state.backend.read(), &sample)?;
+                let ix = state.backend.read();
+                state.view = IndexView::of(ix, self.planner.calibrate(ix, &sample)?);
             }
         }
-        for state in &self.indexes {
-            state.check_unique(&self.store)?;
+        for (def, state) in self.defs.iter().zip(&self.indexes) {
+            state.check_unique(def, &self.store)?;
         }
         for (i, state) in self.indexes.iter().enumerate() {
             let Some(overlay) = state.overlay.as_ref().filter(|o| o.is_full()) else {
@@ -797,7 +801,7 @@ impl Table {
                 &self.store,
                 self.value_pos,
                 &self.planner,
-                &state.def,
+                &self.defs[i],
                 &state.columns,
             ) {
                 Ok(rebuilt) => {
@@ -826,7 +830,7 @@ impl Table {
         report.inserted_rows += 1;
         let value = self.value_pos.map(|p| record[p]).unwrap_or(0);
         for (i, state) in self.indexes.iter_mut().enumerate() {
-            if state.admit(record, row)? {
+            if state.admit(&self.defs[i], record, row)? {
                 continue;
             }
             let ix = state
@@ -885,7 +889,6 @@ impl Table {
             if !was_touched {
                 continue;
             }
-            let def = self.indexes[i].def.clone();
             let columns = self.indexes[i].columns.clone();
             self.indexes[i] = build_index_state(
                 &self.device,
@@ -893,26 +896,30 @@ impl Table {
                 &self.store,
                 self.value_pos,
                 &self.planner,
-                &def,
+                &self.defs[i],
                 &columns,
             )?;
         }
         Ok(())
     }
 
-    /// Plans `query` without executing it.
+    /// Renders the planner's account of `query` without executing it:
+    /// every candidate index of each predicate with its cost or the reason
+    /// it cannot serve, the route, and its justification. The routes are
+    /// the ones [`query`](Table::query) executes, decided by the same
+    /// scoring; only the text is extra.
     pub fn explain(&self, query: &TableQuery) -> Result<ExplainPlan, IndexError> {
         self.check_fetch(query)?;
-        self.planner
-            .plan(query, &self.schema, &self.candidate_views())
+        self.planner.explain(query, &self.schema, self.candidates())
     }
 
     /// Plans and executes `query`: each predicate routes to the cheapest
     /// eligible index (or a row-store scan) and answers with `first_row`
     /// translated into table rowID space.
     pub fn query(&self, query: &TableQuery) -> Result<TableOutcome, IndexError> {
-        let plan = self.explain(query)?;
-        self.execute_plan(query, plan)
+        self.check_fetch(query)?;
+        let routes = self.planner.route(query, &self.schema, self.candidates())?;
+        self.execute(query, routes)
     }
 
     /// Executes `query` with every predicate forced through the named
@@ -924,10 +931,8 @@ impl Table {
         index: &str,
     ) -> Result<TableOutcome, IndexError> {
         self.check_fetch(query)?;
-        let plan = self
-            .planner
-            .plan_forced(query, &self.candidate_views(), index)?;
-        self.execute_plan(query, plan)
+        let routes = self.planner.route_forced(query, self.candidates(), index)?;
+        self.execute(query, routes)
     }
 
     fn check_fetch(&self, query: &TableQuery) -> Result<(), IndexError> {
@@ -939,29 +944,24 @@ impl Table {
         Ok(())
     }
 
-    fn candidate_views(&self) -> Vec<CandidateView<'_>> {
-        self.indexes
+    /// Every index as the planner scores it, in table position order.
+    fn candidates(&self) -> impl Iterator<Item = CandidateView<'_>> + Clone {
+        self.defs
             .iter()
-            .map(|s| {
-                let ix = s.backend.read();
-                CandidateView {
-                    name: &s.def.name,
-                    spec: &s.def.spec,
-                    columns: &s.def.columns,
-                    schema: s.schema.as_ref(),
-                    caps: ix.capabilities(),
-                    has_values: ix.has_value_column(),
-                    memory: ix.memory_usage().total(),
-                    probe: s.probe,
-                }
+            .zip(&self.indexes)
+            .map(|(def, state)| CandidateView {
+                def,
+                schema: state.schema.as_ref(),
+                view: &state.view,
             })
-            .collect()
     }
 
-    fn execute_plan(
+    /// Executes `query` along `routes`: per predicate the position of its
+    /// index, or `None` for a scan.
+    fn execute(
         &self,
         query: &TableQuery,
-        plan: ExplainPlan,
+        routes: Vec<Option<usize>>,
     ) -> Result<TableOutcome, IndexError> {
         let fetch = query.fetches_values();
         let mut results = vec![LookupResult::miss(); query.len()];
@@ -975,58 +975,45 @@ impl Table {
             Raw(QueryBatch),
             Typed(Vec<TypedOp>),
         }
-        let mut groups: Vec<(&str, Vec<usize>, GroupOps)> = Vec::new();
-        for (slot, (predicate, choice)) in query.predicates().iter().zip(&plan.choices).enumerate()
-        {
-            match &choice.route {
-                Route::Scan => {
-                    results[slot] = self.scan_predicate(predicate, fetch);
-                    metrics.simulated_time_s += scan_s;
+        let mut groups: Vec<(usize, Vec<usize>, GroupOps)> = Vec::new();
+        for (slot, (predicate, route)) in query.predicates().iter().zip(&routes).enumerate() {
+            let Some(position) = *route else {
+                results[slot] = self.scan_predicate(predicate, fetch);
+                metrics.simulated_time_s += scan_s;
+                continue;
+            };
+            let at = match groups.iter().position(|(p, ..)| *p == position) {
+                Some(at) => {
+                    groups[at].1.push(slot);
+                    at
                 }
-                Route::Index { index, .. } => {
-                    let state = self
-                        .indexes
-                        .iter()
-                        .find(|s| s.def.name == *index)
-                        .expect("plans route to existing indexes");
-                    let at = match groups.iter().position(|(name, ..)| name == index) {
-                        Some(at) => {
-                            groups[at].1.push(slot);
-                            at
-                        }
-                        None => {
-                            let ops = match state.schema {
-                                Some(_) => GroupOps::Typed(Vec::new()),
-                                None => GroupOps::Raw(QueryBatch::new().fetch_values(fetch)),
-                            };
-                            groups.push((index, vec![slot], ops));
-                            groups.len() - 1
-                        }
+                None => {
+                    let ops = match self.indexes[position].schema {
+                        Some(_) => GroupOps::Typed(Vec::new()),
+                        None => GroupOps::Raw(QueryBatch::new().fetch_values(fetch)),
                     };
-                    match &mut groups[at].2 {
-                        GroupOps::Raw(batch) => match predicate
-                            .as_op()
-                            .expect("the planner only routes compilable predicates")
-                        {
-                            QueryOp::Point(key) => batch.push_point(key),
-                            QueryOp::Range(lower, upper) => batch.push_range(lower, upper),
-                        },
-                        GroupOps::Typed(ops) => ops.push(
-                            predicate
-                                .as_typed_op(&state.def.columns)
-                                .expect("the planner only routes covered predicates"),
-                        ),
-                    }
+                    groups.push((position, vec![slot], ops));
+                    groups.len() - 1
                 }
+            };
+            match &mut groups[at].2 {
+                GroupOps::Raw(batch) => match predicate
+                    .as_op()
+                    .expect("the planner only routes compilable predicates")
+                {
+                    QueryOp::Point(key) => batch.push_point(key),
+                    QueryOp::Range(lower, upper) => batch.push_range(lower, upper),
+                },
+                GroupOps::Typed(ops) => ops.push(
+                    predicate
+                        .as_typed_op(&self.defs[position].columns)
+                        .expect("the planner only routes covered predicates"),
+                ),
             }
         }
         let value_column = self.value_pos.filter(|_| fetch);
-        for (name, slots, ops) in groups {
-            let state = self
-                .indexes
-                .iter()
-                .find(|s| s.def.name == name)
-                .expect("plans route to existing indexes");
+        for (position, slots, ops) in groups {
+            let state = &self.indexes[position];
             let outcome = match ops {
                 GroupOps::Raw(batch) => state.backend.read().execute(&batch)?,
                 GroupOps::Typed(ops) => {
@@ -1070,7 +1057,7 @@ impl Table {
         Ok(TableOutcome {
             results,
             metrics,
-            plan,
+            plan: RoutePlan::new(Arc::clone(&self.defs), routes),
         })
     }
 
@@ -1120,9 +1107,9 @@ impl std::fmt::Debug for Table {
 }
 
 /// Builds (or rebuilds) one index from the live row store: fresh dense
-/// mirror, calibrated probe costs, durable directories wiped first (see
-/// the [module docs](self)), and an empty overlay unless the index absorbs
-/// native deltas. Composite definitions build through the registry's typed
+/// mirror, the planner's view with calibrated probe costs, durable
+/// directories wiped first (see the [module docs](self)), and an empty
+/// overlay unless the index absorbs native deltas. Composite definitions build through the registry's typed
 /// path and always come back read-only — table deltas speak raw
 /// single-`u64` keys, which a composite index rejects.
 fn build_index_state(
@@ -1157,13 +1144,12 @@ fn build_index_state(
     let native = matches!(backend, IndexBackend::Write(_)) && columns == [0];
     let overlay = (!native).then(|| Overlay::new(rows.len(), store.slot_count()));
     Ok(IndexState {
-        def: def.clone(),
         columns: columns.to_vec(),
         schema,
+        view: IndexView::of(backend.read(), probe),
         backend,
         mirror: RowMirror::dense(rows),
         overlay,
-        probe,
     })
 }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use gpu_device::Device;
 use rtindex_core::RtIndexConfig;
 use rtx_delta::DynamicRtConfig;
-use rtx_query::{IngestBatch, Registry, Route, TableQuery, TableSchema};
+use rtx_query::{IngestBatch, Registry, TableQuery, TableSchema};
 use rtx_table::Table;
 use rtx_workloads::{
     ingest_batches, table_queries, table_records, TableOracle, TableQueryConfig,
@@ -105,7 +105,7 @@ fn acceptance_mixed_query_routes_and_answers_exactly() {
     // unindexed column falls back to a row-store scan.
     assert_eq!(out.plan.routed_index(0), Some("id_ht"), "{}", out.plan);
     assert_eq!(out.plan.routed_index(1), Some("ts_rx"), "{}", out.plan);
-    assert!(matches!(out.plan.choices[2].route, Route::Scan));
+    assert_eq!(out.plan.routed_index(2), None, "{}", out.plan);
     assert_eq!(out.plan.scan_fallbacks(), 1);
 
     // Answers: oracle-exact, including the scan fallback.
@@ -477,9 +477,9 @@ fn composite_indexes_route_and_answer_prefix_queries() {
     // Every predicate keys on `region`, which only the composite indexes
     // lead on — nothing may fall back to a scan.
     assert_eq!(out.plan.scan_fallbacks(), 0, "{}", out.plan);
-    for (pi, choice) in out.plan.choices.iter().enumerate() {
+    for pi in 0..query.len() {
         assert!(
-            matches!(choice.route, Route::Index { .. }),
+            out.plan.routed_index(pi).is_some(),
             "predicate {pi} routed {}",
             out.plan
         );

@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use rtindex::{
-    registry, Device, IndexSpec, KeySchema, KeyValue, Route, Table, TableQuery, TableSchema,
-    TypedBatch,
+    registry, Device, IndexSpec, KeySchema, KeyValue, Table, TableQuery, TableSchema, TypedBatch,
 };
 use KeyValue::{Str, I64, U64};
 
@@ -126,25 +125,24 @@ fn main() {
         .collect();
     let table = Table::load(table_schema, &device, registry, &rows).unwrap();
 
-    let out = table
-        .query(
-            &TableQuery::new()
-                .point("id", 1_234)
-                .prefix_tuple(["region", "ts"], vec![5, 185])
-                .prefix_range(["region", "ts"], vec![5], 100, 300)
-                .fetch_values(true),
-        )
-        .unwrap();
+    let query = TableQuery::new()
+        .point("id", 1_234)
+        .prefix_tuple(["region", "ts"], vec![5, 185])
+        .prefix_range(["region", "ts"], vec![5], 100, 300)
+        .fetch_values(true);
+    let out = table.query(&query).unwrap();
+    // The EXPLAIN is rendered on request, from the same scoring that routed
+    // the query.
+    let explained = table.explain(&query).unwrap();
     println!("\n== table with composite index (region, ts) ==");
-    for (i, choice) in out.plan.choices.iter().enumerate() {
-        let route = match &choice.route {
-            Route::Index { index, .. } => format!("index {index}"),
-            Route::Scan => "scan".into(),
-        };
+    for i in 0..query.len() {
+        let routed = out.plan.routed_index(i);
+        assert_eq!(explained.routed_index(i), routed, "predicate {i}");
+        let route = routed.map_or("scan".into(), |index| format!("index {index}"));
         println!(
             "predicate {i}: routed to {route}, {} rows (sum {})",
             out.results[i].hit_count, out.results[i].value_sum,
         );
     }
-    println!("\n{}", out.plan);
+    println!("\n{explained}");
 }

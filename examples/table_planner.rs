@@ -9,8 +9,9 @@
 //! rebuilt and how many rows the read-only indexes hold in overlays), while
 //! mixed point + range queries are routed predicate-by-predicate to the
 //! cheapest eligible index.
-//! The planner's choices are printed as an `ExplainPlan` and compared against
-//! forcing the whole query through a single index.
+//! `Table::explain` renders the planner's choices as an `ExplainPlan`, whose
+//! routes must match the ones the query executed, and the answers are
+//! compared against forcing the whole query through a single index.
 //!
 //! Run with: `cargo run --release --example table_planner`
 
@@ -97,7 +98,15 @@ fn main() {
         .prefix("id", 1, 6)
         .fetch_values(true);
     let out = table.query(&query).expect("planned query");
-    println!("\n{}", out.plan);
+    let explained = table.explain(&query).expect("explained query");
+    for i in 0..query.len() {
+        assert_eq!(
+            explained.routed_index(i),
+            out.plan.routed_index(i),
+            "predicate {i}"
+        );
+    }
+    println!("\n{explained}");
     println!(
         "{} predicates answered: {} hits, simulated {:.3} ms",
         query.len(),

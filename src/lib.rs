@@ -117,8 +117,9 @@
 //! A [`Table`] owns a multi-column row store plus any number of named
 //! indexes built from per-column registry specs; CDC [`IngestBatch`]es
 //! apply transactionally across all of them, and a cost-based planner
-//! routes each [`TableQuery`] predicate to the cheapest eligible index
-//! (recording its reasoning in an [`ExplainPlan`]):
+//! routes each [`TableQuery`] predicate to the cheapest eligible index. A
+//! query's outcome carries the routes; [`Table::explain`] renders the
+//! reasoning behind them as an [`ExplainPlan`] on request:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -141,6 +142,8 @@
 //! assert_eq!(out.plan.routed_index(0), Some("id_ht"));
 //! assert_eq!(out.plan.routed_index(1), Some("ts_rx"));
 //! assert_eq!(out.results[0].value_sum, 70);
+//! let explained = table.explain(&TableQuery::new().point("id", 7)).unwrap();
+//! assert_eq!(explained.choices[0].candidates.len(), 1);
 //! ```
 //!
 //! ## Dynamic updates
@@ -207,7 +210,7 @@ pub use rtx_serve::{
 pub use rtx_shard::{
     install_sharding, HashPartitioner, RangePartitioner, ShardedIndex, WeightedHashPartitioner,
 };
-pub use rtx_table::{IngestReport, Planner, Table, TableOutcome, TableStats};
+pub use rtx_table::{IngestReport, Planner, RoutePlan, Table, TableOutcome, TableStats};
 
 #[cfg(test)]
 mod tests {

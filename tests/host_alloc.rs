@@ -13,7 +13,9 @@
 //! from tile to tile, so its allocations per launch do not grow with the
 //! number of rays either. A fourth phase ingests CDC batches into a table:
 //! a steady-state batch is O(batch) work, so its allocations do not grow
-//! with the number of rows.
+//! with the number of rows. A fifth phase queries that table: routing
+//! builds no text, so a query's allocations hold a fixed budget and do not
+//! grow with indexes that never win a route.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -27,7 +29,7 @@ use rtindex::optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
 use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
 use rtindex::{
     Capabilities, Device, ExecArena, IndexError, IngestBatch, QueryBatch, QueryService, RtIndex,
-    RtIndexConfig, SecondaryIndex, ServiceConfig, Table, TableSchema,
+    RtIndexConfig, SecondaryIndex, ServiceConfig, Table, TableQuery, TableSchema,
 };
 use rtx_workloads as wl;
 
@@ -181,10 +183,63 @@ fn table_ingest_allocations(rows: u64) -> u64 {
     count
 }
 
+/// Allocations of 64 steady-state 4-predicate queries — a point on `id`,
+/// a `ts` range of span 64, a full `(id, ts)` tuple and an `(id, ts)`
+/// prefix range — against a table indexed by `HT`, `RX`, `RXD` and a
+/// composite `SA{u32,u32}`, plus `losers`: extra `(name, column, spec)`
+/// indexes that never win a route.
+fn table_query_allocations(losers: &[(&str, &str, &str)]) -> u64 {
+    let rows = 1u64 << 12;
+    let mut schema = TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("ts_rx", "ts", "RX")
+        .with_index("id_rxd", "id", "RXD")
+        .with_composite_index("id_ts", ["id", "ts"], "SA{u32,u32}");
+    for &(name, column, spec) in losers {
+        schema = schema.with_index(name, column, spec);
+    }
+    let records: Vec<Vec<u64>> = (0..rows).map(|id| vec![id, id * 7 % 1000, id]).collect();
+    let table = Table::load(
+        schema,
+        &Device::default_eval(),
+        Arc::new(rtindex::registry()),
+        &records,
+    )
+    .unwrap();
+    let queries: Vec<TableQuery> = (0..64u64)
+        .map(|j| {
+            let (id, ts) = (j * 61 % rows, j * 13 % 900);
+            TableQuery::new()
+                .point("id", id)
+                .range("ts", ts, ts + 63)
+                .prefix_tuple(["id", "ts"], vec![id, id * 7 % 1000])
+                .prefix_range(["id", "ts"], vec![id], ts, ts + 63)
+                .fetch_values(true)
+        })
+        .collect();
+    for query in &queries[..8] {
+        table.query(query).unwrap(); // warm-up
+    }
+    let before = allocs();
+    for query in &queries {
+        let out = table.query(query).unwrap();
+        assert_eq!(out.plan.scan_fallbacks(), 0);
+    }
+    allocs() - before
+}
+
 /// One test so the phases cannot interleave with each other's counts
 /// (test binaries run `#[test]`s on parallel threads by default).
 #[test]
 fn steady_state_host_path_allocations_are_bounded() {
+    // Pin the worker-pool width to the detected one before any pool thread
+    // starts, as CI pins it: unpinned, every launch re-reads the CPU quota
+    // to size itself, and that read allocates.
+    if std::env::var_os("RTX_WORKERS").is_none() {
+        let detected = rtindex::gpu_device::worker_count();
+        std::env::set_var("RTX_WORKERS", detected.to_string());
+    }
     let keys = wl::dense_shuffled(4096, 11);
     let values = wl::value_column(keys.len(), 12);
     let ix = MirrorIndex::build(&keys, &values);
@@ -304,5 +359,27 @@ fn steady_state_host_path_allocations_are_bounded() {
         large as f64 <= 1.1 * small as f64,
         "table ingest: {large} allocations per 64-op batch at 2^15 rows against {small} \
          at 2^12; want the same O(batch) count"
+    );
+
+    // -- Table queries ---------------------------------------------------
+    //
+    // Routing scores candidates into verdicts and routes by index
+    // position; no text is built unless `Table::explain` is asked for it.
+    // What a query allocates is therefore execution (the per-index
+    // batches, the launches, the outcome), and indexes that never win a
+    // route cost nothing: `zz_ht` loses the name tiebreak to `id_ht` at
+    // equal cost, and `zz_sa` is dearer than `id_ht` for points.
+    // Measured: 74 per query on 1, 2 and 8 workers, where building the
+    // EXPLAIN on every query made 151.
+    let base = table_query_allocations(&[]);
+    let per_query = base as f64 / 64.0;
+    assert!(
+        per_query <= 74.0,
+        "table query: {per_query:.1} allocations per 4-predicate query; want at most 74"
+    );
+    let with_losers = table_query_allocations(&[("zz_ht", "id", "HT"), ("zz_sa", "id", "SA")]);
+    assert_eq!(
+        with_losers, base,
+        "table query: indexes that never win a route must cost no allocations"
     );
 }

@@ -10,8 +10,8 @@ use rtindex::gpu_baselines::{register_baselines, GpuIndexAdapter, WarpHashTable}
 use rtindex::rtindex_core::register_rx;
 use rtindex::rtx_delta::register_dynamic;
 use rtindex::{
-    Device, DynamicRtConfig, IndexError, IngestBatch, IngestOp, KeyMode, Registry, RtIndexConfig,
-    SecondaryIndex, Table, TableQuery, TableSchema,
+    Device, DynamicRtConfig, IndexError, IndexSpec, IngestBatch, IngestOp, KeyMode, Registry,
+    RtIndexConfig, SecondaryIndex, Table, TableQuery, TableSchema,
 };
 use rtx_workloads::TableOracle;
 
@@ -634,4 +634,249 @@ fn a_row_only_the_build_refuses_defers_the_rebuild_instead_of_refusing_ingest() 
     assert!(err.to_string().contains("exceeds"), "{err}");
     assert_eq!(table.row_count(), before);
     check(&table, &oracle);
+}
+
+/// Registers `"NOVAL"`: a hash table that never carries the value column.
+fn register_noval(registry: &mut Registry) {
+    registry.register("NOVAL", |spec| {
+        let inner = WarpHashTable::build(spec.device, spec.keys)?;
+        let keys_only = IndexSpec::keys_only(spec.device, spec.keys);
+        Ok(Box::new(GpuIndexAdapter::new(inner, &keys_only)) as Box<dyn SecondaryIndex>)
+    });
+}
+
+/// A 64-row table whose indexes, between them, meet every verdict the
+/// planner can reach, and one query that shows each of them.
+fn explain_fixture() -> (Table, TableQuery) {
+    let mut registry = registry();
+    register_noval(&mut registry);
+    let schema = TableSchema::new(["id", "ts", "amount", "flag"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("id_bt", "id", "B+")
+        .with_index("ts_rx", "ts", "RX")
+        .with_index("ts_noval", "ts", "NOVAL")
+        .with_composite_index("id_ts_sa", ["id", "ts"], "SA{u32,u32}")
+        .with_composite_index("id_ts_ht", ["id", "ts"], "HT{u32,u32}")
+        .with_composite_index("flag_ts_bt", ["flag", "ts"], "B+{u32,u32}");
+    let records: Vec<Vec<u64>> = (0..64u64).map(|id| vec![id, id * 7, id % 10, 0]).collect();
+    let table = Table::load(
+        schema,
+        &Device::default_eval(),
+        Arc::new(registry),
+        &records,
+    )
+    .expect("fixture table");
+    let query = TableQuery::new()
+        .point("id", 3)
+        .range("id", 2, 9)
+        .point("id", 1 << 40)
+        .prefix_tuple(["id", "ts"], vec![3, 21])
+        .prefix_tuple(["id", "amount"], vec![3, 3])
+        .point("ts", 21)
+        .prefix_tuple(["flag", "ts"], vec![1, 5])
+        .range("amount", 0, 5)
+        .prefix("ts", 2, 3)
+        .prefix_tuple(["id", "ts"], vec![3, 1 << 40])
+        .fetch_values(true);
+    (table, query)
+}
+
+/// The EXPLAIN of [`explain_fixture`], byte for byte as the planner
+/// rendered it when it still built the text on every query. The working
+/// set fits the simulated L2, so the probe costs do not depend on the
+/// worker-pool width.
+const FIXTURE_EXPLAIN: &str = r#"#0 id = 3 -> index id_ht (HT): cheapest of 3 eligible candidate(s) at 7.815e-8 s/op
+    id_ht (HT): cost 7.815e-8 — probe 7.815e-8 s/op, 1280 B resident
+    id_bt (B+): cost 7.834e-8 — probe 7.834e-8 s/op, 640 B resident
+    id_ts_sa (SA{u32,u32}): cost 7.829e-8 — probe 7.829e-8 s/op × 1 limb(s) under {u32,u32}, 768 B resident
+    id_ts_ht (HT{u32,u32}): ineligible — no range-lookup capability (prefix needs an encoded range)
+#1 id in [2, 9] -> index id_ts_sa (SA{u32,u32}): cheapest of 2 eligible candidate(s) at 7.829e-8 s/op
+    id_ht (HT): ineligible — no range-lookup capability
+    id_bt (B+): cost 7.836e-8 — probe 7.836e-8 s/op, 640 B resident
+    id_ts_sa (SA{u32,u32}): cost 7.829e-8 — probe 7.829e-8 s/op × 1 limb(s) under {u32,u32}, 768 B resident
+    id_ts_ht (HT{u32,u32}): ineligible — no range-lookup capability (prefix needs an encoded range)
+#2 id = 1099511627776 -> index id_ht (HT): cheapest of 1 eligible candidate(s) at 7.815e-8 s/op
+    id_ht (HT): cost 7.815e-8 — probe 7.815e-8 s/op, 1280 B resident
+    id_bt (B+): ineligible — 32-bit keys only
+    id_ts_sa (SA{u32,u32}): ineligible — predicate does not encode under {u32,u32}: key-schema: value 1099511627776 does not fit a u32 column (max 4294967295)
+    id_ts_ht (HT{u32,u32}): ineligible — predicate does not encode under {u32,u32}: key-schema: value 1099511627776 does not fit a u32 column (max 4294967295)
+#3 id = 3, ts = 21 -> index id_ts_ht (HT{u32,u32}): cheapest of 2 eligible candidate(s) at 7.815e-8 s/op
+    id_ht (HT): ineligible — single-column index cannot serve a multi-column predicate
+    id_bt (B+): ineligible — single-column index cannot serve a multi-column predicate
+    id_ts_sa (SA{u32,u32}): cost 7.829e-8 — probe 7.829e-8 s/op × 1 limb(s) under {u32,u32}, 768 B resident
+    id_ts_ht (HT{u32,u32}): cost 7.815e-8 — probe 7.815e-8 s/op × 1 limb(s) under {u32,u32}, 1280 B resident
+#4 id = 3, amount = 3 -> row-store scan: no eligible index (capability mismatch)
+    id_ht (HT): ineligible — single-column index cannot serve a multi-column predicate
+    id_bt (B+): ineligible — single-column index cannot serve a multi-column predicate
+    id_ts_sa (SA{u32,u32}): ineligible — key columns ["id", "ts"] do not cover the predicate's columns
+    id_ts_ht (HT{u32,u32}): ineligible — key columns ["id", "ts"] do not cover the predicate's columns
+#5 ts = 21 -> index ts_rx (RX): cheapest of 1 eligible candidate(s) at 7.833e-8 s/op
+    ts_rx (RX): cost 7.833e-8 — probe 7.833e-8 s/op, 3676 B resident
+    ts_noval (NOVAL): ineligible — no value column
+#6 flag = 1, ts = 5 -> row-store scan: no eligible index (capability mismatch)
+    flag_ts_bt (B+{u32,u32}): ineligible — 32-bit keys only (encoded key overflows)
+#7 amount in [0, 5] -> row-store scan: no index on column "amount"
+#8 ts >> 3 = 2 -> index ts_rx (RX): cheapest of 1 eligible candidate(s) at 7.837e-8 s/op
+    ts_rx (RX): cost 7.837e-8 — probe 7.837e-8 s/op, 3676 B resident
+    ts_noval (NOVAL): ineligible — no value column
+#9 id = 3, ts = 1099511627776 -> row-store scan: no eligible index (capability mismatch)
+    id_ht (HT): ineligible — single-column index cannot serve a multi-column predicate
+    id_bt (B+): ineligible — single-column index cannot serve a multi-column predicate
+    id_ts_sa (SA{u32,u32}): ineligible — predicate does not encode under {u32,u32}: key-schema: value 1099511627776 does not fit a u32 column (max 4294967295)
+    id_ts_ht (HT{u32,u32}): ineligible — predicate does not encode under {u32,u32}: key-schema: value 1099511627776 does not fit a u32 column (max 4294967295)
+"#;
+
+/// Every eligible detail, every ineligibility text, the limb text and
+/// both scan reasons, pinned; the executed routes are the EXPLAIN's.
+#[test]
+fn explain_text_is_pinned_and_matches_the_executed_routes() {
+    let (table, query) = explain_fixture();
+    let explained = table.explain(&query).expect("explain");
+    assert_eq!(explained.to_string(), FIXTURE_EXPLAIN);
+    let out = table.query(&query).expect("query");
+    for i in 0..query.len() {
+        assert_eq!(
+            out.plan.routed_index(i),
+            explained.routed_index(i),
+            "predicate {i}"
+        );
+    }
+    assert_eq!(out.plan.scan_fallbacks(), 4);
+}
+
+/// The index shapes the drift proptest draws from: `(spec, composite)`.
+/// `B+` keys on the unique `id` column only.
+const DRIFT_SPECS: [(&str, bool); 7] = [
+    ("HT", false),
+    ("RX", false),
+    ("B+", false),
+    ("SA", false),
+    ("RXD", false),
+    ("SA{u32,u32}", true),
+    ("RX{u32,u32}", true),
+];
+
+/// A drift-test schema: one index per generated `(shape, flip)`, on `id`
+/// or `ts` (composites over `(id, ts)` or `(ts, id)`); `amount` stays
+/// unindexed.
+fn drift_schema(indexes: &[(usize, bool)]) -> TableSchema {
+    let mut schema = TableSchema::new(["id", "ts", "amount"]).with_value_column("amount");
+    for (i, &(shape, flip)) in indexes.iter().enumerate() {
+        let (spec, composite) = DRIFT_SPECS[shape];
+        let name = format!("ix{i}");
+        let (lead, next) = if flip && spec != "B+" {
+            ("ts", "id")
+        } else {
+            ("id", "ts")
+        };
+        schema = if composite {
+            schema.with_composite_index(name, [lead, next], spec)
+        } else {
+            schema.with_index(name, lead, spec)
+        };
+    }
+    schema
+}
+
+/// Decodes a generated `(kind, flip, (key, wide), width)` tuple into one
+/// predicate; `wide` lifts the key above `u32::MAX`. Widths stay small:
+/// a range over the leading column of `RX{u32,u32}` is one encoded range
+/// per leading value, and RX caps the rays of one range.
+fn drift_predicate(query: TableQuery, &(kind, flip, (key, wide), width): &DriftPred) -> TableQuery {
+    let key = if wide { key + (1 << 32) } else { key };
+    let (lead, next) = if flip { ("ts", "id") } else { ("id", "ts") };
+    match kind {
+        0 => query.point(lead, key),
+        1 => query.range(lead, key, key + width),
+        2 => query.prefix(lead, key >> 2, 2),
+        3 => query.prefix_tuple([lead, next], vec![key % 64, key]),
+        4 => query.prefix_tuple([lead], vec![key]),
+        5 => query.prefix_range([lead, next], vec![key % 64], key, key + width),
+        _ => query.range("amount", key, key + width),
+    }
+}
+
+type DriftPred = (u8, bool, (u64, bool), u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Routing and EXPLAIN come from one scoring function, so they cannot
+    /// drift: over random tables of 2–6 indexes and mixed point, range,
+    /// prefix and composite predicates (unindexed columns and keys above
+    /// `u32::MAX` among them), every executed route is the EXPLAIN's, the
+    /// scan counts agree and the answers are oracle-exact, before and
+    /// after a CDC batch. Forcing an index succeeds exactly when the
+    /// EXPLAIN scores it eligible for every predicate, and then routes
+    /// everything there, oracle-exactly.
+    #[test]
+    fn prop_routes_and_explain_cannot_drift(
+        indexes in prop::collection::vec((0usize..7, any::<bool>()), 2..7),
+        ts in prop::collection::vec(0u64..200, 1..40),
+        queries in prop::collection::vec(
+            prop::collection::vec(
+                (0u8..7, any::<bool>(), (0u64..220, any::<bool>()), 0u64..6),
+                1..6,
+            ),
+            1..4,
+        ),
+        fetch in any::<bool>(),
+    ) {
+        let schema = drift_schema(&indexes);
+        let records: Vec<Vec<u64>> = ts
+            .iter()
+            .enumerate()
+            .map(|(id, &ts)| vec![id as u64, ts, ts % 7])
+            .collect();
+        let mut table = Table::load(schema, &Device::default_eval(), Arc::new(registry()), &records)
+            .expect("load");
+        let mut oracle = TableOracle::load(3, &records);
+        let queries: Vec<TableQuery> = queries
+            .iter()
+            .map(|preds| {
+                preds
+                    .iter()
+                    .fold(TableQuery::new().fetch_values(fetch), drift_predicate)
+            })
+            .collect();
+        // Fresh ids keep `B+` accepting; the upsert and the delete reach
+        // the overlays and the native deltas.
+        let batch = IngestBatch::new()
+            .insert(vec![500, 17, 3])
+            .upsert(vec![0, 150, 1])
+            .delete(1);
+        for round in 0..2 {
+            if round == 1 {
+                table.ingest(&batch).expect("cdc batch");
+                oracle.apply_batch(&batch);
+            }
+            for query in &queries {
+                let explained = table.explain(query).expect("explain");
+                let out = table.query(query).expect("query");
+                for i in 0..=query.len() {
+                    prop_assert_eq!(out.plan.routed_index(i), explained.routed_index(i));
+                }
+                prop_assert_eq!(out.plan.scan_fallbacks(), explained.scan_fallbacks());
+                let want = oracle.expected_query(table.schema(), query);
+                prop_assert_eq!(&out.results, &want, "{}", explained);
+                for name in table.index_names() {
+                    let servable = explained.choices.iter().all(|choice| {
+                        choice.candidates.iter().any(|c| c.index == name && c.eligible)
+                    });
+                    match table.query_forced(query, name) {
+                        Ok(forced) => {
+                            prop_assert!(servable, "forced {} past the EXPLAIN:\n{}", name, explained);
+                            for i in 0..query.len() {
+                                prop_assert_eq!(forced.plan.routed_index(i), Some(name));
+                            }
+                            prop_assert_eq!(forced.plan.scan_fallbacks(), 0);
+                            prop_assert_eq!(&forced.results, &want, "forced {}", name);
+                        }
+                        Err(err) => prop_assert!(!servable, "{}: {}\n{}", name, err, explained),
+                    }
+                }
+            }
+        }
+    }
 }
