@@ -40,7 +40,7 @@ pub const FORCED_ARMS: [&str; 2] = ["id_rx", "id_sa"];
 
 /// One measured arm of the comparison.
 #[derive(Debug, Clone)]
-pub struct PlannerRun {
+struct PlannerRun {
     /// `"planner"` or `"forced:<index>"`.
     pub arm: String,
     /// Queries executed.
@@ -60,7 +60,7 @@ pub struct PlannerRun {
 
 impl PlannerRun {
     /// Simulated predicate throughput in operations per second.
-    pub fn sim_throughput(&self) -> f64 {
+    fn sim_throughput(&self) -> f64 {
         if self.sim_s <= 0.0 {
             return 0.0;
         }
@@ -68,7 +68,7 @@ impl PlannerRun {
     }
 
     /// Host predicate throughput in operations per second.
-    pub fn host_throughput(&self) -> f64 {
+    fn host_throughput(&self) -> f64 {
         if self.host_ms <= 0.0 {
             return 0.0;
         }
@@ -140,7 +140,7 @@ fn run_arm(table: &Table, queries: &[TableQuery], forced: Option<&str>) -> Plann
 
 /// Runs every arm over the same table and workload: the forced arms in
 /// [`FORCED_ARMS`] order, then the planner arm last.
-pub fn run_arms(scale: &ExperimentScale) -> Vec<PlannerRun> {
+fn run_arms(scale: &ExperimentScale) -> Vec<PlannerRun> {
     let n = scale.default_keys().min(1 << 14);
     let table = build_table(scale, n);
     let queries = workload(scale, n);
@@ -155,21 +155,6 @@ pub fn run_arms(scale: &ExperimentScale) -> Vec<PlannerRun> {
         "all arms must answer identically"
     );
     runs
-}
-
-/// The planner arm and the *worst* forced arm by simulated throughput —
-/// the pair the CI perf gate compares.
-pub fn planner_vs_worst_forced(runs: &[PlannerRun]) -> (&PlannerRun, &PlannerRun) {
-    let planner = runs
-        .iter()
-        .find(|r| r.arm == "planner")
-        .expect("the planner arm ran");
-    let worst = runs
-        .iter()
-        .filter(|r| r.arm != "planner")
-        .min_by(|a, b| a.sim_throughput().total_cmp(&b.sim_throughput()))
-        .expect("a forced arm ran");
-    (planner, worst)
 }
 
 /// The `planner_selection` experiment: planner-chosen vs forced-index
@@ -243,7 +228,10 @@ mod tests {
         let planner = runs.last().unwrap();
         assert!(planner.routes[0].1 > 0, "points routed to HT: {planner:?}");
 
-        let (planner, worst) = planner_vs_worst_forced(&runs);
+        let worst = runs[..FORCED_ARMS.len()]
+            .iter()
+            .min_by(|a, b| a.sim_throughput().total_cmp(&b.sim_throughput()))
+            .unwrap();
         assert!(
             planner.sim_throughput() >= worst.sim_throughput(),
             "planner {:.3e} ops/s must not lose to the worst forced arm {:.3e} ops/s",

@@ -35,7 +35,7 @@ const WAL_FRACTIONS: [f64; 3] = [0.25, 0.5, 1.0];
 
 /// One crash/recovery measurement.
 #[derive(Debug, Clone)]
-pub struct RecoveryRun {
+struct RecoveryRun {
     /// Write batches applied before the crash.
     pub write_batches: usize,
     /// Primitive write operations those batches carried.
@@ -54,7 +54,7 @@ pub struct RecoveryRun {
 
 impl RecoveryRun {
     /// Replayed primitive operations per host second during recovery.
-    pub fn replay_ops_per_s(&self, replayed_ops: usize) -> f64 {
+    fn replay_ops_per_s(&self, replayed_ops: usize) -> f64 {
         if self.recovery_s <= 0.0 {
             return 0.0;
         }
@@ -148,7 +148,7 @@ fn crash_and_recover(
 
 /// Runs the WAL-length sweep plus the checkpointed variant of the longest
 /// log.
-pub fn run_sweep(scale: &ExperimentScale) -> Vec<(RecoveryRun, usize)> {
+fn run_sweep(scale: &ExperimentScale) -> Vec<(RecoveryRun, usize)> {
     let ops = write_stream(scale);
     let mut runs = Vec::new();
     for fraction in WAL_FRACTIONS {

@@ -23,16 +23,14 @@
 //!
 //! The first [`WARMUP_FRACTION`] of events is excluded from the
 //! percentiles: it covers the one-off rebalance migration, leaving the
-//! steady state the gate cares about.
+//! steady state.
 //!
 //! Host latency tails are noisy — a single scheduler hiccup or a slow
 //! background compaction can blow one run's p99 by an order of magnitude
 //! — so each arm runs [`TRIALS`] interleaved trials over distinct Poisson
-//! schedules and reports the per-arm *median* p50/p99 across trials. The
-//! CI perf gate records both arms' medians and gates on the
-//! self-clocked-over-linger200 p50 ratio (lower is better, structurally
-//! < 1); the p99 ratio is recorded ungated — as the 4th-worst of 384
-//! events it flapped on a 2-core host with no code cause.
+//! schedules and reports the per-arm *median* p50/p99 across trials. No
+//! test holds these host numbers to a threshold: a claim about them is
+//! measured with the benchmark's alternating-pair protocol.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -62,7 +60,7 @@ pub const OPS_PER_EVENT: usize = 16;
 /// pays its full window on nearly every drain while the self-clocked arm
 /// executes each at once. (The opposite, saturating regime — where
 /// batching itself is the win — is what the closed-loop
-/// `service_throughput` gate covers.)
+/// `service_throughput` experiment covers.)
 pub const MEAN_GAP: Duration = Duration::from_micros(300);
 
 /// Zipf skew of the queried keys (rank 0 is the hottest).
@@ -74,14 +72,14 @@ pub const WARMUP_FRACTION: f64 = 0.25;
 
 /// Interleaved trials per arm; the reported percentiles are the medians
 /// across trials, so one outlier trial (scheduler hiccup, slow background
-/// compaction) cannot poison the gated ratio.
+/// compaction) cannot poison the reported percentiles.
 pub const TRIALS: usize = 3;
 
 /// One arm's measured latency distribution plus its service counters.
 /// Percentiles are medians across the arm's [`TRIALS`] trials; the counters
 /// sum over them.
 #[derive(Debug, Clone)]
-pub struct LatencyRun {
+struct LatencyRun {
     /// Arm name (`"linger200"` / `"self-clocked"`).
     pub label: &'static str,
     /// Arrival events submitted per trial.
@@ -111,25 +109,11 @@ pub struct LatencyRun {
 
 /// The two arms of one run, measured over the identical workload.
 #[derive(Debug, Clone)]
-pub struct LatencyPair {
+struct LatencyPair {
     /// [`BASELINE_LINGER`] on every drain, no rebalancing.
     pub linger200: LatencyRun,
     /// The default self-clocked service plus hot-shard rebalancing.
     pub self_clocked: LatencyRun,
-}
-
-impl LatencyPair {
-    /// Self-clocked over linger200 median-p50 — gated; < 1 means the
-    /// default service answers the typical event faster.
-    pub fn p50_ratio(&self) -> f64 {
-        self.self_clocked.p50_ms / self.linger200.p50_ms.max(1e-12)
-    }
-
-    /// Self-clocked over linger200 median-p99 — recorded, not gated; < 1
-    /// means the default service also wins at the tail.
-    pub fn p99_ratio(&self) -> f64 {
-        self.self_clocked.p99_ms / self.linger200.p99_ms.max(1e-12)
-    }
 }
 
 /// Sorted-sample percentile by nearest-rank interpolation on the index.
@@ -251,7 +235,7 @@ fn self_clocked_config(total_ops: usize) -> ServiceConfig {
 
 /// Runs both arms: [`TRIALS`] interleaved trials each, every trial pair
 /// sharing its schedule, batches and backend spec.
-pub fn run_pair(scale: &ExperimentScale) -> LatencyPair {
+fn run_pair(scale: &ExperimentScale) -> LatencyPair {
     let device = crate::scaled_device(scale);
     let n = scale.default_keys();
     let keys = wl::dense_shuffled(n, scale.seed);
@@ -378,7 +362,6 @@ mod tests {
         assert!(pair.self_clocked.rebalances >= TRIALS as u64, "{pair:?}");
         assert!(pair.self_clocked.rebalanced_rows > 0);
         assert_eq!(pair.self_clocked.mean_linger_us, 0.0, "{pair:?}");
-        assert!(pair.p50_ratio() > 0.0 && pair.p99_ratio() > 0.0);
 
         // The report renders one row per arm.
         let tables = run(&scale);

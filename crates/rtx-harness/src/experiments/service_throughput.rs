@@ -36,10 +36,10 @@ use crate::report::{fmt_ms, fmt_throughput, Table};
 use crate::scale::ExperimentScale;
 
 /// Client counts swept.
-pub const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Per-client batch sizes (operations per submission) swept.
-pub const BATCH_OPS: [usize; 2] = [32, 256];
+const BATCH_OPS: [usize; 2] = [32, 256];
 
 /// The backend every cell runs against: RX sharded over 4 shards, so the
 /// experiment exercises the fusion → scatter → gather composition.
@@ -71,17 +71,17 @@ pub struct ServiceRun {
 
 impl ServiceRun {
     /// Serial-baseline throughput in operations per second.
-    pub fn serial_throughput(&self) -> f64 {
+    fn serial_throughput(&self) -> f64 {
         throughput(self.total_ops, self.serial_ms)
     }
 
     /// Coalesced-service throughput in operations per second.
-    pub fn service_throughput(&self) -> f64 {
+    fn service_throughput(&self) -> f64 {
         throughput(self.total_ops, self.service_ms)
     }
 
     /// Coalesced over serial throughput (> 1 means coalescing wins).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         if self.service_ms <= 0.0 {
             return 0.0;
         }
@@ -197,25 +197,6 @@ fn run_cell(
         mean_fused_ops: stats.mean_fused_ops(),
         hits: serial_hits,
     }
-}
-
-/// Runs one cell of the sweep standalone. The CI perf gate
-/// (`rtx_harness::perf::quick_suite`) measures only the
-/// (max clients, smallest batch) cell and must not pay for the full sweep.
-pub fn run_one(scale: &ExperimentScale, clients: usize, batch_ops: usize) -> ServiceRun {
-    let device = crate::scaled_device(scale);
-    let n = scale.default_keys();
-    let keys = wl::dense_shuffled(n, scale.seed);
-    let values = wl::value_column(n, scale.seed + 1);
-    let spec = IndexSpec::with_values(&device, &keys, &values);
-    run_cell(
-        &spec,
-        &keys,
-        clients,
-        batch_ops,
-        scale.default_lookups(),
-        scale.seed + 7,
-    )
 }
 
 /// Runs the full client-count × batch-size sweep.

@@ -22,7 +22,6 @@
 pub mod experiments;
 pub mod indexes;
 pub mod nnls;
-pub mod perf;
 pub mod report;
 pub mod scale;
 

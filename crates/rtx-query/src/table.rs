@@ -44,9 +44,11 @@ pub struct IndexDef {
 }
 
 impl IndexDef {
-    /// The leading key column (the full key for single-column indexes).
+    /// The leading key column (the full key for single-column indexes);
+    /// empty for a definition with no columns (which
+    /// [`TableSchema::validate`] rejects).
     pub fn column(&self) -> &str {
-        &self.columns[0]
+        self.columns.first().map_or("", String::as_str)
     }
 
     /// True when the index keys on more than one column or its spec
@@ -1144,5 +1146,21 @@ mod tests {
     #[test]
     fn a_columnless_composite_predicate_displays() {
         assert_eq!(columnless().to_string(), " in [1, 2]");
+    }
+
+    #[test]
+    fn a_columnless_index_def_has_an_empty_column() {
+        let def = IndexDef {
+            name: "ix".to_string(),
+            columns: Vec::new(),
+            spec: "HT".to_string(),
+        };
+        assert_eq!(def.column(), "");
+        let schema = TableSchema {
+            indexes: vec![def],
+            ..TableSchema::new(["id"])
+        };
+        assert_eq!(schema.indexes_on("id").count(), 0);
+        assert!(schema.validate().is_err());
     }
 }
