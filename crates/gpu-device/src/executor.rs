@@ -91,16 +91,24 @@ const DEFAULT_WORKER_CAP: usize = 16;
 /// keeps benchmark and CI runs reproducible on heterogeneous hosts; set
 /// `RTX_WORKERS=1` for fully serial execution. Non-numeric or empty values
 /// fall back to the detected default.
+///
+/// The variable is read on every call (tests change it in-process); the
+/// detected default is read once per process, since detecting it reads the
+/// CPU quota (~17 µs, and an allocation) and every launch asks at least
+/// twice.
 pub fn worker_count() -> usize {
     if let Ok(raw) = std::env::var("RTX_WORKERS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             return n.clamp(1, MAX_WORKERS);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(DEFAULT_WORKER_CAP)
+    static DETECTED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(DEFAULT_WORKER_CAP)
+    })
 }
 
 /// The persistent helper-thread pool behind [`parallel_tasks`].

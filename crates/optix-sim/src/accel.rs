@@ -256,6 +256,20 @@ impl GeometryAccel {
         self.prim_buffer.size_bytes() + self.bvh_buffer.size_bytes()
     }
 
+    /// Bytes the host copy of the structure occupies: its BVH nodes plus its
+    /// primitive buffer, what a traversal reads. [`Route::for_accel`]
+    /// holds it against the host's caches.
+    ///
+    /// [`Route::for_accel`]: crate::pipeline::Route::for_accel
+    pub fn host_bytes(&self) -> usize {
+        let prims = match &self.input {
+            BuildInput::Triangles(t) => std::mem::size_of_val(t.triangles()),
+            BuildInput::Spheres(s) => std::mem::size_of_val(s.centers()),
+            BuildInput::Aabbs(a) => std::mem::size_of_val(a.boxes()),
+        };
+        std::mem::size_of_val(&self.bvh.nodes[..]) + prims
+    }
+
     /// Simulated device time of the most recent build/update.
     pub fn simulated_build_time(&self) -> SimulatedTime {
         SimulatedTime::from_seconds(self.metrics.simulated_time_s)

@@ -33,7 +33,8 @@ pub use build_input::{BuildInput, PrimitiveKind};
 pub use context::DeviceContext;
 pub use gpu_device::AccessClassifier;
 pub use pipeline::{
-    launch, FinishCtx, LaunchMetrics, ProgramSet, RayQueue, StageTimes, TILE_RAYS, TINY_LAUNCH_RAYS,
+    launch, launch_routed, FinishCtx, LaunchMetrics, ProgramSet, RayQueue, Route, StageTimes,
+    INTERLEAVE_MIN_HOST_BYTES, TILE_RAYS, TINY_LAUNCH_RAYS,
 };
 
 // Re-export the pieces callers constantly need alongside this API.

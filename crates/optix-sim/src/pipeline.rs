@@ -19,16 +19,22 @@
 //!    where they enter the scene, the order the LBVH builder laid the nodes
 //!    out in, so consecutive rays walk neighbouring subtrees while those are
 //!    still in the host's caches and take the same turns at the top of the
-//!    tree. Every ray writes its own [`TraversalStats`] and its own
-//!    payload;
+//!    tree. On a structure that fits the host's caches they go one at a
+//!    time; on a larger one ([`Route::for_accel`]) [`rtx_bvh::LANES`] rays
+//!    are in flight at once, taking turns node by node, and each prefetches
+//!    what its next visit reads, so the misses of one ray overlap the work
+//!    of the others. Either way every ray writes its own
+//!    [`TraversalStats`] and its own payload;
 //! 3. *finish* — strictly in launch-index order, ray order, hit order, the
 //!    device is charged for every ray (instructions, RT-core work, memory
 //!    traffic through the [`AccessClassifier`]) and
-//!    [`ProgramSet::finish`] produces the output.
+//!    [`ProgramSet::finish`] produces the output, while
+//!    [`ProgramSet::prefetch_finish`] already loads what the finish of a
+//!    later launch index will read.
 //!
 //! The classifier's LRU and every counter see exactly the sequence a
 //! one-index-at-a-time launch would produce, so no model or count number
-//! depends on the host's traversal order: reordering changes host time
+//! depends on the host's traversal order or route: both change host time
 //! only. Two rays never share a payload, so the rays of a multi-ray launch
 //! index keep their hits apart and in order, and
 //! [`AnyHitControl::Terminate`] ends the traversal it was returned in and
@@ -37,7 +43,7 @@
 use std::time::{Duration, Instant};
 
 use gpu_device::{AccessClassifier, Device, KernelStats, SimulatedTime, ThreadCtx};
-use rtx_bvh::{traverse, AnyHitControl, Bvh, PrimitiveSet, TraversalStats};
+use rtx_bvh::{traverse, traverse_interleaved, AnyHitControl, Bvh, PrimitiveSet, TraversalStats};
 use rtx_math::morton::morton_in_bounds;
 use rtx_math::{Aabb, Ray};
 
@@ -68,9 +74,10 @@ pub mod cost_constants {
 /// Rays (and, for ray-less indices, launch indices) after which a worker
 /// closes its current tile; it bounds the worker's buffers at about 160
 /// bytes per ray, 2.5 MiB. Measured on 65,536-point batches against 2^20
-/// keys, two workers, alternating runs: 35–38 ms per batch at 2,048 and
-/// 4,096, 30–33 ms at 16,384, no further gain at 32,768 or 65,536 (the
-/// one-index-at-a-time launch: 46–53 ms).
+/// keys, two workers, alternating runs, one ray at a time: 35–38 ms per
+/// batch at 2,048 and 4,096, 30–33 ms at 16,384, no further gain at 32,768
+/// or 65,536 (the one-index-at-a-time launch: 46–53 ms). Interleaving
+/// works inside a tile, so it leaves this choice alone.
 pub const TILE_RAYS: usize = 16_384;
 
 /// A tile with at most this many rays is traversed in submission order: no
@@ -84,6 +91,45 @@ pub const TILE_RAYS: usize = 16_384;
 /// 1,024, and 10 % in favour of ordering from 2,048 rays on (2^17 and 2^20
 /// keys alike).
 pub const TINY_LAUNCH_RAYS: usize = 1024;
+
+/// Host bytes of a structure (BVH nodes plus primitives,
+/// [`GeometryAccel::host_bytes`]) from which its ordered tiles take
+/// [`Route::Interleaved`]. The host's caches decide it: below, the
+/// structure stays in them and the lane bookkeeping costs more than the
+/// prefetches hide. The two routes break even at about 2^19 triangle keys
+/// (27 MiB); 2^18 keys are 13.5 MiB (DESIGN.md §2 has the sweep).
+pub const INTERLEAVE_MIN_HOST_BYTES: usize = 20 << 20;
+
+/// Launch indices stage 3 of an ordered tile looks ahead: while it
+/// finishes index `k` it hints the finish reads of index `k + 16`
+/// ([`ProgramSet::prefetch_finish`]). The value line of a random row is a
+/// cache miss on any index whose value column outgrows the L1; 16 indices
+/// of finish work cover it.
+const FINISH_LOOKAHEAD: usize = 16;
+
+/// How the ordered tiles of a launch (more than [`TINY_LAUNCH_RAYS`] rays)
+/// traverse. Only the host's work changes with it: every ray's statistics
+/// and hits, and every charge, are the same on both routes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// One ray after the other ([`rtx_bvh::traverse()`]).
+    OneAtATime,
+    /// [`rtx_bvh::LANES`] rays in flight, one node each in turn, with what
+    /// each visit reads prefetched ([`rtx_bvh::traverse_interleaved`]).
+    Interleaved,
+}
+
+impl Route {
+    /// The route for launches against `gas`: [`Route::Interleaved`] from
+    /// [`INTERLEAVE_MIN_HOST_BYTES`] on, one at a time below.
+    pub fn for_accel(gas: &GeometryAccel) -> Route {
+        if gas.host_bytes() >= INTERLEAVE_MIN_HOST_BYTES {
+            Route::Interleaved
+        } else {
+            Route::OneAtATime
+        }
+    }
+}
 
 /// The user-programmable parts of a pipeline, i.e. the OptiX "program groups"
 /// RTIndeX provides.
@@ -111,6 +157,16 @@ pub trait ProgramSet: Sync {
         payloads: &[Self::Payload],
         device: &mut FinishCtx<'_>,
     ) -> Self::Output;
+
+    /// A hint that [`finish`](ProgramSet::finish) will soon be handed
+    /// `payload`: an implementation may start loading the host memory it
+    /// will read for it (with [`rtx_bvh::prefetch`]). Nothing here is
+    /// charged, and the output must not depend on it. Called on ordered
+    /// tiles only (more than [`TINY_LAUNCH_RAYS`] rays); the default does
+    /// nothing.
+    fn prefetch_finish(&self, payload: &Self::Payload) {
+        let _ = payload;
+    }
 }
 
 /// The append-only queue a ray-generation program emits its rays into.
@@ -262,7 +318,8 @@ impl LaunchMetrics {
 ///
 /// `extra_working_set_bytes` describes device data outside the acceleration
 /// structure that lookups touch (the projected value column), so the memory
-/// model sees the true working-set size.
+/// model sees the true working-set size. The host route is
+/// [`Route::for_accel`]`(gas)`.
 pub fn launch<PS: ProgramSet>(
     device: &Device,
     gas: &GeometryAccel,
@@ -270,6 +327,30 @@ pub fn launch<PS: ProgramSet>(
     width: usize,
     extra_working_set_bytes: u64,
     out: &mut [PS::Output],
+) -> LaunchMetrics {
+    let route = Route::for_accel(gas);
+    launch_routed(
+        device,
+        gas,
+        programs,
+        width,
+        extra_working_set_bytes,
+        out,
+        route,
+    )
+}
+
+/// [`launch`] on the host route `route` instead of the one the structure's
+/// size selects: for holding the routes against each other, which must
+/// agree on everything but host time.
+pub fn launch_routed<PS: ProgramSet>(
+    device: &Device,
+    gas: &GeometryAccel,
+    programs: &PS,
+    width: usize,
+    extra_working_set_bytes: u64,
+    out: &mut [PS::Output],
+    route: Route,
 ) -> LaunchMetrics {
     assert!(
         out.len() >= width,
@@ -301,6 +382,7 @@ pub fn launch<PS: ProgramSet>(
                 programs,
                 first_idx: w * chunk,
                 classifier: classifier.clone(),
+                route,
             };
             // The paper's configuration gets a statically dispatched
             // intersection test; the software primitives go through the
@@ -354,12 +436,6 @@ fn lap(mark: &mut Option<Instant>) -> Duration {
     elapsed
 }
 
-/// What traversing one ray produced.
-struct Traced<P> {
-    stats: TraversalStats,
-    payload: P,
-}
-
 /// One worker's share of a launch: the launch indices
 /// `first_idx..first_idx + out.len()`, run tile by tile.
 struct Wavefront<'a, PS: ProgramSet> {
@@ -367,6 +443,7 @@ struct Wavefront<'a, PS: ProgramSet> {
     programs: &'a PS,
     first_idx: usize,
     classifier: AccessClassifier,
+    route: Route,
 }
 
 impl<PS: ProgramSet> Wavefront<'_, PS> {
@@ -395,8 +472,10 @@ impl<PS: ProgramSet> Wavefront<'_, PS> {
         // (untouched while tiles stay tiny).
         let mut order: Vec<u64> = Vec::new();
         let mut traced_at: Vec<u32> = Vec::new();
-        // Results in traversal order; one index's payloads in ray order.
-        let mut traced: Vec<Traced<PS::Payload>> = Vec::with_capacity(tile);
+        // Statistics and payloads in traversal order, and the payloads of
+        // one multi-ray index of an ordered tile, in ray order.
+        let mut traced_stats: Vec<TraversalStats> = Vec::with_capacity(tile);
+        let mut traced: Vec<PS::Payload> = Vec::with_capacity(tile);
         let mut payloads: Vec<PS::Payload> = Vec::new();
 
         let mut done = 0;
@@ -443,30 +522,51 @@ impl<PS: ProgramSet> Wavefront<'_, PS> {
             }
             stages.order += lap(&mut mark);
 
+            traced_stats.clear();
             traced.clear();
-            let mut trace = |ray: &Ray| {
-                let mut payload = PS::Payload::default();
-                let stats = traverse(self.bvh, prims, ray, |prim, t| {
-                    programs.any_hit(&mut payload, prim, t)
-                });
-                traced.push(Traced { stats, payload });
-            };
-            if ordered {
-                order
-                    .iter()
-                    .for_each(|&key| trace(&rays[key as u32 as usize]));
+            if ordered && self.route == Route::Interleaved {
+                traced_stats.resize(rays.len(), TraversalStats::default());
+                traced.resize_with(rays.len(), PS::Payload::default);
+                traverse_interleaved(
+                    self.bvh,
+                    prims,
+                    order.iter().map(|&key| &rays[key as u32 as usize]),
+                    &mut traced_stats,
+                    |at, prim, t| programs.any_hit(&mut traced[at], prim, t),
+                );
             } else {
-                rays.iter().for_each(&mut trace);
+                let mut trace = |ray: &Ray| {
+                    let mut payload = PS::Payload::default();
+                    traced_stats.push(traverse(self.bvh, prims, ray, |prim, t| {
+                        programs.any_hit(&mut payload, prim, t)
+                    }));
+                    traced.push(payload);
+                };
+                if ordered {
+                    order
+                        .iter()
+                        .for_each(|&key| trace(&rays[key as u32 as usize]));
+                } else {
+                    rays.iter().for_each(&mut trace);
+                }
             }
             stages.traverse += lap(&mut mark);
 
-            // Stage 3: charge and finish in launch order.
+            // Stage 3: charge and finish in launch order; an ordered tile
+            // first hints the finish reads of a later index.
+            let tile_len = done - tile_start;
             for (k, slot) in out[tile_start..done].iter_mut().enumerate() {
+                let ahead = k + FINISH_LOOKAHEAD;
+                if ordered && ahead < tile_len {
+                    for r in first_ray[ahead] as usize..first_ray[ahead + 1] as usize {
+                        programs.prefetch_finish(&traced[traced_at[r] as usize]);
+                    }
+                }
                 ctx.add_instructions(cost_constants::RAYGEN_BASE);
-                payloads.clear();
-                for r in first_ray[k] as usize..first_ray[k + 1] as usize {
+                let own_rays = first_ray[k] as usize..first_ray[k + 1] as usize;
+                for r in own_rays.clone() {
                     let at = if ordered { traced_at[r] as usize } else { r };
-                    let Traced { stats, payload } = &mut traced[at];
+                    let stats = &traced_stats[at];
                     charge_ray(
                         &mut ctx,
                         &mut self.classifier,
@@ -475,11 +575,24 @@ impl<PS: ProgramSet> Wavefront<'_, PS> {
                         stats,
                     );
                     traversal.merge(stats);
-                    payloads.push(std::mem::take(payload));
                 }
+                // The index's payloads in ray order: in place where they
+                // already are, gathered only for the multi-ray indices of
+                // an ordered tile.
+                let own: &[PS::Payload] = if !ordered {
+                    &traced[own_rays]
+                } else if own_rays.len() == 1 {
+                    std::slice::from_ref(&traced[traced_at[own_rays.start] as usize])
+                } else {
+                    payloads.clear();
+                    payloads.extend(
+                        own_rays.map(|r| std::mem::take(&mut traced[traced_at[r] as usize])),
+                    );
+                    &payloads
+                };
                 *slot = programs.finish(
                     self.first_idx + tile_start + k,
-                    &payloads,
+                    own,
                     &mut FinishCtx {
                         ctx: &mut ctx,
                         classifier: &mut self.classifier,
@@ -574,10 +687,15 @@ mod tests {
     fn terminate_ends_the_ray_it_was_returned_for_and_no_other() {
         let device = Device::default_eval();
         let gas = build_gas(&device, 512);
-        // Below and above the tiny-launch threshold: both traversal orders.
-        for width in [3, 4 * TINY_LAUNCH_RAYS] {
+        // Below and above the tiny-launch threshold (both traversal
+        // orders), on both routes.
+        for (width, route) in [
+            (3, Route::OneAtATime),
+            (4 * TINY_LAUNCH_RAYS, Route::OneAtATime),
+            (4 * TINY_LAUNCH_RAYS, Route::Interleaved),
+        ] {
             let mut out = vec![<[Vec<u32>; 2]>::default(); width];
-            let metrics = launch(&device, &gas, &ExistsInHalves, width, 0, &mut out);
+            let metrics = launch_routed(&device, &gas, &ExistsInHalves, width, 0, &mut out, route);
             for [lower, upper] in &out {
                 assert_eq!(lower.len(), 1, "one hit, then the ray stops");
                 assert_eq!(upper.len(), 1, "the sibling ray still runs");
@@ -617,26 +735,36 @@ mod tests {
     }
 
     #[test]
+    fn small_structures_traverse_one_ray_at_a_time() {
+        let device = Device::default_eval();
+        let gas = build_gas(&device, 1000);
+        assert!(gas.host_bytes() < INTERLEAVE_MIN_HOST_BYTES);
+        assert_eq!(Route::for_accel(&gas), Route::OneAtATime);
+    }
+
+    #[test]
     fn tiles_keep_launch_order_and_ray_less_indices() {
         let device = Device::default_eval();
         let gas = build_gas(&device, 1000);
         // Several tiles per worker, the last one partial.
         let width = gpu_device::worker_count() * (2 * TILE_RAYS + TILE_RAYS / 3);
-        let mut out = vec![0u32; width];
-        let metrics = launch(&device, &gas, &Sparse, width, 0, &mut out);
-        for (idx, &row) in out.iter().enumerate() {
-            let expected = if idx % 3 == 0 {
-                u32::MAX - 1
-            } else {
-                ((7 * idx) % 1000) as u32
-            };
-            assert_eq!(row, expected, "launch index {idx}");
+        for route in [Route::OneAtATime, Route::Interleaved] {
+            let mut out = vec![0u32; width];
+            let metrics = launch_routed(&device, &gas, &Sparse, width, 0, &mut out, route);
+            for (idx, &row) in out.iter().enumerate() {
+                let expected = if idx % 3 == 0 {
+                    u32::MAX - 1
+                } else {
+                    ((7 * idx) % 1000) as u32
+                };
+                assert_eq!(row, expected, "{route:?}: launch index {idx}");
+            }
+            let rays = (width - width.div_ceil(3)) as u64;
+            assert_eq!(metrics.traversal.any_hit_invocations, rays);
+            assert_eq!(metrics.kernel.threads_launched, width as u64);
+            assert!(metrics.host_stages.traverse > Duration::ZERO);
+            assert!(metrics.host_stages.order > Duration::ZERO);
         }
-        let rays = (width - width.div_ceil(3)) as u64;
-        assert_eq!(metrics.traversal.any_hit_invocations, rays);
-        assert_eq!(metrics.kernel.threads_launched, width as u64);
-        assert!(metrics.host_stages.traverse > Duration::ZERO);
-        assert!(metrics.host_stages.order > Duration::ZERO);
     }
 
     fn build_gas(device: &Device, n: usize) -> GeometryAccel {

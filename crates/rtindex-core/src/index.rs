@@ -14,10 +14,10 @@
 
 use gpu_device::{Device, DeviceBuffer};
 use optix_sim::{
-    launch, AccelBuildOptions, AnyHitControl, BuildInput, FinishCtx, GeometryAccel, LaunchMetrics,
-    PrimitiveKind, ProgramSet, RayQueue,
+    launch_routed, AccelBuildOptions, AnyHitControl, BuildInput, FinishCtx, GeometryAccel,
+    LaunchMetrics, PrimitiveKind, ProgramSet, RayQueue, Route,
 };
-use rtx_bvh::AabbSet;
+use rtx_bvh::{prefetch, AabbSet};
 use rtx_math::Aabb;
 
 use crate::config::RtIndexConfig;
@@ -248,6 +248,18 @@ impl RtIndex {
         values: Option<&[u64]>,
         live: Option<&[bool]>,
     ) -> Result<BatchOutcome, RtIndexError> {
+        self.point_lookup_batch_routed(queries, values, live, Route::for_accel(&self.gas))
+    }
+
+    /// [`RtIndex::point_lookup_batch_masked`] on the host route `route`
+    /// instead of the one the index's size selects.
+    fn point_lookup_batch_routed(
+        &self,
+        queries: &[u64],
+        values: Option<&[u64]>,
+        live: Option<&[bool]>,
+        route: Route,
+    ) -> Result<BatchOutcome, RtIndexError> {
         self.check_values(values)?;
         self.check_live_mask(live)?;
         let program = PointLookupProgram {
@@ -257,13 +269,14 @@ impl RtIndex {
             live,
         };
         let mut results = vec![LookupResult::default(); queries.len()];
-        let metrics = launch(
+        let metrics = launch_routed(
             &self.device,
             &self.gas,
             &program,
             queries.len(),
             self.lookup_working_set_bytes(values) + mask_bytes(live),
             &mut results,
+            route,
         );
         Ok(BatchOutcome { results, metrics })
     }
@@ -285,6 +298,17 @@ impl RtIndex {
         values: Option<&[u64]>,
         live: Option<&[bool]>,
     ) -> Result<BatchOutcome, RtIndexError> {
+        self.range_lookup_batch_routed(ranges, values, live, Route::for_accel(&self.gas))
+    }
+
+    /// [`RtIndex::range_lookup_batch_masked`] on the host route `route`.
+    fn range_lookup_batch_routed(
+        &self,
+        ranges: &[(u64, u64)],
+        values: Option<&[u64]>,
+        live: Option<&[bool]>,
+        route: Route,
+    ) -> Result<BatchOutcome, RtIndexError> {
         self.check_values(values)?;
         self.check_live_mask(live)?;
         // Validate ranges up front so errors surface deterministically
@@ -299,13 +323,14 @@ impl RtIndex {
             live,
         };
         let mut results = vec![LookupResult::default(); ranges.len()];
-        let metrics = launch(
+        let metrics = launch_routed(
             &self.device,
             &self.gas,
             &program,
             ranges.len(),
             self.lookup_working_set_bytes(values) + mask_bytes(live),
             &mut results,
+            route,
         );
         Ok(BatchOutcome { results, metrics })
     }
@@ -323,6 +348,16 @@ impl RtIndex {
         queries: &[u64],
         live: Option<&[bool]>,
     ) -> Result<(Vec<Vec<u32>>, LaunchMetrics), RtIndexError> {
+        self.collect_point_rows_routed(queries, live, Route::for_accel(&self.gas))
+    }
+
+    /// [`RtIndex::collect_point_rows`] on the host route `route`.
+    fn collect_point_rows_routed(
+        &self,
+        queries: &[u64],
+        live: Option<&[bool]>,
+        route: Route,
+    ) -> Result<(Vec<Vec<u32>>, LaunchMetrics), RtIndexError> {
         self.check_live_mask(live)?;
         let program = RowCollectProgram {
             index: self,
@@ -330,13 +365,14 @@ impl RtIndex {
             live,
         };
         let mut rows: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
-        let metrics = launch(
+        let metrics = launch_routed(
             &self.device,
             &self.gas,
             &program,
             queries.len(),
             mask_bytes(live),
             &mut rows,
+            route,
         );
         Ok((rows, metrics))
     }
@@ -513,6 +549,10 @@ impl ProgramSet for PointLookupProgram<'_> {
         }
         finalize_result(payloads, self.values, self.live, device)
     }
+
+    fn prefetch_finish(&self, payload: &HitCollector) {
+        prefetch_values(payload, self.values);
+    }
 }
 
 /// Ray-generation + any-hit + finish programs for range lookups.
@@ -549,6 +589,10 @@ impl ProgramSet for RangeLookupProgram<'_> {
         device: &mut FinishCtx<'_>,
     ) -> LookupResult {
         finalize_result(payloads, self.values, self.live, device)
+    }
+
+    fn prefetch_finish(&self, payload: &HitCollector) {
+        prefetch_values(payload, self.values);
     }
 }
 
@@ -605,6 +649,16 @@ fn live_rows<'a>(
     rows.filter(move |&row| live.is_none_or(|mask| mask[row as usize]))
 }
 
+/// Starts loading the value-column entries of the rows `payload` holds,
+/// which [`finalize_result`] will sum.
+fn prefetch_values(payload: &HitCollector, values: Option<&[u64]>) {
+    if let Some(values) = values {
+        for &row in payload.rows() {
+            prefetch(&values[row as usize..=row as usize]);
+        }
+    }
+}
+
 /// Turns the rowIDs a lookup's rays collected into a [`LookupResult`],
 /// masking tombstoned rows and fetching and summing the projected values
 /// when a value column is present.
@@ -634,6 +688,9 @@ fn finalize_result(
 
 #[cfg(test)]
 mod reference_launch;
+
+#[cfg(test)]
+mod route_sweep;
 
 #[cfg(test)]
 mod tests {
@@ -1099,8 +1156,8 @@ mod tests {
         /// one-index-at-a-time reference, point lookups, range lookups
         /// (multi-ray ones included) and row collection return the same
         /// results and charge the device identically, bit for bit, on one
-        /// and on two workers, below and above the tiny-launch threshold
-        /// and across tile boundaries.
+        /// and on two workers, on both host routes, below and above the
+        /// tiny-launch threshold and across tile boundaries.
         #[test]
         fn prop_wavefront_launch_charges_like_the_one_index_at_a_time_launch(
             mode in 0usize..4,
@@ -1182,19 +1239,28 @@ mod tests {
             let index = RtIndex::build(&device, &keys, config).expect("build");
             for workers in ["1", "2"] {
                 std::env::set_var("RTX_WORKERS", workers);
-                let what = |kind: &str| format!("{kind}, {workers} worker(s), {config:?}");
+                let points = reference_launch::point_lookup_batch(&index, &queries, values, live);
+                let in_ranges = reference_launch::range_lookup_batch(&index, &ranges, values, live);
+                let row_sets = reference_launch::collect_point_rows(&index, collect, live);
+                for route in [Route::OneAtATime, Route::Interleaved] {
+                    let what = |kind: &str| {
+                        format!("{kind}, {workers} worker(s), {route:?}, {config:?}")
+                    };
 
-                let got = index.point_lookup_batch_masked(&queries, values, live).expect("points");
-                let want = reference_launch::point_lookup_batch(&index, &queries, values, live);
-                assert_charged_alike(&what("points"), &got.results, &got.metrics, &want);
+                    let got = index
+                        .point_lookup_batch_routed(&queries, values, live, route)
+                        .expect("points");
+                    assert_charged_alike(&what("points"), &got.results, &got.metrics, &points);
 
-                let got = index.range_lookup_batch_masked(&ranges, values, live).expect("ranges");
-                let want = reference_launch::range_lookup_batch(&index, &ranges, values, live);
-                assert_charged_alike(&what("ranges"), &got.results, &got.metrics, &want);
+                    let got = index
+                        .range_lookup_batch_routed(&ranges, values, live, route)
+                        .expect("ranges");
+                    assert_charged_alike(&what("ranges"), &got.results, &got.metrics, &in_ranges);
 
-                let (rows, metrics) = index.collect_point_rows(collect, live).expect("rows");
-                let want = reference_launch::collect_point_rows(&index, collect, live);
-                assert_charged_alike(&what("rows"), &rows, &metrics, &want);
+                    let (rows, metrics) =
+                        index.collect_point_rows_routed(collect, live, route).expect("rows");
+                    assert_charged_alike(&what("rows"), &rows, &metrics, &row_sets);
+                }
             }
             std::env::remove_var("RTX_WORKERS");
         }

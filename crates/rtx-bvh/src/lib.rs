@@ -16,6 +16,9 @@
 //!
 //! * **traversal** with any-hit semantics ([`traverse()`]) including traversal
 //!   statistics (nodes visited, box tests, primitive tests, early aborts),
+//!   and the same walk for many rays at once ([`traverse_interleaved`]),
+//!   which hides memory latency on hierarchies larger than the host's
+//!   caches,
 //! * **compaction** ([`Bvh::compact`]) which removes the build-time slack
 //!   from the structure's memory footprint,
 //! * **refitting updates** ([`refit`](crate::refit::refit)) which adjust the
@@ -36,4 +39,6 @@ pub use node::{Bvh, BvhNode};
 pub use pipeline::{BuildPipeline, PipelineBuild, DEFAULT_TARGET_SUBTREES};
 pub use primitives::{AabbSet, PrimitiveSet, SphereSet, TriangleSet};
 pub use quality::BvhQuality;
-pub use traverse::{traverse, AnyHitControl, TraversalStats};
+pub use traverse::{
+    prefetch, traverse, traverse_interleaved, AnyHitControl, TraversalStats, LANES,
+};

@@ -6,7 +6,11 @@
 //! builders need and the intersection test the traversal calls for leaf
 //! candidates.
 
+use std::ops::Range;
+
 use rtx_math::{Aabb, Ray, Sphere, Triangle, Vec3f};
+
+use crate::traverse::prefetch;
 
 /// The result of testing a ray against one primitive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +60,13 @@ pub trait PrimitiveSet: Sync {
 
     /// Tests `ray` against primitive `i`.
     fn intersect(&self, i: usize, ray: &Ray) -> PrimitiveHit;
+
+    /// Starts loading primitives `slots` into the host's caches ahead of
+    /// their intersection tests (see [`prefetch`]). A hint only; the
+    /// default does nothing.
+    fn prefetch(&self, slots: Range<usize>) {
+        let _ = slots;
+    }
 
     /// Bytes of device memory one primitive occupies in the build input.
     fn bytes_per_primitive(&self) -> u64;
@@ -139,6 +150,10 @@ impl PrimitiveSet for TriangleSet {
         }
     }
 
+    fn prefetch(&self, slots: Range<usize>) {
+        prefetch(&self.triangles[slots]);
+    }
+
     fn bytes_per_primitive(&self) -> u64 {
         9 * 4
     }
@@ -207,6 +222,10 @@ impl PrimitiveSet for SphereSet {
         }
     }
 
+    fn prefetch(&self, slots: Range<usize>) {
+        prefetch(&self.centers[slots]);
+    }
+
     fn bytes_per_primitive(&self) -> u64 {
         3 * 4
     }
@@ -261,6 +280,10 @@ impl PrimitiveSet for AabbSet {
             Some((t_enter, _)) => PrimitiveHit::SoftwareHit(t_enter),
             None => PrimitiveHit::Miss,
         }
+    }
+
+    fn prefetch(&self, slots: Range<usize>) {
+        prefetch(&self.boxes[slots]);
     }
 
     fn bytes_per_primitive(&self) -> u64 {

@@ -8,10 +8,10 @@
 //! allocation per chunk (the result vector), so every remaining
 //! allocation the counter sees belongs to the layer this claim is about —
 //! grouping, chunk dispatch, result scatter, service coalescing and reply
-//! channels. A third phase runs a real `RX` index: the raytracing launch
-//! keeps its ray queue, order and result buffers per worker and reuses them
-//! from tile to tile, so its allocations per launch do not grow with the
-//! number of rays either. A fourth phase ingests CDC batches into a table:
+//! channels. A third phase runs a real `RX` index, small and large (one
+//! per host route): the raytracing launch keeps its ray queue, order and
+//! result buffers per worker and reuses them from tile to tile, so its
+//! allocations per launch do not grow with the number of rays either. A fourth phase ingests CDC batches into a table:
 //! a steady-state batch is O(batch) work, so its allocations do not grow
 //! with the number of rows. A fifth phase queries that table: routing
 //! builds no text, so a query's allocations hold a fixed budget and do not
@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtindex::optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
+use rtindex::optix_sim::{Route, TILE_RAYS, TINY_LAUNCH_RAYS};
 use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
 use rtindex::{
     Capabilities, Device, ExecArena, IndexError, IngestBatch, QueryBatch, QueryService, RtIndex,
@@ -233,13 +233,6 @@ fn table_query_allocations(losers: &[(&str, &str, &str)]) -> u64 {
 /// (test binaries run `#[test]`s on parallel threads by default).
 #[test]
 fn steady_state_host_path_allocations_are_bounded() {
-    // Pin the worker-pool width to the detected one before any pool thread
-    // starts, as CI pins it: unpinned, every launch re-reads the CPU quota
-    // to size itself, and that read allocates.
-    if std::env::var_os("RTX_WORKERS").is_none() {
-        let detected = rtindex::gpu_device::worker_count();
-        std::env::set_var("RTX_WORKERS", detected.to_string());
-    }
     let keys = wl::dense_shuffled(4096, 11);
     let values = wl::value_column(keys.len(), 12);
     let ix = MirrorIndex::build(&keys, &values);
@@ -319,32 +312,49 @@ fn steady_state_host_path_allocations_are_bounded() {
     // pool, and each worker's buffers — sized once, reused across the tiles
     // of its chunk. The same budget therefore holds for a tiny launch (no
     // order buffers), a one-tile launch and a launch of three tiles per
-    // worker: bounded by the workers, not by the rays or the tiles.
+    // worker: bounded by the workers, not by the rays or the tiles. It
+    // holds on both host routes: the small index traverses one ray at a
+    // time, the one of 2^19 keys interleaves with its lanes on the stack.
     let workers = rtindex::gpu_device::worker_count();
-    let index = RtIndex::build(&Device::default_eval(), &keys, RtIndexConfig::default()).unwrap();
-    for lookups in [
-        TINY_LAUNCH_RAYS / 2,
-        workers * TILE_RAYS / 2,
-        workers * (2 * TILE_RAYS + TILE_RAYS / 2),
+    let large_keys = wl::dense_shuffled(1 << 19, 16);
+    let large_values = wl::value_column(large_keys.len(), 17);
+    for (keys, values, route) in [
+        (&keys, &values, Route::OneAtATime),
+        (&large_keys, &large_values, Route::Interleaved),
     ] {
-        let queries = wl::point_lookups_with_hit_rate(&keys, lookups, 0.8, 15);
-        for _ in 0..2 {
-            index.point_lookup_batch(&queries, Some(&values)).unwrap(); // warm-up
-        }
-        let rounds = 8u64;
-        let before = allocs();
-        for _ in 0..rounds {
-            let outcome = index.point_lookup_batch(&queries, Some(&values)).unwrap();
-            assert_eq!(outcome.results.len(), lookups);
-        }
-        let per_launch = (allocs() - before) as f64 / rounds as f64;
-        // Measured: 12–14 on one worker, 23–27 on two, 25–33 on four.
-        let budget = (16 + 8 * workers) as f64;
-        assert!(
-            per_launch <= budget,
-            "RX launch: {per_launch:.1} allocations per {lookups}-lookup launch on {workers} \
-             worker(s); want at most {budget} whatever the ray count"
+        let index =
+            RtIndex::build(&Device::default_eval(), keys, RtIndexConfig::default()).unwrap();
+        assert_eq!(
+            Route::for_accel(index.accel()),
+            route,
+            "{} keys take the route this arm measures",
+            keys.len()
         );
+        for lookups in [
+            TINY_LAUNCH_RAYS / 2,
+            workers * TILE_RAYS / 2,
+            workers * (2 * TILE_RAYS + TILE_RAYS / 2),
+        ] {
+            let queries = wl::point_lookups_with_hit_rate(keys, lookups, 0.8, 15);
+            for _ in 0..2 {
+                index.point_lookup_batch(&queries, Some(values)).unwrap(); // warm-up
+            }
+            let rounds = 8u64;
+            let before = allocs();
+            for _ in 0..rounds {
+                let outcome = index.point_lookup_batch(&queries, Some(values)).unwrap();
+                assert_eq!(outcome.results.len(), lookups);
+            }
+            let per_launch = (allocs() - before) as f64 / rounds as f64;
+            // Measured, either route: 12–14 on one worker, 17–21 on two,
+            // 25–33 on four, 41–57 on eight.
+            let budget = (16 + 8 * workers) as f64;
+            assert!(
+                per_launch <= budget,
+                "RX launch ({route:?}): {per_launch:.1} allocations per {lookups}-lookup \
+                 launch on {workers} worker(s); want at most {budget} whatever the ray count"
+            );
+        }
     }
 
     // -- Table ingest ----------------------------------------------------
