@@ -1,36 +1,24 @@
-//! Beyond-paper experiment: the staged parallel build pipeline and the
-//! write-stall cost of compaction (`build_throughput`).
+//! Beyond-paper experiment: the staged parallel build pipeline
+//! (`build_throughput`).
 //!
-//! Two questions, two tables:
+//! How does simulated build throughput of the staged BVH pipeline scale
+//! with the number of concurrent build queues, per builder (`lbvh` /
+//! `sah`)? The emitted structure is verified bit-identical across widths
+//! while measuring, so the speedup is pure scheduling, never a different
+//! tree. The simulated times are pure cost-model functions, so the table is
+//! deterministic.
 //!
-//! 1. **Build scaling** — how does simulated build throughput of the staged
-//!    BVH pipeline scale with the number of concurrent build queues, per
-//!    builder (`lbvh` / `sah`)? The emitted structure is verified
-//!    bit-identical across widths while measuring, so the speedup is pure
-//!    scheduling, never a different tree.
-//! 2. **Compaction stall** — on a mixed read/write stream over the dynamic
-//!    index, what write stall does a compaction inflict, stop-the-world vs
-//!    the two-generation background mode? A write's apply time is exactly
-//!    the queue-order fence wait every co-queued request shares in
-//!    `rtx-serve` (surfaced there as `ServiceStats::write_stall_ns_*`);
-//!    background compaction pays only the freeze and the swap, the rebuild
-//!    overlaps serving. Each completed compaction also surfaces the
-//!    rebuilt BVH's quality ([`BvhQuality`](rtx_bvh::BvhQuality), via
-//!    [`CompactionEvent`](rtx_delta::CompactionEvent)), so rebuild quality
-//!    is visible after every merge, not just at the initial build.
-//!
-//! The build half's simulated times are deterministic (pure cost-model
-//! functions); the stall half is host wall-clock, so only its ordering
-//! (background below sync) is asserted, by this module's tests.
-
-use std::time::Instant;
+//! The write stall a compaction inflicts — stop-the-world vs the
+//! two-generation background mode — is a host wall-clock number, and the
+//! background swap lands at a host-timed moment. The benchmark package
+//! measures it (`rtx-serve.write_stall_us_mean`/`_max`,
+//! `rtx-delta.compact_s`); this module's tests keep the ordering
+//! (background below sync) asserted.
 
 use gpu_device::Device;
 use optix_sim::{AccelBuildOptions, BuildInput, GeometryAccel, PrimitiveKind};
-use rtindex_core::{KeyMode, RtIndexConfig};
+use rtindex_core::KeyMode;
 use rtx_bvh::BuilderKind;
-use rtx_delta::{CompactionPolicy, DynamicAdapter, DynamicRtConfig};
-use rtx_query::{IndexSpec, QueryBatch, SecondaryIndex, UpdatableIndex};
 use rtx_workloads as wl;
 
 use crate::report::{fmt_ms, fmt_throughput, Table};
@@ -50,8 +38,6 @@ pub struct BuildCell {
     pub keys: usize,
     /// Simulated device seconds of the staged build.
     pub sim_s: f64,
-    /// Host wall-clock seconds of the software execution.
-    pub host_s: f64,
 }
 
 impl BuildCell {
@@ -87,15 +73,12 @@ pub fn run_build_scaling(device: &Device, keys: &[u64]) -> Vec<BuildCell> {
                 ..AccelBuildOptions::default()
             }
             .with_build_workers(workers);
-            let start = Instant::now();
             let gas = GeometryAccel::build(device, input.clone(), &options);
-            let host_s = start.elapsed().as_secs_f64();
             cells.push(BuildCell {
                 builder,
                 workers,
                 keys: keys.len(),
                 sim_s: gas.metrics().simulated_time_s,
-                host_s,
             });
             match &reference {
                 Some(reference) => {
@@ -116,139 +99,13 @@ pub fn run_build_scaling(device: &Device, keys: &[u64]) -> Vec<BuildCell> {
     cells
 }
 
-/// How the compaction-stall half runs its merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CompactionMode {
-    /// Stop-the-world merges (the pre-existing behaviour).
-    Synchronous,
-    /// Two-generation background compaction.
-    Background,
-}
-
-impl CompactionMode {
-    /// Display name.
-    fn name(&self) -> &'static str {
-        match self {
-            CompactionMode::Synchronous => "sync",
-            CompactionMode::Background => "background",
-        }
-    }
-}
-
-/// Write-stall statistics of one mixed-workload run.
-#[derive(Debug, Clone)]
-struct StallRun {
-    /// The compaction mode driven.
-    pub mode: CompactionMode,
-    /// Write batches applied.
-    pub writes: usize,
-    /// Compactions completed (merges or background swaps).
-    pub reorganisations: u64,
-    /// SAH cost of the most recent compaction rebuild, surfaced from its
-    /// [`CompactionEvent`](rtx_delta::CompactionEvent) quality.
-    pub last_rebuild_sah_cost: f64,
-    /// Sibling-overlap of the most recent compaction rebuild.
-    pub last_rebuild_overlap: f64,
-    /// Per-write host latencies in seconds (the queue-order fence wait a
-    /// co-queued request shares), sorted ascending.
-    pub write_stall_s: Vec<f64>,
-}
-
-impl StallRun {
-    /// The `q`-quantile (0..=1] of the per-write stalls.
-    fn quantile(&self, q: f64) -> f64 {
-        if self.write_stall_s.is_empty() {
-            return 0.0;
-        }
-        let rank = ((self.write_stall_s.len() as f64 * q).ceil() as usize)
-            .clamp(1, self.write_stall_s.len());
-        self.write_stall_s[rank - 1]
-    }
-
-    /// The p99 write stall in seconds.
-    fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-}
-
-/// Keys used by the stall half — capped so a synchronous rebuild stays in
-/// the tens of milliseconds at every scale.
-fn stall_keys(scale: &ExperimentScale) -> usize {
-    scale.default_keys().min(1 << 14)
-}
-
-/// Write batches of the stall half.
-pub const STALL_WRITES: usize = 16;
-
-/// Drives one mixed read/write stream over the dynamic index in the given
-/// compaction mode and measures every write's apply latency — exactly the
-/// fence wait `rtx-serve` charges every request queued behind the write.
-fn run_compaction_stall(scale: &ExperimentScale, mode: CompactionMode) -> StallRun {
-    let device = crate::scaled_device(scale);
-    let n = stall_keys(scale);
-    let keys = wl::dense_shuffled(n, scale.seed);
-    let values = wl::value_column(n, scale.seed + 1);
-    let batch = (n / 8).max(1);
-
-    let config = DynamicRtConfig::default()
-        .with_rx(RtIndexConfig::default())
-        .with_policy(CompactionPolicy {
-            max_delta_entries: batch,
-            max_delta_fraction: f64::INFINITY,
-            max_delete_ratio: f64::INFINITY,
-        })
-        .with_background_compaction(mode == CompactionMode::Background);
-    let spec = IndexSpec::with_values(&device, &keys, &values);
-    let mut index = DynamicAdapter::build(&spec, config).expect("dynamic build");
-
-    let mut stalls = Vec::with_capacity(STALL_WRITES);
-    let mut reorganisations = 0u64;
-    let queries = wl::point_lookups(&keys, 64, scale.seed + 2);
-    let reads = QueryBatch::of_points(&queries).fetch_values(true);
-    for w in 0..STALL_WRITES {
-        // A read batch between writes keeps the mixed workload honest (and,
-        // in background mode, overlaps the in-flight rebuild).
-        let out = index.execute(&reads).expect("read batch");
-        assert_eq!(out.results.len(), queries.len());
-
-        let fresh: Vec<u64> = (0..batch as u64)
-            .map(|i| (2 * n + w * batch) as u64 + i)
-            .collect();
-        let fresh_values: Vec<u64> = fresh.iter().map(|k| k ^ 0x5EED).collect();
-        let start = Instant::now();
-        let report = index.insert(&fresh, &fresh_values).expect("write batch");
-        stalls.push(start.elapsed().as_secs_f64());
-        reorganisations += report.reorganisations;
-    }
-    // Land any still-running rebuild so both modes finish in a settled
-    // state (not timed — a server would absorb this on the next write).
-    if index.inner_mut().wait_for_compaction().is_some() {
-        reorganisations += 1;
-    }
-    stalls.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-
-    let quality = index
-        .inner()
-        .last_compaction()
-        .map(|event| event.quality)
-        .unwrap_or_else(|| rtx_bvh::BvhQuality::measure(&rtx_bvh::Bvh::new(vec![], vec![], false)));
-    StallRun {
-        mode,
-        writes: STALL_WRITES,
-        reorganisations,
-        last_rebuild_sah_cost: quality.sah_cost,
-        last_rebuild_overlap: quality.avg_child_overlap,
-        write_stall_s: stalls,
-    }
-}
-
-/// The `build_throughput` experiment: build scaling + compaction stall.
+/// The `build_throughput` experiment: build scaling over queue widths.
 pub fn run(scale: &ExperimentScale) -> Vec<Table> {
     let device = crate::scaled_device(scale);
     let keys = wl::dense_shuffled(scale.default_keys(), scale.seed);
     let cells = run_build_scaling(&device, &keys);
 
-    let mut build_table = Table::new(
+    let mut table = Table::new(
         format!(
             "Staged build pipeline: simulated build time vs build queues, 2^{} keys",
             scale.keys_exp
@@ -261,7 +118,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
             .find(|c| c.builder == builder && c.workers == 1)
             .expect("serial cell");
         for cell in cells.iter().filter(|c| c.builder == builder) {
-            build_table.push_row(vec![
+            table.push_row(vec![
                 cell.builder.to_string(),
                 cell.workers.to_string(),
                 fmt_ms(cell.sim_s * 1e3),
@@ -271,48 +128,101 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
         }
     }
 
-    let sync = run_compaction_stall(scale, CompactionMode::Synchronous);
-    let background = run_compaction_stall(scale, CompactionMode::Background);
-    let mut stall_table = Table::new(
-        format!(
-            "Compaction write stall: sync vs background, 2^{} keys, {} writes",
-            stall_keys(scale).ilog2(),
-            sync.writes
-        ),
-        &[
-            "mode",
-            "compactions",
-            "p50 stall [ms]",
-            "p99 stall [ms]",
-            "rebuild SAH cost",
-            "rebuild overlap",
-        ],
-    );
-    for run in [&sync, &background] {
-        stall_table.push_row(vec![
-            run.mode.name().to_string(),
-            run.reorganisations.to_string(),
-            fmt_ms(run.quantile(0.50) * 1e3),
-            fmt_ms(run.p99() * 1e3),
-            format!("{:.2}", run.last_rebuild_sah_cost),
-            format!("{:.4}", run.last_rebuild_overlap),
-        ]);
-    }
-    stall_table.push_row(vec![
-        "p99 ratio".to_string(),
-        String::new(),
-        String::new(),
-        format!("{:.3}", background.p99() / sync.p99().max(1e-12)),
-        String::new(),
-        String::new(),
-    ]);
-
-    vec![build_table, stall_table]
+    vec![table]
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
+    use rtindex_core::RtIndexConfig;
+    use rtx_delta::{CompactionPolicy, DynamicAdapter, DynamicRtConfig};
+    use rtx_query::{IndexSpec, QueryBatch, SecondaryIndex, UpdatableIndex};
+
     use super::*;
+
+    /// Write batches of a compaction-stall run.
+    const STALL_WRITES: usize = 16;
+
+    /// Write-stall statistics of one mixed-workload run.
+    struct StallRun {
+        /// Compactions completed (merges or background swaps).
+        reorganisations: u64,
+        /// SAH cost of the most recent compaction rebuild, surfaced from
+        /// its [`CompactionEvent`](rtx_delta::CompactionEvent) quality.
+        last_rebuild_sah_cost: f64,
+        /// Per-write host latencies in seconds (the queue-order fence wait
+        /// a co-queued request shares in `rtx-serve`), sorted ascending.
+        write_stall_s: Vec<f64>,
+    }
+
+    impl StallRun {
+        /// The p99 write stall in seconds.
+        fn p99(&self) -> f64 {
+            let rank = ((self.write_stall_s.len() as f64 * 0.99).ceil() as usize)
+                .clamp(1, self.write_stall_s.len());
+            self.write_stall_s[rank - 1]
+        }
+    }
+
+    /// Drives one mixed read/write stream over the dynamic index, with
+    /// stop-the-world or background compaction, and times every write's
+    /// apply — exactly the fence wait `rtx-serve` charges every request
+    /// queued behind the write. Keys are capped at 2^14 so a synchronous
+    /// rebuild stays in the tens of milliseconds.
+    fn run_compaction_stall(scale: &ExperimentScale, background: bool) -> StallRun {
+        let device = crate::scaled_device(scale);
+        let n = scale.default_keys().min(1 << 14);
+        let keys = wl::dense_shuffled(n, scale.seed);
+        let values = wl::value_column(n, scale.seed + 1);
+        let batch = (n / 8).max(1);
+
+        let config = DynamicRtConfig::default()
+            .with_rx(RtIndexConfig::default())
+            .with_policy(CompactionPolicy {
+                max_delta_entries: batch,
+                max_delta_fraction: f64::INFINITY,
+                max_delete_ratio: f64::INFINITY,
+            })
+            .with_background_compaction(background);
+        let spec = IndexSpec::with_values(&device, &keys, &values);
+        let mut index = DynamicAdapter::build(&spec, config).expect("dynamic build");
+
+        let mut stalls = Vec::with_capacity(STALL_WRITES);
+        let mut reorganisations = 0u64;
+        let queries = wl::point_lookups(&keys, 64, scale.seed + 2);
+        let reads = QueryBatch::of_points(&queries).fetch_values(true);
+        for w in 0..STALL_WRITES {
+            // A read batch between writes keeps the mixed workload honest
+            // (and, in background mode, overlaps the in-flight rebuild).
+            let out = index.execute(&reads).expect("read batch");
+            assert_eq!(out.results.len(), queries.len());
+
+            let fresh: Vec<u64> = (0..batch as u64)
+                .map(|i| (2 * n + w * batch) as u64 + i)
+                .collect();
+            let fresh_values: Vec<u64> = fresh.iter().map(|k| k ^ 0x5EED).collect();
+            let start = Instant::now();
+            let report = index.insert(&fresh, &fresh_values).expect("write batch");
+            stalls.push(start.elapsed().as_secs_f64());
+            reorganisations += report.reorganisations;
+        }
+        // Land any still-running rebuild so both modes finish in a settled
+        // state (not timed — a server would absorb this on the next write).
+        if index.inner_mut().wait_for_compaction().is_some() {
+            reorganisations += 1;
+        }
+        stalls.sort_by(f64::total_cmp);
+
+        StallRun {
+            reorganisations,
+            last_rebuild_sah_cost: index
+                .inner()
+                .last_compaction()
+                .map_or(0.0, |event| event.quality.sah_cost),
+            write_stall_s: stalls,
+        }
+    }
 
     #[test]
     fn staged_build_scales_and_stays_bit_identical() {
@@ -376,8 +286,8 @@ mod tests {
     #[test]
     fn background_compaction_beats_synchronous_write_stall() {
         let scale = ExperimentScale::tiny();
-        let sync = run_compaction_stall(&scale, CompactionMode::Synchronous);
-        let background = run_compaction_stall(&scale, CompactionMode::Background);
+        let sync = run_compaction_stall(&scale, false);
+        let background = run_compaction_stall(&scale, true);
         assert!(sync.reorganisations > 0, "the policy must have fired");
         assert!(
             background.reorganisations > 0,
@@ -398,8 +308,7 @@ mod tests {
     #[test]
     fn smoke_tables() {
         let tables = run(&ExperimentScale::tiny());
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows.len(), QUEUE_WIDTHS.len() * 2);
-        assert_eq!(tables[1].rows.len(), 3);
     }
 }

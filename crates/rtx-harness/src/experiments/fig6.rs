@@ -84,7 +84,7 @@ mod tests {
         // while the perpendicular ray misses most boxes outright. Our
         // traversal applies the t-interval during the slab test (which real
         // hardware appears not to benefit from as much), so the reproduction
-        // shows parity rather than a perpendicular win — see EXPERIMENTS.md.
+        // shows parity rather than a perpendicular win.
         assert!(
             perp_boxes <= par_boxes,
             "perpendicular rays must not test more boxes ({perp_boxes} vs {par_boxes})"

@@ -84,8 +84,7 @@ mod tests {
         // ray into a parallel ray" -> more candidate boxes tested. Our
         // traversal clips child boxes by the ray's t-interval, which prunes
         // the stacked layers that NVIDIA's traversal apparently visits, so
-        // the reproduction only shows that z-heavy splits are never cheaper
-        // (see EXPERIMENTS.md for the discussion of this deviation).
+        // the reproduction only shows that z-heavy splits are never cheaper.
         assert!(
             z_boxes * 10 >= y_boxes * 9,
             "z-heavy decomposition must not be significantly cheaper ({z_boxes} vs {y_boxes})"

@@ -22,8 +22,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod planner_selection;
 pub mod recovery_throughput;
-pub mod service_latency;
-pub mod service_throughput;
 pub mod shard_scaling;
 pub mod table3;
 pub mod table4;

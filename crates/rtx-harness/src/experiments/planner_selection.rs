@@ -19,9 +19,9 @@
 //! execution cost. The headline number is *simulated* device time — a
 //! deterministic function of the workload and the cost model — and the
 //! planner arm must at least match the worst forced arm: that is the
-//! floor a cost-based optimiser has to clear to justify existing.
-
-use std::time::Instant;
+//! floor a cost-based optimiser has to clear to justify existing. The
+//! planner's host cost (planning plus execution wall clock) is measured by
+//! the benchmark package's `table_serve` workload, not here.
 
 use rtx_query::{TableQuery, TableSchema};
 use rtx_table::Table;
@@ -49,8 +49,6 @@ struct PlannerRun {
     pub predicates: usize,
     /// Total simulated device seconds (deterministic).
     pub sim_s: f64,
-    /// Host wall-clock milliseconds (includes planning).
-    pub host_ms: f64,
     /// Total hits — identical across arms by construction.
     pub hits: u64,
     /// Predicates routed per index name, in [`TABLE_INDEXES`] order
@@ -65,14 +63,6 @@ impl PlannerRun {
             return 0.0;
         }
         self.predicates as f64 / self.sim_s
-    }
-
-    /// Host predicate throughput in operations per second.
-    fn host_throughput(&self) -> f64 {
-        if self.host_ms <= 0.0 {
-            return 0.0;
-        }
-        self.predicates as f64 / (self.host_ms / 1e3)
     }
 }
 
@@ -111,7 +101,6 @@ fn run_arm(table: &Table, queries: &[TableQuery], forced: Option<&str>) -> Plann
         .iter()
         .map(|(name, _)| (name.to_string(), 0))
         .collect();
-    let started = Instant::now();
     for query in queries {
         let out = match forced {
             Some(index) => table.query_forced(query, index),
@@ -132,7 +121,6 @@ fn run_arm(table: &Table, queries: &[TableQuery], forced: Option<&str>) -> Plann
         queries: queries.len(),
         predicates,
         sim_s,
-        host_ms: started.elapsed().as_secs_f64() * 1e3,
         hits,
         routes,
     }
@@ -174,8 +162,6 @@ pub fn run(scale: &ExperimentScale) -> Vec<Report> {
             "predicates",
             "sim [ms]",
             "sim ops/s",
-            "host [ms]",
-            "host ops/s",
             "routes",
             "hits",
         ],
@@ -194,8 +180,6 @@ pub fn run(scale: &ExperimentScale) -> Vec<Report> {
             run.predicates.to_string(),
             fmt_ms(run.sim_s * 1e3),
             fmt_throughput(run.sim_throughput()),
-            fmt_ms(run.host_ms),
-            fmt_throughput(run.host_throughput()),
             routes,
             run.hits.to_string(),
         ]);
@@ -214,7 +198,7 @@ mod tests {
         assert_eq!(runs.len(), FORCED_ARMS.len() + 1);
         for run in &runs {
             assert!(run.hits > 0, "the workload must hit");
-            assert!(run.sim_s > 0.0 && run.host_ms > 0.0);
+            assert!(run.sim_s > 0.0);
             assert_eq!(run.predicates, run.queries * 4);
         }
         // A forced arm concentrates every predicate on its own index.

@@ -2,30 +2,29 @@
 //!
 //! The `rtx-durable` layer makes the dynamic index persistent: every update
 //! batch is written to a WAL before it applies, and checkpoints serialize
-//! the compacted base into a snapshot so the log can be truncated. The two
-//! costs that matter operationally are how fast a crashed index comes back
-//! (replay ops/s over the surviving log) and how a checkpoint changes that
-//! picture (recovery time collapses to snapshot-load time, paid for in
-//! snapshot bytes on disk).
+//! the compacted base into a snapshot so the log can be truncated. What a
+//! crashed index must redo on reopen is the surviving log, and a checkpoint
+//! trades that replay for snapshot bytes on disk.
 //!
 //! This experiment drives a write-only mixed stream (inserts, deletes,
 //! upserts) into a durable RXD index with automatic checkpoints disabled,
-//! "crashes" it (drops the handle) at increasing WAL lengths, and times the
-//! reopen. A final run checkpoints before the crash, so the last row shows
-//! the snapshot shortcut against the longest log.
+//! "crashes" it (drops the handle) at increasing WAL lengths, and reopens
+//! it. A final run checkpoints before the crash, so the last row shows the
+//! snapshot shortcut against the longest log.
 //!
-//! Qualitative expectation: recovery time grows with the WAL length at a
-//! roughly constant replay ops/s, and the checkpointed run recovers fastest
-//! with near-zero replay despite having seen the most writes.
+//! Qualitative expectation: the WAL and the replayed batches grow with the
+//! crash point, and the checkpointed run replays nothing despite having
+//! seen the most writes. The reopen's wall clock is measured by the
+//! benchmark package (`bench.recovery_s`, `rtx-durable.replay_us_per_batch`),
+//! not here.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use rtx_query::IndexSpec;
 use rtx_workloads::{self as wl, MixedOp};
 
 use crate::indexes::DYNAMIC_BACKEND;
-use crate::report::{fmt_ms, fmt_throughput, Table};
+use crate::report::Table;
 use crate::scale::ExperimentScale;
 
 /// WAL-length sweep: fractions of the write stream applied before the
@@ -48,18 +47,6 @@ struct RecoveryRun {
     pub snapshot_bytes: u64,
     /// Update batches the reopen replayed from the WAL.
     pub replayed_batches: u64,
-    /// Host wall-clock seconds of the reopen (snapshot load + replay).
-    pub recovery_s: f64,
-}
-
-impl RecoveryRun {
-    /// Replayed primitive operations per host second during recovery.
-    fn replay_ops_per_s(&self, replayed_ops: usize) -> f64 {
-        if self.recovery_s <= 0.0 {
-            return 0.0;
-        }
-        replayed_ops as f64 / self.recovery_s
-    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -83,7 +70,7 @@ fn write_stream(scale: &ExperimentScale) -> Vec<MixedOp> {
 }
 
 /// Creates a durable index in `dir`, applies the first `batches` writes of
-/// `ops`, optionally checkpoints, drops it and times the reopen.
+/// `ops`, optionally checkpoints, drops it and reopens it.
 fn crash_and_recover(
     scale: &ExperimentScale,
     ops: &[MixedOp],
@@ -126,11 +113,9 @@ fn crash_and_recover(
     let at_crash = index.durability_stats().expect("durable index has stats");
     drop(index); // the simulated crash: only the directory survives
 
-    let start = Instant::now();
     let reopened = registry
         .build_updatable(&name, &IndexSpec::keys_only(&device, &[]))
         .expect("recovery");
-    let recovery_s = start.elapsed().as_secs_f64();
     let after = reopened.durability_stats().expect("stats after recovery");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
@@ -142,29 +127,27 @@ fn crash_and_recover(
         wal_bytes: at_crash.wal_bytes,
         snapshot_bytes: at_crash.last_snapshot_bytes,
         replayed_batches: after.replayed_batches,
-        recovery_s,
     }
 }
 
 /// Runs the WAL-length sweep plus the checkpointed variant of the longest
 /// log.
-fn run_sweep(scale: &ExperimentScale) -> Vec<(RecoveryRun, usize)> {
+fn run_sweep(scale: &ExperimentScale) -> Vec<RecoveryRun> {
     let ops = write_stream(scale);
-    let mut runs = Vec::new();
-    for fraction in WAL_FRACTIONS {
-        let batches = ((ops.len() as f64 * fraction) as usize).clamp(1, ops.len());
-        let run = crash_and_recover(scale, &ops, batches, false);
-        let replayed = run.write_ops;
-        runs.push((run, replayed));
-    }
+    let mut runs: Vec<RecoveryRun> = WAL_FRACTIONS
+        .iter()
+        .map(|fraction| {
+            let batches = ((ops.len() as f64 * fraction) as usize).clamp(1, ops.len());
+            crash_and_recover(scale, &ops, batches, false)
+        })
+        .collect();
     // Checkpoint before the crash: recovery skips the whole log.
-    let run = crash_and_recover(scale, &ops, ops.len(), true);
-    runs.push((run, 0));
+    runs.push(crash_and_recover(scale, &ops, ops.len(), true));
     runs
 }
 
-/// The `recovery_throughput` experiment: recovery time and replay rate
-/// against WAL length, with and without a pre-crash checkpoint.
+/// The `recovery_throughput` experiment: log size and replay against WAL
+/// length, with and without a pre-crash checkpoint.
 pub fn run(scale: &ExperimentScale) -> Vec<Table> {
     let runs = run_sweep(scale);
     let mut table = Table::new(
@@ -179,11 +162,9 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
             "WAL [KiB]",
             "snapshot [KiB]",
             "replayed batches",
-            "recovery [ms]",
-            "replay [ops/s]",
         ],
     );
-    for (run, replayed_ops) in &runs {
+    for run in &runs {
         table.push_row(vec![
             if run.checkpointed {
                 format!("{} batches + checkpoint", run.write_batches)
@@ -194,8 +175,6 @@ pub fn run(scale: &ExperimentScale) -> Vec<Table> {
             format!("{:.1}", run.wal_bytes as f64 / 1024.0),
             format!("{:.1}", run.snapshot_bytes as f64 / 1024.0),
             run.replayed_batches.to_string(),
-            fmt_ms(run.recovery_s * 1e3),
-            fmt_throughput(run.replay_ops_per_s(*replayed_ops)),
         ]);
     }
     vec![table]
@@ -212,11 +191,7 @@ mod tests {
         assert_eq!(runs.len(), WAL_FRACTIONS.len() + 1);
 
         // WAL bytes and replayed batches grow with the crash point.
-        let plain: Vec<&RecoveryRun> = runs
-            .iter()
-            .map(|(r, _)| r)
-            .filter(|r| !r.checkpointed)
-            .collect();
+        let plain: Vec<&RecoveryRun> = runs.iter().filter(|r| !r.checkpointed).collect();
         for pair in plain.windows(2) {
             assert!(pair[0].wal_bytes < pair[1].wal_bytes);
             assert!(pair[0].replayed_batches < pair[1].replayed_batches);
@@ -226,12 +201,11 @@ mod tests {
                 r.replayed_batches, r.write_batches as u64,
                 "every write batch must replay"
             );
-            assert!(r.recovery_s > 0.0);
         }
 
         // The checkpointed run saw the most writes yet replays nothing:
         // the snapshot covers the whole log.
-        let (snap, _) = runs.last().unwrap();
+        let snap = runs.last().unwrap();
         assert!(snap.checkpointed);
         assert_eq!(snap.replayed_batches, 0);
         assert!(snap.snapshot_bytes > 0);

@@ -3,18 +3,16 @@
 //! The paper (and every experiment above) drives each index as one
 //! monolithic structure. The sharded execution layer (`rtx-shard`) cuts the
 //! key space over N inner backends and runs per-shard sub-batches
-//! concurrently on the host worker pool. This experiment measures what that
-//! buys — and what it costs — per backend:
+//! concurrently on the host worker pool. This experiment reports what that
+//! costs on the simulated device, per backend: simulated device time stays
+//! roughly flat by design — the sharded outcome merges the per-shard launch
+//! metrics, so total simulated work is conserved (point lookups even get
+//! slightly cheaper on RX: shallower per-shard BVHs) while hash-partitioned
+//! *range* lookups pay the broadcast.
 //!
-//! * **host throughput** (wall clock) is where sharding wins: per-shard
-//!   sub-batches execute in parallel, and each shard's structure is smaller
-//!   (shallower BVH / tree, better locality). The gain tracks the number of
-//!   physical cores (`RTX_WORKERS` pins it for reproducibility).
-//! * **simulated device time** stays roughly flat by design — the sharded
-//!   outcome merges the per-shard launch metrics, so total simulated work
-//!   is conserved (point lookups even get slightly cheaper on RX: shallower
-//!   per-shard BVHs) while hash-partitioned *range* lookups pay the
-//!   broadcast.
+//! What sharding buys on the host — parallel per-shard sub-batches — is a
+//! wall-clock number, measured by the benchmark package
+//! (`rtx-shard.small_batch_x`, `rtx-shard.bulk_x`), not here.
 //!
 //! Reported per backend (RX, HT, B+, SA, RXD) over shard counts 1/2/4/8:
 //! point-lookup throughput under hash partitioning, and range-lookup
@@ -25,7 +23,7 @@ use rtx_query::{IndexSpec, QueryBatch};
 use rtx_workloads as wl;
 
 use crate::indexes::registry;
-use crate::report::{fmt_ms, fmt_throughput, Table};
+use crate::report::{fmt_ms, Table};
 use crate::scale::ExperimentScale;
 
 /// Shard counts swept per backend.
@@ -40,28 +38,10 @@ pub struct ShardRun {
     pub backend: &'static str,
     /// Shard count.
     pub shards: usize,
-    /// Operations in the measured batch.
-    pub ops: usize,
-    /// Host wall-clock milliseconds of the batch, timed around the whole
-    /// `execute` call. (The outcome's own merged `host_time` *sums* the
-    /// per-shard kernel times and therefore cannot show parallel speedup.)
-    pub host_ms: f64,
     /// Simulated device milliseconds of the batch.
     pub sim_ms: f64,
     /// Lookups that hit (sanity: constant across shard counts).
     pub hits: usize,
-    /// Host milliseconds of the (parallel) sharded build.
-    pub build_host_ms: f64,
-}
-
-impl ShardRun {
-    /// Host-side lookup throughput in operations per second.
-    pub fn host_throughput(&self) -> f64 {
-        if self.host_ms <= 0.0 {
-            return 0.0;
-        }
-        self.ops as f64 / (self.host_ms / 1e3)
-    }
 }
 
 fn run_backend(
@@ -76,18 +56,13 @@ fn run_backend(
         .map(|&shards| {
             let name = format!("{backend}@{shards}{suffix}");
             let index = registry.build(&name, spec).expect("sharded build");
-            let started = std::time::Instant::now();
             let outcome = index.execute(batch).expect("sharded batch");
-            let host_ms = started.elapsed().as_secs_f64() * 1e3;
             ShardRun {
                 name,
                 backend,
                 shards,
-                ops: batch.len(),
-                host_ms,
                 sim_ms: outcome.sim_ms(),
                 hits: outcome.hit_count(),
-                build_host_ms: index.build_metrics().host_time.as_secs_f64() * 1e3,
             }
         })
         .collect()
@@ -129,37 +104,12 @@ pub fn run_ranges(scale: &ExperimentScale) -> Vec<ShardRun> {
 }
 
 fn table_from(title: String, runs: &[ShardRun]) -> Table {
-    let mut table = Table::new(
-        title,
-        &[
-            "backend",
-            "shards",
-            "host [ms]",
-            "host ops/s",
-            "host speedup",
-            "sim [ms]",
-            "build host [ms]",
-            "hits",
-        ],
-    );
+    let mut table = Table::new(title, &["backend", "shards", "sim [ms]", "hits"]);
     for run in runs {
-        let baseline = runs
-            .iter()
-            .find(|r| r.backend == run.backend && r.shards == 1)
-            .expect("1-shard baseline present");
-        let speedup = if run.host_ms > 0.0 {
-            baseline.host_ms / run.host_ms
-        } else {
-            0.0
-        };
         table.push_row(vec![
             run.backend.to_string(),
             run.shards.to_string(),
-            fmt_ms(run.host_ms),
-            fmt_throughput(run.host_throughput()),
-            format!("{speedup:.2}x"),
             fmt_ms(run.sim_ms),
-            fmt_ms(run.build_host_ms),
             run.hits.to_string(),
         ]);
     }

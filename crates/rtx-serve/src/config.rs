@@ -1,7 +1,5 @@
 //! Service tuning knobs.
 
-use std::time::Duration;
-
 /// When the coalescer rebalances a sharded backend's hot shards (see
 /// [`ServiceConfig::with_rebalance`]). Both thresholds must hold — enough
 /// observed traffic for the per-shard counters to mean something, *and* a
@@ -54,7 +52,7 @@ impl RebalanceConfig {
 /// units: a query service counts read operations and write rows, a table
 /// service query predicates and ingest operations.
 ///
-/// The three policies interact the way they do in any batching front-end:
+/// Two policies interact the way they do in any batching front-end:
 ///
 /// * **admission** ([`max_queue_depth`](ServiceConfig::max_queue_depth))
 ///   bounds the operations waiting in the submission queue — beyond it,
@@ -65,14 +63,11 @@ impl RebalanceConfig {
 ///   caps how many queued operations one drain takes as a run of reads:
 ///   the query service fuses the run into one backend submission, so one
 ///   giant fused batch cannot monopolise the executor or its result
-///   buffers; the table service runs the queries of a run one by one;
-/// * **linger** ([`linger`](ServiceConfig::linger)) is zero by default:
-///   the coalescer is self-clocked. A drain executes whatever it finds at
+///   buffers; the table service runs the queries of a run one by one.
+///   The coalescer is self-clocked: a drain executes whatever it finds at
 ///   once, and every batch that arrives while that execution runs fuses
 ///   into the next drain, so fusion grows with load without a timer and a
-///   lone request never waits for company. A non-zero linger holds every
-///   non-full fusion up to that long for more arrivals; set it only to
-///   trade latency for larger fusions.
+///   lone request never waits for company.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Admission limit: maximum operations (reads) / rows (writes) queued
@@ -83,10 +78,6 @@ pub struct ServiceConfig {
     /// one backend submission by a query service; for a table service, the
     /// predicates of the queries it runs before looking at the queue again.
     pub max_coalesce_ops: usize,
-    /// How long a non-full run waits for more client requests before
-    /// executing. Zero (the default) executes whatever one queue drain
-    /// finds; arrivals during the execution join the next drain.
-    pub linger: Duration,
     /// When set (and the backend is an updatable sharded index), the
     /// coalescer watches the per-shard load counters between drained units
     /// and migrates rows off sustained hot shards through the write fence
@@ -99,7 +90,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_queue_depth: 1 << 20,
             max_coalesce_ops: 1 << 16,
-            linger: Duration::ZERO,
             rebalance: None,
         }
     }
@@ -123,13 +113,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the linger time: a non-full fusion waits up to this long for
-    /// more arrivals, trading latency for fusion size.
-    pub fn with_linger(mut self, linger: Duration) -> Self {
-        self.linger = linger;
-        self
-    }
-
     /// Enables hot-shard rebalancing with the given thresholds.
     pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
         self.rebalance = Some(rebalance);
@@ -145,16 +128,9 @@ mod tests {
     fn builder_clamps_degenerate_limits() {
         let c = ServiceConfig::new()
             .with_max_queue_depth(0)
-            .with_max_coalesce_ops(0)
-            .with_linger(Duration::from_micros(200));
+            .with_max_coalesce_ops(0);
         assert_eq!(c.max_queue_depth, 1);
         assert_eq!(c.max_coalesce_ops, 1);
-        assert_eq!(c.linger, Duration::from_micros(200));
         assert!(ServiceConfig::default().max_queue_depth > 0);
-        assert_eq!(
-            ServiceConfig::default().linger,
-            Duration::ZERO,
-            "self-clocked"
-        );
     }
 }

@@ -13,9 +13,7 @@
 //!   ([`FusedBatch`]) up to the configured coalesce
 //!   cap, executed once and split back per client. The loop is
 //!   self-clocked: a drain takes what is queued and executes it at once,
-//!   and whatever arrives during that execution fuses into the next drain
-//!   (a configured [`linger`](ServiceConfig::linger) additionally holds a
-//!   non-full run for late arrivals);
+//!   and whatever arrives during that execution fuses into the next drain;
 //! * write batches are **serialized and fenced**: a write never overtakes
 //!   reads queued before it and is never overtaken by reads queued after
 //!   it, because the queue is drained strictly in order and a run stops at
@@ -67,7 +65,6 @@ pub(crate) struct Counters {
     pub(crate) write_stall_ns_max: AtomicU64,
     pub(crate) write_reorganisations: AtomicU64,
     pub(crate) checkpoints: AtomicU64,
-    pub(crate) linger_ns_total: AtomicU64,
     pub(crate) linger_decisions: AtomicU64,
     pub(crate) rebalances: AtomicU64,
     pub(crate) rebalanced_rows: AtomicU64,
@@ -127,12 +124,11 @@ pub struct ServiceStats {
     /// Checkpoints applied through the write fence
     /// ([`ClientHandle::checkpoint`]).
     pub checkpoints: u64,
-    /// Total nanoseconds of linger *budget* the worker granted across its
-    /// drains: the configured [`linger`](crate::ServiceConfig::linger) each
-    /// time, so 0 for the default self-clocked service. Actual waits are at
-    /// most this — a filled run stops early.
+    /// Always 0: the self-clocked worker never holds a run for late
+    /// arrivals.
     pub linger_ns_total: u64,
-    /// Drains a linger budget was granted for (one per drained unit).
+    /// One per drain: the units the worker took off the queue (a run of
+    /// reads or one write).
     pub linger_decisions: u64,
     /// Hot-shard rebalance passes triggered through the write fence.
     pub rebalances: u64,
@@ -207,14 +203,6 @@ impl ServiceStats {
         self.write_stall_ns_max as f64 / 1e9
     }
 
-    /// Mean linger budget per drain in seconds. 0.0 before any drain.
-    pub fn mean_linger_s(&self) -> f64 {
-        if self.linger_decisions == 0 {
-            return 0.0;
-        }
-        self.linger_ns_total as f64 / 1e9 / self.linger_decisions as f64
-    }
-
     /// The sharded backend's load-imbalance ratio (hottest shard over
     /// mean) as of the last check; 0.0 for unsharded backends.
     pub fn shard_imbalance_ratio(&self) -> f64 {
@@ -239,7 +227,7 @@ impl Counters {
             write_stall_ns_max: c.write_stall_ns_max.load(Ordering::Relaxed),
             write_reorganisations: c.write_reorganisations.load(Ordering::Relaxed),
             checkpoints: c.checkpoints.load(Ordering::Relaxed),
-            linger_ns_total: c.linger_ns_total.load(Ordering::Relaxed),
+            linger_ns_total: 0,
             linger_decisions: c.linger_decisions.load(Ordering::Relaxed),
             rebalances: c.rebalances.load(Ordering::Relaxed),
             rebalanced_rows: c.rebalanced_rows.load(Ordering::Relaxed),
@@ -1109,10 +1097,9 @@ pub(crate) mod tests {
 
     #[test]
     fn writes_are_fenced_between_read_fusions() {
-        // A long linger that would fuse everything — the write fence must
-        // cut the fusion short instead.
-        let config = ServiceConfig::new().with_linger(Duration::from_millis(200));
-        let (service, gate, log) = stub_service(&[1], config);
+        // R2, the write and R3 are all queued behind the held gate when
+        // the next drain runs, so only the fence cuts the fusion short.
+        let (service, gate, log) = stub_service(&[1], ServiceConfig::default());
         let h = service.handle();
 
         gate.hold();
@@ -1356,14 +1343,12 @@ pub(crate) mod tests {
         assert_eq!(stats.mean_fused_ops(), 0.0);
         assert_eq!(stats.mean_write_stall_s(), 0.0);
         assert_eq!(stats.max_write_stall_s(), 0.0);
-        assert_eq!(stats.mean_linger_s(), 0.0);
         assert_eq!(stats.shard_imbalance_ratio(), 0.0);
 
         let (service, _gate, _log) = stub_service(&[1], ServiceConfig::default());
         let live = service.stats();
         assert!(!live.mean_write_stall_s().is_nan());
         assert_eq!(live.mean_write_stall_s(), 0.0);
-        assert_eq!(live.mean_linger_s(), 0.0);
     }
 
     #[test]
@@ -1471,6 +1456,74 @@ pub(crate) mod tests {
             assert_eq!(stats.backend_panics, 1);
             assert_eq!(stats.write_batches, 1);
         });
+    }
+
+    #[test]
+    fn concurrent_clients_get_what_direct_execution_answers() {
+        use gpu_device::Device;
+        use rtx_query::{IndexSpec, Registry};
+
+        const CLIENTS: u64 = 8;
+        const BATCHES: usize = 16;
+        const OPS: usize = 32;
+
+        let mut registry = Registry::new();
+        rtindex_core::register_rx(&mut registry, rtindex_core::RtIndexConfig::default());
+        rtx_shard::install_sharding(&mut registry);
+        let device = Device::default_eval();
+        let keys = rtx_workloads::dense_shuffled(4096, 5);
+        let values = rtx_workloads::value_column(keys.len(), 6);
+        let spec = IndexSpec::with_values(&device, &keys, &values);
+        // One backend serves, an identical one answers each batch directly.
+        let direct = registry.build("RX@4", &spec).unwrap();
+        let service = QueryService::start(
+            registry.build("RX@4", &spec).unwrap(),
+            ServiceConfig::default(),
+        );
+
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let handle = service.handle();
+                let (keys, direct) = (&keys, &direct);
+                scope.spawn(move || {
+                    let queries = rtx_workloads::point_lookups_with_hit_rate(
+                        keys,
+                        BATCHES * OPS,
+                        0.8,
+                        client,
+                    );
+                    let batches: Vec<QueryBatch> = queries
+                        .chunks(OPS)
+                        .map(|chunk| {
+                            let lower = chunk[0] % 4000;
+                            QueryBatch::new()
+                                .points(chunk.iter().copied())
+                                .range(lower, lower + 63)
+                                .fetch_values(true)
+                        })
+                        .collect();
+                    // Submit everything before waiting, so batches queue up
+                    // behind each other and fuse across clients.
+                    let pending: Vec<_> = batches
+                        .iter()
+                        .map(|batch| handle.submit(batch.clone()).unwrap())
+                        .collect();
+                    for (batch, pending) in batches.iter().zip(pending) {
+                        assert_eq!(
+                            pending.wait().unwrap().results,
+                            direct.execute(batch).unwrap().results,
+                            "client {client}"
+                        );
+                    }
+                });
+            }
+        });
+
+        let stats = service.shutdown();
+        let batches = CLIENTS * BATCHES as u64;
+        assert_eq!(stats.coalesced_batches, batches);
+        assert_eq!(stats.executed_ops, batches * (OPS as u64 + 1));
+        assert!(stats.fused_submissions <= batches);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! * a **run of reads**: consecutive read requests up to
 //!   [`max_coalesce_ops`](ServiceConfig::max_coalesce_ops) admission-cost
-//!   units (plus late arrivals within a configured
-//!   [`linger`](ServiceConfig::linger)), handed to the unit as one run;
+//!   units, handed to the unit as one run;
 //! * or **one write**, alone. It is the fence: a write never overtakes the
 //!   reads queued before it, because the run stops at it, and it is visible
 //!   to every read queued after it, because nothing else runs meanwhile.
@@ -161,9 +160,9 @@ impl<W: Unit> Shared<W> {
     }
 
     /// Blocks until work is available, then drains the next unit: reads
-    /// accumulate into `run` up to the coalesce cap (lingering for late
-    /// arrivals only when a linger is configured), the first write cuts the
-    /// run short (the fence), a leading write is taken alone.
+    /// accumulate into `run` up to the coalesce cap, the first write cuts
+    /// the run short (the fence), a leading write is taken alone. Nothing
+    /// waits for late arrivals: they join the next drain.
     fn drain(&self, run: &mut Vec<W::Read>) -> Drained<W::Write> {
         run.clear();
         let mut q = self.lock();
@@ -174,69 +173,36 @@ impl<W: Unit> Shared<W> {
             q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
 
-        let ServiceConfig {
-            linger,
-            max_coalesce_ops,
-            ..
-        } = self.config;
-        let c = &self.counters;
-        c.linger_ns_total
-            .fetch_add(linger.as_nanos() as u64, Ordering::Relaxed);
-        c.linger_decisions.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + linger;
+        let max_coalesce_ops = self.config.max_coalesce_ops;
+        self.counters
+            .linger_decisions
+            .fetch_add(1, Ordering::Relaxed);
         let mut run_cost = 0;
-        loop {
-            // Pop as many consecutive reads as fit under the coalesce cap.
-            let mut full = false;
-            while let Some(request) = q.requests.pop_front() {
-                let cost = request.cost();
-                match request {
-                    Request::Read(read)
-                        if run.is_empty() || run_cost + cost <= max_coalesce_ops =>
-                    {
-                        run.push(read)
-                    }
-                    Request::Write(write) if run.is_empty() => {
-                        q.queued_cost -= cost;
-                        return Drained::Write(write);
-                    }
-                    // A read past the cap, or a write behind the run (the
-                    // fence): it heads the next drain.
-                    request => {
-                        q.requests.push_front(request);
-                        full = true;
-                        break;
-                    }
+        // Pop as many consecutive reads as fit under the coalesce cap.
+        while let Some(request) = q.requests.pop_front() {
+            let cost = request.cost();
+            match request {
+                Request::Read(read) if run.is_empty() || run_cost + cost <= max_coalesce_ops => {
+                    run.push(read)
                 }
-                q.queued_cost -= cost;
-                run_cost += cost;
-                if run_cost >= max_coalesce_ops {
-                    full = true;
+                Request::Write(write) if run.is_empty() => {
+                    q.queued_cost -= cost;
+                    return Drained::Write(write);
+                }
+                // A read past the cap, or a write behind the run (the
+                // fence): it heads the next drain.
+                request => {
+                    q.requests.push_front(request);
                     break;
                 }
             }
-
-            debug_assert!(!run.is_empty(), "drain found work but took nothing");
-            if full || q.shutdown {
-                break;
-            }
-            // The queue is empty and the run has room: linger for more
-            // arrivals if a linger is configured. With the default zero the
-            // deadline has passed already — the run executes now, and the
-            // arrivals it would have waited for join the next drain.
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .work
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-            if q.requests.is_empty() && (timeout.timed_out() || q.shutdown) {
+            q.queued_cost -= cost;
+            run_cost += cost;
+            if run_cost >= max_coalesce_ops {
                 break;
             }
         }
+        debug_assert!(!run.is_empty(), "drain found work but took nothing");
         Drained::Reads
     }
 

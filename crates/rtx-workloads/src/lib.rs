@@ -16,10 +16,6 @@
 //! * [`zipf`] — the Zipf sampler used for skewed workloads,
 //! * [`mixed`] — interleaved insert/delete/upsert/lookup operation streams
 //!   (uniform and Zipf-skewed) for the dynamic-update layer,
-//! * [`skew`] — heavy-traffic skew models (Zipf, hot-set, multi-tenant)
-//!   applied to both read batches and mixed streams,
-//! * [`arrival`] — deterministic open-loop arrival schedules (Poisson and
-//!   paced) for tail-latency experiments,
 //! * [`truth`] — ground-truth answers (hit sets and value sums) computed
 //!   with plain hash maps, used to verify every index implementation —
 //!   including [`truth::DynamicOracle`] for dynamic workloads,
@@ -32,25 +28,18 @@
 //! All generators take an explicit seed and are fully deterministic so that
 //! experiments are reproducible.
 
-pub mod arrival;
 pub mod keyset;
 pub mod lookups;
 pub mod mixed;
-pub mod skew;
 pub mod tables;
 pub mod truth;
 pub mod zipf;
 
-pub use arrival::{ArrivalSchedule, OpenLoopDriver};
 pub use keyset::{dense_shuffled, sparse_uniform, value_column, with_multiplicity, with_stride};
 pub use lookups::{
     point_lookups, point_lookups_with_hit_rate, point_lookups_zipf, range_lookups, split_batches,
 };
 pub use mixed::{apply_mixed_op, mixed_ops, MixedOp, MixedWorkloadConfig};
-pub use skew::{
-    multi_tenant_ops, skewed_mixed_ops, skewed_point_lookups, MultiTenantConfig, SkewProfile,
-    TenantOp,
-};
 pub use tables::{
     ingest_batches, table_queries, table_records, TableOracle, TableQueryConfig,
     TableWorkloadConfig,

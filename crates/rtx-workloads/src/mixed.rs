@@ -195,22 +195,6 @@ impl MixedWorkloadConfig {
 
 /// Generates the operation stream described by `config`.
 pub fn mixed_ops(config: &MixedWorkloadConfig) -> Vec<MixedOp> {
-    let mut zipf = (config.zipf_theta > 0.0)
-        .then(|| ZipfSampler::new(config.key_domain as usize, config.zipf_theta, config.seed));
-    mixed_ops_with(config, move |rng| match &mut zipf {
-        Some(sampler) => sampler.sample() as u64,
-        None => rng.gen_range(0..config.key_domain),
-    })
-}
-
-/// Generates the operation stream described by `config`, drawing every key
-/// through `draw_key` instead of the config's uniform/Zipf picker. This is
-/// the shared engine behind [`mixed_ops`] and the skewed generators in
-/// [`crate::skew`].
-pub(crate) fn mixed_ops_with(
-    config: &MixedWorkloadConfig,
-    mut draw_key: impl FnMut(&mut StdRng) -> u64,
-) -> Vec<MixedOp> {
     assert!(
         config.total_ops > 0,
         "a mixed workload needs at least one operation"
@@ -238,6 +222,12 @@ pub(crate) fn mixed_ops_with(
     let total_weight: f64 = weights.iter().sum();
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x4D49_5845_444F_5053);
+    let mut zipf = (config.zipf_theta > 0.0)
+        .then(|| ZipfSampler::new(config.key_domain as usize, config.zipf_theta, config.seed));
+    let mut draw_key = |rng: &mut StdRng| match &mut zipf {
+        Some(sampler) => sampler.sample() as u64,
+        None => rng.gen_range(0..config.key_domain),
+    };
 
     let mut ops = Vec::new();
     let mut remaining = config.total_ops;

@@ -17,7 +17,7 @@
 use rtindex::{
     registry, Device, IndexSpec, QueryBatch, QueryService, RebalanceConfig, ServiceConfig,
 };
-use rtx_workloads::{skewed_point_lookups, GroundTruth, SkewProfile};
+use rtx_workloads::{point_lookups_zipf, GroundTruth};
 
 fn main() {
     let device = Device::default_eval();
@@ -46,8 +46,7 @@ fn main() {
     // Zipf-skewed lookups: rank 0 (key `keys[0]`) is the hottest, and the
     // handful of top ranks absorb most of the traffic — all of it landing
     // on whichever shards those few keys hash to.
-    let profile = SkewProfile::zipfian(1.2);
-    let queries = skewed_point_lookups(&keys, 40_000, &profile, 42);
+    let queries = point_lookups_zipf(&keys, 40_000, 1.2, 42);
     println!(
         "service backend: RXD@4 ({n} keys), {} zipf(1.2) lookups in 16-op batches",
         queries.len()

@@ -11,8 +11,8 @@
 //!
 //! No RTX GPU is required (or used) here: the raytracing pipeline, the BVH
 //! and the GPU itself are simulated in software by the crates this facade
-//! re-exports. See `DESIGN.md` for the substitution argument and
-//! `EXPERIMENTS.md` for how the paper's evaluation is reproduced.
+//! re-exports. See `DESIGN.md` for the substitution argument and the
+//! `rtx-harness` crate for how the paper's evaluation is reproduced.
 //!
 //! ## Quick start
 //!

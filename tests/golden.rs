@@ -1,10 +1,10 @@
 //! Byte-exact goldens of the paper's experiments.
 //!
-//! Every experiment in [`experiment_names`] whose output is a pure function
-//! of its seed and the cost model runs at [`ExperimentScale::tiny`], and
-//! its rendered tables must equal `crates/rtx-harness/golden/<name>.txt`
-//! byte for byte: that file is what `rtx-harness <name> --scale tiny`
-//! prints under `RTX_WORKERS=8`. The worker width is pinned because
+//! Every experiment in [`experiment_names`] prints a pure function of its
+//! seed and the cost model; none prints a host wall-clock number. Each
+//! runs at [`ExperimentScale::tiny`], and its rendered tables must equal
+//! `crates/rtx-harness/golden/<name>.txt` byte for byte: that file is what
+//! `rtx-harness <name> --scale tiny` prints under `RTX_WORKERS=8`. The worker width is pinned because
 //! simulated build costs and the per-worker cache model depend on it.
 //!
 //! At tiny scale most rendered cells round to 0.01 ms, so a cost-model
@@ -13,9 +13,6 @@
 //! simulated time and counters of a point batch per backend and of a range
 //! batch on RX and SA, the RXD insert and delete times, and the staged
 //! LBVH build at 1 and 8 queues.
-//!
-//! The experiments in [`HOST_TIMED`] print host wall-clock columns, so two
-//! runs differ; they have no golden.
 //!
 //! On a mismatch the test names the file, its first differing line, and
 //! the expected and actual versions of that line. It always writes what it
@@ -40,29 +37,6 @@ use rtx_harness::{experiment_names, registry, run_experiment, scaled_device, Exp
 use rtx_query::{IndexSpec, QueryBatch, QueryOutcome};
 use rtx_workloads as wl;
 
-/// The experiments without a golden, each with the host-timed output that
-/// makes two runs differ.
-const HOST_TIMED: [(&str, &str); 6] = [
-    (
-        "shard_scaling",
-        "host milliseconds and host speedup per shard count",
-    ),
-    (
-        "service_throughput",
-        "serial and coalesced host milliseconds, ops/s and achieved fusion",
-    ),
-    ("service_latency", "open-loop host latency percentiles"),
-    (
-        "build_throughput",
-        "compaction write stalls timed on the host",
-    ),
-    ("recovery_throughput", "host recovery time and replay ops/s"),
-    (
-        "planner_selection",
-        "host milliseconds and host ops/s per arm",
-    ),
-];
-
 /// The golden of the exact model numbers.
 const MODEL: &str = "model.txt";
 
@@ -75,11 +49,10 @@ fn golden_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// Every golden file name: one per goldened experiment, then `model.txt`.
+/// Every golden file name: one per experiment, then `model.txt`.
 fn golden_files() -> Vec<String> {
     experiment_names()
         .into_iter()
-        .filter(|name| HOST_TIMED.iter().all(|(host, _)| host != name))
         .map(|name| format!("{name}.txt"))
         .chain([MODEL.to_string()])
         .collect()
@@ -191,14 +164,7 @@ fn first_difference(expected: &str, actual: &str) -> Option<String> {
 }
 
 #[test]
-fn golden_directory_holds_exactly_the_deterministic_experiments() {
-    let names = experiment_names();
-    for (name, _) in HOST_TIMED {
-        assert!(
-            names.contains(&name),
-            "host-timed {name:?} is not an experiment"
-        );
-    }
+fn every_listed_experiment_has_a_golden_and_nothing_else_does() {
     let expected = golden_files();
     let present: Vec<String> = fs::read_dir(golden_path(""))
         .expect("the golden directory exists")
