@@ -392,7 +392,7 @@ pub trait UpdatableIndex: SecondaryIndex {
 
 /// An owned backend of either kind: what a layer holds when the same code
 /// serves indexes built read-only and indexes built updatable (the service
-/// coalescer, a shard, a table index). Reads go through
+/// coalescer, a shard). Reads go through
 /// [`read`](IndexBackend::read) whatever the variant; writes go through
 /// [`write`](IndexBackend::write), which a read-only backend answers with
 /// `None`.

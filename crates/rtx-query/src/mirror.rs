@@ -1,9 +1,10 @@
-//! [`RowMirror`]: the one local→outer rowID translation.
+//! [`RowMirror`]: the local→outer rowID translation of a written backend.
 //!
 //! A backend numbers rows by their position in its own build column and
-//! renumbers whenever it reorganises; every layer that stacks rows from
-//! several backends (a shard of a sharded index, an index of a table) must
-//! answer in its *own* rowID space. The mirror is that translation. It is
+//! renumbers whenever it reorganises; a layer that stacks rows from several
+//! written backends (a shard of a sharded index) must answer in its *own*
+//! rowID space. The mirror is that translation. (A table never writes to
+//! an index, so the dense row list of each build is all it keeps.) It is
 //! fed by what the backend reports — the rows a batch appended and the
 //! [`UpdateReport::renumbered`] map of a reorganisation — never by
 //! re-deriving the backend's delete or compaction decisions: a deleted row

@@ -4,8 +4,10 @@
 //! A *table* owns one row store (one `u64` column per named column, dense
 //! rowIDs) plus any number of named secondary indexes, each built over one
 //! column from a backend spec in the full registry
-//! [name grammar](crate::registry) — `"HT"`, `"RX:sah@4:hash"` and
-//! `"RXD+wal:<path>"` are all valid per-column specs. This module holds
+//! [name grammar](crate::registry) except durability — `"HT"`,
+//! `"RX:sah@4:hash"` and `"RXD@2"` are all valid per-column specs, and a
+//! `"+wal:<path>"` spec is refused, because nothing recovers a whole table
+//! from a WAL. This module holds
 //! only the *vocabulary* shared by every layer (workloads generate
 //! [`IngestBatch`]es, the table renders [`ExplainPlan`]s); the table
 //! mechanics — row store, index fan-out, rollback, the planner itself —
@@ -22,10 +24,11 @@ use crate::batch::QueryOp;
 use crate::composite::parse_schema_name;
 use crate::error::IndexError;
 use crate::keys::{KeyBound, KeyValue, TypedOp};
+use crate::registry::parse_durable_name;
 
 /// One named secondary index of a table: an index `name`, the ordered
 /// schema `columns` it keys on, and the backend `spec` string it is built
-/// from (full [registry grammar](crate::registry)).
+/// from ([registry grammar](crate::registry), without `"+wal:"`).
 ///
 /// A single-column definition behaves exactly as before; a multi-column
 /// definition builds a *composite* index whose key is the order-preserving
@@ -39,7 +42,7 @@ pub struct IndexDef {
     /// The schema columns the index keys on, leading column first.
     pub columns: Vec<String>,
     /// Backend spec in the registry name grammar (`"HT"`,
-    /// `"RX:sah@4:hash"`, `"RXD+wal:/data/ix"`, `"B+{u32,u32}"`, …).
+    /// `"RX:sah@4:hash"`, `"RXD@2"`, `"B+{u32,u32}"`, …).
     pub spec: String,
 }
 
@@ -153,8 +156,8 @@ impl TableSchema {
     }
 
     /// Checks structural consistency: at least one column, unique
-    /// non-empty column and index names, and every referenced column
-    /// (index targets, the value column) declared.
+    /// non-empty column and index names, every referenced column (index
+    /// targets, the value column) declared, and no durable index spec.
     pub fn validate(&self) -> Result<(), IndexError> {
         let fail = |message: String| {
             Err(IndexError::Backend {
@@ -201,6 +204,13 @@ impl TableSchema {
             }
             if ix.spec.is_empty() {
                 return fail(format!("index {:?} has an empty backend spec", ix.name));
+            }
+            if parse_durable_name(&ix.spec).is_some() {
+                return fail(format!(
+                    "index {:?} has the durable spec {:?}: whole-table recovery from a \
+                     WAL is not supported, so a table index takes no \"+wal:\" suffix",
+                    ix.name, ix.spec
+                ));
             }
             // A brace schema in the spec must cover the key columns one for
             // one (the registry would reject the arity mismatch anyway, but
@@ -840,6 +850,7 @@ mod tests {
                 .with_index("i", "a", "RX"),
             TableSchema::new(["a"]).with_index("", "a", "HT"),
             TableSchema::new(["a"]).with_index("i", "a", ""),
+            TableSchema::new(["a"]).with_index("i", "a", "RXD+wal:/p"),
         ];
         for s in broken {
             assert!(s.validate().is_err(), "accepted {s:?}");

@@ -6,18 +6,19 @@
 //! A [`Table`] owns one SoA row store (named `u64` columns, dense table
 //! rowIDs compatible with the global-rowID scheme) plus any number of
 //! named secondary indexes, each built from a per-column
-//! [`IndexDef::spec`](rtx_query::IndexDef) in the full registry name
-//! grammar — one table can mix `"HT"`, `"RX:sah@4:hash"` and
-//! `"RXD+wal:<path>"` across its columns.
+//! [`IndexDef::spec`](rtx_query::IndexDef) in the registry name grammar —
+//! one table can mix `"HT"`, `"RX:sah@4:hash"` and `"RXD@2"` across its
+//! columns. A durable `"+wal:<path>"` spec is refused at load: nothing
+//! recovers a whole table from a WAL.
 //!
 //! * **Ingest** is CDC-style and transactional: an
 //!   [`IngestBatch`](rtx_query::IngestBatch) of insert / delete / upsert
 //!   records applies to the row store and fans out to every index with
-//!   all-or-nothing semantics — native deltas where they are exact, a
-//!   row-store overlay everywhere else, and a rejected sub-batch undone
-//!   from a log before the error surfaces (see [`table`] for the
-//!   protocol). `rtx-serve`'s table service runs each batch behind its
-//!   write fence.
+//!   all-or-nothing semantics — each index is a built base plus a
+//!   row-store overlay, rebuilt once the overlay grows past a threshold,
+//!   and a rejected batch is undone from a log, without a build, before
+//!   the error surfaces (see [`table`] for the protocol). `rtx-serve`'s
+//!   table service runs each batch behind its write fence.
 //! * **Queries** are multi-predicate
 //!   [`TableQuery`](rtx_query::TableQuery)s; the [`Planner`] scores every
 //!   predicate against each index's capability flags, live memory usage

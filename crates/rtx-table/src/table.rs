@@ -3,25 +3,19 @@
 //! # Ingest atomicity
 //!
 //! [`Table::ingest`] applies a CDC batch with all-or-nothing semantics.
-//! Operations stream into the row store, and from there into every index in
-//! one of two ways:
-//!
-//! * **Native deltas, where they are exact.** An updatable index keyed on
-//!   the primary column absorbs `insert(key, value)` and `delete(key)`
-//!   itself: deleting the key there removes exactly the doomed rows. Its
-//!   row mirror follows the backend's update reports.
-//! * **A row-store overlay, everywhere else.** Read-only indexes (RX, HT,
-//!   B+, SA, their sharded variants), composite indexes and updatable
-//!   indexes on any other column keep their built *base* and an overlay of
-//!   two short lists of table rowIDs, sorted by the index's key columns:
-//!   the *fresh* rows inserted since the build and the *dead* base rows
-//!   deleted since. The row store keeps dead rows' values, so a query runs
-//!   the base, subtracts the dead rows matching the predicate and adds the
-//!   fresh ones; every predicate an index serves is one lexicographic
-//!   interval over its key columns, found with two binary searches per
-//!   list. When the base's `first_row` is itself dead while other base
-//!   matches remain, that one predicate is answered by a row-store scan
-//!   instead ([`TableStats::overlay_rescans`]).
+//! Operations stream into the row store, and from there into every index
+//! the same way. Each index keeps its built *base* and an overlay of two
+//! short lists of table rowIDs, sorted by the index's key columns: the
+//! *fresh* rows inserted since the build and the *dead* base rows deleted
+//! since. The row store keeps dead rows' values, so a query runs the base,
+//! subtracts the dead rows matching the predicate and adds the fresh ones;
+//! every predicate an index serves is one lexicographic interval over its
+//! key columns, found with two binary searches per list. When the base's
+//! `first_row` is itself dead while other base matches remain, that one
+//! predicate is answered by a row-store scan instead
+//! ([`TableStats::overlay_rescans`]). A base answers `first_row` as a
+//! position in the live rows it was built over; the dense list of those
+//! rows translates it into a table rowID.
 //!
 //! An index is rebuilt from the live rows only once its overlay holds
 //! `base_rows / 16` rows, and at least one. The rebuild runs inside the
@@ -30,9 +24,9 @@
 //!
 //! Rejections surface at the batch that causes them wherever a build's
 //! check is cheap per key: every inserted row is checked against each
-//! overlaid index's composite key widths and 32-bit key limit, and indexes
-//! that refuse duplicate keys (B+) probe base plus overlay for every key
-//! the batch leaves live. A failure only the backend's build can see (a
+//! index's composite key widths and 32-bit key limit, and indexes that
+//! refuse duplicate keys (B+) probe base plus overlay for every key the
+//! batch leaves live. A failure only the backend's build can see (a
 //! capacity cap, a key beyond an RX key mode's range) surfaces at the batch
 //! whose threshold rebuild trips over it. That batch is refused when the
 //! rows as last committed still build. When they do not, an earlier batch
@@ -40,33 +34,11 @@
 //! exact base and overlay, and every later batch past the threshold
 //! retries the rebuild.
 //!
-//! If any step fails, the table undoes the batch without a snapshot: the
-//! row store replays its undo log (inserts are appends, deletes liveness
-//! flips), overlays truncate back to their committed length, staged
-//! rebuilds are dropped, and every updatable index that absorbed deltas is
-//! rebuilt from the restored rows. Callers never observe a half-applied
-//! batch.
-//!
-//! # Row mirrors
-//!
-//! Each index answers `first_row` in its own local rowID space; the table
-//! keeps a per-index [`RowMirror`] (local → table rowID, the same type
-//! `rtx-shard` keeps per shard) and translates every result into table
-//! rowIDs. The mirror is fed by the backend's own update reports: the
-//! table rowID each delta insert appended, and whatever renumbering the
-//! report carries — a monolithic dynamic backend reports one whenever a
-//! compaction (its own, or a durable wrapper's checkpoint) moved rows, a
-//! sharded backend never does, and the table does not need to know which
-//! kind it holds.
-//!
-//! # Durable index specs
-//!
-//! A spec containing `"+wal:<path>"` treats that directory as
-//! *table-private*: every (re)build wipes it first, because the durable
-//! layer's open-or-create semantics would otherwise recover stale state
-//! from an earlier build instead of indexing the current rows. Between
-//! rebuilds the WAL logs delta updates as usual; whole-table recovery
-//! from WAL directories is out of scope here.
+//! If any step fails, the table undoes the batch without a snapshot and
+//! without a build, in O(batch): the row store replays its undo log
+//! (inserts are appends, deletes liveness flips), overlays truncate back to
+//! their committed length, and staged rebuilds are dropped. Callers never
+//! observe a half-applied batch.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -75,18 +47,20 @@ use std::sync::Arc;
 use gpu_device::Device;
 use optix_sim::LaunchMetrics;
 use rtx_query::{
-    parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexBackend, IndexDef,
-    IndexError, IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult,
-    Predicate, QueryBatch, QueryOp, Record, Registry, RowMirror, SecondaryIndex, TableQuery,
-    TableSchema, TypedBatch, TypedOp, MISS,
+    parse_schema_name, ColumnType, ExplainPlan, IndexDef, IndexError, IndexSpec, IngestBatch,
+    IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult, Predicate, QueryBatch, QueryOp, Record,
+    Registry, SecondaryIndex, TableQuery, TableSchema, TypedBatch, TypedOp, MISS,
 };
 
-use crate::planner::{CandidateView, IndexView, Planner, ProbeCost, RoutePlan};
+use crate::planner::{CandidateView, IndexView, Planner, RoutePlan};
 use crate::store::RowStore;
 
 /// An overlay holding `base_rows / OVERLAY_FRACTION` rows (and at least
 /// one) triggers a rebuild (see the [module docs](self)).
 const OVERLAY_FRACTION: usize = 16;
+
+/// An index as built: the base every overlay corrects.
+type Base = Box<dyn SecondaryIndex>;
 
 struct IndexState {
     /// Positions of the key columns in the row store, leading first.
@@ -95,38 +69,22 @@ struct IndexState {
     /// zero-overhead raw-`u64` path for classic single-column indexes.
     schema: Option<KeySchema>,
     /// The built base (see the [module docs](self)).
-    backend: IndexBackend,
-    /// Local rowID → table rowID (see the [module docs](self)).
-    mirror: RowMirror,
-    /// What the base lags the table by; `None` for an index that absorbs
-    /// native deltas.
-    overlay: Option<Overlay>,
-    /// What the planner reads of the backend, refreshed whenever it changes.
+    backend: Base,
+    /// Base rowID → table rowID: the live rows the base was built over, in
+    /// build order.
+    rows: Vec<u32>,
+    /// What the base lags the table by.
+    overlay: Overlay,
+    /// What the planner reads of the base.
     view: IndexView,
 }
 
 impl IndexState {
-    /// The keys of the first `count` live rows the index holds, read from
-    /// the row store through the mirror: the planner's calibration sample.
-    fn sample_keys(&self, store: &RowStore, count: usize) -> Vec<u64> {
-        (0..self.mirror.len() as u32)
-            .map(|local| self.mirror.global(local))
-            .filter(|&row| row != MISS && store.is_live(row))
-            .take(count)
-            .map(|row| store.value_at(self.columns[0], row))
-            .collect()
-    }
-
     /// Takes the freshly inserted table `row` (holding `record`) into the
     /// overlay, after checking it fits the index `def` the way a build
-    /// would; returns `false` for an index that absorbs native deltas
-    /// instead.
-    fn admit(&mut self, def: &IndexDef, record: &[u64], row: u32) -> Result<bool, IndexError> {
-        let Some(overlay) = &mut self.overlay else {
-            return Ok(false);
-        };
-        let ix = self.backend.read();
-        let narrow = !ix.capabilities().full_64bit_keys;
+    /// would.
+    fn admit(&mut self, def: &IndexDef, record: &[u64], row: u32) -> Result<(), IndexError> {
+        let narrow = !self.backend.capabilities().full_64bit_keys;
         let key = match &self.schema {
             Some(schema) => {
                 let tuple: KeyTuple = self
@@ -147,8 +105,8 @@ impl IndexState {
                 reason: format!("index {:?} holds 32-bit keys only, got {key}", def.name),
             });
         }
-        overlay.fresh.rows.push(row);
-        Ok(true)
+        self.overlay.fresh.rows.push(row);
+        Ok(())
     }
 
     /// Refuses the open batch when it leaves two live rows with one key in
@@ -156,14 +114,11 @@ impl IndexState {
     /// every key at most once, so one batched probe of it plus the overlay
     /// counts the live rows holding each key the batch inserted.
     fn check_unique(&self, def: &IndexDef, store: &RowStore) -> Result<(), IndexError> {
-        let Some(overlay) = &self.overlay else {
-            return Ok(());
-        };
-        let ix = self.backend.read();
+        let ix = &self.backend;
         if ix.capabilities().duplicate_keys {
             return Ok(());
         }
-        let keys: Vec<Vec<u64>> = overlay.fresh.rows[overlay.fresh.sorted..]
+        let keys: Vec<Vec<u64>> = self.overlay.fresh.rows[self.overlay.fresh.sorted..]
             .iter()
             .filter(|&&row| store.is_live(row))
             .map(|&row| {
@@ -188,12 +143,14 @@ impl IndexState {
             }
         };
         for (key, hit) in keys.iter().zip(&base.results) {
-            let in_base = hit.first_row != MISS && store.is_live(self.mirror.global(hit.first_row));
+            let in_base = hit.first_row != MISS && store.is_live(self.rows[hit.first_row as usize]);
             let interval = KeyInterval {
                 prefix: key,
                 range: None,
             };
-            let fresh = overlay.live_fresh_matches(&interval, store, &self.columns);
+            let fresh = self
+                .overlay
+                .live_fresh_matches(&interval, store, &self.columns);
             if usize::from(in_base) + fresh > 1 {
                 return Err(IndexError::UnsupportedKeySet {
                     backend: def.spec.clone().into(),
@@ -478,11 +435,9 @@ pub struct IngestReport {
     pub inserted_rows: u64,
     /// Rows deleted from the row store.
     pub deleted_rows: u64,
-    /// Delta operations absorbed by updatable indexes.
-    pub delta_ops: u64,
     /// Indexes rebuilt from the live row store.
     pub rebuilt_indexes: u64,
-    /// Simulated time of the deltas and rebuilds.
+    /// Simulated time of the rebuilds.
     pub simulated_time_s: f64,
 }
 
@@ -497,8 +452,6 @@ pub struct TableStats {
     pub inserted_rows: u64,
     /// Rows ever deleted.
     pub deleted_rows: u64,
-    /// Delta operations absorbed by updatable indexes.
-    pub delta_ops: u64,
     /// Index rebuilds (initial builds excluded).
     pub index_rebuilds: u64,
     /// Predicates answered by a row-store scan because the base's
@@ -640,14 +593,13 @@ impl Table {
         self.defs.iter().map(|def| def.name.as_str()).collect()
     }
 
-    /// The built backend behind the named index (for metadata inspection:
-    /// capabilities, memory usage, build metrics). For an index kept by a
-    /// row-store overlay (see the [module docs](self)) this is the base as
-    /// of its last build: it lags the table by the rows the overlay holds,
-    /// and the table's own queries correct for them.
+    /// The built base behind the named index (for metadata inspection:
+    /// capabilities, memory usage, build metrics) as of its last build: it
+    /// lags the table by the rows the overlay holds (see the [module
+    /// docs](self)), and the table's own queries correct for them.
     pub fn index_backend(&self, name: &str) -> Option<&dyn SecondaryIndex> {
         let position = self.defs.iter().position(|def| def.name == name)?;
-        Some(self.indexes[position].backend.read())
+        Some(self.indexes[position].backend.as_ref())
     }
 
     /// Total resident bytes: row store, every index's
@@ -658,10 +610,7 @@ impl Table {
             + self
                 .indexes
                 .iter()
-                .map(|s| {
-                    s.backend.read().memory_usage().total()
-                        + s.overlay.as_ref().map_or(0, Overlay::memory_bytes)
-                })
+                .map(|s| s.backend.memory_usage().total() + s.overlay.memory_bytes())
                 .sum::<u64>()
     }
 
@@ -674,31 +623,21 @@ impl Table {
             return Ok(IngestReport::default());
         }
         let outcome = loop {
-            let mut touched = vec![false; self.indexes.len()];
             let mut report = IngestReport::default();
             let mut failed_rebuild = None;
-            let err = match self.apply_batch(batch, &mut touched, &mut report, &mut failed_rebuild)
-            {
+            let err = match self.apply_batch(batch, &mut report, &mut failed_rebuild) {
                 Ok(staged) => {
                     self.commit(staged, &report);
                     break Ok(report);
                 }
                 Err(err) => err,
             };
-            if let Err(rollback_err) = self.rollback(&touched) {
-                break Err(IndexError::Backend {
-                    backend: "table".to_string().into(),
-                    message: format!(
-                        "ingest failed ({err}) and rollback failed too: {rollback_err}"
-                    ),
-                });
-            }
+            self.rollback();
             match failed_rebuild {
                 // The failure is older than the batch: apply it again,
                 // keeping that index's base and overlay.
                 Some(i) if self.committed_rows_fail_to_build(i) => {
-                    let overlay = self.indexes[i].overlay.as_mut();
-                    overlay.expect("only overlaid indexes rebuild").build_fails = true;
+                    self.indexes[i].overlay.build_fails = true;
                 }
                 _ => break Err(err),
             }
@@ -706,12 +645,7 @@ impl Table {
         if outcome.is_err() {
             self.stats.rolled_back_batches += 1;
         }
-        self.stats.overlay_rows = self
-            .indexes
-            .iter()
-            .filter_map(|s| s.overlay.as_ref())
-            .map(|overlay| overlay.rows() as u64)
-            .sum();
+        self.stats.overlay_rows = self.indexes.iter().map(|s| s.overlay.rows() as u64).sum();
         outcome
     }
 
@@ -722,14 +656,11 @@ impl Table {
             self.indexes[i] = state;
         }
         for state in &mut self.indexes {
-            if let Some(overlay) = &mut state.overlay {
-                overlay.commit(&self.store, &state.columns);
-            }
+            state.overlay.commit(&self.store, &state.columns);
         }
         self.store.commit();
         self.stats.inserted_rows += report.inserted_rows;
         self.stats.deleted_rows += report.deleted_rows;
-        self.stats.delta_ops += report.delta_ops;
         self.stats.index_rebuilds += report.rebuilt_indexes;
     }
 
@@ -739,7 +670,7 @@ impl Table {
     /// which built.
     fn committed_rows_fail_to_build(&self, i: usize) -> bool {
         let state = &self.indexes[i];
-        state.overlay.as_ref().is_some_and(|o| o.rows() > 0)
+        state.overlay.rows() > 0
             && build_index_state(
                 &self.device,
                 &self.registry,
@@ -753,24 +684,23 @@ impl Table {
     }
 
     /// Applies every op, then checks and (past the threshold) rebuilds the
-    /// overlaid indexes; returns the rebuilt states, to be installed only
-    /// when the batch commits. A rebuild that fails names its index in
+    /// indexes; returns the rebuilt states, to be installed only when the
+    /// batch commits. A rebuild that fails names its index in
     /// `failed_rebuild`; one whose committed rows already failed to build
     /// keeps its base and overlay.
     fn apply_batch(
         &mut self,
         batch: &IngestBatch,
-        touched: &mut [bool],
         report: &mut IngestReport,
         failed_rebuild: &mut Option<usize>,
     ) -> Result<Vec<(usize, IndexState)>, IndexError> {
         for op in batch.ops() {
             match op {
-                IngestOp::Insert(record) => self.apply_insert(record, touched, report)?,
-                IngestOp::Delete(key) => self.apply_delete(*key, touched, report)?,
+                IngestOp::Insert(record) => self.apply_insert(record, report)?,
+                IngestOp::Delete(key) => self.apply_delete(*key, report),
                 IngestOp::Upsert(record) => {
-                    self.apply_delete(record[0], touched, report)?;
-                    self.apply_insert(record, touched, report)?;
+                    self.apply_delete(record[0], report);
+                    self.apply_insert(record, report)?;
                 }
             }
         }
@@ -779,22 +709,13 @@ impl Table {
             // Nothing changed (e.g. only deletes of absent keys).
             return Ok(staged);
         }
-        for (i, state) in self.indexes.iter_mut().enumerate() {
-            if touched[i] {
-                // Delta'd indexes keep their structure; refresh the planner's
-                // view so it sees the post-batch state.
-                let sample = state.sample_keys(&self.store, 16);
-                let ix = state.backend.read();
-                state.view = IndexView::of(ix, self.planner.calibrate(ix, &sample)?);
-            }
-        }
         for (def, state) in self.defs.iter().zip(&self.indexes) {
             state.check_unique(def, &self.store)?;
         }
         for (i, state) in self.indexes.iter().enumerate() {
-            let Some(overlay) = state.overlay.as_ref().filter(|o| o.is_full()) else {
+            if !state.overlay.is_full() {
                 continue;
-            };
+            }
             match build_index_state(
                 &self.device,
                 &self.registry,
@@ -805,12 +726,11 @@ impl Table {
                 &state.columns,
             ) {
                 Ok(rebuilt) => {
-                    report.simulated_time_s +=
-                        rebuilt.backend.read().build_metrics().simulated_time_s;
+                    report.simulated_time_s += rebuilt.backend.build_metrics().simulated_time_s;
                     report.rebuilt_indexes += 1;
                     staged.push((i, rebuilt));
                 }
-                Err(_) if overlay.build_fails => {}
+                Err(_) if state.overlay.build_fails => {}
                 Err(err) => {
                     *failed_rebuild = Some(i);
                     return Err(err);
@@ -823,84 +743,32 @@ impl Table {
     fn apply_insert(
         &mut self,
         record: &Record,
-        touched: &mut [bool],
         report: &mut IngestReport,
     ) -> Result<(), IndexError> {
         let row = self.store.insert(record)?;
         report.inserted_rows += 1;
-        let value = self.value_pos.map(|p| record[p]).unwrap_or(0);
-        for (i, state) in self.indexes.iter_mut().enumerate() {
-            if state.admit(&self.defs[i], record, row)? {
-                continue;
-            }
-            let ix = state
-                .backend
-                .write()
-                .expect("only updatable indexes on the primary column go without an overlay");
-            let update = ix.insert(&[record[0]], &[value])?;
-            state.mirror.apply(&[row], &update);
-            touched[i] = true;
-            report.delta_ops += 1;
-            report.simulated_time_s += update.simulated_time_s;
+        for (def, state) in self.defs.iter().zip(&mut self.indexes) {
+            state.admit(def, record, row)?;
         }
         Ok(())
     }
 
-    fn apply_delete(
-        &mut self,
-        key: u64,
-        touched: &mut [bool],
-        report: &mut IngestReport,
-    ) -> Result<(), IndexError> {
+    fn apply_delete(&mut self, key: u64, report: &mut IngestReport) {
         let doomed = self.store.delete_primary(key);
         report.deleted_rows += doomed.len() as u64;
-        for (i, state) in self.indexes.iter_mut().enumerate() {
-            if let Some(overlay) = &mut state.overlay {
-                for &row in doomed {
-                    overlay.delete(row);
-                }
-                continue;
+        for state in &mut self.indexes {
+            for &row in doomed {
+                state.overlay.delete(row);
             }
-            let ix = state
-                .backend
-                .write()
-                .expect("only updatable indexes on the primary column go without an overlay");
-            // Delta-exact: the index keys on the primary column, so
-            // deleting `key` there removes exactly the doomed rows.
-            let update = ix.delete(&[key])?;
-            state.mirror.apply(&[], &update);
-            touched[i] = true;
-            report.delta_ops += 1;
-            report.simulated_time_s += update.simulated_time_s;
         }
-        Ok(())
     }
 
-    /// Undoes the open batch (see the [module docs](self)) and rebuilds
-    /// every index that absorbed deltas.
-    fn rollback(&mut self, touched: &[bool]) -> Result<(), IndexError> {
+    /// Undoes the open batch (see the [module docs](self)).
+    fn rollback(&mut self) {
         self.store.rollback();
         for state in &mut self.indexes {
-            if let Some(overlay) = &mut state.overlay {
-                overlay.rollback();
-            }
+            state.overlay.rollback();
         }
-        for (i, &was_touched) in touched.iter().enumerate() {
-            if !was_touched {
-                continue;
-            }
-            let columns = self.indexes[i].columns.clone();
-            self.indexes[i] = build_index_state(
-                &self.device,
-                &self.registry,
-                &self.store,
-                self.value_pos,
-                &self.planner,
-                &self.defs[i],
-                &columns,
-            )?;
-        }
-        Ok(())
     }
 
     /// Renders the planner's account of `query` without executing it:
@@ -1015,20 +883,20 @@ impl Table {
         for (position, slots, ops) in groups {
             let state = &self.indexes[position];
             let outcome = match ops {
-                GroupOps::Raw(batch) => state.backend.read().execute(&batch)?,
+                GroupOps::Raw(batch) => state.backend.execute(&batch)?,
                 GroupOps::Typed(ops) => {
                     let mut batch = TypedBatch::new().fetch_values(fetch);
                     for op in ops {
                         batch = batch.op(op);
                     }
-                    state.backend.read().execute_typed(&batch)?
+                    state.backend.execute_typed(&batch)?
                 }
             };
             metrics.merge(&outcome.metrics);
-            let overlay = state.overlay.as_ref().filter(|o| o.rows() > 0);
+            let overlay = Some(&state.overlay).filter(|o| o.rows() > 0);
             for (slot, mut result) in slots.into_iter().zip(outcome.results) {
                 if result.first_row != MISS {
-                    result.first_row = state.mirror.global(result.first_row);
+                    result.first_row = state.rows[result.first_row as usize];
                 }
                 if let Some(overlay) = overlay {
                     let predicate = &query.predicates()[slot];
@@ -1106,12 +974,10 @@ impl std::fmt::Debug for Table {
     }
 }
 
-/// Builds (or rebuilds) one index from the live row store: fresh dense
-/// mirror, the planner's view with calibrated probe costs, durable
-/// directories wiped first (see the [module docs](self)), and an empty
-/// overlay unless the index absorbs native deltas. Composite definitions build through the registry's typed
-/// path and always come back read-only — table deltas speak raw
-/// single-`u64` keys, which a composite index rejects.
+/// Builds (or rebuilds) one index from the live row store: the base, its
+/// dense row list, the planner's view with calibrated probe costs, and an
+/// empty overlay. Composite definitions build through the registry's typed
+/// path.
 fn build_index_state(
     device: &Device,
     registry: &Registry,
@@ -1121,9 +987,10 @@ fn build_index_state(
     def: &IndexDef,
     columns: &[usize],
 ) -> Result<IndexState, IndexError> {
-    wipe_durable_dir(&def.spec)?;
-    let (schema, backend, rows, probe) = if def.is_composite() {
-        build_composite(device, registry, store, value_pos, planner, def, columns)?
+    let (schema, backend, probe_keys, rows) = if def.is_composite() {
+        let (schema, backend, probe_keys, rows) =
+            build_composite(device, registry, store, value_pos, def, columns)?;
+        (Some(schema), backend, probe_keys, rows)
     } else {
         let (keys, rows) = store.column_live(columns[0]);
         let values: Option<Vec<u64>> =
@@ -1132,39 +999,32 @@ fn build_index_state(
             Some(v) => IndexSpec::with_values(device, &keys, v),
             None => IndexSpec::keys_only(device, &keys),
         };
-        let backend = match registry.build_updatable(&def.spec, &spec) {
-            Ok(ix) => IndexBackend::Write(ix),
-            // Not updatable under this registry (or not updatable at all):
-            // build read-only. Genuine build failures resurface here.
-            Err(_) => IndexBackend::Read(registry.build(&def.spec, &spec)?),
-        };
-        let probe = planner.calibrate(backend.read(), &keys)?;
-        (None, backend, rows, probe)
+        let backend = registry.build(&def.spec, &spec)?;
+        (None, backend, keys, rows)
     };
-    let native = matches!(backend, IndexBackend::Write(_)) && columns == [0];
-    let overlay = (!native).then(|| Overlay::new(rows.len(), store.slot_count()));
+    let probe = planner.calibrate(backend.as_ref(), &probe_keys)?;
     Ok(IndexState {
         columns: columns.to_vec(),
         schema,
-        view: IndexView::of(backend.read(), probe),
+        view: IndexView::of(backend.as_ref(), probe),
         backend,
-        mirror: RowMirror::dense(rows),
-        overlay,
+        overlay: Overlay::new(rows.len(), store.slot_count()),
+        rows,
     })
 }
 
 /// The composite arm of [`build_index_state`]: projects the key columns
 /// into typed tuples, resolves the key schema (explicit `{...}` in the
-/// spec, else all-`u64`), and builds read-only through the registry.
+/// spec, else all-`u64`), and builds through the registry. Returns the
+/// schema, the base, its calibration keys and its dense row list.
 fn build_composite(
     device: &Device,
     registry: &Registry,
     store: &RowStore,
     value_pos: Option<usize>,
-    planner: &Planner,
     def: &IndexDef,
     columns: &[usize],
-) -> Result<(Option<KeySchema>, IndexBackend, Vec<u32>, ProbeCost), IndexError> {
+) -> Result<(KeySchema, Base, Vec<u64>, Vec<u32>), IndexError> {
     let schema = match parse_schema_name(&def.spec)? {
         Some((_, schema)) => schema,
         None => KeySchema::new(vec![ColumnType::U64; columns.len()])?,
@@ -1194,7 +1054,7 @@ fn build_composite(
         Some(v) => IndexSpec::typed_with_values(device, schema.clone(), &tuples, v),
         None => IndexSpec::typed(device, schema.clone(), &tuples),
     };
-    let backend = IndexBackend::Read(registry.build(&def.spec, &spec)?);
+    let backend = registry.build(&def.spec, &spec)?;
     // Calibration probes run in the backend's raw key domain: the encoded
     // keys themselves for direct (single-limb) schemas; for dictionary-
     // mapped schemas the probes miss, which still measures launch cost.
@@ -1203,25 +1063,5 @@ fn build_composite(
     } else {
         Vec::new()
     };
-    let probe = planner.calibrate(backend.read(), &probe_keys)?;
-    Ok((Some(schema), backend, rows, probe))
-}
-
-/// Resets the WAL directory of a `"+wal:<path>"` spec before a build, so
-/// the durable layer creates fresh state instead of recovering a previous
-/// build's rows. No-op for non-durable specs and absent directories.
-fn wipe_durable_dir(spec: &str) -> Result<(), IndexError> {
-    if let Some((_, path)) = parse_durable_name(spec) {
-        match std::fs::remove_dir_all(path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(IndexError::Backend {
-                    backend: spec.to_string().into(),
-                    message: format!("failed to reset WAL directory {path:?}: {e}"),
-                })
-            }
-        }
-    }
-    Ok(())
+    Ok((schema, backend, probe_keys, rows))
 }

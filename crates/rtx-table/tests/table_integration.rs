@@ -1,8 +1,8 @@
 //! End-to-end table tests against the full backend registry: the
 //! acceptance scenario (HT + RX + RXD answering mixed point+range
 //! queries oracle-exactly with the expected routing), CDC streams vs the
-//! scan oracle, atomic rollback of rejected batches, durable and sharded
-//! index specs, and forced-index execution.
+//! scan oracle, atomic rollback of rejected batches, refused durable and
+//! served sharded index specs, and forced-index execution.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -135,29 +135,23 @@ fn cdc_ingest_stream_stays_oracle_exact() {
         ..TableWorkloadConfig::uniform(3, 8, 24, 4)
     });
     for (bi, batch) in batches.iter().enumerate() {
-        let report = table.ingest(batch).expect("batch applies");
+        table.ingest(batch).expect("batch applies");
         oracle.apply_batch(batch);
         assert_eq!(table.row_count(), oracle.row_count(), "batch {bi}");
-        // Read-only indexes rebuild on every mutating batch; the
-        // updatable RXD absorbs inserts (and primary-column deletes) as
-        // deltas.
-        if report.inserted_rows > 0 {
-            assert!(report.delta_ops > 0, "batch {bi}: {report:?}");
-        }
         assert_matches_oracle(&table, &oracle, &query_stream(100 + bi as u64), "cdc");
     }
     let stats = table.stats();
     assert_eq!(stats.ingest_batches, batches.len() as u64);
     assert_eq!(stats.rolled_back_batches, 0);
     assert!(stats.inserted_rows > 0 && stats.deleted_rows > 0);
-    assert!(stats.delta_ops > 0 && stats.index_rebuilds > 0);
+    assert!(stats.index_rebuilds > 0);
 }
 
 #[test]
 fn rejected_batch_rolls_back_atomically() {
     let device = Device::default_eval();
     // Unique primary keys so the B+-tree (which refuses duplicate keys)
-    // builds; it rides along as a second index next to the updatable RXD.
+    // builds; it rides along as a second index next to RXD.
     let records: Vec<Vec<u64>> = (0..128u64).map(|k| vec![k, k * 3 % 101, k * 7]).collect();
     let schema = TableSchema::new(["id", "ts", "amount"])
         .with_value_column("amount")
@@ -167,9 +161,9 @@ fn rejected_batch_rolls_back_atomically() {
     let oracle = TableOracle::load(3, &records);
     let mut table = Table::load(schema, &device, registry(), &records).expect("table builds");
 
-    // A batch that first does legitimate work (deltas land in RXD, rows
-    // land in the store) and then inserts a duplicate `id`, which the
-    // B+-tree rejects at rebuild time.
+    // A batch that first does legitimate work (rows land in the store and
+    // the overlays) and then inserts a duplicate `id`, which the B+-tree
+    // refuses.
     let poisoned = IngestBatch::new()
         .insert(vec![500, 1, 10])
         .delete(3)
@@ -203,21 +197,137 @@ fn rejected_batch_rolls_back_atomically() {
 }
 
 #[test]
-fn durable_and_sharded_specs_serve_the_table() {
+fn refused_batch_leaves_every_base_in_place() {
     let device = Device::default_eval();
-    let dir = temp_dir("wal");
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = format!("RXD+wal:{}", dir.display());
+    let records: Vec<Vec<u64>> = (0..1u64 << 16)
+        .map(|id| vec![id, id * 7 % 1000, id * 3])
+        .collect();
     let schema = TableSchema::new(["id", "ts", "amount"])
         .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
+        .with_index("id_rx", "id", "RX")
+        .with_index("id_rxd", "id", "RXD")
+        .with_index("id_bt", "id", "B+");
+    let oracle = TableOracle::load(3, &records);
+    let mut table = Table::load(schema, &device, registry(), &records).expect("table builds");
+    let bases = |table: &Table| -> Vec<*const ()> {
+        table
+            .index_names()
+            .iter()
+            .map(|name| table.index_backend(name).unwrap() as *const _ as *const ())
+            .collect()
+    };
+    let before = bases(&table);
+    let rebuilds = table.stats().index_rebuilds;
+
+    // Legitimate work first, then an `id` the B+-tree already holds.
+    let refused = IngestBatch::new()
+        .insert(vec![1 << 20, 1, 10])
+        .delete(3)
+        .upsert(vec![17, 2, 20])
+        .insert(vec![42, 5, 50]);
+    table
+        .ingest(&refused)
+        .expect_err("B+ refuses the duplicate id");
+
+    // Undoing the batch builds nothing: every index keeps its base.
+    assert_eq!(bases(&table), before, "a refused batch swapped a base");
+    let stats = table.stats();
+    assert_eq!(stats.index_rebuilds, rebuilds);
+    assert_eq!((stats.rolled_back_batches, stats.overlay_rows), (1, 0));
+    // Every index, forced, still answers the pre-batch rows: points on
+    // all four, ranges on the three that take them.
+    let points = [3, 17, 42, 1 << 20, 65_535, 1 << 16]
+        .into_iter()
+        .fold(TableQuery::new().fetch_values(true), |query, id| {
+            query.point("id", id)
+        });
+    let ranges = TableQuery::new()
+        .range("id", 0, 63)
+        .range("id", 1000, 70_000)
+        .fetch_values(true);
+    for index in table.index_names() {
+        for query in [&points, &ranges] {
+            if index == "id_ht" && query == &ranges {
+                continue;
+            }
+            let got = table.query_forced(query, index).expect("forced query");
+            let want = oracle.expected_query(table.schema(), query);
+            assert_eq!(got.results, want, "{index}: {query:?}");
+        }
+    }
+    let planned = table_queries(&TableQueryConfig {
+        queries: 10,
+        predicates_per_query: 3,
+        point_columns: vec!["id".into()],
+        range_columns: vec!["id".into()],
+        key_domain: 1 << 16,
+        range_span: 64,
+        fetch_values: true,
+        seed: 21,
+    });
+    assert_matches_oracle(&table, &oracle, &planned, "after the refused batch");
+}
+
+/// A schema with a durable index on `id` next to a sharded one on `ts`.
+fn durable_schema(spec: String) -> TableSchema {
+    TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
         .with_index("id_wal", "id", spec)
+        .with_index("ts_sharded", "ts", "RXD@2")
+}
+
+/// Asserts that loading `schema` is refused with an error naming `index`
+/// and the missing recovery, and that `dir` (made beforehand, holding a
+/// marker file) survives the attempt untouched.
+fn assert_durable_spec_refused(schema: TableSchema, index: &str, dir: &std::path::Path) {
+    let records = table_records(3, 64, 256, 5);
+    let marker = dir.join("marker");
+    let err = Table::load(schema, &Device::default_eval(), registry(), &records)
+        .expect_err("a durable table index is refused");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{index:?}")) && msg.contains("recovery from a WAL is not supported"),
+        "{msg}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&marker).expect("the marker survives"),
+        "keep me"
+    );
+}
+
+fn marked_dir(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("marker"), "keep me").unwrap();
+    dir
+}
+
+#[test]
+fn durable_specs_are_refused_and_sharded_specs_serve_the_table() {
+    // Nothing recovers a whole table from a WAL, so a `+wal:` index is
+    // refused at load, and its directory — which may hold anything — is
+    // left alone.
+    let dir = marked_dir("wal");
+    let spec = format!("RXD+wal:{}", dir.display());
+    assert_durable_spec_refused(durable_schema(spec), "id_wal", &dir);
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "no WAL appears"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The sharded half serves the table as a base plus an overlay.
+    let schema = TableSchema::new(["id", "ts", "amount"])
+        .with_value_column("amount")
+        .with_index("id_ht", "id", "HT")
         .with_index("ts_sharded", "ts", "RXD@2");
     let records = table_records(3, 200, 256, 7);
     let mut oracle = TableOracle::load(3, &records);
     let mut table =
-        Table::load(schema.clone(), &device, registry(), &records).expect("table builds");
-    assert!(dir.exists(), "the WAL directory materialises");
-
+        Table::load(schema, &Device::default_eval(), registry(), &records).expect("table builds");
     let batches = ingest_batches(&TableWorkloadConfig {
         key_domain: 256,
         ..TableWorkloadConfig::uniform(3, 6, 16, 8)
@@ -235,103 +345,57 @@ fn durable_and_sharded_specs_serve_the_table() {
             fetch_values: true,
             seed: 40 + bi as u64,
         });
-        assert_matches_oracle(&table, &oracle, &queries, "durable+sharded");
-    }
-
-    // Rebuilding the same schema at the same path must not recover the
-    // previous table's rows: the directory is table-private and wiped.
-    let fresh = Table::load(schema, &device, registry(), &[]).expect("rebuild at same path");
-    assert_eq!(fresh.row_count(), 0);
-    let out = fresh
-        .query(&TableQuery::new().point("id", records[0][0]))
-        .unwrap();
-    assert_eq!(out.results[0].hit_count, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn durable_checkpoints_renumber_the_index_and_the_mirror_follows() {
-    // A tiny checkpoint threshold: the durable wrapper compacts — and so
-    // renumbers — its inner RXD every few batches, on its own schedule,
-    // next to the RXD's own policy compactions (stop-the-world, then in the
-    // background with the wrapper landing the swaps). The static HT on the
-    // same column is rebuilt per batch and is the reference route.
-    let device = Device::default_eval();
-    for background in [false, true] {
-        let dir = temp_dir("checkpoint");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut registry = Registry::new();
-        gpu_baselines::register_baselines(&mut registry);
-        rtx_delta::register_dynamic(
-            &mut registry,
-            DynamicRtConfig::default()
-                .with_policy(rtx_delta::CompactionPolicy {
-                    max_delta_entries: 24,
-                    max_delta_fraction: f64::INFINITY,
-                    max_delete_ratio: f64::INFINITY,
-                })
-                .with_background_compaction(background),
-        );
-        rtx_durable::install_durability_with(
-            &mut registry,
-            rtx_durable::DurableConfig::default().with_snapshot_wal_bytes(2 << 10),
-        );
-        let schema = TableSchema::new(["id", "amount"])
-            .with_value_column("amount")
-            .with_index("id_ht", "id", "HT")
-            .with_index("id_wal", "id", format!("RXD+wal:{}", dir.display()));
-        let records: Vec<Vec<u64>> = (0..200).map(|id| vec![id, id * 3 + 1]).collect();
-        let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("builds");
-
-        for round in 0..40u64 {
-            let mut batch = IngestBatch::new();
-            for i in 0..4 {
-                batch = batch.delete(round * 4 + i);
-                batch = batch.insert(vec![1000 + round * 4 + i, round + i]);
-            }
-            table.ingest(&batch).expect("batch applies");
-            let mut query = TableQuery::new().fetch_values(true);
-            for id in (0..200).step_by(7).chain(1000..1000 + (round + 1) * 4) {
-                query = query.point("id", id);
-            }
-            let reference = table.query_forced(&query, "id_ht").unwrap();
-            let durable = table.query_forced(&query, "id_wal").unwrap();
-            assert_eq!(
-                durable.results, reference.results,
-                "round {round}, background {background}"
-            );
-        }
-        let snapshots = table
-            .index_backend("id_wal")
-            .and_then(|ix| ix.durability_stats())
-            .map_or(0, |stats| stats.snapshots);
-        assert!(snapshots > 1, "the automatic checkpoint must have fired");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_matches_oracle(&table, &oracle, &queries, "sharded");
+        let ranges = (0..8u64).fold(TableQuery::new().fetch_values(true), |query, i| {
+            query.range("ts", i * 32, i * 32 + 24)
+        });
+        let got = table.query_forced(&ranges, "ts_sharded").unwrap();
+        let want = oracle.expected_query(table.schema(), &ranges);
+        assert_eq!(got.results, want, "batch {bi}");
     }
 }
 
 #[test]
-fn sharded_primary_index_stays_first_row_exact_through_compaction() {
-    // Every shard of the RXD@2 index compacts again and again during the
-    // ingest; its outer rowIDs must keep translating to table rowIDs.
-    let device = Device::default_eval();
-    let mut registry = Registry::new();
-    gpu_baselines::register_baselines(&mut registry);
-    rtx_delta::register_dynamic(
-        &mut registry,
-        DynamicRtConfig::default().with_policy(rtx_delta::CompactionPolicy {
-            max_delta_entries: 8,
-            max_delta_fraction: 0.01,
-            max_delete_ratio: 0.01,
-        }),
-    );
-    rtx_shard::install_sharding(&mut registry);
+fn durable_specs_are_refused_in_every_form() {
+    // Plain, sharded, builder-suffixed and composite durable specs are all
+    // refused, whatever sits in the directory; a directory that does not
+    // exist is not created.
+    for (i, spec) in ["RXD+wal:", "RXD@2+wal:", "RXD:sah+wal:", "RXD{u32}+wal:"]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = marked_dir(&format!("refused-{i}"));
+        assert_durable_spec_refused(
+            durable_schema(format!("{spec}{}", dir.display())),
+            "id_wal",
+            &dir,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let absent = temp_dir(&format!("absent-{i}"));
+        let _ = std::fs::remove_dir_all(&absent);
+        let schema = TableSchema::new(["id"]).with_index(
+            "id_wal",
+            "id",
+            format!("{spec}{}", absent.display()),
+        );
+        let err = Table::create(schema, &Device::default_eval(), registry()).expect_err("refused");
+        assert!(err.to_string().contains("\"id_wal\""), "{err}");
+        assert!(!absent.exists(), "{spec}: the refusal created {absent:?}");
+    }
+}
+
+#[test]
+fn sharded_primary_index_stays_first_row_exact_through_rebuilds() {
+    // The RXD@2 index on the primary column takes the ingest through its
+    // overlay and is rebuilt whenever the overlay crosses its threshold;
+    // every rebuilt base's rowIDs must keep translating to table rowIDs.
     let schema = TableSchema::new(["id", "ts", "amount"])
         .with_value_column("amount")
         .with_index("id_sharded", "id", "RXD@2");
     let records = table_records(3, 200, 256, 11);
     let mut oracle = TableOracle::load(3, &records);
-    let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("builds");
+    let mut table =
+        Table::load(schema, &Device::default_eval(), registry(), &records).expect("builds");
 
     let batches = ingest_batches(&TableWorkloadConfig {
         key_domain: 256,
@@ -348,7 +412,10 @@ fn sharded_primary_index_stays_first_row_exact_through_compaction() {
         let want = oracle.expected_query(table.schema(), &query);
         assert_eq!(got.results, want, "batch {bi}");
     }
-    assert_eq!(table.stats().index_rebuilds, 0, "deltas only");
+    assert!(
+        table.stats().index_rebuilds > 0,
+        "the overlay threshold is crossed"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! raytracing index on `ts` and an updatable RXD on `id`. A stream of
 //! transactional insert/delete/upsert batches keeps every index in sync
 //! (all-or-nothing, with rollback on rejection; per batch it prints what was
-//! rebuilt and how many rows the read-only indexes hold in overlays), while
+//! rebuilt and how many rows the indexes hold in overlays), while
 //! mixed point + range queries are routed predicate-by-predicate to the
 //! cheapest eligible index.
 //! `Table::explain` renders the planner's choices as an `ExplainPlan`, whose
@@ -26,8 +26,8 @@ fn main() {
     println!("registered backends: {}", registry.names().join(", "));
 
     // The table: three u64 columns, `amount` is the fetchable value column.
-    // Each index is a registry spec — the full grammar (builder selection,
-    // sharding, durability) is available per column.
+    // Each index is a registry spec — builder selection and sharding are
+    // available per column; a durable `+wal:` spec is refused.
     let schema = TableSchema::new(["id", "ts", "amount"])
         .with_value_column("amount")
         .with_index("id_ht", "id", "HT")
@@ -46,9 +46,9 @@ fn main() {
     );
 
     // CDC ingest: each batch applies transactionally across the row store
-    // and all three indexes. RXD on the primary column absorbs it as
-    // deltas; HT and RX keep their base and take the batch into a
-    // row-store overlay, rebuilt only once it reaches 1/16 of the base.
+    // and all three indexes. Each index keeps its base and takes the batch
+    // into a row-store overlay, rebuilt only once it reaches 1/16 of the
+    // base.
     let config = wl::TableWorkloadConfig::uniform(3, 16, 64, 11);
     let mut inserted = 0usize;
     let mut deleted = 0usize;
@@ -58,10 +58,9 @@ fn main() {
         inserted += report.inserted_rows as usize;
         deleted += report.deleted_rows as usize;
         println!(
-            "  batch {i:>2}: +{} -{} rows, {} deltas, rebuilt {} index(es), {} rows in overlays",
+            "  batch {i:>2}: +{} -{} rows, rebuilt {} index(es), {} rows in overlays",
             report.inserted_rows,
             report.deleted_rows,
-            report.delta_ops,
             report.rebuilt_indexes,
             table.stats().overlay_rows
         );

@@ -841,7 +841,7 @@ proptest! {
             })
             .collect();
         // Fresh ids keep `B+` accepting; the upsert and the delete reach
-        // the overlays and the native deltas.
+        // every index's overlay.
         let batch = IngestBatch::new()
             .insert(vec![500, 17, 3])
             .upsert(vec![0, 150, 1])
