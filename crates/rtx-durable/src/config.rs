@@ -16,11 +16,11 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Configuration of a [`DurableIndex`](crate::DurableIndex) /
-/// [`ShardedDurableIndex`](crate::ShardedDurableIndex).
+/// Configuration of a [`DurableIndex`](crate::DurableIndex), sharded or
+/// not: one WAL either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableConfig {
-    /// Flush policy for the WAL (and, sharded, the root journal).
+    /// Flush policy for the WAL.
     pub fsync: FsyncPolicy,
     /// Roll to a fresh WAL segment once the active one reaches this many
     /// bytes. Truncation drops whole sealed segments, so smaller segments

@@ -22,7 +22,16 @@
 //!
 //! A batch whose apply *fails* (e.g. capacity overflow) still has its
 //! record in the log — the failure is deterministic, so replay fails the
-//! same way and skips it, leaving state unchanged on both sides.
+//! same way and skips it, leaving state unchanged on both sides. (A
+//! sharded batch can fail on one shard after others applied their slice;
+//! replay reproduces the same partial failure.)
+//!
+//! A sharded base is logged like any other: one record per batch, before
+//! it fans out to the shards. Its rowIDs stay reproducible where its
+//! structure may not: a `Swap` record lands every in-flight shard rebuild
+//! on replay, not only the ones that had finished live, but swaps inside
+//! a shard never move a global rowID — only an explicit `Compact` does,
+//! densely and in order, exactly as on the live side.
 
 use std::path::{Path, PathBuf};
 
@@ -39,7 +48,7 @@ use crate::snapshot::{read_latest_snapshot, write_snapshot, Snapshot};
 use crate::wal::WriteAheadLog;
 
 /// WAL subdirectory of a durable index directory.
-pub(crate) const WAL_SUBDIR: &str = "wal";
+const WAL_SUBDIR: &str = "wal";
 
 /// A WAL-backed persistent wrapper around one updatable backend.
 ///
@@ -87,10 +96,8 @@ impl DurableIndex {
         };
         let snapshot = Snapshot {
             bsn: 0,
-            next_row: rows.len() as u64,
             has_values,
             rows,
-            globals: None,
         };
         let last_snapshot_bytes = write_snapshot(dir, &snapshot).map_err(|e| io_err(&label, e))?;
         let wal =
@@ -143,8 +150,8 @@ impl DurableIndex {
         let mut inner = registry.build_updatable(base, &inner_spec)?;
         let has_values = inner.has_value_column();
 
-        let (mut wal, records) = WriteAheadLog::open(&dir.join(WAL_SUBDIR), &config, None)
-            .map_err(|e| io_err(&label, e))?;
+        let (mut wal, records) =
+            WriteAheadLog::open(&dir.join(WAL_SUBDIR), &config).map_err(|e| io_err(&label, e))?;
         let (replayed_batches, bsn) = replay_records(&mut *inner, &mut wal, &records, snapshot.bsn)
             .map_err(|e| io_err(&label, e))?;
         Ok(DurableIndex {
@@ -277,10 +284,8 @@ impl DurableIndex {
             })?;
         let snapshot = Snapshot {
             bsn,
-            next_row: rows.len() as u64,
             has_values: self.has_values,
             rows,
-            globals: None,
         };
         let bytes = write_snapshot(&self.dir, &snapshot).map_err(|e| io_err(&self.label, e))?;
         self.wal
@@ -301,7 +306,7 @@ pub(crate) fn durable_label(base: &str) -> String {
 /// Replays `records` with bsn above `covered` into `inner`, healing
 /// torn-off tail annotations back into `wal`. Returns the number of update
 /// batches replayed and the next bsn to log.
-pub(crate) fn replay_records(
+fn replay_records(
     inner: &mut dyn UpdatableIndex,
     wal: &mut WriteAheadLog,
     records: &[WalRecord],
@@ -347,7 +352,7 @@ pub(crate) fn replay_records(
                 let _ = inner.compact();
             }
             // Stray annotations (already consumed ones never reach here).
-            WalPayload::Freeze | WalPayload::SyncCompact | WalPayload::Commit { .. } => {}
+            WalPayload::Freeze | WalPayload::SyncCompact => {}
         }
         i += 1;
     }

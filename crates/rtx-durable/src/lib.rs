@@ -13,33 +13,28 @@
 //! pre-crash state — rowIDs included, torn final records cut off by the
 //! frame CRCs.
 //!
-//! Two wrappers share the machinery:
-//!
-//! * [`DurableIndex`] — one WAL + snapshot chain around one backend;
-//! * [`ShardedDurableIndex`] — per-shard WALs plus a root commit journal
-//!   around a [`ShardedIndex`](rtx_shard::ShardedIndex); shards recover in
-//!   parallel on the worker pool and a crash between a shard append and
-//!   the root commit rolls the whole batch back.
-//!
-//! [`install_durability`] hooks both into a [`Registry`], after which the
-//! trailing `"+wal:<path>"` name production builds them:
+//! One wrapper, [`DurableIndex`], holds one WAL and one snapshot chain
+//! around whatever `registry.build_updatable(base)` returns — a sharded
+//! index included: its batches are logged whole, before they fan out to
+//! the shards, so a crash recovers a prefix of whole batches, and its
+//! snapshot is a plain `(key, value)` column that reopens as an ordinary
+//! build. [`install_durability`] hooks it into a [`Registry`], after which
+//! the trailing `"+wal:<path>"` name production builds it:
 //!
 //! ```text
 //! "RXD+wal:/data/ix"            one durable RXD
-//! "RXD:sah@4:hash+wal:/data/ix" four durable hash-routed shards
+//! "RXD:sah@4:hash+wal:/data/ix" four hash-routed shards behind one WAL
 //! ```
 //!
 //! The same name *creates* state on first use (non-empty build columns)
 //! and *reopens* it afterwards (empty build columns — the snapshot + WAL
 //! are the truth; building over existing state is refused). A `META`
-//! manifest in the directory records which wrapper owns it, the base
-//! backend name, and — sharded — the router, whose range partition bounds
-//! cannot be re-derived once the original build column is gone.
+//! manifest in the directory records the base backend name and whether a
+//! value column exists.
 
 pub mod config;
 pub mod durable;
 pub mod record;
-pub mod sharded;
 pub mod snapshot;
 pub mod wal;
 
@@ -47,13 +42,11 @@ use std::fs::{self, File};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
-use rtx_query::{IndexError, IndexSpec, Registry, SecondaryIndex, ShardSpec, UpdatableIndex};
-use rtx_shard::RouterConfig;
+use rtx_query::{IndexError, IndexSpec, Registry, SecondaryIndex, UpdatableIndex};
 
 pub use config::{DurableConfig, FsyncPolicy};
 pub use durable::DurableIndex;
 pub use record::{crc32, decode_stream, WalPayload, WalRecord};
-pub use sharded::ShardedDurableIndex;
 pub use snapshot::{read_latest_snapshot, write_snapshot, Snapshot};
 pub use wal::{log_bytes, read_log, write_log_bytes, WriteAheadLog};
 
@@ -132,44 +125,17 @@ pub fn open_or_create(
                     ),
                 });
             }
-            match meta.router {
-                Some(router) => ShardedDurableIndex::open(
-                    registry,
-                    base,
-                    spec,
-                    &dir,
-                    config,
-                    router,
-                    meta.has_values,
-                )
-                .map(|ix| Box::new(ix) as Box<dyn UpdatableIndex>),
-                None => DurableIndex::open(registry, base, spec, &dir, config)
-                    .map(|ix| Box::new(ix) as Box<dyn UpdatableIndex>),
-            }
+            DurableIndex::open(registry, base, spec, &dir, config)
+                .map(|ix| Box::new(ix) as Box<dyn UpdatableIndex>)
         }
         None => {
-            let verbatim = registry.updatable_backends().contains(&base);
-            let sharded =
-                !verbatim && registry.supports_sharding() && ShardSpec::parse(base).is_some();
-            if sharded {
-                let ix = ShardedDurableIndex::create(registry, base, spec, &dir, config)?;
-                let meta = Meta {
-                    base: base.to_string(),
-                    has_values: ix.has_value_column(),
-                    router: Some(ix.inner().router_config().clone()),
-                };
-                write_meta(&dir, &meta).map_err(|e| io_err(&label, e))?;
-                Ok(Box::new(ix))
-            } else {
-                let ix = DurableIndex::create(registry, base, spec, &dir, config)?;
-                let meta = Meta {
-                    base: base.to_string(),
-                    has_values: ix.has_value_column(),
-                    router: None,
-                };
-                write_meta(&dir, &meta).map_err(|e| io_err(&label, e))?;
-                Ok(Box::new(ix))
-            }
+            let ix = DurableIndex::create(registry, base, spec, &dir, config)?;
+            let meta = Meta {
+                base: base.to_string(),
+                has_values: ix.has_value_column(),
+            };
+            write_meta(&dir, &meta).map_err(|e| io_err(&label, e))?;
+            Ok(Box::new(ix))
         }
     }
 }
@@ -179,45 +145,25 @@ pub fn open_or_create(
 const META_MAGIC: u32 = 0x5258_444D; // "RXDM"
 const META_FILE: &str = "META";
 
-/// What the manifest records: which wrapper owns the directory (`router`
-/// present → sharded), the base backend name, and whether a value column
-/// exists.
+/// What the manifest records: the base backend name and whether a value
+/// column exists. Its first body byte once flagged a router (the retired
+/// per-shard WAL layout); it is always 0 now, and a manifest that sets it
+/// is refused.
 struct Meta {
     base: String,
     has_values: bool,
-    router: Option<RouterConfig>,
 }
+
+const CORRUPT_META: &str = "corrupt durable manifest";
+const SHARDED_META: &str = "durable manifest of the retired per-shard WAL layout (it names a \
+                            router), which this version cannot reopen";
 
 impl Meta {
     fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.push(self.router.is_some() as u8);
-        body.push(self.has_values as u8);
+        let mut body = vec![0, self.has_values as u8];
         put_u32(&mut body, self.base.len() as u32);
         body.extend_from_slice(self.base.as_bytes());
-        match &self.router {
-            None => {}
-            Some(RouterConfig::Hash { shards }) => {
-                body.push(0);
-                record::put_u64(&mut body, *shards as u64);
-            }
-            Some(RouterConfig::Range { bounds }) => {
-                body.push(1);
-                record::put_u64(&mut body, bounds.len() as u64);
-                for &b in bounds {
-                    record::put_u64(&mut body, b);
-                }
-            }
-            Some(RouterConfig::WeightedHash { shards, slots }) => {
-                body.push(2);
-                record::put_u64(&mut body, *shards as u64);
-                record::put_u64(&mut body, slots.len() as u64);
-                for &slot in slots {
-                    record::put_u64(&mut body, slot as u64);
-                }
-            }
-        }
-        let mut file = Vec::with_capacity(body.len() + 16);
+        let mut file = Vec::with_capacity(body.len() + 12);
         put_u32(&mut file, META_MAGIC);
         put_u32(&mut file, crc32(&body));
         put_u32(&mut file, body.len() as u32);
@@ -225,58 +171,30 @@ impl Meta {
         file
     }
 
-    fn decode(buf: &[u8]) -> Option<Meta> {
+    /// Decodes a manifest, or says why it cannot.
+    fn decode(buf: &[u8]) -> Result<Meta, &'static str> {
         let mut r = Reader { buf, pos: 0 };
-        if r.u32()? != META_MAGIC {
-            return None;
-        }
-        let crc = r.u32()?;
-        let len = r.u32()? as usize;
-        let body = r.bytes(len)?;
-        if crc32(body) != crc {
-            return None;
-        }
+        let body = (|| {
+            (r.u32()? == META_MAGIC).then_some(())?;
+            let crc = r.u32()?;
+            let len = r.u32()? as usize;
+            let body = r.bytes(len)?;
+            (crc32(body) == crc).then_some(body)
+        })()
+        .ok_or(CORRUPT_META)?;
         let mut b = Reader { buf: body, pos: 0 };
-        let sharded = b.u8()? != 0;
-        let has_values = b.u8()? != 0;
-        let base_len = b.u32()? as usize;
-        let base = String::from_utf8(b.bytes(base_len)?.to_vec()).ok()?;
-        let router = if sharded {
-            Some(match b.u8()? {
-                0 => RouterConfig::Hash {
-                    shards: b.u64()? as usize,
-                },
-                1 => {
-                    let n = b.u64()? as usize;
-                    RouterConfig::Range { bounds: b.u64s(n)? }
-                }
-                2 => {
-                    let shards = b.u64()? as usize;
-                    let n = b.u64()? as usize;
-                    let slots: Vec<u32> = b
-                        .u64s(n)?
-                        .into_iter()
-                        .map(u32::try_from)
-                        .collect::<Result<_, _>>()
-                        .ok()?;
-                    if slots.iter().any(|&s| s as usize >= shards.max(1)) {
-                        return None;
-                    }
-                    RouterConfig::WeightedHash { shards, slots }
-                }
-                _ => return None,
-            })
-        } else {
-            None
-        };
-        if b.pos != b.buf.len() {
-            return None;
+        match b.u8() {
+            Some(0) => {}
+            Some(_) => return Err(SHARDED_META),
+            None => return Err(CORRUPT_META),
         }
-        Some(Meta {
-            base,
-            has_values,
-            router,
-        })
+        (|| {
+            let has_values = b.u8()? != 0;
+            let base_len = b.u32()? as usize;
+            let base = String::from_utf8(b.bytes(base_len)?.to_vec()).ok()?;
+            (b.pos == b.buf.len()).then_some(Meta { base, has_values })
+        })()
+        .ok_or(CORRUPT_META)
     }
 }
 
@@ -307,10 +225,10 @@ fn read_meta(dir: &Path) -> io::Result<Option<Meta>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     }
-    Meta::decode(&buf).map(Some).ok_or_else(|| {
+    Meta::decode(&buf).map(Some).map_err(|why| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("corrupt durable manifest at {}", path.display()),
+            format!("{why} at {}", path.display()),
         )
     })
 }
@@ -320,29 +238,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn meta_round_trips_for_both_wrapper_kinds() {
-        for router in [
-            None,
-            Some(RouterConfig::Hash { shards: 4 }),
-            Some(RouterConfig::Range {
-                bounds: vec![100, 200, 300],
-            }),
-            Some(RouterConfig::WeightedHash {
-                shards: 3,
-                slots: (0..rtx_shard::WEIGHTED_HASH_SLOTS as u32)
-                    .map(|i| i % 3)
-                    .collect(),
-            }),
-        ] {
+    fn meta_round_trips() {
+        for has_values in [false, true] {
             let meta = Meta {
                 base: "RXD:sah@4:hash".to_string(),
-                has_values: true,
-                router: router.clone(),
+                has_values,
             };
             let decoded = Meta::decode(&meta.encode()).expect("round trip");
             assert_eq!(decoded.base, meta.base);
             assert_eq!(decoded.has_values, meta.has_values);
-            assert_eq!(decoded.router, router);
         }
     }
 
@@ -356,7 +260,6 @@ mod tests {
         let meta = Meta {
             base: "RXD".to_string(),
             has_values: false,
-            router: None,
         };
         write_meta(&dir, &meta).unwrap();
         assert_eq!(read_meta(&dir).unwrap().unwrap().base, "RXD");

@@ -55,12 +55,11 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// them deterministically from its compaction policy) but they make the
 /// log self-describing, so an external consumer — the crash-replay oracle,
 /// a log inspector — can reconstruct rowID renumbering without modelling
-/// the policy. `Commit` appears only in the root journal of a sharded
-/// durable index and marks a cross-shard batch as committed.
+/// the policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalPayload {
-    /// An insert batch; `globals` carries the assigned global rowIDs when
-    /// the record belongs to a per-shard WAL.
+    /// An insert batch. `globals` is a retired field: nothing writes
+    /// `Some` any more, and replay ignores it.
     Insert {
         keys: Vec<u64>,
         values: Vec<u64>,
@@ -68,7 +67,8 @@ pub enum WalPayload {
     },
     /// A delete batch.
     Delete { keys: Vec<u64> },
-    /// An upsert batch (delete every copy, insert one row per pair).
+    /// An upsert batch (delete every copy, insert one row per pair);
+    /// `globals` as for `Insert`.
     Upsert {
         keys: Vec<u64>,
         values: Vec<u64>,
@@ -91,10 +91,6 @@ pub enum WalPayload {
     /// Annotation: the batch logged just before triggered a synchronous
     /// policy compaction.
     SyncCompact,
-    /// Root-journal record of a sharded durable index: the batch with this
-    /// record's `bsn` is committed on every shard, and the global row
-    /// allocator stands at `next_row` after it.
-    Commit { next_row: u64 },
 }
 
 impl WalPayload {
@@ -108,7 +104,6 @@ impl WalPayload {
             WalPayload::Compact => "compact",
             WalPayload::Freeze => "freeze",
             WalPayload::SyncCompact => "sync-compact",
-            WalPayload::Commit { .. } => "commit",
         }
     }
 
@@ -129,7 +124,6 @@ impl WalPayload {
             WalPayload::Compact => 5,
             WalPayload::Freeze => 6,
             WalPayload::SyncCompact => 7,
-            WalPayload::Commit { .. } => 8,
         }
     }
 }
@@ -193,7 +187,6 @@ impl WalRecord {
             | WalPayload::Compact
             | WalPayload::Freeze
             | WalPayload::SyncCompact => {}
-            WalPayload::Commit { next_row } => put_u64(&mut payload, *next_row),
         }
         let mut frame = Vec::with_capacity(payload.len() + 8);
         put_u32(&mut frame, payload.len() as u32);
@@ -252,7 +245,6 @@ impl WalRecord {
             5 => WalPayload::Compact,
             6 => WalPayload::Freeze,
             7 => WalPayload::SyncCompact,
-            8 => WalPayload::Commit { next_row: p.u64()? },
             _ => return None,
         };
         if p.pos != p.buf.len() {
@@ -362,7 +354,6 @@ mod tests {
             WalRecord::new(5, WalPayload::Compact),
             WalRecord::new(6, WalPayload::Freeze),
             WalRecord::new(7, WalPayload::SyncCompact),
-            WalRecord::new(8, WalPayload::Commit { next_row: 42 }),
         ];
         let mut stream = Vec::new();
         for r in &records {

@@ -23,38 +23,28 @@ const MAGIC: u32 = 0x5258_534E; // "RXSN"
 pub struct Snapshot {
     /// The WAL frontier the snapshot covers (replay starts past it).
     pub bsn: u64,
-    /// Row-allocator position at the snapshot point. For an unsharded
-    /// index this equals `rows.len()` (clean states are dense); for a
-    /// shard of a sharded index it is the *global* allocator, persisted in
-    /// the root checkpoint instead — shard snapshots store 0 here.
-    pub next_row: u64,
     /// Whether the index carries a real value column.
     pub has_values: bool,
     /// Live `(key, value)` rows in rowID order.
     pub rows: Vec<(u64, u64)>,
-    /// Per-row global rowIDs (present only in per-shard snapshots of a
-    /// sharded index, where local rowIDs `0..n` map to these globals).
-    pub globals: Option<Vec<u32>>,
 }
 
 impl Snapshot {
     fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(32 + self.rows.len() * 16);
         put_u64(&mut body, self.bsn);
-        put_u64(&mut body, self.next_row);
+        // The row allocator, which a clean state holds at `rows.len()`.
+        put_u64(&mut body, self.rows.len() as u64);
         body.push(self.has_values as u8);
-        body.push(self.globals.is_some() as u8);
+        // Once a flag for per-row global rowIDs (the retired per-shard
+        // layout); always 0, and a snapshot that sets it does not decode.
+        body.push(0);
         put_u64(&mut body, self.rows.len() as u64);
         for &(k, _) in &self.rows {
             put_u64(&mut body, k);
         }
         for &(_, v) in &self.rows {
             put_u64(&mut body, v);
-        }
-        if let Some(globals) = &self.globals {
-            for &g in globals {
-                put_u32(&mut body, g);
-            }
         }
         let mut file = Vec::with_capacity(body.len() + 16);
         put_u32(&mut file, MAGIC);
@@ -77,19 +67,18 @@ impl Snapshot {
         }
         let mut b = Reader { buf: body, pos: 0 };
         let bsn = b.u64()?;
-        let next_row = b.u64()?;
+        let _next_row = b.u64()?;
         let has_values = b.u8()? != 0;
-        let has_globals = b.u8()? != 0;
+        if b.u8()? != 0 {
+            return None;
+        }
         let n = b.u64()? as usize;
         let keys = b.u64s(n)?;
         let values = b.u64s(n)?;
-        let globals = if has_globals { Some(b.u32s(n)?) } else { None };
         Some(Snapshot {
             bsn,
-            next_row,
             has_values,
             rows: keys.into_iter().zip(values).collect(),
-            globals,
         })
     }
 
@@ -181,20 +170,18 @@ mod tests {
         dir
     }
 
-    fn snap(bsn: u64, globals: bool) -> Snapshot {
+    fn snap(bsn: u64) -> Snapshot {
         Snapshot {
             bsn,
-            next_row: 3,
             has_values: true,
             rows: vec![(10, 100), (20, 200), (30, 300)],
-            globals: globals.then(|| vec![5, 9, 11]),
         }
     }
 
     #[test]
     fn snapshots_round_trip_and_supersede_older_ones() {
         let dir = tmp("roundtrip");
-        let first = snap(4, false);
+        let first = snap(4);
         let bytes = write_snapshot(&dir, &first).unwrap();
         assert!(bytes > 0);
         let (read, size) = read_latest_snapshot(&dir).unwrap().unwrap();
@@ -204,7 +191,7 @@ mod tests {
         assert_eq!(keys, vec![10, 20, 30]);
         assert_eq!(values, Some(vec![100, 200, 300]));
 
-        let second = snap(9, true);
+        let second = snap(9);
         write_snapshot(&dir, &second).unwrap();
         let (read, _) = read_latest_snapshot(&dir).unwrap().unwrap();
         assert_eq!(read, second);
@@ -219,11 +206,11 @@ mod tests {
     #[test]
     fn a_corrupt_newest_snapshot_falls_back_to_the_previous_one() {
         let dir = tmp("corrupt");
-        let good = snap(4, false);
+        let good = snap(4);
         write_snapshot(&dir, &good).unwrap();
         // A later snapshot written by hand, then damaged (bit flip in the
         // body) — as if the process died while the disk scribbled on it.
-        let bad = snap(9, false);
+        let bad = snap(9);
         let mut bytes = bad.encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80;

@@ -7,9 +7,8 @@
 //! the snapshot — no rewriting, so truncation cannot corrupt the log.
 //!
 //! Recovery scans the segments in order and stops at the first frame that
-//! is torn (length prefix past the file end), corrupt (CRC mismatch) or —
-//! for per-shard WALs of a sharded index — past the root journal's commit
-//! frontier. Everything from the stop point on is cut off, so the log is
+//! is torn (length prefix past the file end) or corrupt (CRC mismatch).
+//! Everything from the stop point on is cut off, so the log is
 //! append-clean again after every open.
 
 use std::fs::{self, File, OpenOptions};
@@ -85,15 +84,9 @@ impl WriteAheadLog {
 
     /// Opens an existing log (creating an empty one when `dir` holds no
     /// segments), replays its intact records and cuts off everything past
-    /// the first torn/corrupt frame — or, when `committed` is given, past
-    /// the first record with a bsn above it (an uncommitted shard-side
-    /// write of a crashed cross-shard batch). Returns the log, positioned
-    /// to append, and the surviving records in order.
-    pub fn open(
-        dir: &Path,
-        config: &DurableConfig,
-        committed: Option<u64>,
-    ) -> io::Result<(Self, Vec<WalRecord>)> {
+    /// the first torn/corrupt frame. Returns the log, positioned to append,
+    /// and the surviving records in order.
+    pub fn open(dir: &Path, config: &DurableConfig) -> io::Result<(Self, Vec<WalRecord>)> {
         let seqs = Self::segment_seqs(dir)?;
         if seqs.is_empty() {
             return Ok((Self::create(dir, config)?, Vec::new()));
@@ -110,12 +103,12 @@ impl WriteAheadLog {
             let mut max_bsn = 0u64;
             while offset < buf.len() {
                 match WalRecord::decode(&buf, offset) {
-                    Some((record, next)) if committed.is_none_or(|c| record.bsn <= c) => {
+                    Some((record, next)) => {
                         max_bsn = max_bsn.max(record.bsn);
                         records.push(record);
                         offset = next;
                     }
-                    _ => break, // torn, corrupt, or uncommitted from here on
+                    None => break, // torn or corrupt from here on
                 }
             }
             segments.push(Segment {
@@ -356,7 +349,7 @@ mod tests {
         assert_eq!(wal.fsyncs(), 5, "Always policy syncs per commit");
         drop(wal);
 
-        let (wal, records) = WriteAheadLog::open(&dir, &config, None).unwrap();
+        let (wal, records) = WriteAheadLog::open(&dir, &config).unwrap();
         assert_eq!(records, (1..=5).map(rec).collect::<Vec<_>>());
         assert_eq!(
             wal.bytes(),
@@ -380,33 +373,14 @@ mod tests {
         let bytes = log_bytes(&dir).unwrap();
         write_log_bytes(&dir, &bytes[..bytes.len() - 5]).unwrap();
 
-        let (mut wal, records) = WriteAheadLog::open(&dir, &config, None).unwrap();
+        let (mut wal, records) = WriteAheadLog::open(&dir, &config).unwrap();
         assert_eq!(records, vec![rec(1), rec(2)], "torn record dropped");
         // The cut log accepts appends and they survive the next open.
         wal.append(&rec(3)).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, records) = WriteAheadLog::open(&dir, &config, None).unwrap();
+        let (_, records) = WriteAheadLog::open(&dir, &config).unwrap();
         assert_eq!(records, vec![rec(1), rec(2), rec(3)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn commit_frontier_cuts_uncommitted_records() {
-        let dir = tmp("frontier");
-        let config = DurableConfig::default();
-        let mut wal = WriteAheadLog::create(&dir, &config).unwrap();
-        for bsn in 1..=4 {
-            wal.append(&rec(bsn)).unwrap();
-        }
-        wal.sync().unwrap();
-        drop(wal);
-
-        let (_, records) = WriteAheadLog::open(&dir, &config, Some(2)).unwrap();
-        assert_eq!(records, vec![rec(1), rec(2)]);
-        // The cut is physical: a frontier-free reopen sees the same prefix.
-        let (_, records) = WriteAheadLog::open(&dir, &config, None).unwrap();
-        assert_eq!(records, vec![rec(1), rec(2)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -426,7 +400,7 @@ mod tests {
         assert_eq!(wal.bytes(), before - reclaimed);
         drop(wal);
 
-        let (_, records) = WriteAheadLog::open(&dir, &config, None).unwrap();
+        let (_, records) = WriteAheadLog::open(&dir, &config).unwrap();
         assert_eq!(
             records,
             vec![rec(5), rec(6)],

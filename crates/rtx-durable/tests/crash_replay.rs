@@ -17,22 +17,32 @@
 //! - literally every byte offset of a smaller workload;
 //! - a proptest sampling arbitrary offsets against both prepared states;
 //! - background compaction (`Freeze`/`Swap` records and their healing);
-//! - a sharded index crashed at root-journal offsets, compared against a
-//!   never-crashed duplicate driven with the committed prefix.
+//! - the same boundary and torn-offset sweeps over sharded bases (`RXD@2`,
+//!   `RXD@3:range`; synchronous and background compaction; without and
+//!   with a checkpoint), whose one WAL is cut like any other. A sharded
+//!   reopen is compared against a never-crashed, non-durable twin driven
+//!   with the surviving records, and the surviving records must be a
+//!   prefix of the batches written;
+//! - one fsync per logged batch, and one replayed batch per logged batch,
+//!   on a sharded base;
+//! - old and damaged `META` manifests, refused without touching the
+//!   directory.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use std::collections::BTreeMap;
+
 use gpu_device::Device;
 use proptest::prelude::*;
 use rtx_delta::{register_dynamic, DynamicRtConfig};
 use rtx_durable::{
-    install_durability_with, log_bytes, read_latest_snapshot, read_log, write_log_bytes,
+    crc32, install_durability_with, log_bytes, read_latest_snapshot, read_log, write_log_bytes,
     DurableConfig, WalPayload, WalRecord,
 };
-use rtx_query::{IndexSpec, QueryBatch, Registry};
+use rtx_query::{IndexSpec, LookupResult, QueryBatch, Registry, UpdatableIndex};
 use rtx_workloads::{
     apply_mixed_op, dense_shuffled, mixed_ops, value_column, DynamicOracle, MixedOp,
     MixedWorkloadConfig,
@@ -66,7 +76,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Recursively copies a durable state directory (META, WAL segments,
-/// snapshots, per-shard subtrees).
+/// snapshots).
 fn clone_dir(src: &Path, dst: &Path) {
     fs::create_dir_all(dst).expect("create clone dir");
     for entry in fs::read_dir(src).expect("read state dir") {
@@ -81,11 +91,26 @@ fn clone_dir(src: &Path, dst: &Path) {
 }
 
 /// A live durable state captured just before the simulated crash: the
-/// directory, the flattened WAL bytes and the workload's key domain.
+/// base backend, the directory, the flattened WAL bytes and the workload's
+/// key domain.
 struct LiveState {
+    base: &'static str,
     dir: PathBuf,
     bytes: Vec<u8>,
     domain: u64,
+    /// For a sharded base, what drives its never-crashed twin; `None` for
+    /// the unsharded base, which is checked against [`oracle_from_disk`].
+    twin: Option<TwinInput>,
+}
+
+/// The input of a sharded state's twin: the build columns, the write
+/// stream, and how many of its leading ops the checkpoint covers (0
+/// without one).
+struct TwinInput {
+    keys: Vec<u64>,
+    values: Vec<u64>,
+    ops: Vec<MixedOp>,
+    covered: usize,
 }
 
 /// Builds a durable `RXD+wal:` index, drives `total_ops` mixed operations
@@ -97,10 +122,24 @@ fn build_live_state(
     background: bool,
     checkpoint_mid: bool,
 ) -> LiveState {
+    let ops = mixed_ops(&MixedWorkloadConfig::uniform(total_ops, domain, seed));
+    build_live_state_on("RXD", ops, domain, seed, background, checkpoint_mid)
+}
+
+/// [`build_live_state`] over any base backend and op stream. A sharded
+/// base (`"RXD@2"`, `"RXD@3:range"`) also records its twin's input.
+fn build_live_state_on(
+    base: &'static str,
+    ops: Vec<MixedOp>,
+    domain: u64,
+    seed: u64,
+    background: bool,
+    checkpoint_mid: bool,
+) -> LiveState {
     let device = Device::default_eval();
     let registry = registry(background);
     let dir = scratch("live");
-    let name = format!("RXD+wal:{}", dir.display());
+    let name = format!("{base}+wal:{}", dir.display());
 
     let n = (domain / 2) as usize;
     let keys = dense_shuffled(n, seed);
@@ -109,7 +148,6 @@ fn build_live_state(
         .build_updatable(&name, &IndexSpec::with_values(&device, &keys, &values))
         .expect("durable create");
 
-    let ops = mixed_ops(&MixedWorkloadConfig::uniform(total_ops, domain, seed));
     let mid = ops.len() / 2;
     for (i, op) in ops.iter().enumerate() {
         apply_mixed_op(index.as_mut(), op).expect("apply mixed op");
@@ -123,7 +161,19 @@ fn build_live_state(
     drop(index); // only the directory survives from here on
 
     let bytes = log_bytes(&dir.join("wal")).expect("flatten WAL");
-    LiveState { dir, bytes, domain }
+    let twin = base.contains('@').then(|| TwinInput {
+        keys,
+        values,
+        ops,
+        covered: if checkpoint_mid { mid + 1 } else { 0 },
+    });
+    LiveState {
+        base,
+        dir,
+        bytes,
+        domain,
+        twin,
+    }
 }
 
 /// Rebuilds the logical truth from what actually survives on disk: the
@@ -157,10 +207,96 @@ fn oracle_from_disk(dir: &Path) -> DynamicOracle {
             WalPayload::Compact | WalPayload::SyncCompact => oracle.compact(),
             WalPayload::Freeze => oracle.begin_compaction(),
             WalPayload::Swap => oracle.finish_compaction(),
-            WalPayload::Commit { .. } => {}
         }
     }
     oracle
+}
+
+/// The surviving log records past the latest intact snapshot's BSN.
+fn records_past_snapshot(dir: &Path) -> Vec<WalRecord> {
+    let snap_bsn = read_latest_snapshot(dir)
+        .expect("snapshot scan")
+        .map_or(0, |(snap, _)| snap.bsn);
+    read_log(&dir.join("wal"))
+        .expect("read surviving log")
+        .into_iter()
+        .filter(|record| record.bsn > snap_bsn)
+        .collect()
+}
+
+/// The never-crashed, non-durable twin of a sharded state: `base` built
+/// over the original columns, driven with the ops the checkpoint covers
+/// and the checkpoint's compaction, then with every surviving
+/// `Insert`/`Delete`/`Upsert`/`Compact` record. Like [`oracle_from_disk`],
+/// call it after the reopen under test.
+fn twin_from_disk(
+    registry: &Registry,
+    base: &str,
+    input: &TwinInput,
+    dir: &Path,
+) -> Box<dyn UpdatableIndex> {
+    let device = Device::default_eval();
+    let mut twin = registry
+        .build_updatable(
+            base,
+            &IndexSpec::with_values(&device, &input.keys, &input.values),
+        )
+        .expect("twin build");
+    for op in &input.ops[..input.covered] {
+        apply_mixed_op(twin.as_mut(), op).expect("twin op");
+    }
+    if input.covered > 0 {
+        twin.compact().expect("twin checkpoint compaction");
+    }
+    for record in records_past_snapshot(dir) {
+        match &record.payload {
+            WalPayload::Insert { keys, values, .. } => twin.insert(keys, values),
+            WalPayload::Delete { keys } => twin.delete(keys),
+            WalPayload::Upsert { keys, values, .. } => twin.upsert(keys, values),
+            WalPayload::Compact => twin.compact(),
+            WalPayload::Swap | WalPayload::Freeze | WalPayload::SyncCompact => continue,
+        }
+        .expect("twin replay");
+    }
+    twin
+}
+
+/// What the reopened index must answer, re-derived from what survives on
+/// disk: the oracle for the unsharded base, the twin for a sharded one.
+fn expected_from_disk(
+    registry: &Registry,
+    state: &LiveState,
+    dir: &Path,
+    batch: &QueryBatch,
+) -> Vec<LookupResult> {
+    match &state.twin {
+        None => oracle_from_disk(dir).expected_batch(batch),
+        Some(input) => {
+            twin_from_disk(registry, state.base, input, dir)
+                .execute(batch)
+                .expect("probe twin")
+                .results
+        }
+    }
+}
+
+/// The record a write op is logged as.
+fn logged_payload(op: &MixedOp) -> WalPayload {
+    let (keys, values) = op.columns();
+    match op {
+        MixedOp::Insert(_) => WalPayload::Insert {
+            keys,
+            values,
+            globals: None,
+        },
+        MixedOp::Delete(_) => WalPayload::Delete { keys },
+        MixedOp::Upsert(_) => WalPayload::Upsert {
+            keys,
+            values,
+            globals: None,
+        },
+        MixedOp::PointLookups(_) | MixedOp::RangeLookups(_) => unreachable!("reads are not logged"),
+    }
 }
 
 /// The probe batch: every domain key plus guaranteed misses as points, and
@@ -174,25 +310,42 @@ fn probe(domain: u64) -> QueryBatch {
 }
 
 /// Clones `state`, truncates the clone's WAL to `cut` bytes, reopens it and
-/// checks QueryBatch-exactness against the disk oracle. With `resume`, also
-/// writes through the reopened index and re-checks — recovery must leave an
-/// append-clean log behind, not just a readable one.
+/// checks QueryBatch-exactness against the disk oracle (or, sharded, the
+/// twin). With `resume`, also writes through the reopened index and
+/// re-checks — recovery must leave an append-clean log behind, not just a
+/// readable one.
 fn check_crash(registry: &Registry, state: &LiveState, cut: usize, resume: bool) {
     let device = Device::default_eval();
     let crash = scratch("cut");
     clone_dir(&state.dir, &crash);
     write_log_bytes(&crash.join("wal"), &state.bytes[..cut]).expect("truncate clone WAL");
 
-    let name = format!("RXD+wal:{}", crash.display());
+    let name = format!("{}+wal:{}", state.base, crash.display());
     let mut reopened = registry
         .build_updatable(&name, &IndexSpec::keys_only(&device, &[]))
-        .unwrap_or_else(|e| panic!("recovery at WAL offset {cut}: {e}"));
-    let oracle = oracle_from_disk(&crash);
+        .unwrap_or_else(|e| panic!("recovery of {name} at WAL offset {cut}: {e}"));
+    if let Some(input) = &state.twin {
+        let logged: Vec<WalPayload> = records_past_snapshot(&crash)
+            .into_iter()
+            .map(|record| record.payload)
+            .filter(WalPayload::is_update)
+            .collect();
+        let written: Vec<WalPayload> = input.ops[input.covered..]
+            .iter()
+            .take(logged.len())
+            .map(logged_payload)
+            .collect();
+        assert_eq!(
+            logged, written,
+            "{name}: the log cut at {cut} must hold a prefix of the written batches"
+        );
+    }
     let batch = probe(state.domain);
     assert_eq!(
         reopened.execute(&batch).expect("probe reopened").results,
-        oracle.expected_batch(&batch),
-        "crash at WAL offset {cut} of {}",
+        expected_from_disk(registry, state, &crash, &batch),
+        "{} crashed at WAL offset {cut} of {}",
+        state.base,
         state.bytes.len()
     );
 
@@ -202,11 +355,11 @@ fn check_crash(registry: &Registry, state: &LiveState, cut: usize, resume: bool)
             .insert(&fresh, &[7, 11])
             .expect("post-recovery insert");
         reopened.delete(&fresh[..1]).expect("post-recovery delete");
-        let oracle = oracle_from_disk(&crash);
         assert_eq!(
             reopened.execute(&batch).expect("probe resumed").results,
-            oracle.expected_batch(&batch),
-            "resumed traffic after crash at offset {cut}"
+            expected_from_disk(registry, state, &crash, &batch),
+            "{}: resumed traffic after crash at offset {cut}",
+            state.base
         );
     }
     drop(reopened);
@@ -326,139 +479,188 @@ proptest! {
     }
 }
 
-// --- sharded crash/recovery -------------------------------------------------
+// --- sharded bases ------------------------------------------------------------
 
-/// A sharded live state: the directory, the write-only op stream, the
-/// initial columns, and how many leading ops the shard snapshots cover.
-struct ShardedState {
-    dir: PathBuf,
-    ops: Vec<MixedOp>,
-    keys: Vec<u64>,
-    values: Vec<u64>,
-    covered: usize,
+/// A write-only stream of small batches over `0..domain`, so the shards
+/// compact (and, in the background, freeze and swap) many times.
+fn sharded_ops(domain: u64, seed: u64) -> Vec<MixedOp> {
+    mixed_ops(&MixedWorkloadConfig {
+        batch_size: 6,
+        point_weight: 0.0,
+        range_weight: 0.0,
+        ..MixedWorkloadConfig::uniform(480, domain, seed)
+    })
 }
 
-/// Builds a durable `RXD@2+wal:` index and drives a write-only stream so op
-/// `i` is exactly cross-shard update batch `i`. `checkpoint_at = Some(k)`
-/// checkpoints after op `k`, so the snapshots cover ops `0..=k`.
-fn build_sharded_state(checkpoint_at: Option<usize>) -> ShardedState {
+/// Sweeps every record boundary and torn offset of a sharded state's one
+/// WAL, reopening and resuming after each cut.
+fn sweep_sharded(base: &'static str, background: bool, checkpoint_mid: bool) {
+    let seed = 0xA11CE + background as u64 * 2 + checkpoint_mid as u64;
+    let state = build_live_state_on(
+        base,
+        sharded_ops(128, seed),
+        128,
+        seed,
+        background,
+        checkpoint_mid,
+    );
+    let kinds = payload_kinds(&state.bytes);
+    let expected_kind = if background { "swap" } else { "sync-compact" };
+    assert!(
+        kinds.contains(&expected_kind),
+        "{base}: the stream must log {expected_kind} records: {kinds:?}"
+    );
+    if checkpoint_mid {
+        let (snap, _) = read_latest_snapshot(&state.dir)
+            .expect("snapshot scan")
+            .expect("mid-stream checkpoint wrote a snapshot");
+        assert!(snap.bsn > 0, "{base}: snapshot must cover a log prefix");
+    }
+    let registry = registry(background);
+    for cut in crash_offsets(&state.bytes) {
+        check_crash(&registry, &state, cut, true);
+    }
+    let _ = fs::remove_dir_all(&state.dir);
+}
+
+#[test]
+fn sharded_recovery_is_exact_at_every_record_boundary_and_torn_offset() {
+    for base in ["RXD@2", "RXD@3:range"] {
+        sweep_sharded(base, false, false);
+    }
+}
+
+#[test]
+fn sharded_recovery_with_a_mid_stream_checkpoint_is_exact_on_both_sides() {
+    for base in ["RXD@2", "RXD@3:range"] {
+        sweep_sharded(base, false, true);
+    }
+}
+
+#[test]
+fn sharded_background_compaction_replays_exactly() {
+    for base in ["RXD@2", "RXD@3:range"] {
+        sweep_sharded(base, true, false);
+    }
+}
+
+#[test]
+fn sharded_background_compaction_with_a_checkpoint_replays_exactly() {
+    for base in ["RXD@2", "RXD@3:range"] {
+        sweep_sharded(base, true, true);
+    }
+}
+
+/// One WAL means one fsync per batch, however many shards the batch
+/// touches, and a reopen replays one batch per logged batch.
+#[test]
+fn a_sharded_batch_costs_one_fsync_and_replays_as_one_batch() {
     let device = Device::default_eval();
     let registry = registry(false);
-    let dir = scratch("sharded");
+    let dir = scratch("fsync");
     let name = format!("RXD@2+wal:{}", dir.display());
-
-    let keys = dense_shuffled(64, 0xA11CE);
-    let values = value_column(64, 0xB0B);
+    let keys = dense_shuffled(4096, 0xF5);
+    let values = value_column(4096, 0xF6);
     let mut index = registry
         .build_updatable(&name, &IndexSpec::with_values(&device, &keys, &values))
         .expect("sharded durable create");
 
-    let ops: Vec<MixedOp> = mixed_ops(&MixedWorkloadConfig::uniform(600, 128, 0xA11CE))
-        .into_iter()
-        .filter(MixedOp::is_write)
-        .collect();
-    for (i, op) in ops.iter().enumerate() {
-        apply_mixed_op(index.as_mut(), op).expect("apply sharded op");
-        if checkpoint_at == Some(i) {
-            index.checkpoint().expect("sharded checkpoint");
-        }
+    for batch in 0..3u64 {
+        let rows = &keys[batch as usize * 64..][..64];
+        let before = index.durability_stats().expect("durable").fsyncs;
+        let report = index
+            .upsert(rows, &vec![batch; rows.len()])
+            .expect("upsert");
+        assert_eq!(report.reorganisations, 0, "the batch must not reorganise");
+        let after = index.durability_stats().expect("durable").fsyncs;
+        assert_eq!(after - before, 1, "batch {batch}: one fsync per batch");
     }
     drop(index);
 
-    ShardedState {
-        dir,
-        ops,
-        keys,
-        values,
-        covered: checkpoint_at.map_or(0, |k| k + 1),
-    }
-}
-
-/// Counts the distinct committed update batches surviving in the shard
-/// WALs beyond their snapshots. Call **after** the reopen: recovery
-/// truncates each shard WAL to the committed frontier, so what remains is
-/// exactly what the recovered index replayed.
-fn committed_updates(dir: &Path) -> usize {
-    let mut bsns = std::collections::BTreeSet::new();
-    for s in 0.. {
-        let shard_dir = dir.join(format!("shard-{s:03}"));
-        if !shard_dir.exists() {
-            break;
-        }
-        let snap_bsn = read_latest_snapshot(&shard_dir)
-            .expect("shard snapshot scan")
-            .map_or(0, |(snap, _)| snap.bsn);
-        for record in read_log(&shard_dir.join("wal")).expect("shard log") {
-            if record.bsn > snap_bsn && record.payload.is_update() {
-                bsns.insert(record.bsn);
-            }
-        }
-    }
-    bsns.len()
-}
-
-/// Crashes a sharded state at `cut` bytes into the root journal, reopens
-/// it, and checks it answers exactly like a never-crashed, non-durable
-/// `RXD@2` duplicate driven with the committed op prefix.
-///
-/// The comparison is rowID-exact because sharded compaction never renumbers
-/// global rowIDs — structural divergence (the durable side may compact at
-/// different points during replay) cannot show up in results.
-fn check_sharded_crash(state: &ShardedState, journal: &[u8], cut: usize) {
-    let device = Device::default_eval();
-    let registry = registry(false);
-    let crash = scratch("shard-cut");
-    clone_dir(&state.dir, &crash);
-    write_log_bytes(&crash.join("journal"), &journal[..cut]).expect("truncate journal");
-
-    let name = format!("RXD@2+wal:{}", crash.display());
     let reopened = registry
         .build_updatable(&name, &IndexSpec::keys_only(&device, &[]))
-        .unwrap_or_else(|e| panic!("sharded recovery at journal offset {cut}: {e}"));
-    let applied = state.covered + committed_updates(&crash);
-    assert!(applied <= state.ops.len(), "cannot commit unseen batches");
-
-    let mut duplicate = registry
-        .build_updatable(
-            "RXD@2",
-            &IndexSpec::with_values(&device, &state.keys, &state.values),
-        )
-        .expect("duplicate build");
-    for op in &state.ops[..applied] {
-        apply_mixed_op(duplicate.as_mut(), op).expect("duplicate op");
-    }
-
-    let batch = probe(128);
+        .expect("reopen");
     assert_eq!(
-        reopened.execute(&batch).expect("probe recovered").results,
-        duplicate.execute(&batch).expect("probe duplicate").results,
-        "journal cut at {cut} of {} must recover a committed prefix \
-         ({applied} of {} batches)",
-        journal.len(),
-        state.ops.len()
+        reopened
+            .durability_stats()
+            .expect("durable")
+            .replayed_batches,
+        3,
+        "replay counts logged batches, not shard slices"
     );
     drop(reopened);
-    let _ = fs::remove_dir_all(&crash);
+    let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn sharded_crash_recovers_exactly_a_committed_prefix() {
-    let state = build_sharded_state(None);
-    let journal = log_bytes(&state.dir.join("journal")).expect("journal bytes");
-    for cut in crash_offsets(&journal) {
-        check_sharded_crash(&state, &journal, cut);
+/// Every file under `dir` with its bytes.
+fn dir_contents(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in fs::read_dir(dir).expect("read state dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files.append(&mut dir_contents(&path));
+        } else {
+            files.insert(path.clone(), fs::read(&path).expect("read state file"));
+        }
     }
-    let _ = fs::remove_dir_all(&state.dir);
+    files
 }
 
+/// A manifest of the retired per-shard WAL layout (router byte set, hash
+/// routing over two shards), a truncated manifest and a bit-flipped one
+/// are each refused with an error naming the path, and the refusal
+/// changes nothing on disk.
 #[test]
-fn sharded_crash_after_a_checkpoint_recovers_snapshot_plus_tail() {
-    let state = build_sharded_state(Some(6));
-    let journal = log_bytes(&state.dir.join("journal")).expect("journal bytes");
-    // The journal was truncated through the checkpoint, so every surviving
-    // record is post-snapshot; cutting it anywhere still recovers.
-    for cut in crash_offsets(&journal) {
-        check_sharded_crash(&state, &journal, cut);
+fn old_and_damaged_manifests_are_refused_without_touching_the_directory() {
+    let device = Device::default_eval();
+    let registry = registry(false);
+    let dir = scratch("meta");
+    let base = "RXD@2";
+    let name = format!("{base}+wal:{}", dir.display());
+    let keys = dense_shuffled(64, 0x3E7A);
+    let values = value_column(64, 0x3E7B);
+    let mut index = registry
+        .build_updatable(&name, &IndexSpec::with_values(&device, &keys, &values))
+        .expect("sharded durable create");
+    index.upsert(&keys[..8], &values[..8]).expect("upsert");
+    drop(index);
+    let meta = fs::read(dir.join("META")).expect("read META");
+
+    let mut body = vec![1, 1];
+    body.extend_from_slice(&(base.len() as u32).to_le_bytes());
+    body.extend_from_slice(base.as_bytes());
+    body.push(0);
+    body.extend_from_slice(&2u64.to_le_bytes());
+    let mut routed = Vec::new();
+    routed.extend_from_slice(&0x5258_444Du32.to_le_bytes());
+    routed.extend_from_slice(&crc32(&body).to_le_bytes());
+    routed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    routed.extend_from_slice(&body);
+    let truncated = meta[..meta.len() - 3].to_vec();
+    let mut flipped = meta.clone();
+    *flipped.last_mut().expect("non-empty META") ^= 0x10;
+
+    let path = dir.display().to_string();
+    for (what, bytes) in [
+        ("router", routed),
+        ("truncated", truncated),
+        ("bit-flipped", flipped),
+    ] {
+        fs::write(dir.join("META"), &bytes).expect("write META");
+        let before = dir_contents(&dir);
+        let err = match registry.build_updatable(&name, &IndexSpec::keys_only(&device, &[])) {
+            Ok(_) => panic!("{what} META must be refused"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains(&path), "{what}: error must name {path}: {err}");
+        assert_eq!(dir_contents(&dir), before, "{what}: the directory changed");
     }
-    let _ = fs::remove_dir_all(&state.dir);
+
+    fs::write(dir.join("META"), &meta).expect("restore META");
+    let reopened = registry
+        .build_updatable(&name, &IndexSpec::keys_only(&device, &[]))
+        .expect("the intact manifest reopens");
+    assert_eq!(reopened.key_count(), keys.len());
+    drop(reopened);
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,8 @@ pub const DYNAMIC_BACKEND: &str = "RXD";
 /// sharding layer, so sharded variants of any of them build by name
 /// (`"RX@8"`, `"SA@4:range"`, updatable `"RXD@2"`), and the durability
 /// layer, so a trailing `"+wal:<path>"` builds (or reopens) a WAL-backed
-/// persistent index (`"RXD+wal:/data/ix"`, `"RXD:sah@4:hash+wal:/data/ix"`).
+/// persistent index: `"RXD+wal:/data/ix"`, or `"RXD:sah@4:hash+wal:/data/ix"`
+/// for one WAL in front of four hash-routed shards.
 pub fn registry_with(rx_config: RtIndexConfig) -> Registry {
     let mut registry = Registry::new();
     gpu_baselines::register_baselines(&mut registry);

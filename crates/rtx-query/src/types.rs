@@ -209,27 +209,9 @@ pub struct DurableStats {
     pub last_snapshot_bsn: u64,
     /// Bytes of the latest snapshot file (0 before any).
     pub last_snapshot_bytes: u64,
-    /// Update batches replayed from the WAL by the most recent `open`.
+    /// Update batches replayed from the WAL by the most recent `open`: one
+    /// per logged batch, however many shards it touched.
     pub replayed_batches: u64,
-}
-
-impl DurableStats {
-    /// Component-wise accumulation of per-shard stats; the snapshot frontier
-    /// reports the *oldest* shard snapshot (the recovery-relevant bound).
-    pub fn add(&mut self, other: &DurableStats) {
-        self.wal_bytes += other.wal_bytes;
-        self.fsyncs += other.fsyncs;
-        self.snapshots += other.snapshots;
-        self.last_snapshot_bsn = if self.last_snapshot_bsn == 0 {
-            other.last_snapshot_bsn
-        } else if other.last_snapshot_bsn == 0 {
-            self.last_snapshot_bsn
-        } else {
-            self.last_snapshot_bsn.min(other.last_snapshot_bsn)
-        };
-        self.last_snapshot_bytes += other.last_snapshot_bytes;
-        self.replayed_batches += other.replayed_batches;
-    }
 }
 
 /// Result of one batched update or lifecycle call through
@@ -251,8 +233,9 @@ pub struct UpdateReport {
     /// Rows the batch itself inserted count as having taken the next old
     /// rowIDs in batch order, so a consumer always appends the batch's
     /// rows first and remaps second ([`RowMirror::apply`]). `None` means
-    /// every surviving row kept its rowID. Backends whose outer rowIDs are
-    /// stable (the sharded one) never set it.
+    /// every surviving row kept its rowID. The sharded backend sets it only
+    /// on an explicit `compact`; its batches, swaps and rebalances keep
+    /// every global rowID.
     ///
     /// [`RowMirror::apply`]: crate::mirror::RowMirror::apply
     pub renumbered: Option<Vec<u32>>,
@@ -353,36 +336,6 @@ mod tests {
         });
         assert_eq!(a.base_bytes, 110);
         assert_eq!(a.total(), 200);
-    }
-
-    #[test]
-    fn durable_stats_sum_keeps_oldest_snapshot_frontier() {
-        let mut a = DurableStats {
-            wal_bytes: 10,
-            fsyncs: 2,
-            snapshots: 1,
-            last_snapshot_bsn: 7,
-            last_snapshot_bytes: 100,
-            replayed_batches: 3,
-        };
-        a.add(&DurableStats {
-            wal_bytes: 5,
-            fsyncs: 1,
-            snapshots: 1,
-            last_snapshot_bsn: 4,
-            last_snapshot_bytes: 50,
-            replayed_batches: 0,
-        });
-        assert_eq!(a.wal_bytes, 15);
-        assert_eq!(a.fsyncs, 3);
-        assert_eq!(a.last_snapshot_bsn, 4, "oldest shard frontier wins");
-        // A shard without any snapshot does not drag the frontier to 0...
-        a.add(&DurableStats::default());
-        assert_eq!(a.last_snapshot_bsn, 4);
-        // ...and a frontier appears once the first snapshotted shard sums in.
-        let mut b = DurableStats::default();
-        b.add(&a);
-        assert_eq!(b.last_snapshot_bsn, 4);
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //!   `SecondaryIndex` itself — scatter, concurrent per-shard execution,
 //!   gather in submission order, global rowID translation, merged metrics —
 //!   and routes `UpdatableIndex` batches through the same partitioner when
-//!   every shard is updatable;
+//!   every shard is updatable. An explicit `compact` renumbers the global
+//!   rowIDs densely and `checkpoint_rows` then lists the rows in that
+//!   order, so `rtx-durable` persists a sharded index like any other
+//!   updatable one: one WAL in front of it, snapshots that reopen as a
+//!   plain build;
 //! * [`ShardedIndex::rebalance`] migrates rows off hot shards while the
 //!   index stays live: per-shard op counters detect sustained imbalance,
 //!   hash routing upgrades to a [`WeightedHashPartitioner`] slot table (or
@@ -59,7 +63,7 @@ pub mod sharded;
 pub use partition::{
     HashPartitioner, RangePartitioner, WeightedHashPartitioner, WEIGHTED_HASH_SLOTS,
 };
-pub use sharded::{RoutedUpdate, RouterConfig, ShardedIndex, UpdateKind};
+pub use sharded::ShardedIndex;
 
 use rtx_query::{Registry, SecondaryIndex, UpdatableIndex};
 
@@ -218,9 +222,10 @@ mod tests {
     #[test]
     fn sharded_row_mirror_survives_inner_compactions() {
         // Aggressive compaction policy: every shard reorganises during the
-        // churn. Global rowIDs never renumber, so the oracle — which is
-        // never told to compact — is the stable-rowID model: results match
-        // it exactly, first rows included.
+        // churn. A shard's own compactions never renumber global rowIDs,
+        // so the oracle — which is never told to compact — is the
+        // stable-rowID model: results match it exactly, first rows
+        // included.
         let device = Device::default_eval();
         let mut registry = Registry::new();
         rtx_delta::register_dynamic(

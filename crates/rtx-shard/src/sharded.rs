@@ -21,6 +21,14 @@
 //! shard's local order is a subsequence of global order, translating the
 //! inner `first_row` through the mirror and taking the minimum across
 //! shards yields the global first row.
+//!
+//! Global rowIDs stay where they are through every batch, every
+//! compaction a shard runs on its own, every background swap and every
+//! [`rebalance`](ShardedIndex::rebalance). Only an explicit
+//! [`compact`](UpdatableIndex::compact) moves them: it renumbers them
+//! densely, keeping their order, exactly as the monolithic backend does,
+//! so the compacted index is a plain build over its
+//! [`checkpoint_rows`](UpdatableIndex::checkpoint_rows).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,11 +47,10 @@ use crate::partition::{
     HashPartitioner, RangePartitioner, WeightedHashPartitioner, WEIGHTED_HASH_SLOTS,
 };
 
-/// A serializable description of a [`KeyRouter`]: everything a durability
-/// manifest must persist to reconstruct the exact routing of a sharded
-/// index on recovery.
+/// A description of a [`KeyRouter`]: what a rebalance pass reasons about
+/// and rebuilds the router from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouterConfig {
+pub(crate) enum RouterConfig {
     /// Hash partitioning over `shards` shards.
     Hash {
         /// Number of shards.
@@ -65,17 +72,8 @@ pub enum RouterConfig {
 }
 
 impl RouterConfig {
-    /// Number of shards the config routes over.
-    pub fn shard_count(&self) -> usize {
-        match self {
-            RouterConfig::Hash { shards } => *shards,
-            RouterConfig::Range { bounds } => bounds.len() + 1,
-            RouterConfig::WeightedHash { shards, .. } => *shards,
-        }
-    }
-
     /// Instantiates the router the config describes.
-    pub fn router(&self) -> Box<dyn KeyRouter> {
+    fn router(&self) -> Box<dyn KeyRouter> {
         match self {
             RouterConfig::Hash { shards } => Box::new(HashPartitioner::new(*shards)),
             RouterConfig::Range { bounds } => {
@@ -121,8 +119,7 @@ pub struct ShardedIndex {
     /// Interned so hot error paths clone a pointer, not a String.
     label: Arc<str>,
     router: Box<dyn KeyRouter>,
-    /// The serializable description `router` was built from (persisted by
-    /// durability manifests, restored by [`ShardedIndex::from_parts`]).
+    /// The description `router` was built from.
     router_config: RouterConfig,
     shards: Vec<Shard>,
     capabilities: Capabilities,
@@ -376,59 +373,6 @@ impl ShardedIndex {
         })
     }
 
-    /// Reassembles a sharded index from recovered parts: one updatable
-    /// inner backend plus its local→global row mirror per shard, the router
-    /// the manifest captured, and the global row counter at crash time. This is the recovery entry point of the
-    /// durability layer — each shard replays its own WAL in parallel, then
-    /// the parts snap together here.
-    pub fn from_parts(
-        label: String,
-        router_config: RouterConfig,
-        parts: Vec<(Box<dyn UpdatableIndex>, RowMirror)>,
-        has_values: bool,
-        next_row: u64,
-    ) -> Result<Self, IndexError> {
-        if parts.len() != router_config.shard_count() {
-            return Err(IndexError::Backend {
-                backend: label.into(),
-                message: format!(
-                    "router expects {} shards but {} were recovered",
-                    router_config.shard_count(),
-                    parts.len()
-                ),
-            });
-        }
-        let shards: Vec<Shard> = parts
-            .into_iter()
-            .map(|(backend, rows)| Shard {
-                backend: IndexBackend::Write(backend),
-                rows,
-                ops: AtomicU64::new(0),
-            })
-            .collect();
-        let capabilities = shards
-            .iter()
-            .map(|s| s.backend.read().capabilities())
-            .reduce(and_capabilities)
-            .ok_or_else(|| IndexError::Backend {
-                backend: "from_parts".into(),
-                message: "shard count must be at least 1".to_string(),
-            })?;
-        Ok(ShardedIndex {
-            label: label.into(),
-            router: router_config.router(),
-            slot_ops: slot_counters(&router_config),
-            router_config,
-            shards,
-            capabilities,
-            has_values,
-            build_metrics: IndexBuildMetrics::default(),
-            next_row,
-            plan_pool: Mutex::new(Vec::new()),
-            arena_pool: ArenaPool::new(),
-        })
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -446,24 +390,11 @@ impl ShardedIndex {
             .collect()
     }
 
-    /// The serializable router description (persisted by durability
-    /// manifests, fed back to [`ShardedIndex::from_parts`] on recovery).
-    pub fn router_config(&self) -> &RouterConfig {
-        &self.router_config
-    }
-
-    /// The next global rowID an insert would be assigned (monotonic; never
-    /// reused even across deletes).
-    pub fn next_row(&self) -> u64 {
-        self.next_row
-    }
-
     /// Lands every shard's deferred reorganisation — the completed ones
     /// without blocking, or with `wait` every in-flight one — following
     /// each reported renumbering in the shard's row mirror, and returns the
-    /// per-shard landed counts. The durability layer calls this around its
-    /// update batches so per-shard swap points become explicit WAL records.
-    pub fn land_shard_reorganisations(&mut self, wait: bool) -> Result<Vec<u64>, IndexError> {
+    /// per-shard landed counts.
+    fn land_shard_reorganisations(&mut self, wait: bool) -> Result<Vec<u64>, IndexError> {
         self.writable()?;
         self.shards
             .iter_mut()
@@ -483,10 +414,9 @@ impl ShardedIndex {
     /// The live `(key, value, global rowID)` triples of every shard, in
     /// shard-local row order — but only when *every* shard is in the clean
     /// state its [`UpdatableIndex::checkpoint_rows`] contract demands and
-    /// its row mirror agrees. This is what a sharded snapshot persists:
-    /// rebuilding shard `s` from its triples (keys+values as the build
-    /// columns, globals as the mirror) reproduces the shard exactly.
-    pub fn shard_checkpoint_rows(&self) -> Option<Vec<Vec<(u64, u64, u32)>>> {
+    /// its row mirror agrees. A rebalance plans its migration from these,
+    /// and the sharded `checkpoint_rows` lays them out in global order.
+    fn shard_checkpoint_rows(&self) -> Option<Vec<Vec<(u64, u64, u32)>>> {
         self.shards
             .iter()
             .map(|shard| {
@@ -558,14 +488,14 @@ impl ShardedIndex {
             return Ok(RebalanceReport::default());
         }
         // Land anything in flight, then snapshot the live triples —
-        // compacting first when a shard is dirty (delta entries or
-        // tombstones outstanding).
+        // compacting the shards first when one is dirty (delta entries or
+        // tombstones outstanding). Global rowIDs stay where they are.
         self.land_shard_reorganisations(true)?;
         let mut reorganisations = 0u64;
         let triples = match self.shard_checkpoint_rows() {
             Some(t) => t,
             None => {
-                match self.compact() {
+                match self.compact_shards() {
                     Ok(report) => reorganisations += report.reorganisations,
                     Err(IndexError::UnsupportedOperation { .. }) => {
                         return Ok(RebalanceReport::default())
@@ -778,6 +708,57 @@ impl ShardedIndex {
         }
     }
 
+    /// Forces a synchronous compaction of every shard, each row mirror
+    /// following its shard's renumbering, and merges the per-shard reports.
+    /// Global rowIDs stay where they are. Fails if any shard's backend has
+    /// no explicit compaction.
+    fn compact_shards(&mut self) -> Result<UpdateReport, IndexError> {
+        self.writable()?;
+        let work: Vec<&mut Shard> = self.shards.iter_mut().collect();
+        merge_reports(parallel_map(work, |_, shard| {
+            let report = shard
+                .backend
+                .write()
+                .expect("writability checked")
+                .compact()?;
+            shard.rows.apply(&[], &report);
+            Ok(report)
+        }))
+    }
+
+    /// Renumbers the global rowIDs the row mirrors hold densely, keeping
+    /// their order, and resets the allocator past them. Returns the map
+    /// under the [`UpdateReport::renumbered`] rule (`map[new] = old`).
+    fn renumber_dense(&mut self) -> Vec<u32> {
+        let mut new_of = vec![MISS; self.next_row as usize];
+        for shard in &self.shards {
+            for local in 0..shard.rows.len() as u32 {
+                match shard.rows.global(local) {
+                    MISS => {}
+                    global => new_of[global as usize] = 0,
+                }
+            }
+        }
+        let mut renumbered = Vec::new();
+        for (old, new) in new_of.iter_mut().enumerate() {
+            if *new != MISS {
+                *new = renumbered.len() as u32;
+                renumbered.push(old as u32);
+            }
+        }
+        for shard in &mut self.shards {
+            let outer = (0..shard.rows.len() as u32)
+                .map(|local| match shard.rows.global(local) {
+                    MISS => MISS,
+                    global => new_of[global as usize],
+                })
+                .collect();
+            shard.rows = RowMirror::dense(outer);
+        }
+        self.next_row = renumbered.len() as u64;
+        renumbered
+    }
+
     fn writable(&self) -> Result<(), IndexError> {
         if self
             .shards
@@ -793,18 +774,17 @@ impl ShardedIndex {
     }
 
     /// Splits an update batch by the router, assigning global rowIDs in
-    /// batch order, without touching the index: the value column must match
-    /// the keys and the assigned rows must fit the rowID space, or nothing
-    /// is routed. The row allocator advances only when the routing is
-    /// [applied](Self::apply_routed), so a caller may persist the routed
-    /// slices first and lose nothing if that fails. `values` is ignored for
-    /// a delete.
-    pub fn route(
-        &self,
+    /// batch order, and applies every shard's slice in parallel, feeding
+    /// each shard's report to its row mirror and merging the reports. The
+    /// value column must match the keys and the assigned rows must fit the
+    /// rowID space, or nothing is applied. `values` is ignored for a
+    /// delete.
+    fn apply_update(
+        &mut self,
         kind: UpdateKind,
         keys: &[u64],
         values: &[u64],
-    ) -> Result<RoutedUpdate, IndexError> {
+    ) -> Result<UpdateReport, IndexError> {
         self.writable()?;
         let assigns_rows = kind != UpdateKind::Delete;
         if assigns_rows {
@@ -822,49 +802,26 @@ impl ShardedIndex {
                 });
             }
         }
-        let mut routed = RoutedUpdate {
-            kind,
-            slices: (0..self.shards.len())
-                .map(|_| ShardSlice::default())
-                .collect(),
-            first_row: self.next_row,
-            next_row: self.next_row,
-        };
+        let mut slices: Vec<ShardSlice> = (0..self.shards.len())
+            .map(|_| ShardSlice::default())
+            .collect();
         for (i, &key) in keys.iter().enumerate() {
-            let slice = &mut routed.slices[self.router.shard_of_point(key)];
+            let slice = &mut slices[self.router.shard_of_point(key)];
             slice.keys.push(key);
             if assigns_rows {
                 slice.values.push(values[i]);
-                slice.globals.push(routed.next_row as u32);
-                routed.next_row += 1;
+                slice.globals.push(self.next_row as u32);
+                self.next_row += 1;
             }
         }
-        Ok(routed)
-    }
-
-    /// Applies a routing made by [`route`](Self::route) on this index (and
-    /// not invalidated by a write since) to every owning shard in parallel,
-    /// feeds each shard's report to its row mirror and merges the reports.
-    pub fn apply_routed(&mut self, routed: RoutedUpdate) -> Result<UpdateReport, IndexError> {
-        self.writable()?;
-        if routed.first_row != self.next_row || routed.slices.len() != self.shards.len() {
-            return Err(IndexError::Backend {
-                backend: Arc::clone(&self.label),
-                message: "stale update routing: the index was written since it was routed"
-                    .to_string(),
-            });
-        }
-        self.next_row = routed.next_row;
         // Update rows count toward slot heat exactly like lookups do —
         // mirroring the per-shard op counters, which track both.
         if let Some(slot_ops) = &self.slot_ops {
-            for &key in routed.slices.iter().flat_map(|slice| &slice.keys) {
+            for &key in keys {
                 slot_ops[WeightedHashPartitioner::slot_of_key(key)].fetch_add(1, Ordering::Relaxed);
             }
         }
-        let kind = routed.kind;
-        let work: Vec<(&mut Shard, ShardSlice)> =
-            self.shards.iter_mut().zip(routed.slices).collect();
+        let work: Vec<(&mut Shard, ShardSlice)> = self.shards.iter_mut().zip(slices).collect();
         merge_reports(parallel_map(work, |_, (shard, slice)| {
             if slice.keys.is_empty() {
                 return Ok(UpdateReport::default());
@@ -915,9 +872,9 @@ impl ShardedIndex {
     }
 }
 
-/// The write a [`RoutedUpdate`] carries.
+/// The write an update batch carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateKind {
+enum UpdateKind {
     /// Fresh rows append.
     Insert,
     /// Every live row holding one of the keys dies.
@@ -935,40 +892,8 @@ struct ShardSlice {
     globals: Vec<u32>,
 }
 
-/// An update batch as [`ShardedIndex::route`] split it: what each shard
-/// will be handed, the global rowIDs the batch's rows were assigned, and
-/// where the row allocator stands once it is applied.
-#[derive(Debug, Clone)]
-pub struct RoutedUpdate {
-    kind: UpdateKind,
-    slices: Vec<ShardSlice>,
-    /// The row allocator the routing started from.
-    first_row: u64,
-    next_row: u64,
-}
-
-impl RoutedUpdate {
-    /// The write being routed.
-    pub fn kind(&self) -> UpdateKind {
-        self.kind
-    }
-
-    /// The global row allocator after the batch.
-    pub fn next_row(&self) -> u64 {
-        self.next_row
-    }
-
-    /// Per shard, in batch order: the keys, their values and the global
-    /// rowIDs assigned to them (both empty for a delete).
-    pub fn shards(&self) -> impl Iterator<Item = (&[u64], &[u64], &[u32])> {
-        self.slices
-            .iter()
-            .map(|s| (&s.keys[..], &s.values[..], &s.globals[..]))
-    }
-}
-
-/// Sums per-shard reports into the sharded one. Outer rowIDs are stable,
-/// so the merged report never carries a renumbering.
+/// Sums per-shard reports into the sharded one. Each shard's renumbering
+/// stays inside its row mirror, so the merged report carries none.
 fn merge_reports(
     reports: Vec<Result<UpdateReport, IndexError>>,
 ) -> Result<UpdateReport, IndexError> {
@@ -1212,15 +1137,15 @@ impl SecondaryIndex for ShardedIndex {
 /// store would.
 impl UpdatableIndex for ShardedIndex {
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.apply_routed(self.route(UpdateKind::Insert, keys, values)?)
+        self.apply_update(UpdateKind::Insert, keys, values)
     }
 
     fn delete(&mut self, keys: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.apply_routed(self.route(UpdateKind::Delete, keys, &[])?)
+        self.apply_update(UpdateKind::Delete, keys, &[])
     }
 
     fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
-        self.apply_routed(self.route(UpdateKind::Upsert, keys, values)?)
+        self.apply_update(UpdateKind::Upsert, keys, values)
     }
 
     fn poll_reorganisation(&mut self) -> Result<UpdateReport, IndexError> {
@@ -1242,20 +1167,30 @@ impl UpdatableIndex for ShardedIndex {
         self.rebalance()
     }
 
-    /// Forces a synchronous compaction of every shard (each row mirror
-    /// following its shard's renumbering) and merges the per-shard reports.
-    /// Fails if any shard's backend has no explicit compaction.
+    /// Compacts every shard, then renumbers the global rowIDs densely in
+    /// their old order and reports that in
+    /// [`renumbered`](UpdateReport::renumbered), as the monolithic backend
+    /// does: afterwards [`checkpoint_rows`](UpdatableIndex::checkpoint_rows)
+    /// is defined. Fails if any shard's backend has no explicit compaction.
     fn compact(&mut self) -> Result<UpdateReport, IndexError> {
-        self.writable()?;
-        let work: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        merge_reports(parallel_map(work, |_, shard| {
-            let report = shard
-                .backend
-                .write()
-                .expect("writability checked")
-                .compact()?;
-            shard.rows.apply(&[], &report);
-            Ok(report)
-        }))
+        let mut report = self.compact_shards()?;
+        report.renumbered = Some(self.renumber_dense());
+        Ok(report)
+    }
+
+    /// The live rows in global rowID order, when every shard is clean and
+    /// the global rowIDs are dense `0..n` — after a
+    /// [`compact`](UpdatableIndex::compact), or on a fresh build — so that
+    /// building over them reproduces every rowID.
+    fn checkpoint_rows(&self) -> Option<Vec<(u64, u64)>> {
+        let mut rows = vec![(0, 0); self.next_row as usize];
+        let mut placed = 0;
+        for shard in self.shard_checkpoint_rows()? {
+            for (key, value, global) in shard {
+                *rows.get_mut(global as usize)? = (key, value);
+                placed += 1;
+            }
+        }
+        (placed == rows.len()).then_some(rows)
     }
 }

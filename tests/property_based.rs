@@ -301,10 +301,12 @@ proptest! {
 
     /// The same equivalence holds for the updatable backend *after* routed
     /// insert/delete/upsert batches: the sharded RXD and the monolithic RXD
-    /// stay result-identical (compaction disabled; see `sharding_registry`).
-    /// With the shards compacting instead, the sharded RXD still answers its
-    /// stable global rowIDs: exactly what an oracle that is never told to
-    /// compact tracks.
+    /// stay result-identical (compaction disabled; see `sharding_registry`),
+    /// and stay so after an explicit `compact()` on both, which renumbers
+    /// each densely in rowID order. With the shards compacting instead, the
+    /// sharded RXD still answers its stable global rowIDs: exactly what an
+    /// oracle that is never told to compact tracks, until an explicit
+    /// `compact()` renumbers both.
     #[test]
     fn prop_sharded_rxd_updates_match_unsharded(
         keys in prop::collection::vec(0u64..400, 1..100),
@@ -328,6 +330,10 @@ proptest! {
         baseline.delete(&deletes).unwrap();
         baseline.upsert(&upserts, &upsert_values).unwrap();
         let expected = baseline.execute(&batch).unwrap();
+        baseline.compact().unwrap();
+        let compacted = baseline.execute(&batch).unwrap();
+        let compacted_rows = baseline.checkpoint_rows();
+        prop_assert!(compacted_rows.is_some());
 
         for grid in SHARD_GRID {
             let name = format!("RXD@{grid}");
@@ -338,13 +344,26 @@ proptest! {
             sharded.upsert(&upserts, &upsert_values).unwrap();
             let out = sharded.execute(&batch).unwrap();
             prop_assert_eq!(&out.results, &expected.results, "{}", &name);
+            let report = sharded.compact().unwrap();
+            prop_assert_eq!(
+                report.renumbered.map(|map| map.len()),
+                Some(sharded.key_count()),
+                "{} renumbers densely",
+                &name
+            );
+            let out = sharded.execute(&batch).unwrap();
+            prop_assert_eq!(&out.results, &compacted.results, "{} compacted", &name);
+            prop_assert_eq!(&sharded.checkpoint_rows(), &compacted_rows, "{}", &name);
         }
 
         let mut stable = DynamicOracle::new(&keys, &values);
         stable.insert_batch(&inserts, &insert_values);
         stable.delete_batch(&deletes);
         stable.upsert_batch(&upserts, &upsert_values);
+        let mut dense = stable.clone();
+        dense.compact();
         let stable = stable.expected_batch(&batch);
+        let dense = dense.expected_batch(&batch);
         for background in [false, true] {
             let registry = compacting_registry(background);
             for grid in SHARD_GRID {
@@ -359,6 +378,9 @@ proptest! {
                 sharded.await_reorganisation().unwrap();
                 let out = sharded.execute(&batch).unwrap();
                 prop_assert_eq!(&out.results, &stable, "{} background={}", &name, background);
+                sharded.compact().unwrap();
+                let out = sharded.execute(&batch).unwrap();
+                prop_assert_eq!(&out.results, &dense, "{} compacted", &name);
             }
         }
     }
