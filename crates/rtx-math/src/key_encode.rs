@@ -7,8 +7,7 @@
 //! can have their first components densely packed into 64 bits, giving
 //! hardware-accelerated lookups on that prefix with software post-filtering.
 //!
-//! This module provides those mappings plus their inverses (where the mapping
-//! is bijective) so that examples and tests can verify round trips.
+//! This module provides those mappings.
 
 /// Types that can be converted into an order-preserving `u64` index key.
 ///
@@ -40,22 +39,10 @@ pub fn encode_i64(v: i64) -> u64 {
     (v as u64) ^ (1u64 << 63)
 }
 
-/// Inverse of [`encode_i64`].
-#[inline]
-pub fn decode_i64(k: u64) -> i64 {
-    (k ^ (1u64 << 63)) as i64
-}
-
 /// Encodes a signed 32-bit integer.
 #[inline]
 pub fn encode_i32(v: i32) -> u64 {
     ((v as u32) ^ (1u32 << 31)) as u64
-}
-
-/// Inverse of [`encode_i32`].
-#[inline]
-pub fn decode_i32(k: u64) -> i32 {
-    ((k as u32) ^ (1u32 << 31)) as i32
 }
 
 /// Encodes an `f64` into an order-preserving `u64` (the classic radix-sort
@@ -76,17 +63,6 @@ pub fn encode_f64(v: f64) -> u64 {
     }
 }
 
-/// Inverse of [`encode_f64`] (for non-NaN inputs the round trip is exact).
-#[inline]
-pub fn decode_f64(k: u64) -> f64 {
-    let bits = if k & (1u64 << 63) != 0 {
-        k & !(1u64 << 63)
-    } else {
-        !k
-    };
-    f64::from_bits(bits)
-}
-
 /// Encodes an `f32` into an order-preserving `u64` (via the 32-bit variant of
 /// the same transform, zero-extended).
 #[inline]
@@ -98,18 +74,6 @@ pub fn encode_f32(v: f32) -> u64 {
         !bits
     };
     mapped as u64
-}
-
-/// Inverse of [`encode_f32`].
-#[inline]
-pub fn decode_f32(k: u64) -> f32 {
-    let bits = k as u32;
-    let orig = if bits & (1u32 << 31) != 0 {
-        bits & !(1u32 << 31)
-    } else {
-        !bits
-    };
-    f32::from_bits(orig)
 }
 
 /// Encodes a boolean (false < true).
@@ -129,34 +93,6 @@ pub fn encode_str_prefix(s: &str) -> u64 {
     let mut buf = [0u8; 8];
     let n = bytes.len().min(8);
     buf[..n].copy_from_slice(&bytes[..n]);
-    u64::from_be_bytes(buf)
-}
-
-/// Packs the first eight bytes of an arbitrary byte slice into a `u64`
-/// (big-endian, zero padded). Same prefix-ordering caveat as
-/// [`encode_str_prefix`].
-#[inline]
-pub fn encode_bytes_prefix(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = bytes.len().min(8);
-    buf[..n].copy_from_slice(&bytes[..n]);
-    u64::from_be_bytes(buf)
-}
-
-/// Packs up to eight small component values (each at most 8 bits) into a
-/// `u64` in lexicographic order — the "densely pack them into a single 64-bit
-/// integer" path the paper sketches for composite data types.
-///
-/// # Panics
-/// Panics when more than eight components are supplied.
-#[inline]
-pub fn encode_composite_u8(components: &[u8]) -> u64 {
-    assert!(
-        components.len() <= 8,
-        "at most 8 one-byte components fit into a u64 key"
-    );
-    let mut buf = [0u8; 8];
-    buf[..components.len()].copy_from_slice(components);
     u64::from_be_bytes(buf)
 }
 
@@ -227,16 +163,10 @@ mod tests {
         for w in values.windows(2) {
             assert!(encode_i64(w[0]) < encode_i64(w[1]));
         }
-        for &v in &values {
-            assert_eq!(decode_i64(encode_i64(v)), v);
-        }
     }
 
     #[test]
-    fn signed_32bit_round_trip() {
-        for v in [i32::MIN, -7, 0, 7, i32::MAX] {
-            assert_eq!(decode_i32(encode_i32(v)), v);
-        }
+    fn signed_32bit_integers_preserve_order() {
         assert!(encode_i32(-5) < encode_i32(5));
     }
 
@@ -261,23 +191,15 @@ mod tests {
                 w[1]
             );
         }
-        for &v in &values {
-            if v != 0.0 {
-                assert_eq!(decode_f64(encode_f64(v)), v);
-            }
-        }
         // -0.0 and 0.0 may encode adjacently but must not invert order.
         assert!(encode_f64(-0.0) <= encode_f64(0.0));
     }
 
     #[test]
-    fn f32_round_trip_and_order() {
+    fn f32_preserves_order() {
         let values = [f32::NEG_INFINITY, -3.5, 0.0, 1.25, f32::MAX];
         for w in values.windows(2) {
             assert!(encode_f32(w[0]) < encode_f32(w[1]));
-        }
-        for &v in &values {
-            assert_eq!(decode_f32(encode_f32(v)), v);
         }
     }
 
@@ -291,26 +213,6 @@ mod tests {
             encode_str_prefix("abcdefghXYZ"),
             encode_str_prefix("abcdefghAAA")
         );
-    }
-
-    #[test]
-    fn bytes_prefix_matches_str_prefix() {
-        assert_eq!(encode_bytes_prefix(b"coffee"), encode_str_prefix("coffee"));
-    }
-
-    #[test]
-    fn composite_packing_is_lexicographic() {
-        let a = encode_composite_u8(&[1, 2, 3]);
-        let b = encode_composite_u8(&[1, 2, 4]);
-        let c = encode_composite_u8(&[1, 3, 0]);
-        assert!(a < b);
-        assert!(b < c);
-    }
-
-    #[test]
-    #[should_panic]
-    fn composite_packing_rejects_long_input() {
-        let _ = encode_composite_u8(&[0; 9]);
     }
 
     #[test]
@@ -335,18 +237,8 @@ mod tests {
         }
 
         #[test]
-        fn prop_i64_round_trip(v in any::<i64>()) {
-            prop_assert_eq!(decode_i64(encode_i64(v)), v);
-        }
-
-        #[test]
         fn prop_f64_order_preserved(a in prop::num::f64::NORMAL, b in prop::num::f64::NORMAL) {
             prop_assert_eq!(a <= b, encode_f64(a) <= encode_f64(b));
-        }
-
-        #[test]
-        fn prop_f64_round_trip(v in prop::num::f64::ANY.prop_filter("not nan", |x| !x.is_nan())) {
-            prop_assert_eq!(decode_f64(encode_f64(v)).to_bits(), v.to_bits());
         }
 
         #[test]

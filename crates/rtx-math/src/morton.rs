@@ -3,23 +3,10 @@
 //! GPU BVH builders (including the one behind `optixAccelBuild`) are widely
 //! believed to be LBVH-style builders that sort primitives by the Morton code
 //! of their centroid. The `rtx-bvh` crate offers such a builder, and this
-//! module provides the 30-bit (10 bits per axis) and 63-bit (21 bits per
-//! axis) Morton encodings it needs.
+//! module provides the 63-bit (21 bits per axis) Morton encoding it needs.
 
 use crate::aabb::Aabb;
 use crate::vec3::Vec3f;
-
-/// Expands a 10-bit integer so that its bits occupy every third position of a
-/// 30-bit result.
-#[inline]
-fn expand_bits_10(v: u32) -> u32 {
-    let mut v = v & 0x3ff;
-    v = (v | (v << 16)) & 0x030000FF;
-    v = (v | (v << 8)) & 0x0300F00F;
-    v = (v | (v << 4)) & 0x030C30C3;
-    v = (v | (v << 2)) & 0x09249249;
-    v
-}
 
 /// Expands a 21-bit integer so that its bits occupy every third position of a
 /// 63-bit result.
@@ -32,17 +19,6 @@ fn expand_bits_21(v: u64) -> u64 {
     v = (v | (v << 4)) & 0x10c30c30c30c30c3;
     v = (v | (v << 2)) & 0x1249249249249249;
     v
-}
-
-/// 30-bit Morton code for a point whose coordinates lie in `[0, 1)`.
-/// Coordinates outside the range are clamped.
-#[inline]
-pub fn morton30(p: Vec3f) -> u32 {
-    let scale = 1024.0f32;
-    let x = (p.x * scale).clamp(0.0, 1023.0) as u32;
-    let y = (p.y * scale).clamp(0.0, 1023.0) as u32;
-    let z = (p.z * scale).clamp(0.0, 1023.0) as u32;
-    (expand_bits_10(x) << 2) | (expand_bits_10(y) << 1) | expand_bits_10(z)
 }
 
 /// 63-bit Morton code for a point whose coordinates lie in `[0, 1)`.
@@ -83,17 +59,16 @@ mod tests {
 
     #[test]
     fn expand_bits_small_values() {
-        assert_eq!(expand_bits_10(0), 0);
-        assert_eq!(expand_bits_10(1), 1);
-        assert_eq!(expand_bits_10(0b11), 0b1001);
+        assert_eq!(expand_bits_21(0), 0);
+        assert_eq!(expand_bits_21(1), 1);
         assert_eq!(expand_bits_21(0b11), 0b1001);
     }
 
     #[test]
     fn morton_orders_along_single_axis() {
         // Points increasing along x only must have increasing codes.
-        let codes: Vec<u32> = (0..10)
-            .map(|i| morton30(Vec3f::new(i as f32 / 10.0, 0.0, 0.0)))
+        let codes: Vec<u64> = (0..10)
+            .map(|i| morton63(Vec3f::new(i as f32 / 10.0, 0.0, 0.0)))
             .collect();
         for w in codes.windows(2) {
             assert!(w[0] < w[1], "{} !< {}", w[0], w[1]);
@@ -102,16 +77,15 @@ mod tests {
 
     #[test]
     fn morton_origin_is_zero() {
-        assert_eq!(morton30(Vec3f::ZERO), 0);
         assert_eq!(morton63(Vec3f::ZERO), 0);
     }
 
     #[test]
     fn morton_clamps_out_of_range() {
-        let inside = morton30(Vec3f::new(0.9999, 0.9999, 0.9999));
-        let outside = morton30(Vec3f::new(2.0, 2.0, 2.0));
+        let inside = morton63(Vec3f::splat(1.0 - f32::EPSILON));
+        let outside = morton63(Vec3f::splat(2.0));
         assert_eq!(inside, outside);
-        let negative = morton30(Vec3f::new(-1.0, -1.0, -1.0));
+        let negative = morton63(Vec3f::splat(-1.0));
         assert_eq!(negative, 0);
     }
 
@@ -138,10 +112,10 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_morton30_axis_monotone(a in 0.0f32..1.0, b in 0.0f32..1.0) {
+        fn prop_morton63_axis_monotone(a in 0.0f32..1.0, b in 0.0f32..1.0) {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let ca = morton30(Vec3f::new(lo, 0.0, 0.0));
-            let cb = morton30(Vec3f::new(hi, 0.0, 0.0));
+            let ca = morton63(Vec3f::new(lo, 0.0, 0.0));
+            let cb = morton63(Vec3f::new(hi, 0.0, 0.0));
             prop_assert!(ca <= cb);
         }
 

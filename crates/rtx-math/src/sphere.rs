@@ -31,12 +31,6 @@ impl Sphere {
         Sphere { center, radius }
     }
 
-    /// Creates the key sphere for a key located at `center`.
-    #[inline]
-    pub fn key_sphere(center: Vec3f) -> Self {
-        Sphere::new(center, Self::KEY_RADIUS)
-    }
-
     /// Tight bounding box of the sphere.
     #[inline]
     pub fn bounds(&self) -> Aabb {
@@ -130,8 +124,8 @@ mod tests {
         // Two adjacent integer keys leave a gap of 2 * (0.5 - 0.25) = 0.5
         // between their spheres: a ray can start between them without being
         // inside either sphere.
-        let a = Sphere::key_sphere(Vec3f::new(10.0, 0.0, 0.0));
-        let b = Sphere::key_sphere(Vec3f::new(11.0, 0.0, 0.0));
+        let a = Sphere::new(Vec3f::new(10.0, 0.0, 0.0), Sphere::KEY_RADIUS);
+        let b = Sphere::new(Vec3f::new(11.0, 0.0, 0.0), Sphere::KEY_RADIUS);
         let start = Vec3f::new(10.5, 0.0, 0.0);
         assert!((start - a.center).length() > a.radius);
         assert!((start - b.center).length() > b.radius);

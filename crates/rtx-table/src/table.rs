@@ -18,27 +18,22 @@
 //! rows translates it into a table rowID.
 //!
 //! An index is rebuilt from the live rows only once its overlay holds
-//! `base_rows / 16` rows, and at least one. The rebuild runs inside the
-//! ingest that trips it, into a staged state installed only when the whole
-//! batch commits.
+//! `base_rows / 16` rows, and at least one. Rebuilds follow the commit, one
+//! index at a time; a failed one keeps base and overlay, is counted in
+//! [`TableStats::rebuild_failures`] and is tried again at the next batch
+//! that changes rows.
 //!
-//! Rejections surface at the batch that causes them wherever a build's
-//! check is cheap per key: every inserted row is checked against each
-//! index's composite key widths and 32-bit key limit, and indexes that
-//! refuse duplicate keys (B+) probe base plus overlay for every key the
-//! batch leaves live. A failure only the backend's build can see (a
-//! capacity cap, a key beyond an RX key mode's range) surfaces at the batch
-//! whose threshold rebuild trips over it. That batch is refused when the
-//! rows as last committed still build. When they do not, an earlier batch
-//! admitted the cause: the batch is applied again, the index keeps its
-//! exact base and overlay, and every later batch past the threshold
-//! retries the rebuild.
+//! Rejections surface at the batch that causes them: every inserted row is
+//! checked against each index's composite key widths and 32-bit key limit,
+//! and indexes that refuse duplicate keys (B+) probe base plus overlay for
+//! every key the batch leaves live. A failure only the backend's build can
+//! see (a capacity cap, a key beyond an RX key mode's range) refuses no
+//! batch: it is a failed rebuild.
 //!
-//! If any step fails, the table undoes the batch without a snapshot and
-//! without a build, in O(batch): the row store replays its undo log
-//! (inserts are appends, deletes liveness flips), overlays truncate back to
-//! their committed length, and staged rebuilds are dropped. Callers never
-//! observe a half-applied batch.
+//! A refused batch is undone without a snapshot and without a build, in
+//! O(batch): the row store replays its undo log (inserts are appends,
+//! deletes liveness flips), and overlays truncate back to their committed
+//! length. Callers never observe a half-applied batch.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -180,9 +175,6 @@ struct Overlay {
     base_slots: u32,
     /// Live rows the base was built over.
     base_rows: usize,
-    /// The rows as last committed failed to build: a failed threshold
-    /// rebuild keeps the base and overlay instead of refusing the batch.
-    build_fails: bool,
 }
 
 impl Overlay {
@@ -193,7 +185,6 @@ impl Overlay {
             stale: 0,
             base_slots: base_slots as u32,
             base_rows,
-            build_fails: false,
         }
     }
 
@@ -454,6 +445,9 @@ pub struct TableStats {
     pub deleted_rows: u64,
     /// Index rebuilds (initial builds excluded).
     pub index_rebuilds: u64,
+    /// Threshold rebuilds that failed: the index kept its base and overlay
+    /// (see the [module docs](self)).
+    pub rebuild_failures: u64,
     /// Predicates answered by a row-store scan because the base's
     /// `first_row` was deleted while other base matches remained.
     pub overlay_rescans: u64,
@@ -616,84 +610,72 @@ impl Table {
 
     /// Applies a CDC batch atomically (see the [module docs](self)): on
     /// success every index reflects the batch; on error the pre-batch
-    /// state is restored before the error returns.
+    /// state is restored before the error returns. Full overlays are
+    /// rebuilt after the commit, and a failed rebuild refuses nothing.
     pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestReport, IndexError> {
         self.stats.ingest_batches += 1;
         if batch.is_empty() {
             return Ok(IngestReport::default());
         }
-        let outcome = loop {
-            let mut report = IngestReport::default();
-            let mut failed_rebuild = None;
-            let err = match self.apply_batch(batch, &mut report, &mut failed_rebuild) {
-                Ok(staged) => {
-                    self.commit(staged, &report);
-                    break Ok(report);
-                }
-                Err(err) => err,
-            };
+        let mut report = IngestReport::default();
+        if let Err(err) = self.apply_batch(batch, &mut report) {
             self.rollback();
-            match failed_rebuild {
-                // The failure is older than the batch: apply it again,
-                // keeping that index's base and overlay.
-                Some(i) if self.committed_rows_fail_to_build(i) => {
-                    self.indexes[i].overlay.build_fails = true;
-                }
-                _ => break Err(err),
-            }
-        };
-        if outcome.is_err() {
             self.stats.rolled_back_batches += 1;
+            return Err(err);
+        }
+        self.commit(&report);
+        if report.inserted_rows + report.deleted_rows > 0 {
+            self.rebuild_full_indexes(&mut report);
         }
         self.stats.overlay_rows = self.indexes.iter().map(|s| s.overlay.rows() as u64).sum();
-        outcome
+        Ok(report)
     }
 
-    /// Installs the staged rebuilds and makes the open batch the state a
-    /// later rollback returns to.
-    fn commit(&mut self, staged: Vec<(usize, IndexState)>, report: &IngestReport) {
-        for (i, state) in staged {
-            self.indexes[i] = state;
-        }
+    /// Makes the open batch the state a later rollback returns to.
+    fn commit(&mut self, report: &IngestReport) {
         for state in &mut self.indexes {
             state.overlay.commit(&self.store, &state.columns);
         }
         self.store.commit();
         self.stats.inserted_rows += report.inserted_rows;
         self.stats.deleted_rows += report.deleted_rows;
-        self.stats.index_rebuilds += report.rebuilt_indexes;
     }
 
-    /// True when index `i` cannot be rebuilt over the rows as last
-    /// committed either, so a rebuild failure is not the open batch's
-    /// doing. An empty overlay means the committed rows are the base,
-    /// which built.
-    fn committed_rows_fail_to_build(&self, i: usize) -> bool {
-        let state = &self.indexes[i];
-        state.overlay.rows() > 0
-            && build_index_state(
+    /// Rebuilds every index whose overlay is full, one at a time: each
+    /// rebuilt state replaces the old one before the next index builds. A
+    /// rebuild that fails leaves the index's base and overlay as they are.
+    fn rebuild_full_indexes(&mut self, report: &mut IngestReport) {
+        for (def, state) in self.defs.iter().zip(&mut self.indexes) {
+            if !state.overlay.is_full() {
+                continue;
+            }
+            match build_index_state(
                 &self.device,
                 &self.registry,
                 &self.store,
                 self.value_pos,
                 &self.planner,
-                &self.defs[i],
+                def,
                 &state.columns,
-            )
-            .is_err()
+            ) {
+                Ok(rebuilt) => {
+                    report.simulated_time_s += rebuilt.backend.build_metrics().simulated_time_s;
+                    report.rebuilt_indexes += 1;
+                    *state = rebuilt;
+                }
+                Err(_) => self.stats.rebuild_failures += 1,
+            }
+        }
+        self.stats.index_rebuilds += report.rebuilt_indexes;
     }
 
-    /// Applies every op, then checks and (past the threshold) rebuilds the
-    /// indexes; returns the rebuilt states, to be installed only when the
-    /// batch commits. A rebuild that fails names its index in
-    /// `failed_rebuild`; one whose committed rows already failed to build
-    /// keeps its base and overlay.
+    /// Applies every op, then refuses the batch if it leaves two live rows
+    /// with one key in an index that takes no duplicate keys.
     fn apply_batch(
         &mut self,
         batch: &IngestBatch,
         report: &mut IngestReport,
-        failed_rebuild: &mut Option<usize>,
-    ) -> Result<Vec<(usize, IndexState)>, IndexError> {
+    ) -> Result<(), IndexError> {
         for op in batch.ops() {
             match op {
                 IngestOp::Insert(record) => self.apply_insert(record, report)?,
@@ -704,40 +686,10 @@ impl Table {
                 }
             }
         }
-        let mut staged = Vec::new();
-        if report.inserted_rows == 0 && report.deleted_rows == 0 {
-            // Nothing changed (e.g. only deletes of absent keys).
-            return Ok(staged);
-        }
         for (def, state) in self.defs.iter().zip(&self.indexes) {
             state.check_unique(def, &self.store)?;
         }
-        for (i, state) in self.indexes.iter().enumerate() {
-            if !state.overlay.is_full() {
-                continue;
-            }
-            match build_index_state(
-                &self.device,
-                &self.registry,
-                &self.store,
-                self.value_pos,
-                &self.planner,
-                &self.defs[i],
-                &state.columns,
-            ) {
-                Ok(rebuilt) => {
-                    report.simulated_time_s += rebuilt.backend.build_metrics().simulated_time_s;
-                    report.rebuilt_indexes += 1;
-                    staged.push((i, rebuilt));
-                }
-                Err(_) if state.overlay.build_fails => {}
-                Err(err) => {
-                    *failed_rebuild = Some(i);
-                    return Err(err);
-                }
-            }
-        }
-        Ok(staged)
+        Ok(())
     }
 
     fn apply_insert(
@@ -1064,4 +1016,102 @@ fn build_composite(
         Vec::new()
     };
     Ok((schema, backend, probe_keys, rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use rtindex_core::RtIndexConfig;
+    use rtx_delta::DynamicRtConfig;
+
+    use super::*;
+
+    fn registry() -> Arc<Registry> {
+        let mut registry = Registry::new();
+        gpu_baselines::register_baselines(&mut registry);
+        rtindex_core::register_rx(&mut registry, RtIndexConfig::default());
+        rtx_delta::register_dynamic(
+            &mut registry,
+            DynamicRtConfig::default().with_rx(RtIndexConfig::default()),
+        );
+        Arc::new(registry)
+    }
+
+    fn ms(time: Duration) -> f64 {
+        time.as_secs_f64() * 1e3
+    }
+
+    /// What a threshold rebuild costs on the `table_serve` schema at 2^16
+    /// rows: the wall time of the 64-op ingest that crosses the threshold
+    /// against the ones that do not, and each index's rebuild alone over
+    /// the same rows. Prints and asserts nothing host-timed. Run with
+    /// `cargo test --release -p rtx-table --lib rebuild_sweep -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "host-timed measurement; run in release"]
+    fn rebuild_sweep() {
+        let rows = 1u64 << 16;
+        let schema = TableSchema::new(["id", "ts", "amount"])
+            .with_value_column("amount")
+            .with_index("id_ht", "id", "HT")
+            .with_index("ts_rx", "ts", "RX")
+            .with_index("id_rxd", "id", "RXD")
+            .with_composite_index("id_ts", ["id", "ts"], "SA{u32,u32}");
+        let record = |id: u64| vec![id, id * 7 % (1 << 18), id];
+        let records: Vec<Record> = (0..rows).map(record).collect();
+        let mut table = Table::load(schema, &Device::default_eval(), registry(), &records)
+            .expect("table builds");
+        // Fresh rows only: every overlay reaches `rows / 16` at the 64th
+        // batch.
+        let mut quiet = Vec::new();
+        let mut next = rows;
+        let crossing = loop {
+            let batch =
+                (next..next + 64).fold(IngestBatch::new(), |batch, id| batch.insert(record(id)));
+            next += 64;
+            let start = Instant::now();
+            let report = table.ingest(&batch).expect("batch applies");
+            let took = start.elapsed();
+            if report.rebuilt_indexes > 0 {
+                assert_eq!(report.rebuilt_indexes, 4);
+                break took;
+            }
+            quiet.push(took);
+        };
+        quiet.sort();
+        println!(
+            "ingest of 64 rows at {} rows: {} non-crossing p50 {:.3} ms, max {:.3} ms; \
+             crossing {:.3} ms",
+            rows,
+            quiet.len(),
+            ms(quiet[quiet.len() / 2]),
+            ms(quiet[quiet.len() - 1]),
+            ms(crossing)
+        );
+        for (def, state) in table.defs.iter().zip(&table.indexes) {
+            let mut times: Vec<Duration> = (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    build_index_state(
+                        &table.device,
+                        &table.registry,
+                        &table.store,
+                        table.value_pos,
+                        &table.planner,
+                        def,
+                        &state.columns,
+                    )
+                    .expect("rebuild");
+                    start.elapsed()
+                })
+                .collect();
+            times.sort();
+            println!(
+                "rebuild {} ({}): median of 3 {:.3} ms",
+                def.name,
+                def.spec,
+                ms(times[1])
+            );
+        }
+    }
 }

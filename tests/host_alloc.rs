@@ -15,7 +15,10 @@
 //! a steady-state batch is O(batch) work, so its allocations do not grow
 //! with the number of rows. A fifth phase queries that table: routing
 //! builds no text, so a query's allocations hold a fixed budget and do not
-//! grow with indexes that never win a route.
+//! grow with indexes that never win a route. A sixth phase weighs the live
+//! bytes of an ingest whose four overlays all cross the rebuild threshold:
+//! the rebuilds follow the commit one at a time, so the old bases do not
+//! wait for every new one.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -28,30 +31,53 @@ use std::sync::Arc;
 use rtindex::optix_sim::{Route, TILE_RAYS, TINY_LAUNCH_RAYS};
 use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
 use rtindex::{
-    Capabilities, Device, ExecArena, IndexError, IngestBatch, QueryBatch, QueryService, RtIndex,
-    RtIndexConfig, SecondaryIndex, ServiceConfig, Table, TableQuery, TableSchema,
+    Capabilities, Device, ExecArena, IndexError, IndexSpec, IngestBatch, QueryBatch, QueryService,
+    RtIndex, RtIndexConfig, SecondaryIndex, ServiceConfig, Table, TableQuery, TableSchema,
 };
 use rtx_workloads as wl;
 
-/// Counts every allocation and reallocation; frees are not interesting
-/// here (a path that allocates nothing frees nothing).
+/// Counts every allocation and reallocation, and tracks the live bytes
+/// with a resettable peak.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        shrink(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grow(more),
+                None => shrink(layout.size() - new_size),
+            }
+        }
+        moved
     }
 }
 
@@ -60,6 +86,13 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Restarts the peak at the bytes live now, and returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
 }
 
 /// A host-only backend with a fixed allocation profile: one `Vec` per
@@ -181,6 +214,46 @@ fn table_ingest_allocations(rows: u64) -> u64 {
     let count = allocs() - before;
     assert_eq!(report.rebuilt_indexes, 0, "{report:?}");
     count
+}
+
+/// The index specs of [`crossing_ingest_peak_bytes`], all on `id`.
+const CROSSING_SPECS: [&str; 4] = ["HT", "RX", "RXD", "SA"];
+
+/// The live bytes one ingest adds at its peak, and the live bytes the
+/// bases it rebuilt hold, on a 2^14-row table indexed on `id` by
+/// [`CROSSING_SPECS`]: the batch inserts `rows / 16` fresh rows, so all
+/// four overlays cross the rebuild threshold in it. A base's bytes are
+/// what building its spec alone over the same live rows leaves live.
+fn crossing_ingest_peak_bytes() -> (u64, u64) {
+    let rows = 1u64 << 14;
+    let device = Device::default_eval();
+    let registry = Arc::new(rtindex::registry());
+    let schema = CROSSING_SPECS.iter().fold(
+        TableSchema::new(["id", "amount"]).with_value_column("amount"),
+        |schema, spec| schema.with_index(format!("id_{spec}"), "id", *spec),
+    );
+    let records: Vec<Vec<u64>> = (0..rows).map(|id| vec![id, id]).collect();
+    let mut table = Table::load(schema, &device, Arc::clone(&registry), &records).unwrap();
+    let batch =
+        (rows..rows + rows / 16).fold(IngestBatch::new(), |batch, id| batch.insert(vec![id, id]));
+    let before = reset_peak();
+    let report = table.ingest(&batch).unwrap();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(report.rebuilt_indexes, 4, "{report:?}");
+
+    let live: Vec<u64> = (0..rows + rows / 16).collect();
+    let spec = IndexSpec::with_values(&device, &live, &live);
+    let bases = CROSSING_SPECS
+        .iter()
+        .map(|name| {
+            let before = LIVE_BYTES.load(Ordering::Relaxed);
+            let base = registry.build(name, &spec).unwrap();
+            let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
+            drop(base);
+            held
+        })
+        .sum();
+    (peak, bases)
 }
 
 /// Allocations of 64 steady-state 4-predicate queries — a point on `id`,
@@ -398,5 +471,23 @@ fn steady_state_host_path_allocations_are_bounded() {
     assert_eq!(
         with_losers, base,
         "table query: indexes that never win a route must cost no allocations"
+    );
+
+    // -- A threshold-crossing ingest -------------------------------------
+    //
+    // Rebuilds follow the commit, and each rebuilt base replaces the old
+    // one before the next index builds. So at its peak the ingest holds
+    // every old base and one new one (with its build's scratch), not every
+    // new base at once: the bytes it adds stay below what the four rebuilt
+    // bases hold together. Measured on 1, 2 and 8 workers: 4.89 MB added
+    // against 5.82 MB of bases, where staging every rebuild until the
+    // commit added 7.98 MB. The bases are weighed in host bytes, not by
+    // `memory_usage()`: that reports 2.97 MB for the four, less than the
+    // 3.79 MB one `RX` build peaks at on its own.
+    let (peak, bases) = crossing_ingest_peak_bytes();
+    assert!(
+        peak < bases,
+        "crossing ingest: peak live bytes rose by {peak} B, not below the {bases} B of \
+         the four rebuilt bases"
     );
 }

@@ -1,8 +1,10 @@
 //! Property-based tests of the multi-index table layer: random CDC streams
-//! and mixed queries against the [`TableOracle`], including a capped stub
-//! backend that starts rejecting rebuilds mid-stream to exercise the
-//! all-or-nothing rollback path.
+//! and mixed queries against the [`TableOracle`]. A unique-key `B+` index
+//! refuses duplicate ids mid-stream to exercise the all-or-nothing rollback
+//! path, and a capped stub backend whose rebuilds fail past its cap shows
+//! that a failed rebuild refuses no batch.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -28,7 +30,7 @@ fn registry() -> Registry {
 }
 
 /// Registers `"CAP"`: a hash-table stub that refuses to (re)build over more
-/// than `cap` keys, turning table growth into a mid-stream rejection.
+/// than `cap` keys, turning table growth into failed rebuilds.
 fn register_capped(registry: &mut Registry, cap: usize) {
     registry.register("CAP", move |spec| {
         if spec.keys.len() > cap {
@@ -126,12 +128,58 @@ proptest! {
         }
     }
 
-    /// With a capped stub as a fourth index, batches that grow the table past
-    /// the cap are rejected mid-stream — and every rejection rolls the row
-    /// store and all four indexes back to a state that still answers
-    /// oracle-exactly.
+    /// With a unique-key `B+` on `id` as a fourth index, batches that leave
+    /// two live rows with one id are refused mid-stream — and every refusal
+    /// rolls the row store and all four indexes back to a state that still
+    /// answers oracle-exactly.
     #[test]
     fn prop_rejected_batches_roll_back_atomically(
+        records in prop::collection::vec((0u64..48, 0u64..256, 0u64..100), 0..12),
+        batches in prop::collection::vec(
+            prop::collection::vec((0u8..3, 0u64..48, 0u64..256, 0u64..100), 1..10),
+            2..6,
+        ),
+        queries in prop::collection::vec((0u64..64, 0u64..300, 0u64..48), 1..3),
+    ) {
+        let device = Device::default_eval();
+        let schema = schema().with_index("id_bt", "id", "B+");
+        // The initial build itself must hold every id once.
+        let mut ids = HashSet::new();
+        let records: Vec<Vec<u64>> = records
+            .iter()
+            .filter(|&&(k, ..)| ids.insert(k))
+            .map(|&(k, t, a)| vec![k, t, a])
+            .collect();
+        let mut table =
+            Table::load(schema, &device, Arc::new(registry()), &records).expect("load");
+        let mut oracle = TableOracle::load(3, &records);
+
+        for ops in &batches {
+            let batch = decode_batch(ops);
+            let before = table.row_count();
+            match table.ingest(&batch) {
+                // Accepted: the oracle follows.
+                Ok(_) => oracle.apply_batch(&batch),
+                // Rejected: the table must be exactly where it was.
+                Err(err) => {
+                    prop_assert!(err.to_string().contains("duplicate"), "{}", err);
+                    prop_assert_eq!(table.row_count(), before);
+                }
+            }
+            prop_assert_eq!(table.row_count(), oracle.row_count());
+            for q in &queries {
+                assert_oracle_exact(&table, &oracle, &decode_query(q));
+            }
+        }
+    }
+
+    /// With a capped stub as a fourth index, no batch is ever refused: past
+    /// the cap the stub's rebuilds fail and it keeps its base and overlay,
+    /// so every answer stays oracle-exact. A rebuild fails only while the
+    /// table holds more rows than the cap, and back under it the stub's
+    /// base holds every live row again.
+    #[test]
+    fn prop_failed_rebuilds_refuse_no_batch(
         records in prop::collection::vec((0u64..48, 0u64..256, 0u64..100), 0..12),
         batches in prop::collection::vec(
             prop::collection::vec((0u8..3, 0u64..48, 0u64..256, 0u64..100), 1..10),
@@ -154,29 +202,33 @@ proptest! {
 
         for ops in &batches {
             let batch = decode_batch(ops);
-            let before = table.row_count();
-            match table.ingest(&batch) {
-                // Accepted: the oracle follows.
-                Ok(_) => oracle.apply_batch(&batch),
-                // Rejected: the table must be exactly where it was.
-                Err(err) => {
-                    prop_assert!(err.to_string().contains("capacity"), "{}", err);
-                    prop_assert_eq!(table.row_count(), before);
-                }
-            }
+            let failures = table.stats().rebuild_failures;
+            table.ingest(&batch).expect("a failed rebuild refuses no batch");
+            oracle.apply_batch(&batch);
             prop_assert_eq!(table.row_count(), oracle.row_count());
+            let failed = table.stats().rebuild_failures - failures;
+            prop_assert!(failed <= 1, "only the stub fails: {}", failed);
+            if failed == 1 {
+                prop_assert!(table.row_count() > 16);
+            } else if table.row_count() <= 16 {
+                let base = table.index_backend("id_cap").expect("id_cap");
+                prop_assert_eq!(base.key_count(), table.row_count());
+            }
             for q in &queries {
                 assert_oracle_exact(&table, &oracle, &decode_query(q));
             }
         }
+        prop_assert_eq!(table.stats().rolled_back_batches, 0);
     }
 }
 
 /// Deterministic companion: a stream that *must* cross the cap mid-way is
-/// rejected exactly at the boundary, the rollback restores the pre-batch
-/// answers, and a shrinking batch is accepted again afterwards.
+/// accepted on both sides of it. Past the cap the stub keeps its overlay
+/// and counts a failed rebuild per batch, every answer stays
+/// oracle-exact, and deletes that bring the table back under the cap
+/// rebuild it.
 #[test]
-fn capped_stub_rejects_mid_stream_then_recovers() {
+fn capped_stub_keeps_its_overlay_past_the_cap_then_rebuilds() {
     let device = Device::default_eval();
     let mut registry = registry();
     register_capped(&mut registry, 12);
@@ -184,45 +236,45 @@ fn capped_stub_rejects_mid_stream_then_recovers() {
     let records: Vec<Vec<u64>> = (0..10u64).map(|k| vec![k, k * 2, k * 3]).collect();
     let mut table = Table::load(schema, &device, Arc::new(registry), &records).expect("load");
     let mut oracle = TableOracle::load(3, &records);
-
-    // Batch 1 (10 -> 12 rows) fits exactly; batch 2 (12 -> 14) must reject.
+    let probe = TableQuery::new()
+        .point("id", 200)
+        .point("id", 300)
+        .range("ts", 0, 512)
+        .fetch_values(true);
+    let mut ingest = |table: &mut Table, batch: IngestBatch| {
+        table
+            .ingest(&batch)
+            .expect("a failed rebuild refuses no batch");
+        oracle.apply_batch(&batch);
+        assert_eq!(table.row_count(), oracle.row_count());
+        assert_oracle_exact(table, &oracle, &probe);
+        let stats = table.stats();
+        (stats.rebuild_failures, stats.overlay_rows)
+    };
     let growing = |base: u64| {
         IngestBatch::new()
             .insert(vec![base, base, base])
             .insert(vec![base + 1, base + 1, base + 1])
     };
-    table.ingest(&growing(100)).expect("fits under the cap");
-    oracle.apply_batch(&growing(100));
 
-    let err = table.ingest(&growing(200)).expect_err("over the cap");
-    assert!(err.to_string().contains("capacity"), "{err}");
-    assert_eq!(table.row_count(), oracle.row_count());
-    assert_eq!(table.stats().rolled_back_batches, 1);
+    // 10 -> 12 rows fits exactly: every index rebuilds (a base under 16
+    // rows rebuilds on every batch that changes it).
+    assert_eq!(ingest(&mut table, growing(100)), (0, 0));
+    // 12 -> 14 -> 16 rows: the stub cannot build, keeps its overlay and
+    // counts one failure per batch; the batches stay accepted.
+    assert_eq!(ingest(&mut table, growing(200)), (1, 2));
+    assert_eq!(ingest(&mut table, growing(300)), (2, 4));
+    let cap = table.index_backend("id_cap").expect("id_cap");
+    assert_eq!(cap.key_count(), 12);
+    assert_eq!(table.stats().index_rebuilds, 4 + 3 + 3);
 
-    // The rolled-back rows are invisible everywhere, including the value sum.
-    let probe = TableQuery::new()
-        .point("id", 200)
-        .range("ts", 0, 512)
-        .fetch_values(true);
-    let out = table.query(&probe).expect("post-rollback query");
-    let expected = oracle.expected_query(table.schema(), &probe);
-    assert!(!out.results[0].is_hit(), "rolled-back insert must be gone");
-    assert_eq!(out.results[1].hit_count, expected[1].hit_count);
-    assert_eq!(out.results[1].value_sum, expected[1].value_sum);
-
-    // Shrink below the cap and the table accepts writes again.
-    let shrink = IngestBatch::new()
-        .delete(0)
-        .delete(1)
-        .insert(vec![300, 300, 300]);
-    table.ingest(&shrink).expect("fits again after the deletes");
-    oracle.apply_batch(&shrink);
-    assert_eq!(table.row_count(), oracle.row_count());
-    let out = table.query(&probe).expect("recovered query");
-    assert_eq!(
-        out.results[1].hit_count,
-        oracle.expected_query(table.schema(), &probe)[1].hit_count
-    );
+    // Deletes bring the table back under the cap, and the stub rebuilds.
+    let shrink = (0..5).fold(IngestBatch::new(), |batch, id| batch.delete(id));
+    assert_eq!(ingest(&mut table, shrink), (2, 0));
+    let cap = table.index_backend("id_cap").expect("id_cap");
+    assert_eq!(cap.key_count(), 11);
+    let stats = table.stats();
+    assert_eq!((stats.index_rebuilds, stats.rolled_back_batches), (14, 0));
 }
 
 /// Decodes a generated `(kind, region, lo, width)` tuple into one composite
@@ -565,13 +617,12 @@ fn upserting_a_fresh_row_keeps_every_overlay_sorted() {
 
 /// A row only the build refuses — a `ts` past the range of RX's naive key
 /// mode, which still claims full 64-bit keys — is admitted into the
-/// overlay. The batch whose rebuild then fails is accepted, because the
-/// rows as last committed fail to build too: RX keeps its exact base and
-/// overlay and retries at every later batch, and rebuilds once the row is
-/// gone. A batch that brings such a row when the committed rows still
-/// build is refused.
+/// overlay. Every batch whose rebuild then fails is accepted: RX keeps its
+/// exact base and overlay, counts the failure and retries at every later
+/// batch, and rebuilds once the row is gone. A batch that brings such a row
+/// itself is accepted the same way.
 #[test]
-fn a_row_only_the_build_refuses_defers_the_rebuild_instead_of_refusing_ingest() {
+fn a_row_only_the_build_refuses_defers_the_rebuild_and_refuses_no_batch() {
     let device = Device::default_eval();
     let mut registry = Registry::new();
     register_baselines(&mut registry);
@@ -618,7 +669,7 @@ fn a_row_only_the_build_refuses_defers_the_rebuild_instead_of_refusing_ingest() 
     }
     let stats = table.stats();
     assert_eq!((stats.index_rebuilds, stats.rolled_back_batches), (1, 0));
-    assert_eq!(stats.overlay_rows, 1 + 17);
+    assert_eq!((stats.rebuild_failures, stats.overlay_rows), (2, 1 + 17));
     // Deleting the far row lets RX rebuild.
     let delete = IngestBatch::new().delete(500);
     table.ingest(&delete).expect("accepted");
@@ -626,14 +677,15 @@ fn a_row_only_the_build_refuses_defers_the_rebuild_instead_of_refusing_ingest() 
     check(&table, &oracle);
     assert_eq!(table.stats().index_rebuilds, 2);
     // With RX's committed rows building again, a batch bringing a far row
-    // and crossing the threshold is the one refused.
-    let before = table.row_count();
-    let err = table
-        .ingest(&inserts(2000..2040).insert(vec![501, far, 7]))
-        .expect_err("RX cannot build the batch");
-    assert!(err.to_string().contains("exceeds"), "{err}");
-    assert_eq!(table.row_count(), before);
+    // and crossing the threshold is accepted too: HT rebuilds, and RX
+    // keeps its overlay.
+    let far_batch = inserts(2000..2040).insert(vec![501, far, 7]);
+    table.ingest(&far_batch).expect("accepted");
+    oracle.apply_batch(&far_batch);
     check(&table, &oracle);
+    let stats = table.stats();
+    assert_eq!((stats.index_rebuilds, stats.rolled_back_batches), (3, 0));
+    assert_eq!((stats.rebuild_failures, stats.overlay_rows), (3, 41));
 }
 
 /// Registers `"NOVAL"`: a hash table that never carries the value column.
