@@ -14,7 +14,7 @@
 //! reproduced.
 
 use gpu_device::build::{staged_build_cost, BuildWork, BUILD_STAGE_COUNT};
-use gpu_device::{worker_count, Device, KernelStats, SimulatedTime};
+use gpu_device::{worker_count, Device, KernelStats};
 use rtx_bvh::{refit, BuildConfig, BuildPipeline, BuilderKind, Bvh};
 
 use crate::build_input::{BuildInput, PrimitiveKind};
@@ -270,11 +270,6 @@ impl GeometryAccel {
         std::mem::size_of_val(&self.bvh.nodes[..]) + prims
     }
 
-    /// Simulated device time of the most recent build/update.
-    pub fn simulated_build_time(&self) -> SimulatedTime {
-        SimulatedTime::from_seconds(self.metrics.simulated_time_s)
-    }
-
     /// Performs a refitting update (our
     /// `optixAccelBuild(OPTIX_BUILD_OPERATION_UPDATE)`): replaces the
     /// primitive buffer with `new_input` (same primitive count, same kind)
@@ -350,7 +345,7 @@ mod tests {
         // Peak includes the build scratch.
         assert!(device.memory().peak_bytes() > gas.memory_bytes());
         assert!(gas.metrics().compacted_bytes > 0, "default options compact");
-        assert!(gas.simulated_build_time().as_seconds() > 0.0);
+        assert!(gas.metrics().simulated_time_s > 0.0);
     }
 
     #[test]

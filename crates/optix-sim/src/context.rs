@@ -2,9 +2,6 @@
 
 use gpu_device::{Device, DeviceSpec};
 
-use crate::accel::{AccelBuildOptions, GeometryAccel};
-use crate::build_input::BuildInput;
-
 /// Simulated `OptixDeviceContext`: owns the device the acceleration
 /// structures and pipelines run on.
 #[derive(Debug, Clone)]
@@ -27,26 +24,16 @@ impl DeviceContext {
         }
     }
 
-    /// Creates a context wrapping an existing device.
-    pub fn from_device(device: Device) -> Self {
-        DeviceContext { device }
-    }
-
     /// The underlying simulated device.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// Builds an acceleration structure over `input` (our
-    /// `optixAccelBuild`).
-    pub fn accel_build(&self, input: BuildInput, options: &AccelBuildOptions) -> GeometryAccel {
-        GeometryAccel::build(&self.device, input, options)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::{AccelBuildOptions, GeometryAccel};
     use crate::build_input::BuildInput;
     use rtx_math::Vec3f;
 
@@ -54,7 +41,8 @@ mod tests {
     fn context_builds_accel_structures() {
         let ctx = DeviceContext::default_eval();
         let centers: Vec<Vec3f> = (0..10).map(|i| Vec3f::new(i as f32, 0.0, 0.0)).collect();
-        let gas = ctx.accel_build(
+        let gas = GeometryAccel::build(
+            ctx.device(),
             BuildInput::triangles_from_centers(&centers, 0.4),
             &AccelBuildOptions::default(),
         );
@@ -66,8 +54,5 @@ mod tests {
     fn context_exposes_spec() {
         let ctx = DeviceContext::new(DeviceSpec::rtx_3090());
         assert_eq!(ctx.device().spec().name, "RTX 3090");
-        let dev = gpu_device::Device::new(DeviceSpec::rtx_2080ti());
-        let ctx2 = DeviceContext::from_device(dev);
-        assert_eq!(ctx2.device().spec().name, "RTX 2080 Ti");
     }
 }

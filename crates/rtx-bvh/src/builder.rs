@@ -60,12 +60,6 @@ impl BuildConfig {
         self.allow_update = true;
         self
     }
-
-    /// Returns a config using the SAH builder.
-    pub fn with_sah(mut self) -> Self {
-        self.builder = BuilderKind::Sah;
-        self
-    }
 }
 
 /// Builds a BVH over `prims` using the builder selected in `config`.
@@ -310,7 +304,7 @@ pub(crate) fn build_lbvh_range(
             continue;
         }
 
-        let split = lbvh_split_position(slice);
+        let split = lbvh_split_position(slice, |(code, _)| *code);
         nodes.push(BvhNode::interior(bounds, 0));
         stack.push(Frame {
             lo: lo + split,
@@ -326,12 +320,13 @@ pub(crate) fn build_lbvh_range(
     root
 }
 
-/// Chooses the split position for an LBVH node: the point where the highest
-/// differing Morton bit flips; falls back to the middle when all codes are
-/// equal (duplicate keys).
-pub(crate) fn lbvh_split_position(sorted: &[(u64, PrimInfo)]) -> usize {
-    let first = sorted.first().map(|(c, _)| *c).unwrap_or(0);
-    let last = sorted.last().map(|(c, _)| *c).unwrap_or(0);
+/// Chooses the split position for an LBVH node over the code-sorted
+/// `sorted`, reading each element's Morton code through `code`: the point
+/// where the highest differing Morton bit flips; falls back to the middle
+/// when all codes are equal (duplicate keys).
+pub(crate) fn lbvh_split_position<T>(sorted: &[T], code: impl Fn(&T) -> u64) -> usize {
+    let first = sorted.first().map(&code).unwrap_or(0);
+    let last = sorted.last().map(&code).unwrap_or(0);
     if first == last {
         return sorted.len() / 2;
     }
@@ -341,15 +336,9 @@ pub(crate) fn lbvh_split_position(sorted: &[(u64, PrimInfo)]) -> usize {
     let prefix = first & !(mask | (mask - 1));
     let threshold = prefix | mask;
     // First element whose code has the bit set.
-    match sorted.binary_search_by(|(c, _)| {
-        if *c < threshold {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    }) {
-        Ok(pos) | Err(pos) => pos.clamp(1, sorted.len() - 1),
-    }
+    sorted
+        .partition_point(|t| code(t) < threshold)
+        .clamp(1, sorted.len() - 1)
 }
 
 #[cfg(test)]
@@ -468,7 +457,11 @@ mod tests {
         let prims = line_of_triangles(16);
         let bvh = build(&prims, &BuildConfig::default().updatable());
         assert!(bvh.allows_update());
-        let bvh2 = build(&prims, &BuildConfig::default().with_sah());
+        let sah = BuildConfig {
+            builder: BuilderKind::Sah,
+            ..Default::default()
+        };
+        let bvh2 = build(&prims, &sah);
         assert!(!bvh2.allows_update());
     }
 

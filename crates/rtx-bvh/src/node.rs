@@ -120,11 +120,6 @@ impl Bvh {
         self.allocated_bytes
     }
 
-    /// Whether the structure has been compacted.
-    pub fn is_compacted(&self) -> bool {
-        self.compacted
-    }
-
     /// Whether refitting updates are allowed.
     pub fn allows_update(&self) -> bool {
         self.allow_update
@@ -258,7 +253,7 @@ mod tests {
         assert_eq!(bvh.node_count(), 3);
         assert_eq!(bvh.primitive_count(), 2);
         assert_eq!(bvh.depth(), 2);
-        assert!(!bvh.is_compacted());
+        assert!(!bvh.compacted);
         assert!(!bvh.allows_update());
         assert!(bvh.root_bounds().contains_point(Vec3f::new(2.5, 0.5, 0.5)));
         assert!(bvh.validate().is_ok());
@@ -271,7 +266,7 @@ mod tests {
         let reclaimed = bvh.compact();
         assert!(reclaimed > 0);
         assert_eq!(bvh.memory_bytes(), before - reclaimed);
-        assert!(bvh.is_compacted());
+        assert!(bvh.compacted);
         assert_eq!(bvh.compact(), 0, "second compaction is a no-op");
     }
 
@@ -280,7 +275,7 @@ mod tests {
         let mut bvh = tiny_bvh();
         bvh.allow_update = true;
         assert_eq!(bvh.compact(), 0);
-        assert!(!bvh.is_compacted());
+        assert!(!bvh.compacted);
     }
 
     #[test]

@@ -124,8 +124,9 @@ impl TriangleSet {
         &self.triangles
     }
 
-    /// Mutable access (used by update workloads that move primitives).
-    pub fn triangles_mut(&mut self) -> &mut [Triangle] {
+    /// Mutable access (the refit tests move primitives with it).
+    #[cfg(test)]
+    pub(crate) fn triangles_mut(&mut self) -> &mut [Triangle] {
         &mut self.triangles
     }
 }
@@ -191,11 +192,6 @@ impl SphereSet {
         &self.centers
     }
 
-    /// Mutable access to the centers.
-    pub fn centers_mut(&mut self) -> &mut [Vec3f] {
-        &mut self.centers
-    }
-
     /// The sphere at index `i`.
     pub fn sphere(&self, i: usize) -> Sphere {
         Sphere::new(self.centers[i], self.radius)
@@ -255,11 +251,6 @@ impl AabbSet {
     /// Read-only access to the boxes.
     pub fn boxes(&self) -> &[Aabb] {
         &self.boxes
-    }
-
-    /// Mutable access to the boxes.
-    pub fn boxes_mut(&mut self) -> &mut [Aabb] {
-        &mut self.boxes
     }
 }
 

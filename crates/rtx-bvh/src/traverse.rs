@@ -384,9 +384,10 @@ pub fn traverse_interleaved<'r, P, F>(
     }
 }
 
-/// Convenience wrapper that collects every hit primitive index. `prims` is in
+/// Collects every hit primitive index (a test helper). `prims` is in
 /// leaf-slot order, as for [`traverse`].
-pub fn collect_hits<P: PrimitiveSet + ?Sized>(
+#[cfg(test)]
+pub(crate) fn collect_hits<P: PrimitiveSet + ?Sized>(
     bvh: &Bvh,
     prims: &P,
     ray: &Ray,

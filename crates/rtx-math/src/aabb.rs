@@ -59,21 +59,25 @@ impl Aabb {
         self.min.x > self.max.x || self.min.y > self.max.y || self.min.z > self.max.z
     }
 
-    /// Smallest box containing both `self` and `other`.
+    /// Smallest box containing both `self` and `other`. Where a corner
+    /// coordinate ties (`-0.0` against `0.0`), `self`'s is kept, so a union
+    /// is associative bit for bit: folding boxes left to right and uniting
+    /// the folds of two halves, left first, give the same box.
     #[inline]
     pub fn union(&self, other: &Aabb) -> Aabb {
         Aabb {
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
+            min: min_left(self.min, other.min),
+            max: max_left(self.max, other.max),
         }
     }
 
-    /// Smallest box containing `self` and the point `p`.
+    /// Smallest box containing `self` and the point `p`; ties keep `self`'s
+    /// coordinate, as in [`Aabb::union`].
     #[inline]
     pub fn union_point(&self, p: Vec3f) -> Aabb {
         Aabb {
-            min: self.min.min(p),
-            max: self.max.max(p),
+            min: min_left(self.min, p),
+            max: max_left(self.max, p),
         }
     }
 
@@ -178,6 +182,23 @@ impl Default for Aabb {
     }
 }
 
+/// Component-wise minimum that returns `a`'s component on a tie, and the
+/// other one where exactly one is NaN. `f32::min` may return either operand
+/// of a tie, and does not do so consistently: the same fold compiled into
+/// two places can settle `-0.0` against `0.0` differently.
+#[inline]
+fn min_left(a: Vec3f, b: Vec3f) -> Vec3f {
+    let pick = |a: f32, b: f32| if b < a || a.is_nan() { b } else { a };
+    Vec3f::new(pick(a.x, b.x), pick(a.y, b.y), pick(a.z, b.z))
+}
+
+/// Component-wise maximum with the tie and NaN rules of [`min_left`].
+#[inline]
+fn max_left(a: Vec3f, b: Vec3f) -> Vec3f {
+    let pick = |a: f32, b: f32| if b > a || a.is_nan() { b } else { a };
+    Vec3f::new(pick(a.x, b.x), pick(a.y, b.y), pick(a.z, b.z))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +225,19 @@ mod tests {
         assert_eq!(a.union(&Aabb::EMPTY), a);
         let up = a.union_point(Vec3f::new(0.0, 0.0, 5.0));
         assert_eq!(up.max.z, 5.0);
+    }
+
+    #[test]
+    fn union_keeps_the_left_zero_on_a_tie_and_ignores_nan() {
+        let pos = Aabb::from_point(Vec3f::ZERO);
+        let neg = Aabb::from_point(Vec3f::splat(-0.0));
+        let bits = |b: Aabb| [b.min.x.to_bits(), b.max.y.to_bits()];
+        assert_eq!(bits(pos.union(&neg)), bits(pos));
+        assert_eq!(bits(neg.union(&pos)), bits(neg));
+        assert_eq!(bits(neg.union_point(Vec3f::ZERO)), bits(neg));
+        let nan = Aabb::from_point(Vec3f::splat(f32::NAN));
+        assert_eq!(nan.union(&pos), pos);
+        assert_eq!(pos.union(&nan), pos);
     }
 
     #[test]

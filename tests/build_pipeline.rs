@@ -1,12 +1,15 @@
 //! Integration tests for the staged parallel build pipeline and the
-//! two-generation background compaction: determinism across worker widths,
-//! oracle equivalence while reads race an in-flight rebuild, the
-//! builder-selection name grammar, and the service-level stall surfacing.
+//! two-generation background compaction: bit-for-bit determinism across
+//! worker widths and against the one-shot builders (through
+//! `GeometryAccel::build` too), oracle equivalence while reads race an
+//! in-flight rebuild, the builder-selection name grammar, and the
+//! service-level stall surfacing.
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use rtindex::rtx_bvh::{builder, BuildConfig, BuildPipeline, BuilderKind, TriangleSet};
+use rtindex::optix_sim::{AccelBuildOptions, BuildInput, GeometryAccel};
+use rtindex::rtx_bvh::{builder, BuildConfig, BuildPipeline, BuilderKind, Bvh, TriangleSet};
 use rtindex::rtx_delta::{CompactionPolicy, DynamicAdapter, DynamicRtIndex};
 use rtindex::rtx_math::Triangle;
 use rtindex::{
@@ -23,6 +26,39 @@ fn triangles_for_keys(keys: &[u64]) -> TriangleSet {
             .map(|c| Triangle::key_triangle(c, 0.4))
             .collect(),
     )
+}
+
+/// Panics at the first node whose bits differ (`PartialEq` on `f32` would
+/// let `-0.0` pass for `0.0`), or if the leaf orders differ.
+fn assert_bit_identical(a: &Bvh, b: &Bvh, what: &str) {
+    let bits = |bvh: &Bvh| -> Vec<[u32; 9]> {
+        bvh.nodes
+            .iter()
+            .map(|n| {
+                let (lo, hi) = (n.bounds.min, n.bounds.max);
+                [
+                    lo.x.to_bits(),
+                    lo.y.to_bits(),
+                    lo.z.to_bits(),
+                    hi.x.to_bits(),
+                    hi.y.to_bits(),
+                    hi.z.to_bits(),
+                    n.right_child,
+                    n.first_prim,
+                    n.prim_count,
+                ]
+            })
+            .collect()
+    };
+    let (a_bits, b_bits) = (bits(a), bits(b));
+    if let Some(i) = (0..a_bits.len().max(b_bits.len())).find(|&i| a_bits.get(i) != b_bits.get(i)) {
+        panic!(
+            "{what}: node {i} differs: {:?} against {:?}",
+            a.nodes.get(i),
+            b.nodes.get(i)
+        );
+    }
+    assert_eq!(a.prim_indices, b.prim_indices, "{what}: orders differ");
 }
 
 fn background_config(max_delta_entries: usize) -> DynamicRtConfig {
@@ -55,17 +91,47 @@ proptest! {
             let reference = builder::build(&prims, &config);
             for workers in [1usize, 5, 8] {
                 let staged = BuildPipeline::new(config).with_workers(workers).run(&prims);
-                prop_assert_eq!(
-                    &staged.bvh.nodes, &reference.nodes,
-                    "{:?} nodes differ at {} workers", kind, workers
-                );
-                prop_assert_eq!(
-                    &staged.bvh.prim_indices, &reference.prim_indices,
-                    "{:?} order differs at {} workers", kind, workers
+                assert_bit_identical(
+                    &staged.bvh,
+                    &reference,
+                    &format!("{kind:?} at {workers} workers"),
                 );
             }
         }
     }
+}
+
+/// `optixAccelBuild` over 2^16 3D-mode keys (rows over all three axes,
+/// duplicates included; enough pairs to cut the snapshot and the sort into
+/// one chunk per worker) builds the one-shot LBVH builder's tree bit for
+/// bit.
+#[test]
+fn accel_build_of_3d_keys_is_the_one_shot_lbvh_bit_for_bit() {
+    let n = 1u64 << 16;
+    let keys: Vec<u64> = (0..n)
+        .map(|i| match i % 4 {
+            0 => i,                                                 // one dense row
+            1 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16,       // all three axes
+            2 => (i % 61) << 23 | (i % 7) << 46,                    // few x, many rows
+            _ => (i - 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16, // duplicates
+        })
+        .collect();
+    let prims = triangles_for_keys(&keys);
+    let options = AccelBuildOptions::default();
+    let reference = builder::build_lbvh(
+        &prims,
+        &BuildConfig {
+            max_leaf_size: options.max_leaf_size,
+            allow_update: options.allow_update,
+            ..BuildConfig::default()
+        },
+    );
+    let accel = GeometryAccel::build(
+        &Device::default_eval(),
+        BuildInput::Triangles(prims),
+        &options,
+    );
+    assert_bit_identical(accel.bvh(), &reference, "2^16 3D-mode keys");
 }
 
 proptest! {

@@ -18,7 +18,9 @@
 //! grow with indexes that never win a route. A sixth phase weighs the live
 //! bytes of an ingest whose four overlays all cross the rebuild threshold:
 //! the rebuilds follow the commit one at a time, so the old bases do not
-//! wait for every new one.
+//! wait for every new one. A seventh weighs one `RX` build: its sort
+//! records are freed before the stitch, so the build peaks no higher than
+//! the sort of 48-byte records did.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -256,6 +258,25 @@ fn crossing_ingest_peak_bytes() -> (u64, u64) {
     (peak, bases)
 }
 
+/// What building `RX` over 2^16 keys added at its peak when the LBVH build
+/// sorted 48-byte records, on one worker (the lowest of 1 to 16).
+const RX_BUILD_PEAK_BYTES: u64 = 14_035_488;
+
+/// The live bytes building `RX` over 2^16 dense shuffled keys adds at its
+/// peak, above what was live before the build; the built index stays
+/// alive until the peak is read.
+fn rx_build_peak_bytes() -> u64 {
+    let device = Device::default_eval();
+    let keys = wl::dense_shuffled(1 << 16, 18);
+    let spec = IndexSpec::keys_only(&device, &keys);
+    let registry = rtindex::registry();
+    let before = reset_peak();
+    let index = registry.build("RX", &spec).unwrap();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    drop(index);
+    peak
+}
+
 /// Allocations of 64 steady-state 4-predicate queries — a point on `id`,
 /// a `ts` range of span 64, a full `(id, ts)` tuple and an `(id, ts)`
 /// prefix range — against a table indexed by `HT`, `RX`, `RXD` and a
@@ -489,5 +510,21 @@ fn steady_state_host_path_allocations_are_bounded() {
         peak < bases,
         "crossing ingest: peak live bytes rose by {peak} B, not below the {bases} B of \
          the four rebuilt bases"
+    );
+
+    // -- One RX build ----------------------------------------------------
+    //
+    // The LBVH build sorts 16-byte (Morton code, index) pairs and frees
+    // them before the stitch, where the subtree blocks and the spliced
+    // hierarchy are live together: that is the build's peak. Measured:
+    // 14,033,952 B on one worker and 14,034,432 B on 2, 4, 8 and 16, where
+    // the sort of 48-byte (code, bounds, centroid, index) records peaked at
+    // 14,035,488 B and 14,035,968 B, and keeping the pairs through the
+    // stitch adds their 1 MiB.
+    let build_peak = rx_build_peak_bytes();
+    assert!(
+        build_peak <= RX_BUILD_PEAK_BYTES,
+        "RX build over 2^16 keys: peak live bytes rose by {build_peak} B, above the \
+         {RX_BUILD_PEAK_BYTES} B the record sort peaked at"
     );
 }
