@@ -276,6 +276,9 @@ impl BuildPipeline {
             let mut nodes = Vec::with_capacity(chunk.len() * 2);
             let mut order = Vec::with_capacity(chunk.len());
             build_sah_range(&mut chunk, &mut nodes, &mut order, &config);
+            // Leaves of several primitives leave most of the reserved
+            // nodes unused: free them before the stitch copies the block.
+            nodes.shrink_to_fit();
             (nodes, order)
         });
         stage_host[BuildStage::EmitSubtrees.index()] = start.elapsed();
@@ -407,6 +410,9 @@ fn emit_lbvh_subtree(
     for i in (0..nodes.len()).rev() {
         unite_children(&mut nodes, i);
     }
+    // Leaves of several primitives leave most of the reserved nodes
+    // unused: free them before the stitch copies the block.
+    nodes.shrink_to_fit();
     (nodes, order)
 }
 

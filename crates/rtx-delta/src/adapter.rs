@@ -203,7 +203,8 @@ impl UpdatableIndex for DynamicAdapter {
 }
 
 /// Registers the dynamic backend (name `"RXD"`) with the given
-/// configuration, as both an updatable and a read-only backend.
+/// configuration, as an updatable backend (which `Registry::build` serves
+/// too).
 pub fn register_dynamic(registry: &mut Registry, config: DynamicRtConfig) {
     registry.register_updatable("RXD", move |spec: &IndexSpec<'_>| {
         DynamicAdapter::build(spec, config).map(|ix| Box::new(ix) as Box<dyn UpdatableIndex>)

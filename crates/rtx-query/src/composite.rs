@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use crate::arena::ExecArena;
 use crate::batch::QueryBatch;
 use crate::error::IndexError;
-use crate::index::{SecondaryIndex, UpdatableIndex};
+use crate::index::{IndexBackend, SecondaryIndex, UpdatableIndex};
 use crate::keys::{EncodedKey, EncodedRange, KeySchema, KeyTuple, TypedBatch};
 use crate::registry::{parse_durable_name, IndexSpec, Registry};
 use crate::shard::{RebalanceReport, ShardLoad};
@@ -497,11 +497,11 @@ fn inner_spec<'a>(spec: &IndexSpec<'a>, keys: &'a [u64]) -> IndexSpec<'a> {
     }
 }
 
-fn finish_sidecar<I: ?Sized + SecondaryIndex>(
+fn finish_sidecar(
     rest: &str,
     schema: &KeySchema,
     prepared: &Prepared,
-    inner: &I,
+    inner: &dyn SecondaryIndex,
 ) -> Result<(), IndexError> {
     let Some(path) = &prepared.sidecar else {
         return Ok(());
@@ -527,43 +527,36 @@ fn finish_sidecar<I: ?Sized + SecondaryIndex>(
     Ok(())
 }
 
-/// Builds a read-only composite index: resolves `rest` through the plain
-/// registry grammar and wraps it with the schema's codec.
-pub(crate) fn build_read_only(
+/// Builds a composite index: resolves `rest` through the plain registry
+/// grammar and wraps whichever kind of backend it resolved to with the
+/// schema's codec.
+pub(crate) fn build(
     registry: &Registry,
     rest: &str,
     spec: &IndexSpec<'_>,
     schema: KeySchema,
-) -> Result<Box<dyn SecondaryIndex>, IndexError> {
+) -> Result<IndexBackend, IndexError> {
     let prepared = prepare(rest, spec, &schema)?;
-    let inner = registry.build_base(rest, &inner_spec(spec, &prepared.keys))?;
-    finish_sidecar(rest, &schema, &prepared, inner.as_ref())?;
-    Ok(Box::new(CompositeIndex::<dyn SecondaryIndex> {
-        name: composite_name(rest, &schema),
-        schema,
-        codec: prepared.codec,
-        sidecar: prepared.sidecar,
-        inner,
-    }))
-}
-
-/// Builds an updatable composite index (see [`build_read_only`]).
-pub(crate) fn build_updatable(
-    registry: &Registry,
-    rest: &str,
-    spec: &IndexSpec<'_>,
-    schema: KeySchema,
-) -> Result<Box<dyn UpdatableIndex>, IndexError> {
-    let prepared = prepare(rest, spec, &schema)?;
-    let inner = registry.build_base_updatable(rest, &inner_spec(spec, &prepared.keys))?;
-    finish_sidecar(rest, &schema, &prepared, inner.as_ref())?;
-    Ok(Box::new(CompositeIndex::<dyn UpdatableIndex> {
-        name: composite_name(rest, &schema),
-        schema,
-        codec: prepared.codec,
-        sidecar: prepared.sidecar,
-        inner,
-    }))
+    let inner = registry.resolve(rest, &inner_spec(spec, &prepared.keys))?;
+    finish_sidecar(rest, &schema, &prepared, inner.read())?;
+    let name = composite_name(rest, &schema);
+    let Prepared { codec, sidecar, .. } = prepared;
+    Ok(match inner {
+        IndexBackend::Read(inner) => IndexBackend::Read(Box::new(CompositeIndex {
+            name,
+            schema,
+            codec,
+            sidecar,
+            inner,
+        })),
+        IndexBackend::Write(inner) => IndexBackend::Write(Box::new(CompositeIndex {
+            name,
+            schema,
+            codec,
+            sidecar,
+            inner,
+        })),
+    })
 }
 
 // ---------------------------------------------------------------------------

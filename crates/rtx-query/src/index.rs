@@ -390,17 +390,17 @@ pub trait UpdatableIndex: SecondaryIndex {
     }
 }
 
-/// An owned backend of either kind: what a layer holds when the same code
-/// serves indexes built read-only and indexes built updatable (the service
-/// coalescer, a shard). Reads go through
+/// An owned backend of either kind: what
+/// [`Registry::build_backend`](crate::Registry::build_backend) resolves a
+/// name to, and what a layer holds when the same code serves both kinds
+/// (the service coalescer, a shard). Reads go through
 /// [`read`](IndexBackend::read) whatever the variant; writes go through
 /// [`write`](IndexBackend::write), which a read-only backend answers with
 /// `None`.
 pub enum IndexBackend {
-    /// Built through [`Registry::build`](crate::Registry::build).
+    /// A backend that takes no writes.
     Read(Box<dyn SecondaryIndex>),
-    /// Built through
-    /// [`Registry::build_updatable`](crate::Registry::build_updatable).
+    /// A backend that takes writes.
     Write(Box<dyn UpdatableIndex>),
 }
 

@@ -84,7 +84,7 @@ pub use keys::{
 pub use mirror::RowMirror;
 pub use registry::{
     parse_builder_name, parse_durable_name, DurabilitySpec, DurableBuilder, IndexBuilder,
-    IndexSpec, Registry, ShardedBuilder, SpecName, UpdatableBuilder, UpdatableShardedBuilder,
+    IndexSpec, Registry, ShardedBuilder, SpecName,
 };
 
 // The builder-selection grammar (`"RX:sah"`, `"RX:lbvh"`) names this enum;

@@ -8,8 +8,10 @@
 //!
 //! # Name grammar
 //!
-//! A backend name resolves in four steps, each handling one production of
-//! the grammar:
+//! [`Registry::build_backend`] resolves a backend name once, production by
+//! production, into an [`IndexBackend`] — read-only or updatable as the
+//! name decides; [`Registry::build`] and [`Registry::build_updatable`] are
+//! views of it behind the read and the write trait:
 //!
 //! ```text
 //! name        := backend [builder] [shard] [schema] [durability]
@@ -36,12 +38,13 @@
 //!    [`Registry::set_durable_builder`]; `rtx-durable` provides the
 //!    canonical factory via its `install_durability` function), which
 //!    resolves the base name recursively and wraps it in a WAL-backed
-//!    persistent index;
+//!    persistent index, which always takes writes;
 //! 1. **verbatim** — a name registered exactly always wins (`"RX"`);
 //! 2. **sharding** — a name containing `@` parses as a
 //!    [`ShardSpec`] (`"RX@8"`, `"SA@4:range"`) when a sharding layer is
 //!    installed; the part before `@` resolves recursively, so builder
-//!    suffixes compose with sharding (`"RX:sah@8:range"`);
+//!    suffixes compose with sharding (`"RX:sah@8:range"`), and the sharded
+//!    index takes writes exactly when every shard does;
 //! 3. **builder selection** — a `:sah` / `:lbvh` suffix
 //!    ([`parse_builder_name`]) selects the acceleration-structure builder
 //!    and resolves the rest of the name recursively: `"RX:lbvh"`,
@@ -50,15 +53,16 @@
 //!
 //! # Table specs
 //!
-//! The table layer reuses this grammar verbatim: every
+//! The table layer reuses this grammar: every
 //! [`IndexDef::spec`](crate::table::IndexDef) of a
 //! [`TableSchema`](crate::table::TableSchema) is a name in the grammar
-//! above, resolved through [`Registry::build`] /
-//! [`Registry::build_updatable`] each time the table (re)builds that
-//! index. One table can therefore mix `"HT"`, `"RX:sah@4:hash"` and
-//! `"RXD+wal:<path>"` across its columns — anything the registry resolves
-//! is a valid per-column index spec. Use [`Registry::names`] to enumerate
-//! the candidate backends instead of hard-coding them.
+//! above, resolved through [`Registry::build`] each time the table
+//! (re)builds that index. One table can therefore mix `"HT"`,
+//! `"RX:sah@4:hash"` and `"SA{u32,u32}"` across its columns. The one
+//! production a table refuses is durability: a table index is a rebuilt
+//! base plus a row-store overlay, so a `"+wal:"` spec fails at load. Use
+//! [`Registry::names`] to enumerate the candidate backends instead of
+//! hard-coding them.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,7 +74,7 @@ use rtx_bvh::BuilderKind;
 
 use crate::composite;
 use crate::error::IndexError;
-use crate::index::{SecondaryIndex, UpdatableIndex};
+use crate::index::{IndexBackend, SecondaryIndex, UpdatableIndex};
 use crate::keys::{KeySchema, KeyTuple};
 use crate::shard::{Partitioning, ShardSpec};
 
@@ -121,8 +125,8 @@ pub struct IndexSpec<'a> {
 /// WAL + snapshot directory lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilitySpec {
-    /// Directory holding the WAL segments, snapshots and (for sharded
-    /// indexes) the manifest. Created on first use.
+    /// Directory holding the WAL segments and snapshots. Created on first
+    /// use.
     pub path: PathBuf,
 }
 
@@ -371,29 +375,16 @@ impl fmt::Display for SpecName {
     }
 }
 
-/// Builder of a read-only backend.
+/// Builder of a registered backend: read-only backends come back as
+/// [`IndexBackend::Read`], updatable ones as [`IndexBackend::Write`].
 pub type IndexBuilder =
-    Box<dyn Fn(&IndexSpec<'_>) -> Result<Box<dyn SecondaryIndex>, IndexError> + Send + Sync>;
-
-/// Builder of an updatable backend.
-pub type UpdatableBuilder =
-    Box<dyn Fn(&IndexSpec<'_>) -> Result<Box<dyn UpdatableIndex>, IndexError> + Send + Sync>;
+    Box<dyn Fn(&IndexSpec<'_>) -> Result<IndexBackend, IndexError> + Send + Sync>;
 
 /// Factory resolving a parsed [`ShardSpec`] (e.g. `"RX@8"`) into a sharded
-/// read-only backend. Receives the registry so it can build the inner
-/// backends by name.
+/// backend, updatable exactly when every shard is. Receives the registry
+/// so it can build the inner backends by name.
 pub type ShardedBuilder = Box<
-    dyn Fn(&Registry, &ShardSpec, &IndexSpec<'_>) -> Result<Box<dyn SecondaryIndex>, IndexError>
-        + Send
-        + Sync,
->;
-
-/// Factory resolving a parsed [`ShardSpec`] into a sharded *updatable*
-/// backend (every shard must be updatable).
-pub type UpdatableShardedBuilder = Box<
-    dyn Fn(&Registry, &ShardSpec, &IndexSpec<'_>) -> Result<Box<dyn UpdatableIndex>, IndexError>
-        + Send
-        + Sync,
+    dyn Fn(&Registry, &ShardSpec, &IndexSpec<'_>) -> Result<IndexBackend, IndexError> + Send + Sync,
 >;
 
 /// Factory resolving a `"+wal:<path>"`-suffixed name into a WAL-backed
@@ -406,13 +397,17 @@ pub type DurableBuilder = Box<
         + Sync,
 >;
 
+/// A registered builder and whether what it builds takes writes.
+struct Registered {
+    build: IndexBuilder,
+    updatable: bool,
+}
+
 /// Builds any registered backend by name.
 #[derive(Default)]
 pub struct Registry {
-    builders: BTreeMap<String, IndexBuilder>,
-    updatable: BTreeMap<String, UpdatableBuilder>,
+    builders: BTreeMap<String, Registered>,
     sharded: Option<ShardedBuilder>,
-    sharded_updatable: Option<UpdatableShardedBuilder>,
     durable: Option<DurableBuilder>,
 }
 
@@ -422,7 +417,7 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers (or replaces) the builder for `name`.
+    /// Registers (or replaces) the read-only builder for `name`.
     pub fn register<F>(&mut self, name: &str, builder: F)
     where
         F: Fn(&IndexSpec<'_>) -> Result<Box<dyn SecondaryIndex>, IndexError>
@@ -430,42 +425,42 @@ impl Registry {
             + Sync
             + 'static,
     {
-        self.builders.insert(name.to_string(), Box::new(builder));
+        let build = Box::new(move |spec: &IndexSpec<'_>| builder(spec).map(IndexBackend::Read));
+        let entry = Registered {
+            build,
+            updatable: false,
+        };
+        self.builders.insert(name.to_string(), entry);
     }
 
-    /// Registers (or replaces) the *updatable* builder for `name`, and a
-    /// read-only builder alongside it (an updatable index is a secondary
-    /// index, so `build` works on it too).
+    /// Registers (or replaces) the *updatable* builder for `name`. An
+    /// updatable index is a secondary index, so [`build`](Registry::build)
+    /// serves the name too.
     pub fn register_updatable<F>(&mut self, name: &str, builder: F)
     where
         F: Fn(&IndexSpec<'_>) -> Result<Box<dyn UpdatableIndex>, IndexError>
             + Send
             + Sync
-            + Clone
             + 'static,
     {
-        let as_static = builder.clone();
-        self.register(name, move |spec| {
-            as_static(spec).map(|ix| ix as Box<dyn SecondaryIndex>)
-        });
-        self.updatable.insert(name.to_string(), Box::new(builder));
+        let build = Box::new(move |spec: &IndexSpec<'_>| builder(spec).map(IndexBackend::Write));
+        let entry = Registered {
+            build,
+            updatable: true,
+        };
+        self.builders.insert(name.to_string(), entry);
     }
 
-    /// Installs the sharded-backend factories: with them in place, any name
+    /// Installs the sharded-backend factory: with it in place, any name
     /// that is not registered verbatim but parses as a [`ShardSpec`]
     /// (`"RX@8"`, `"SA@4:range"`, …) builds a sharded backend over the
     /// registry's own inner builders. `rtx-shard` provides the canonical
-    /// factories via its `install_sharding` function.
-    pub fn set_sharded_builders(
-        &mut self,
-        read_only: ShardedBuilder,
-        updatable: UpdatableShardedBuilder,
-    ) {
-        self.sharded = Some(read_only);
-        self.sharded_updatable = Some(updatable);
+    /// factory via its `install_sharding` function.
+    pub fn set_sharded_builder(&mut self, sharded: ShardedBuilder) {
+        self.sharded = Some(sharded);
     }
 
-    /// True once [`set_sharded_builders`](Registry::set_sharded_builders)
+    /// True once [`set_sharded_builder`](Registry::set_sharded_builder)
     /// has installed a sharding layer.
     pub fn supports_sharding(&self) -> bool {
         self.sharded.is_some()
@@ -492,7 +487,11 @@ impl Registry {
 
     /// Every registered updatable backend name, sorted.
     pub fn updatable_backends(&self) -> Vec<&str> {
-        self.updatable.keys().map(String::as_str).collect()
+        self.builders
+            .iter()
+            .filter(|(_, entry)| entry.updatable)
+            .map(|(name, _)| name.as_str())
+            .collect()
     }
 
     /// Every registered backend name as an owned, sorted list — the
@@ -503,44 +502,84 @@ impl Registry {
         self.builders.keys().cloned().collect()
     }
 
-    /// Builds the backend registered under `name` over `spec`.
+    /// Builds the backend `name` resolves to over `spec`, read-only or
+    /// updatable as the name decides.
     ///
-    /// A `"{...}"` key-schema production in the name (or a schema attached
-    /// via [`IndexSpec::with_schema`]) wraps the whole build in a typed
-    /// composite-key layer first (see the [module docs](self) grammar). A
-    /// name the registry does not know verbatim is tried as a sharded spec
-    /// (`"RX@8"`, see [`ShardSpec::parse`]) when a sharding layer is
-    /// installed, then as a builder-suffixed name (`"RX:lbvh"`, see
-    /// [`parse_builder_name`]). Truly unknown names fail with an error
-    /// listing every registered backend.
+    /// The name resolves once, production by production (see the
+    /// [module docs](self) grammar): a `"{...}"` key-schema production (or
+    /// a schema attached via [`IndexSpec::with_schema`]) wraps the whole
+    /// build in a typed composite-key layer; a `"+wal:<path>"` suffix hands
+    /// the base name to the durable factory; a name registered verbatim
+    /// builds directly; a name with `@` goes to the sharding factory (see
+    /// [`ShardSpec::parse`]); a `:sah` / `:lbvh` suffix (see
+    /// [`parse_builder_name`]) selects the builder and resolves the rest.
+    /// Truly unknown names fail with an error listing every registered
+    /// backend.
+    pub fn build_backend(
+        &self,
+        name: &str,
+        spec: &IndexSpec<'_>,
+    ) -> Result<IndexBackend, IndexError> {
+        spec.validate()?;
+        match self.extract_schema(name, spec)? {
+            Some((rest, schema)) => composite::build(self, &rest, spec, schema),
+            None => self.resolve(name, spec),
+        }
+    }
+
+    /// [`build_backend`](Registry::build_backend) behind the read trait.
     pub fn build(
         &self,
         name: &str,
         spec: &IndexSpec<'_>,
     ) -> Result<Box<dyn SecondaryIndex>, IndexError> {
-        spec.validate()?;
-        match self.extract_schema(name, spec)? {
-            Some((rest, schema)) => composite::build_read_only(self, &rest, spec, schema),
-            None => self.build_base(name, spec),
-        }
+        Ok(match self.build_backend(name, spec)? {
+            IndexBackend::Read(ix) => ix,
+            IndexBackend::Write(ix) => ix,
+        })
     }
 
-    /// The schema-free resolution core behind [`build`](Registry::build):
-    /// durability, verbatim, sharding, then builder-suffix recursion. The
-    /// composite layer calls this with a schema-stripped name and spec so
-    /// the inner backends never re-wrap.
-    pub(crate) fn build_base(
+    /// [`build_backend`](Registry::build_backend) behind the write trait:
+    /// a name that is unknown, or resolves to a read-only backend, fails
+    /// with [`IndexError::UnknownBackend`] listing the updatable backends.
+    pub fn build_updatable(
         &self,
         name: &str,
         spec: &IndexSpec<'_>,
-    ) -> Result<Box<dyn SecondaryIndex>, IndexError> {
+    ) -> Result<Box<dyn UpdatableIndex>, IndexError> {
+        let unknown = |name: String| IndexError::UnknownBackend {
+            name,
+            known: self
+                .updatable_backends()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        };
+        match self.build_backend(name, spec) {
+            Ok(IndexBackend::Write(ix)) => Ok(ix),
+            Ok(IndexBackend::Read(_)) => Err(unknown(name.to_string())),
+            Err(IndexError::UnknownBackend { name, .. }) => Err(unknown(name)),
+            Err(err) => Err(err),
+        }
+    }
+
+    /// The schema-free resolution core behind
+    /// [`build_backend`](Registry::build_backend): durability, verbatim,
+    /// sharding, then builder-suffix recursion. The composite layer calls
+    /// this with a schema-stripped name and spec so the inner backends
+    /// never re-wrap.
+    pub(crate) fn resolve(
+        &self,
+        name: &str,
+        spec: &IndexSpec<'_>,
+    ) -> Result<IndexBackend, IndexError> {
         if let Some((base, path)) = parse_durable_name(name) {
             return self
                 .build_durable(base, path, spec)
-                .map(|ix| ix as Box<dyn SecondaryIndex>);
+                .map(IndexBackend::Write);
         }
-        if let Some(builder) = self.builders.get(name) {
-            return builder(spec);
+        if let Some(entry) = self.builders.get(name) {
+            return (entry.build)(spec);
         }
         if let Some(shard_spec) = ShardSpec::parse(name) {
             let factory = self.sharded.as_ref().ok_or_else(|| self.unsharded(name))?;
@@ -552,65 +591,10 @@ impl Registry {
         // the unknown-backend error instead of silently picking one.
         if spec.builder.is_none() {
             if let Some((base, kind)) = parse_builder_name(name) {
-                return self.build_base(base, &spec.clone().with_builder(kind));
+                return self.resolve(base, &spec.clone().with_builder(kind));
             }
         }
         Err(self.unknown(name))
-    }
-
-    /// Builds the updatable backend registered under `name` over `spec`,
-    /// resolving key schemas (`"RXD{u32,u32}"`), sharded specs (`"RXD@4"`)
-    /// and builder suffixes (`"RXD:sah"`) like [`build`](Registry::build)
-    /// does — every shard of an updatable sharded backend must itself be
-    /// updatable.
-    pub fn build_updatable(
-        &self,
-        name: &str,
-        spec: &IndexSpec<'_>,
-    ) -> Result<Box<dyn UpdatableIndex>, IndexError> {
-        spec.validate()?;
-        match self.extract_schema(name, spec)? {
-            Some((rest, schema)) => composite::build_updatable(self, &rest, spec, schema),
-            None => self.build_base_updatable(name, spec),
-        }
-    }
-
-    /// Schema-free core behind [`build_updatable`](Registry::build_updatable)
-    /// (see [`build_base`](Registry::build_base)).
-    pub(crate) fn build_base_updatable(
-        &self,
-        name: &str,
-        spec: &IndexSpec<'_>,
-    ) -> Result<Box<dyn UpdatableIndex>, IndexError> {
-        if let Some((base, path)) = parse_durable_name(name) {
-            return self.build_durable(base, path, spec);
-        }
-        if let Some(builder) = self.updatable.get(name) {
-            return builder(spec);
-        }
-        if !self.builders.contains_key(name) {
-            if let Some(shard_spec) = ShardSpec::parse(name) {
-                let factory = self
-                    .sharded_updatable
-                    .as_ref()
-                    .ok_or_else(|| self.unsharded(name))?;
-                self.validate_shard_spec(&shard_spec)?;
-                return factory(self, &shard_spec, spec);
-            }
-            if spec.builder.is_none() {
-                if let Some((base, kind)) = parse_builder_name(name) {
-                    return self.build_base_updatable(base, &spec.clone().with_builder(kind));
-                }
-            }
-        }
-        Err(IndexError::UnknownBackend {
-            name: name.to_string(),
-            known: self
-                .updatable_backends()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        })
     }
 
     /// Resolves the key-schema production for a build: a brace production
@@ -898,19 +882,11 @@ mod tests {
     #[test]
     fn installed_sharded_builders_resolve_shard_specs() {
         let mut r = registry();
-        r.set_sharded_builders(
-            Box::new(|registry, shard_spec, spec| {
-                // A degenerate "sharded" factory: builds the inner backend
-                // once; enough to prove routing, recursion and validation.
-                registry.build(&shard_spec.backend, spec)
-            }),
-            Box::new(|_, shard_spec, _| {
-                Err(IndexError::Backend {
-                    backend: shard_spec.name().into(),
-                    message: "updatable shards unsupported here".into(),
-                })
-            }),
-        );
+        r.set_sharded_builder(Box::new(|registry, shard_spec, spec| {
+            // A degenerate "sharded" factory: builds the inner backend once;
+            // enough to prove routing, recursion and validation.
+            registry.build_backend(&shard_spec.backend, spec)
+        }));
         assert!(r.supports_sharding());
         let device = Device::default_eval();
         let spec = IndexSpec::keys_only(&device, &[1, 2]);
@@ -981,15 +957,9 @@ mod tests {
 
         // The suffix composes with sharding: the inner resolution sees the
         // builder via the spec handed to the factory.
-        r.set_sharded_builders(
-            Box::new(|registry, shard_spec, spec| registry.build(&shard_spec.backend, spec)),
-            Box::new(|_, shard_spec, _| {
-                Err(IndexError::Backend {
-                    backend: shard_spec.name().into(),
-                    message: "unused".into(),
-                })
-            }),
-        );
+        r.set_sharded_builder(Box::new(|registry, shard_spec, spec| {
+            registry.build_backend(&shard_spec.backend, spec)
+        }));
         assert_eq!(r.build("PROBE:sah@4", &spec).unwrap().key_count(), 1);
         assert_eq!(r.build("PROBE@4:sah", &spec).unwrap().key_count(), 1);
         assert_eq!(r.build("PROBE@4:range:lbvh", &spec).unwrap().key_count(), 2);

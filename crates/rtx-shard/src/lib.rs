@@ -15,27 +15,27 @@
 //!   distribution but broadcasts range lookups, contiguous-range routing
 //!   splits ranges at the partition boundaries it derives from the build
 //!   column's quantiles;
-//! * [`ShardedIndex`] builds N inner backends (any registry name,
-//!   homogeneous or mixed per shard) *in parallel*, implements
-//!   `SecondaryIndex` itself — scatter, concurrent per-shard execution,
-//!   gather in submission order, global rowID translation, merged metrics —
-//!   and routes `UpdatableIndex` batches through the same partitioner when
-//!   every shard is updatable. An explicit `compact` renumbers the global
-//!   rowIDs densely and `checkpoint_rows` then lists the rows in that
-//!   order, so `rtx-durable` persists a sharded index like any other
-//!   updatable one: one WAL in front of it, snapshots that reopen as a
-//!   plain build;
+//! * [`ShardedIndex`] builds N inner backends (one registry name, resolved
+//!   once per shard) *in parallel*, implements `SecondaryIndex` itself —
+//!   scatter, concurrent per-shard execution, gather in submission order,
+//!   global rowID translation, merged metrics — and routes `UpdatableIndex`
+//!   batches through the same partitioner when every shard is updatable.
+//!   An explicit `compact` renumbers the global rowIDs densely and
+//!   `checkpoint_rows` then lists the rows in that order, so `rtx-durable`
+//!   persists a sharded index like any other updatable one: one WAL in
+//!   front of it, snapshots that reopen as a plain build;
 //! * [`ShardedIndex::rebalance`] migrates rows off hot shards while the
 //!   index stays live: per-shard op counters detect sustained imbalance,
-//!   hash routing upgrades to a [`WeightedHashPartitioner`] slot table (or
-//!   range bounds recompute as load-weighted quantiles), and the moved rows
-//!   keep their global rowIDs so results stay oracle-exact across the
-//!   migration;
+//!   hash routing hands individual slots of its [`HashPartitioner`] table
+//!   from hot shards to cold ones (or range bounds recompute as
+//!   load-weighted quantiles), and the moved rows keep their global rowIDs
+//!   so results stay oracle-exact across the migration;
 //! * [`install_sharding`] hooks the layer into a
 //!   [`Registry`], after which *names* become sharded
 //!   backends: `"RX@8"`, `"SA@4:range"`, `"RXD@2"` build through the same
 //!   `registry.build(..)` / `build_updatable(..)` calls every experiment
-//!   and example already uses.
+//!   and example already uses; a sharded name is updatable exactly when
+//!   its backend is.
 //!
 //! ```
 //! use gpu_device::Device;
@@ -60,30 +60,26 @@
 pub mod partition;
 pub mod sharded;
 
-pub use partition::{
-    HashPartitioner, RangePartitioner, WeightedHashPartitioner, WEIGHTED_HASH_SLOTS,
-};
+pub use partition::{HashPartitioner, RangePartitioner};
 pub use sharded::ShardedIndex;
 
-use rtx_query::{Registry, SecondaryIndex, UpdatableIndex};
+use rtx_query::{IndexBackend, Registry, SecondaryIndex};
 
-/// Installs the sharded-backend factories into `registry`: afterwards any
+/// Installs the sharded-backend factory into `registry`: afterwards any
 /// name of the form `"<backend>@<shards>[:hash|:range]"` that is not
 /// registered verbatim builds a [`ShardedIndex`] over the registry's own
-/// backends — `registry.build("RX@8", ..)` for reads,
-/// `registry.build_updatable("RXD@4", ..)` when every shard must take
+/// backends — `registry.build("RX@8", ..)`, and
+/// `registry.build_updatable("RXD@4", ..)` since every `"RXD"` shard takes
 /// writes.
 pub fn install_sharding(registry: &mut Registry) {
-    registry.set_sharded_builders(
-        Box::new(|registry, spec, index| {
-            ShardedIndex::build(registry, spec, index)
-                .map(|ix| Box::new(ix) as Box<dyn SecondaryIndex>)
-        }),
-        Box::new(|registry, spec, index| {
-            ShardedIndex::build_updatable(registry, spec, index)
-                .map(|ix| Box::new(ix) as Box<dyn UpdatableIndex>)
-        }),
-    );
+    registry.set_sharded_builder(Box::new(|registry, spec, index| {
+        let ix = ShardedIndex::build(registry, spec, index)?;
+        Ok(if ix.capabilities().updates {
+            IndexBackend::Write(Box::new(ix))
+        } else {
+            IndexBackend::Read(Box::new(ix))
+        })
+    }));
 }
 
 #[cfg(test)]
@@ -91,7 +87,7 @@ mod tests {
     use super::*;
     use gpu_device::Device;
     use rtx_query::{
-        IndexError, IndexSpec, Partitioning, QueryBatch, Registry, SecondaryIndex, ShardSpec,
+        IndexError, IndexSpec, QueryBatch, Registry, SecondaryIndex, ShardSpec, UpdatableIndex,
     };
     use rtx_workloads as wl;
     use rtx_workloads::truth::DynamicOracle;
@@ -335,37 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_per_shard_backends_compose() {
-        let device = Device::default_eval();
-        let registry = registry();
-        let keys = wl::dense_shuffled(800, 21);
-        let values = wl::value_column(800, 22);
-        let spec = IndexSpec::with_values(&device, &keys, &values);
-        let truth = GroundTruth::new(&keys, Some(&values));
-
-        let ix = ShardedIndex::build_mixed(&registry, &["RX", "SA"], Partitioning::Range, &spec)
-            .unwrap();
-        assert_eq!(ix.name(), "RX+SA@2:range");
-        assert_eq!(ix.shard_count(), 2);
-        assert!(ix.capabilities().range_lookups);
-        let batch = mixed_batch(&keys, 23);
-        assert_eq!(
-            ix.execute(&batch).unwrap().results,
-            truth.expected_batch(&batch)
-        );
-
-        // Mixing in HT drops range support for the whole sharded index.
-        let ix =
-            ShardedIndex::build_mixed(&registry, &["RX", "HT"], Partitioning::Hash, &spec).unwrap();
-        assert!(!ix.capabilities().range_lookups);
-        let stats = ix.shard_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].0, "RX");
-        assert_eq!(stats[1].0, "HT");
-        assert_eq!(stats.iter().map(|s| s.1).sum::<usize>(), 800);
-    }
-
-    #[test]
     fn build_errors_propagate_from_shards_and_specs() {
         let device = Device::default_eval();
         let registry = registry();
@@ -401,7 +366,7 @@ mod tests {
 
         // Updates on a read-only-built sharded backend are rejected.
         let mut direct = ShardedIndex::build(&registry, &ShardSpec::hash("SA", 2), &spec).unwrap();
-        let err = rtx_query::UpdatableIndex::insert(&mut direct, &[9], &[9])
+        let err = UpdatableIndex::insert(&mut direct, &[9], &[9])
             .map(|_| ())
             .unwrap_err();
         assert!(
@@ -440,7 +405,7 @@ mod tests {
 
         for shard_spec in [ShardSpec::hash("RXD", 4), ShardSpec::range("RXD", 3)] {
             let name = shard_spec.name();
-            let mut ix = ShardedIndex::build_updatable(&registry, &shard_spec, &spec).unwrap();
+            let mut ix = ShardedIndex::build(&registry, &shard_spec, &spec).unwrap();
             let mut shadow = oracle.clone();
 
             // Hammer two keys so their shard dominates the op counters.
@@ -512,8 +477,7 @@ mod tests {
         // values, exactly like the durable replay path).
         let keys: Vec<u64> = (0..400).collect();
         let spec = IndexSpec::keys_only(&device, &keys);
-        let mut ix =
-            ShardedIndex::build_updatable(&registry, &ShardSpec::hash("RXD", 4), &spec).unwrap();
+        let mut ix = ShardedIndex::build(&registry, &ShardSpec::hash("RXD", 4), &spec).unwrap();
         let hot = [5u64; 256];
         ix.execute(&QueryBatch::of_points(&hot)).unwrap();
         let report = ix.rebalance().unwrap();
@@ -525,8 +489,7 @@ mod tests {
         assert_eq!(out.results.last().unwrap().hit_count, 100);
 
         // A single shard has nowhere to move rows: an empty report.
-        let mut ix =
-            ShardedIndex::build_updatable(&registry, &ShardSpec::hash("RXD", 1), &spec).unwrap();
+        let mut ix = ShardedIndex::build(&registry, &ShardSpec::hash("RXD", 1), &spec).unwrap();
         ix.execute(&QueryBatch::of_points(&hot)).unwrap();
         assert_eq!(
             ix.rebalance().unwrap(),
@@ -535,8 +498,7 @@ mod tests {
 
         // No observed ops and uniform placement: nothing to do, and a
         // read-only sharded build rejects the operation outright.
-        let mut ix =
-            ShardedIndex::build_updatable(&registry, &ShardSpec::hash("RXD", 4), &spec).unwrap();
+        let mut ix = ShardedIndex::build(&registry, &ShardSpec::hash("RXD", 4), &spec).unwrap();
         ix.rebalance().unwrap();
         let batch = QueryBatch::of_points(&[5, 399, 7777]);
         let out = ix.execute(&batch).unwrap();
@@ -547,6 +509,57 @@ mod tests {
             read_only.rebalance(),
             Err(IndexError::UnsupportedOperation { .. })
         ));
+    }
+
+    /// The shard each key routes to, read off the per-shard op counters one
+    /// single-point lookup at a time.
+    fn owners(ix: &ShardedIndex, keys: &[u64]) -> Vec<usize> {
+        keys.iter()
+            .map(|&key| {
+                let before = ix.load().ops;
+                ix.execute(&QueryBatch::of_points(&[key])).unwrap();
+                let after = ix.load().ops;
+                (0..after.len()).find(|&s| after[s] != before[s]).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_rebalance_moves_only_the_rows_of_reassigned_slots() {
+        // Three shards do not divide the 256 hash slots, so a router that
+        // switched from `hash % 3` to a slot table on its first rebalance
+        // would move rows no slot move asked for.
+        let device = Device::default_eval();
+        let registry = registry();
+        let keys: Vec<u64> = (0..900).collect();
+        let values: Vec<u64> = (0..900).map(|v| v * 7 + 3).collect();
+        let spec = IndexSpec::with_values(&device, &keys, &values);
+        let mut ix = ShardedIndex::build(&registry, &ShardSpec::hash("RXD", 3), &spec).unwrap();
+        let before = owners(&ix, &keys);
+        let hot: Vec<u64> = [17u64, 23].iter().flat_map(|&k| [k; 64]).collect();
+        for _ in 0..8 {
+            ix.execute(&QueryBatch::of_points(&hot)).unwrap();
+        }
+        let report = ix.rebalance().unwrap();
+        let after = owners(&ix, &keys);
+
+        let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+        assert!(moved > 0, "the hot slots must move");
+        assert_eq!(report.moved_rows, moved as u64);
+        // Every slot moves whole or not at all: all keys of a slot share
+        // one owner before the pass and one after it.
+        let mut slot_owner = vec![None; 256];
+        for (i, &key) in keys.iter().enumerate() {
+            let slot = HashPartitioner::slot_of_key(key);
+            let owner = slot_owner[slot].get_or_insert((before[i], after[i]));
+            assert_eq!(*owner, (before[i], after[i]), "key {key} in slot {slot}");
+        }
+        let oracle = DynamicOracle::new(&keys, &values);
+        let batch = mixed_batch(&keys, 47);
+        assert_eq!(
+            ix.execute(&batch).unwrap().results,
+            oracle.expected_batch(&batch)
+        );
     }
 
     #[test]

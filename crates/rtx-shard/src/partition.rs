@@ -1,15 +1,13 @@
 //! The concrete key-space partitioners behind the [`KeyRouter`] trait.
 //!
-//! Three strategies, mirroring how distributed secondary indexes place keys:
+//! Two strategies, mirroring how distributed secondary indexes place keys:
 //!
-//! * [`HashPartitioner`] — a mixed hash of the key modulo the shard count.
+//! * [`HashPartitioner`] — a mixed hash of the key picks one of 256 slots,
+//!   and a slot-to-shard table picks the shard.
 //!   Balanced for any key distribution (including densely clustered keys),
 //!   but order-destroying: a range lookup must be broadcast to every shard.
-//! * [`WeightedHashPartitioner`] — hash routing through an explicit
-//!   slot-to-shard table ([`WEIGHTED_HASH_SLOTS`] slots): the balanced
-//!   table behaves like plain hashing, and the hot-shard rebalancer
-//!   reassigns individual slots from hot shards to cold ones, skewing the
-//!   *placement* weights without touching the hash function.
+//!   The hot-shard rebalancer reassigns individual slots from hot shards to
+//!   cold ones, so only the rows of a moved slot change shard.
 //! * [`RangePartitioner`] — contiguous spans of the `u64` key domain, with
 //!   boundaries picked from the quantiles of the build-time key column so
 //!   shards start balanced. Order-preserving: a range lookup is split at
@@ -28,21 +26,71 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash partitioning: `shard = mix64(key) % shards`.
+/// Number of hash slots a [`HashPartitioner`] distributes over its shards.
+/// 256 slots give the rebalancer sub-shard granularity (a hot shard donates
+/// individual slots) while keeping the table 1 KiB.
+pub(crate) const HASH_SLOTS: usize = 256;
+
+/// Hash partitioning: `shard = slots[mix64(key) % 256]`.
+///
+/// Keys spread over the slots by a fixed mixed hash; each slot's *owner*
+/// is explicit, so the rebalancer can hand a hot shard's slots to cold
+/// shards one at a time without moving any other row. The table
+/// [`new`](Self::new) builds assigns slot `i` to shard `i % shards`, which
+/// routes exactly like `mix64(key) % shards` whenever the shard count
+/// divides 256 (every power of two up to 256).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashPartitioner {
+    /// Slot-to-shard table.
+    slots: Box<[u32; HASH_SLOTS]>,
     shards: usize,
 }
 
 impl HashPartitioner {
-    /// A hash partitioner over `shards` shards.
+    /// The evenly balanced partitioner over `shards` shards: slot `i`
+    /// belongs to shard `i % shards`.
     ///
     /// # Panics
     ///
     /// Panics when `shards` is zero.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a sharded index needs at least one shard");
-        HashPartitioner { shards }
+        HashPartitioner {
+            slots: Box::new(std::array::from_fn(|i| (i % shards) as u32)),
+            shards,
+        }
+    }
+
+    /// Rebuilds a partitioner from a previously captured slot table,
+    /// restoring the exact routing of the original.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is zero, the table does not have 256 slots, or
+    /// a slot names a shard out of range.
+    pub fn from_slots(slots: Vec<u32>, shards: usize) -> Self {
+        assert!(shards >= 1, "a sharded index needs at least one shard");
+        let slots: Box<[u32; HASH_SLOTS]> = slots
+            .into_boxed_slice()
+            .try_into()
+            .expect("hash slot tables have a fixed size");
+        assert!(
+            slots.iter().all(|&s| (s as usize) < shards),
+            "slot table references a shard out of range"
+        );
+        HashPartitioner { slots, shards }
+    }
+
+    /// The slot-to-shard table (256 slots) — enough to reconstruct the
+    /// partitioner with [`from_slots`](Self::from_slots).
+    pub fn slots(&self) -> &[u32] {
+        &self.slots[..]
+    }
+
+    /// The hash slot a key falls into (independent of the table, so callers
+    /// can aggregate per-slot statistics before reassigning owners).
+    pub(crate) fn slot_of_key(key: u64) -> usize {
+        (mix64(key) % HASH_SLOTS as u64) as usize
     }
 }
 
@@ -52,7 +100,7 @@ impl KeyRouter for HashPartitioner {
     }
 
     fn shard_of_point(&self, key: u64) -> usize {
-        (mix64(key) % self.shards as u64) as usize
+        self.slots[Self::slot_of_key(key)] as usize
     }
 
     fn shards_of_range(&self, lower: u64, upper: u64) -> Vec<(usize, (u64, u64))> {
@@ -60,94 +108,6 @@ impl KeyRouter for HashPartitioner {
         // range is broadcast whole and the gather merges the per-shard
         // answers (each shard only ever counts its own keys, so nothing is
         // double-counted).
-        (0..self.shards).map(|s| (s, (lower, upper))).collect()
-    }
-}
-
-/// Number of hash slots a [`WeightedHashPartitioner`] distributes over its
-/// shards. 256 slots give the rebalancer sub-shard granularity (a hot shard
-/// donates individual slots) while keeping the table a single cache line
-/// region and the manifest encoding small.
-pub const WEIGHTED_HASH_SLOTS: usize = 256;
-
-/// Weighted hash partitioning: `shard = slots[mix64(key) % SLOTS]`.
-///
-/// The indirection table is what hot-shard rebalancing mutates: keys still
-/// spread over [`WEIGHTED_HASH_SLOTS`] slots by the same mixed hash, but
-/// each slot's *owner* is explicit, so the rebalancer can hand a hot
-/// shard's slots to cold shards one at a time. The
-/// [`balanced`](Self::balanced) table assigns slot `i` to shard
-/// `i % shards` — identical routing to [`HashPartitioner`] whenever the
-/// shard count divides the slot count (all power-of-two counts up to 256).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeightedHashPartitioner {
-    /// Slot-to-shard table, length [`WEIGHTED_HASH_SLOTS`].
-    slots: Vec<u32>,
-    shards: usize,
-}
-
-impl WeightedHashPartitioner {
-    /// The evenly balanced table: slot `i` belongs to shard `i % shards`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero.
-    pub fn balanced(shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded index needs at least one shard");
-        WeightedHashPartitioner {
-            slots: (0..WEIGHTED_HASH_SLOTS as u32)
-                .map(|i| i % shards as u32)
-                .collect(),
-            shards,
-        }
-    }
-
-    /// Rebuilds a partitioner from a previously captured slot table (e.g. a
-    /// durability manifest), restoring the exact routing of the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero, the table length is not
-    /// [`WEIGHTED_HASH_SLOTS`], or a slot names a shard out of range.
-    pub fn from_slots(slots: Vec<u32>, shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded index needs at least one shard");
-        assert_eq!(
-            slots.len(),
-            WEIGHTED_HASH_SLOTS,
-            "weighted-hash slot tables have a fixed size"
-        );
-        assert!(
-            slots.iter().all(|&s| (s as usize) < shards),
-            "slot table references a shard out of range"
-        );
-        WeightedHashPartitioner { slots, shards }
-    }
-
-    /// The slot-to-shard table (length [`WEIGHTED_HASH_SLOTS`]) — enough to
-    /// reconstruct the partitioner with [`from_slots`](Self::from_slots).
-    pub fn slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    /// The hash slot a key falls into (independent of the table, so callers
-    /// can aggregate per-slot statistics before reassigning owners).
-    pub fn slot_of_key(key: u64) -> usize {
-        (mix64(key) % WEIGHTED_HASH_SLOTS as u64) as usize
-    }
-}
-
-impl KeyRouter for WeightedHashPartitioner {
-    fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    fn shard_of_point(&self, key: u64) -> usize {
-        self.slots[Self::slot_of_key(key)] as usize
-    }
-
-    fn shards_of_range(&self, lower: u64, upper: u64) -> Vec<(usize, (u64, u64))> {
-        // Hash routing scatters any range over every shard (see
-        // `HashPartitioner`): broadcast whole, gather merges.
         (0..self.shards).map(|s| (s, (lower, upper))).collect()
     }
 }
@@ -188,8 +148,8 @@ impl RangePartitioner {
     }
 
     /// Rebuilds a partitioner from previously captured
-    /// [`bounds`](Self::bounds) (e.g. a durability manifest), restoring the
-    /// exact routing of the original.
+    /// [`bounds`](Self::bounds), restoring the exact routing of the
+    /// original.
     pub fn from_bounds(bounds: Vec<u64>) -> Self {
         RangePartitioner { bounds }
     }
@@ -298,51 +258,46 @@ mod tests {
     }
 
     #[test]
-    fn balanced_weighted_hash_matches_plain_hash_for_dividing_counts() {
+    fn balanced_table_matches_hash_modulo_for_dividing_counts() {
         for shards in [1usize, 2, 4, 8] {
-            let plain = HashPartitioner::new(shards);
-            let weighted = WeightedHashPartitioner::balanced(shards);
-            assert_eq!(weighted.shard_count(), shards);
+            let router = HashPartitioner::new(shards);
             for key in (0..4000u64).chain([u64::MAX, 1 << 40]) {
                 assert_eq!(
-                    weighted.shard_of_point(key),
-                    plain.shard_of_point(key),
+                    router.shard_of_point(key),
+                    (mix64(key) % shards as u64) as usize,
                     "key {key}, {shards} shards"
                 );
             }
-            let parts = weighted.shards_of_range(10, 20);
-            assert_eq!(parts.len(), shards);
-            assert!(parts.iter().all(|&(_, bounds)| bounds == (10, 20)));
         }
     }
 
     #[test]
-    fn weighted_hash_routes_through_the_slot_table() {
+    fn hash_partitioner_routes_through_the_slot_table() {
         // Hand every slot to shard 2: all keys land there.
-        let slots = vec![2u32; WEIGHTED_HASH_SLOTS];
-        let router = WeightedHashPartitioner::from_slots(slots.clone(), 4);
+        let slots = vec![2u32; HASH_SLOTS];
+        let router = HashPartitioner::from_slots(slots.clone(), 4);
         for key in [0u64, 1, 99, u64::MAX] {
             assert_eq!(router.shard_of_point(key), 2);
         }
         assert_eq!(router.slots(), &slots[..]);
 
         // Round-trips through its captured table.
-        let balanced = WeightedHashPartitioner::balanced(3);
-        let rebuilt = WeightedHashPartitioner::from_slots(balanced.slots().to_vec(), 3);
+        let balanced = HashPartitioner::new(3);
+        let rebuilt = HashPartitioner::from_slots(balanced.slots().to_vec(), 3);
         assert_eq!(balanced, rebuilt);
         covers_domain_once(&rebuilt, &[0, 5, 1 << 33, u64::MAX]);
     }
 
     #[test]
     #[should_panic(expected = "fixed size")]
-    fn weighted_hash_rejects_malformed_tables() {
-        let _ = WeightedHashPartitioner::from_slots(vec![0; 7], 2);
+    fn hash_partitioner_rejects_malformed_tables() {
+        let _ = HashPartitioner::from_slots(vec![0; 7], 2);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn weighted_hash_rejects_out_of_range_slots() {
-        let _ = WeightedHashPartitioner::from_slots(vec![5; WEIGHTED_HASH_SLOTS], 2);
+    fn hash_partitioner_rejects_out_of_range_slots() {
+        let _ = HashPartitioner::from_slots(vec![5; HASH_SLOTS], 2);
     }
 
     #[test]

@@ -43,51 +43,43 @@ use rtx_query::{
     UpdateReport, MISS,
 };
 
-use crate::partition::{
-    HashPartitioner, RangePartitioner, WeightedHashPartitioner, WEIGHTED_HASH_SLOTS,
-};
+use crate::partition::{HashPartitioner, RangePartitioner, HASH_SLOTS};
 
-/// A description of a [`KeyRouter`]: what a rebalance pass reasons about
-/// and rebuilds the router from.
+/// The router of a sharded index: what a rebalance pass reasons about and
+/// replaces.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RouterConfig {
-    /// Hash partitioning over `shards` shards.
-    Hash {
-        /// Number of shards.
-        shards: usize,
-    },
-    /// Range partitioning with the captured per-shard upper bounds.
-    Range {
-        /// Inclusive upper bounds of every shard but the last.
-        bounds: Vec<u64>,
-    },
-    /// Weighted hash partitioning through an explicit slot-to-shard table
-    /// (what hash routing becomes after the first hot-shard rebalance).
-    WeightedHash {
-        /// Number of shards.
-        shards: usize,
-        /// Slot-to-shard table of length [`WEIGHTED_HASH_SLOTS`].
-        slots: Vec<u32>,
-    },
+enum Router {
+    /// Hash partitioning through a slot table.
+    Hash(HashPartitioner),
+    /// Range partitioning with per-shard upper bounds.
+    Range(RangePartitioner),
 }
 
-impl RouterConfig {
-    /// Instantiates the router the config describes.
-    fn router(&self) -> Box<dyn KeyRouter> {
+impl KeyRouter for Router {
+    fn shard_count(&self) -> usize {
         match self {
-            RouterConfig::Hash { shards } => Box::new(HashPartitioner::new(*shards)),
-            RouterConfig::Range { bounds } => {
-                Box::new(RangePartitioner::from_bounds(bounds.clone()))
-            }
-            RouterConfig::WeightedHash { shards, slots } => {
-                Box::new(WeightedHashPartitioner::from_slots(slots.clone(), *shards))
-            }
+            Router::Hash(router) => router.shard_count(),
+            Router::Range(router) => router.shard_count(),
+        }
+    }
+
+    fn shard_of_point(&self, key: u64) -> usize {
+        match self {
+            Router::Hash(router) => router.shard_of_point(key),
+            Router::Range(router) => router.shard_of_point(key),
+        }
+    }
+
+    fn shards_of_range(&self, lower: u64, upper: u64) -> Vec<(usize, (u64, u64))> {
+        match self {
+            Router::Hash(router) => router.shards_of_range(lower, upper),
+            Router::Range(router) => router.shards_of_range(lower, upper),
         }
     }
 }
 
 struct Shard {
-    /// Read-only or updatable, depending on which registry path built it.
+    /// Read-only or updatable, as its registry name resolved.
     backend: IndexBackend,
     /// Local→global rowIDs (see the module docs).
     rows: RowMirror,
@@ -108,19 +100,18 @@ impl Shard {
     }
 }
 
-/// A partitioned index: any registered backend (homogeneous, or mixed per
-/// shard) behind the ordinary [`SecondaryIndex`] interface, with mixed
-/// batches scattered across the shards and executed in parallel.
+/// A partitioned index: one registered backend per shard behind the
+/// ordinary [`SecondaryIndex`] interface, with mixed batches scattered
+/// across the shards and executed in parallel. It takes writes (through
+/// [`UpdatableIndex`]) exactly when every shard does.
 ///
-/// Build it through the registry by name (`"RX@8"`, `"SA@4:range"`, once
-/// [`install_sharding`](crate::install_sharding) ran) or directly via
-/// [`ShardedIndex::build`] / [`ShardedIndex::build_mixed`].
+/// Build it through the registry by name (`"RX@8"`, `"SA@4:range"`,
+/// `"RXD@2"`, once [`install_sharding`](crate::install_sharding) ran) or
+/// directly via [`ShardedIndex::build`].
 pub struct ShardedIndex {
     /// Interned so hot error paths clone a pointer, not a String.
     label: Arc<str>,
-    router: Box<dyn KeyRouter>,
-    /// The description `router` was built from.
-    router_config: RouterConfig,
+    router: Router,
     shards: Vec<Shard>,
     capabilities: Capabilities,
     has_values: bool,
@@ -128,10 +119,10 @@ pub struct ShardedIndex {
     /// Next global rowID handed to an insert (u64 so the overflow check is
     /// trivial; valid rowIDs stay below [`MISS`]).
     next_row: u64,
-    /// Per-slot op counters under hash-family routing (length
-    /// [`WEIGHTED_HASH_SLOTS`]), `None` under range routing. The per-shard
-    /// counters say *that* a shard is hot; these say *which* hash slots
-    /// make it hot — what a rebalance pass needs to move the right rows.
+    /// Per-slot op counters under hash routing (one per hash slot), `None`
+    /// under range routing. The per-shard counters say *that* a shard is
+    /// hot; these say *which* hash slots make it hot — what a rebalance
+    /// pass needs to move the right rows.
     slot_ops: Option<Vec<AtomicU64>>,
     /// Pooled scatter plans, replanned in place per submission.
     plan_pool: Mutex<Vec<ScatterPlan>>,
@@ -149,20 +140,12 @@ impl std::fmt::Debug for ShardedIndex {
     }
 }
 
-/// Per-slot op counters for a router family: hash-family routing tracks
-/// every point key's hash slot so a rebalance pass knows which slots carry
-/// the traffic; range routing has no slots (its pass reweights keys by
+/// Per-slot op counters for a router: hash routing tracks every point
+/// key's hash slot so a rebalance pass knows which slots carry the
+/// traffic; range routing has no slots (its pass reweights keys by
 /// shard-level op density instead).
-fn slot_counters(config: &RouterConfig) -> Option<Vec<AtomicU64>> {
-    matches!(
-        config,
-        RouterConfig::Hash { .. } | RouterConfig::WeightedHash { .. }
-    )
-    .then(|| {
-        (0..WEIGHTED_HASH_SLOTS)
-            .map(|_| AtomicU64::new(0))
-            .collect()
-    })
+fn slot_counters(router: &Router) -> Option<Vec<AtomicU64>> {
+    matches!(router, Router::Hash(_)).then(|| (0..HASH_SLOTS).map(|_| AtomicU64::new(0)).collect())
 }
 
 /// Routes every `(key, value)` of the build column to its shard, keeping
@@ -201,71 +184,17 @@ fn and_capabilities(a: Capabilities, b: Capabilities) -> Capabilities {
 }
 
 impl ShardedIndex {
-    /// Builds a homogeneous sharded backend for `spec` (one
-    /// `spec.backend` instance per shard) over the columns of `index`.
+    /// Builds a sharded backend for `spec` (one `spec.backend` instance
+    /// per shard, each resolved through
+    /// [`Registry::build_backend`]) over the columns of `index`. It takes
+    /// writes exactly when every shard does.
     pub fn build(
         registry: &Registry,
         spec: &ShardSpec,
         index: &IndexSpec<'_>,
     ) -> Result<Self, IndexError> {
-        let backends = vec![spec.backend.as_str(); spec.shards];
-        Self::build_inner(
-            registry,
-            &backends,
-            spec.partitioning,
-            spec.name(),
-            index,
-            false,
-        )
-    }
-
-    /// Builds a sharded backend whose shards are all updatable (so the
-    /// result implements the update operations of [`UpdatableIndex`] by
-    /// routing them through the same partitioner as the lookups).
-    pub fn build_updatable(
-        registry: &Registry,
-        spec: &ShardSpec,
-        index: &IndexSpec<'_>,
-    ) -> Result<Self, IndexError> {
-        let backends = vec![spec.backend.as_str(); spec.shards];
-        Self::build_inner(
-            registry,
-            &backends,
-            spec.partitioning,
-            spec.name(),
-            index,
-            true,
-        )
-    }
-
-    /// Builds a sharded backend running a *different* backend per shard
-    /// (one registry name per shard) — e.g. the hot hash-owned shards on
-    /// `"HT"` and the rest on `"RX"`. Capabilities are the intersection of
-    /// the shards' capabilities.
-    pub fn build_mixed(
-        registry: &Registry,
-        backends: &[&str],
-        partitioning: Partitioning,
-        index: &IndexSpec<'_>,
-    ) -> Result<Self, IndexError> {
-        let label = format!(
-            "{}@{}:{}",
-            backends.join("+"),
-            backends.len(),
-            partitioning.name()
-        );
-        Self::build_inner(registry, backends, partitioning, label, index, false)
-    }
-
-    fn build_inner(
-        registry: &Registry,
-        backends: &[&str],
-        partitioning: Partitioning,
-        label: String,
-        index: &IndexSpec<'_>,
-        updatable: bool,
-    ) -> Result<Self, IndexError> {
-        if backends.is_empty() {
+        let label = spec.name();
+        if spec.shards == 0 {
             return Err(IndexError::Backend {
                 backend: label.into(),
                 message: "shard count must be at least 1".to_string(),
@@ -279,23 +208,18 @@ impl ShardedIndex {
             });
         }
 
-        let router_config = match partitioning {
-            Partitioning::Hash => RouterConfig::Hash {
-                shards: backends.len(),
-            },
-            Partitioning::Range => RouterConfig::Range {
-                bounds: RangePartitioner::from_keys(index.keys, backends.len())
-                    .bounds()
-                    .to_vec(),
-            },
+        let router = match spec.partitioning {
+            Partitioning::Hash => Router::Hash(HashPartitioner::new(spec.shards)),
+            Partitioning::Range => {
+                Router::Range(RangePartitioner::from_keys(index.keys, spec.shards))
+            }
         };
-        let router = router_config.router();
 
         let start = Instant::now();
-        let scatter = scatter_build_columns(router.as_ref(), index);
+        let scatter = scatter_build_columns(&router, index);
         let values_per_shard: Vec<Option<Vec<u64>>> = match scatter.values {
             Some(v) => v.into_iter().map(Some).collect(),
-            None => vec![None; backends.len()],
+            None => vec![None; spec.shards],
         };
         let shard_inputs: Vec<(Vec<u64>, Option<Vec<u64>>)> =
             scatter.keys.into_iter().zip(values_per_shard).collect();
@@ -303,8 +227,8 @@ impl ShardedIndex {
         // Build every inner backend in parallel on the worker pool; each
         // build allocates against (and is profiled by) the shared device.
         let built: Vec<Result<IndexBackend, IndexError>> =
-            parallel_map(shard_inputs, |s, (keys, values)| {
-                let spec = IndexSpec {
+            parallel_map(shard_inputs, |_, (keys, values)| {
+                let shard = IndexSpec {
                     device: index.device,
                     keys: &keys,
                     values: values.map(Arc::from),
@@ -319,13 +243,7 @@ impl ShardedIndex {
                     key_schema: None,
                     rows: None,
                 };
-                if updatable {
-                    registry
-                        .build_updatable(backends[s], &spec)
-                        .map(IndexBackend::Write)
-                } else {
-                    registry.build(backends[s], &spec).map(IndexBackend::Read)
-                }
+                registry.build_backend(&spec.backend, &shard)
             });
 
         let mut shards = Vec::with_capacity(built.len());
@@ -337,12 +255,15 @@ impl ShardedIndex {
             });
         }
 
+        let writers = shards
+            .iter()
+            .all(|s| matches!(s.backend, IndexBackend::Write(_)));
         let capabilities = shards
             .iter()
             .map(|s| s.backend.read().capabilities())
             .reduce(and_capabilities)
             .map(|caps| Capabilities {
-                updates: caps.updates && updatable,
+                updates: caps.updates && writers,
                 ..caps
             })
             .expect("at least one shard");
@@ -360,9 +281,8 @@ impl ShardedIndex {
 
         Ok(ShardedIndex {
             label: label.into(),
+            slot_ops: slot_counters(&router),
             router,
-            slot_ops: slot_counters(&router_config),
-            router_config,
             shards,
             capabilities,
             has_values: index.values.is_some(),
@@ -461,10 +381,10 @@ impl ShardedIndex {
     ///
     /// Mechanism by partitioning family:
     ///
-    /// * **hash** routing switches to a weighted slot table
-    ///   ([`WeightedHashPartitioner`]) and reassigns individual hash slots
-    ///   — weighted by their *observed per-slot op counts* — from the
-    ///   hottest shard to the coldest until their load gap closes;
+    /// * **hash** routing reassigns individual slots of its
+    ///   [`HashPartitioner`] table — weighted by their *observed per-slot
+    ///   op counts* — from the hottest shard to the coldest until their
+    ///   load gap closes, so only the rows of the moved slots change shard;
     /// * **range** routing recomputes its bounds as *load-weighted*
     ///   quantiles of the live keys (each key weighted by its shard's ops
     ///   per row), splitting hot spans and merging cold ones.
@@ -509,8 +429,8 @@ impl ShardedIndex {
             }
         };
 
-        let new_config = match self.rebalanced_config(&triples) {
-            Some(config) => config,
+        let new_router = match self.rebalanced_router(&triples) {
+            Some(router) => router,
             None => {
                 self.reset_shard_ops();
                 return Ok(RebalanceReport {
@@ -519,7 +439,6 @@ impl ShardedIndex {
                 });
             }
         };
-        let new_router = new_config.router();
 
         // Plan every live row's new owner.
         let shard_count = self.shards.len();
@@ -606,7 +525,6 @@ impl ShardedIndex {
         }
 
         self.router = new_router;
-        self.router_config = new_config;
         self.reset_shard_ops();
         Ok(RebalanceReport {
             moved_rows,
@@ -625,10 +543,10 @@ impl ShardedIndex {
         }
     }
 
-    /// Computes the load-balanced router description from the observed op
-    /// counters and the live triples, or `None` when nothing would change
-    /// (already balanced, or no data to balance on).
-    fn rebalanced_config(&self, triples: &[Vec<(u64, u64, u32)>]) -> Option<RouterConfig> {
+    /// Computes the load-balanced router from the observed op counters and
+    /// the live triples, or `None` when nothing would change (already
+    /// balanced, or no data to balance on).
+    fn rebalanced_router(&self, triples: &[Vec<(u64, u64, u32)>]) -> Option<Router> {
         let shard_count = self.shards.len();
         let live_rows: usize = triples.iter().map(Vec::len).sum();
         if live_rows == 0 {
@@ -657,21 +575,13 @@ impl ShardedIndex {
             })
             .collect();
 
-        match &self.router_config {
-            RouterConfig::Range { bounds } => {
-                let new_bounds = weighted_range_bounds(triples, &density, shard_count)?;
-                (new_bounds != *bounds).then_some(RouterConfig::Range { bounds: new_bounds })
+        match &self.router {
+            Router::Range(range) => {
+                let bounds = weighted_range_bounds(triples, &density, shard_count)?;
+                (bounds != range.bounds())
+                    .then(|| Router::Range(RangePartitioner::from_bounds(bounds)))
             }
-            RouterConfig::Hash { .. } | RouterConfig::WeightedHash { .. } => {
-                let mut slots = match &self.router_config {
-                    RouterConfig::WeightedHash { slots, .. } => slots.clone(),
-                    // First rebalance of a plain-hash index: start from the
-                    // balanced table (identical routing whenever the shard
-                    // count divides the slot count; see the partitioner).
-                    _ => WeightedHashPartitioner::balanced(shard_count)
-                        .slots()
-                        .to_vec(),
-                };
+            Router::Hash(hash) => {
                 // The observed per-slot histogram is the weight vector:
                 // it says *which* slots carry the traffic, so the table
                 // moves the genuinely hot slots. (Smearing a shard's ops
@@ -683,7 +593,7 @@ impl ShardedIndex {
                 // pass degenerates to pure placement balancing.
                 let observed: Vec<u64> = match &self.slot_ops {
                     Some(slot_ops) => slot_ops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                    None => vec![0; WEIGHTED_HASH_SLOTS],
+                    None => vec![0; HASH_SLOTS],
                 };
                 let observed_total: u64 = observed.iter().sum();
                 let row_weight = if observed_total == 0 {
@@ -694,16 +604,12 @@ impl ShardedIndex {
                 let mut weight: Vec<f64> = observed.iter().map(|&ops| ops as f64).collect();
                 for rows in triples {
                     for &(key, _, _) in rows {
-                        weight[WeightedHashPartitioner::slot_of_key(key)] += row_weight;
+                        weight[HashPartitioner::slot_of_key(key)] += row_weight;
                     }
                 }
-                let changed = rebalance_slot_table(&mut slots, &weight, shard_count);
-                (changed || matches!(self.router_config, RouterConfig::Hash { .. })).then_some(
-                    RouterConfig::WeightedHash {
-                        shards: shard_count,
-                        slots,
-                    },
-                )
+                let mut slots = hash.slots().to_vec();
+                rebalance_slot_table(&mut slots, &weight, shard_count)
+                    .then(|| Router::Hash(HashPartitioner::from_slots(slots, shard_count)))
             }
         }
     }
@@ -760,11 +666,7 @@ impl ShardedIndex {
     }
 
     fn writable(&self) -> Result<(), IndexError> {
-        if self
-            .shards
-            .iter()
-            .any(|s| matches!(s.backend, IndexBackend::Read(_)))
-        {
+        if !self.capabilities.updates {
             return Err(IndexError::UnsupportedOperation {
                 backend: Arc::clone(&self.label),
                 operation: "updates",
@@ -818,7 +720,7 @@ impl ShardedIndex {
         // mirroring the per-shard op counters, which track both.
         if let Some(slot_ops) = &self.slot_ops {
             for &key in keys {
-                slot_ops[WeightedHashPartitioner::slot_of_key(key)].fetch_add(1, Ordering::Relaxed);
+                slot_ops[HashPartitioner::slot_of_key(key)].fetch_add(1, Ordering::Relaxed);
             }
         }
         let work: Vec<(&mut Shard, ShardSlice)> = self.shards.iter_mut().zip(slices).collect();
@@ -856,8 +758,7 @@ impl ShardedIndex {
             // parallel shard tasks). Ranges broadcast and carry no slot.
             if let Some(slot_ops) = &self.slot_ops {
                 for &key in sub.point_keys() {
-                    slot_ops[WeightedHashPartitioner::slot_of_key(key)]
-                        .fetch_add(1, Ordering::Relaxed);
+                    slot_ops[HashPartitioner::slot_of_key(key)].fetch_add(1, Ordering::Relaxed);
                 }
             }
             self.arena_pool
@@ -940,7 +841,7 @@ fn rebalance_slot_table(slots: &mut [u32], weight: &[f64], shards: usize) -> boo
     }
     let mean = total / shards as f64;
     let mut changed = false;
-    for _ in 0..4 * WEIGHTED_HASH_SLOTS {
+    for _ in 0..4 * HASH_SLOTS {
         let (hot, _) = argmax(&load);
         let (cold, _) = argmin(&load);
         let gap = load[hot] - load[cold];
@@ -1112,7 +1013,7 @@ impl SecondaryIndex for ShardedIndex {
         }
         let pooled = self.plan_pool.lock().expect("plan pool poisoned").pop();
         let mut plan = pooled.unwrap_or_default();
-        plan.replan_ops(batch, self.router.as_ref());
+        plan.replan_ops(batch, &self.router);
         let result = self.execute_planned(&plan);
         self.plan_pool
             .lock()

@@ -207,9 +207,7 @@ pub use rtx_serve::{
     ClientHandle, PendingQuery, PendingTableQuery, QueryService, RebalanceConfig, RetryPolicy,
     ServeError, ServiceConfig, ServiceStats, TableClient, TableService,
 };
-pub use rtx_shard::{
-    install_sharding, HashPartitioner, RangePartitioner, ShardedIndex, WeightedHashPartitioner,
-};
+pub use rtx_shard::{install_sharding, HashPartitioner, RangePartitioner, ShardedIndex};
 pub use rtx_table::{IngestReport, Planner, RoutePlan, Table, TableOutcome, TableStats};
 
 #[cfg(test)]

@@ -258,9 +258,10 @@ fn crossing_ingest_peak_bytes() -> (u64, u64) {
     (peak, bases)
 }
 
-/// What building `RX` over 2^16 keys added at its peak when the LBVH build
-/// sorted 48-byte records, on one worker (the lowest of 1 to 16).
-const RX_BUILD_PEAK_BYTES: u64 = 14_035_488;
+/// What building `RX` over 2^16 keys adds at its peak once every subtree
+/// block frees its unused node capacity before the stitch, on 4 workers
+/// (the highest of 1, 2, 4, 8 and 16).
+const RX_BUILD_PEAK_BYTES: u64 = 11_403_588;
 
 /// The live bytes building `RX` over 2^16 dense shuffled keys adds at its
 /// peak, above what was live before the build; the built index stays
@@ -517,14 +518,14 @@ fn steady_state_host_path_allocations_are_bounded() {
     // The LBVH build sorts 16-byte (Morton code, index) pairs and frees
     // them before the stitch, where the subtree blocks and the spliced
     // hierarchy are live together: that is the build's peak. Measured:
-    // 14,033,952 B on one worker and 14,034,432 B on 2, 4, 8 and 16, where
-    // the sort of 48-byte (code, bounds, centroid, index) records peaked at
-    // 14,035,488 B and 14,035,968 B, and keeping the pairs through the
-    // stitch adds their 1 MiB.
+    // 11,403,372 B on one worker, 11,403,444 B on 2 and 11,403,588 B on 4,
+    // 8 and 16. Blocks that kept the `2 × len` nodes they reserve peaked at
+    // 14,033,952 B and 14,034,432 B, and the sort of 48-byte (code, bounds,
+    // centroid, index) records at 14,035,488 B and 14,035,968 B.
     let build_peak = rx_build_peak_bytes();
     assert!(
         build_peak <= RX_BUILD_PEAK_BYTES,
         "RX build over 2^16 keys: peak live bytes rose by {build_peak} B, above the \
-         {RX_BUILD_PEAK_BYTES} B the record sort peaked at"
+         {RX_BUILD_PEAK_BYTES} B measured with shrunk subtree blocks"
     );
 }

@@ -11,7 +11,9 @@
 //! submissions uniformly (HT, plain or sharded).
 
 use proptest::prelude::*;
-use rtindex::{registry, Device, ExecArena, IndexError, IndexSpec, QueryBatch, SecondaryIndex};
+use rtindex::{
+    registry, Device, ExecArena, IndexBackend, IndexError, IndexSpec, QueryBatch, SecondaryIndex,
+};
 use rtx_workloads as wl;
 use rtx_workloads::GroundTruth;
 
@@ -280,4 +282,85 @@ fn updatable_backend_is_also_reachable_through_the_registry() {
         .unwrap();
     assert_eq!(ro.name(), "RXD");
     assert_eq!(ro.key_count(), 512);
+}
+
+/// The grammar set of the resolution check: every production, alone and
+/// combined, over read-only and updatable backends, with whether the name
+/// resolves to a writer.
+const RESOLUTION_NAMES: [(&str, bool); 7] = [
+    ("RX", false),
+    ("RX:sah@3", false),
+    ("HT{u32,u32}", false),
+    ("RXD", true),
+    ("RXD@2:range", true),
+    ("RXD{u32,u32}", true),
+    ("RXD@2+wal:", true),
+];
+
+/// `build`, `build_updatable` and `build_backend` resolve every name of
+/// the grammar set to the same index, oracle-exact, and `updates` says
+/// which variant `build_backend` returned.
+#[test]
+fn build_views_agree_with_build_backend() {
+    let device = Device::default_eval();
+    let registry = registry();
+    let keys = wl::dense_shuffled(1500, 21);
+    let values = wl::value_column(1500, 22);
+    let truth = GroundTruth::new(&keys, Some(&values));
+    let spec = IndexSpec::with_values(&device, &keys, &values);
+    let points = QueryBatch::of_points(&sample_points(&keys, 200, 0.7, 23)).fetch_values(true);
+    let mixed = mixed_batch(&keys, 24, true);
+    let root = std::env::temp_dir().join(format!("rtx-resolution-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let is_refusal = |err: &IndexError| matches!(err, IndexError::UnknownBackend { known, .. } if known == &["RXD"]);
+
+    for (prefix, writer) in RESOLUTION_NAMES {
+        // Each build of a durable name needs a directory of its own.
+        let name = |view: &str| {
+            if prefix.ends_with("+wal:") {
+                format!("{prefix}{}", root.join(view).display())
+            } else {
+                prefix.to_string()
+            }
+        };
+        let backend = registry.build_backend(&name("backend"), &spec).unwrap();
+        assert_eq!(
+            matches!(backend, IndexBackend::Write(_)),
+            writer,
+            "{prefix}: variant"
+        );
+        let read = registry.build(&name("read"), &spec).unwrap();
+        let write = registry.build_updatable(&name("write"), &spec);
+        match &write {
+            Ok(_) => assert!(writer, "{prefix}: a read-only name built as updatable"),
+            Err(err) => assert!(!writer && is_refusal(err), "{prefix}: {err}"),
+        }
+        let write = write
+            .as_ref()
+            .ok()
+            .map(|ix| ix.as_ref() as &dyn SecondaryIndex);
+        for ix in [Some(backend.read()), Some(read.as_ref()), write]
+            .into_iter()
+            .flatten()
+        {
+            assert_eq!(ix.name(), backend.read().name(), "{prefix}: name");
+            assert_eq!(ix.capabilities().updates, writer, "{prefix}: updates");
+            let out = ix.execute(&points).unwrap();
+            assert_eq!(out.results, truth.expected_batch(&points), "{prefix}");
+            if ix.capabilities().range_lookups {
+                let out = ix.execute(&mixed).unwrap();
+                assert_eq!(out.results, truth.expected_batch(&mixed), "{prefix}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+
+    // Read-only and unknown names are refused with the updatable listing.
+    for name in ["SA@2", "ZZ"] {
+        let err = registry
+            .build_updatable(name, &spec)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(is_refusal(&err), "{name}: {err}");
+    }
 }
