@@ -6,7 +6,7 @@
 //! linked for sideways range scans, and — like the original — it only
 //! supports 32-bit keys and unique keys.
 
-use gpu_device::{Device, DeviceBuffer};
+use gpu_device::{Device, DeviceAlloc};
 
 use crate::common::{BaselineBatch, BaselineBuildMetrics, GpuIndex};
 use crate::kernel::{fetch_value, run_lookup_kernel};
@@ -85,7 +85,8 @@ pub struct BPlusTree {
     root: u32,
     key_count: usize,
     build_metrics: BaselineBuildMetrics,
-    _nodes_buffer: DeviceBuffer<u8>,
+    /// Device memory the nodes occupy, [`NODE_FANOUT`] entries each.
+    _nodes_alloc: DeviceAlloc,
 }
 
 impl BPlusTree {
@@ -153,7 +154,7 @@ impl BPlusTree {
         let root = current_level[0].1;
 
         let node_bytes: u64 = nodes.len() as u64 * NODE_FANOUT as u64 * ENTRY_BYTES;
-        let nodes_buffer = device.alloc::<u8>(node_bytes as usize);
+        let nodes_alloc = device.reserve(node_bytes);
 
         // Charge the bulk-load kernel (the sort already charged itself).
         let n = keys.len() as u64;
@@ -165,8 +166,7 @@ impl BPlusTree {
             dram_bytes_written: node_bytes,
             ..gpu_device::KernelStats::new()
         };
-        let simulated = device.cost_model().simulated_time(&stats);
-        device.profiler().record_kernel(stats);
+        let simulated = device.record_kernel(stats);
 
         Ok(BPlusTree {
             nodes,
@@ -177,7 +177,7 @@ impl BPlusTree {
                 simulated_time_s: sort_metrics.simulated_time_s + simulated.as_seconds(),
                 scratch_bytes: sort_metrics.scratch_bytes,
             },
-            _nodes_buffer: nodes_buffer,
+            _nodes_alloc: nodes_alloc,
         })
     }
 

@@ -11,7 +11,7 @@
 //! until it sees a free slot in a group, which is also why misses cause
 //! longer probe sequences than hits (the effect behind Figure 14).
 
-use gpu_device::{Device, KernelStats};
+use gpu_device::{Device, DeviceAlloc, KernelStats};
 use rtx_query::IndexError;
 
 use crate::common::{BaselineBatch, BaselineBuildMetrics, GpuIndex};
@@ -59,8 +59,8 @@ pub struct WarpHashTable {
     /// duplicates it must continue until it sees a free slot.
     has_duplicates: bool,
     build_metrics: BaselineBuildMetrics,
-    /// Device allocation backing the table.
-    _table_buffer: gpu_device::DeviceBuffer<u8>,
+    /// Device memory the table occupies.
+    _table_alloc: DeviceAlloc,
 }
 
 impl WarpHashTable {
@@ -92,8 +92,7 @@ impl WarpHashTable {
             has_duplicates |= saw_duplicate;
         }
 
-        let table_bytes = capacity as u64 * SLOT_BYTES;
-        let table_buffer = device.alloc::<u8>(table_bytes as usize);
+        let table_alloc = device.reserve(capacity as u64 * SLOT_BYTES);
 
         // Charge the build: one kernel per insert batch; every insert hashes
         // and writes one slot, plus the probed groups.
@@ -106,8 +105,7 @@ impl WarpHashTable {
             dram_bytes_written: n * SLOT_BYTES,
             ..KernelStats::new()
         };
-        let simulated = device.cost_model().simulated_time(&stats);
-        device.profiler().record_kernel(stats);
+        let simulated = device.record_kernel(stats);
 
         Ok(WarpHashTable {
             slots,
@@ -118,7 +116,7 @@ impl WarpHashTable {
                 simulated_time_s: simulated.as_seconds(),
                 scratch_bytes: 0,
             },
-            _table_buffer: table_buffer,
+            _table_alloc: table_alloc,
         })
     }
 

@@ -59,8 +59,7 @@ where
         merged.kernel_launches = 1;
     }
 
-    let simulated = device.cost_model().simulated_time(&merged);
-    device.profiler().record_kernel(merged);
+    let simulated = device.record_kernel(merged);
 
     BaselineBatch {
         results,

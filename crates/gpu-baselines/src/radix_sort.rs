@@ -39,7 +39,7 @@ pub fn radix_sort_pairs(
 
     // Out-of-place double buffers, accounted as device scratch.
     let scratch_bytes = (n * (8 + 4)) as u64;
-    let scratch = device.alloc::<u8>(scratch_bytes as usize);
+    let scratch = device.reserve(scratch_bytes);
 
     let mut src: Vec<(u64, u32)> = keys.iter().copied().zip(rowids.iter().copied()).collect();
     let mut dst: Vec<(u64, u32)> = vec![(0, 0); n];
@@ -76,8 +76,7 @@ pub fn radix_sort_pairs(
         dram_bytes_written: pair_bytes * 8,
         ..KernelStats::new()
     };
-    let simulated = device.cost_model().simulated_time(&stats);
-    device.profiler().record_kernel(stats);
+    let simulated = device.record_kernel(stats);
 
     let (sorted_keys, sorted_rows): (Vec<u64>, Vec<u32>) = src.into_iter().unzip();
     (

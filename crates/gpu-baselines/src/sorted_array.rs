@@ -8,7 +8,7 @@
 //! paper points out — every probe lands far from the previous one, which the
 //! access classifier translates into DRAM traffic.
 
-use gpu_device::{Device, DeviceBuffer};
+use gpu_device::{Device, DeviceAlloc};
 use rtx_query::IndexError;
 
 use crate::common::{BaselineBatch, BaselineBuildMetrics, GpuIndex};
@@ -22,9 +22,9 @@ pub struct SortedArray {
     sorted_keys: Vec<u64>,
     rowids: Vec<u32>,
     build_metrics: BaselineBuildMetrics,
-    /// Device allocations backing the sorted keys and rowIDs.
-    _keys_buffer: DeviceBuffer<u64>,
-    _rows_buffer: DeviceBuffer<u32>,
+    /// Device memory the sorted keys and rowIDs occupy.
+    _keys_alloc: DeviceAlloc,
+    _rows_alloc: DeviceAlloc,
 }
 
 impl SortedArray {
@@ -46,8 +46,8 @@ impl SortedArray {
         let rowids: Vec<u32> = (0..keys.len() as u32).collect();
         let (sorted_keys, rowids, sort_metrics) = radix_sort_pairs(device, keys, &rowids);
 
-        let keys_buffer = device.upload(&sorted_keys);
-        let rows_buffer = device.upload(&rowids);
+        let keys_alloc = device.reserve(sorted_keys.len() as u64 * 8);
+        let rows_alloc = device.reserve(rowids.len() as u64 * 4);
 
         Ok(SortedArray {
             sorted_keys,
@@ -57,8 +57,8 @@ impl SortedArray {
                 simulated_time_s: sort_metrics.simulated_time_s,
                 scratch_bytes: sort_metrics.scratch_bytes,
             },
-            _keys_buffer: keys_buffer,
-            _rows_buffer: rows_buffer,
+            _keys_alloc: keys_alloc,
+            _rows_alloc: rows_alloc,
         })
     }
 

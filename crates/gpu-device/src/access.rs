@@ -61,13 +61,8 @@ impl AccessClassifier {
     }
 
     /// True when the entire working set fits into the L2 cache.
-    pub fn fits_in_l2(&self) -> bool {
+    fn fits_in_l2(&self) -> bool {
         self.working_set_bytes <= self.l2_bytes
-    }
-
-    /// Fraction of the working set resident in L2 (1.0 when it fits).
-    pub fn resident_fraction(&self) -> f64 {
-        self.resident_fraction
     }
 
     /// Records an access of `bytes` to the region identified by `token`
@@ -99,13 +94,6 @@ impl AccessClassifier {
         ctx.add_l2_read(cached);
         ctx.add_dram_read(bytes - cached);
     }
-
-    /// Resets the stream-locality state (e.g. between rays of unrelated
-    /// batches).
-    pub fn reset_stream(&mut self) {
-        self.recent_len = 0;
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +104,7 @@ mod tests {
     fn small_working_set_is_all_l2() {
         let mut c = AccessClassifier::new(1 << 20, 1 << 16);
         assert!(c.fits_in_l2());
-        assert_eq!(c.resident_fraction(), 1.0);
+        assert_eq!(c.resident_fraction, 1.0);
         let mut ctx = ThreadCtx::new();
         c.access(&mut ctx, 1, 100);
         c.access(&mut ctx, 2, 100);
@@ -150,16 +138,6 @@ mod tests {
             "second and third access hit L1"
         );
         assert!(ctx.stats.dram_bytes_read >= 900);
-    }
-
-    #[test]
-    fn reset_stream_forgets_locality() {
-        let mut c = AccessClassifier::new(1 << 20, 1 << 30);
-        let mut ctx = ThreadCtx::new();
-        c.access(&mut ctx, 42, 1000);
-        c.reset_stream();
-        c.access(&mut ctx, 42, 1000);
-        assert_eq!(ctx.stats.l1_hit_bytes, 0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A GPU driver builds a BVH with a *pipeline* of kernels — snapshot the
 //! primitives, Morton-encode and sort them, emit the subtree hierarchies,
 //! stitch the top levels, compact — not with one monolithic launch. This
-//! module gives each stage a kernel-cost shape ([`stage_stats`]) and charges
-//! the pipeline as a whole ([`staged_build_cost`]) under a configurable
+//! module gives each stage a kernel-cost shape and charges the pipeline as
+//! a whole ([`staged_build_cost`]) under a configurable
 //! build-queue width: the data-parallel stages split their grid over
 //! `workers` concurrent queues (the same width policy as
 //! [`worker_count`](crate::worker_count), which also drives the host-side
@@ -75,7 +75,7 @@ impl BuildStage {
 
     /// Whether the stage's grid is split over the concurrent build queues.
     /// The top-level stitch touches only the subtree roots and runs serial.
-    pub fn is_parallel(&self) -> bool {
+    fn is_parallel(&self) -> bool {
         !matches!(self, BuildStage::Stitch)
     }
 }
@@ -111,7 +111,7 @@ const SORT_PAIR_BYTES: u64 = 12;
 const SORT_PASSES: u64 = 8;
 
 /// The kernel-cost shape of one build stage.
-pub fn stage_stats(stage: BuildStage, work: &BuildWork) -> KernelStats {
+fn stage_stats(stage: BuildStage, work: &BuildWork) -> KernelStats {
     let n = work.prims;
     let pair_bytes = n * SORT_PAIR_BYTES;
     match stage {
@@ -196,7 +196,7 @@ fn chunk_of(stats: &KernelStats, workers: u64) -> KernelStats {
 }
 
 /// Simulated seconds of one stage executed across `workers` build queues.
-pub fn stage_simulated_time(
+fn stage_simulated_time(
     device: &Device,
     stage: BuildStage,
     stats: &KernelStats,
@@ -328,14 +328,25 @@ mod tests {
         assert!(uncompacted.total_s < wide.total_s);
     }
 
+    /// Kernel launches of `work`'s stages, skipping the Morton sort when
+    /// the build has none.
+    fn stage_launches(work: &BuildWork) -> u64 {
+        BuildStage::ALL
+            .iter()
+            .filter(|&&stage| work.morton_sort || stage != BuildStage::MortonSort)
+            .map(|&stage| stage_stats(stage, work).kernel_launches)
+            .sum()
+    }
+
     #[test]
     fn every_stage_kernel_is_recorded() {
         let device = Device::default_eval();
-        let before = device.profiler().kernels_recorded();
-        let _ = staged_build_cost(&device, &work(1024), 4, true);
+        let w = work(1024);
+        let before = device.profiler().total().kernel_launches;
+        let _ = staged_build_cost(&device, &w, 4, true);
         assert_eq!(
-            device.profiler().kernels_recorded(),
-            before + BUILD_STAGE_COUNT as u64
+            device.profiler().total().kernel_launches - before,
+            stage_launches(&w)
         );
     }
 
@@ -348,11 +359,11 @@ mod tests {
             ..sorted
         };
         let lbvh = staged_build_cost(&device, &sorted, 1, true);
-        let before = device.profiler().kernels_recorded();
+        let before = device.profiler().total().kernel_launches;
         let sah = staged_build_cost(&device, &sortless, 1, true);
         assert_eq!(
-            device.profiler().kernels_recorded(),
-            before + BUILD_STAGE_COUNT as u64 - 1,
+            device.profiler().total().kernel_launches - before,
+            stage_launches(&sortless),
             "no Morton-sort kernel without a Morton sort"
         );
         assert_eq!(sah.stage(BuildStage::MortonSort), 0.0);

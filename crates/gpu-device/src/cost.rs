@@ -13,8 +13,6 @@
 //! real hardware), but relative behaviour — which index wins under which
 //! workload, where crossovers happen — is governed by exactly these terms.
 
-use std::time::Duration;
-
 use crate::occupancy::OccupancyModel;
 use crate::profiler::KernelStats;
 use crate::spec::DeviceSpec;
@@ -40,16 +38,6 @@ impl SimulatedTime {
     /// The value in seconds.
     pub fn as_seconds(&self) -> f64 {
         self.seconds
-    }
-
-    /// The value in milliseconds (the unit used by the paper's figures).
-    pub fn as_millis(&self) -> f64 {
-        self.seconds * 1e3
-    }
-
-    /// Converts to a `std::time::Duration` (saturating at zero).
-    pub fn to_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.seconds.max(0.0))
     }
 
     /// Sum of two simulated times.
@@ -254,11 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn simulated_time_conversions() {
+    fn simulated_time_arithmetic() {
         let t = SimulatedTime::from_seconds(0.0125);
-        assert!((t.as_millis() - 12.5).abs() < 1e-9);
-        assert_eq!(t.to_duration(), Duration::from_micros(12500));
+        assert_eq!(t.as_seconds(), 0.0125);
         assert_eq!(SimulatedTime::zero().as_seconds(), 0.0);
-        assert!((t.plus(t).as_millis() - 25.0).abs() < 1e-9);
+        assert!((t.plus(t).as_seconds() - 0.025).abs() < 1e-12);
     }
 }

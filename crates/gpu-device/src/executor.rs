@@ -1,9 +1,10 @@
 //! Parallel "kernel" execution and the shared host worker pool.
 //!
 //! A CUDA kernel launch spawns one logical thread per work item (one per
-//! lookup in the raytracing pipeline). We execute those logical threads on a
-//! pool of host worker threads: the grid is split into contiguous chunks, and
-//! each worker runs the per-thread closure for its chunk while accumulating
+//! lookup in the raytracing pipeline). The kernel drivers above this crate
+//! (`optix_sim::launch` and `gpu_baselines`' lookup kernel) execute those
+//! logical threads on a pool of host worker threads: the grid is split into
+//! contiguous chunks, and each worker runs its chunk while accumulating
 //! counters in a private [`ThreadCtx`]. At the end, all contexts are merged
 //! into a single [`KernelStats`] record, which mirrors how Nsight aggregates
 //! per-kernel metrics.
@@ -64,12 +65,6 @@ impl ThreadCtx {
     #[inline]
     pub fn add_l1_read(&mut self, bytes: u64) {
         self.stats.l1_hit_bytes += bytes;
-    }
-
-    /// Records a memory write of `bytes`.
-    #[inline]
-    pub fn add_dram_write(&mut self, bytes: u64) {
-        self.stats.dram_bytes_written += bytes;
     }
 }
 
@@ -377,163 +372,10 @@ where
     })
 }
 
-/// Executes `grid_size` logical threads of a kernel in parallel.
-///
-/// `body(ctx, thread_idx)` is called once per logical thread. Returns the
-/// merged [`KernelStats`] with `threads_launched` and `kernel_launches`
-/// filled in.
-pub fn launch_kernel<F>(grid_size: usize, body: F) -> KernelStats
-where
-    F: Fn(&mut ThreadCtx, usize) + Sync,
-{
-    let mut merged = KernelStats {
-        threads_launched: grid_size as u64,
-        kernel_launches: 1,
-        ..KernelStats::new()
-    };
-    if grid_size == 0 {
-        return merged;
-    }
-
-    let workers = worker_count().min(grid_size);
-    let chunk = grid_size.div_ceil(workers);
-    let partials = parallel_tasks(workers, |w| {
-        let start = w * chunk;
-        let end = ((w + 1) * chunk).min(grid_size);
-        let mut ctx = ThreadCtx::new();
-        for i in start..end {
-            body(&mut ctx, i);
-        }
-        ctx.stats
-    });
-
-    for p in partials {
-        merged.merge(&p);
-    }
-    // merge() also added the zeroed launch bookkeeping of the partials; the
-    // canonical values are set explicitly.
-    merged.threads_launched = grid_size as u64;
-    merged.kernel_launches = 1;
-    merged
-}
-
-/// Executes `grid_size` logical threads that each produce one output value,
-/// writing results into a caller-provided slice. This mirrors a CUDA kernel
-/// writing to a result buffer indexed by thread id.
-pub fn launch_kernel_with_output<T, F>(grid_size: usize, output: &mut [T], body: F) -> KernelStats
-where
-    T: Send,
-    F: Fn(&mut ThreadCtx, usize) -> T + Sync,
-{
-    assert!(
-        output.len() >= grid_size,
-        "output buffer too small: {} < {}",
-        output.len(),
-        grid_size
-    );
-    let mut merged = KernelStats {
-        threads_launched: grid_size as u64,
-        kernel_launches: 1,
-        ..KernelStats::new()
-    };
-    if grid_size == 0 {
-        return merged;
-    }
-
-    let workers = worker_count().min(grid_size);
-    let chunk = grid_size.div_ceil(workers);
-    let out_chunks: Vec<&mut [T]> = output[..grid_size].chunks_mut(chunk).collect();
-
-    let partials = parallel_map(out_chunks, |w, out_chunk| {
-        let start = w * chunk;
-        let mut ctx = ThreadCtx::new();
-        for (j, slot) in out_chunk.iter_mut().enumerate() {
-            *slot = body(&mut ctx, start + j);
-        }
-        ctx.stats
-    });
-
-    for p in partials {
-        merged.merge(&p);
-    }
-    merged.threads_launched = grid_size as u64;
-    merged.kernel_launches = 1;
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn empty_launch_returns_bookkeeping_only() {
-        let stats = launch_kernel(0, |_, _| panic!("must not run"));
-        assert_eq!(stats.threads_launched, 0);
-        assert_eq!(stats.kernel_launches, 1);
-        assert_eq!(stats.instructions, 0);
-    }
-
-    #[test]
-    fn every_logical_thread_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let n = 10_000;
-        let stats = launch_kernel(n, |ctx, i| {
-            counter.fetch_add(i as u64 + 1, Ordering::Relaxed);
-            ctx.add_instructions(1);
-        });
-        assert_eq!(
-            counter.load(Ordering::Relaxed),
-            (n as u64) * (n as u64 + 1) / 2
-        );
-        assert_eq!(stats.instructions, n as u64);
-        assert_eq!(stats.threads_launched, n as u64);
-        assert_eq!(stats.kernel_launches, 1);
-    }
-
-    #[test]
-    fn counters_are_merged_across_workers() {
-        let stats = launch_kernel(1000, |ctx, _| {
-            ctx.add_dram_read(64);
-            ctx.add_l2_read(32);
-            ctx.add_l1_read(16);
-            ctx.add_dram_write(8);
-            ctx.add_instructions(3);
-        });
-        assert_eq!(stats.dram_bytes_read, 64_000);
-        assert_eq!(stats.l2_hit_bytes, 32_000);
-        assert_eq!(stats.l1_hit_bytes, 16_000);
-        assert_eq!(stats.dram_bytes_written, 8_000);
-        assert_eq!(stats.instructions, 3_000);
-    }
-
-    #[test]
-    fn output_kernel_writes_per_thread_results() {
-        let n = 5000;
-        let mut out = vec![0u64; n];
-        let stats = launch_kernel_with_output(n, &mut out, |ctx, i| {
-            ctx.add_instructions(1);
-            (i as u64) * 2
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
-        assert_eq!(stats.instructions, n as u64);
-    }
-
-    #[test]
-    fn output_kernel_with_fewer_items_than_buffer() {
-        let mut out = vec![9u32; 10];
-        let stats = launch_kernel_with_output(3, &mut out, |_, i| i as u32);
-        assert_eq!(&out[..3], &[0, 1, 2]);
-        assert_eq!(&out[3..], &[9; 7]);
-        assert_eq!(stats.threads_launched, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer too small")]
-    fn output_kernel_rejects_small_buffer() {
-        let mut out = vec![0u8; 2];
-        let _ = launch_kernel_with_output(3, &mut out, |_, i| i as u8);
-    }
 
     #[test]
     fn worker_count_is_positive_and_bounded() {
@@ -607,11 +449,10 @@ mod tests {
 
     #[test]
     fn nested_parallel_tasks_compose() {
-        // A coarse task that itself launches a kernel (the sharded-execution
-        // shape) must not deadlock or lose work.
+        // A coarse task that itself fans a kernel's chunks out over the pool
+        // (the sharded-execution shape) must not deadlock or lose work.
         let totals = parallel_tasks(4, |t| {
-            let stats = launch_kernel(100, |ctx, _| ctx.add_instructions(t as u64 + 1));
-            stats.instructions
+            parallel_tasks(100, |_| t as u64 + 1).iter().sum::<u64>()
         });
         assert_eq!(totals, vec![100, 200, 300, 400]);
     }

@@ -12,8 +12,10 @@
 //! * [`DeviceSpec`] — the static description of a GPU (SMs, RT cores and
 //!   their generation, memory bandwidth, L2 size, …) with presets for the
 //!   four GPUs of Table 8;
-//! * [`MemoryTracker`] / [`DeviceBuffer`] — device-memory accounting that
-//!   reproduces the footprint numbers of Table 6 (current vs. peak usage);
+//! * [`MemoryTracker`] / [`DeviceAlloc`] — device-memory accounting that
+//!   reproduces the footprint numbers of Table 6 (current vs. peak usage).
+//!   A reservation holds a byte count, not a copy of the data, so every
+//!   structure lives once, on the host;
 //! * [`KernelStats`] / [`Profiler`] — the per-kernel counters that both the
 //!   raytracing pipeline and the baseline indexes report;
 //! * [`occupancy`] — the active-warps-per-SM and bandwidth-utilisation model
@@ -21,10 +23,10 @@
 //! * [`CostModel`] — converts counters into a *simulated* execution time for
 //!   a given [`DeviceSpec`], which is what the experiment harness reports
 //!   alongside host wall-clock time;
-//! * [`executor`] — a parallel work launcher that mimics a CUDA kernel
-//!   launch: a grid of logical threads is executed by a pool of host worker
-//!   threads, and each logical thread's counters are merged into the kernel's
-//!   [`KernelStats`].
+//! * [`executor`] — the shared host worker pool ([`parallel_tasks`],
+//!   [`parallel_map`]) that the kernel drivers above this crate fan a launch
+//!   out over, and the per-worker [`ThreadCtx`] whose counters each launch
+//!   merges into its [`KernelStats`].
 //!
 //! Nothing in this crate knows about raytracing or indexing; it is the shared
 //! substrate below `optix-sim`, `rtindex-core` and `gpu-baselines`.
@@ -41,21 +43,21 @@ pub mod spec;
 pub use access::AccessClassifier;
 pub use build::{staged_build_cost, BuildStage, BuildWork, StagedBuildCost, BUILD_STAGE_COUNT};
 pub use cost::{CostModel, SimulatedTime};
-pub use executor::{launch_kernel, parallel_map, parallel_tasks, worker_count, ThreadCtx};
-pub use memory::{DeviceBuffer, MemoryTracker};
+pub use executor::{parallel_map, parallel_tasks, worker_count, ThreadCtx};
+pub use memory::{DeviceAlloc, MemoryTracker};
 pub use occupancy::OccupancyModel;
 pub use profiler::{KernelStats, Profiler};
 pub use spec::{DeviceSpec, RtCoreGeneration};
 
-/// Convenience bundle representing one simulated GPU: its spec, its memory
-/// tracker and its profiler.
+/// Convenience bundle representing one simulated GPU: its spec (inside its
+/// cost model), its memory tracker and its profiler.
 ///
 /// Every index structure in the reproduction is built against a [`Device`] so
 /// that footprint and counter reporting is uniform across RX and the
 /// baselines.
 #[derive(Debug, Clone)]
 pub struct Device {
-    spec: DeviceSpec,
+    cost: CostModel,
     memory: MemoryTracker,
     profiler: Profiler,
 }
@@ -64,7 +66,7 @@ impl Device {
     /// Creates a device with the given spec and fresh counters.
     pub fn new(spec: DeviceSpec) -> Self {
         Device {
-            spec,
+            cost: CostModel::new(spec),
             memory: MemoryTracker::new(),
             profiler: Profiler::new(),
         }
@@ -77,7 +79,7 @@ impl Device {
 
     /// The static GPU description.
     pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
+        self.cost.spec()
     }
 
     /// The device-memory tracker.
@@ -90,20 +92,24 @@ impl Device {
         &self.profiler
     }
 
-    /// Allocates a device buffer of `len` default-initialised elements,
-    /// accounted against this device's memory tracker.
-    pub fn alloc<T: Clone + Default>(&self, len: usize) -> DeviceBuffer<T> {
-        DeviceBuffer::zeroed(len, self.memory.clone())
-    }
-
-    /// Allocates a device buffer holding a copy of `data`.
-    pub fn upload<T: Clone>(&self, data: &[T]) -> DeviceBuffer<T> {
-        DeviceBuffer::from_slice(data, self.memory.clone())
+    /// Reserves `bytes` of device memory, accounted against this device's
+    /// memory tracker until the reservation drops. The reservation holds no
+    /// data: the caller keeps the structure it stands for on the host.
+    pub fn reserve(&self, bytes: u64) -> DeviceAlloc {
+        self.memory.reserve(bytes)
     }
 
     /// The cost model for this device.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.spec.clone())
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+
+    /// Charges one finished kernel: records its counters with the profiler
+    /// and returns its simulated time.
+    pub fn record_kernel(&self, stats: KernelStats) -> SimulatedTime {
+        let simulated = self.cost.simulated_time(&stats);
+        self.profiler.record_kernel(stats);
+        simulated
     }
 }
 
@@ -112,21 +118,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn device_tracks_allocations() {
+    fn device_tracks_reservations() {
         let dev = Device::default_eval();
         assert_eq!(dev.memory().current_bytes(), 0);
-        let buf = dev.alloc::<u64>(1024);
+        let alloc = dev.reserve(1024 * 8);
+        assert_eq!(alloc.bytes(), 1024 * 8);
         assert_eq!(dev.memory().current_bytes(), 1024 * 8);
-        drop(buf);
+        drop(alloc);
         assert_eq!(dev.memory().current_bytes(), 0);
         assert_eq!(dev.memory().peak_bytes(), 1024 * 8);
     }
 
     #[test]
-    fn upload_copies_data() {
+    fn record_kernel_charges_the_profiler_and_the_cost_model() {
         let dev = Device::default_eval();
-        let buf = dev.upload(&[1u32, 2, 3]);
-        assert_eq!(buf.as_slice(), &[1, 2, 3]);
+        let stats = KernelStats {
+            threads_launched: 1 << 10,
+            kernel_launches: 1,
+            instructions: 1 << 12,
+            ..KernelStats::new()
+        };
+        let simulated = dev.record_kernel(stats);
+        assert_eq!(simulated, dev.cost_model().simulated_time(&stats));
+        assert_eq!(dev.profiler().total(), stats);
     }
 
     #[test]

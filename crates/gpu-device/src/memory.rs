@@ -2,9 +2,11 @@
 //!
 //! The paper's Table 6 differentiates between the memory an index occupies
 //! *after* construction and the additional scratch memory needed *during*
-//! construction. [`MemoryTracker`] records both (current and peak usage), and
-//! [`DeviceBuffer`] is a `Vec`-like container whose lifetime is tied to the
-//! tracker, so every byte a simulated kernel touches shows up in the numbers.
+//! construction. [`MemoryTracker`] records both (current and peak usage).
+//! Device memory is an account, not a copy: a [`DeviceAlloc`] is a
+//! reservation of a byte count that holds no data, charged to the tracker
+//! while it lives. The structure it stands for is held once, on the host,
+//! by whoever made the reservation.
 
 use std::sync::Arc;
 
@@ -14,7 +16,6 @@ use parking_lot::Mutex;
 struct TrackerState {
     current: u64,
     peak: u64,
-    allocations: u64,
 }
 
 /// Shared, thread-safe allocation tracker for one simulated device.
@@ -29,25 +30,6 @@ impl MemoryTracker {
         Self::default()
     }
 
-    /// Records an allocation of `bytes`.
-    pub fn record_alloc(&self, bytes: u64) {
-        let mut st = self.state.lock();
-        st.current += bytes;
-        st.allocations += 1;
-        if st.current > st.peak {
-            st.peak = st.current;
-        }
-    }
-
-    /// Records a deallocation of `bytes`.
-    ///
-    /// Saturates at zero so that double-free accounting bugs in experiments
-    /// surface as wrong numbers rather than panics.
-    pub fn record_free(&self, bytes: u64) {
-        let mut st = self.state.lock();
-        st.current = st.current.saturating_sub(bytes);
-    }
-
     /// Bytes currently allocated.
     pub fn current_bytes(&self) -> u64 {
         self.state.lock().current
@@ -58,119 +40,40 @@ impl MemoryTracker {
         self.state.lock().peak
     }
 
-    /// Number of allocations performed.
-    pub fn allocation_count(&self) -> u64 {
-        self.state.lock().allocations
-    }
-
-    /// Resets the peak to the current usage. Experiments call this between
-    /// the build phase and the lookup phase to attribute scratch memory to
-    /// the right phase.
-    pub fn reset_peak(&self) {
+    /// Reserves `bytes` of device memory until the returned reservation
+    /// drops.
+    pub(crate) fn reserve(&self, bytes: u64) -> DeviceAlloc {
         let mut st = self.state.lock();
-        st.peak = st.current;
-    }
-
-    /// Construction overhead: peak minus current usage.
-    pub fn overhead_bytes(&self) -> u64 {
-        let st = self.state.lock();
-        st.peak.saturating_sub(st.current)
+        st.current += bytes;
+        st.peak = st.peak.max(st.current);
+        drop(st);
+        DeviceAlloc {
+            bytes,
+            tracker: self.clone(),
+        }
     }
 }
 
-/// A device-resident buffer of `T` values whose allocation is accounted in a
-/// [`MemoryTracker`].
+/// A reservation of device memory: a byte count accounted in a
+/// [`MemoryTracker`] from [`Device::reserve`](crate::Device::reserve) until
+/// it drops. It holds no data.
 #[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
+pub struct DeviceAlloc {
+    bytes: u64,
     tracker: MemoryTracker,
-    tracked_bytes: u64,
 }
 
-impl<T> DeviceBuffer<T> {
-    fn register(data: Vec<T>, tracker: MemoryTracker) -> Self {
-        let tracked_bytes = (data.capacity() * std::mem::size_of::<T>()) as u64;
-        tracker.record_alloc(tracked_bytes);
-        DeviceBuffer {
-            data,
-            tracker,
-            tracked_bytes,
-        }
-    }
-
-    /// Allocates a buffer holding a copy of `slice`.
-    pub fn from_slice(slice: &[T], tracker: MemoryTracker) -> Self
-    where
-        T: Clone,
-    {
-        Self::register(slice.to_vec(), tracker)
-    }
-
-    /// Allocates a buffer by taking ownership of an existing host vector.
-    pub fn from_vec(data: Vec<T>, tracker: MemoryTracker) -> Self {
-        Self::register(data, tracker)
-    }
-
-    /// Allocates a buffer of `len` default-initialised elements.
-    pub fn zeroed(len: usize, tracker: MemoryTracker) -> Self
-    where
-        T: Clone + Default,
-    {
-        Self::register(vec![T::default(); len], tracker)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Size of the buffer in bytes as accounted by the tracker.
-    pub fn size_bytes(&self) -> u64 {
-        self.tracked_bytes
-    }
-
-    /// Read-only view of the contents.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the contents.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the buffer and returns the underlying vector, releasing the
-    /// tracked allocation.
-    pub fn into_vec(mut self) -> Vec<T> {
-        self.tracker.record_free(self.tracked_bytes);
-        self.tracked_bytes = 0;
-        std::mem::take(&mut self.data)
+impl DeviceAlloc {
+    /// The reserved bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
-impl<T> Drop for DeviceBuffer<T> {
+impl Drop for DeviceAlloc {
     fn drop(&mut self) {
-        if self.tracked_bytes > 0 {
-            self.tracker.record_free(self.tracked_bytes);
-        }
-    }
-}
-
-impl<T> std::ops::Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> std::ops::DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
+        // Each reservation frees exactly the bytes it added, exactly once.
+        self.tracker.state.lock().current -= self.bytes;
     }
 }
 
@@ -181,63 +84,16 @@ mod tests {
     #[test]
     fn tracker_records_current_and_peak() {
         let t = MemoryTracker::new();
-        t.record_alloc(100);
-        t.record_alloc(50);
+        let a = t.reserve(100);
+        let b = t.reserve(50);
         assert_eq!(t.current_bytes(), 150);
         assert_eq!(t.peak_bytes(), 150);
-        t.record_free(100);
+        drop(a);
         assert_eq!(t.current_bytes(), 50);
         assert_eq!(t.peak_bytes(), 150);
-        t.record_alloc(25);
+        let c = t.reserve(25);
         assert_eq!(t.peak_bytes(), 150, "peak unchanged until exceeded");
-        assert_eq!(t.overhead_bytes(), 75);
-        t.reset_peak();
-        assert_eq!(t.peak_bytes(), 75);
-        assert_eq!(t.allocation_count(), 3);
-    }
-
-    #[test]
-    fn tracker_free_saturates() {
-        let t = MemoryTracker::new();
-        t.record_alloc(10);
-        t.record_free(100);
-        assert_eq!(t.current_bytes(), 0);
-    }
-
-    #[test]
-    fn buffer_lifecycle_tracks_bytes() {
-        let t = MemoryTracker::new();
-        {
-            let mut buf = DeviceBuffer::<u32>::zeroed(256, t.clone());
-            assert_eq!(buf.len(), 256);
-            assert!(!buf.is_empty());
-            assert_eq!(t.current_bytes(), 1024);
-            buf.as_mut_slice()[0] = 7;
-            assert_eq!(buf.as_slice()[0], 7);
-            assert_eq!(buf[0], 7);
-        }
-        assert_eq!(t.current_bytes(), 0);
-        assert_eq!(t.peak_bytes(), 1024);
-    }
-
-    #[test]
-    fn buffer_from_slice_and_into_vec() {
-        let t = MemoryTracker::new();
-        let buf = DeviceBuffer::from_slice(&[1u64, 2, 3], t.clone());
-        assert!(t.current_bytes() >= 24);
-        let v = buf.into_vec();
-        assert_eq!(v, vec![1, 2, 3]);
-        assert_eq!(t.current_bytes(), 0);
-    }
-
-    #[test]
-    fn buffer_from_vec_accounts_capacity() {
-        let t = MemoryTracker::new();
-        let mut v = Vec::with_capacity(100);
-        v.push(1u8);
-        let buf = DeviceBuffer::from_vec(v, t.clone());
-        assert_eq!(buf.size_bytes(), 100);
-        assert_eq!(t.current_bytes(), 100);
+        assert_eq!(b.bytes() + c.bytes(), t.current_bytes());
     }
 
     #[test]
@@ -248,8 +104,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        t.record_alloc(8);
-                        t.record_free(8);
+                        drop(t.reserve(8));
                     }
                 });
             }

@@ -55,19 +55,6 @@ impl OccupancyModel {
         // full occupancy -> ~0.80.
         (0.25 + 0.65 * occ).min(0.80)
     }
-
-    /// Number of waves (sequential rounds of resident thread blocks) required
-    /// to execute `threads` logical threads.
-    pub fn waves(&self, threads: u64) -> u64 {
-        let per_wave = self.spec.max_resident_threads();
-        threads.div_ceil(per_wave).max(1)
-    }
-
-    /// Returns `true` when a launch of `threads` threads saturates the
-    /// device (i.e. at least one full wave of resident warps).
-    pub fn saturates_device(&self, threads: u64) -> bool {
-        threads >= self.spec.max_resident_threads()
-    }
 }
 
 #[cfg(test)]
@@ -115,16 +102,5 @@ mod tests {
         }
         assert!(m.bandwidth_utilisation(1 << 13) < 0.55);
         assert!(m.bandwidth_utilisation(1 << 21) > 0.70);
-    }
-
-    #[test]
-    fn waves_and_saturation() {
-        let m = model();
-        let resident = DeviceSpec::rtx_4090().max_resident_threads();
-        assert_eq!(m.waves(1), 1);
-        assert_eq!(m.waves(resident), 1);
-        assert_eq!(m.waves(resident + 1), 2);
-        assert!(!m.saturates_device(resident - 1));
-        assert!(m.saturates_device(resident));
     }
 }

@@ -81,19 +81,10 @@ impl KernelStats {
     }
 }
 
-/// Accumulates [`KernelStats`] across the lifetime of a device, and keeps the
-/// most recent kernel's stats separately (the equivalent of inspecting one
-/// kernel in Nsight Compute).
+/// Accumulates [`KernelStats`] across the lifetime of a device.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    inner: Arc<Mutex<ProfilerState>>,
-}
-
-#[derive(Debug, Default)]
-struct ProfilerState {
-    total: KernelStats,
-    last_kernel: KernelStats,
-    kernels_recorded: u64,
+    total: Arc<Mutex<KernelStats>>,
 }
 
 impl Profiler {
@@ -102,32 +93,15 @@ impl Profiler {
         Self::default()
     }
 
-    /// Records the counters of one finished kernel.
-    pub fn record_kernel(&self, stats: KernelStats) {
-        let mut st = self.inner.lock();
-        st.total.merge(&stats);
-        st.last_kernel = stats;
-        st.kernels_recorded += 1;
+    /// Records the counters of one finished kernel (kernels are charged
+    /// through [`Device::record_kernel`](crate::Device::record_kernel)).
+    pub(crate) fn record_kernel(&self, stats: KernelStats) {
+        self.total.lock().merge(&stats);
     }
 
     /// Counters accumulated over every recorded kernel.
     pub fn total(&self) -> KernelStats {
-        self.inner.lock().total
-    }
-
-    /// Counters of the most recently recorded kernel.
-    pub fn last_kernel(&self) -> KernelStats {
-        self.inner.lock().last_kernel
-    }
-
-    /// Number of kernels recorded so far.
-    pub fn kernels_recorded(&self) -> u64 {
-        self.inner.lock().kernels_recorded
-    }
-
-    /// Clears all counters.
-    pub fn reset(&self) {
-        *self.inner.lock() = ProfilerState::default();
+        *self.total.lock()
     }
 }
 
@@ -168,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn profiler_accumulates_and_tracks_last() {
+    fn profiler_accumulates() {
         let p = Profiler::new();
         p.record_kernel(KernelStats {
             instructions: 10,
@@ -179,11 +153,6 @@ mod tests {
             ..KernelStats::new()
         });
         assert_eq!(p.total().instructions, 40);
-        assert_eq!(p.last_kernel().instructions, 30);
-        assert_eq!(p.kernels_recorded(), 2);
-        p.reset();
-        assert_eq!(p.total().instructions, 0);
-        assert_eq!(p.kernels_recorded(), 0);
     }
 
     #[test]
@@ -203,6 +172,5 @@ mod tests {
             }
         });
         assert_eq!(p.total().instructions, 400);
-        assert_eq!(p.kernels_recorded(), 400);
     }
 }

@@ -402,8 +402,7 @@ pub fn launch_routed<PS: ProgramSet>(
         merged.kernel_launches = 1;
     }
 
-    let simulated = device.cost_model().simulated_time(&merged);
-    device.profiler().record_kernel(merged);
+    let simulated = device.record_kernel(merged);
 
     LaunchMetrics {
         kernel: merged,

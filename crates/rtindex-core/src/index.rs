@@ -12,7 +12,7 @@
 //! length, and the per-lookup sum of fetched values is returned, simulating
 //! the typical use of a secondary index.
 
-use gpu_device::{Device, DeviceBuffer};
+use gpu_device::{Device, DeviceAlloc};
 use optix_sim::{
     launch_routed, AccelBuildOptions, AnyHitControl, BuildInput, FinishCtx, GeometryAccel,
     LaunchMetrics, PrimitiveKind, ProgramSet, RayQueue, Route,
@@ -36,9 +36,11 @@ pub struct RtIndex {
     config: RtIndexConfig,
     device: Device,
     gas: GeometryAccel,
-    /// Device copy of the indexed key column (kept for updates/rebuilds and
-    /// for footprint accounting, like the key array of the paper's setup).
-    keys: DeviceBuffer<u64>,
+    /// The indexed key column (kept for updates/rebuilds, like the key
+    /// array of the paper's setup).
+    keys: Vec<u64>,
+    /// Device memory the key column occupies.
+    keys_alloc: DeviceAlloc,
     key_count: usize,
 }
 
@@ -53,7 +55,7 @@ impl RtIndex {
     ) -> Result<Self, RtIndexError> {
         Self::validate_build(&config, keys)?;
 
-        let keys_buffer = device.upload(keys);
+        let keys_alloc = device.reserve(keys.len() as u64 * 8);
         let input = Self::build_input(&config, keys);
         let gas = GeometryAccel::build(device, input, &Self::accel_options(&config));
 
@@ -61,7 +63,8 @@ impl RtIndex {
             config,
             device: device.clone(),
             gas,
-            keys: keys_buffer,
+            keys: keys.to_vec(),
+            keys_alloc,
             key_count: keys.len(),
         })
     }
@@ -168,9 +171,9 @@ impl RtIndex {
         self.key_count
     }
 
-    /// The indexed key column (device copy).
+    /// The indexed key column.
     pub fn keys(&self) -> &[u64] {
-        self.keys.as_slice()
+        &self.keys
     }
 
     /// The underlying acceleration structure.
@@ -187,7 +190,7 @@ impl RtIndex {
     /// Device memory occupied including the key column the index was built
     /// from.
     pub fn total_memory_bytes(&self) -> u64 {
-        self.gas.memory_bytes() + self.keys.size_bytes()
+        self.gas.memory_bytes() + self.keys_alloc.bytes()
     }
 
     /// Build metrics of the most recent build or update.
@@ -414,7 +417,9 @@ impl RtIndex {
         self.gas
             .update(&self.device, input)
             .map_err(|_| RtIndexError::UpdatesNotEnabled)?;
-        self.keys = self.device.upload(new_keys);
+        // The device uploads the new column before it frees the old one.
+        self.keys_alloc = self.device.reserve(new_keys.len() as u64 * 8);
+        self.keys.copy_from_slice(new_keys);
         Ok(())
     }
 

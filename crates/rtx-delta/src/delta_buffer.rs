@@ -13,7 +13,7 @@
 //! [`WarpHashTable`]: gpu_baselines::WarpHashTable
 
 use gpu_baselines::{slot_hash, GROUP_SIZE, TARGET_LOAD_FACTOR};
-use gpu_device::{Device, DeviceBuffer, KernelStats};
+use gpu_device::{Device, DeviceAlloc, KernelStats};
 
 /// Bytes per delta slot: 8-byte key + 4-byte rowID + 8-byte value + state,
 /// padded to 24 for coalesced accesses.
@@ -59,8 +59,8 @@ pub struct DeltaBuffer {
     slots: Vec<Slot>,
     live: usize,
     tombstones: usize,
-    /// Device allocation backing the table.
-    table_buffer: DeviceBuffer<u8>,
+    /// Device memory the table occupies.
+    table_alloc: DeviceAlloc,
 }
 
 impl DeltaBuffer {
@@ -71,7 +71,7 @@ impl DeltaBuffer {
             slots: vec![Slot::default(); INITIAL_CAPACITY],
             live: 0,
             tombstones: 0,
-            table_buffer: device.alloc::<u8>(INITIAL_CAPACITY * DELTA_SLOT_BYTES as usize),
+            table_alloc: device.reserve(INITIAL_CAPACITY as u64 * DELTA_SLOT_BYTES),
         }
     }
 
@@ -97,7 +97,7 @@ impl DeltaBuffer {
 
     /// Device memory occupied by the table.
     pub fn memory_bytes(&self) -> u64 {
-        self.table_buffer.size_bytes()
+        self.table_alloc.bytes()
     }
 
     /// Current load factor ((live + tombstones) / capacity).
@@ -130,9 +130,8 @@ impl DeltaBuffer {
                 moved += 1;
             }
         }
-        self.table_buffer = self
-            .device
-            .alloc::<u8>(capacity * DELTA_SLOT_BYTES as usize);
+        // The grown table is reserved before the old one is freed.
+        self.table_alloc = self.device.reserve(capacity as u64 * DELTA_SLOT_BYTES);
 
         // Rehash kernel: read the whole old table, write every moved entry.
         let stats = KernelStats {
@@ -143,9 +142,7 @@ impl DeltaBuffer {
             dram_bytes_written: moved * DELTA_SLOT_BYTES,
             ..KernelStats::new()
         };
-        let simulated = self.device.cost_model().simulated_time(&stats);
-        self.device.profiler().record_kernel(stats);
-        simulated.as_seconds()
+        self.device.record_kernel(stats).as_seconds()
     }
 
     /// Walks `key`'s probe sequence: `visit` receives each group's slot
@@ -223,8 +220,7 @@ impl DeltaBuffer {
             dram_bytes_written: n * DELTA_SLOT_BYTES,
             ..KernelStats::new()
         };
-        simulated += self.device.cost_model().simulated_time(&stats).as_seconds();
-        self.device.profiler().record_kernel(stats);
+        simulated += self.device.record_kernel(stats).as_seconds();
         simulated
     }
 
@@ -259,8 +255,7 @@ impl DeltaBuffer {
             dram_bytes_written: removed.len() as u64 * DELTA_SLOT_BYTES,
             ..KernelStats::new()
         };
-        let simulated = self.device.cost_model().simulated_time(&stats);
-        self.device.profiler().record_kernel(stats);
+        let simulated = self.device.record_kernel(stats);
         (removed, simulated.as_seconds())
     }
 

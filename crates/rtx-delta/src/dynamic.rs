@@ -43,7 +43,7 @@
 //! `begin_compaction` / `finish_compaction` pair.
 
 use gpu_baselines::{kernel as baseline_kernel, GROUP_SIZE};
-use gpu_device::{Device, DeviceBuffer};
+use gpu_device::{Device, DeviceAlloc};
 use optix_sim::LaunchMetrics;
 use rtindex_core::{PendingIndexBuild, RtIndex, RtIndexError};
 use rtx_bvh::BvhQuality;
@@ -166,12 +166,14 @@ pub struct DynamicRtIndex {
     device: Device,
     config: DynamicRtConfig,
     base: RtIndex,
-    /// Value column of the base rows (device copy).
-    base_values: DeviceBuffer<u64>,
+    /// Value column of the base rows.
+    base_values: Vec<u64>,
+    /// Device memory the value column occupies.
+    base_values_alloc: DeviceAlloc,
     /// Validity of each base row; cleared by deletes.
     live: Vec<bool>,
-    /// Device allocation standing in for the packed validity bitmap.
-    live_bitmap: DeviceBuffer<u8>,
+    /// Device memory the packed validity bitmap occupies.
+    live_bitmap: DeviceAlloc,
     dead_rows: usize,
     delta: DeltaBuffer,
     next_row: u32,
@@ -213,9 +215,10 @@ impl DynamicRtIndex {
             device: device.clone(),
             config,
             base,
-            base_values: device.upload(values),
+            base_values_alloc: device.reserve(n as u64 * 8),
+            base_values: values.to_vec(),
             live: vec![true; n],
-            live_bitmap: device.alloc::<u8>(n.div_ceil(8)),
+            live_bitmap: device.reserve(n.div_ceil(8) as u64),
             dead_rows: 0,
             delta: DeltaBuffer::new(device),
             next_row: u32::try_from(n).expect("base exceeds the rowID space"),
@@ -312,8 +315,8 @@ impl DynamicRtIndex {
     /// double-footprint while a rebuild is in flight.
     pub fn memory_bytes(&self) -> u64 {
         self.base.total_memory_bytes()
-            + self.base_values.size_bytes()
-            + self.live_bitmap.size_bytes()
+            + self.base_values_alloc.bytes()
+            + self.live_bitmap.bytes()
             + self.delta.memory_bytes()
             + self
                 .inflight
@@ -327,13 +330,13 @@ impl DynamicRtIndex {
     /// fresh table plus a frozen generation when a background compaction is
     /// in flight; the tombstone share is the validity bitmap.
     pub fn memory_breakdown(&self) -> (u64, u64, u64) {
-        let base = self.base.total_memory_bytes() + self.base_values.size_bytes();
+        let base = self.base.total_memory_bytes() + self.base_values_alloc.bytes();
         let delta = self.delta.memory_bytes()
             + self
                 .inflight
                 .as_ref()
                 .map_or(0, |c| c.frozen.memory_bytes());
-        (base, delta, self.live_bitmap.size_bytes())
+        (base, delta, self.live_bitmap.bytes())
     }
 
     /// All live `(row, key, value)` entries in ascending row order — the
@@ -344,7 +347,7 @@ impl DynamicRtIndex {
     /// ascending order.
     pub fn live_entries(&self) -> Vec<(u32, u64, u64)> {
         let keys = self.base.keys();
-        let values = self.base_values.as_slice();
+        let values = &self.base_values;
         let mut entries: Vec<(u32, u64, u64)> = (0..keys.len())
             .filter(|&row| self.live[row])
             .map(|row| (row as u32, keys[row], values[row]))
@@ -624,7 +627,7 @@ impl DynamicRtIndex {
     pub fn point_lookup_batch(&self, queries: &[u64]) -> Result<BatchOutcome, RtIndexError> {
         let mut outcome = self.base.point_lookup_batch_masked(
             queries,
-            Some(self.base_values.as_slice()),
+            Some(&self.base_values),
             Some(&self.live),
         )?;
 
@@ -651,7 +654,7 @@ impl DynamicRtIndex {
     pub fn range_lookup_batch(&self, ranges: &[(u64, u64)]) -> Result<BatchOutcome, RtIndexError> {
         let mut outcome = self.base.range_lookup_batch_masked(
             ranges,
-            Some(self.base_values.as_slice()),
+            Some(&self.base_values),
             Some(&self.live),
         )?;
 
@@ -806,8 +809,9 @@ impl DynamicRtIndex {
         let simulated_build_s = new_base.build_metrics().simulated_time_s;
         let quality = BvhQuality::measure(new_base.accel().bvh());
         self.base = new_base;
-        self.base_values = self.device.upload(&inflight.values);
-        self.live_bitmap = self.device.alloc::<u8>(snapshot_rows.div_ceil(8));
+        self.base_values_alloc = self.device.reserve(inflight.values.len() as u64 * 8);
+        self.base_values = inflight.values;
+        self.live_bitmap = self.device.reserve(snapshot_rows.div_ceil(8) as u64);
         self.live = live;
         self.dead_rows = dead_rows;
         // The fresh delta stays. When it still holds rows, their IDs above
@@ -866,9 +870,10 @@ impl DynamicRtIndex {
         let quality = BvhQuality::measure(rebuilt.accel().bvh());
 
         self.base = rebuilt;
-        self.base_values = self.device.upload(&values);
+        self.base_values_alloc = self.device.reserve(values.len() as u64 * 8);
+        self.base_values = values;
         self.live = vec![true; keys.len()];
-        self.live_bitmap = self.device.alloc::<u8>(keys.len().div_ceil(8));
+        self.live_bitmap = self.device.reserve(keys.len().div_ceil(8) as u64);
         self.dead_rows = 0;
         self.delta = DeltaBuffer::new(&self.device);
         self.next_row = keys.len() as u32;
