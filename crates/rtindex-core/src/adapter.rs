@@ -22,9 +22,9 @@ pub struct RxAdapter {
 impl RxAdapter {
     /// Builds an RX index over the spec's columns with `config`. The value
     /// column is shared with the spec (and every other backend built from
-    /// it), not copied. A builder selection in the spec (set by the
-    /// `"RX:sah"` / `"RX:lbvh"` registry grammar or
-    /// [`IndexSpec::with_builder`]) overrides the configured BVH builder.
+    /// it), not copied. A builder selection in [`IndexSpec::builder`] (the
+    /// `"RX:sah"` / `"RX:lbvh"` name production) overrides the configured
+    /// BVH builder.
     pub fn build(spec: &IndexSpec<'_>, mut config: RtIndexConfig) -> Result<Self, IndexError> {
         if let Some(builder) = spec.builder {
             config.builder = builder;

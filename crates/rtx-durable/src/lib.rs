@@ -42,7 +42,7 @@ use std::fs::{self, File};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
-use rtx_query::{IndexError, IndexSpec, Registry, SecondaryIndex, UpdatableIndex};
+use rtx_query::{IndexError, IndexSpec, Registry, SecondaryIndex, SpecName, UpdatableIndex};
 
 pub use config::{DurableConfig, FsyncPolicy};
 pub use durable::DurableIndex;
@@ -95,7 +95,7 @@ pub fn open_or_create(
         .ok_or_else(|| IndexError::Backend {
             backend: label.clone().into(),
             message: "the spec carries no durability path (use the \"+wal:<path>\" name \
-                      production or IndexSpec::with_durability)"
+                      production or IndexSpec::durability)"
                 .to_string(),
         })?
         .path
@@ -114,7 +114,13 @@ pub fn open_or_create(
                     ),
                 });
             }
-            if meta.base != base {
+            // A manifest may spell the base another way ("RXD@2:hash" for
+            // the printed "RXD@2"); the parsed names decide.
+            let same_base = match (SpecName::parse(&meta.base), SpecName::parse(base)) {
+                (Ok(recorded), Ok(requested)) => recorded == requested,
+                _ => meta.base == base,
+            };
+            if !same_base {
                 return Err(IndexError::Backend {
                     backend: label.into(),
                     message: format!(
@@ -272,6 +278,36 @@ mod tests {
             read_meta(&dir).is_err(),
             "corrupt manifest must not look fresh"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_spelling_the_base_another_way_reopens() {
+        let mut registry = Registry::new();
+        rtx_delta::register_dynamic(&mut registry, rtx_delta::DynamicRtConfig::default());
+        rtx_shard::install_sharding(&mut registry);
+        install_durability(&mut registry);
+        let device = gpu_device::Device::default_eval();
+        let dir = std::env::temp_dir().join(format!("rtx-durable-spelling-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let name = |base: &str| format!("{base}+wal:{}", dir.display());
+        let keys = IndexSpec::keys_only(&device, &[5, 6, 7]);
+        drop(registry.build_updatable(&name("RXD@2"), &keys).unwrap());
+        let meta = Meta {
+            base: "RXD@2:hash".to_string(),
+            has_values: false,
+        };
+        write_meta(&dir, &meta).unwrap();
+
+        let empty = IndexSpec::keys_only(&device, &[]);
+        let reopened = registry.build_updatable(&name("RXD@2"), &empty).unwrap();
+        assert_eq!(reopened.key_count(), 3);
+        drop(reopened);
+        let err = registry
+            .build_updatable(&name("RXD@3"), &empty)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("belongs to backend"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

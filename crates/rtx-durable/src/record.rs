@@ -16,34 +16,9 @@
 //! The encoding is hand-rolled (the workspace is offline — no serde) and
 //! little-endian throughout.
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `data` — the checksum guarding every WAL frame and
-/// snapshot body.
-pub fn crc32(data: &[u8]) -> u32 {
-    !data.iter().fold(!0u32, |c, &b| {
-        (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize]
-    })
-}
+/// CRC-32 (IEEE) — the checksum guarding every WAL frame and snapshot
+/// body; the same function guards the composite-key sidecar.
+pub use rtx_query::crc32;
 
 /// What one WAL record means.
 ///

@@ -35,7 +35,7 @@ use crate::batch::QueryBatch;
 use crate::error::IndexError;
 use crate::index::{IndexBackend, SecondaryIndex, UpdatableIndex};
 use crate::keys::{EncodedKey, EncodedRange, KeySchema, KeyTuple, TypedBatch};
-use crate::registry::{parse_durable_name, IndexSpec, Registry};
+use crate::registry::{IndexSpec, Registry, SpecName};
 use crate::shard::{RebalanceReport, ShardLoad};
 use crate::types::{
     Capabilities, DurableStats, IndexBuildMetrics, MemoryUsage, QueryOutcome, UpdateReport,
@@ -408,15 +408,6 @@ impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
     }
 }
 
-/// The composite display name in canonical grammar order: schema after the
-/// backend/builder/shard productions, before the durability suffix.
-fn composite_name(rest: &str, schema: &KeySchema) -> String {
-    match rest.split_once("+wal:") {
-        Some((base, path)) => format!("{base}{schema}+wal:{path}"),
-        None => format!("{rest}{schema}"),
-    }
-}
-
 /// What a composite build feeds the inner backend.
 struct Prepared {
     keys: Vec<u64>,
@@ -425,7 +416,12 @@ struct Prepared {
     write_sidecar: bool,
 }
 
-fn prepare(rest: &str, spec: &IndexSpec<'_>, schema: &KeySchema) -> Result<Prepared, IndexError> {
+fn prepare(
+    name: &str,
+    wal: Option<&Path>,
+    spec: &IndexSpec<'_>,
+    schema: &KeySchema,
+) -> Result<Prepared, IndexError> {
     if schema.limbs() == 1 {
         // Direct codec: encoded keys are backend keys; raw `spec.keys` are
         // accepted as pre-encoded (for `{u64}` they are the keys).
@@ -441,7 +437,7 @@ fn prepare(rest: &str, spec: &IndexSpec<'_>, schema: &KeySchema) -> Result<Prepa
         });
     }
 
-    let sidecar = parse_durable_name(rest).map(|(_, path)| Path::new(path).join(SIDECAR_FILE));
+    let sidecar = wal.map(|dir| dir.join(SIDECAR_FILE));
     match &spec.rows {
         Some(rows) => {
             let encoded = rows
@@ -465,7 +461,7 @@ fn prepare(rest: &str, spec: &IndexSpec<'_>, schema: &KeySchema) -> Result<Prepa
             // from the sidecar while the inner index replays its WAL.
             let dict = match &sidecar {
                 Some(path) if path.exists() => load_sidecar(path, schema)
-                    .map_err(|e| composite_error(rest, format!("sidecar load failed: {e}")))?,
+                    .map_err(|e| composite_error(name, format!("sidecar load failed: {e}")))?,
                 _ => KeyDict::default(),
             };
             Ok(Prepared {
@@ -476,7 +472,7 @@ fn prepare(rest: &str, spec: &IndexSpec<'_>, schema: &KeySchema) -> Result<Prepa
             })
         }
         None => Err(composite_error(
-            rest,
+            name,
             format!(
                 "a wide key schema {schema} builds from typed rows (IndexSpec::rows); \
                  raw u64 keys cannot be dictionary-mapped"
@@ -498,7 +494,7 @@ fn inner_spec<'a>(spec: &IndexSpec<'a>, keys: &'a [u64]) -> IndexSpec<'a> {
 }
 
 fn finish_sidecar(
-    rest: &str,
+    name: &str,
     schema: &KeySchema,
     prepared: &Prepared,
     inner: &dyn SecondaryIndex,
@@ -511,11 +507,11 @@ fn finish_sidecar(
             return Ok(());
         };
         write_sidecar(path, schema, dict)
-            .map_err(|e| composite_error(rest, format!("sidecar write failed: {e}")))?;
+            .map_err(|e| composite_error(name, format!("sidecar write failed: {e}")))?;
     } else if let Codec::Dict(dict) = &prepared.codec {
         if dict.len() == 0 && inner.key_count() > 0 {
             return Err(composite_error(
-                rest,
+                name,
                 format!(
                     "durable index holds {} keys but the {SIDECAR_FILE} sidecar is missing or \
                      empty; the dictionary cannot be reconstructed",
@@ -527,30 +523,36 @@ fn finish_sidecar(
     Ok(())
 }
 
-/// Builds a composite index: resolves `rest` through the plain registry
-/// grammar and wraps whichever kind of backend it resolved to with the
-/// schema's codec.
+/// Builds a composite index: resolves `name` (which carries no schema)
+/// through the registry and wraps whichever kind of backend that built
+/// with `schema`'s codec. `name` printed with the schema is the index's
+/// display name; its durability production, if any, is where the sidecar
+/// lives.
 pub(crate) fn build(
     registry: &Registry,
-    rest: &str,
+    name: &SpecName,
     spec: &IndexSpec<'_>,
     schema: KeySchema,
 ) -> Result<IndexBackend, IndexError> {
-    let prepared = prepare(rest, spec, &schema)?;
-    let inner = registry.resolve(rest, &inner_spec(spec, &prepared.keys))?;
-    finish_sidecar(rest, &schema, &prepared, inner.read())?;
-    let name = composite_name(rest, &schema);
+    let display = SpecName {
+        schema: Some(schema.clone()),
+        ..name.clone()
+    }
+    .to_string();
+    let prepared = prepare(&display, name.wal.as_deref(), spec, &schema)?;
+    let inner = registry.resolve(name, &inner_spec(spec, &prepared.keys))?;
+    finish_sidecar(&display, &schema, &prepared, inner.read())?;
     let Prepared { codec, sidecar, .. } = prepared;
     Ok(match inner {
         IndexBackend::Read(inner) => IndexBackend::Read(Box::new(CompositeIndex {
-            name,
+            name: display,
             schema,
             codec,
             sidecar,
             inner,
         })),
         IndexBackend::Write(inner) => IndexBackend::Write(Box::new(CompositeIndex {
-            name,
+            name: display,
             schema,
             codec,
             sidecar,
@@ -566,16 +568,33 @@ pub(crate) fn build(
 // entry  = encoded key (big-endian bytes, encoded_width) | mapped u64 (LE)
 // ---------------------------------------------------------------------------
 
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
+        table[i] = c;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE) of `data`: the checksum of every sidecar frame here and,
+/// through `rtx-durable`, of every WAL frame, snapshot and manifest.
+pub fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |c, &b| {
+        (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize]
+    })
 }
 
 fn sidecar_header(schema: &KeySchema) -> [u8; 16] {
@@ -668,23 +687,6 @@ fn load_sidecar(path: &Path, schema: &KeySchema) -> std::io::Result<KeyDict> {
         at += 8 + count * entry;
     }
     Ok(dict)
-}
-
-/// Strips the brace-enclosed schema production from a spec name:
-/// `"RX:sah@4{u32,u32}"` → `("RX:sah@4", schema)`. Returns `None` for
-/// names without braces, an error for unterminated or invalid schemas.
-pub fn parse_schema_name(name: &str) -> Result<Option<(String, KeySchema)>, IndexError> {
-    let Some(start) = name.find('{') else {
-        return Ok(None);
-    };
-    let end = name[start..].find('}').map(|i| start + i).ok_or_else(|| {
-        composite_error(name, "unterminated key schema (missing '}')".to_string())
-    })?;
-    let schema = KeySchema::parse(&name[start..=end])?;
-    Ok(Some((
-        format!("{}{}", &name[..start], &name[end + 1..]),
-        schema,
-    )))
 }
 
 #[cfg(test)]
@@ -847,33 +849,5 @@ mod tests {
         let load = composite.shard_load().expect("the inner index is sharded");
         assert_eq!(load.hottest_shard(), Some(0));
         assert_eq!(composite.rebalance_shards().unwrap().moved_rows, 7);
-    }
-
-    #[test]
-    fn schema_names_parse_out_of_any_position() {
-        let (rest, schema) = parse_schema_name("RX:sah@4:hash{u32,u32,str16}")
-            .unwrap()
-            .unwrap();
-        assert_eq!(rest, "RX:sah@4:hash");
-        assert_eq!(schema.to_string(), "{u32,u32,str16}");
-
-        let (rest, _) = parse_schema_name("RXD{u64,u64}+wal:/tmp/x")
-            .unwrap()
-            .unwrap();
-        assert_eq!(rest, "RXD+wal:/tmp/x");
-
-        assert!(parse_schema_name("RX").unwrap().is_none());
-        assert!(parse_schema_name("RX{u32").is_err());
-        assert!(parse_schema_name("RX{nope}").is_err());
-    }
-
-    #[test]
-    fn composite_names_put_the_schema_before_durability() {
-        let schema = KeySchema::parse("{u32,u32}").unwrap();
-        assert_eq!(composite_name("RX:sah@4", &schema), "RX:sah@4{u32,u32}");
-        assert_eq!(
-            composite_name("RXD+wal:/tmp/x", &schema),
-            "RXD{u32,u32}+wal:/tmp/x"
-        );
     }
 }

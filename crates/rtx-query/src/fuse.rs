@@ -98,11 +98,6 @@ impl FusedBatch {
         self.slices.clear();
     }
 
-    /// Number of fused client batches.
-    pub fn client_count(&self) -> usize {
-        self.slices.len()
-    }
-
     /// Total operations across all fused clients.
     pub fn op_count(&self) -> usize {
         self.ops.len()
@@ -247,7 +242,7 @@ mod tests {
         let b = fusion.push(&QueryBatch::new());
         let c = fusion.push(&QueryBatch::of_points(&[7]));
         assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(fusion.client_count(), 3);
+        assert_eq!(fusion.slices.len(), 3);
         assert_eq!(fusion.op_count(), 3);
         assert!(!fusion.is_empty());
         assert_eq!(

@@ -275,12 +275,6 @@ impl KeySchema {
         self.encoded_width() / 8
     }
 
-    /// True when the schema is the single raw `u64` column — the legacy
-    /// key space, where encoding is the identity.
-    pub fn is_unit_u64(&self) -> bool {
-        self.columns == [ColumnType::U64]
-    }
-
     /// Encodes one full tuple into its order-preserving key.
     pub fn encode(&self, tuple: &[KeyValue]) -> Result<EncodedKey, IndexError> {
         if tuple.len() != self.columns.len() {
@@ -581,11 +575,6 @@ impl EncodedKey {
         }
     }
 
-    /// Number of `u64` limbs.
-    pub fn limb_count(&self) -> usize {
-        self.limb_count as usize
-    }
-
     /// The `i`-th limb (most-significant first).
     pub fn limb(&self, i: usize) -> u64 {
         self.limbs[i]
@@ -843,8 +832,6 @@ mod tests {
         assert_eq!(schema("{u32,u32,u8}").encoded_width(), 16);
         assert_eq!(schema("{u32,u32,str16}").encoded_width(), 32);
         assert_eq!(schema("{str16}").encoded_width(), 16);
-        assert!(schema("{u64}").is_unit_u64());
-        assert!(!schema("{i64}").is_unit_u64());
     }
 
     #[test]

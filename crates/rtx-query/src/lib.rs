@@ -73,7 +73,7 @@ pub mod types;
 
 pub use arena::{ArenaPool, ExecArena};
 pub use batch::{QueryBatch, QueryOp, QueryOps};
-pub use composite::{parse_schema_name, CompositeIndex};
+pub use composite::{crc32, CompositeIndex};
 pub use error::IndexError;
 pub use fuse::{FusedBatch, FusedSlice, SharedOutcome};
 pub use index::{IndexBackend, SecondaryIndex, UpdatableIndex};
@@ -83,14 +83,16 @@ pub use keys::{
 };
 pub use mirror::RowMirror;
 pub use registry::{
-    parse_builder_name, parse_durable_name, DurabilitySpec, DurableBuilder, IndexBuilder,
-    IndexSpec, Registry, ShardedBuilder, SpecName,
+    DurabilitySpec, DurableBuilder, IndexBuilder, IndexSpec, Registry, ShardedBuilder, SpecName,
 };
 
 // The builder-selection grammar (`"RX:sah"`, `"RX:lbvh"`) names this enum;
 // re-exported so callers need not depend on `rtx-bvh` directly.
 pub use rtx_bvh::BuilderKind;
-pub use shard::{KeyRouter, Partitioning, RebalanceReport, ScatterPlan, ShardLoad, ShardSpec};
+pub use shard::{
+    check_shard_count, KeyRouter, Partitioning, RebalanceReport, ScatterPlan, ShardLoad, ShardSpec,
+    MAX_SHARDS,
+};
 pub use table::{
     Candidate, ExplainPlan, IndexDef, IngestBatch, IngestOp, PlanChoice, Predicate, Record, Route,
     TableQuery, TableSchema,

@@ -8,60 +8,73 @@
 //!
 //! # Name grammar
 //!
-//! [`Registry::build_backend`] resolves a backend name once, production by
-//! production, into an [`IndexBackend`] — read-only or updatable as the
-//! name decides; [`Registry::build`] and [`Registry::build_updatable`] are
-//! views of it behind the read and the write trait:
+//! Every index is built from a name. [`SpecName::parse`] is the one reader
+//! of the grammar and [`SpecName`]'s `Display` its one printer:
 //!
 //! ```text
 //! name        := backend [builder] [shard] [schema] [durability]
 //! backend     := "RX" | "HT" | "B+" | "SA" | "RXD" | <any registered name>
 //! builder     := ":sah" | ":lbvh"
-//! shard       := "@" <count> [":hash" | ":range"]
+//! shard       := "@" <count> [":hash" | ":range"]      1 ≤ count ≤ 256
 //! schema      := "{" column ("," column)* "}"
 //! column      := "u8" | "u16" | "u32" | "u64" | "i64" | "str" <bytes>
 //! durability  := "+wal:" <path>
 //! ```
 //!
-//! −1. **key schema** — a brace-enclosed column list anywhere in the name
-//!    (canonically after the shard production:
-//!    `"RX:sah@4:hash{u32,u32,str16}"`) is stripped *first* and wraps the
-//!    whole resolution in a typed composite-key layer (see
-//!    [`crate::composite`] and [`KeySchema`]); the
-//!    remaining productions resolve below it, so sharding and durability
-//!    operate on the *encoded* key space. A schema set programmatically via
-//!    [`IndexSpec::with_schema`] behaves identically;
-//! 0. **durability** — a trailing `"+wal:<path>"` (the outermost
-//!    production: `"RXD+wal:/data/ix"`, `"RXD:sah@4:hash+wal:/data/ix"`)
-//!    strips the suffix, records the path in [`IndexSpec::durability`] and
-//!    delegates the whole build to the installed durable factory (see
-//!    [`Registry::set_durable_builder`]; `rtx-durable` provides the
-//!    canonical factory via its `install_durability` function), which
-//!    resolves the base name recursively and wraps it in a WAL-backed
-//!    persistent index, which always takes writes;
-//! 1. **verbatim** — a name registered exactly always wins (`"RX"`);
-//! 2. **sharding** — a name containing `@` parses as a
-//!    [`ShardSpec`] (`"RX@8"`, `"SA@4:range"`) when a sharding layer is
-//!    installed; the part before `@` resolves recursively, so builder
-//!    suffixes compose with sharding (`"RX:sah@8:range"`), and the sharded
-//!    index takes writes exactly when every shard does;
-//! 3. **builder selection** — a `:sah` / `:lbvh` suffix
-//!    ([`parse_builder_name`]) selects the acceleration-structure builder
-//!    and resolves the rest of the name recursively: `"RX:lbvh"`,
-//!    `"RXD:sah"`. The selection rides in [`IndexSpec::builder`]; backends
-//!    without a BVH (HT, B+, SA) ignore it.
+//! The parser also takes the builder after the shard production
+//! (`"RX@4:sah"`, `"RX@4:range:lbvh"`) and the schema anywhere before the
+//! durability production. The printer writes the order above and drops
+//! the default `:hash`, so `SpecName::parse(s)?.to_string()` names the same
+//! index as `s`. A parsed backend holds no `:`, `@`, `{` or `}`: a name
+//! whose text after the backend is not a sequence of productions
+//! (`"RX:fast"`, `"RX:lbvh:sah"`, `"RX@4@2"`) is a parse error, which the
+//! registry reports as an unknown backend.
+//!
+//! # Resolution
+//!
+//! [`Registry::build_backend`] first looks the whole name up verbatim, so a
+//! registered `"NULL@4"` wins over the shard production (the shard step
+//! looks the backend and count up verbatim again, so it also wins under a
+//! builder, schema or durability production: `"NULL@4:sah"`,
+//! `"NULL@4{u64}"`). Otherwise it parses the name once and builds from the
+//! parsed fields, outermost layer first:
+//!
+//! 1. **schema** — a brace production, or a schema riding
+//!    [`IndexSpec::key_schema`], wraps the build in a typed composite-key
+//!    layer (see [`crate::composite`] and [`KeySchema`]); when both are
+//!    present they must agree. The layers below work on the encoded keys;
+//! 2. **durability** — `"+wal:<path>"` puts the path in
+//!    [`IndexSpec::durability`] and hands the rest of the name, printed, to
+//!    the durable factory (see [`Registry::set_durable_builder`];
+//!    `rtx-durable`'s `install_durability` provides it), which builds it
+//!    and wraps it in a WAL-backed index that always takes writes;
+//! 3. **shard** — `"@<count>"` hands the backend, with the builder
+//!    selection in the spec, to the sharding factory (see
+//!    [`Registry::set_sharded_builder`]; `rtx-shard`'s `install_sharding`
+//!    provides it), which builds one backend per shard and takes writes
+//!    exactly when every shard does;
+//! 4. **builder** — `":sah"` / `":lbvh"` rides in [`IndexSpec::builder`];
+//!    backends without a BVH (HT, B+, SA) ignore it;
+//! 5. **backend** — the registered builder runs. A name nobody registered
+//!    fails with [`IndexError::UnknownBackend`] listing every registered
+//!    backend.
+//!
+//! The shard bound, `1 ≤ count ≤` [`MAX_SHARDS`](crate::shard::MAX_SHARDS),
+//! is one check ([`check_shard_count`]): the parser applies it to every
+//! name, so a hostile count fails before any factory runs, and
+//! `ShardedIndex::build` applies it to the specs it is handed directly.
 //!
 //! # Table specs
 //!
 //! The table layer reuses this grammar: every
 //! [`IndexDef::spec`](crate::table::IndexDef) of a
-//! [`TableSchema`](crate::table::TableSchema) is a name in the grammar
-//! above, resolved through [`Registry::build`] each time the table
-//! (re)builds that index. One table can therefore mix `"HT"`,
+//! [`TableSchema`](crate::table::TableSchema) is read by the same
+//! [`SpecName::parse`] and resolved through [`Registry::build`] each time
+//! the table (re)builds that index. One table can therefore mix `"HT"`,
 //! `"RX:sah@4:hash"` and `"SA{u32,u32}"` across its columns. The one
 //! production a table refuses is durability: a table index is a rebuilt
 //! base plus a row-store overlay, so a `"+wal:"` spec fails at load. Use
-//! [`Registry::names`] to enumerate the candidate backends instead of
+//! [`Registry::backends`] to enumerate the candidate backends instead of
 //! hard-coding them.
 
 use std::collections::BTreeMap;
@@ -76,7 +89,7 @@ use crate::composite;
 use crate::error::IndexError;
 use crate::index::{IndexBackend, SecondaryIndex, UpdatableIndex};
 use crate::keys::{KeySchema, KeyTuple};
-use crate::shard::{Partitioning, ShardSpec};
+use crate::shard::{check_shard_count, Partitioning, ShardSpec};
 
 /// What to build an index over: the device and the column pair. The
 /// position of a key in `keys` is its rowID; `values`, when present, must
@@ -95,22 +108,21 @@ pub struct IndexSpec<'a> {
     /// this spec.
     pub values: Option<Arc<[u64]>>,
     /// Acceleration-structure builder override, set by a `:sah` / `:lbvh`
-    /// name suffix (see the [module docs](self) for the grammar) or by
-    /// [`IndexSpec::with_builder`]. `None` keeps the backend's configured
-    /// default; backends without a BVH ignore it.
+    /// name production (see the [module docs](self) for the grammar).
+    /// `None` keeps the backend's configured default; backends without a
+    /// BVH ignore it.
     pub builder: Option<BuilderKind>,
-    /// Durability request, set by a trailing `"+wal:<path>"` name suffix
-    /// (the outermost grammar production — see the [module docs](self)).
-    /// The durable factory reads the path; backends that see it set prepare
-    /// themselves for an external durability wrapper (e.g. RXD disables
-    /// autonomous background-compaction swaps so the wrapper controls the
-    /// exact swap points it logs).
+    /// Durability request, set by a trailing `"+wal:<path>"` name
+    /// production (see the [module docs](self)). The durable factory reads
+    /// the path; backends that see it set prepare themselves for an
+    /// external durability wrapper (e.g. RXD disables autonomous
+    /// background-compaction swaps so the wrapper controls the exact swap
+    /// points it logs).
     pub durability: Option<DurabilitySpec>,
-    /// Typed key schema, set by a `"{u32,u32,str16}"` brace production in
-    /// the name or by [`IndexSpec::with_schema`]. With a schema present the
-    /// registry wraps the build in a composite-key layer (see the
-    /// [module docs](self) grammar); without one the spec describes the
-    /// legacy raw-`u64` key column.
+    /// Typed key schema, set by [`IndexSpec::typed`] (or directly). With a
+    /// schema present the registry wraps the build in a composite-key layer
+    /// exactly as for a `"{u32,u32,str16}"` brace production in the name;
+    /// without one the spec describes the raw-`u64` key column.
     pub key_schema: Option<KeySchema>,
     /// Typed key tuples, one per row, for composite builds (the typed
     /// counterpart of `keys`; exactly one of the two may be non-empty).
@@ -199,32 +211,6 @@ impl<'a> IndexSpec<'a> {
         }
     }
 
-    /// Returns the spec with a typed key schema attached (the programmatic
-    /// equivalent of the `"{...}"` brace production in a name). When a name
-    /// also carries a brace production the two must agree.
-    pub fn with_schema(mut self, schema: KeySchema) -> Self {
-        self.key_schema = Some(schema);
-        self
-    }
-
-    /// Returns the spec with an explicit builder selection (the
-    /// programmatic equivalent of the `:sah` / `:lbvh` name suffix).
-    pub fn with_builder(mut self, builder: BuilderKind) -> Self {
-        self.builder = Some(builder);
-        self
-    }
-
-    /// Returns the spec with a durability request attached (how the
-    /// `"+wal:<path>"` name production records its path). Building a
-    /// backend directly from such a spec does *not* wrap it — name
-    /// resolution through the `+wal:` suffix (or the `rtx-durable` API)
-    /// does; a bare backend seeing the request merely prepares itself for
-    /// an external durability wrapper.
-    pub fn with_durability(mut self, durability: DurabilitySpec) -> Self {
-        self.durability = Some(durability);
-        self
-    }
-
     /// The value column as a slice, if present.
     pub fn values(&self) -> Option<&[u64]> {
         self.values.as_deref()
@@ -258,27 +244,7 @@ impl<'a> IndexSpec<'a> {
     }
 }
 
-impl fmt::Display for IndexSpec<'_> {
-    /// The grammar productions riding this spec — builder suffix, key
-    /// schema, durability — in canonical order. Append to a backend name
-    /// to reprint a full spec name for logs or `ExplainPlan` (or go
-    /// through [`SpecName`] to round-trip shard counts too).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Some(builder) = self.builder {
-            write!(f, ":{}", builder_suffix(builder))?;
-        }
-        if let Some(schema) = &self.key_schema {
-            write!(f, "{schema}")?;
-        }
-        if let Some(durability) = &self.durability {
-            write!(f, "+wal:{}", durability.path.display())?;
-        }
-        Ok(())
-    }
-}
-
-/// The name suffix of a builder selection (inverse of
-/// [`parse_builder_name`]).
+/// The name suffix of a builder selection.
 fn builder_suffix(builder: BuilderKind) -> &'static str {
     match builder {
         BuilderKind::Sah => "sah",
@@ -286,11 +252,11 @@ fn builder_suffix(builder: BuilderKind) -> &'static str {
     }
 }
 
-/// A fully parsed spec name: every production of the registry grammar as a
-/// structured value, with a [`Display`](fmt::Display) that reprints the
-/// canonical name — so `SpecName::parse(s).to_string()` resolves to the
-/// same index as `s` for every grammatical name.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A parsed spec name: every production of the registry grammar (see the
+/// [module docs](self)) as a field. [`SpecName::parse`] is the one reader
+/// of the grammar and `Display` its one printer; printing and parsing back
+/// gives the same value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecName {
     /// The registered backend name (`"RX"`, `"HT"`, ...).
     pub backend: String,
@@ -306,49 +272,103 @@ pub struct SpecName {
 
 impl SpecName {
     /// Parses a name of the registry grammar into its productions. Accepts
-    /// every order [`Registry::build`] accepts (builder before or after the
-    /// shard production, schema anywhere); [`Display`](fmt::Display)
-    /// reprints the canonical order.
+    /// the builder before or after the shard production and the schema
+    /// anywhere before `"+wal:"`; `Display` prints the canonical order.
+    ///
+    /// Fails on an empty backend or path around `"+wal:"`, a malformed or
+    /// second key schema, a shard count outside [`check_shard_count`]'s
+    /// bound, and a name that is not a backend followed by a sequence of
+    /// productions (`"RX:fast"`); [`Registry::build_backend`] reports the
+    /// last as [`IndexError::UnknownBackend`] listing every registered
+    /// backend.
     pub fn parse(name: &str) -> Result<SpecName, IndexError> {
-        let (rest, wal) = match parse_durable_name(name) {
-            Some((base, path)) => (base.to_string(), Some(PathBuf::from(path))),
-            None => (name.to_string(), None),
+        SpecName::read(name)?.ok_or_else(|| IndexError::Backend {
+            backend: name.into(),
+            message: "not a backend followed by a sequence of name productions \
+                      (see the registry grammar)"
+                .to_string(),
+        })
+    }
+
+    /// [`parse`](SpecName::parse), with `Ok(None)` for a name that is not
+    /// a backend followed by a sequence of productions.
+    fn read(name: &str) -> Result<Option<SpecName>, IndexError> {
+        let grammar_error = |message: &str| IndexError::Backend {
+            backend: name.into(),
+            message: message.to_string(),
         };
-        let (rest, schema) = match composite::parse_schema_name(&rest)? {
-            Some((rest, schema)) => (rest, Some(schema)),
-            None => (rest, None),
+        // The first "+wal:" splits, so the path may hold any text.
+        let (rest, wal) = match name.split_once("+wal:") {
+            Some((base, path)) if base.is_empty() || path.is_empty() => {
+                return Err(grammar_error(
+                    "a durable spec needs both a backend name and a path \
+                     (\"<backend>+wal:<path>\")",
+                ))
+            }
+            Some((base, path)) => (base, Some(PathBuf::from(path))),
+            None => (name, None),
         };
-        let (rest, shard) = match ShardSpec::parse(&rest) {
-            Some(spec) => (spec.backend.clone(), Some((spec.shards, spec.partitioning))),
-            None => (rest, None),
+        let (rest, schema) = match rest.find('{') {
+            Some(start) => {
+                let end = rest[start..]
+                    .find('}')
+                    .map(|i| start + i)
+                    .ok_or_else(|| grammar_error("unterminated key schema (missing '}')"))?;
+                let schema = KeySchema::parse(&rest[start..=end])?;
+                (
+                    format!("{}{}", &rest[..start], &rest[end + 1..]),
+                    Some(schema),
+                )
+            }
+            None => (rest.to_string(), None),
         };
-        let (backend, builder, shard) = match parse_builder_name(&rest) {
-            // The builder suffix may follow the shard production
-            // ("RX@4:sah"); in that case the shard spec hides inside the
-            // builder's base.
-            Some((base, kind)) => match (&shard, ShardSpec::parse(base)) {
-                (None, Some(spec)) => (
-                    spec.backend.clone(),
-                    Some(kind),
-                    Some((spec.shards, spec.partitioning)),
-                ),
-                _ => (base.to_string(), Some(kind), shard),
-            },
-            None => (rest, None, shard),
-        };
-        if backend.is_empty() {
-            return Err(IndexError::Backend {
-                backend: name.to_string().into(),
-                message: "a spec name needs a backend before its suffix productions".to_string(),
-            });
+        if rest.contains(['{', '}']) {
+            return Err(grammar_error("a spec name holds at most one key schema"));
         }
-        Ok(SpecName {
-            backend,
-            builder,
-            shard,
+
+        let (backend, mut tail) = rest.split_at(rest.find([':', '@']).unwrap_or(rest.len()));
+        // A backend ending in "+wal" would print as a durability production
+        // in front of a builder suffix.
+        if backend.is_empty() || backend.ends_with("+wal") {
+            return Ok(None);
+        }
+        let mut spec = SpecName {
+            backend: backend.to_string(),
             schema,
             wal,
-        })
+            ..SpecName::default()
+        };
+        // The tail is a run of productions, each opened by '@' or ':'. A
+        // partitioning may only follow the shard count.
+        let mut count_just_read = false;
+        while let Some(mark) = tail.chars().next() {
+            let body_end = tail[1..].find([':', '@']).map_or(tail.len(), |i| i + 1);
+            let body = &tail[1..body_end];
+            tail = &tail[body_end..];
+            let after_count = std::mem::take(&mut count_just_read);
+            match (mark, body) {
+                ('@', count)
+                    if spec.shard.is_none()
+                        && !count.is_empty()
+                        && count.bytes().all(|b| b.is_ascii_digit()) =>
+                {
+                    // All digits: a count too large for `usize` is out of
+                    // bounds, not a different production.
+                    let shards = count.parse().unwrap_or(usize::MAX);
+                    check_shard_count(name, shards)?;
+                    spec.shard = Some((shards, Partitioning::Hash));
+                    count_just_read = true;
+                }
+                (':', "hash") if after_count => {}
+                (':', "range") if after_count => {
+                    spec.shard = spec.shard.map(|(shards, _)| (shards, Partitioning::Range));
+                }
+                (':', "sah") if spec.builder.is_none() => spec.builder = Some(BuilderKind::Sah),
+                (':', "lbvh") if spec.builder.is_none() => spec.builder = Some(BuilderKind::Lbvh),
+                _ => return Ok(None),
+            }
+        }
+        Ok(Some(spec))
     }
 }
 
@@ -360,9 +380,9 @@ impl fmt::Display for SpecName {
         }
         if let Some((count, partitioning)) = self.shard {
             write!(f, "@{count}")?;
-            // Hash is the default and prints bare, matching `ShardSpec`.
+            // Hash is the default and prints bare.
             if partitioning == Partitioning::Range {
-                write!(f, ":range")?;
+                write!(f, ":{}", partitioning.name())?;
             }
         }
         if let Some(schema) = &self.schema {
@@ -380,17 +400,19 @@ impl fmt::Display for SpecName {
 pub type IndexBuilder =
     Box<dyn Fn(&IndexSpec<'_>) -> Result<IndexBackend, IndexError> + Send + Sync>;
 
-/// Factory resolving a parsed [`ShardSpec`] (e.g. `"RX@8"`) into a sharded
+/// Factory building the shard production (e.g. `"RX@8"`) into a sharded
 /// backend, updatable exactly when every shard is. Receives the registry
-/// so it can build the inner backends by name.
+/// so it can build the inner backends by name; the builder selection rides
+/// in the spec.
 pub type ShardedBuilder = Box<
     dyn Fn(&Registry, &ShardSpec, &IndexSpec<'_>) -> Result<IndexBackend, IndexError> + Send + Sync,
 >;
 
-/// Factory resolving a `"+wal:<path>"`-suffixed name into a WAL-backed
-/// durable index. Receives the registry, the *base* name (everything
-/// before `+wal:`) and a spec whose [`IndexSpec::durability`] carries the
-/// path; it resolves the base recursively and wraps it.
+/// Factory building the `"+wal:<path>"` production into a WAL-backed
+/// durable index. Receives the registry, the *base* name (the parsed name
+/// without its schema and durability productions, printed) and a spec
+/// whose [`IndexSpec::durability`] carries the path; it builds the base and
+/// wraps it.
 pub type DurableBuilder = Box<
     dyn Fn(&Registry, &str, &IndexSpec<'_>) -> Result<Box<dyn UpdatableIndex>, IndexError>
         + Send
@@ -452,10 +474,10 @@ impl Registry {
     }
 
     /// Installs the sharded-backend factory: with it in place, any name
-    /// that is not registered verbatim but parses as a [`ShardSpec`]
-    /// (`"RX@8"`, `"SA@4:range"`, …) builds a sharded backend over the
-    /// registry's own inner builders. `rtx-shard` provides the canonical
-    /// factory via its `install_sharding` function.
+    /// with a shard production that is not registered verbatim (`"RX@8"`,
+    /// `"SA@4:range"`, …) builds a sharded backend over the registry's own
+    /// inner builders. `rtx-shard` provides the canonical factory via its
+    /// `install_sharding` function.
     pub fn set_sharded_builder(&mut self, sharded: ShardedBuilder) {
         self.sharded = Some(sharded);
     }
@@ -474,13 +496,8 @@ impl Registry {
         self.durable = Some(durable);
     }
 
-    /// True once [`set_durable_builder`](Registry::set_durable_builder)
-    /// has installed a durability layer.
-    pub fn supports_durability(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// Every registered backend name, sorted.
+    /// Every registered backend name, sorted: the enumeration planners and
+    /// examples iterate instead of hard-coding backend names.
     pub fn backends(&self) -> Vec<&str> {
         self.builders.keys().map(String::as_str).collect()
     }
@@ -494,37 +511,30 @@ impl Registry {
             .collect()
     }
 
-    /// Every registered backend name as an owned, sorted list — the
-    /// enumeration planners and examples iterate instead of hard-coding
-    /// backend names (the borrowing equivalent is
-    /// [`backends`](Registry::backends)).
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
     /// Builds the backend `name` resolves to over `spec`, read-only or
-    /// updatable as the name decides.
-    ///
-    /// The name resolves once, production by production (see the
-    /// [module docs](self) grammar): a `"{...}"` key-schema production (or
-    /// a schema attached via [`IndexSpec::with_schema`]) wraps the whole
-    /// build in a typed composite-key layer; a `"+wal:<path>"` suffix hands
-    /// the base name to the durable factory; a name registered verbatim
-    /// builds directly; a name with `@` goes to the sharding factory (see
-    /// [`ShardSpec::parse`]); a `:sah` / `:lbvh` suffix (see
-    /// [`parse_builder_name`]) selects the builder and resolves the rest.
-    /// Truly unknown names fail with an error listing every registered
-    /// backend.
+    /// updatable as the name decides: a name registered verbatim builds
+    /// directly, any other is parsed once by [`SpecName::parse`] and built
+    /// layer by layer (see the [module docs](self)). Unknown names fail
+    /// with an error listing every registered backend.
     pub fn build_backend(
         &self,
         name: &str,
         spec: &IndexSpec<'_>,
     ) -> Result<IndexBackend, IndexError> {
         spec.validate()?;
-        match self.extract_schema(name, spec)? {
-            Some((rest, schema)) => composite::build(self, &rest, spec, schema),
-            None => self.resolve(name, spec),
-        }
+        let parsed = match self.builders.get(name) {
+            // With no schema to wrap it, a registered name builds directly
+            // and allocates nothing for the name on the build's peak.
+            Some(entry) if spec.key_schema.is_none() && spec.rows.is_none() => {
+                return (entry.build)(spec);
+            }
+            Some(_) => SpecName {
+                backend: name.to_string(),
+                ..SpecName::default()
+            },
+            None => SpecName::read(name)?.ok_or_else(|| self.unknown(name))?,
+        };
+        self.resolve(&parsed, spec)
     }
 
     /// [`build_backend`](Registry::build_backend) behind the read trait.
@@ -563,123 +573,99 @@ impl Registry {
         }
     }
 
-    /// The schema-free resolution core behind
-    /// [`build_backend`](Registry::build_backend): durability, verbatim,
-    /// sharding, then builder-suffix recursion. The composite layer calls
-    /// this with a schema-stripped name and spec so the inner backends
-    /// never re-wrap.
+    /// Builds a parsed name, outermost layer first: schema, durability,
+    /// shard, builder, backend. The composite layer calls this with the
+    /// schema taken off the name and the spec, so the inner build never
+    /// wraps again.
     pub(crate) fn resolve(
         &self,
-        name: &str,
+        name: &SpecName,
         spec: &IndexSpec<'_>,
     ) -> Result<IndexBackend, IndexError> {
-        if let Some((base, path)) = parse_durable_name(name) {
-            return self
-                .build_durable(base, path, spec)
-                .map(IndexBackend::Write);
-        }
-        if let Some(entry) = self.builders.get(name) {
-            return (entry.build)(spec);
-        }
-        if let Some(shard_spec) = ShardSpec::parse(name) {
-            let factory = self.sharded.as_ref().ok_or_else(|| self.unsharded(name))?;
-            self.validate_shard_spec(&shard_spec)?;
-            return factory(self, &shard_spec, spec);
-        }
-        // At most one builder suffix resolves: with a selection already in
-        // the spec, a further suffix (e.g. "RX:lbvh:sah") falls through to
-        // the unknown-backend error instead of silently picking one.
-        if spec.builder.is_none() {
-            if let Some((base, kind)) = parse_builder_name(name) {
-                return self.resolve(base, &spec.clone().with_builder(kind));
+        let schema = match (&name.schema, &spec.key_schema) {
+            (Some(named), Some(attached)) if named != attached => {
+                return Err(IndexError::Backend {
+                    backend: name.to_string().into(),
+                    message: format!(
+                        "the name carries schema {named} but the spec carries {attached}; \
+                         they must agree"
+                    ),
+                });
             }
-        }
-        Err(self.unknown(name))
-    }
-
-    /// Resolves the key-schema production for a build: a brace production
-    /// in the name wins (and must agree with any schema riding the spec);
-    /// otherwise the spec's own schema applies to the whole name. Typed
-    /// rows without any schema are an error — they cannot be interpreted.
-    fn extract_schema(
-        &self,
-        name: &str,
-        spec: &IndexSpec<'_>,
-    ) -> Result<Option<(String, KeySchema)>, IndexError> {
-        if let Some((rest, schema)) = composite::parse_schema_name(name)? {
-            if let Some(attached) = &spec.key_schema {
-                if *attached != schema {
-                    return Err(IndexError::Backend {
-                        backend: name.to_string().into(),
-                        message: format!(
-                            "the name carries schema {schema} but the spec carries {attached}; \
-                             they must agree"
-                        ),
-                    });
-                }
-            }
-            return Ok(Some((rest, schema)));
-        }
-        if let Some(schema) = &spec.key_schema {
-            return Ok(Some((name.to_string(), schema.clone())));
+            (named, attached) => named.as_ref().or(attached.as_ref()),
+        };
+        if let Some(schema) = schema {
+            let inner = SpecName {
+                schema: None,
+                ..name.clone()
+            };
+            return composite::build(self, &inner, spec, schema.clone());
         }
         if spec.rows.is_some() {
             return Err(IndexError::Backend {
                 backend: name.to_string().into(),
                 message: "typed rows need a key schema (a {...} name production or \
-                          IndexSpec::with_schema)"
+                          IndexSpec::typed)"
                     .to_string(),
             });
         }
-        Ok(None)
-    }
 
-    /// Resolves a stripped `"+wal:"` production: records the path in the
-    /// spec and delegates to the installed durable factory.
-    fn build_durable(
-        &self,
-        base: &str,
-        path: &str,
-        spec: &IndexSpec<'_>,
-    ) -> Result<Box<dyn UpdatableIndex>, IndexError> {
-        let factory = self.durable.as_ref().ok_or_else(|| IndexError::Backend {
-            backend: format!("{base}+wal:{path}").into(),
-            message: format!(
-                "{base:?} requests durability but no durability layer is installed in this \
-                 registry (known backends: {})",
-                self.backends().join(", ")
-            ),
-        })?;
-        if base.is_empty() || path.is_empty() {
-            return Err(IndexError::Backend {
-                backend: format!("{base}+wal:{path}").into(),
-                message: "a durable spec needs both a backend name and a path \
-                          (\"<backend>+wal:<path>\")"
-                    .to_string(),
-            });
+        if let Some(path) = &name.wal {
+            let base = SpecName {
+                wal: None,
+                ..name.clone()
+            }
+            .to_string();
+            let factory = self.durable.as_ref().ok_or_else(|| IndexError::Backend {
+                backend: name.to_string().into(),
+                message: format!(
+                    "{base:?} requests durability but no durability layer is installed in \
+                     this registry (known backends: {})",
+                    self.backends().join(", ")
+                ),
+            })?;
+            let spec = IndexSpec {
+                durability: Some(DurabilitySpec::new(path)),
+                ..spec.clone()
+            };
+            return factory(self, &base, &spec).map(IndexBackend::Write);
         }
-        let spec = spec.clone().with_durability(DurabilitySpec::new(path));
-        factory(self, base, &spec)
-    }
 
-    fn validate_shard_spec(&self, spec: &ShardSpec) -> Result<(), IndexError> {
-        if spec.shards == 0 {
-            return Err(IndexError::Backend {
-                backend: spec.name().into(),
-                message: "shard count must be at least 1".to_string(),
-            });
+        let spec = &IndexSpec {
+            builder: name.builder.or(spec.builder),
+            ..spec.clone()
+        };
+        if let Some((shards, partitioning)) = name.shard {
+            // A backend and shard count registered verbatim win here too,
+            // under a builder, schema or durability production
+            // (`"NULL@4:sah"`, `"NULL@4{u32}"`) as for the whole name.
+            let verbatim = SpecName {
+                backend: name.backend.clone(),
+                shard: name.shard,
+                ..SpecName::default()
+            };
+            if let Some(entry) = self.builders.get(&verbatim.to_string()) {
+                return (entry.build)(spec);
+            }
+            let factory = self.sharded.as_ref().ok_or_else(|| IndexError::Backend {
+                backend: name.to_string().into(),
+                message: format!(
+                    "{:?} is a sharded spec but no sharding layer is installed in this \
+                     registry (known backends: {})",
+                    name.to_string(),
+                    self.backends().join(", ")
+                ),
+            })?;
+            let shard_spec = ShardSpec {
+                backend: name.backend.clone(),
+                shards,
+                partitioning,
+            };
+            return factory(self, &shard_spec, spec);
         }
-        Ok(())
-    }
-
-    fn unsharded(&self, name: &str) -> IndexError {
-        IndexError::Backend {
-            backend: name.to_string().into(),
-            message: format!(
-                "{name:?} is a sharded spec but no sharding layer is installed in this \
-                 registry (known backends: {})",
-                self.backends().join(", ")
-            ),
+        match self.builders.get(&name.backend) {
+            Some(entry) => (entry.build)(spec),
+            None => Err(self.unknown(&name.backend)),
         }
     }
 
@@ -721,30 +707,6 @@ impl Registry {
     }
 }
 
-/// Splits the durability suffix off a backend name: `"RXD+wal:/data/ix"` →
-/// `("RXD", "/data/ix")`, `"RXD:sah@4:hash+wal:/p"` →
-/// `("RXD:sah@4:hash", "/p")`. The *first* `"+wal:"` splits, so the base
-/// name can never contain the marker. Returns `None` for names without it.
-pub fn parse_durable_name(name: &str) -> Option<(&str, &str)> {
-    name.split_once("+wal:")
-}
-
-/// Parses the builder-selection suffix of a backend name: `"RX:lbvh"` →
-/// `("RX", BuilderKind::Lbvh)`, `"RX:sah@8:range"` → shard handling strips
-/// nothing here, so the suffix must be last — see the [module docs](self)
-/// grammar. Returns `None` for names without a recognised suffix.
-pub fn parse_builder_name(name: &str) -> Option<(&str, BuilderKind)> {
-    let (base, suffix) = name.rsplit_once(':')?;
-    if base.is_empty() {
-        return None;
-    }
-    match suffix {
-        "sah" => Some((base, BuilderKind::Sah)),
-        "lbvh" => Some((base, BuilderKind::Lbvh)),
-        _ => None,
-    }
-}
-
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
@@ -760,6 +722,8 @@ mod tests {
     use super::*;
     use crate::batch::QueryBatch;
     use crate::types::{BatchOutcome, Capabilities, IndexBuildMetrics, LookupResult};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     /// A stub backend whose lookups always miss.
     struct NullIndex {
@@ -841,18 +805,9 @@ mod tests {
     }
 
     #[test]
-    fn names_returns_owned_sorted_backend_names() {
+    fn backends_list_every_registration_sorted() {
         let mut r = registry();
-        assert_eq!(r.names(), vec!["NULL".to_string(), "PICKY".to_string()]);
-        assert_eq!(
-            r.names(),
-            r.backends()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-        );
-        // Updatable registrations appear too (they register a read-only
-        // builder alongside), and the list stays sorted.
+        // Updatable registrations appear too, and the list stays sorted.
         r.register_updatable("AAA", |spec| {
             let keys = spec.keys.len();
             Err::<Box<dyn UpdatableIndex>, _>(IndexError::Backend {
@@ -860,7 +815,8 @@ mod tests {
                 message: format!("{keys} keys"),
             })
         });
-        assert_eq!(r.names(), vec!["AAA", "NULL", "PICKY"]);
+        assert_eq!(r.backends(), vec!["AAA", "NULL", "PICKY"]);
+        assert_eq!(r.updatable_backends(), vec!["AAA"]);
     }
 
     #[test]
@@ -909,23 +865,27 @@ mod tests {
             }) as Box<dyn SecondaryIndex>)
         });
         assert_eq!(r.build("NULL@4", &spec).unwrap().key_count(), 102);
+        // ... under a builder, schema or durability production too, but not
+        // for another partitioning.
+        for name in ["NULL@4:sah", "NULL:lbvh@4", "NULL@4:hash", "NULL@4{u64}"] {
+            assert_eq!(r.build(name, &spec).unwrap().key_count(), 102, "{name}");
+        }
+        assert_eq!(r.build("NULL@4:range", &spec).unwrap().key_count(), 2);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        r.set_durable_builder(Box::new(move |_, base, _| {
+            log.lock().unwrap().push(base.to_string());
+            Err(IndexError::Backend {
+                backend: base.into(),
+                message: "stub".into(),
+            })
+        }));
+        assert!(r.build("NULL@4+wal:/p", &spec).is_err());
+        assert_eq!(*seen.lock().unwrap(), ["NULL@4"]);
     }
 
     #[test]
     fn builder_suffixes_parse_and_ride_the_spec() {
-        assert_eq!(parse_builder_name("RX:sah"), Some(("RX", BuilderKind::Sah)));
-        assert_eq!(
-            parse_builder_name("RX:lbvh"),
-            Some(("RX", BuilderKind::Lbvh))
-        );
-        assert_eq!(
-            parse_builder_name("RX@8:sah"),
-            Some(("RX@8", BuilderKind::Sah))
-        );
-        assert_eq!(parse_builder_name("RX"), None);
-        assert_eq!(parse_builder_name("RX:fast"), None);
-        assert_eq!(parse_builder_name(":sah"), None);
-
         // A registry backend observes the selection through the spec.
         let mut r = Registry::new();
         r.register("PROBE", |spec| {
@@ -967,20 +927,9 @@ mod tests {
 
     #[test]
     fn durable_suffix_routes_to_the_installed_factory() {
-        assert_eq!(
-            parse_durable_name("RXD+wal:/tmp/x"),
-            Some(("RXD", "/tmp/x"))
-        );
-        assert_eq!(
-            parse_durable_name("RXD:sah@4:hash+wal:/p"),
-            Some(("RXD:sah@4:hash", "/p"))
-        );
-        assert_eq!(parse_durable_name("RXD"), None);
-
         let mut r = registry();
         let device = Device::default_eval();
         let spec = IndexSpec::keys_only(&device, &[1]);
-        assert!(!r.supports_durability());
         let err = r.build("NULL+wal:/tmp/x", &spec).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("no durability layer"), "{err}");
 
@@ -993,7 +942,6 @@ mod tests {
                 message: format!("wal at {}", d.path.display()),
             })
         }));
-        assert!(r.supports_durability());
         let err = r
             .build_updatable("NULL+wal:/tmp/x", &spec)
             .map(|_| ())
@@ -1057,5 +1005,194 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, IndexError::UnknownBackend { known, .. } if known.is_empty()));
+    }
+
+    #[test]
+    fn spec_names_parse_every_production_and_print_canonically() {
+        let parsed = SpecName::parse("RX:lbvh@8:range{u32,str16}+wal:/p").unwrap();
+        assert_eq!(parsed.backend, "RX");
+        assert_eq!(parsed.builder, Some(BuilderKind::Lbvh));
+        assert_eq!(parsed.shard, Some((8, Partitioning::Range)));
+        assert_eq!(
+            parsed.schema,
+            Some(KeySchema::parse("{u32,str16}").unwrap())
+        );
+        assert_eq!(parsed.wal, Some(PathBuf::from("/p")));
+        assert_eq!(
+            SpecName::parse("RX").unwrap(),
+            SpecName {
+                backend: "RX".into(),
+                ..SpecName::default()
+            }
+        );
+
+        // The builder may follow the shard, the schema may sit anywhere
+        // before "+wal:", the default ":hash" prints bare, and the path is
+        // opaque.
+        for (name, printed) in [
+            ("RX@8:sah", "RX:sah@8"),
+            ("RX@4:range:lbvh", "RX:lbvh@4:range"),
+            ("B+@2:hash", "B+@2"),
+            ("RX:sah@4:hash{u32,u32,str16}", "RX:sah@4{u32,u32,str16}"),
+            ("RX{u32,u32}:sah@4", "RX:sah@4{u32,u32}"),
+            ("RXD:sah@4:hash+wal:/p", "RXD:sah@4+wal:/p"),
+            ("RXD{u64,u64}+wal:/tmp/x", "RXD{u64,u64}+wal:/tmp/x"),
+            ("RX+wal:/a{b}@2+wal:c", "RX+wal:/a{b}@2+wal:c"),
+        ] {
+            assert_eq!(
+                SpecName::parse(name).unwrap().to_string(),
+                printed,
+                "{name}"
+            );
+        }
+
+        for name in "RX{u32 RX{nope} RX{u32}{u32} RX} NULL+wal: +wal:/p".split(' ') {
+            let err = SpecName::parse(name).unwrap_err();
+            assert!(matches!(err, IndexError::Backend { .. }), "{name}: {err}");
+        }
+        // Text after the backend that is not a run of productions: the
+        // parser says so, and the registry reports an unknown backend with
+        // every registered backend listed.
+        let r = registry();
+        let device = Device::default_eval();
+        let spec = IndexSpec::keys_only(&device, &[]);
+        let unknown = "RX:fast :sah RX:sah:lbvh @8 RX@ RX@x RX@8:zigzag RX@8: RX@4@2 \
+                       RX:sah:range RX+wal@4:sah {u32}";
+        for name in unknown.split(' ') {
+            let err = SpecName::parse(name).unwrap_err();
+            assert!(
+                err.to_string().contains("name productions"),
+                "{name}: {err}"
+            );
+            let err = r.build_backend(name, &spec).map(|_| ()).unwrap_err();
+            let listed = matches!(&err, IndexError::UnknownBackend { known, .. } if known == &["NULL", "PICKY"]);
+            assert!(listed, "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_named_schema_must_agree_with_the_spec() {
+        let r = registry();
+        let device = Device::default_eval();
+        let typed = IndexSpec::typed(&device, KeySchema::parse("{u64}").unwrap(), &[]);
+        assert_eq!(r.build("NULL{u64}", &typed).unwrap().name(), "NULL{u64}");
+        assert_eq!(r.build("NULL", &typed).unwrap().name(), "NULL{u64}");
+        let err = r.build("NULL{u32}", &typed).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("must agree"), "{err}");
+        let untyped = IndexSpec {
+            key_schema: None,
+            ..typed
+        };
+        let err = r.build("NULL", &untyped).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("need a key schema"), "{err}");
+    }
+
+    #[test]
+    fn hostile_shard_counts_fail_before_any_factory_runs() {
+        let mut r = registry();
+        r.set_sharded_builder(Box::new(|_, shard_spec, _| {
+            panic!("the factory ran for {} shards", shard_spec.shards)
+        }));
+        let device = Device::default_eval();
+        let spec = IndexSpec::keys_only(&device, &[1]);
+        for name in [
+            "NULL@0",
+            "NULL@257",
+            "NULL@4000000000",
+            "NULL@99999999999999999999999",
+            "NULL:sah@0:range",
+        ] {
+            let err = r.build(name, &spec).map(|_| ()).unwrap_err();
+            assert!(
+                err.to_string().contains("at least 1 and at most 256"),
+                "{name}: {err}"
+            );
+            assert!(SpecName::parse(name).is_err(), "{name}");
+        }
+        assert_eq!(
+            SpecName::parse("NULL@256").unwrap().shard,
+            Some((256, Partitioning::Hash))
+        );
+    }
+
+    /// Registry of the grammar fuzz: stub backends only, a sharding factory
+    /// that builds the inner backend once and no durability layer, so no
+    /// name allocates per shard or touches the disk.
+    fn fuzz_registry() -> Registry {
+        let mut r = registry();
+        for name in ["RX", "RXD", "B+", "HT", "SA"] {
+            r.register(name, |_| {
+                Ok(Box::new(NullIndex { keys: 0 }) as Box<dyn SecondaryIndex>)
+            });
+        }
+        r.set_sharded_builder(Box::new(|registry, shard_spec, spec| {
+            assert!((1..=crate::shard::MAX_SHARDS).contains(&shard_spec.shards));
+            registry.build_backend(&shard_spec.backend, spec)
+        }));
+        r
+    }
+
+    /// Joins random tokens of the grammar's alphabet, whole productions
+    /// among them, after a backend or junk token into names, and feeds
+    /// each to `SpecName::parse` and `Registry::build_backend`: neither
+    /// panics, every parsed name prints to a name that parses back to the
+    /// same value, and every name the parser refuses the registry refuses
+    /// too (unless it is registered verbatim). Enough names parse and build
+    /// that the property is not vacuous.
+    fn fuzz_grammar(cases: u32, seed: &str) {
+        // '|'-separated, so that a space is a token too.
+        const HEADS: &str = "RX|RXD|B+|SA|NULL||@|{u32}";
+        const TOKENS: &str = ":sah|:lbvh|@4|@16|@256|:hash|:range|{u32,u32}|{str8,u64}|\
+            +wal:fuzz-dir|@0|@257|@4000000000|@99999999999999999999|@|:|sah|range|{|}|u8|i64|\
+            str40|,|+wal:|+wal|+|wal|RX|B+|0|1|4| |{u64}|{str8}|{u32,}";
+        let heads: Vec<&str> = HEADS.split('|').collect();
+        let tokens: Vec<&str> = TOKENS.split('|').collect();
+        let registry = fuzz_registry();
+        let device = Device::default_eval();
+        let spec = IndexSpec::keys_only(&device, &[]);
+        let names = (0..heads.len(), prop::collection::vec(0..tokens.len(), 0..6));
+        let mut rng = TestRng::deterministic(seed);
+        let (mut parsed_ok, mut built_ok) = (0, 0);
+        for _ in 0..cases {
+            let (head, tail) = names.generate(&mut rng);
+            let name: String = std::iter::once(heads[head])
+                .chain(tail.into_iter().map(|t| tokens[t]))
+                .collect();
+            let parsed = SpecName::parse(&name);
+            if let Ok(parsed) = &parsed {
+                parsed_ok += 1;
+                let printed = parsed.to_string();
+                assert_eq!(
+                    SpecName::parse(&printed).as_ref(),
+                    Ok(parsed),
+                    "{name:?} → {printed:?}"
+                );
+            }
+            let built = registry.build_backend(&name, &spec);
+            built_ok += built.is_ok() as u32;
+            if parsed.is_err() && !registry.backends().contains(&name.as_str()) {
+                assert!(
+                    built.is_err(),
+                    "{name:?}: the parser refused what the registry built"
+                );
+            }
+        }
+        assert!(
+            parsed_ok * 5 > cases && built_ok * 10 > cases,
+            "{parsed_ok} parsed, {built_ok} built of {cases}"
+        );
+    }
+
+    #[test]
+    fn grammar_fuzz_never_panics_and_round_trips() {
+        fuzz_grammar(2_000, "registry::grammar_fuzz");
+    }
+
+    /// The long sweep of the grammar fuzz; run it in release:
+    /// `cargo test --release -p rtx-query -- --ignored grammar`.
+    #[test]
+    #[ignore]
+    fn grammar_fuzz_sweep() {
+        fuzz_grammar(20_000, "registry::grammar_fuzz_sweep");
     }
 }

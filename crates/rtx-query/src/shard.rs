@@ -20,6 +20,7 @@
 //!   the uniform empty result.
 
 use crate::batch::QueryBatch;
+use crate::error::IndexError;
 use crate::types::{BatchOutcome, LookupResult, QueryOutcome};
 
 /// How a sharded backend distributes the key space over its shards.
@@ -114,19 +115,33 @@ pub struct RebalanceReport {
     pub reorganisations: u64,
 }
 
-/// A parsed sharded-backend name: the inner backend, the shard count and the
-/// partitioning strategy.
-///
-/// The textual form is `"<backend>@<shards>"` with an optional
-/// `":hash"` / `":range"` suffix — `"RX@8"`, `"SA@4:range"`,
-/// `"RXD@2:hash"`. Any name the registry does not know verbatim is tried as
-/// a shard spec, so sharded variants of every registered backend are
-/// buildable without registering each combination.
+/// The most shards a sharded backend may have. `rtx-shard`'s hash router
+/// spreads keys over 256 slots, so past 256 a hash shard could own no key.
+pub const MAX_SHARDS: usize = 256;
+
+/// The one shard bound, `1 ≤ shards ≤ MAX_SHARDS`, for the spec `name`.
+/// [`SpecName::parse`](crate::SpecName::parse) checks every parsed shard
+/// production and `ShardedIndex::build` every spec it is handed, so no
+/// count outside the bound reaches a per-shard allocation.
+pub fn check_shard_count(name: &str, shards: usize) -> Result<(), IndexError> {
+    if (1..=MAX_SHARDS).contains(&shards) {
+        return Ok(());
+    }
+    Err(IndexError::Backend {
+        backend: name.into(),
+        message: format!("shard count must be at least 1 and at most {MAX_SHARDS}"),
+    })
+}
+
+/// What the sharding factory builds: the inner backend, the shard count
+/// and the partitioning strategy — the shard production of a
+/// [`SpecName`](crate::SpecName) (`"RX@8"`, `"SA@4:range"`) with its
+/// backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Registry name of the inner backend every shard runs.
     pub backend: String,
-    /// Number of shards (must be at least 1).
+    /// Number of shards (see [`check_shard_count`]).
     pub shards: usize,
     /// How keys are distributed over the shards.
     pub partitioning: Partitioning,
@@ -149,44 +164,6 @@ impl ShardSpec {
             shards,
             partitioning: Partitioning::Range,
         }
-    }
-
-    /// Parses `"<backend>@<shards>[:hash|:range]"`. Returns `None` when the
-    /// name does not have that shape (it is then an ordinary backend name);
-    /// a zero shard count parses — [`Registry`](crate::Registry) rejects it
-    /// with a precise error instead of "unknown backend".
-    pub fn parse(name: &str) -> Option<ShardSpec> {
-        let (backend, rest) = name.split_once('@')?;
-        if backend.is_empty() {
-            return None;
-        }
-        let (count, partitioning) = match rest.split_once(':') {
-            Some((count, "hash")) => (count, Partitioning::Hash),
-            Some((count, "range")) => (count, Partitioning::Range),
-            Some(_) => return None,
-            None => (rest, Partitioning::Hash),
-        };
-        let shards: usize = count.parse().ok()?;
-        Some(ShardSpec {
-            backend: backend.to_string(),
-            shards,
-            partitioning,
-        })
-    }
-
-    /// The canonical textual form (`"RX@8"` for hash — the default — and
-    /// `"RX@8:range"` for range partitioning).
-    pub fn name(&self) -> String {
-        match self.partitioning {
-            Partitioning::Hash => format!("{}@{}", self.backend, self.shards),
-            Partitioning::Range => format!("{}@{}:range", self.backend, self.shards),
-        }
-    }
-}
-
-impl std::fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
     }
 }
 
@@ -377,30 +354,6 @@ mod tests {
         fn shards_of_range(&self, lower: u64, upper: u64) -> Vec<(usize, (u64, u64))> {
             (0..self.shards).map(|s| (s, (lower, upper))).collect()
         }
-    }
-
-    #[test]
-    fn spec_parsing_round_trips() {
-        assert_eq!(ShardSpec::parse("RX@8"), Some(ShardSpec::hash("RX", 8)));
-        assert_eq!(
-            ShardSpec::parse("SA@4:range"),
-            Some(ShardSpec::range("SA", 4))
-        );
-        assert_eq!(
-            ShardSpec::parse("B+@2:hash"),
-            Some(ShardSpec::hash("B+", 2))
-        );
-        assert_eq!(ShardSpec::parse("RX@0"), Some(ShardSpec::hash("RX", 0)));
-        for not_a_spec in ["RX", "@8", "RX@", "RX@x", "RX@8:zigzag", "RX@8:"] {
-            assert_eq!(ShardSpec::parse(not_a_spec), None, "{not_a_spec}");
-        }
-        let spec = ShardSpec::range("RXD", 7);
-        assert_eq!(spec.name(), "RXD@7:range");
-        assert_eq!(ShardSpec::parse(&spec.name()), Some(spec.clone()));
-        assert_eq!(spec.to_string(), "RXD@7:range");
-        assert_eq!(ShardSpec::hash("HT", 2).name(), "HT@2");
-        assert_eq!(Partitioning::Hash.name(), "hash");
-        assert_eq!(Partitioning::Range.name(), "range");
     }
 
     #[test]

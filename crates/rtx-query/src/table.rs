@@ -4,7 +4,8 @@
 //! A *table* owns one row store (one `u64` column per named column, dense
 //! rowIDs) plus any number of named secondary indexes, each built over one
 //! column from a backend spec in the full registry
-//! [name grammar](crate::registry) except durability — `"HT"`,
+//! [name grammar](crate::registry), read by
+//! [`SpecName::parse`](crate::SpecName::parse), except durability — `"HT"`,
 //! `"RX:sah@4:hash"` and `"RXD@2"` are all valid per-column specs, and a
 //! `"+wal:<path>"` spec is refused, because nothing recovers a whole table
 //! from a WAL. This module holds
@@ -21,10 +22,9 @@
 //! *primary column* — always the first column of the schema.
 
 use crate::batch::QueryOp;
-use crate::composite::parse_schema_name;
 use crate::error::IndexError;
 use crate::keys::{KeyBound, KeyValue, TypedOp};
-use crate::registry::parse_durable_name;
+use crate::registry::SpecName;
 
 /// One named secondary index of a table: an index `name`, the ordered
 /// schema `columns` it keys on, and the backend `spec` string it is built
@@ -58,7 +58,8 @@ impl IndexDef {
     /// carries an explicit brace schema — either way the backend is built
     /// through the composite (typed) path.
     pub fn is_composite(&self) -> bool {
-        self.columns.len() > 1 || self.spec.contains('{')
+        self.columns.len() > 1
+            || SpecName::parse(&self.spec).is_ok_and(|spec| spec.schema.is_some())
     }
 }
 
@@ -139,20 +140,9 @@ impl TableSchema {
         self
     }
 
-    /// The primary column's name (the delete/upsert key).
-    pub fn primary_column(&self) -> &str {
-        &self.columns[0]
-    }
-
     /// Position of `column` in a record, or `None` for unknown names.
     pub fn column_position(&self, column: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == column)
-    }
-
-    /// The indexes whose *leading* key column is `column`, in definition
-    /// order (composite indexes serve predicates on their leading column).
-    pub fn indexes_on<'a>(&'a self, column: &'a str) -> impl Iterator<Item = &'a IndexDef> {
-        self.indexes.iter().filter(move |ix| ix.column() == column)
     }
 
     /// Checks structural consistency: at least one column, unique
@@ -205,7 +195,13 @@ impl TableSchema {
             if ix.spec.is_empty() {
                 return fail(format!("index {:?} has an empty backend spec", ix.name));
             }
-            if parse_durable_name(&ix.spec).is_some() {
+            let spec = match SpecName::parse(&ix.spec) {
+                Ok(spec) => spec,
+                Err(err) => {
+                    return fail(format!("index {:?} has a malformed spec: {err}", ix.name));
+                }
+            };
+            if spec.wal.is_some() {
                 return fail(format!(
                     "index {:?} has the durable spec {:?}: whole-table recovery from a \
                      WAL is not supported, so a table index takes no \"+wal:\" suffix",
@@ -215,18 +211,14 @@ impl TableSchema {
             // A brace schema in the spec must cover the key columns one for
             // one (the registry would reject the arity mismatch anyway, but
             // failing at schema validation is friendlier).
-            match parse_schema_name(&ix.spec) {
-                Ok(Some((_, schema))) if schema.columns().len() != ix.columns.len() => {
+            if let Some(schema) = spec.schema {
+                if schema.columns().len() != ix.columns.len() {
                     return fail(format!(
                         "index {:?} keys on {} column(s) but its spec schema {schema} has {}",
                         ix.name,
                         ix.columns.len(),
                         schema.columns().len()
                     ));
-                }
-                Ok(_) => {}
-                Err(err) => {
-                    return fail(format!("index {:?} has a malformed spec: {err}", ix.name));
                 }
             }
         }
@@ -830,11 +822,8 @@ mod tests {
     fn schema_validates_and_navigates() {
         let s = schema();
         s.validate().unwrap();
-        assert_eq!(s.primary_column(), "id");
         assert_eq!(s.column_position("ts"), Some(1));
         assert_eq!(s.column_position("nope"), None);
-        assert_eq!(s.indexes_on("id").count(), 1);
-        assert_eq!(s.indexes_on("val").count(), 0);
     }
 
     #[test]
@@ -855,6 +844,13 @@ mod tests {
         for s in broken {
             assert!(s.validate().is_err(), "accepted {s:?}");
         }
+        // A spec the grammar refuses names itself and the reason.
+        let err = TableSchema::new(["a"])
+            .with_index("i", "a", "RX:fast")
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("RX:fast: not a backend followed by"), "{err}");
         // Two indexes on one column are fine — that is the planner's job.
         TableSchema::new(["a"])
             .with_index("fast", "a", "HT")
@@ -1171,7 +1167,6 @@ mod tests {
             indexes: vec![def],
             ..TableSchema::new(["id"])
         };
-        assert_eq!(schema.indexes_on("id").count(), 0);
         assert!(schema.validate().is_err());
     }
 }

@@ -107,12 +107,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the fusion cap (clamped to at least 1).
-    pub fn with_max_coalesce_ops(mut self, ops: usize) -> Self {
-        self.max_coalesce_ops = ops.max(1);
-        self
-    }
-
     /// Enables hot-shard rebalancing with the given thresholds.
     pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
         self.rebalance = Some(rebalance);
@@ -126,11 +120,8 @@ mod tests {
 
     #[test]
     fn builder_clamps_degenerate_limits() {
-        let c = ServiceConfig::new()
-            .with_max_queue_depth(0)
-            .with_max_coalesce_ops(0);
+        let c = ServiceConfig::new().with_max_queue_depth(0);
         assert_eq!(c.max_queue_depth, 1);
-        assert_eq!(c.max_coalesce_ops, 1);
         assert!(ServiceConfig::default().max_queue_depth > 0);
     }
 }

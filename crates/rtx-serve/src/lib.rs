@@ -83,5 +83,5 @@ mod worker;
 
 pub use config::{RebalanceConfig, ServiceConfig};
 pub use error::ServeError;
-pub use service::{ClientHandle, PendingQuery, QueryService, RetryPolicy, ServiceStats};
+pub use service::{ClientHandle, PendingQuery, QueryService, ServiceStats};
 pub use table_service::{PendingTableQuery, TableClient, TableService};

@@ -197,12 +197,6 @@ impl ServiceStats {
         self.write_stall_ns_total as f64 / 1e9 / self.write_batches as f64
     }
 
-    /// Largest single write stall in seconds (0.0 when no write was
-    /// applied).
-    pub fn max_write_stall_s(&self) -> f64 {
-        self.write_stall_ns_max as f64 / 1e9
-    }
-
     /// The sharded backend's load-imbalance ratio (hottest shard over
     /// mean) as of the last check; 0.0 for unsharded backends.
     pub fn shard_imbalance_ratio(&self) -> f64 {
@@ -252,81 +246,13 @@ impl Counters {
     }
 }
 
-/// Retry behaviour against [`ServeError::Overloaded`] backpressure:
-/// exponential backoff with a hard delay ceiling and optional
-/// deterministic jitter.
-///
-/// The delay after the `n`-th rejected attempt is
-/// `initial_backoff * 2^(n-1)`, clamped to
-/// [`max_backoff`](RetryPolicy::max_backoff) — an uncapped doubling
-/// schedule reaches minutes after ~20 rejections, which turns transient
-/// overload into client-visible hangs. With a
-/// [`jitter_seed`](RetryPolicy::jitter_seed), each delay is scaled by a
-/// deterministic per-attempt factor in `[0.5, 1.0)` so co-rejected
-/// clients with different seeds spread out instead of retrying in
-/// lockstep; determinism keeps test runs and simulations reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total submission attempts (at least 1); the last failure returns.
-    pub max_attempts: usize,
-    /// Delay slept after the first rejected attempt.
-    pub initial_backoff: Duration,
-    /// Ceiling the doubling schedule clamps to.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter; `None` sleeps the full delay.
-    pub jitter_seed: Option<u64>,
-}
-
-impl RetryPolicy {
-    /// A policy with the given attempt budget and initial delay, a
-    /// ceiling of 1024x the initial delay, and no jitter.
-    pub fn new(max_attempts: usize, initial_backoff: Duration) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            initial_backoff,
-            max_backoff: initial_backoff.saturating_mul(1024),
-            jitter_seed: None,
-        }
-    }
-
-    /// Sets the delay ceiling.
-    pub fn with_max_backoff(mut self, max_backoff: Duration) -> Self {
-        self.max_backoff = max_backoff;
-        self
-    }
-
-    /// Enables deterministic jitter under `seed` (e.g. a client ID).
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// The delay slept after the `attempt`-th rejected submission
-    /// (1-based): doubled, clamped, jittered.
-    pub fn delay(&self, attempt: usize) -> Duration {
-        let mut delay = self.initial_backoff;
-        for _ in 1..attempt {
-            if delay >= self.max_backoff {
-                break;
-            }
-            delay = delay.saturating_mul(2);
-        }
-        delay = delay.min(self.max_backoff);
-        match self.jitter_seed {
-            None => delay,
-            Some(seed) => {
-                // splitmix64 over (seed, attempt) → a factor in [0.5, 1.0).
-                let mut z = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(attempt as u64);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                let factor = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
-                delay.mul_f64(factor)
-            }
-        }
-    }
+/// The delay [`ClientHandle::query_with_retry`] sleeps after the
+/// `attempt`-th rejected submission (1-based): `initial * 2^(attempt-1)`,
+/// clamped to 1024x `initial` — an uncapped doubling schedule reaches
+/// minutes after ~20 rejections, which turns transient overload into
+/// client-visible hangs.
+fn retry_delay(initial: Duration, attempt: usize) -> Duration {
+    initial.saturating_mul(1 << attempt.saturating_sub(1).min(10))
 }
 
 /// An admitted read submission whose result has not been claimed yet.
@@ -402,29 +328,15 @@ impl ClientHandle {
 
     /// [`query`](ClientHandle::query) with bounded retries against
     /// admission-control backpressure: an [`ServeError::Overloaded`]
-    /// rejection sleeps `backoff` (doubling per attempt, capped at
-    /// [`RetryPolicy::new`]'s default ceiling) and resubmits, up to
-    /// `max_attempts` submissions in total. Every other outcome — success
-    /// or any other error — returns immediately; only the retry-later
-    /// rejection is retried. Use
-    /// [`query_with_policy`](ClientHandle::query_with_policy) for a
-    /// custom delay ceiling or deterministic jitter.
+    /// rejection sleeps `backoff` (doubling per attempt, capped at 1024x
+    /// `backoff`) and resubmits, up to `max_attempts` submissions in
+    /// total. Every other outcome — success or any other error — returns
+    /// immediately; only the retry-later rejection is retried.
     pub fn query_with_retry(
         &self,
         batch: &QueryBatch,
         max_attempts: usize,
         backoff: Duration,
-    ) -> Result<BatchOutcome, ServeError> {
-        self.query_with_policy(batch, &RetryPolicy::new(max_attempts, backoff))
-    }
-
-    /// [`query`](ClientHandle::query) retried under `policy` (see
-    /// [`RetryPolicy`] for the backoff schedule). Only
-    /// [`ServeError::Overloaded`] is retried.
-    pub fn query_with_policy(
-        &self,
-        batch: &QueryBatch,
-        policy: &RetryPolicy,
     ) -> Result<BatchOutcome, ServeError> {
         // One copy up front into an Arc; every (re)submission after a
         // backpressure rejection clones the pointer, not the operations.
@@ -435,8 +347,8 @@ impl ClientHandle {
                 .submit_shared(Arc::clone(&batch))
                 .and_then(|pending| pending.wait());
             match outcome {
-                Err(ServeError::Overloaded { .. }) if attempt < policy.max_attempts => {
-                    std::thread::sleep(policy.delay(attempt));
+                Err(ServeError::Overloaded { .. }) if attempt < max_attempts => {
+                    std::thread::sleep(retry_delay(backoff, attempt));
                     attempt += 1;
                 }
                 outcome => return outcome,
@@ -494,19 +406,9 @@ impl ClientHandle {
         self.write(|reply| FencedWrite::Checkpoint { reply })
     }
 
-    /// Name of the backend the service wraps.
-    pub fn backend_name(&self) -> &str {
-        &self.shared.name
-    }
-
     /// Capabilities of the wrapped backend.
     pub fn capabilities(&self) -> Capabilities {
         self.shared.profile.capabilities
-    }
-
-    /// Whether the service accepts writes.
-    pub fn is_updatable(&self) -> bool {
-        self.shared.profile.updatable
     }
 
     /// A snapshot of the service counters.
@@ -549,11 +451,6 @@ impl QueryService {
         ClientHandle {
             shared: Arc::clone(&self.0.shared),
         }
-    }
-
-    /// Name of the backend the service wraps.
-    pub fn backend_name(&self) -> &str {
-        &self.0.shared.name
     }
 
     /// A snapshot of the service counters.
@@ -1134,9 +1031,9 @@ pub(crate) mod tests {
         let stats = service.stats();
         assert_eq!(stats.write_batches, 1);
         assert!(stats.write_stall_ns_total > 0, "the fence wait is surfaced");
+        assert!(stats.write_stall_ns_max > 0);
         assert!(stats.write_stall_ns_max <= stats.write_stall_ns_total);
         assert!(stats.mean_write_stall_s() > 0.0);
-        assert!(stats.max_write_stall_s() > 0.0);
         assert_eq!(stats.write_reorganisations, 0, "the stub never compacts");
     }
 
@@ -1149,8 +1046,8 @@ pub(crate) mod tests {
         };
         let service = QueryService::start(Box::new(stub), ServiceConfig::default());
         let h = service.handle();
-        assert!(!h.is_updatable());
-        assert_eq!(h.backend_name(), "STUB");
+        assert!(!h.shared.profile.updatable);
+        assert_eq!(&*h.shared.name, "STUB");
         assert!(!h.capabilities().range_lookups);
 
         let err = h
@@ -1250,36 +1147,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retry_delays_double_up_to_the_ceiling_with_deterministic_jitter() {
-        let policy = RetryPolicy::new(10, Duration::from_millis(10))
-            .with_max_backoff(Duration::from_millis(100));
-        assert_eq!(policy.delay(1), Duration::from_millis(10));
-        assert_eq!(policy.delay(2), Duration::from_millis(20));
-        assert_eq!(policy.delay(4), Duration::from_millis(80));
-        // The doubling clamps at the ceiling and stays there.
-        assert_eq!(policy.delay(5), Duration::from_millis(100));
-        assert_eq!(policy.delay(6), Duration::from_millis(100));
-        assert_eq!(policy.delay(1000), Duration::from_millis(100));
-        // The default ceiling bounds an uncapped schedule too.
-        let default = RetryPolicy::new(0, Duration::from_micros(50));
-        assert_eq!(default.max_attempts, 1, "attempt budget clamps to 1");
-        assert_eq!(default.delay(64), Duration::from_micros(50) * 1024);
-
-        // Jitter: deterministic per (seed, attempt), inside [0.5, 1.0)
-        // of the unjittered delay, and different across seeds.
-        let a = policy.with_jitter(7);
-        let b = policy.with_jitter(8);
-        for attempt in 1..=12 {
-            let full = policy.delay(attempt);
-            let jittered = a.delay(attempt);
-            assert_eq!(jittered, a.delay(attempt), "deterministic");
-            assert!(jittered >= full / 2 && jittered < full, "{jittered:?}");
-        }
-        assert_ne!(
-            (1..=12).map(|n| a.delay(n)).collect::<Vec<_>>(),
-            (1..=12).map(|n| b.delay(n)).collect::<Vec<_>>(),
-            "different seeds spread out"
-        );
+    fn retry_delays_double_up_to_the_ceiling() {
+        let ms = Duration::from_millis;
+        assert_eq!(retry_delay(ms(10), 1), ms(10));
+        assert_eq!(retry_delay(ms(10), 2), ms(20));
+        assert_eq!(retry_delay(ms(10), 4), ms(80));
+        // The doubling clamps at 1024x the initial delay and stays there.
+        assert_eq!(retry_delay(ms(10), 11), ms(10) * 1024);
+        assert_eq!(retry_delay(ms(10), 12), ms(10) * 1024);
+        assert_eq!(retry_delay(ms(10), 1000), ms(10) * 1024);
+        assert_eq!(retry_delay(Duration::MAX, 3), Duration::MAX, "saturates");
     }
 
     #[test]
@@ -1309,7 +1186,10 @@ pub(crate) mod tests {
 
     #[test]
     fn coalesce_cap_bounds_fused_submissions() {
-        let config = ServiceConfig::default().with_max_coalesce_ops(4);
+        let config = ServiceConfig {
+            max_coalesce_ops: 4,
+            ..ServiceConfig::default()
+        };
         let (service, gate, log) = stub_service(&[1], config);
         let h = service.handle();
 
@@ -1342,7 +1222,6 @@ pub(crate) mod tests {
         assert_eq!(stats.mean_coalesced_batches(), 0.0);
         assert_eq!(stats.mean_fused_ops(), 0.0);
         assert_eq!(stats.mean_write_stall_s(), 0.0);
-        assert_eq!(stats.max_write_stall_s(), 0.0);
         assert_eq!(stats.shard_imbalance_ratio(), 0.0);
 
         let (service, _gate, _log) = stub_service(&[1], ServiceConfig::default());

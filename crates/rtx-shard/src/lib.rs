@@ -70,7 +70,8 @@ use rtx_query::{IndexBackend, Registry, SecondaryIndex};
 /// registered verbatim builds a [`ShardedIndex`] over the registry's own
 /// backends — `registry.build("RX@8", ..)`, and
 /// `registry.build_updatable("RXD@4", ..)` since every `"RXD"` shard takes
-/// writes.
+/// writes. A count outside `1..=256` fails when the name is parsed, before
+/// the factory runs.
 pub fn install_sharding(registry: &mut Registry) {
     registry.set_sharded_builder(Box::new(|registry, spec, index| {
         let ix = ShardedIndex::build(registry, spec, index)?;
@@ -345,9 +346,27 @@ mod tests {
         assert!(matches!(err, IndexError::UnknownBackend { .. }));
         assert!(err.to_string().contains("RX"), "{err}");
 
-        // Zero shards: rejected before building anything.
-        let err = registry.build("RX@0", &spec).map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("at least 1"), "{err}");
+        // Zero shards, or more than the hash router's 256 slots: rejected
+        // before anything is allocated, by name and by direct build alike.
+        for name in ["RX@0", "RX@257", "RX@4000000000"] {
+            let err = registry.build(name, &spec).map(|_| ()).unwrap_err();
+            assert!(
+                err.to_string().contains("at least 1 and at most 256"),
+                "{name}: {err}"
+            );
+        }
+        for shard_spec in [
+            ShardSpec::hash("RX", 0),
+            ShardSpec::range("RX", 4_000_000_000),
+        ] {
+            let err = ShardedIndex::build(&registry, &shard_spec, &spec)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("at most 256"),
+                "{shard_spec:?}: {err}"
+            );
+        }
 
         // Read-only inner backends cannot form an updatable sharded index.
         let err = registry
@@ -404,8 +423,8 @@ mod tests {
         let oracle = DynamicOracle::new(&keys, &values);
 
         for shard_spec in [ShardSpec::hash("RXD", 4), ShardSpec::range("RXD", 3)] {
-            let name = shard_spec.name();
             let mut ix = ShardedIndex::build(&registry, &shard_spec, &spec).unwrap();
+            let name = ix.name().to_string();
             let mut shadow = oracle.clone();
 
             // Hammer two keys so their shard dominates the op counters.

@@ -13,7 +13,7 @@
 //!   shards start balanced. Order-preserving: a range lookup is split at
 //!   the span boundaries and only touches the owning shards.
 
-use rtx_query::KeyRouter;
+use rtx_query::{KeyRouter, MAX_SHARDS};
 
 /// SplitMix64 finalizer: a cheap, well-mixed `u64 -> u64` permutation, so
 /// that clustered key sets (dense domains, shared prefixes) still spread
@@ -30,6 +30,10 @@ fn mix64(mut x: u64) -> u64 {
 /// 256 slots give the rebalancer sub-shard granularity (a hot shard donates
 /// individual slots) while keeping the table 1 KiB.
 pub(crate) const HASH_SLOTS: usize = 256;
+
+// Every hash shard must be able to own a slot: the registry's shard bound
+// is the slot count.
+const _: () = assert!(MAX_SHARDS <= HASH_SLOTS);
 
 /// Hash partitioning: `shard = slots[mix64(key) % 256]`.
 ///

@@ -37,10 +37,10 @@ use std::time::Instant;
 
 use gpu_device::executor::{parallel_map, parallel_tasks};
 use rtx_query::{
-    ArenaPool, BatchOutcome, Capabilities, ExecArena, IndexBackend, IndexBuildMetrics, IndexError,
-    IndexSpec, KeyRouter, MemoryUsage, Partitioning, QueryBatch, QueryOutcome, RebalanceReport,
-    Registry, RowMirror, ScatterPlan, SecondaryIndex, ShardLoad, ShardSpec, UpdatableIndex,
-    UpdateReport, MISS,
+    check_shard_count, ArenaPool, BatchOutcome, Capabilities, ExecArena, IndexBackend,
+    IndexBuildMetrics, IndexError, IndexSpec, KeyRouter, MemoryUsage, Partitioning, QueryBatch,
+    QueryOutcome, RebalanceReport, Registry, RowMirror, ScatterPlan, SecondaryIndex, ShardLoad,
+    ShardSpec, SpecName, UpdatableIndex, UpdateReport, MISS,
 };
 
 use crate::partition::{HashPartitioner, RangePartitioner, HASH_SLOTS};
@@ -186,20 +186,24 @@ fn and_capabilities(a: Capabilities, b: Capabilities) -> Capabilities {
 impl ShardedIndex {
     /// Builds a sharded backend for `spec` (one `spec.backend` instance
     /// per shard, each resolved through
-    /// [`Registry::build_backend`]) over the columns of `index`. It takes
-    /// writes exactly when every shard does.
+    /// [`Registry::build_backend`] with `index`'s builder selection) over
+    /// the columns of `index`. It takes writes exactly when every shard
+    /// does. A shard count outside [`check_shard_count`]'s bound fails
+    /// before anything is allocated. The index's name is the spec name of
+    /// what it built, printed by [`SpecName`].
     pub fn build(
         registry: &Registry,
         spec: &ShardSpec,
         index: &IndexSpec<'_>,
     ) -> Result<Self, IndexError> {
-        let label = spec.name();
-        if spec.shards == 0 {
-            return Err(IndexError::Backend {
-                backend: label.into(),
-                message: "shard count must be at least 1".to_string(),
-            });
+        let label = SpecName {
+            backend: spec.backend.clone(),
+            builder: index.builder,
+            shard: Some((spec.shards, spec.partitioning)),
+            ..SpecName::default()
         }
+        .to_string();
+        check_shard_count(&label, spec.shards)?;
         if index.keys.len() as u64 >= MISS as u64 {
             return Err(IndexError::CapacityOverflow {
                 backend: label.into(),

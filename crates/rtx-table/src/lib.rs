@@ -6,7 +6,8 @@
 //! A [`Table`] owns one SoA row store (named `u64` columns, dense table
 //! rowIDs compatible with the global-rowID scheme) plus any number of
 //! named secondary indexes, each built from a per-column
-//! [`IndexDef::spec`](rtx_query::IndexDef) in the registry name grammar —
+//! [`IndexDef::spec`](rtx_query::IndexDef) in the registry name grammar,
+//! read by the registry's own [`SpecName::parse`](rtx_query::SpecName) —
 //! one table can mix `"HT"`, `"RX:sah@4:hash"` and `"RXD@2"` across its
 //! columns. A durable `"+wal:<path>"` spec is refused at load: nothing
 //! recovers a whole table from a WAL.

@@ -42,9 +42,9 @@ use std::sync::Arc;
 use gpu_device::Device;
 use optix_sim::LaunchMetrics;
 use rtx_query::{
-    parse_schema_name, ColumnType, ExplainPlan, IndexDef, IndexError, IndexSpec, IngestBatch,
-    IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult, Predicate, QueryBatch, QueryOp, Record,
-    Registry, SecondaryIndex, TableQuery, TableSchema, TypedBatch, TypedOp, MISS,
+    ColumnType, ExplainPlan, IndexDef, IndexError, IndexSpec, IngestBatch, IngestOp, KeySchema,
+    KeyTuple, KeyValue, LookupResult, Predicate, QueryBatch, QueryOp, Record, Registry,
+    SecondaryIndex, SpecName, TableQuery, TableSchema, TypedBatch, TypedOp, MISS,
 };
 
 use crate::planner::{CandidateView, IndexView, Planner, RoutePlan};
@@ -977,8 +977,8 @@ fn build_composite(
     def: &IndexDef,
     columns: &[usize],
 ) -> Result<(KeySchema, Base, Vec<u64>, Vec<u32>), IndexError> {
-    let schema = match parse_schema_name(&def.spec)? {
-        Some((_, schema)) => schema,
+    let schema = match SpecName::parse(&def.spec)?.schema {
+        Some(schema) => schema,
         None => KeySchema::new(vec![ColumnType::U64; columns.len()])?,
     };
     // TableSchema::validate checked arity; column types must be unsigned

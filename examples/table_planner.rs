@@ -23,7 +23,7 @@ use rtx_workloads as wl;
 fn main() {
     let device = Device::default_eval();
     let registry = Arc::new(registry());
-    println!("registered backends: {}", registry.names().join(", "));
+    println!("registered backends: {}", registry.backends().join(", "));
 
     // The table: three u64 columns, `amount` is the fetchable value column.
     // Each index is a registry spec — builder selection and sharding are

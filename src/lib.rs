@@ -204,8 +204,8 @@ pub use rtx_query::{
     UpdatableIndex, MISS,
 };
 pub use rtx_serve::{
-    ClientHandle, PendingQuery, PendingTableQuery, QueryService, RebalanceConfig, RetryPolicy,
-    ServeError, ServiceConfig, ServiceStats, TableClient, TableService,
+    ClientHandle, PendingQuery, PendingTableQuery, QueryService, RebalanceConfig, ServeError,
+    ServiceConfig, ServiceStats, TableClient, TableService,
 };
 pub use rtx_shard::{install_sharding, HashPartitioner, RangePartitioner, ShardedIndex};
 pub use rtx_table::{IngestReport, Planner, RoutePlan, Table, TableOutcome, TableStats};
