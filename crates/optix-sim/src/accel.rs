@@ -3,11 +3,13 @@
 //!
 //! A [`GeometryAccel`] owns both the primitive buffer (the paper's "vertex
 //! buffer", whose position encodes the rowID) and the BVH built over it.
-//! The host keeps that buffer permuted into **leaf-slot order** — entry
-//! `slot` is the primitive of rowID `bvh.prim_indices[slot]` — so the
-//! candidates of one leaf share a cache line or two; the rowID handed to
-//! any-hit and every modelled byte count are those of the rowID-ordered
-//! buffer.
+//! The build reads its primitives from a [`BuildSource`] and, once the BVH
+//! has fixed the leaf order, has the source write the one buffer the
+//! structure keeps in **leaf-slot order** — entry `slot` is the primitive
+//! of rowID `bvh.prim_indices[slot]` — so the candidates of one leaf share
+//! a cache line or two. The rowID handed to any-hit and every modelled byte
+//! count are those of the rowID-ordered buffer, which the host never holds
+//! when the source computes its primitives on demand.
 //! Device-memory usage of both parts is accounted against the owning
 //! [`Device`]'s tracker, including the temporary scratch memory the build
 //! consumes, so that Table 6 (footprint during vs. after build) can be
@@ -17,7 +19,7 @@ use gpu_device::build::{staged_build_cost, BuildWork, BUILD_STAGE_COUNT};
 use gpu_device::{worker_count, Device, DeviceAlloc, KernelStats};
 use rtx_bvh::{refit, BuildConfig, BuildPipeline, BuilderKind, Bvh};
 
-use crate::build_input::{BuildInput, PrimitiveKind};
+use crate::build_input::{BuildInput, BuildSource, PrimitiveKind};
 
 /// Options for `optixAccelBuild`, restricted to the flags RTIndeX uses.
 #[derive(Debug, Clone, Copy)]
@@ -90,29 +92,6 @@ pub struct BuildMetrics {
     pub compacted_bytes: u64,
 }
 
-/// An acceleration-structure build running on a background thread.
-///
-/// Created by [`GeometryAccel::build_async`]. Dropping it without calling
-/// [`wait`](PendingAccelBuild::wait) detaches the build (it still completes
-/// and is then discarded).
-#[derive(Debug)]
-pub struct PendingAccelBuild {
-    handle: std::thread::JoinHandle<GeometryAccel>,
-}
-
-impl PendingAccelBuild {
-    /// True once the background build has completed and
-    /// [`wait`](PendingAccelBuild::wait) would return without blocking.
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
-
-    /// Blocks until the build completes and returns the structure.
-    pub fn wait(self) -> GeometryAccel {
-        self.handle.join().expect("accel build thread panicked")
-    }
-}
-
 /// A built geometry acceleration structure.
 #[derive(Debug)]
 pub struct GeometryAccel {
@@ -134,8 +113,13 @@ impl GeometryAccel {
     /// configured build-queue width, so simulated build throughput scales
     /// with [`gpu_device::worker_count`] (or the explicit
     /// [`AccelBuildOptions::build_workers`] override). The emitted
-    /// structure is bit-identical at every width.
-    pub fn build(device: &Device, input: BuildInput, options: &AccelBuildOptions) -> GeometryAccel {
+    /// structure is bit-identical at every width. The primitive buffer is
+    /// written once, by `source`, after the hierarchy: in leaf-slot order.
+    pub fn build(
+        device: &Device,
+        source: &dyn BuildSource,
+        options: &AccelBuildOptions,
+    ) -> GeometryAccel {
         let start = std::time::Instant::now();
 
         let config = BuildConfig {
@@ -149,21 +133,19 @@ impl GeometryAccel {
         // Temporary build scratch: GPU builders need roughly another copy of
         // the primitive data plus sort space. Model it as 2x the primitive
         // buffer, held only for the duration of the build.
-        let scratch_bytes = input.primitive_buffer_bytes() * 2;
+        let prims = source.primitives();
+        let scratch_bytes = prims.bytes_per_primitive() * prims.len() as u64 * 2;
         let scratch = device.reserve(scratch_bytes);
 
-        let staged = BuildPipeline::new(config)
-            .with_workers(workers)
-            .run(input.as_primitive_set());
+        let staged = BuildPipeline::new(config).with_workers(workers).run(prims);
         let mut bvh = staged.bvh;
         let mut compacted_bytes = 0;
         if options.compact {
             compacted_bytes = bvh.compact();
         }
 
-        // Leaf-slot order for the traversal (a gather, after which the
-        // rowID-ordered buffer is dropped — not a second copy).
-        let input = input.gather(&bvh.prim_indices);
+        // The one primitive buffer, in leaf-slot order for the traversal.
+        let input = source.gather_input(&bvh.prim_indices);
 
         let host_build_time = start.elapsed();
         drop(scratch);
@@ -202,25 +184,6 @@ impl GeometryAccel {
             metrics,
             prim_alloc,
             bvh_alloc,
-        }
-    }
-
-    /// Starts a build on a background thread (the asynchronous half of
-    /// `optixAccelBuild` on a side stream): the calling thread keeps
-    /// serving from existing structures while the new one is constructed,
-    /// and claims the result with [`PendingAccelBuild::wait`].
-    pub fn build_async(
-        device: &Device,
-        input: BuildInput,
-        options: &AccelBuildOptions,
-    ) -> PendingAccelBuild {
-        let device = device.clone();
-        let options = *options;
-        PendingAccelBuild {
-            handle: std::thread::Builder::new()
-                .name("rtx-accel-build".to_string())
-                .spawn(move || GeometryAccel::build(&device, input, &options))
-                .expect("spawn accel build thread"),
         }
     }
 
@@ -272,27 +235,29 @@ impl GeometryAccel {
 
     /// Performs a refitting update (our
     /// `optixAccelBuild(OPTIX_BUILD_OPERATION_UPDATE)`): replaces the
-    /// primitive buffer with `new_input` (same primitive count, same kind)
-    /// and refits the existing BVH without rebuilding its topology.
-    pub fn update(&mut self, device: &Device, new_input: BuildInput) -> Result<(), String> {
-        if new_input.kind() != self.input.kind() {
+    /// primitive buffer with the primitives of `source` (same primitive
+    /// count, same kind) and refits the existing BVH without rebuilding its
+    /// topology.
+    pub fn update(&mut self, device: &Device, source: &dyn BuildSource) -> Result<(), String> {
+        if source.kind() != self.input.kind() {
             return Err(format!(
                 "update cannot change the primitive type ({:?} -> {:?})",
                 self.input.kind(),
-                new_input.kind()
+                source.kind()
             ));
         }
-        refit::check_refit(&self.bvh, new_input.len()).map_err(|e| e.to_string())?;
+        let prims = source.primitives();
+        refit::check_refit(&self.bvh, prims.len()).map_err(|e| e.to_string())?;
         let start = std::time::Instant::now();
 
         // Updates also require temporary memory (the OptiX documentation's
         // "updates still require additional temporary memory").
-        let scratch_bytes = new_input.primitive_buffer_bytes();
+        let scratch_bytes = prims.bytes_per_primitive() * prims.len() as u64;
         let scratch = device.reserve(scratch_bytes);
 
-        // The topology is fixed, so the new buffer goes into the same
+        // The topology is fixed, so the new buffer is written in the same
         // leaf-slot order the build chose.
-        self.input = new_input.gather(&self.bvh.prim_indices);
+        self.input = source.gather_input(&self.bvh.prim_indices);
         refit::refit(&mut self.bvh, self.input.as_primitive_set()).map_err(|e| e.to_string())?;
         drop(scratch);
 
@@ -333,7 +298,7 @@ mod tests {
         let device = Device::default_eval();
         let gas = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &centers(1000)),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &centers(1000)),
             &AccelBuildOptions::default(),
         );
         assert_eq!(gas.primitive_count(), 1000);
@@ -353,13 +318,13 @@ mod tests {
         let input = BuildInput::from_centers(PrimitiveKind::Triangle, &centers(4096));
         let uncompacted = GeometryAccel::build(
             &device,
-            input.clone(),
+            &input,
             &AccelBuildOptions {
                 compact: false,
                 ..Default::default()
             },
         );
-        let compacted = GeometryAccel::build(&device, input, &AccelBuildOptions::default());
+        let compacted = GeometryAccel::build(&device, &input, &AccelBuildOptions::default());
         assert!(compacted.memory_bytes() < uncompacted.memory_bytes());
     }
 
@@ -369,12 +334,12 @@ mod tests {
         let c = centers(4096);
         let tri = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &c),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &c),
             &AccelBuildOptions::default(),
         );
         let sph = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Sphere, &c),
+            &BuildInput::from_centers(PrimitiveKind::Sphere, &c),
             &AccelBuildOptions::default(),
         );
         // The primitive buffer dominates the difference: 36 vs 12 bytes/key.
@@ -386,7 +351,7 @@ mod tests {
         let device = Device::default_eval();
         let mut gas = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &centers(128)),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &centers(128)),
             &AccelBuildOptions::updatable(),
         );
         // Move every key by +1000: same count, same kind -> ok.
@@ -395,7 +360,7 @@ mod tests {
             .collect();
         gas.update(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &moved),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &moved),
         )
         .expect("update succeeds");
         assert!(gas
@@ -406,7 +371,7 @@ mod tests {
         let err = gas
             .update(
                 &device,
-                BuildInput::from_centers(PrimitiveKind::Sphere, &moved),
+                &BuildInput::from_centers(PrimitiveKind::Sphere, &moved),
             )
             .expect_err("kind change must fail");
         assert!(err.contains("primitive type"));
@@ -417,13 +382,13 @@ mod tests {
         let device = Device::default_eval();
         let mut gas = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &centers(16)),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &centers(16)),
             &AccelBuildOptions::default(),
         );
         let err = gas
             .update(
                 &device,
-                BuildInput::from_centers(PrimitiveKind::Triangle, &centers(16)),
+                &BuildInput::from_centers(PrimitiveKind::Triangle, &centers(16)),
             )
             .expect_err("non-updatable build");
         assert!(err.contains("allow-update"));
@@ -435,7 +400,7 @@ mod tests {
         let before = device.profiler().total();
         let gas = GeometryAccel::build(
             &device,
-            BuildInput::from_centers(PrimitiveKind::Aabb, &centers(64)),
+            &BuildInput::from_centers(PrimitiveKind::Aabb, &centers(64)),
             &AccelBuildOptions::default(),
         );
         let after = device.profiler().total();
@@ -460,12 +425,12 @@ mod tests {
         let input = BuildInput::from_centers(PrimitiveKind::Triangle, &centers(1 << 16));
         let serial = GeometryAccel::build(
             &device,
-            input.clone(),
+            &input,
             &AccelBuildOptions::default().with_build_workers(1),
         );
         let wide = GeometryAccel::build(
             &device,
-            input,
+            &input,
             &AccelBuildOptions::default().with_build_workers(8),
         );
         assert!(
@@ -475,18 +440,5 @@ mod tests {
         // The emitted structure is identical at every width.
         assert_eq!(serial.bvh().nodes, wide.bvh().nodes);
         assert_eq!(serial.bvh().prim_indices, wide.bvh().prim_indices);
-    }
-
-    #[test]
-    fn async_build_matches_synchronous_build() {
-        let device = Device::default_eval();
-        let input = BuildInput::from_centers(PrimitiveKind::Triangle, &centers(2048));
-        let pending =
-            GeometryAccel::build_async(&device, input.clone(), &AccelBuildOptions::default());
-        let sync = GeometryAccel::build(&device, input, &AccelBuildOptions::default());
-        let gas = pending.wait();
-        assert_eq!(gas.bvh().nodes, sync.bvh().nodes);
-        assert_eq!(gas.bvh().prim_indices, sync.bvh().prim_indices);
-        gas.bvh().validate().expect("valid async build");
     }
 }

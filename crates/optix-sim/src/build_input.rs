@@ -2,8 +2,17 @@
 //!
 //! OptiX accepts triangle arrays, sphere arrays and custom-primitive (AABB)
 //! arrays as build inputs. RTIndeX generates one primitive per key, centred
-//! at the key's scene coordinate; helpers for that construction live here so
-//! that the index crate and the tests share one implementation.
+//! at the key's scene coordinate.
+//!
+//! A build reads its primitives through a [`BuildSource`]: the builder asks
+//! it for primitive `i`'s bounds and centroid, and once the BVH has fixed
+//! the leaf order, the source writes the one primitive buffer the structure
+//! keeps, in that order ([`BuildSource::gather_input`]). A materialized
+//! [`BuildInput`] is one source; the index crate's key scene, which computes
+//! primitive `i` from key `i` when asked, is the other, so an index build
+//! never holds a rowID-ordered copy of the buffer.
+//! [`BuildInput::from_centers`] builds a materialized input with the same
+//! per-key constructors.
 
 use rtx_bvh::{AabbSet, PrimitiveSet, SphereSet, TriangleSet};
 use rtx_math::{Aabb, Sphere, Triangle, Vec3f};
@@ -38,6 +47,37 @@ impl PrimitiveKind {
             PrimitiveKind::Aabb => "aabb",
         }
     }
+
+    /// Bytes one primitive of this kind occupies in a build input: nine,
+    /// three and six float32.
+    pub fn bytes_per_primitive(&self) -> u64 {
+        match self {
+            PrimitiveKind::Triangle => 9 * 4,
+            PrimitiveKind::Sphere => 3 * 4,
+            PrimitiveKind::Aabb => 6 * 4,
+        }
+    }
+}
+
+/// What [`GeometryAccel::build`] and [`GeometryAccel::update`] read the
+/// primitives from: the bounds and centroids the builder asks for, the
+/// primitive kind, and the leaf-slot-ordered buffer the structure keeps.
+///
+/// [`GeometryAccel::build`]: crate::accel::GeometryAccel::build
+/// [`GeometryAccel::update`]: crate::accel::GeometryAccel::update
+pub trait BuildSource {
+    /// The primitive kind of the source.
+    fn kind(&self) -> PrimitiveKind;
+
+    /// The primitives the builder reads bounds and centroids from, in
+    /// rowID order.
+    fn primitives(&self) -> &dyn PrimitiveSet;
+
+    /// The primitives as a build input in which entry `slot` is primitive
+    /// `order[slot]` (see [`PrimitiveSet::gather`]), written over the
+    /// worker pool. With a BVH's `prim_indices` as the order, this is the
+    /// primitive buffer in leaf-slot order.
+    fn gather_input(&self, order: &[u32]) -> BuildInput;
 }
 
 /// A geometry build input (`OptixBuildInput`).
@@ -82,12 +122,7 @@ impl BuildInput {
     /// Bytes of device memory the raw primitive buffer occupies (the "vertex
     /// buffer" of the paper).
     pub fn primitive_buffer_bytes(&self) -> u64 {
-        let per = match self {
-            BuildInput::Triangles(t) => t.bytes_per_primitive(),
-            BuildInput::Spheres(s) => s.bytes_per_primitive(),
-            BuildInput::Aabbs(a) => a.bytes_per_primitive(),
-        };
-        per * self.len() as u64
+        self.kind().bytes_per_primitive() * self.len() as u64
     }
 
     /// View of the input as an abstract primitive set.
@@ -111,57 +146,43 @@ impl BuildInput {
         }
     }
 
-    /// Builds a triangle input with one key triangle per centre, stored in
-    /// the given order (the buffer position is the rowID).
-    pub fn triangles_from_centers(centers: &[Vec3f], half: f32) -> BuildInput {
-        BuildInput::Triangles(TriangleSet::new(
-            centers
-                .iter()
-                .map(|c| Triangle::key_triangle(*c, half))
-                .collect(),
-        ))
-    }
-
-    /// Builds a triangle input with per-axis half extents (needed by the
-    /// Extended key mode, whose x gaps are ULP-sized).
-    pub fn triangles_from_centers_anisotropic(centers: &[Vec3f], half: &[Vec3f]) -> BuildInput {
-        assert_eq!(
-            centers.len(),
-            half.len(),
-            "one half-extent per centre required"
-        );
-        BuildInput::Triangles(TriangleSet::new(
-            centers
-                .iter()
-                .zip(half.iter())
-                .map(|(c, h)| Triangle::key_triangle_anisotropic(*c, *h))
-                .collect(),
-        ))
-    }
-
-    /// Builds a sphere input with one key sphere per centre.
-    pub fn spheres_from_centers(centers: &[Vec3f]) -> BuildInput {
-        BuildInput::Spheres(SphereSet::new(centers.to_vec(), Sphere::KEY_RADIUS))
-    }
-
-    /// Builds an AABB input with one key box per centre.
-    pub fn aabbs_from_centers(centers: &[Vec3f], half: f32) -> BuildInput {
-        BuildInput::Aabbs(AabbSet::new(
-            centers
-                .iter()
-                .map(|c| Aabb::new(*c - Vec3f::splat(half), *c + Vec3f::splat(half)))
-                .collect(),
-        ))
-    }
-
-    /// Builds the input of the requested kind from key centres using the
-    /// default extents (the construction the paper's experiments use).
+    /// Builds the input of the requested kind with one key primitive per
+    /// centre, stored in the given order (the buffer position is the rowID),
+    /// using the default extents (the construction the paper's experiments
+    /// use).
     pub fn from_centers(kind: PrimitiveKind, centers: &[Vec3f]) -> BuildInput {
+        let half = Vec3f::splat(KEY_HALF_EXTENT);
         match kind {
-            PrimitiveKind::Triangle => Self::triangles_from_centers(centers, KEY_HALF_EXTENT),
-            PrimitiveKind::Sphere => Self::spheres_from_centers(centers),
-            PrimitiveKind::Aabb => Self::aabbs_from_centers(centers, KEY_HALF_EXTENT),
+            PrimitiveKind::Triangle => BuildInput::Triangles(TriangleSet::new(
+                centers
+                    .iter()
+                    .map(|c| Triangle::key_triangle(*c, KEY_HALF_EXTENT))
+                    .collect(),
+            )),
+            PrimitiveKind::Sphere => {
+                BuildInput::Spheres(SphereSet::new(centers.to_vec(), Sphere::KEY_RADIUS))
+            }
+            PrimitiveKind::Aabb => BuildInput::Aabbs(AabbSet::new(
+                centers
+                    .iter()
+                    .map(|c| Aabb::new(*c - half, *c + half))
+                    .collect(),
+            )),
         }
+    }
+}
+
+impl BuildSource for BuildInput {
+    fn kind(&self) -> PrimitiveKind {
+        BuildInput::kind(self)
+    }
+
+    fn primitives(&self) -> &dyn PrimitiveSet {
+        self.as_primitive_set()
+    }
+
+    fn gather_input(&self, order: &[u32]) -> BuildInput {
+        self.gather(order)
     }
 }
 
@@ -197,6 +218,12 @@ mod tests {
         assert_eq!(tri.kind(), PrimitiveKind::Triangle);
         assert_eq!(sph.kind(), PrimitiveKind::Sphere);
         assert_eq!(bx.kind(), PrimitiveKind::Aabb);
+        for input in [tri, sph, bx] {
+            assert_eq!(
+                input.kind().bytes_per_primitive(),
+                input.as_primitive_set().bytes_per_primitive()
+            );
+        }
     }
 
     #[test]
@@ -206,25 +233,6 @@ mod tests {
             let input = BuildInput::from_centers(kind, &c);
             assert_eq!(input.as_primitive_set().len(), 7);
         }
-    }
-
-    #[test]
-    fn anisotropic_triangles_respect_extents() {
-        let c = centers(3);
-        let halves = vec![Vec3f::new(0.1, 0.4, 0.4); 3];
-        let input = BuildInput::triangles_from_centers_anisotropic(&c, &halves);
-        let set = input.as_primitive_set();
-        for i in 0..3 {
-            let b = set.bounds(i);
-            assert!(b.extent().x <= 0.2 + 1e-6);
-            assert!(b.extent().y <= 0.8 + 1e-6);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one half-extent per centre")]
-    fn anisotropic_triangles_require_matching_lengths() {
-        let _ = BuildInput::triangles_from_centers_anisotropic(&centers(3), &[Vec3f::splat(0.1)]);
     }
 
     #[test]

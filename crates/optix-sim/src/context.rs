@@ -34,7 +34,7 @@ impl DeviceContext {
 mod tests {
     use super::*;
     use crate::accel::{AccelBuildOptions, GeometryAccel};
-    use crate::build_input::BuildInput;
+    use crate::build_input::{BuildInput, PrimitiveKind};
     use rtx_math::Vec3f;
 
     #[test]
@@ -43,7 +43,7 @@ mod tests {
         let centers: Vec<Vec3f> = (0..10).map(|i| Vec3f::new(i as f32, 0.0, 0.0)).collect();
         let gas = GeometryAccel::build(
             ctx.device(),
-            BuildInput::triangles_from_centers(&centers, 0.4),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &centers),
             &AccelBuildOptions::default(),
         );
         assert_eq!(gas.primitive_count(), 10);

@@ -7,7 +7,8 @@
 //! reproduces exactly that slice with the same semantics:
 //!
 //! * [`DeviceContext`] — owns the simulated device (`optixDeviceContextCreate`),
-//! * [`BuildInput`] — triangle / sphere / AABB build inputs,
+//! * [`BuildInput`] — triangle / sphere / AABB build inputs, and the
+//!   [`BuildSource`] a build reads its primitives from,
 //! * [`AccelBuildOptions`] / [`GeometryAccel`] — `optixAccelBuild`,
 //!   `optixAccelCompact` and refitting updates,
 //! * pipeline-style launches via [`launch`]: a ray-generation program emits
@@ -28,8 +29,8 @@ pub mod context;
 
 pub mod pipeline;
 
-pub use accel::{AccelBuildOptions, BuildMetrics, GeometryAccel, PendingAccelBuild};
-pub use build_input::{BuildInput, PrimitiveKind};
+pub use accel::{AccelBuildOptions, BuildMetrics, GeometryAccel};
+pub use build_input::{BuildInput, BuildSource, PrimitiveKind};
 pub use context::DeviceContext;
 pub use gpu_device::AccessClassifier;
 pub use pipeline::{

@@ -770,7 +770,7 @@ mod tests {
         let centers: Vec<Vec3f> = (0..n).map(|i| Vec3f::new(i as f32, 0.0, 0.0)).collect();
         GeometryAccel::build(
             device,
-            BuildInput::from_centers(PrimitiveKind::Triangle, &centers),
+            &BuildInput::from_centers(PrimitiveKind::Triangle, &centers),
             &AccelBuildOptions::default(),
         )
     }
@@ -831,10 +831,10 @@ mod tests {
         };
         for kind in PrimitiveKind::all() {
             let mut gas =
-                GeometryAccel::build(&device, input(kind, 0), &AccelBuildOptions::updatable());
+                GeometryAccel::build(&device, &input(kind, 0), &AccelBuildOptions::updatable());
             for shift in [0, 101] {
                 if shift != 0 {
-                    gas.update(&device, input(kind, shift)).expect("update");
+                    gas.update(&device, &input(kind, shift)).expect("update");
                 }
                 let mut out = vec![0u32; n];
                 launch(&device, &gas, &PointLookup, n, 0, &mut out);

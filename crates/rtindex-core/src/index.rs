@@ -14,15 +14,14 @@
 
 use gpu_device::{Device, DeviceAlloc};
 use optix_sim::{
-    launch_routed, AccelBuildOptions, AnyHitControl, BuildInput, FinishCtx, GeometryAccel,
-    LaunchMetrics, PrimitiveKind, ProgramSet, RayQueue, Route,
+    launch_routed, AccelBuildOptions, AnyHitControl, FinishCtx, GeometryAccel, LaunchMetrics,
+    ProgramSet, RayQueue, Route,
 };
-use rtx_bvh::{prefetch, AabbSet};
-use rtx_math::Aabb;
+use rtx_bvh::prefetch;
 
 use crate::config::RtIndexConfig;
 use crate::error::RtIndexError;
-use crate::key_mode::KeyMode;
+use crate::key_scene::KeyScene;
 use crate::ray_strategy::{point_lookup_ray, range_lookup_rays};
 
 // The result types are shared by every backend and live in `rtx-query`,
@@ -56,8 +55,11 @@ impl RtIndex {
         Self::validate_build(&config, keys)?;
 
         let keys_alloc = device.reserve(keys.len() as u64 * 8);
-        let input = Self::build_input(&config, keys);
-        let gas = GeometryAccel::build(device, input, &Self::accel_options(&config));
+        let gas = GeometryAccel::build(
+            device,
+            &Self::scene(&config, keys),
+            &Self::accel_options(&config),
+        );
 
         Ok(RtIndex {
             config,
@@ -124,36 +126,10 @@ impl RtIndex {
         })
     }
 
-    /// Converts a key column into the build input of the configured
-    /// primitive kind and key mode.
-    fn build_input(config: &RtIndexConfig, keys: &[u64]) -> BuildInput {
-        let mode = &config.key_mode;
-        let centers = mode.centers(keys);
-        match config.primitive {
-            PrimitiveKind::Triangle => {
-                if matches!(mode, KeyMode::Extended) {
-                    let halves = mode.half_extent_list(keys);
-                    BuildInput::triangles_from_centers_anisotropic(&centers, &halves)
-                } else {
-                    BuildInput::triangles_from_centers(&centers, crate::key_mode::KEY_HALF_EXTENT)
-                }
-            }
-            PrimitiveKind::Sphere => BuildInput::spheres_from_centers(&centers),
-            PrimitiveKind::Aabb => {
-                if matches!(mode, KeyMode::Extended) {
-                    let halves = mode.half_extent_list(keys);
-                    BuildInput::Aabbs(AabbSet::new(
-                        centers
-                            .iter()
-                            .zip(halves.iter())
-                            .map(|(c, h)| Aabb::new(*c - *h, *c + *h))
-                            .collect(),
-                    ))
-                } else {
-                    BuildInput::aabbs_from_centers(&centers, crate::key_mode::KEY_HALF_EXTENT)
-                }
-            }
-        }
+    /// The scene of `keys` under the configured key mode and primitive
+    /// kind, which a build or refit reads its primitives from.
+    fn scene<'k>(config: &RtIndexConfig, keys: &'k [u64]) -> KeyScene<'k> {
+        KeyScene::new(keys, config.key_mode, config.primitive)
     }
 
     /// The configuration the index was built with.
@@ -413,9 +389,8 @@ impl RtIndex {
                 max_key,
             });
         }
-        let input = Self::build_input(&self.config, new_keys);
         self.gas
-            .update(&self.device, input)
+            .update(&self.device, &Self::scene(&self.config, new_keys))
             .map_err(|_| RtIndexError::UpdatesNotEnabled)?;
         // The device uploads the new column before it frees the old one.
         self.keys_alloc = self.device.reserve(new_keys.len() as u64 * 8);
@@ -701,8 +676,9 @@ mod route_sweep;
 mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
+    use crate::key_mode::KeyMode;
     use crate::ray_strategy::{PointRayStrategy, RangeRayStrategy};
-    use optix_sim::{TILE_RAYS, TINY_LAUNCH_RAYS};
+    use optix_sim::{PrimitiveKind, TILE_RAYS, TINY_LAUNCH_RAYS};
     use proptest::prelude::*;
 
     fn device() -> Device {

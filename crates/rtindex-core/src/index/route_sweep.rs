@@ -15,10 +15,22 @@
 //! ```text
 //! RTX_WORKERS=2 cargo test --release -p rtindex-core --lib route_sweep -- --ignored --nocapture
 //! ```
+//!
+//! Beside it, `rx_build_sweep` times what one `RtIndex::build` costs on the
+//! host, below the benchmark's `setup_s` (which folds key generation, the
+//! build and the first launches together), so a build regression is
+//! attributed to the build. It builds the default RX index (3D mode,
+//! triangles, LBVH, compacted) 15 times over 2^16, 2^18 and 2^20 of the
+//! same dense shuffled keys, after one warm-up build per size, and prints
+//! the median and quartiles in ms on the current worker pool:
+//!
+//! ```text
+//! RTX_WORKERS=2 cargo test --release -p rtindex-core --lib rx_build_sweep -- --ignored --nocapture
+//! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use gpu_device::Device;
+use gpu_device::{worker_count, Device};
 use optix_sim::Route;
 
 use crate::{RtIndex, RtIndexConfig};
@@ -27,6 +39,8 @@ use crate::{RtIndex, RtIndexConfig};
 const BATCH: usize = 1 << 16;
 /// Alternating batch pairs per size.
 const PAIRS: usize = 9;
+/// Timed builds per size of the build sweep.
+const BUILDS: usize = 15;
 
 /// SplitMix64 step.
 fn next(state: &mut u64) -> u64 {
@@ -35,6 +49,15 @@ fn next(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The keys `0..n` in an order shuffled from `rng`.
+fn shuffled_keys(n: usize, rng: &mut u64) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0..n as u64).collect();
+    for i in (1..n).rev() {
+        keys.swap(i, (next(rng) % (i as u64 + 1)) as usize);
+    }
+    keys
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -58,10 +81,7 @@ fn host_stages_of_both_routes_across_index_sizes() {
     for log2 in 12..=20 {
         let n = 1usize << log2;
         let mut rng = 0x5EED ^ log2 as u64;
-        let mut keys: Vec<u64> = (0..n as u64).collect();
-        for i in (1..n).rev() {
-            keys.swap(i, (next(&mut rng) % (i as u64 + 1)) as usize);
-        }
+        let keys = shuffled_keys(n, &mut rng);
         let values: Vec<u64> = (0..n).map(|_| next(&mut rng) % (1 << 20)).collect();
         let queries: Vec<u64> = (0..BATCH).map(|_| next(&mut rng) % n as u64).collect();
         let index = RtIndex::build(&device, &keys, RtIndexConfig::default()).expect("build");
@@ -110,4 +130,32 @@ fn host_stages_of_both_routes_across_index_sizes() {
         }
     }
     println!("ns per lookup, medians of {PAIRS} alternating pairs; * marks the selected route");
+}
+
+#[test]
+#[ignore = "a measurement: run in release with --ignored --nocapture"]
+fn rx_build_sweep() {
+    let device = Device::default_eval();
+    println!("{} workers", worker_count());
+    println!(
+        "{:>5} {:>8} {:>8} {:>8}",
+        "keys", "q1_ms", "p50_ms", "q3_ms"
+    );
+    for log2 in [16, 18, 20] {
+        let keys = shuffled_keys(1 << log2, &mut (0x5EED ^ log2 as u64));
+        let mut ms: Vec<f64> = (0..=BUILDS)
+            .map(|_| {
+                let start = Instant::now();
+                let index = RtIndex::build(&device, &keys, RtIndexConfig::default());
+                let elapsed = start.elapsed();
+                drop(index.expect("build"));
+                elapsed.as_secs_f64() * 1e3
+            })
+            .skip(1) // warm-up
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let at = |q: usize| ms[(BUILDS - 1) * q / 4];
+        println!("2^{log2:<3} {:>8.1} {:>8.1} {:>8.1}", at(1), at(2), at(3));
+    }
+    println!("host ms per RtIndex::build, {BUILDS} builds per size after one warm-up");
 }

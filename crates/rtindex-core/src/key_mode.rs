@@ -21,8 +21,10 @@ use rtx_math::Vec3f;
 use crate::decomposition::Decomposition;
 
 /// Half-extent (in x/y/z) of key primitives in Naive and 3D mode, where the
-/// distance between adjacent keys on an axis is 1.0.
-pub const KEY_HALF_EXTENT: f32 = 0.4;
+/// distance between adjacent keys on an axis is 1.0: the one
+/// [`BuildInput::from_centers`](optix_sim::BuildInput::from_centers) builds
+/// with.
+pub const KEY_HALF_EXTENT: f32 = optix_sim::build_input::KEY_HALF_EXTENT;
 
 /// How integer keys are expressed as float32 scene coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,11 +190,6 @@ impl KeyMode {
     pub fn centers(&self, keys: &[u64]) -> Vec<Vec3f> {
         keys.iter().map(|&k| self.center(k)).collect()
     }
-
-    /// Converts keys to per-key half extents in bulk.
-    pub fn half_extent_list(&self, keys: &[u64]) -> Vec<Vec3f> {
-        keys.iter().map(|&k| self.half_extents(k)).collect()
-    }
 }
 
 /// The Extended-Mode conversion formula from Table 1:
@@ -315,10 +312,8 @@ mod tests {
         let mode = KeyMode::three_d_default();
         let keys = [1u64, 2, 1 << 30, u64::MAX];
         let centers = mode.centers(&keys);
-        let halves = mode.half_extent_list(&keys);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(centers[i], mode.center(k));
-            assert_eq!(halves[i], mode.half_extents(k));
         }
     }
 

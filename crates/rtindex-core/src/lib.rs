@@ -38,6 +38,7 @@ pub mod decomposition;
 pub mod error;
 pub mod index;
 pub mod key_mode;
+mod key_scene;
 pub mod ray_strategy;
 pub mod typed;
 

@@ -6,6 +6,7 @@
 //! builders need and the intersection test the traversal calls for leaf
 //! candidates.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 use rtx_math::{Aabb, Ray, Sphere, Triangle, Vec3f};
@@ -85,26 +86,44 @@ pub trait PrimitiveSet: Sync {
         Self: Sized;
 }
 
-/// `out[slot] = src[order[slot]]`, split over the worker pool (the reads are
-/// random, so on a large buffer the gather is latency-bound per worker).
-fn gather_slice<T: Copy + Send + Sync>(src: &[T], order: &[u32]) -> Vec<T> {
+/// `out[slot] = primitive(order[slot])`, split over the worker pool (the
+/// reads are random, so on a large buffer the gather is latency-bound per
+/// worker). Every entry is written once, by the worker that owns its
+/// chunk, so the buffer's pages are first touched there: against a buffer
+/// filled on the calling thread first, the median `RtIndex::build` over
+/// 2^20 keys was lower in three of four alternating pairs (149, 134, 134,
+/// 165 → 130, 118, 140, 128 ms on 2 workers).
+pub fn fill_slots<T, F>(order: &[u32], primitive: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     /// Entries per task below which fanning out costs more than it saves.
     const MIN_CHUNK: usize = 1 << 14;
-    let Some(&first) = order.first() else {
-        return Vec::new();
-    };
-    let mut out = vec![src[first as usize]; order.len()];
-    let chunk = order
-        .len()
-        .div_ceil(gpu_device::worker_count())
-        .max(MIN_CHUNK);
-    let jobs: Vec<(&mut [T], &[u32])> = out.chunks_mut(chunk).zip(order.chunks(chunk)).collect();
+    let n = order.len();
+    let mut out = Vec::with_capacity(n);
+    let chunk = n.div_ceil(gpu_device::worker_count()).max(MIN_CHUNK);
+    let jobs: Vec<(&mut [MaybeUninit<T>], &[u32])> = out.spare_capacity_mut()[..n]
+        .chunks_mut(chunk)
+        .zip(order.chunks(chunk))
+        .collect();
     gpu_device::parallel_map(jobs, |_, (dst, picks)| {
         for (d, &p) in dst.iter_mut().zip(picks) {
-            *d = src[p as usize];
+            d.write(primitive(p as usize));
         }
     });
+    // SAFETY: the first `n` entries and `order` are cut at the same chunk
+    // size, so each destination chunk is as long as its order chunk and its
+    // job wrote every entry of it; the chunks tile the first `n` entries,
+    // and `parallel_map` returns only once every job has run (a panicking
+    // job propagates before this line).
+    unsafe { out.set_len(n) };
     out
+}
+
+/// `out[slot] = src[order[slot]]` (see [`fill_slots`]).
+fn gather_slice<T: Copy + Send + Sync>(src: &[T], order: &[u32]) -> Vec<T> {
+    fill_slots(order, |i| src[i])
 }
 
 /// A triangle array build input (nine float32 per primitive).

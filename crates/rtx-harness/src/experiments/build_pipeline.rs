@@ -73,7 +73,7 @@ pub fn run_build_scaling(device: &Device, keys: &[u64]) -> Vec<BuildCell> {
                 ..AccelBuildOptions::default()
             }
             .with_build_workers(workers);
-            let gas = GeometryAccel::build(device, input.clone(), &options);
+            let gas = GeometryAccel::build(device, &input, &options);
             cells.push(BuildCell {
                 builder,
                 workers,
@@ -265,7 +265,7 @@ mod tests {
         for (slot, workers) in [(0usize, 1usize), (1, 8)] {
             let gas = GeometryAccel::build(
                 &device,
-                input.clone(),
+                &input,
                 &AccelBuildOptions::default().with_build_workers(workers),
             );
             sim[slot] = gas.metrics().simulated_time_s;

@@ -128,7 +128,7 @@ fn accel_build_of_3d_keys_is_the_one_shot_lbvh_bit_for_bit() {
     );
     let accel = GeometryAccel::build(
         &Device::default_eval(),
-        BuildInput::Triangles(prims),
+        &BuildInput::Triangles(prims),
         &options,
     );
     assert_bit_identical(accel.bvh(), &reference, "2^16 3D-mode keys");

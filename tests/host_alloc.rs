@@ -18,11 +18,12 @@
 //! grow with indexes that never win a route. A sixth phase weighs the live
 //! bytes of an ingest whose four overlays all cross the rebuild threshold:
 //! the rebuilds follow the commit one at a time, so the old bases do not
-//! wait for every new one. A seventh weighs one `RX` build: its sort
-//! records are freed before the stitch, so the build peaks no higher than
-//! the sort of 48-byte records did. An eighth weighs what each backend's
-//! build leaves live against its `memory_bytes()`: device memory is an
-//! account, not a second copy, so each index is held once on the host.
+//! wait for every new one. A seventh weighs one `RX` build: it reads its
+//! primitives from the key column and frees its sort records before the
+//! stitch, so it never holds a rowID-ordered vertex buffer. An eighth
+//! weighs what each backend's build leaves live against its
+//! `memory_bytes()`: device memory is an account, not a second copy, so
+//! each index is held once on the host.
 //!
 //! The counter is process-global (it sees every thread, including the
 //! service coalescer and the worker pool), so the bounds below are
@@ -260,22 +261,21 @@ fn crossing_ingest_peak_bytes() -> (u64, u64) {
     (peak, bases)
 }
 
-/// What building `RX` over 2^16 keys adds at its peak once every subtree
-/// block frees its unused node capacity before the stitch and the device
-/// reservations hold no host bytes, on 4, 8 and 16 workers (the highest of
-/// 1, 2, 4, 8 and 16).
-const RX_BUILD_PEAK_BYTES: u64 = 6_160_708;
+/// What `RtIndex::build` over 2^16 keys adds at its peak, 4,325,428 B on
+/// 1, 2, 4, 8 and 16 workers, plus a stated margin of 4 KiB: room for a
+/// few small allocations alive across the build, far below the 2.36 MB a
+/// rowID-ordered vertex buffer (36 B/key) would add.
+const RX_BUILD_PEAK_BYTES: u64 = 4_325_428 + 4096;
 
-/// The live bytes building `RX` over 2^16 dense shuffled keys adds at its
-/// peak, above what was live before the build; the built index stays
-/// alive until the peak is read.
+/// The live bytes `RtIndex::build` over 2^16 dense shuffled keys adds at
+/// its peak, above what was live before the build: the build itself, below
+/// the registry and the adapter. The built index stays alive until the
+/// peak is read.
 fn rx_build_peak_bytes() -> u64 {
     let device = Device::default_eval();
     let keys = wl::dense_shuffled(1 << 16, 18);
-    let spec = IndexSpec::keys_only(&device, &keys);
-    let registry = rtindex::registry();
     let before = reset_peak();
-    let index = registry.build("RX", &spec).unwrap();
+    let index = RtIndex::build(&device, &keys, RtIndexConfig::default()).unwrap();
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
     drop(index);
     peak
@@ -550,12 +550,17 @@ fn steady_state_host_path_allocations_are_bounded() {
 
     // -- One RX build ----------------------------------------------------
     //
-    // The LBVH build sorts 16-byte (Morton code, index) pairs and frees
-    // them before the stitch, where the subtree blocks and the spliced
-    // hierarchy are live together: that is the build's peak. Measured:
-    // 6,160,492 B on one worker, 6,160,564 B on 2 and 6,160,708 B on 4, 8
-    // and 16. While the build scratch was a zeroed host block and the key
-    // column was copied before the build, it peaked at 11,403,372 B,
+    // The LBVH build reads its primitives from the key column, sorts
+    // 16-byte (Morton code, index) pairs and frees them before the stitch;
+    // the one primitive buffer is written after the hierarchy, in
+    // leaf-slot order. Measured at `RtIndex::build`, below the registry:
+    // 4,325,428 B on 1, 2, 4, 8 and 16 workers. Through the registry, while
+    // the build also held a 12 B/key centre array and a 36 B/key rowID-
+    // ordered vertex buffer, it peaked at 6,160,492 B on one worker,
+    // 6,160,564 B on 2 and 6,160,708 B on 4, 8 and 16 (and a 2-byte name
+    // held across it read 6,160,710 B). While the build scratch was a
+    // zeroed host block and the key column was copied before the build,
+    // it peaked at 11,403,372 B,
     // 11,403,444 B and 11,403,588 B; blocks that kept the `2 × len` nodes they reserve peaked
     // at 14,033,952 B and 14,034,432 B, and the sort of 48-byte (code,
     // bounds, centroid, index) records at 14,035,488 B and 14,035,968 B.
@@ -563,8 +568,7 @@ fn steady_state_host_path_allocations_are_bounded() {
     assert!(
         build_peak <= RX_BUILD_PEAK_BYTES,
         "RX build over 2^16 keys: peak live bytes rose by {build_peak} B, above the \
-         {RX_BUILD_PEAK_BYTES} B measured with shrunk subtree blocks and data-less device \
-         reservations"
+         {RX_BUILD_PEAK_BYTES} B measured when the build reads the key column directly"
     );
 
     // -- Each index held once --------------------------------------------
